@@ -117,7 +117,6 @@ _CONFIG_KEYS = {
     "seed": _parse_int,
     "martingale.kind": str,
     "martingale.epsilon": _parse_float,
-    "martingale.grid_size": _parse_int,
     "martingale.jumper_states": _parse_float_tuple,
     "martingale.jump_rate": _parse_float,
     "alarms.ville_threshold": _parse_float,

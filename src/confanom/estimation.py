@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .core import (
     EmptyCalibration,
@@ -175,7 +175,7 @@ def _band_simes(n, delta):
     # simultaneous by the union bound
     r = np.arange(1, n + 1)
     gamma = delta * r * (2.0 / (n * (n + 1.0)))
-    return stats.beta.isf(gamma, r, n - r + 1)
+    return special.betainccinv(r, n - r + 1, gamma)
 
 
 def _band_mc(n, delta, seed):
@@ -193,7 +193,7 @@ def _band_mc(n, delta, seed):
         mins[lo:hi] = sf.min(axis=1)
     order = np.sort(mins)
     gamma = order[int(np.floor(delta * _MC_DRAWS))]
-    return stats.beta.isf(gamma, r, n - r + 1)
+    return special.betainccinv(r, n - r + 1, gamma)
 
 
 def build_adjustment(n, delta, method, seed=None):

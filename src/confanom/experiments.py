@@ -76,10 +76,12 @@ def _shifted_inliers(rng, n):
 
 # -------------------------------------------------------------- batch sweeps
 
-def _metrics_rows(fp, X, labels, levels, seed_hint=None):
+def _metrics_rows(fp, X, labels, levels):
+    # one scoring and ranking of the batch serves every level
+    pvals = pipeline.compute_p_values(fp, X)
     out = []
     for alpha in levels:
-        dec = pipeline.select(fp, X, alpha, seed=seed_hint)
+        dec = decisions.benjamini_hochberg(pvals, alpha)
         out.append((alpha,
                     decisions.false_discovery_rate(labels, dec),
                     decisions.statistical_power(labels, dec)))
@@ -261,46 +263,6 @@ def uniform_streams(seed, n_streams, length):
     return out
 
 
-def _logsumexp_rows(a):
-    m = a.max(axis=1)
-    return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
-
-
-def log_martingale_paths(spec, p_matrix):
-    """Log martingale trajectories for many streams at once.
-
-    Row i column t is log M_{t+1} of stream i; matches ``run_stream`` step
-    for step up to floating-point accumulation order.
-    """
-    p = np.clip(np.asarray(p_matrix, dtype=np.float64),
-                martingales.P_FLOOR, 1.0)
-    if spec.kind == "power":
-        log_f = np.log(spec.epsilon) + (spec.epsilon - 1.0) * np.log(p)
-        return np.cumsum(log_f, axis=1)
-    if spec.kind == "simple_mixture":
-        L = np.cumsum(np.log(p), axis=1)
-        eps, log_eps, log_w = martingales._mixture_grid(spec.grid_size)
-        out = np.empty_like(L)
-        for t in range(L.shape[1]):
-            a = (t + 1) * log_eps[None, :] + L[:, t, None] * (eps - 1.0)[None, :]
-            out[:, t] = _logsumexp_rows(a + log_w[None, :])
-        return out
-    states = np.asarray(spec.jumper_states)
-    rate = spec.jump_rate
-    n_streams, length = p.shape
-    caps = np.full((n_streams, states.shape[0]), 1.0 / states.shape[0])
-    out = np.empty((n_streams, length))
-    log_m = np.zeros(n_streams)
-    for t in range(length):
-        mixed = (1.0 - rate) * caps + rate / states.shape[0]
-        bet = mixed * (1.0 + states[None, :] * (p[:, t, None] - 0.5))
-        total = bet.sum(axis=1)
-        log_m += np.log(total / mixed.sum(axis=1))
-        caps = bet / total[:, None]
-        out[:, t] = log_m
-    return out
-
-
 def martingale_null(seed, n_streams=1000, length=500,
                     threshold=100.0) -> ExperimentResult:
     """Null crossing frequency of each betting strategy at one threshold.
@@ -317,11 +279,12 @@ def martingale_null(seed, n_streams=1000, length=500,
         ("simple_mixture", martingales.simple_mixture()),
         ("simple_jumper", martingales.simple_jumper()),
     )
+    alarms = martingales.AlarmConfig(ville_threshold=threshold)
     rows = []
     crossing = {}
     for name, spec in specs:
-        paths = log_martingale_paths(spec, p)
-        max_log = paths.max(axis=1)
+        start = martingales.init(spec, alarms)
+        max_log = martingales._log_path(spec, start, p)[0].max(axis=1)
         crossed = max_log >= log_level
         crossing[name] = float(crossed.mean())
         for i in range(p.shape[0]):

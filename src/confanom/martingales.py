@@ -11,12 +11,17 @@ Three betting strategies are provided:
 
 * ``power``: multiplies by epsilon * p ** (epsilon - 1) each step.
 * ``simple_mixture``: integrates the power martingale over epsilon in
-  (0, 1], removing the need to pick epsilon in advance.
+  (0, 1], removing the need to pick epsilon in advance.  The integral is
+  evaluated exactly, in closed form through the incomplete gamma
+  function, from the step count and the running sum of log p-values.
 * ``simple_jumper``: a small portfolio of linear bets 1 + s * (p - 1/2)
   over states s, with capital slowly re-mixed between states.
 
 All arithmetic is in log space; martingale values routinely exceed the
-float range on long anomalous streams.
+float range on long anomalous streams.  One private kernel maps an array
+of p-values (one stream per row) to the log-martingale path, and both
+``run_stream`` and the one-observation ``update`` go through it, so a
+stream folded step by step gives the same bits as the whole stream.
 """
 
 from __future__ import annotations
@@ -24,10 +29,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy import special
 
 from .core import InvalidSpec, _readonly
 
@@ -38,7 +42,6 @@ ALARM_KINDS = ("ville", "restarted_ville", "cusum", "sr")
 # can emit arbitrarily small values; flooring keeps the log domain sane.
 P_FLOOR = 1e-12
 
-_DEFAULT_GRID_SIZE = 1000
 _DEFAULT_JUMPER_STATES = (-1.0, 0.0, 1.0)
 _DEFAULT_JUMP_RATE = 0.01
 
@@ -51,6 +54,7 @@ TRAJECTORY_COLUMNS = (
     "alarms",
     "ville_threshold",
     "restarted_ville_threshold",
+    "log_martingale",
 )
 
 
@@ -60,7 +64,6 @@ class MartingaleSpec:
 
     kind: str
     epsilon: float | None = None
-    grid_size: int | None = None
     jumper_states: tuple[float, ...] | None = None
     jump_rate: float | None = None
 
@@ -74,17 +77,9 @@ class MartingaleSpec:
             if not 0.0 < eps <= 1.0:
                 raise InvalidSpec(f"epsilon must be in (0, 1], got {self.epsilon}")
             object.__setattr__(self, "epsilon", eps)
-            self._reject("power", grid_size=self.grid_size,
-                         jumper_states=self.jumper_states, jump_rate=self.jump_rate)
+            self._reject("power", jumper_states=self.jumper_states,
+                         jump_rate=self.jump_rate)
         elif self.kind == "simple_mixture":
-            grid = _DEFAULT_GRID_SIZE if self.grid_size is None else self.grid_size
-            if not isinstance(grid, (int, np.integer)) or isinstance(grid, bool):
-                raise InvalidSpec("grid_size must be an integer")
-            grid = int(grid)
-            # composite Simpson quadrature needs an even interval count
-            if grid < 2 or grid % 2:
-                raise InvalidSpec(f"grid_size must be a positive even integer, got {grid}")
-            object.__setattr__(self, "grid_size", grid)
             self._reject("simple_mixture", epsilon=self.epsilon,
                          jumper_states=self.jumper_states, jump_rate=self.jump_rate)
         else:
@@ -101,7 +96,7 @@ class MartingaleSpec:
                 raise InvalidSpec(f"jump_rate must be in (0, 1), got {self.jump_rate}")
             object.__setattr__(self, "jumper_states", states)
             object.__setattr__(self, "jump_rate", rate)
-            self._reject("simple_jumper", epsilon=self.epsilon, grid_size=self.grid_size)
+            self._reject("simple_jumper", epsilon=self.epsilon)
 
     def _reject(self, kind, **foreign):
         for name, value in foreign.items():
@@ -113,8 +108,8 @@ def power(epsilon) -> MartingaleSpec:
     return MartingaleSpec(kind="power", epsilon=epsilon)
 
 
-def simple_mixture(grid_size=_DEFAULT_GRID_SIZE) -> MartingaleSpec:
-    return MartingaleSpec(kind="simple_mixture", grid_size=grid_size)
+def simple_mixture() -> MartingaleSpec:
+    return MartingaleSpec(kind="simple_mixture")
 
 
 def simple_jumper(jumper_states=_DEFAULT_JUMPER_STATES,
@@ -157,7 +152,7 @@ class MartingaleState:
 
     ``log_m`` is the log martingale value (0 at start).  ``sum_log_p``
     carries the running sum of log p-values so the mixture integral can
-    be re-evaluated without replaying the stream.  ``jumper_capitals``
+    be evaluated without replaying the stream.  ``jumper_capitals``
     is kept normalized to sum 1; the unnormalized total is exactly the
     martingale value, which lives in ``log_m`` instead so the capitals
     never overflow.
@@ -201,36 +196,27 @@ class MartingaleState:
 
 
 @dataclass(frozen=True)
-class TrajectoryPoint:
-    """One step of a stream run: log statistics plus the alarms it raised."""
+class Trajectory:
+    """Per-step log statistics of a stream run, one array entry per observation.
 
-    step: int
-    log_m: float
-    log_m_restarted: float
-    log_min_m: float
-    log_sr: float
-    triggered: frozenset[str]
-    new_alarms: tuple[str, ...]
+    ``new_alarms`` is a boolean (steps, len(ALARM_KINDS)) matrix of the
+    alarms each step raised, columns in ALARM_KINDS order.
+    """
 
-    @property
-    def martingale(self) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.log_m))
+    step: np.ndarray
+    log_m: np.ndarray
+    log_m_restarted: np.ndarray
+    log_min_m: np.ndarray
+    log_sr: np.ndarray
+    new_alarms: np.ndarray
 
-    @property
-    def restarted_martingale(self) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.log_m_restarted))
+    def __post_init__(self):
+        for name in ("step", "log_m", "log_m_restarted", "log_min_m", "log_sr",
+                     "new_alarms"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
-    @property
-    def cusum(self) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.log_m - self.log_min_m))
-
-    @property
-    def sr(self) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.log_sr))
+    def __len__(self):
+        return self.step.shape[0]
 
 
 def init(spec: MartingaleSpec, alarms: AlarmConfig) -> MartingaleState:
@@ -257,168 +243,188 @@ def init(spec: MartingaleSpec, alarms: AlarmConfig) -> MartingaleState:
     )
 
 
-def _floor_p(p):
-    p = float(p)
-    if p < P_FLOOR:
-        return P_FLOOR, True
-    return min(p, 1.0), False
+def _running(ufunc, start, values):
+    """``ufunc`` accumulated along the last axis of ``values``, seeded with ``start``.
 
-
-@lru_cache(maxsize=8)
-def _mixture_grid(grid_size):
-    eps = np.linspace(0.0, 1.0, grid_size + 1)
-    weights = np.ones(grid_size + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    with np.errstate(divide="ignore"):
-        log_eps = np.log(eps)
-    log_weights = np.log(weights / (3.0 * grid_size))
-    eps.setflags(write=False)
-    log_eps.setflags(write=False)
-    log_weights.setflags(write=False)
-    return eps, log_eps, log_weights
-
-
-def _log_mixture_integral(n, sum_log_p, grid_size):
-    """log of I_n = integral over (0,1] of eps**n * exp((eps-1) * L_n) d eps.
-
-    Composite Simpson in log space; the eps=0 endpoint contributes its
-    limit 0 for n >= 1 (the -inf log kills it inside logsumexp).
+    Seeding (rather than combining ``start`` afterwards) keeps the order of
+    operations of a step-by-step fold, so a stream split anywhere gives
+    the same bits as the whole.
     """
-    eps, log_eps, log_weights = _mixture_grid(grid_size)
-    log_integrand = n * log_eps + (eps - 1.0) * sum_log_p
-    return float(logsumexp(log_integrand + log_weights))
+    head = np.full(values.shape[:-1] + (1,), start)
+    return ufunc.accumulate(np.concatenate((head, values), axis=-1), axis=-1)[..., 1:]
 
 
-def _jumper_step(spec, capitals, p):
+def _log_mixture(n, a):
+    """log I_n, I_n = integral over (0, 1] of eps**n * exp(a * (1 - eps)) d eps.
+
+    ``a`` = -sum log p over the first ``n`` p-values.  Where a < n + 1,
+    I_n = 1F1(1; n + 2; a) / (n + 1): Kummer's power series of the
+    regularised lower incomplete gamma P(n + 1, a), exact at a = 0
+    (every p equal to 1).  Elsewhere
+    log I_n = a + ln Gamma(n + 1) + ln P(n + 1, a) - (n + 1) ln a, with
+    P(n + 1, a) at least about 1/2.  ``gammainc`` is kept out of the
+    first region: it underflows there, and from n near 10**6 it loses up
+    to three digits of P in that tail.
+    """
+    n, a = np.broadcast_arrays(np.asarray(n, dtype=np.float64), a)
+    out = np.empty(a.shape)
+    series = a < n + 1.0
+    ns, as_ = n[series], a[series]
+    out[series] = np.log(special.hyp1f1(1.0, ns + 2.0, as_)) - np.log(ns + 1.0)
+    nd, ad = n[~series], a[~series]
+    out[~series] = (ad + special.gammaln(nd + 1.0)
+                    + np.log(special.gammainc(nd + 1.0, ad)) - (nd + 1.0) * np.log(ad))
+    return out
+
+
+def _jumper_factors(spec, capitals, p):
     states = np.asarray(spec.jumper_states)
     rate = spec.jump_rate
-    mixed = (1.0 - rate) * capitals + rate * capitals.sum() / states.shape[0]
-    bet = mixed * (1.0 + states * (p - 0.5))
-    total = float(bet.sum())
-    return math.log(total / float(mixed.sum())), bet / total
+    log_f = np.empty(p.shape)
+    for t in range(p.shape[-1]):
+        mixed = ((1.0 - rate) * capitals
+                 + rate * capitals.sum(axis=-1, keepdims=True) / states.shape[0])
+        bet = mixed * (1.0 + states * (p[..., t, None] - 0.5))
+        total = bet.sum(axis=-1, keepdims=True)
+        log_f[..., t] = np.log(total / mixed.sum(axis=-1, keepdims=True))[..., 0]
+        capitals = bet / total
+    return log_f, capitals
 
 
-def _log_step(spec, state, p):
-    """Log betting factor for observing p in this state, plus new jumper capitals."""
-    if spec.kind == "power":
-        return math.log(spec.epsilon) + (spec.epsilon - 1.0) * math.log(p), None
+def _log_path(spec, state, p):
+    """The log martingale along the last axis of ``p``, continuing from ``state``.
+
+    Leading axes of ``p`` are independent streams that all start from
+    ``state``.  p-values are clamped to [P_FLOOR, 1].  Returns the log
+    martingale after each step, the log betting factors, the running sum
+    of log p and the jumper capitals after the last step (None for the
+    other kinds).
+    """
+    p = np.clip(p, P_FLOOR, 1.0)
+    sum_log_p = _running(np.add, state.sum_log_p, np.log(p))
     if spec.kind == "simple_mixture":
-        new_sum = state.sum_log_p + math.log(p)
-        log_integral = _log_mixture_integral(state.step + 1, new_sum, spec.grid_size)
-        return log_integral - state.log_m, None
-    return _jumper_step(spec, state.jumper_capitals, p)
+        n = state.step + np.arange(1, p.shape[-1] + 1)
+        log_m = _log_mixture(n, -sum_log_p)
+        return log_m, np.diff(log_m, prepend=state.log_m), sum_log_p, None
+    capitals = None
+    if spec.kind == "power":
+        log_f = math.log(spec.epsilon) + (spec.epsilon - 1.0) * np.log(p)
+    else:
+        log_f, capitals = _jumper_factors(spec, state.jumper_capitals, p)
+    return _running(np.add, state.log_m, log_f), log_f, sum_log_p, capitals
 
 
-def step_factor(spec: MartingaleSpec, state: MartingaleState, p) -> float:
-    """Multiplicative betting factor f for the next observation, without advancing."""
-    p, _ = _floor_p(p)
-    log_f, _ = _log_step(spec, state, p)
-    return math.exp(log_f)
+def _log_level(threshold):
+    # an unset threshold is never reached
+    return math.inf if threshold is None else math.log(threshold)
 
 
-def _log_or_none(threshold):
-    return None if threshold is None else math.log(threshold)
+def _restarted_and_sr(log_f, log_restarted, log_sr, restart_level):
+    """The restarted log martingale and log Shiryaev-Roberts statistic per step.
+
+    Both depend on their own past (the restarted process resets to
+    capital 1 each time it reaches its level; SR_n = (SR_{n-1} + 1) f_n),
+    so they are one pass over the log factors.  Also returns the mask of
+    steps where the restarted process crossed its level.
+    """
+    restarted, sr, crossed = [], [], []
+    for f in log_f.tolist():
+        log_sr = float(np.logaddexp(log_sr, 0.0)) + f
+        log_restarted += f
+        hit = log_restarted >= restart_level
+        if hit:
+            log_restarted = 0.0
+        restarted.append(log_restarted)
+        sr.append(log_sr)
+        crossed.append(hit)
+    return np.array(restarted), np.array(sr), np.array(crossed, dtype=bool)
+
+
+def _advance(spec, state, p_stream, alarms):
+    p = np.asarray(p_stream, dtype=np.float64)
+    if p.ndim != 1:
+        raise InvalidSpec(f"p-value stream must be one-dimensional, got {p.ndim}-D")
+    log_m, log_f, sum_log_p, capitals = _log_path(spec, state, p)
+    log_min_m = _running(np.minimum, state.log_min_m, log_m)
+    log_restarted, log_sr, restarted = _restarted_and_sr(
+        log_f, state.log_m_restarted, state.log_sr,
+        _log_level(alarms.restarted_ville_threshold))
+
+    # columns in ALARM_KINDS order
+    triggered = np.column_stack((
+        log_m >= _log_level(alarms.ville_threshold),
+        restarted,
+        log_m - log_min_m >= _log_level(alarms.cusum_threshold),
+        log_sr >= _log_level(alarms.sr_threshold)))
+    before = np.vstack(([kind in state.triggered_alarms for kind in ALARM_KINDS],
+                        triggered))[:-1]
+    # History keeps rising edges; the restarted process logs every
+    # crossing since it resets to capital 1 the moment it fires.
+    new_alarms = triggered & ~before
+    new_alarms[:, 1] = restarted
+
+    steps = state.step + np.arange(1, p.shape[0] + 1)
+    rows, kinds = np.nonzero(new_alarms)
+    events = tuple((int(steps[t]), ALARM_KINDS[k])
+                   for t, k in zip(rows.tolist(), kinds.tolist()))
+    trajectory = Trajectory(step=steps, log_m=log_m, log_m_restarted=log_restarted,
+                            log_min_m=log_min_m, log_sr=log_sr, new_alarms=new_alarms)
+    if not len(trajectory):
+        return state, trajectory
+    final = MartingaleState(
+        step=int(steps[-1]),
+        log_m=float(log_m[-1]),
+        log_m_restarted=float(log_restarted[-1]),
+        log_min_m=float(log_min_m[-1]),
+        log_sr=float(log_sr[-1]),
+        sum_log_p=float(sum_log_p[-1]),
+        jumper_capitals=capitals,
+        triggered_alarms=frozenset(kind for kind, on in zip(ALARM_KINDS, triggered[-1])
+                                   if on),
+        alarm_history=state.alarm_history + events,
+        floored_count=state.floored_count + int(np.count_nonzero(p < P_FLOOR)),
+    )
+    return final, trajectory
 
 
 def update(spec: MartingaleSpec, state: MartingaleState, p,
            alarms: AlarmConfig) -> MartingaleState:
     """Advance one observation and re-evaluate every configured alarm."""
-    p, floored = _floor_p(p)
-    log_f, new_capitals = _log_step(spec, state, p)
-    step = state.step + 1
-
-    log_m = state.log_m + log_f
-    log_min_m = min(state.log_min_m, log_m)
-    log_sr = float(np.logaddexp(state.log_sr, 0.0)) + log_f
-
-    restart_level = _log_or_none(alarms.restarted_ville_threshold)
-    log_restarted = state.log_m_restarted + log_f
-    restart_crossed = restart_level is not None and log_restarted >= restart_level
-
-    triggered = set()
-    ville_level = _log_or_none(alarms.ville_threshold)
-    if ville_level is not None and log_m >= ville_level:
-        triggered.add("ville")
-    if restart_crossed:
-        triggered.add("restarted_ville")
-    cusum_level = _log_or_none(alarms.cusum_threshold)
-    if cusum_level is not None and log_m - log_min_m >= cusum_level:
-        triggered.add("cusum")
-    sr_level = _log_or_none(alarms.sr_threshold)
-    if sr_level is not None and log_sr >= sr_level:
-        triggered.add("sr")
-
-    # History keeps rising edges; the restarted process logs every
-    # crossing since it resets to capital 1 the moment it fires.
-    events = []
-    for kind in ALARM_KINDS:
-        if kind == "restarted_ville":
-            if restart_crossed:
-                events.append((step, kind))
-        elif kind in triggered and kind not in state.triggered_alarms:
-            events.append((step, kind))
-    if restart_crossed:
-        log_restarted = 0.0
-
-    return MartingaleState(
-        step=step,
-        log_m=log_m,
-        log_m_restarted=log_restarted,
-        log_min_m=log_min_m,
-        log_sr=log_sr,
-        sum_log_p=state.sum_log_p + math.log(p),
-        jumper_capitals=new_capitals,
-        triggered_alarms=frozenset(triggered),
-        alarm_history=state.alarm_history + tuple(events),
-        floored_count=state.floored_count + int(floored),
-    )
+    return _advance(spec, state, [p], alarms)[0]
 
 
 def run_stream(spec: MartingaleSpec, alarms: AlarmConfig, p_stream):
-    """Fold ``update`` over a p-value stream.
+    """Run a fresh process over a one-dimensional p-value stream.
 
-    Returns the final state and one TrajectoryPoint per observation.
+    Returns the final state and the Trajectory, one entry per observation.
+    The result equals ``update`` folded over the stream, bit for bit.
     """
-    state = init(spec, alarms)
-    trajectory = []
-    for p in p_stream:
-        seen = len(state.alarm_history)
-        state = update(spec, state, p, alarms)
-        trajectory.append(TrajectoryPoint(
-            step=state.step,
-            log_m=state.log_m,
-            log_m_restarted=state.log_m_restarted,
-            log_min_m=state.log_min_m,
-            log_sr=state.log_sr,
-            triggered=state.triggered_alarms,
-            new_alarms=tuple(kind for _, kind in state.alarm_history[seen:]),
-        ))
-    return state, tuple(trajectory)
+    return _advance(spec, init(spec, alarms), p_stream, alarms)
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+def _cells(values):
+    return [repr(v) for v in values.tolist()]
 
 
 def trajectory_rows(trajectory, alarms: AlarmConfig):
-    """Plot-ready rows matching TRAJECTORY_COLUMNS, thresholds as constant columns."""
-    ville = "" if alarms.ville_threshold is None else _fmt(alarms.ville_threshold)
+    """Plot-ready rows matching TRAJECTORY_COLUMNS, thresholds as constant columns.
+
+    The linear statistics overflow to ``inf`` past log M = 709; the last
+    column keeps log M itself.
+    """
+    steps = len(trajectory)
+    ville = "" if alarms.ville_threshold is None else repr(alarms.ville_threshold)
     restarted = ("" if alarms.restarted_ville_threshold is None
-                 else _fmt(alarms.restarted_ville_threshold))
-    rows = []
-    for point in trajectory:
-        rows.append((
-            str(point.step),
-            _fmt(point.martingale),
-            _fmt(point.restarted_martingale),
-            _fmt(point.cusum),
-            _fmt(point.sr),
-            ";".join(point.new_alarms),
-            ville,
-            restarted,
-        ))
-    return rows
+                 else repr(alarms.restarted_ville_threshold))
+    with np.errstate(over="ignore"):
+        linear = [_cells(np.exp(log)) for log in (
+            trajectory.log_m, trajectory.log_m_restarted,
+            trajectory.log_m - trajectory.log_min_m, trajectory.log_sr)]
+    new_alarms = [";".join(kind for kind, on in zip(ALARM_KINDS, row) if on)
+                  for row in trajectory.new_alarms.tolist()]
+    return list(zip(
+        _cells(trajectory.step), *linear, new_alarms,
+        [ville] * steps, [restarted] * steps, _cells(trajectory.log_m)))
 
 
 def write_trajectory_csv(path, trajectory, alarms: AlarmConfig):

@@ -3,12 +3,12 @@ import pytest
 
 from confanom.core import InvalidSpec
 from confanom.experiments import (EXPERIMENT_NAMES, conditional,
-                                  log_martingale_paths, martingale_null,
-                                  run_experiment, shift, shift_oracle_ratio,
-                                  single_change_stream, strategy_sweep,
-                                  two_burst_stream, uniform_streams)
-from confanom.martingales import (AlarmConfig, init, power, simple_jumper,
-                                  simple_mixture, update)
+                                  martingale_null, run_experiment, shift,
+                                  shift_oracle_ratio, single_change_stream,
+                                  strategy_sweep, two_burst_stream,
+                                  uniform_streams)
+from confanom.martingales import (AlarmConfig, power, run_stream,
+                                  simple_jumper, simple_mixture)
 
 
 class TestStrategySweep:
@@ -77,19 +77,17 @@ class TestMartingaleNull:
         c = uniform_streams(seed=6, n_streams=1, length=40)
         np.testing.assert_array_equal(a[0], c[0])
 
-
-class TestVectorizedPaths:
-    @pytest.mark.parametrize("spec", [power(0.5), simple_mixture(),
-                                      simple_jumper()])
-    def test_matches_sequential_updates(self, spec):
-        alarms = AlarmConfig(ville_threshold=1e12)
-        p = uniform_streams(seed=7, n_streams=2, length=30)
-        paths = log_martingale_paths(spec, p)
-        for i in range(2):
-            state = init(spec, alarms)
-            for t in range(30):
-                state = update(spec, state, p[i, t], alarms)
-                assert paths[i, t] == pytest.approx(state.log_m, abs=1e-9)
+    def test_rows_equal_run_stream(self):
+        result = martingale_null(seed=7, n_streams=4, length=60, threshold=20.0)
+        p = uniform_streams(seed=7, n_streams=4, length=60)
+        alarms = AlarmConfig(ville_threshold=20.0)
+        specs = {"power": power(0.5), "simple_mixture": simple_mixture(),
+                 "simple_jumper": simple_jumper()}
+        for method, i, max_log, crossed in result.rows:
+            final, trajectory = run_stream(specs[method], alarms, p[i])
+            assert max_log == trajectory.log_m.max()
+            assert crossed == int(any(kind == "ville"
+                                      for _, kind in final.alarm_history))
 
 
 class TestStreamFixtures:

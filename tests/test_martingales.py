@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +9,15 @@ from confanom.core import InvalidSpec, make_rng
 from confanom.martingales import (ALARM_KINDS, P_FLOOR, TRAJECTORY_COLUMNS,
                                   AlarmConfig, MartingaleSpec, init, power,
                                   run_stream, simple_jumper, simple_mixture,
-                                  step_factor, trajectory_rows, update,
-                                  write_trajectory_csv)
+                                  trajectory_rows, update, write_trajectory_csv)
 
 VILLE = AlarmConfig(ville_threshold=100.0)
 BOTH = AlarmConfig(ville_threshold=100.0, restarted_ville_threshold=100.0)
+ALL = AlarmConfig(ville_threshold=100.0, restarted_ville_threshold=100.0,
+                  cusum_threshold=100.0, sr_threshold=100.0)
+SPECS = [power(0.5), simple_mixture(), simple_jumper()]
+STATE_FIELDS = ("step", "log_m", "log_m_restarted", "log_min_m", "log_sr",
+                "sum_log_p", "triggered_alarms", "alarm_history", "floored_count")
 
 
 def run(spec, alarms, ps):
@@ -36,14 +41,7 @@ class TestSpecs:
 
     def test_power_rejects_foreign_params(self):
         with pytest.raises(InvalidSpec):
-            MartingaleSpec(kind="power", epsilon=0.5, grid_size=100)
-
-    def test_mixture_grid_must_be_positive_even(self):
-        with pytest.raises(InvalidSpec):
-            simple_mixture(grid_size=0)
-        with pytest.raises(InvalidSpec):
-            simple_mixture(grid_size=999)
-        assert simple_mixture(grid_size=10).grid_size == 10
+            MartingaleSpec(kind="power", epsilon=0.5, jump_rate=0.1)
 
     def test_jumper_states_validated(self):
         with pytest.raises(InvalidSpec):
@@ -81,8 +79,8 @@ class TestPowerMartingale:
     def test_fair_p_value_keeps_capital(self):
         # at epsilon = 0.5 a p-value of 0.25 gives f = 1 exactly
         spec = power(0.5)
-        state = init(spec, VILLE)
-        assert step_factor(spec, state, 0.25) == pytest.approx(1.0, rel=1e-12)
+        state = update(spec, init(spec, VILLE), 0.25, VILLE)
+        assert state.martingale == pytest.approx(1.0, rel=1e-12)
 
     def test_epsilon_one_is_identity(self):
         spec = power(1.0)
@@ -117,6 +115,34 @@ class TestMixtureMartingale:
         spec = simple_mixture()
         state = run(spec, VILLE, [0.01] * 10)
         assert state.martingale > 100.0
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000, 10**5, 10**7])
+    @pytest.mark.parametrize("ratio", [0.0, 0.3, 0.9, 0.99, 0.995, 0.998, 0.999,
+                                       1.0, 1.001, 1.01, 1.3, 3.0,
+                                       -math.log(P_FLOOR)])
+    def test_matches_quadrature(self, n, ratio):
+        # a = -sum log p ranges from 0 (every p = 1) to n * 27.6 (every p at
+        # the floor); the state is placed at step n - 1 so one update
+        # evaluates the mixture at step n without an n-step stream
+        mpmath = pytest.importorskip("mpmath")
+        spec = simple_mixture()
+        state = dataclasses.replace(init(spec, VILLE), step=n - 1,
+                                    sum_log_p=-ratio * (n - 1))
+        state = update(spec, state, math.exp(-ratio), VILLE)
+        mpmath.mp.dps = 40
+        N, a = mpmath.mpf(n), mpmath.mpf(-state.sum_log_p)
+
+        def integrand(eps):
+            return mpmath.exp(N * mpmath.log(eps) + a * (1 - eps)) if eps > 0 else 0
+
+        # split at the integrand's peak and a few of its widths either side
+        peak = min(mpmath.mpf(1), N / a) if a > 0 else mpmath.mpf(1)
+        width = mpmath.sqrt(N) / max(a, N)
+        points = sorted({mpmath.mpf(0), mpmath.mpf(1)} | {
+            peak + c * width for c in (-40, -10, -3, 0, 3, 10)
+            if 0 < peak + c * width < 1})
+        want = float(mpmath.log(mpmath.quad(integrand, points)))
+        assert abs(state.log_m - want) <= 1e-8 * max(1.0, abs(want))
 
 
 class TestJumperMartingale:
@@ -235,25 +261,53 @@ class TestAlarms:
         assert ALARM_KINDS == ("ville", "restarted_ville", "cusum", "sr")
 
 
+def _ramp_stream(seed, length=400):
+    # uniform, then ever smaller p-values, with one p below the floor: every
+    # alarm fires and clears on the way
+    ps = 1.0 - make_rng(seed).random(length)
+    ps[length // 2:] **= 5
+    ps[length // 3] = 0.0
+    return ps
+
+
 class TestRunStream:
-    def test_equals_iterated_update(self):
-        spec = simple_jumper()
-        ps = make_rng(4).random(50)
-        final, trajectory = run_stream(spec, BOTH, ps)
-        state = init(spec, BOTH)
-        for p in ps:
-            state = update(spec, state, p, BOTH)
-        assert final.log_m == state.log_m
-        assert final.log_sr == state.log_sr
-        assert final.alarm_history == state.alarm_history
-        assert len(trajectory) == 50
-        assert trajectory[-1].log_m == state.log_m
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_equals_iterated_update(self, spec):
+        ps = _ramp_stream(4)
+        final, trajectory = run_stream(spec, ALL, ps)
+        state = run(spec, ALL, ps)
+        for name in STATE_FIELDS:
+            assert getattr(final, name) == getattr(state, name), name
+        assert {kind for _, kind in final.alarm_history} == set(ALARM_KINDS)
+        assert final.floored_count == 1
+        assert len(trajectory) == len(ps)
+        assert trajectory.log_m[-1] == state.log_m
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_split_stream_continues_with_update(self, spec):
+        ps = _ramp_stream(5, length=60)
+        whole, _ = run_stream(spec, ALL, ps)
+        for cut in range(len(ps) + 1):
+            state, _ = run_stream(spec, ALL, ps[:cut])
+            for p in ps[cut:]:
+                state = update(spec, state, p, ALL)
+            for name in STATE_FIELDS:
+                assert getattr(state, name) == getattr(whole, name), (cut, name)
+            if spec.kind == "simple_jumper":
+                np.testing.assert_array_equal(state.jumper_capitals,
+                                              whole.jumper_capitals)
 
     def test_trajectory_new_alarms_match_history(self):
         spec = power(0.5)
         final, trajectory = run_stream(spec, BOTH, [0.01] * 6)
-        flattened = [(pt.step, kind) for pt in trajectory for kind in pt.new_alarms]
+        flattened = [(int(step), kind)
+                     for step, row in zip(trajectory.step, trajectory.new_alarms)
+                     for kind, raised in zip(ALARM_KINDS, row) if raised]
         assert tuple(flattened) == final.alarm_history
+
+    def test_rejects_two_dimensional_input(self):
+        with pytest.raises(InvalidSpec):
+            run_stream(power(0.5), VILLE, np.full((2, 3), 0.5))
 
 
 class TestTrajectoryCsv:
@@ -285,9 +339,24 @@ class TestTrajectoryCsv:
         write_trajectory_csv(path, trajectory, VILLE)
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))[1:]
-        for point, row in zip(trajectory, rows):
-            assert float(row[1]) == point.martingale
-            assert float(row[4]) == point.sr
+        for i, row in enumerate(rows):
+            assert float(row[1]) == float(np.exp(trajectory.log_m[i]))
+            assert float(row[4]) == float(np.exp(trajectory.log_sr[i]))
+            assert float(row[8]) == trajectory.log_m[i]
+
+    def test_log_martingale_survives_overflow(self, tmp_path):
+        # log M reaches about 12,400; exp(log M) is inf past 709
+        spec = power(0.5)
+        final, trajectory = run_stream(spec, VILLE, [1e-6] * 2000)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, trajectory, VILLE)
+        with open(path, newline="") as handle:
+            last = list(csv.reader(handle))[-1]
+        cell = last[TRAJECTORY_COLUMNS.index("log_martingale")]
+        assert final.log_m > 709
+        assert last[1] == "inf"
+        assert math.isfinite(float(cell))
+        assert cell == repr(final.log_m)
 
 
 class TestVilleBound:
@@ -299,7 +368,7 @@ class TestVilleBound:
         crossings = 0
         trials = 400
         for _ in range(trials):
-            state = run(spec, alarms, rng.random(100))
+            state, _ = run_stream(spec, alarms, rng.random(100))
             crossings += bool(state.alarm_history)
         bound = 1 / 20
         assert crossings / trials <= bound + 3 * np.sqrt(bound * (1 - bound) / trials)
