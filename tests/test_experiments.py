@@ -7,8 +7,8 @@ from confanom.experiments import (EXPERIMENT_NAMES, conditional,
                                   shift_oracle_ratio, single_change_stream,
                                   strategy_sweep, two_burst_stream,
                                   uniform_streams)
-from confanom.martingales import (AlarmConfig, power, run_stream,
-                                  simple_jumper, simple_mixture)
+from confanom.martingales import (AlarmConfig, init, power, run_stream,
+                                  simple_jumper, simple_mixture, update)
 
 
 class TestStrategySweep:
@@ -88,6 +88,21 @@ class TestMartingaleNull:
             assert max_log == trajectory.log_m.max()
             assert crossed == int(any(kind == "ville"
                                       for _, kind in final.alarm_history))
+
+
+class TestVectorizedPaths:
+    @pytest.mark.parametrize("spec", [power(0.5), simple_mixture(),
+                                      simple_jumper()])
+    def test_matches_sequential_updates(self, spec):
+        alarms = AlarmConfig(ville_threshold=1e12)
+        p = uniform_streams(seed=7, n_streams=2, length=30)
+        for i in range(2):
+            _, trajectory = run_stream(spec, alarms, p[i])
+            state = init(spec, alarms)
+            for t in range(30):
+                state = update(spec, state, p[i, t], alarms)
+                assert trajectory.log_m[t] == pytest.approx(state.log_m,
+                                                            abs=1e-9)
 
 
 class TestStreamFixtures:
