@@ -39,7 +39,7 @@ for name, strategy in strategies:
                  train)
     decision = select(fitted, X, alpha=0.2)
     print(f"{name:14} {fitted.n_entries:7d} "
-          f"{len(fitted.calibration.models):6d} "
+          f"{fitted.calibration.n_models:6d} "
           f"{false_discovery_rate(labels, decision):6.3f} "
           f"{statistical_power(labels, decision):7.2f}")
 

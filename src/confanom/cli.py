@@ -389,8 +389,7 @@ def cmd_detect(args):
     test = read_csv_matrix(args.test, label_column=args.label_column)
 
     fitted = pipeline.fit(config, train)
-    scores = pipeline.score_samples(fitted, test)
-    p_values = pipeline.compute_p_values(fitted, test)
+    scores, p_values = pipeline.score_and_p_values(fitted, test)
     if config.weighting is not None:
         decision = decisions.weighted_false_discovery_control(p_values, args.alpha)
     else:
@@ -505,7 +504,7 @@ def cmd_snapshot(args):
             "weighting": config.weighting,
             "seed": config.seed,
             "n_entries": fitted.n_entries,
-            "n_models": len(fitted.calibration.models),
+            "n_models": fitted.calibration.n_models,
             "table": None if fitted.table is None else {
                 "n": fitted.table.n,
                 "delta": fitted.table.delta,

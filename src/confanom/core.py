@@ -118,6 +118,16 @@ def _readonly(a):
     return a
 
 
+def check_finite(values, what):
+    """Return a 1-D array unchanged, or raise InvalidData naming the position
+    of its first NaN or infinite entry."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InvalidData(i, message=f"non-finite {what} at position {i}: {values[i]!r}")
+    return values
+
+
 def check_seed(seed):
     """Validate and normalize a seed to a plain int in [0, 2**64)."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
@@ -316,9 +326,11 @@ class PValueVector:
         n = int(self.calibration_size)
         if n < 1:
             raise EmptyCalibration("calibration_size must be positive")
-        if v.size and (v.min() <= 0.0 or v.max() > 1.0):
-            raise InvalidData(int(np.nonzero((v <= 0) | (v > 1))[0][0]),
-                              message="p-values must lie in (0, 1]")
+        outside = ~((v > 0.0) & (v <= 1.0))
+        if outside.any():
+            i = int(np.flatnonzero(outside)[0])
+            raise InvalidData(i, message=f"p-values must lie in (0, 1], got {v[i]!r} "
+                                         f"at position {i}")
         # the grid invariant only makes sense for plain rank counts
         if (self.estimation == "empirical" and not self.smoothed
                 and self.weighting is None and v.size):

@@ -18,6 +18,7 @@ from .core import (
     NoAnomalies,
     PValueVector,
     ShapeMismatch,
+    check_finite,
 )
 
 WEIGHTED_BH_CAVEAT = (
@@ -35,7 +36,7 @@ def _p_array(pvals):
         raise ShapeMismatch("p-values must be 1-D")
     if values.shape[0] == 0:
         raise EmptyInput("no p-values to select from")
-    return values
+    return check_finite(values, "p-value")
 
 
 def _alpha_float(alpha):

@@ -14,13 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import (
     AmbiguousPolarity,
     DataMatrix,
     DimensionMismatch,
     EmptyTrainingSet,
+    InvalidData,
     InvalidHyperparameter,
     KTooLarge,
     ScoreVector,
@@ -35,6 +35,11 @@ POLARITIES = ("higher_is_anomalous", "lower_is_anomalous", "auto")
 
 # row chunk for brute-force distance computations, bounds peak memory
 _KNN_CHUNK = 512
+# nearest rows in which a plan's models look for their k in-bag neighbours
+# before falling back to the whole distance row
+_KNN_WINDOW = 64
+# element budget of one (models x rows x window) block of a plan scoring
+_KNN_BLOCK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -196,6 +201,23 @@ class IsolationForestScorer:
         return np.power(2.0, -mean_path / self._c_psi)
 
 
+def _cdist(X, refs):
+    # scipy.spatial is most of the package's import time and only k-NN
+    # distances need it, so it is imported on first use
+    from scipy.spatial.distance import cdist
+    return cdist(X, refs)
+
+
+def _knn_reduce(d, k, aggregation):
+    """k-th smallest entry (or mean of the k smallest) of each row of d."""
+    part = np.partition(d, k - 1, axis=1)
+    if aggregation == "kth":
+        return part[:, k - 1]
+    # sort the k smallest before summing so the result does not depend on
+    # partition's internal order under ties
+    return np.sort(part[:, :k], axis=1).mean(axis=1)
+
+
 class KnnScorer:
     """Distance to the k-th nearest training point (or mean over the k
     nearest). Query points are never removed from the reference set."""
@@ -213,15 +235,91 @@ class KnnScorer:
     def score_raw(self, X):
         out = np.empty(X.shape[0], dtype=np.float64)
         for start in range(0, X.shape[0], _KNN_CHUNK):
-            chunk = X[start:start + _KNN_CHUNK]
-            d = cdist(chunk, self.refs)
-            part = np.partition(d, self.k - 1, axis=1)
-            if self.aggregation == "kth":
-                out[start:start + _KNN_CHUNK] = part[:, self.k - 1]
-            else:
-                # sort the k smallest before summing so the result does not
-                # depend on partition's internal order under ties
-                out[start:start + _KNN_CHUNK] = np.sort(part[:, :self.k], axis=1).mean(axis=1)
+            d = _cdist(X[start:start + _KNN_CHUNK], self.refs)
+            out[start:start + _KNN_CHUNK] = _knn_reduce(d, self.k, self.aggregation)
+        return out
+
+
+class KnnPlan:
+    """Every k-NN model of a resampling plan, scored from one distance matrix.
+
+    Model b's reference multiset is row j of ``rows`` repeated
+    ``counts[b, j]`` times.  A query's distances to the rows are sorted
+    within its ``_KNN_WINDOW`` nearest, and a model's j-th nearest distance
+    sits at the first window position where the model's cumulative count
+    reaches j.  Queries whose window holds fewer than k of a model's rows
+    fall back to the whole distance row.  cdist computes each pair on its
+    own, so every score equals that of a KnnScorer fitted on the expanded
+    multiset, bit for bit.  ``mask`` is accepted and ignored: one distance
+    matrix serves every model.
+    """
+
+    def __init__(self, spec, rows, counts):
+        self.spec = spec
+        self.k = int(spec.k)
+        self.aggregation = spec.aggregation
+        self.rows = rows
+        self.counts = counts
+        self.n_features = rows.shape[1]
+        used = np.flatnonzero(counts.any(axis=0))
+        self._refs = rows[used]
+        self._counts = counts[:, used]
+
+    @property
+    def models(self):
+        """One KnnScorer per model, holding its expanded training multiset."""
+        index = np.arange(self.rows.shape[0])
+        return tuple(KnnScorer(self.spec, self.rows[np.repeat(index, c)])
+                     for c in self.counts)
+
+    def score_raw(self, X, mask=None):
+        n_models = self._counts.shape[0]
+        if n_models == 1:
+            return self.models[0].score_raw(X)[:, None]
+        out = np.empty((X.shape[0], n_models), dtype=np.float64)
+        w = min(_KNN_WINDOW, self._refs.shape[0])
+        step = int(np.clip(_KNN_BLOCK // (n_models * w), 1, _KNN_CHUNK))
+        for lo in range(0, X.shape[0], step):
+            out[lo:lo + step] = self._window_scores(_cdist(X[lo:lo + step], self._refs), w).T
+        return out
+
+    def _window_scores(self, d, w):
+        near = np.argpartition(d, w - 1, axis=1)[:, :w]
+        order = np.argsort(np.take_along_axis(d, near, axis=1), axis=1)
+        near = np.take_along_axis(near, order, axis=1)
+        dist = np.take_along_axis(d, near, axis=1)
+        cum = np.cumsum(self._counts[:, near], axis=2, dtype=np.int32)
+        queries = np.arange(d.shape[0])[None, :]
+        if self.aggregation == "kth":
+            pos = (cum < self.k).sum(axis=2)
+            missing = pos == w
+            scores = dist[queries, np.minimum(pos, w - 1)]
+        else:
+            pos = np.stack([(cum <= j).sum(axis=2) for j in range(self.k)], axis=2)
+            missing = pos[:, :, -1] == w
+            scores = dist[queries[:, :, None], np.minimum(pos, w - 1)].mean(axis=2)
+        for b in np.flatnonzero(missing.any(axis=1)):
+            q = np.flatnonzero(missing[b])
+            full = np.repeat(d[q], self._counts[b], axis=1)
+            scores[b, q] = _knn_reduce(full, self.k, self.aggregation)
+        return scores
+
+
+class ModelSet:
+    """Separately fitted models, one score column each: the isolation
+    forests of a plan, or the external scorer of a detached calibration."""
+
+    def __init__(self, models):
+        self.models = tuple(models)
+        self.n_features = self.models[0].n_features
+
+    def score_raw(self, X, mask=None):
+        out = np.zeros((X.shape[0], len(self.models)), dtype=np.float64)
+        for b, model in enumerate(self.models):
+            if mask is None:
+                out[:, b] = model.score_raw(X)
+            elif mask[:, b].any():
+                out[mask[:, b], b] = model.score_raw(X[mask[:, b]])
         return out
 
 
@@ -293,12 +391,53 @@ def fit(spec, train, seed):
 
 def score(scorer, X):
     """Score a batch. Returns a polarity-normalized ScoreVector."""
+    _check_batch(scorer, X)
+    return ScoreVector(scorer.score_raw(X.values), polarity_normalized=True)
+
+
+def _check_batch(scorer, X):
     if not isinstance(X, DataMatrix):
         raise InvalidHyperparameter("X must be a DataMatrix")
     if scorer.n_features is not None and X.n_cols != scorer.n_features:
         raise DimensionMismatch(
             f"scorer expects {scorer.n_features} features, got {X.n_cols}")
-    return ScoreVector(scorer.score_raw(X.values), polarity_normalized=True)
+
+
+def fit_plan(spec, rows, counts, seed, streams):
+    """Fit the models of a resampling plan on one shared row matrix.
+
+    Model b trains on row j of ``rows`` repeated ``counts[b, j]`` times.
+    k-NN models share a KnnPlan over the rows and counts; isolation forests
+    are fitted one by one, model b from ``split_seed(seed, streams[b])``.
+    Fitting sorts rows by content, so the order of the expanded rows does
+    not matter.
+    """
+    sizes = counts.sum(axis=1)
+    smallest = int(sizes.min())
+    if smallest < 2:
+        raise EmptyTrainingSet("training requires at least 2 rows")
+    if spec.kind == "knn_distance":
+        if spec.k >= smallest:
+            raise KTooLarge(f"k={spec.k} needs more than {smallest} training rows")
+        return KnnPlan(spec, rows, counts)
+    index = np.arange(rows.shape[0])
+    return ModelSet(fit(spec, DataMatrix(rows[np.repeat(index, c)]), split_seed(seed, s))
+                    for c, s in zip(counts, streams))
+
+
+def score_plan(scorer, X, mask=None):
+    """Polarity-normalized scores of a batch under every model of a plan.
+
+    Returns an (n_rows, n_models) array.  ``mask`` (same shape), when given,
+    names the cells the caller reads; separately fitted models skip the rest.
+    """
+    _check_batch(scorer, X)
+    values = scorer.score_raw(X.values, mask)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise InvalidData(row, col if values.shape[1] > 1 else None)
+    return values
 
 
 def normalize_polarity(raw, polarity, kind=None):

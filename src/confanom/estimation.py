@@ -29,6 +29,7 @@ from .core import (
     ShapeMismatch,
     TableMismatch,
     _readonly,
+    check_finite,
     make_rng,
 )
 from .resampling import aggregate_test_scores, paired_rank_counts
@@ -102,8 +103,9 @@ def conformal_p_values(cal_scores, test_scores, smoothed=False, seed=None):
     -------
     PValueVector
     """
-    cal = np.asarray(cal_scores, dtype=np.float64).reshape(-1)
-    t = np.asarray(test_scores, dtype=np.float64).reshape(-1)
+    cal = check_finite(np.asarray(cal_scores, dtype=np.float64).reshape(-1),
+                       "calibration score")
+    t = check_finite(np.asarray(test_scores, dtype=np.float64).reshape(-1), "test score")
     n = cal.shape[0]
     if n == 0:
         raise EmptyCalibration("no calibration scores")

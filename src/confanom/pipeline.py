@@ -182,22 +182,18 @@ def _weighted_p_values(fp: FittedPipeline, X: DataMatrix,
                         weighting=fp.config.weighting, notes=notes)
 
 
-def compute_p_values(fp: FittedPipeline, X, seed=None) -> PValueVector:
-    """P-values for a test batch under the fitted pipeline.
-
-    ``seed`` feeds only the smoothing draws (when the estimation spec asks
-    for smoothing); left as None it is derived from the pipeline seed, so
-    repeated calls on the same batch are identical.  The weight model, when
-    configured, is refit on (calibration covariates, this batch): the
-    target distribution is whatever the batch is.
-    """
+def _test_scores(fp: FittedPipeline, X):
     if not isinstance(fp, FittedPipeline):
         raise InvalidSpec("fp must be a FittedPipeline")
     X = _as_matrix(X)
-    cm = fp.calibration
-    ts = resampling.test_score_matrix(cm, X)
+    return X, resampling.test_score_matrix(fp.calibration, X)
+
+
+def _p_values(fp: FittedPipeline, X: DataMatrix, ts: resampling.TestScores,
+              seed) -> PValueVector:
     if fp.config.weighting is not None:
         return _weighted_p_values(fp, X, ts)
+    cm = fp.calibration
     est = fp.config.estimation
     if est.regime == "empirical":
         if est.smoothed:
@@ -209,6 +205,31 @@ def compute_p_values(fp: FittedPipeline, X, seed=None) -> PValueVector:
     if est.regime == "conditional_empirical":
         return estimation.conditional_p_value(cm, ts, fp.table)
     return estimation.probabilistic_p_value(cm, ts, bandwidth=est.bandwidth)
+
+
+def _aggregated(fp: FittedPipeline, ts: resampling.TestScores) -> detectors.ScoreVector:
+    return detectors.ScoreVector(resampling.aggregate_test_scores(fp.calibration, ts),
+                                 polarity_normalized=True)
+
+
+def compute_p_values(fp: FittedPipeline, X, seed=None) -> PValueVector:
+    """P-values for a test batch under the fitted pipeline.
+
+    ``seed`` feeds only the smoothing draws (when the estimation spec asks
+    for smoothing); left as None it is derived from the pipeline seed, so
+    repeated calls on the same batch are identical.  The weight model, when
+    configured, is refit on (calibration covariates, this batch): the
+    target distribution is whatever the batch is.
+    """
+    X, ts = _test_scores(fp, X)
+    return _p_values(fp, X, ts, seed)
+
+
+def score_and_p_values(fp: FittedPipeline, X, seed=None):
+    """``(score_samples(fp, X), compute_p_values(fp, X, seed))`` from one
+    scoring of the batch."""
+    X, ts = _test_scores(fp, X)
+    return _aggregated(fp, ts), _p_values(fp, X, ts, seed)
 
 
 def stream_p_values(fp: FittedPipeline, X, seed=None) -> PValueVector:
@@ -255,10 +276,4 @@ def select(fp: FittedPipeline, X, alpha, seed=None) -> decisions.DecisionSet:
 
 def score_samples(fp: FittedPipeline, X) -> detectors.ScoreVector:
     """Aggregated polarity-normalized anomaly scores, one per test point."""
-    if not isinstance(fp, FittedPipeline):
-        raise InvalidSpec("fp must be a FittedPipeline")
-    X = _as_matrix(X)
-    cm = fp.calibration
-    ts = resampling.test_score_matrix(cm, X)
-    return detectors.ScoreVector(resampling.aggregate_test_scores(cm, ts),
-                                 polarity_normalized=True)
+    return _aggregated(fp, _test_scores(fp, X)[1])

@@ -1,11 +1,14 @@
 """Conformalization strategies: split, cross-validation, jackknife, and
 jackknife-after-bootstrap calibration.
 
-Every strategy produces a :class:`CalibrationModel`: calibration-score
-entries, each bound to the model (or out-of-bag model set) that produced it,
-under the out-of-sample discipline that no entry was scored by a model whose
-training multiset contains that entry's row. The number of entries fixes the
-p-value floor 1/(n_entries + 1) downstream.
+Every strategy is a :class:`Plan`, a matrix of how many times each
+resampled model trains on each row plus the out-of-bag mask of the models
+that score each entry, and one generic calibration turns any plan into a
+:class:`CalibrationModel`: calibration-score entries, each bound to the model
+(or out-of-bag model set) that produced it, under the out-of-sample
+discipline that no entry was scored by a model whose training multiset
+contains that entry's row. The number of entries fixes the p-value floor
+1/(n_entries + 1) downstream.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .core import (
     InvalidHyperparameter,
     KOutOfRange,
     NoOutOfBagRows,
+    ShapeMismatch,
     _readonly,
     check_seed,
     make_rng,
@@ -114,46 +118,51 @@ def jackknife_bootstrap(n_bootstraps, mode="plus", aggregation="median"):
 
 @dataclass(frozen=True)
 class CalibrationModel:
-    """Calibration entries plus the scorers needed to score tests symmetrically.
+    """Calibration entries plus the retained models that score tests.
+
+    A resampled model is defined by the multiset of rows it trained on, so
+    the rows are stored once and each model is a row of counts.
 
     Fields
     ------
     entry_scores : (n_entries,) float array, polarity normalized.
-    entry_models : per entry, the tuple of model indices it is paired with
-        (a single fold model, or the out-of-bag bootstrap set).
-    models : retained fitted scorers.
-    cal_rows : the covariate rows behind the entries, in entry order (used by
-        the weighting module and for test-side pairing bookkeeping).
-    model_train_indices : per model, the sorted multiset of row indices (into
-        the data passed to the calibrate operation) it was trained on; kept
-        for out-of-sample audits.
-    dropped_rows : rows that were in-bag in every bootstrap and produced no
-        entry (jackknife-after-bootstrap only).
+    entry_rows : (n_entries,) index into ``rows`` of each entry's row.
+    oob : (n_entries, n_models) bool, the retained models each entry is
+        paired with: its fold model or out-of-bag set in plus mode, model 0
+        in single_model mode.
+    rows : (n_rows, n_features) the data passed to calibration (the
+        held-out set of a detached calibration).
+    train_counts : (n_models, n_rows) uint16, how many times each retained
+        model trained on each row.
+    scorer : the retained models scored together, a ``detectors.KnnPlan``
+        over ``rows`` and ``train_counts`` or a ``detectors.ModelSet``.
     """
 
     entry_scores: np.ndarray
-    entry_models: tuple[tuple[int, ...], ...]
-    models: tuple
+    entry_rows: np.ndarray
+    oob: np.ndarray
+    rows: np.ndarray
+    train_counts: np.ndarray
+    scorer: object
     mode: str
     strategy: StrategySpec
-    cal_rows: np.ndarray
-    model_train_indices: tuple[tuple[int, ...], ...]
-    dropped_rows: int = 0
     detached: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "entry_scores",
-                           _readonly(np.asarray(self.entry_scores, dtype=np.float64)))
-        object.__setattr__(self, "cal_rows",
-                           _readonly(np.asarray(self.cal_rows, dtype=np.float64)))
-        if self.entry_scores.shape[0] == 0:
+        for name, dtype in (("entry_scores", np.float64), ("entry_rows", np.int64), ("oob", bool),
+                            ("rows", np.float64), ("train_counts", np.uint16)):
+            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype)))
+        n = self.entry_scores.shape[0]
+        if n == 0:
             raise EmptyCalibration("calibration produced no entries")
         if self.mode not in MODES:
             raise InvalidHyperparameter(f"unknown mode {self.mode!r}")
-        if self.mode == "single_model":
-            if len(self.models) != 1 or any(m != (0,) for m in self.entry_models):
-                raise InvalidHyperparameter(
-                    "single_model calibration must bind every entry to model 0")
+        if (self.entry_rows.shape != (n,) or self.oob.shape != (n, self.n_models)
+                or self.train_counts.shape[1:] != self.rows.shape[:1]):
+            raise ShapeMismatch("calibration arrays disagree in shape")
+        if self.mode == "single_model" and (self.n_models != 1 or not self.oob.all()):
+            raise InvalidHyperparameter(
+                "single_model calibration must bind every entry to model 0")
 
     @property
     def n_entries(self):
@@ -161,7 +170,55 @@ class CalibrationModel:
 
     @property
     def n_features(self):
-        return self.cal_rows.shape[1]
+        return self.rows.shape[1]
+
+    @property
+    def n_models(self):
+        return self.train_counts.shape[0]
+
+    @property
+    def cal_rows(self):
+        """The covariate rows behind the entries, in entry order."""
+        return _readonly(self.rows[self.entry_rows])
+
+    @property
+    def models(self):
+        """The retained fitted scorers, one per model."""
+        return self.scorer.models
+
+    @property
+    def entry_models(self):
+        """Per entry, the tuple of model indices it is paired with."""
+        return tuple(tuple(np.flatnonzero(m).tolist()) for m in self.oob)
+
+    @property
+    def model_train_indices(self):
+        """Per model, the sorted multiset of row indices it trained on."""
+        index = np.arange(self.rows.shape[0])
+        return tuple(tuple(np.repeat(index, c).tolist()) for c in self.train_counts)
+
+    @property
+    def dropped_rows(self):
+        """Rows that were in-bag in every bootstrap and produced no entry."""
+        return 0 if self.strategy.kind == "split" else self.rows.shape[0] - self.n_entries
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A strategy's resampled models, each defined by the rows it trains on.
+
+    ``train_counts[b, j]`` is how many times model b trains on row j, and
+    model b is fitted from seed stream ``streams[b]``.  Entry e is row
+    ``entry_rows[e]``, scored by the models ``oob[e]`` marks; each of them
+    has count 0 on that row.  A single_model strategy refits one model on
+    every row from ``refit_stream``.
+    """
+
+    train_counts: np.ndarray
+    streams: tuple[int, ...]
+    entry_rows: np.ndarray
+    oob: np.ndarray
+    refit_stream: int | None = None
 
 
 def _resolve_n_calib(n_calib, n_rows):
@@ -180,136 +237,129 @@ def _resolve_n_calib(n_calib, n_rows):
     return resolved
 
 
-def calibrate_split(spec, data, n_calib, seed):
-    """Disjoint-split calibration: one scorer on D_train, entries on D_cal.
+def split_plan(n, n_calib, seed):
+    """One model on a uniformly random D_train; entries are the rest.
 
-    A uniformly random partition is drawn from the seed; stream 0 drives the
-    partition and stream 1 the fit, so the same seed always yields the same
-    split.
+    Stream 0 draws the partition and stream 1 fits the model, so the same
+    seed always yields the same split.
     """
-    seed = check_seed(seed)
-    n = data.n_rows
     n_cal = _resolve_n_calib(n_calib, n)
-    rng = make_rng(split_seed(seed, 0))
-    perm = rng.permutation(n)
-    cal_idx = np.sort(perm[:n_cal])
-    train_idx = np.sort(perm[n_cal:])
-    train = DataMatrix(data.values[train_idx])
-    scorer = detectors.fit(spec, train, split_seed(seed, 1))
-    cal = DataMatrix(data.values[cal_idx])
-    entries = detectors.score(scorer, cal).scores
-    return CalibrationModel(
-        entry_scores=entries,
-        entry_models=tuple((0,) for _ in range(n_cal)),
-        models=(scorer,),
-        mode="single_model",
-        strategy=StrategySpec(kind="split", n_calib=n_calib),
-        cal_rows=cal.values,
-        model_train_indices=(tuple(int(i) for i in train_idx),),
-    )
+    cal_idx = np.sort(make_rng(split_seed(seed, 0)).permutation(n)[:n_cal])
+    counts = np.ones((1, n), dtype=np.uint16)
+    counts[0, cal_idx] = 0
+    return Plan(counts, (1,), cal_idx, np.ones((n_cal, 1), dtype=bool))
 
 
-def calibrate_detached(scorer, calib):
-    """Calibrate a pre-fitted scorer directly on a held-out inlier set."""
-    if not isinstance(calib, DataMatrix):
-        raise InvalidHyperparameter("calib must be a DataMatrix")
-    entries = detectors.score(scorer, calib).scores
-    return CalibrationModel(
-        entry_scores=entries,
-        entry_models=tuple((0,) for _ in range(calib.n_rows)),
-        models=(scorer,),
-        mode="single_model",
-        strategy=StrategySpec(kind="split", n_calib=calib.n_rows),
-        cal_rows=calib.values,
-        model_train_indices=((),),
-        detached=True,
-    )
-
-
-def _fold_bounds(n, k):
-    sizes = np.full(k, n // k, dtype=np.int64)
-    sizes[: n % k] += 1
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    return bounds
-
-
-def calibrate_cv(spec, data, k, mode, seed, aggregation="median"):
-    """K-fold cross-conformal calibration.
-
-    Each fold's rows are scored by the model trained on the other k-1 folds.
-    Entries cover every row exactly once and are ordered by original row
-    index. 'plus' keeps the k fold models; 'single_model' refits on all rows
-    and rebinds every entry to that one model.
-    """
-    seed = check_seed(seed)
-    n = data.n_rows
-    k = int(k)
+def cv_plan(n, k, seed):
+    """K folds from a seeded permutation; fold f's model trains on the other
+    folds from stream 1 + f and scores fold f's rows.  Entries cover every
+    row once, in row order; the single_model refit uses stream 1 + k."""
     if not 2 <= k <= n:
         raise KOutOfRange(f"k must be in [2, {n}], got {k}")
-    if mode not in MODES:
-        raise InvalidHyperparameter(f"unknown mode {mode!r}")
-    rng = make_rng(split_seed(seed, 0))
-    perm = rng.permutation(n)
-    bounds = _fold_bounds(n, k)
-    scores = np.empty(n, dtype=np.float64)
-    fold_of_row = np.empty(n, dtype=np.int64)
-    fold_models = []
-    train_sets = []
-    for f in range(k):
-        fold_idx = perm[bounds[f]:bounds[f + 1]]
-        other_idx = np.concatenate([perm[: bounds[f]], perm[bounds[f + 1]:]])
-        model = detectors.fit(spec, DataMatrix(data.values[other_idx]),
-                              split_seed(seed, 1 + f))
-        fold_scores = detectors.score(model, DataMatrix(data.values[fold_idx])).scores
-        scores[fold_idx] = fold_scores
-        fold_of_row[fold_idx] = f
-        fold_models.append(model)
-        train_sets.append(tuple(sorted(int(i) for i in other_idx)))
-    strategy = StrategySpec(kind="cross_validation", k=k, mode=mode,
-                            aggregation=aggregation)
-    if mode == "single_model":
-        final = detectors.fit(spec, data, split_seed(seed, 1 + k))
-        return CalibrationModel(
-            entry_scores=scores,
-            entry_models=tuple((0,) for _ in range(n)),
-            models=(final,),
-            mode="single_model",
-            strategy=strategy,
-            cal_rows=data.values,
-            model_train_indices=(tuple(range(n)),),
-        )
-    return CalibrationModel(
-        entry_scores=scores,
-        entry_models=tuple((int(f),) for f in fold_of_row),
-        models=tuple(fold_models),
-        mode="plus",
-        strategy=strategy,
-        cal_rows=data.values,
-        model_train_indices=tuple(train_sets),
-    )
+    perm = make_rng(split_seed(seed, 0)).permutation(n)
+    sizes = np.full(k, n // k, dtype=np.int64)
+    sizes[: n % k] += 1
+    fold = np.empty(n, dtype=np.int64)
+    fold[perm] = np.repeat(np.arange(k), sizes)
+    oob = fold[:, None] == np.arange(k)
+    return Plan((~oob.T).astype(np.uint16), tuple(range(1, k + 1)), np.arange(n),
+                oob, refit_stream=1 + k)
 
 
-def calibrate_jackknife(spec, data, mode, seed, aggregation="median"):
-    """Leave-one-out calibration: cross-validation with k = n_rows."""
-    if data.n_rows < 2:
-        raise KOutOfRange("jackknife requires at least 2 rows")
-    cm = calibrate_cv(spec, data, data.n_rows, mode, seed, aggregation=aggregation)
-    strategy = StrategySpec(kind="jackknife", mode=mode, aggregation=aggregation)
-    return CalibrationModel(
-        entry_scores=cm.entry_scores,
-        entry_models=cm.entry_models,
-        models=cm.models,
-        mode=cm.mode,
-        strategy=strategy,
-        cal_rows=cm.cal_rows,
-        model_train_indices=cm.model_train_indices,
-    )
+def bootstrap_plan(n, n_bootstraps, seed):
+    """Bootstrap b draws n rows with replacement from stream 1 + 2b and fits
+    from stream 2 + 2b.  Rows in-bag in every bootstrap give no entry; the
+    single_model refit uses stream 0."""
+    counts = np.empty((n_bootstraps, n), dtype=np.uint16)
+    for b in range(n_bootstraps):
+        draw = make_rng(split_seed(seed, 1 + 2 * b)).integers(0, n, size=n)
+        counts[b] = np.bincount(draw, minlength=n)
+    oob = (counts == 0).T
+    kept = np.flatnonzero(oob.any(axis=1))
+    if not kept.size:
+        raise NoOutOfBagRows(
+            f"every row was in-bag in all {n_bootstraps} bootstraps; "
+            "increase n_bootstraps")
+    return Plan(counts, tuple(range(2, 2 * n_bootstraps + 2, 2)), kept, oob[kept],
+                refit_stream=0)
 
 
 def _aggregate(values, aggregation, axis=-1):
     if aggregation == "median":
         return np.median(values, axis=axis)
     return np.mean(values, axis=axis)
+
+
+def _pool(scores, oob, aggregation):
+    """Each entry's aggregate over its out-of-bag models.  Entries with the
+    same number of models form one block, each row in model order, so the
+    mean rounds as it does over the entry's scores alone."""
+    per_entry = oob.sum(axis=1)
+    pooled = np.empty(oob.shape[0], dtype=np.float64)
+    for c in np.unique(per_entry):
+        sel = per_entry == c
+        pooled[sel] = _aggregate(scores[sel][oob[sel]].reshape(-1, c), aggregation, axis=1)
+    return pooled
+
+
+def _calibrate(spec, data, strategy, plan, seed):
+    """Fit a plan's models, score each entry under its out-of-bag models and
+    pool.  In single_model mode the plan's models only produce the entries;
+    one model refitted on every row is retained."""
+    rows = data.values
+    scorer = detectors.fit_plan(spec, rows, plan.train_counts, seed, plan.streams)
+    scores = detectors.score_plan(scorer, DataMatrix(rows[plan.entry_rows]), plan.oob)
+    entries = _pool(scores, plan.oob, strategy.aggregation)
+    counts, oob = plan.train_counts, plan.oob
+    if strategy.mode == "single_model":
+        counts = np.ones((1, rows.shape[0]), dtype=np.uint16)
+        oob = np.ones((entries.shape[0], 1), dtype=bool)
+        scorer = detectors.fit_plan(spec, rows, counts, seed, (plan.refit_stream,))
+    return CalibrationModel(
+        entry_scores=entries, entry_rows=plan.entry_rows, oob=oob, rows=rows,
+        train_counts=counts, scorer=scorer,
+        mode="plus" if strategy.mode == "plus" else "single_model",
+        strategy=strategy)
+
+
+def calibrate_split(spec, data, n_calib, seed):
+    """Disjoint-split calibration: one scorer on D_train, entries on D_cal."""
+    seed = check_seed(seed)
+    return _calibrate(spec, data, split(n_calib),
+                      split_plan(data.n_rows, n_calib, seed), seed)
+
+
+def calibrate_detached(scorer, calib):
+    """Calibrate a pre-fitted scorer directly on a held-out inlier set."""
+    if not isinstance(calib, DataMatrix):
+        raise InvalidHyperparameter("calib must be a DataMatrix")
+    models, n = detectors.ModelSet((scorer,)), calib.n_rows
+    return CalibrationModel(
+        entry_scores=detectors.score_plan(models, calib)[:, 0], entry_rows=np.arange(n),
+        oob=np.ones((n, 1), dtype=bool), rows=calib.values,
+        train_counts=np.zeros((1, n), dtype=np.uint16), scorer=models,
+        mode="single_model", strategy=split(n), detached=True)
+
+
+def calibrate_cv(spec, data, k, mode, seed, aggregation="median"):
+    """K-fold cross-conformal calibration.
+
+    Each fold's rows are scored by the model trained on the other k-1 folds.
+    'plus' keeps the k fold models; 'single_model' refits on all rows and
+    rebinds every entry to that one model.
+    """
+    seed = check_seed(seed)
+    plan = cv_plan(data.n_rows, int(k), seed)
+    return _calibrate(spec, data, cross_validation(int(k), mode, aggregation), plan, seed)
+
+
+def calibrate_jackknife(spec, data, mode, seed, aggregation="median"):
+    """Leave-one-out calibration: the cross-validation plan with k = n_rows."""
+    if data.n_rows < 2:
+        raise KOutOfRange("jackknife requires at least 2 rows")
+    seed = check_seed(seed)
+    return _calibrate(spec, data, jackknife(mode, aggregation),
+                      cv_plan(data.n_rows, data.n_rows, seed), seed)
 
 
 def calibrate_bootstrap(spec, data, n_bootstraps, mode, seed, aggregation="median"):
@@ -322,62 +372,9 @@ def calibrate_bootstrap(spec, data, n_bootstraps, mode, seed, aggregation="media
     for any realistic number of bootstraps.
     """
     seed = check_seed(seed)
-    n = data.n_rows
-    B = int(n_bootstraps)
-    if B < 1:
-        raise InvalidHyperparameter("n_bootstraps must be at least 1")
-    if mode not in MODES:
-        raise InvalidHyperparameter(f"unknown mode {mode!r}")
-    models = []
-    train_sets = []
-    oob_scores = [[] for _ in range(n)]
-    oob_models = [[] for _ in range(n)]
-    for b in range(B):
-        draw_rng = make_rng(split_seed(seed, 1 + 2 * b))
-        idx = draw_rng.integers(0, n, size=n)
-        inbag = np.zeros(n, dtype=bool)
-        inbag[idx] = True
-        model = detectors.fit(spec, DataMatrix(data.values[idx]),
-                              split_seed(seed, 2 + 2 * b))
-        models.append(model)
-        train_sets.append(tuple(sorted(int(i) for i in idx)))
-        oob_idx = np.nonzero(~inbag)[0]
-        if oob_idx.size:
-            sc = detectors.score(model, DataMatrix(data.values[oob_idx])).scores
-            for i, s in zip(oob_idx, sc):
-                oob_scores[i].append(float(s))
-                oob_models[i].append(b)
-    kept = [i for i in range(n) if oob_models[i]]
-    if not kept:
-        raise NoOutOfBagRows(
-            f"every row was in-bag in all {B} bootstraps; increase n_bootstraps")
-    entries = np.array([_aggregate(np.asarray(oob_scores[i]), aggregation)
-                        for i in kept])
-    strategy = StrategySpec(kind="jackknife_bootstrap", n_bootstraps=B,
-                            mode=mode, aggregation=aggregation)
-    dropped = n - len(kept)
-    if mode == "single_model":
-        final = detectors.fit(spec, data, split_seed(seed, 0))
-        return CalibrationModel(
-            entry_scores=entries,
-            entry_models=tuple((0,) for _ in kept),
-            models=(final,),
-            mode="single_model",
-            strategy=strategy,
-            cal_rows=data.values[kept],
-            model_train_indices=(tuple(range(n)),),
-            dropped_rows=dropped,
-        )
-    return CalibrationModel(
-        entry_scores=entries,
-        entry_models=tuple(tuple(oob_models[i]) for i in kept),
-        models=tuple(models),
-        mode="plus",
-        strategy=strategy,
-        cal_rows=data.values[kept],
-        model_train_indices=tuple(train_sets),
-        dropped_rows=dropped,
-    )
+    strategy = jackknife_bootstrap(int(n_bootstraps), mode, aggregation)
+    return _calibrate(spec, data, strategy,
+                      bootstrap_plan(data.n_rows, strategy.n_bootstraps, seed), seed)
 
 
 @dataclass(frozen=True)
@@ -409,12 +406,10 @@ def test_score_matrix(cm, X):
     so estimation can compare each entry against the test score produced by
     the entry's own fold or out-of-bag models.
     """
+    values = detectors.score_plan(cm.scorer, X)
     if cm.mode == "single_model":
-        vals = detectors.score(cm.models[0], X).scores
-    else:
-        cols = [detectors.score(m, X).scores for m in cm.models]
-        vals = np.column_stack(cols)
-    return TestScores(mode=cm.mode, n_entries=cm.n_entries, values=vals,
+        values = values[:, 0]
+    return TestScores(mode=cm.mode, n_entries=cm.n_entries, values=values,
                       aggregation=cm.strategy.aggregation)
 
 
@@ -422,7 +417,7 @@ def _check_pairing(cm, ts):
     if ts.n_entries != cm.n_entries or ts.mode != cm.mode:
         raise DimensionMismatch(
             "test scores were not produced from this calibration model")
-    if cm.mode == "plus" and ts.values.shape[1] != len(cm.models):
+    if cm.mode == "plus" and ts.values.shape[1] != cm.n_models:
         raise DimensionMismatch(
             "test score table has the wrong number of model columns")
 
@@ -446,15 +441,18 @@ def paired_rank_counts(cm, ts):
         return ge.astype(np.int64), gt.astype(np.int64), (ge - gt).astype(np.int64)
     ge = np.zeros(n_test, dtype=np.int64)
     gt = np.zeros(n_test, dtype=np.int64)
-    groups = {}
-    for i, mset in enumerate(cm.entry_models):
-        groups.setdefault(mset, []).append(i)
-    for mset, entry_idx in groups.items():
-        cols = ts.values[:, list(mset)]
-        paired_t = _aggregate(cols, cm.strategy.aggregation, axis=1)
-        group_scores = np.sort(cm.entry_scores[entry_idx])
-        ge += len(entry_idx) - np.searchsorted(group_scores, paired_t, side="left")
-        gt += len(entry_idx) - np.searchsorted(group_scores, paired_t, side="right")
+    # entries sharing an out-of-bag set share the paired test score
+    groups, inverse = np.unique(cm.oob, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(inverse))])
+    for g, mask in enumerate(groups):
+        paired_t = _aggregate(ts.values[:, np.flatnonzero(mask)],
+                              cm.strategy.aggregation, axis=1)
+        group_scores = np.sort(cm.entry_scores[order[bounds[g]:bounds[g + 1]]])
+        size = group_scores.shape[0]
+        ge += size - np.searchsorted(group_scores, paired_t, side="left")
+        gt += size - np.searchsorted(group_scores, paired_t, side="right")
     return ge, gt, ge - gt
 
 

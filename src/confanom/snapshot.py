@@ -7,6 +7,15 @@ and a trailing SHA-256 over everything before it.  Loads verify magic,
 version, and digest before touching any content, so a truncated or
 corrupted file is refused whole rather than half-loaded.
 
+Format version 2 stores a calibration as its plan: the training rows once
+(``calibration/rows``), each retained model as a row of
+``calibration/train_counts`` (uint16, models x rows), each entry's row
+index (``calibration/entry_rows``) and score, and the entry-to-model
+pairing as a bit-packed mask (``calibration/oob_bits``).  Isolation
+forests add their trees as flat arrays.  The digest only detects damage:
+anyone can recompute it, so every array is checked for shape, range and
+tree topology before anything is built from it.
+
 Only built-in detectors can be saved: an external scorer is an opaque
 callable and an oracle weighting carries a user function, neither of
 which survives a file round-trip.
@@ -21,10 +30,11 @@ import json
 import numpy as np
 
 from ._version import __version__
-from .core import SnapshotError
+from .core import ConfanomError, SnapshotError
 from .detectors import (
     IsolationForestScorer,
-    KnnScorer,
+    KnnPlan,
+    ModelSet,
     ScorerSpec,
     _IsolationTree,
 )
@@ -33,8 +43,10 @@ from .pipeline import FittedPipeline, PipelineConfig
 from .resampling import CalibrationModel, StrategySpec
 
 MAGIC = b"CANOMSNP"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _DIGEST_BYTES = 32
+_TREE_ARRAYS = (("feature", "<i4"), ("threshold", "<f8"), ("left", "<i4"),
+                ("right", "<i4"), ("size", "<i4"))
 
 
 def _spec_dict(spec):
@@ -58,29 +70,6 @@ class _ArrayStore:
         self.payload.append(array.tobytes())
 
 
-def _model_entry(model, store, tag):
-    if isinstance(model, KnnScorer):
-        store.add(f"{tag}/refs", model.refs)
-        return {"kind": "knn_distance"}
-    if isinstance(model, IsolationForestScorer):
-        for t, tree in enumerate(model.trees):
-            store.add(f"{tag}/tree{t}/feature", tree.feature)
-            store.add(f"{tag}/tree{t}/threshold", tree.threshold)
-            store.add(f"{tag}/tree{t}/left", tree.left)
-            store.add(f"{tag}/tree{t}/right", tree.right)
-            store.add(f"{tag}/tree{t}/size", tree.size)
-        return {
-            "kind": "isolation_forest",
-            "n_trees": len(model.trees),
-            "psi": model.psi,
-            "n_features": model.n_features,
-            "training_size": model.training_size,
-        }
-    raise SnapshotError(
-        "external scorers cannot be snapshotted: the scoring function is "
-        "an opaque callable")
-
-
 def snapshot_save(fp: FittedPipeline, path):
     """Write a fitted pipeline to ``path``; round-trips bit-exactly."""
     if not isinstance(fp, FittedPipeline):
@@ -97,9 +86,15 @@ def snapshot_save(fp: FittedPipeline, path):
     store = _ArrayStore()
     cm = fp.calibration
     store.add("calibration/entry_scores", cm.entry_scores)
-    store.add("calibration/cal_rows", cm.cal_rows)
-    models_meta = [_model_entry(m, store, f"model{i}")
-                   for i, m in enumerate(cm.models)]
+    store.add("calibration/entry_rows", cm.entry_rows)
+    store.add("calibration/oob_bits", np.packbits(cm.oob, axis=1))
+    store.add("calibration/rows", cm.rows)
+    store.add("calibration/train_counts", cm.train_counts)
+    if not isinstance(cm.scorer, KnnPlan):
+        for i, model in enumerate(cm.models):
+            for t, tree in enumerate(model.trees):
+                for field, _ in _TREE_ARRAYS:
+                    store.add(f"model{i}/tree{t}/{field}", getattr(tree, field))
     table_meta = None
     if fp.table is not None:
         store.add("table/adjusted", fp.table.adjusted)
@@ -121,10 +116,6 @@ def snapshot_save(fp: FittedPipeline, path):
         "calibration": {
             "mode": cm.mode,
             "strategy": _spec_dict(cm.strategy),
-            "entry_models": [list(ms) for ms in cm.entry_models],
-            "model_train_indices": [list(ix) for ix in cm.model_train_indices],
-            "dropped_rows": cm.dropped_rows,
-            "models": models_meta,
         },
         "table": table_meta,
         "arrays": store.index,
@@ -143,30 +134,111 @@ def snapshot_save(fp: FittedPipeline, path):
         handle.write(digest)
 
 
-def _rebuild_model(meta, arrays, tag, spec):
-    if meta["kind"] == "knn_distance":
-        return KnnScorer(spec, arrays[f"{tag}/refs"])
-    trees = [
-        _IsolationTree._from_arrays(
-            arrays[f"{tag}/tree{t}/feature"],
-            arrays[f"{tag}/tree{t}/threshold"],
-            arrays[f"{tag}/tree{t}/left"],
-            arrays[f"{tag}/tree{t}/right"],
-            arrays[f"{tag}/tree{t}/size"],
-        )
-        for t in range(meta["n_trees"])
-    ]
-    return IsolationForestScorer(spec, trees, meta["psi"],
-                                 meta["n_features"], meta["training_size"])
+class _Arrays:
+    """The payload arrays by name, handed out only with the dtype and rank
+    the format expects."""
+
+    def __init__(self, index, payload):
+        self.arrays = {}
+        offset = 0
+        for entry in index:
+            name = entry["name"]
+            dtype = np.dtype(entry["dtype"])
+            shape = tuple(int(v) for v in entry["shape"])
+            if name in self.arrays or dtype.kind not in "iuf" or min(shape, default=0) < 0:
+                raise SnapshotError(f"snapshot array {name!r} is malformed")
+            nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+            chunk = payload[offset:offset + nbytes]
+            if len(chunk) != nbytes:
+                raise SnapshotError("snapshot file is truncated")
+            self.arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
+            offset += nbytes
+        if offset != len(payload):
+            raise SnapshotError("snapshot payload does not match its index")
+
+    def get(self, name, dtype, ndim):
+        array = self.arrays.get(name)
+        if array is None or array.dtype != np.dtype(dtype) or array.ndim != ndim:
+            raise SnapshotError(f"snapshot array {name!r} is missing or malformed")
+        return array
 
 
-def _strategy_from(d):
-    return StrategySpec(**{k: tuple(v) if isinstance(v, list) else v
-                           for k, v in d.items()})
+def _expect(ok, what):
+    if not ok:
+        raise SnapshotError(f"malformed snapshot: {what}")
+
+
+def _load_forest(arrays, tag, spec, training_size, n_features):
+    """Rebuild one isolation forest after checking that every tree path
+    ends: children sit after their parent and inside the tree, features
+    index real columns, and subtree sizes index the c(m) table.  The tree
+    count and subsample size follow from the spec and the model's counts,
+    as they do when fitting."""
+    psi = min(int(spec.subsample_size), training_size)
+    trees = []
+    for t in range(int(spec.n_trees)):
+        feature, threshold, left, right, size = (
+            arrays.get(f"{tag}/tree{t}/{field}", dtype, 1) for field, dtype in _TREE_ARRAYS)
+        n = feature.shape[0]
+        node = np.arange(n)
+        inner = feature >= 0
+        _expect(n >= 1 and all(a.shape == (n,) for a in (threshold, left, right, size))
+                and (feature < n_features).all() and np.isfinite(threshold).all()
+                and ((size >= 0) & (size <= psi)).all()
+                and (left[inner] > node[inner]).all() and (left[inner] < n).all()
+                and (right[inner] > node[inner]).all() and (right[inner] < n).all(),
+                f"tree {t} of {tag} is not a valid isolation tree")
+        trees.append(_IsolationTree._from_arrays(feature, threshold, left, right, size))
+    return IsolationForestScorer(spec, trees, psi, n_features, training_size)
+
+
+def _load_calibration(cal, arrays, spec):
+    """Cross-check the plan arrays, then build the calibration model."""
+    rows = arrays.get("calibration/rows", "<f8", 2)
+    counts = arrays.get("calibration/train_counts", "<u2", 2)
+    entry_scores = arrays.get("calibration/entry_scores", "<f8", 1)
+    entry_rows = arrays.get("calibration/entry_rows", "<i8", 1)
+    bits = arrays.get("calibration/oob_bits", "|u1", 2)
+    (n_rows, n_features), n_models, n_entries = rows.shape, counts.shape[0], entry_scores.shape[0]
+    _expect(n_rows >= 1 and n_features >= 1 and n_models >= 1 and n_entries >= 1
+            and counts.shape[1] == n_rows and entry_rows.shape == (n_entries,)
+            and bits.shape == (n_entries, (n_models + 7) // 8),
+            "calibration array shapes disagree")
+    _expect(np.isfinite(rows).all() and np.isfinite(entry_scores).all(),
+            "non-finite calibration rows or scores")
+    _expect(((entry_rows >= 0) & (entry_rows < n_rows)).all(),
+            "entry row index out of range")
+    oob = np.unpackbits(bits, axis=1, count=n_models).astype(bool)
+    _expect(oob.any(axis=1).all(), "an entry is paired with no model")
+    if cal["mode"] == "single_model":
+        _expect(n_models == 1 and oob.all(), "single_model pairing is not model 0")
+    else:
+        _expect(not (counts[:, entry_rows].T.astype(bool) & oob).any(),
+                "an entry is paired with a model trained on its row")
+    # every plan trains a model on at most n rows in total, which also
+    # bounds what expanding a model's rows can allocate
+    sizes = counts.sum(axis=1)
+    _expect(sizes.max() <= n_rows, "a model trains on more rows than the data holds")
+    if spec.kind == "knn_distance":
+        _expect(sizes.min() > max(1, spec.k), "a k-NN model has too few training rows")
+        scorer = KnnPlan(spec, rows, counts)
+    else:
+        _expect(spec.kind == "isolation_forest" and sizes.min() >= 2,
+                "a forest model has too few training rows")
+        scorer = ModelSet(_load_forest(arrays, f"model{i}", spec, int(size), n_features)
+                          for i, size in enumerate(sizes))
+    return CalibrationModel(
+        entry_scores=entry_scores, entry_rows=entry_rows, oob=oob, rows=rows,
+        train_counts=counts, scorer=scorer, mode=cal["mode"],
+        strategy=StrategySpec(**cal["strategy"]))
 
 
 def snapshot_load(path) -> FittedPipeline:
-    """Read a snapshot back into a FittedPipeline, refusing damaged files."""
+    """Read a snapshot back into a FittedPipeline, refusing damaged files.
+
+    Everything after the digest is untrusted: a malformed header or array
+    raises SnapshotError, never a foreign exception or a hang.
+    """
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < len(MAGIC) + 4 + 8 + _DIGEST_BYTES:
@@ -186,47 +258,28 @@ def snapshot_load(path) -> FittedPipeline:
     header_end = 20 + header_len
     if header_end > len(body):
         raise SnapshotError("snapshot file is truncated")
-    header = json.loads(body[20:header_end].decode("utf-8"))
-
-    arrays = {}
-    offset = header_end
-    for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        chunk = body[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise SnapshotError("snapshot file is truncated")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
-        offset += nbytes
-
-    cfg = header["config"]
-    scorer_spec = ScorerSpec(**cfg["scorer"])
-    config = PipelineConfig(
-        scorer=scorer_spec,
-        strategy=_strategy_from(cfg["strategy"]),
-        seed=cfg["seed"],
-        estimation=EstimationSpec(**cfg["estimation"]),
-        weighting=cfg["weighting"],
-    )
-    cal = header["calibration"]
-    models = tuple(
-        _rebuild_model(meta, arrays, f"model{i}", scorer_spec)
-        for i, meta in enumerate(cal["models"])
-    )
-    cm = CalibrationModel(
-        entry_scores=arrays["calibration/entry_scores"],
-        entry_models=tuple(tuple(ms) for ms in cal["entry_models"]),
-        models=models,
-        mode=cal["mode"],
-        strategy=_strategy_from(cal["strategy"]),
-        cal_rows=arrays["calibration/cal_rows"],
-        model_train_indices=tuple(tuple(ix) for ix in cal["model_train_indices"]),
-        dropped_rows=cal["dropped_rows"],
-    )
-    table = None
-    if header["table"] is not None:
-        tm = header["table"]
-        table = AdjustmentTable(n=tm["n"], delta=tm["delta"], method=tm["method"],
-                                adjusted=arrays["table/adjusted"])
+    try:
+        header = json.loads(body[20:header_end].decode("utf-8"))
+        arrays = _Arrays(header["arrays"], body[header_end:])
+        cfg = header["config"]
+        scorer_spec = ScorerSpec(**cfg["scorer"])
+        config = PipelineConfig(
+            scorer=scorer_spec,
+            strategy=StrategySpec(**cfg["strategy"]),
+            seed=cfg["seed"],
+            estimation=EstimationSpec(**cfg["estimation"]),
+            weighting=cfg["weighting"],
+        )
+        cm = _load_calibration(header["calibration"], arrays, scorer_spec)
+        table = None
+        if header["table"] is not None:
+            tm = header["table"]
+            _expect(tm["n"] == cm.n_entries, "adjustment table size differs from the entries")
+            table = AdjustmentTable(n=tm["n"], delta=tm["delta"], method=tm["method"],
+                                    adjusted=arrays.get("table/adjusted", "<f8", 1))
+    except SnapshotError:
+        raise
+    except (ConfanomError, KeyError, TypeError, ValueError, IndexError,
+            AttributeError, RecursionError) as exc:
+        raise SnapshotError(f"malformed snapshot: {exc}") from None
     return FittedPipeline(config=config, calibration=cm, table=table)

@@ -23,6 +23,7 @@ from .core import (
     InvalidHyperparameter,
     ShapeMismatch,
     _readonly,
+    check_finite,
 )
 
 WEIGHT_KINDS = ("logistic", "oracle", "uniform")
@@ -214,6 +215,10 @@ def weighted_p_values(cal_scores, cal_weights, test_scores, test_weights):
         raise ShapeMismatch("calibration weights must match calibration scores")
     if wt.shape[0] != t.shape[0]:
         raise ShapeMismatch("test weights must match test scores")
+    check_finite(cal, "calibration score")
+    check_finite(w, "calibration weight")
+    check_finite(t, "test score")
+    check_finite(wt, "test weight")
     if (w <= 0.0).any() or (wt <= 0.0).any():
         raise InvalidHyperparameter("weights must be strictly positive")
     order = np.argsort(cal, kind="stable")

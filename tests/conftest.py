@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from confanom.core import DataMatrix, make_rng
+
+# property tests draw their examples from a fixed seed, so every run of the
+# suite checks the same cases; numpy work makes per-example timing noisy
+settings.register_profile("confanom", derandomize=True, deadline=None)
+settings.load_profile("confanom")
 
 
 @pytest.fixture

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from confanom import pipeline, resampling
 from confanom.cli import main
 from confanom.core import make_rng
 
@@ -83,6 +87,31 @@ class TestDetect:
         assert code == 0
         summary = json.loads(stdout)
         assert "fdr" not in summary and "power" not in summary
+
+    def test_batch_scored_once(self, data, capsys, monkeypatch):
+        # the scores and p-values come from one scoring of the batch
+        calls = []
+        score_matrix = resampling.test_score_matrix
+
+        def counted(cm, X):
+            calls.append(X.n_rows)
+            return score_matrix(cm, X)
+
+        monkeypatch.setattr(resampling, "test_score_matrix", counted)
+        code, _, _ = run_cli(
+            capsys, "detect", "--train", str(data / "train.csv"),
+            "--test", str(data / "test_nolabel.csv"), "--seed", "3",
+            "--out", str(data / "once.csv"))
+        assert code == 0 and calls == [60]
+        fitted = pipeline.fit(pipeline.PipelineConfig(
+            scorer=pipeline.ScorerSpec(kind="knn_distance"),
+            strategy=resampling.split(0.5), seed=3),
+            np.loadtxt(data / "train.csv", delimiter=",", skiprows=1))
+        test = np.loadtxt(data / "test_nolabel.csv", delimiter=",", skiprows=1)
+        table = np.loadtxt(data / "once.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[:, 1], pipeline.score_samples(fitted, test).scores)
+        np.testing.assert_array_equal(table[:, 2],
+                                      pipeline.compute_p_values(fitted, test).values)
 
     def test_config_changes_pipeline(self, data, capsys):
         config = data / "run.cfg"
@@ -317,3 +346,14 @@ class TestErrorPaths:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "confanom" in out
+
+
+def test_import_leaves_out_scipy_spatial():
+    # k-NN distances import scipy.spatial on first use; forest-only
+    # commands never pay for it
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, confanom.cli; print('scipy.spatial' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

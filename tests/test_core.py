@@ -129,6 +129,12 @@ class TestPValueVector:
             PValueVector(np.array([1.0000001]), estimation="empirical",
                          smoothed=True, calibration_size=10)
 
+    def test_nan_refused_with_position(self):
+        with pytest.raises(InvalidData, match="at position 1") as err:
+            PValueVector(np.array([0.5, np.nan]), estimation="empirical",
+                         smoothed=True, calibration_size=10)
+        assert err.value.row == 1
+
     def test_unknown_estimation_tag(self):
         with pytest.raises(InvalidSpec):
             PValueVector(np.array([0.5]), estimation="bayes",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from confanom.core import (EmptyInput, InvalidAlpha, NoAnomalies,
+from confanom.core import (EmptyInput, InvalidAlpha, InvalidData, NoAnomalies,
                            PValueVector, ShapeMismatch, make_rng)
 from confanom.decisions import (WEIGHTED_BH_CAVEAT, benjamini_hochberg,
                                 false_discovery_rate, fixed_threshold,
@@ -84,6 +84,14 @@ class TestBenjaminiHochberg:
     def test_empty_refused(self):
         with pytest.raises(EmptyInput):
             benjamini_hochberg(np.array([]), alpha=0.1)
+
+    def test_nan_refused_not_counted(self):
+        # a NaN would count in m without ever being rejected
+        with pytest.raises(InvalidData, match="p-value at position 0") as err:
+            benjamini_hochberg([np.nan, 0.01, 0.5], 0.1)
+        assert err.value.row == 0
+        with pytest.raises(InvalidData, match="position 1"):
+            weighted_false_discovery_control([0.01, np.inf], 0.1)
 
     def test_fdr_controlled_under_null(self):
         # all-null uniform p-values: expected FDR is at most alpha

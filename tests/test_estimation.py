@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from confanom.core import (DataMatrix, EmptyCalibration, InvalidDelta,
-                           InvalidHyperparameter, TableMismatch, make_rng)
+from confanom.core import (DataMatrix, EmptyCalibration, InvalidData,
+                           InvalidDelta, InvalidHyperparameter, TableMismatch,
+                           make_rng)
 from confanom.detectors import wrap_detached
 from confanom.estimation import (AdjustmentTable, build_adjustment,
                                  conditional_p_value,
@@ -50,6 +51,14 @@ class TestConformalPValues:
     def test_empty_calibration(self):
         with pytest.raises(EmptyCalibration):
             conformal_p_values([], [1.0])
+
+    def test_non_finite_scores_fail_closed(self):
+        # a NaN test score must not get the floor p-value
+        with pytest.raises(InvalidData, match="test score at position 0") as err:
+            conformal_p_values([1.0, 2.0, 3.0], [np.nan, 2.5])
+        assert err.value.row == 0
+        with pytest.raises(InvalidData, match="calibration score at position 2"):
+            conformal_p_values([1.0, 2.0, np.inf], [2.5])
 
     def test_smoothed_requires_seed(self):
         with pytest.raises(InvalidHyperparameter):

@@ -1,0 +1,147 @@
+"""Property tests of the resampling plans against one model fitted per plan row.
+
+A resampled model is the multiset of rows it trained on, so a plan's scores
+must equal, bit for bit, those of a KnnScorer fitted on
+``rows[np.repeat(arange(n), counts[b])]``, whatever the window and block
+sizes of the shared-distance path.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from confanom import detectors, resampling
+from confanom.core import DataMatrix, split_seed
+from confanom.detectors import KnnScorer, ScorerSpec
+from confanom.resampling import paired_rank_counts
+from confanom.resampling import test_score_matrix as score_matrix
+
+CALIBRATE = {
+    "split": lambda spec, data, s, seed: resampling.calibrate_split(
+        spec, data, s.n_calib, seed),
+    "cross_validation": lambda spec, data, s, seed: resampling.calibrate_cv(
+        spec, data, s.k, s.mode, seed, s.aggregation),
+    "jackknife": lambda spec, data, s, seed: resampling.calibrate_jackknife(
+        spec, data, s.mode, seed, s.aggregation),
+    "jackknife_bootstrap": lambda spec, data, s, seed: resampling.calibrate_bootstrap(
+        spec, data, s.n_bootstraps, s.mode, seed, s.aggregation),
+}
+
+
+def plan_of(strategy, n, seed):
+    if strategy.kind == "split":
+        return resampling.split_plan(n, strategy.n_calib, seed)
+    if strategy.kind == "cross_validation":
+        return resampling.cv_plan(n, strategy.k, seed)
+    if strategy.kind == "jackknife":
+        return resampling.cv_plan(n, n, seed)
+    return resampling.bootstrap_plan(n, strategy.n_bootstraps, seed)
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.integers(8, 40))
+    kind = draw(st.sampled_from(sorted(CALIBRATE)))
+    mode = draw(st.sampled_from(resampling.MODES))
+    aggregation = draw(st.sampled_from(resampling.AGGREGATIONS))
+    if kind == "split":
+        strategy = resampling.split(draw(st.integers(1, n - 4)))
+    elif kind == "cross_validation":
+        strategy = resampling.cross_validation(draw(st.integers(2, 6)), mode, aggregation)
+    elif kind == "jackknife":
+        strategy = resampling.jackknife(mode, aggregation)
+    else:
+        strategy = resampling.jackknife_bootstrap(draw(st.integers(1, 12)), mode, aggregation)
+    spec = ScorerSpec(kind="knn_distance", k=draw(st.integers(1, 3)),
+                      aggregation=draw(st.sampled_from(["kth", "mean"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(n, draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        # coarse values give tied distances and duplicated rows
+        rows = np.round(rows, 0)
+    test = np.vstack([rng.normal(size=(7, rows.shape[1])), rows[:3]])
+    window = draw(st.sampled_from([1, 2, 5, detectors._KNN_WINDOW]))
+    block = draw(st.sampled_from([1, 50, detectors._KNN_BLOCK]))
+    return spec, strategy, DataMatrix(rows), DataMatrix(test), draw(st.integers(0, 99)), window, block
+
+
+def expanded_scores(spec, rows, counts, X):
+    """Reference: one KnnScorer per plan row, on its expanded multiset."""
+    index = np.arange(rows.shape[0])
+    return np.column_stack([KnnScorer(spec, rows[np.repeat(index, c)]).score_raw(X)
+                            for c in counts])
+
+
+def reference_entries(spec, rows, plan, aggregation):
+    """Each entry's out-of-bag scores, pooled one entry at a time."""
+    scores = expanded_scores(spec, rows, plan.train_counts, rows[plan.entry_rows])
+    pool = np.median if aggregation == "median" else np.mean
+    return np.array([pool(np.asarray(scores[e, np.flatnonzero(m)]))
+                     for e, m in enumerate(plan.oob)])
+
+
+@given(cases())
+def test_plan_scores_equal_expanded_models(case):
+    spec, strategy, data, test, seed, window, block = case
+    with mock.patch.object(detectors, "_KNN_WINDOW", window), \
+            mock.patch.object(detectors, "_KNN_BLOCK", block):
+        plan = plan_of(strategy, data.n_rows, seed)
+        scorer = detectors.fit_plan(spec, data.values, plan.train_counts, seed, plan.streams)
+        np.testing.assert_array_equal(
+            detectors.score_plan(scorer, test),
+            expanded_scores(spec, data.values, plan.train_counts, test.values))
+        cm = CALIBRATE[strategy.kind](spec, data, strategy, seed)
+        ts = score_matrix(cm, test)
+    np.testing.assert_array_equal(
+        cm.entry_scores, reference_entries(spec, data.values, plan, strategy.aggregation))
+    retained = expanded_scores(spec, data.values, cm.train_counts, test.values)
+    np.testing.assert_array_equal(ts.values, retained[:, 0] if cm.mode == "single_model"
+                                  else retained)
+
+
+@given(cases())
+def test_out_of_sample_audit(case):
+    # every model bound to an entry has count 0 on that entry's row
+    spec, strategy, data, _, seed, _, _ = case
+    plan = plan_of(strategy, data.n_rows, seed)
+    assert plan.oob.any(axis=1).all()
+    assert not (plan.train_counts[:, plan.entry_rows].T.astype(bool) & plan.oob).any()
+    cm = CALIBRATE[strategy.kind](spec, data, strategy, seed)
+    np.testing.assert_array_equal(cm.entry_rows, plan.entry_rows)
+    if cm.mode == "plus" or strategy.kind == "split":
+        assert not (cm.train_counts[:, cm.entry_rows].T.astype(bool) & cm.oob).any()
+        for row, models in zip(cm.entry_rows, cm.entry_models):
+            assert all(row not in cm.model_train_indices[m] for m in models)
+    assert cm.n_entries + cm.dropped_rows == (data.n_rows if strategy.kind != "split"
+                                              else strategy.n_calib)
+
+
+@given(cases())
+def test_rank_counts_match_entry_loop(case):
+    spec, strategy, data, test, seed, _, _ = case
+    cm = CALIBRATE[strategy.kind](spec, data, strategy, seed)
+    ts = score_matrix(cm, test)
+    ge, gt, eq = paired_rank_counts(cm, ts)
+    pool = np.median if strategy.aggregation == "median" else np.mean
+    paired = (np.column_stack([ts.values] * cm.n_entries) if cm.mode == "single_model"
+              else np.column_stack([pool(ts.values[:, list(m)], axis=1)
+                                    for m in cm.entry_models]))
+    np.testing.assert_array_equal(ge, (cm.entry_scores >= paired).sum(axis=1))
+    np.testing.assert_array_equal(gt, (cm.entry_scores > paired).sum(axis=1))
+    np.testing.assert_array_equal(eq, ge - gt)
+
+
+def test_forest_plan_fits_each_model_on_its_rows():
+    rng = np.random.default_rng(4)
+    data = DataMatrix(rng.normal(size=(40, 2)))
+    test = DataMatrix(rng.normal(size=(9, 2)))
+    spec = ScorerSpec(kind="isolation_forest", n_trees=6, subsample_size=16)
+    plan = resampling.bootstrap_plan(40, 5, seed=3)
+    models = detectors.fit_plan(spec, data.values, plan.train_counts, 3, plan.streams)
+    index = np.arange(40)
+    for b, counts in enumerate(plan.train_counts):
+        alone = detectors.fit(spec, DataMatrix(data.values[np.repeat(index, counts)]),
+                              split_seed(3, plan.streams[b]))
+        np.testing.assert_array_equal(detectors.score_plan(models, test)[:, b],
+                                      detectors.score(alone, test).scores)

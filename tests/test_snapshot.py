@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from confanom.core import SnapshotError
+from confanom.core import ConfanomError, SnapshotError
 from confanom.detectors import ScorerSpec
 from confanom.estimation import EstimationSpec
 from confanom.pipeline import (PipelineConfig, compute_p_values, fit,
@@ -170,3 +173,128 @@ class TestDamage:
         bad.write_bytes(MAGIC)
         with pytest.raises(SnapshotError, match="truncated"):
             snapshot_load(bad)
+
+
+def read_snapshot(path):
+    """Header and named arrays of a snapshot file."""
+    blob = path.read_bytes()
+    end = 20 + int.from_bytes(blob[12:20], "little")
+    header = json.loads(blob[20:end])
+    arrays = {}
+    for entry in header["arrays"]:
+        dtype = np.dtype(entry["dtype"])
+        nbytes = dtype.itemsize * int(np.prod(entry["shape"]))
+        arrays[entry["name"]] = np.frombuffer(blob[end:end + nbytes], dtype).reshape(
+            entry["shape"]).copy()
+        end += nbytes
+    return header, arrays
+
+
+def write_snapshot(path, header, arrays):
+    """Write crafted content with a recomputed, valid digest."""
+    header["arrays"] = [{"name": name, "dtype": a.dtype.str, "shape": list(a.shape)}
+                        for name, a in arrays.items()]
+    header_bytes = json.dumps(header).encode("utf-8")
+    body = b"".join([MAGIC, FORMAT_VERSION.to_bytes(4, "little"),
+                     len(header_bytes).to_bytes(8, "little"), header_bytes,
+                     *(np.ascontiguousarray(a).tobytes() for a in arrays.values())])
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    return path
+
+
+class TestUntrustedContent:
+    """The digest proves nothing about intent: crafted files with a valid
+    digest are refused before anything is built from them."""
+
+    @pytest.fixture
+    def forest(self, tmp_path):
+        config = PipelineConfig(scorer=FOREST, strategy=split(0.5), seed=18)
+        snapshot_save(fit(config, gaussian_matrix(16, 60, d=3)), tmp_path / "forest.snap")
+        return read_snapshot(tmp_path / "forest.snap")
+
+    @pytest.fixture
+    def jab(self, tmp_path):
+        config = PipelineConfig(scorer=KNN, strategy=jackknife_bootstrap(7), seed=19)
+        snapshot_save(fit(config, gaussian_matrix(17, 50, d=2)), tmp_path / "jab.snap")
+        return read_snapshot(tmp_path / "jab.snap")
+
+    def test_v1_refused_by_name(self, tmp_path, jab):
+        blob = bytearray(write_snapshot(tmp_path / "v1.snap", *jab).read_bytes())
+        blob[8:12] = (1).to_bytes(4, "little")
+        (tmp_path / "v1.snap").write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="format version 1 is not supported "
+                                                r"\(this build reads version 2\)"):
+            snapshot_load(tmp_path / "v1.snap")
+
+    def test_child_pointing_at_root_refused(self, tmp_path, forest):
+        # path_lengths would cycle through the root forever
+        header, arrays = forest
+        arrays["model0/tree0/left"][0] = 0
+        with pytest.raises(SnapshotError, match="not a valid isolation tree"):
+            snapshot_load(write_snapshot(tmp_path / "cycle.snap", header, arrays))
+
+    @pytest.mark.parametrize("field, value", [
+        ("right", 10_000), ("feature", 3), ("size", -1), ("size", 61),
+        ("threshold", np.nan)])
+    def test_tree_arrays_checked(self, tmp_path, forest, field, value):
+        header, arrays = forest
+        arrays[f"model0/tree1/{field}"][0] = value
+        with pytest.raises(SnapshotError, match="not a valid isolation tree"):
+            snapshot_load(write_snapshot(tmp_path / "tree.snap", header, arrays))
+
+    def test_plan_arrays_cross_checked(self, tmp_path, jab):
+        header, arrays = jab
+        rows = arrays["calibration/entry_rows"]
+        counts = arrays["calibration/train_counts"]
+        cases = {
+            "entry row index out of range": ("calibration/entry_rows", rows + 50),
+            "shapes disagree": ("calibration/train_counts", counts[:, :-1]),
+            "trained on its row": ("calibration/oob_bits",
+                                   np.full_like(arrays["calibration/oob_bits"], 0xFF)),
+            "too few training rows": ("calibration/train_counts", counts * 0),
+            "more rows than the data holds": ("calibration/train_counts", counts * 3),
+            "non-finite": ("calibration/entry_scores",
+                           np.full_like(arrays["calibration/entry_scores"], np.nan)),
+            "missing or malformed": ("calibration/train_counts", counts.astype("<u4")),
+        }
+        for message, (name, value) in cases.items():
+            with pytest.raises(SnapshotError, match=message):
+                snapshot_load(write_snapshot(tmp_path / "plan.snap", header,
+                                             {**arrays, name: value}))
+
+    @pytest.mark.parametrize("mutate", [
+        lambda h: h.pop("calibration"),
+        lambda h: h["calibration"].update(mode="both"),
+        lambda h: h["config"]["scorer"].update(k="three"),
+        lambda h: h.update(table={"n": 1, "delta": 0.1, "method": "mc"}),
+        lambda h: h["config"]["scorer"].update(kind="isolation_forest"),
+    ])
+    def test_malformed_header_refused(self, tmp_path, jab, mutate):
+        header, arrays = jab
+        mutate(header)
+        with pytest.raises(SnapshotError):
+            snapshot_load(write_snapshot(tmp_path / "header.snap", header, arrays))
+
+    @pytest.mark.parametrize("which", ["forest", "jab"])
+    def test_fuzzed_arrays_never_hang_or_leak(self, tmp_path, request, which):
+        header, arrays = request.getfixturevalue(which)
+        rng = np.random.default_rng(20)
+        X = gaussian_matrix(21, 5, d=arrays["calibration/rows"].shape[1])
+        names = sorted(arrays)
+        for trial in range(60):
+            name = names[rng.integers(len(names))]
+            bad = arrays[name].copy()
+            if bad.size == 0:
+                continue
+            flat = bad.reshape(-1)
+            flat[rng.integers(flat.size)] = rng.choice([0, 1, -1, 2, 63, 200, 65535])
+            path = write_snapshot(tmp_path / "fuzz.snap", json.loads(json.dumps(header)),
+                                  {**arrays, name: bad})
+            try:
+                loaded = snapshot_load(path)
+            except SnapshotError:
+                continue
+            try:
+                compute_p_values(loaded, X)
+            except ConfanomError:
+                pass

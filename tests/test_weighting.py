@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from confanom.core import (DimensionMismatch, EmptyCalibration, EmptyInput,
-                           InvalidHyperparameter, ShapeMismatch, make_rng)
+                           InvalidData, InvalidHyperparameter, ShapeMismatch,
+                           make_rng)
 from confanom.estimation import conformal_p_values
 from confanom.weighting import (WeightModel, fit_weight_estimator,
                                 weighted_p_value, weighted_p_values, weights)
@@ -48,6 +49,16 @@ class TestWeightedPValue:
             weighted_p_values([1.0], [0.0], [1.0], 1.0)
         with pytest.raises(InvalidHyperparameter):
             weighted_p_values([1.0], [1.0], [1.0], -1.0)
+
+    @pytest.mark.parametrize("where, args", [
+        ("calibration score at position 1", ([1.0, np.nan], [1.0, 1.0], [1.5], 1.0)),
+        ("calibration weight at position 0", ([1.0, 2.0], [np.nan, 1.0], [1.5], 1.0)),
+        ("test score at position 1", ([1.0, 2.0], [1.0, 1.0], [1.5, np.nan], 1.0)),
+        ("test weight at position 0", ([1.0, 2.0], [1.0, 1.0], [1.5], np.inf)),
+    ])
+    def test_non_finite_inputs_fail_closed(self, where, args):
+        with pytest.raises(InvalidData, match=where):
+            weighted_p_values(*args)
 
     def test_shape_guards(self):
         with pytest.raises(ShapeMismatch):
