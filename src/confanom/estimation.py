@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import (
     EmptyCalibration,
@@ -175,6 +174,10 @@ def _band_asymptotic(n, delta):
 def _band_simes(n, delta):
     # rank-proportional spending: per-rank tail budget delta * r / sum(r),
     # simultaneous by the union bound
+    # scipy.special is a large share of the package's import time and only
+    # the conditional and probabilistic regimes need it, so it is imported
+    # on first use
+    from scipy import special
     r = np.arange(1, n + 1)
     gamma = delta * r * (2.0 / (n * (n + 1.0)))
     return special.betainccinv(r, n - r + 1, gamma)
@@ -183,6 +186,7 @@ def _band_simes(n, delta):
 def _band_mc(n, delta, seed):
     if seed is None:
         raise InvalidHyperparameter("the mc adjustment requires a seed")
+    from scipy import special  # imported on first use, see _band_simes
     rng = make_rng(seed)
     r = np.arange(1, n + 1)
     mins = np.empty(_MC_DRAWS)
@@ -276,6 +280,7 @@ def probabilistic_p_value(cm, ts, bandwidth="silverman"):
                             calibration_size=n,
                             notes=("degenerate calibration scores: probabilistic "
                                    "estimation fell back to empirical",))
+    from scipy import special  # imported on first use, see _band_simes
     t = aggregate_test_scores(cm, ts)
     entries = cm.entry_scores
     out = np.empty(t.shape[0], dtype=np.float64)

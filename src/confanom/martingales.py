@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import InvalidSpec, _readonly
 
@@ -266,6 +265,9 @@ def _log_mixture(n, a):
     first region: it underflows there, and from n near 10**6 it loses up
     to three digits of P in that tail.
     """
+    # scipy.special is a large share of the package's import time and only
+    # the mixture martingale needs it, so it is imported on first use
+    from scipy import special
     n, a = np.broadcast_arrays(np.asarray(n, dtype=np.float64), a)
     out = np.empty(a.shape)
     series = a < n + 1.0

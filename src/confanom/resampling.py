@@ -9,6 +9,14 @@ that score each entry, and one generic calibration turns any plan into a
 discipline that no entry was scored by a model whose training multiset
 contains that entry's row. The number of entries fixes the p-value floor
 1/(n_entries + 1) downstream.
+
+A plus-mode test point is compared with each entry through the median of
+its test scores under the entry's out-of-bag models.  Where those sets
+hold more than one model (JaB+), rank counting counts instead of taking
+medians: with c models, h = c // 2 and le of their scores at most the
+entry's score E, E >= median exactly when le > h, and only an even set with
+le == h needs the midpoint of its two middle scores (see
+``paired_rank_counts``).
 """
 
 from __future__ import annotations
@@ -36,6 +44,10 @@ from . import detectors
 STRATEGY_KINDS = ("split", "cross_validation", "jackknife", "jackknife_bootstrap")
 MODES = ("plus", "single_model")
 AGGREGATIONS = ("median", "mean")
+
+# word budget of one (test rows x entries x mask words) block of median
+# rank counting, bounds peak memory
+_RANK_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -430,6 +442,19 @@ def paired_rank_counts(cm, ts):
     for an entry uses the test score under that entry's bound model in plus
     mode (aggregated over the entry's out-of-bag set) and the single test
     score otherwise.
+
+    Plus mode with median aggregation and some out-of-bag set of more than
+    one model (JaB+) counts instead of taking medians.  For an entry with
+    score E whose set's test scores are S, c = |S| and h = c // 2,
+    E >= median(S) exactly when le = #{s in S : s <= E} > h, except when c
+    is even and le == h: then E lies between the two middle scores and is
+    compared with their midpoint, computed as ``np.median`` computes it.
+    The same rule with lt = #{s < E} decides E > median(S).  The counts
+    come from bit-packed masks, so no set's median is ever taken, and they
+    equal those of the per-set medians whenever the midpoint of two scores
+    does not overflow (k-NN distances of finite rows stay below 1e155 and
+    forest scores lie in (0, 1]).  Other plus-mode calibrations loop over
+    the distinct out-of-bag sets.
     """
     _check_pairing(cm, ts)
     n_test = ts.n_test
@@ -439,6 +464,9 @@ def paired_rank_counts(cm, ts):
         ge = cm.n_entries - np.searchsorted(entries, t, side="left")
         gt = cm.n_entries - np.searchsorted(entries, t, side="right")
         return ge.astype(np.int64), gt.astype(np.int64), (ge - gt).astype(np.int64)
+    if cm.strategy.aggregation == "median" and cm.oob.sum(axis=1).max() > 1:
+        ge, gt = _median_rank_counts(cm.entry_scores, cm.oob, ts.values)
+        return ge, gt, ge - gt
     ge = np.zeros(n_test, dtype=np.int64)
     gt = np.zeros(n_test, dtype=np.int64)
     # entries sharing an out-of-bag set share the paired test score
@@ -454,6 +482,68 @@ def paired_rank_counts(cm, ts):
         ge += size - np.searchsorted(group_scores, paired_t, side="left")
         gt += size - np.searchsorted(group_scores, paired_t, side="right")
     return ge, gt, ge - gt
+
+
+def _median_rank_counts(entries, oob, t):
+    """(ge, gt) of plus-mode median pairing by counting, as described in
+    ``paired_rank_counts``.
+
+    Entries are sorted by score.  Model b's test score t_b is at most the
+    entry at sorted position p for every p from ``searchsorted(t_b)`` on, so
+    setting bit b there and OR-accumulating along positions gives each
+    position a mask of the models scoring at most its entry; its popcount
+    against the entry's out-of-bag bits is le (lt with side='right').
+    """
+    order = np.argsort(entries, kind="stable")
+    e, members = entries[order], oob[order]
+    n, n_models = members.shape
+    words = (n_models + 63) // 64
+    packed = np.zeros((n, words * 8), dtype=np.uint8)
+    packed[:, :(n_models + 7) // 8] = np.packbits(members, axis=1, bitorder="little")
+    bits = packed.view("<u8").astype(np.uint64)
+    size = members.sum(axis=1)
+    # a count never exceeds n_models, so the narrowest type holding it will do
+    half = (size // 2).astype(np.min_scalar_type(n_models))
+    even = np.flatnonzero(size % 2 == 0)
+    model = np.arange(n_models)
+    word, bit = model // 64, np.left_shift(np.uint64(1), (model % 64).astype(np.uint64))
+    ge, gt = np.zeros(t.shape[0], dtype=np.int64), np.zeros(t.shape[0], dtype=np.int64)
+    step = max(1, _RANK_BLOCK // ((n + 1) * words))
+    for lo in range(0, t.shape[0], step):
+        block = t[lo:lo + step]
+        rows = np.arange(block.shape[0])[:, None]
+        for out, side in ((ge, "left"), (gt, "right")):
+            masks = np.zeros((block.shape[0], n + 1, words), dtype=np.uint64)
+            cell = (rows * (n + 1) + np.searchsorted(e, block, side=side)) * words + word
+            np.bitwise_or.at(masks.reshape(-1), cell.reshape(-1),
+                             np.broadcast_to(bit, cell.shape).reshape(-1))
+            np.bitwise_or.accumulate(masks, axis=1, out=masks)
+            below = np.zeros((block.shape[0], n), dtype=half.dtype)
+            for w in range(words):
+                below += np.bitwise_count(masks[:, :n, w] & bits[:, w])
+            out[lo:lo + step] += np.count_nonzero(below > half, axis=1)
+            i, p = np.nonzero(below[:, even] == half[even])
+            out[lo:lo + step] += _midpoint_hits(block, i, e, members, even[p], side == "right")
+    return ge, gt
+
+
+def _midpoint_hits(block, i, e, members, p, strict):
+    """Per row of ``block``, how many of the pairs (test row i[j], sorted
+    entry p[j]) have the entry's score at least (``strict``: above) the
+    midpoint of the two middle test scores of its out-of-bag set.  Each
+    pair's set is even and has exactly half its scores at most (``strict``:
+    below) the entry's score."""
+    hits = np.zeros(block.shape[0], dtype=np.int64)
+    step = max(1, _RANK_BLOCK // members.shape[1])
+    for lo in range(0, i.shape[0], step):
+        rows, x = i[lo:lo + step], e[p[lo:lo + step], None]
+        vals, m = block[rows], members[p[lo:lo + step]]
+        low = (vals < x) if strict else (vals <= x)
+        mid = (np.where(m & low, vals, -np.inf).max(axis=1)
+               + np.where(m & ~low, vals, np.inf).min(axis=1)) / 2.0
+        hit = (x[:, 0] > mid) if strict else (x[:, 0] >= mid)
+        hits += np.bincount(rows[hit], minlength=block.shape[0])
+    return hits
 
 
 def aggregate_test_scores(cm, ts):

@@ -7,12 +7,14 @@ and a trailing SHA-256 over everything before it.  Loads verify magic,
 version, and digest before touching any content, so a truncated or
 corrupted file is refused whole rather than half-loaded.
 
-Format version 2 stores a calibration as its plan: the training rows once
+Format version 3 stores a calibration as its plan: the training rows once
 (``calibration/rows``), each retained model as a row of
 ``calibration/train_counts`` (uint16, models x rows), each entry's row
 index (``calibration/entry_rows``) and score, and the entry-to-model
 pairing as a bit-packed mask (``calibration/oob_bits``).  Isolation
-forests add their trees as flat arrays.  The digest only detects damage:
+forests add the node fields of all their trees, model by model and tree by
+tree, as five concatenated arrays (``trees/feature`` and so on) cut into
+trees by ``trees/offsets``.  The digest only detects damage:
 anyone can recompute it, so every array is checked for shape, range and
 tree topology before anything is built from it.
 
@@ -43,7 +45,7 @@ from .pipeline import FittedPipeline, PipelineConfig
 from .resampling import CalibrationModel, StrategySpec
 
 MAGIC = b"CANOMSNP"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _DIGEST_BYTES = 32
 _TREE_ARRAYS = (("feature", "<i4"), ("threshold", "<f8"), ("left", "<i4"),
                 ("right", "<i4"), ("size", "<i4"))
@@ -91,10 +93,11 @@ def snapshot_save(fp: FittedPipeline, path):
     store.add("calibration/rows", cm.rows)
     store.add("calibration/train_counts", cm.train_counts)
     if not isinstance(cm.scorer, KnnPlan):
-        for i, model in enumerate(cm.models):
-            for t, tree in enumerate(model.trees):
-                for field, _ in _TREE_ARRAYS:
-                    store.add(f"model{i}/tree{t}/{field}", getattr(tree, field))
+        trees = [tree for model in cm.models for tree in model.trees]
+        for field, _ in _TREE_ARRAYS:
+            store.add(f"trees/{field}", np.concatenate([getattr(t, field) for t in trees]))
+        store.add("trees/offsets", np.cumsum([0] + [t.feature.shape[0] for t in trees],
+                                             dtype="<i8"))
     table_meta = None
     if fp.table is not None:
         store.add("table/adjusted", fp.table.adjusted)
@@ -168,28 +171,37 @@ def _expect(ok, what):
         raise SnapshotError(f"malformed snapshot: {what}")
 
 
-def _load_forest(arrays, tag, spec, training_size, n_features):
-    """Rebuild one isolation forest after checking that every tree path
-    ends: children sit after their parent and inside the tree, features
-    index real columns, and subtree sizes index the c(m) table.  The tree
-    count and subsample size follow from the spec and the model's counts,
-    as they do when fitting."""
-    psi = min(int(spec.subsample_size), training_size)
-    trees = []
-    for t in range(int(spec.n_trees)):
-        feature, threshold, left, right, size = (
-            arrays.get(f"{tag}/tree{t}/{field}", dtype, 1) for field, dtype in _TREE_ARRAYS)
-        n = feature.shape[0]
-        node = np.arange(n)
-        inner = feature >= 0
-        _expect(n >= 1 and all(a.shape == (n,) for a in (threshold, left, right, size))
-                and (feature < n_features).all() and np.isfinite(threshold).all()
-                and ((size >= 0) & (size <= psi)).all()
-                and (left[inner] > node[inner]).all() and (left[inner] < n).all()
-                and (right[inner] > node[inner]).all() and (right[inner] < n).all(),
-                f"tree {t} of {tag} is not a valid isolation tree")
-        trees.append(_IsolationTree._from_arrays(feature, threshold, left, right, size))
-    return IsolationForestScorer(spec, trees, psi, n_features, training_size)
+def _load_forests(arrays, spec, sizes, n_features):
+    """Rebuild one isolation forest per model after checking that the
+    offsets cut the node arrays into non-empty trees and that every tree
+    path ends: children sit after their parent and inside the tree,
+    features index real columns, and subtree sizes index the model's c(m)
+    table.  The tree count and each subsample size follow from the spec and
+    the model's counts, as they do when fitting."""
+    n_trees = int(spec.n_trees)
+    psi = np.minimum(int(spec.subsample_size), sizes)
+    fields = [arrays.get(f"trees/{field}", dtype, 1) for field, dtype in _TREE_ARRAYS]
+    offsets = arrays.get("trees/offsets", "<i8", 1)
+    n_nodes = fields[0].shape[0]
+    _expect(offsets.shape == (sizes.shape[0] * n_trees + 1,) and offsets[0] == 0
+            and offsets[-1] == n_nodes and (np.diff(offsets) >= 1).all()
+            and all(a.shape == (n_nodes,) for a in fields),
+            "tree offsets do not cut the node arrays into trees")
+    feature, threshold, left, right, size = fields
+    tree = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
+    node, end = np.arange(n_nodes) - offsets[tree], offsets[tree + 1] - offsets[tree]
+    inner = feature >= 0
+    ok = ((feature < n_features) & np.isfinite(threshold)
+          & (size >= 0) & (size <= psi[tree // n_trees])
+          & ~(inner & ((left <= node) | (left >= end) | (right <= node) | (right >= end))))
+    t = int(tree[np.argmin(ok)])  # the first failing tree, if any
+    _expect(ok.all(), f"tree {t % n_trees} of model{t // n_trees} is not a valid isolation tree")
+    return ModelSet(
+        IsolationForestScorer(
+            spec, [_IsolationTree._from_arrays(*(a[offsets[t]:offsets[t + 1]] for a in fields))
+                   for t in range(i * n_trees, (i + 1) * n_trees)],
+            int(psi[i]), n_features, int(sizes[i]))
+        for i in range(sizes.shape[0]))
 
 
 def _load_calibration(cal, arrays, spec):
@@ -225,8 +237,7 @@ def _load_calibration(cal, arrays, spec):
     else:
         _expect(spec.kind == "isolation_forest" and sizes.min() >= 2,
                 "a forest model has too few training rows")
-        scorer = ModelSet(_load_forest(arrays, f"model{i}", spec, int(size), n_features)
-                          for i, size in enumerate(sizes))
+        scorer = _load_forests(arrays, spec, sizes, n_features)
     return CalibrationModel(
         entry_scores=entry_scores, entry_rows=entry_rows, oob=oob, rows=rows,
         train_counts=counts, scorer=scorer, mode=cal["mode"],

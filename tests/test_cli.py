@@ -357,3 +357,14 @@ def test_import_leaves_out_scipy_spatial():
          "import sys, confanom.cli; print('scipy.spatial' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_out_scipy_special():
+    # the conditional and probabilistic regimes and the mixture martingale
+    # import scipy.special on first use; other commands never pay for it
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, confanom.cli; print('scipy.special' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

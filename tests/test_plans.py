@@ -145,3 +145,40 @@ def test_forest_plan_fits_each_model_on_its_rows():
                               split_seed(3, plan.streams[b]))
         np.testing.assert_array_equal(detectors.score_plan(models, test)[:, b],
                                       detectors.score(alone, test).scores)
+
+
+@st.composite
+def tied_tables(draw):
+    """Median-pooled plus-mode tables with many models, coarse scores and
+    mostly even out-of-bag sets, so that entries often sit exactly on a
+    test score or on the midpoint of two."""
+    n_models = draw(st.integers(50, 140))
+    n, n_test = draw(st.integers(1, 30)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 6))
+    entries = rng.integers(0, 2 * levels, size=n) / 4.0
+    values = rng.integers(0, levels, size=(n_test, n_models)) / 2.0
+    oob = rng.random((n, n_models)) < draw(st.floats(0.01, 0.6))
+    oob[np.arange(n), rng.integers(0, n_models, size=n)] = True
+    for e in np.flatnonzero((oob.sum(axis=1) % 2 == 1) & (rng.random(n) < 0.8)):
+        # toggle one model to make the set even
+        flip = np.flatnonzero(~oob[e]) if not oob[e].all() else np.flatnonzero(oob[e])
+        oob[e, flip[rng.integers(flip.size)]] ^= True
+    return entries, oob, values, draw(st.sampled_from([1, 300, resampling._RANK_BLOCK]))
+
+
+@given(tied_tables())
+def test_median_rank_counts_match_entry_loop(table):
+    entries, oob, values, block = table
+    n, n_models = oob.shape
+    cm = resampling.CalibrationModel(
+        entry_scores=entries, entry_rows=np.arange(n), oob=oob, rows=np.zeros((n, 1)),
+        train_counts=np.zeros((n_models, n), dtype=np.uint16), scorer=None, mode="plus",
+        strategy=resampling.jackknife_bootstrap(n_models))
+    ts = resampling.TestScores(mode="plus", n_entries=n, values=values)
+    with mock.patch.object(resampling, "_RANK_BLOCK", block):
+        ge, gt, eq = paired_rank_counts(cm, ts)
+    paired = np.column_stack([np.median(values[:, m], axis=1) for m in oob])
+    np.testing.assert_array_equal(ge, (entries >= paired).sum(axis=1))
+    np.testing.assert_array_equal(gt, (entries > paired).sum(axis=1))
+    np.testing.assert_array_equal(eq, ge - gt)

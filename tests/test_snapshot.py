@@ -223,14 +223,23 @@ class TestUntrustedContent:
         blob[8:12] = (1).to_bytes(4, "little")
         (tmp_path / "v1.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 1 is not supported "
-                                                r"\(this build reads version 2\)"):
+                                                r"\(this build reads version 3\)"):
             snapshot_load(tmp_path / "v1.snap")
+
+    def test_v2_refused_by_name(self, tmp_path, forest):
+        # version 2 indexed five arrays per tree; its files are refused whole
+        blob = bytearray(write_snapshot(tmp_path / "v2.snap", *forest).read_bytes())
+        blob[8:12] = (2).to_bytes(4, "little")
+        (tmp_path / "v2.snap").write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="format version 2 is not supported "
+                                                r"\(this build reads version 3\)"):
+            snapshot_load(tmp_path / "v2.snap")
 
     def test_child_pointing_at_root_refused(self, tmp_path, forest):
         # path_lengths would cycle through the root forever
         header, arrays = forest
-        arrays["model0/tree0/left"][0] = 0
-        with pytest.raises(SnapshotError, match="not a valid isolation tree"):
+        arrays["trees/left"][0] = 0
+        with pytest.raises(SnapshotError, match="tree 0 of model0 is not a valid isolation tree"):
             snapshot_load(write_snapshot(tmp_path / "cycle.snap", header, arrays))
 
     @pytest.mark.parametrize("field, value", [
@@ -238,9 +247,33 @@ class TestUntrustedContent:
         ("threshold", np.nan)])
     def test_tree_arrays_checked(self, tmp_path, forest, field, value):
         header, arrays = forest
-        arrays[f"model0/tree1/{field}"][0] = value
-        with pytest.raises(SnapshotError, match="not a valid isolation tree"):
+        arrays[f"trees/{field}"][arrays["trees/offsets"][1]] = value
+        with pytest.raises(SnapshotError, match="tree 1 of model0 is not a valid isolation tree"):
             snapshot_load(write_snapshot(tmp_path / "tree.snap", header, arrays))
+
+    def test_tree_offsets_checked(self, tmp_path, forest):
+        header, arrays = forest
+        offsets = arrays["trees/offsets"]
+        for bad in (offsets[:-1], offsets + 1, offsets - 1, np.sort(offsets)[::-1],
+                    np.concatenate([offsets[:1], offsets[:-1]]),
+                    np.where(np.arange(offsets.size) == 2, offsets[-1] + 5, offsets)):
+            with pytest.raises(SnapshotError, match="tree offsets"):
+                snapshot_load(write_snapshot(tmp_path / "offsets.snap", header,
+                                             {**arrays, "trees/offsets": bad}))
+        # a moved boundary keeps the offsets monotone: the trees it cuts are
+        # checked like any other, so the file is refused or loads and scores
+        X = gaussian_matrix(22, 5, d=3)
+        for t in range(1, offsets.size - 1):
+            for shift in (-1, 1):
+                moved = offsets.copy()
+                moved[t] += shift
+                path = write_snapshot(tmp_path / "moved.snap", json.loads(json.dumps(header)),
+                                      {**arrays, "trees/offsets": moved})
+                try:
+                    loaded = snapshot_load(path)
+                except SnapshotError:
+                    continue
+                assert np.isfinite(compute_p_values(loaded, X).values).all()
 
     def test_plan_arrays_cross_checked(self, tmp_path, jab):
         header, arrays = jab
