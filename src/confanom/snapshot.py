@@ -184,7 +184,7 @@ def _load_forests(arrays, spec, sizes, n_features):
     offsets = arrays.get("trees/offsets", "<i8", 1)
     n_nodes = fields[0].shape[0]
     _expect(offsets.shape == (sizes.shape[0] * n_trees + 1,) and offsets[0] == 0
-            and offsets[-1] == n_nodes and (np.diff(offsets) >= 1).all()
+            and offsets[-1] == n_nodes and (offsets[1:] > offsets[:-1]).all()
             and all(a.shape == (n_nodes,) for a in fields),
             "tree offsets do not cut the node arrays into trees")
     feature, threshold, left, right, size = fields

@@ -254,9 +254,13 @@ class TestUntrustedContent:
     def test_tree_offsets_checked(self, tmp_path, forest):
         header, arrays = forest
         offsets = arrays["trees/offsets"]
+        # int64 differences of these wrap round to positive tree sizes
+        wrapped = offsets.copy()
+        wrapped[1:4] = (2 ** 62, 2 ** 63 - 1, -2 ** 62)
+        assert (np.diff(wrapped) >= 1).all()
         for bad in (offsets[:-1], offsets + 1, offsets - 1, np.sort(offsets)[::-1],
                     np.concatenate([offsets[:1], offsets[:-1]]),
-                    np.where(np.arange(offsets.size) == 2, offsets[-1] + 5, offsets)):
+                    np.where(np.arange(offsets.size) == 2, offsets[-1] + 5, offsets), wrapped):
             with pytest.raises(SnapshotError, match="tree offsets"):
                 snapshot_load(write_snapshot(tmp_path / "offsets.snap", header,
                                              {**arrays, "trees/offsets": bad}))
