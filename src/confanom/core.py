@@ -168,7 +168,9 @@ def split_seed(seed, stream_id):
 
 
 def make_rng(seed):
-    """Generator for the given seed. All package randomness goes through here."""
+    """Generator for the given seed. All package randomness goes through
+    here, except the counter-based smoothing draws of
+    ``pipeline.stream_p_values``."""
     return np.random.default_rng(check_seed(seed))
 
 

@@ -6,6 +6,10 @@ fitting (scoring the same point twice returns bit-identical values) and both
 fit permutation-invariantly: reordering the training rows yields a scorer
 with identical outputs everywhere. Score polarity is normalized at this
 boundary so that downstream modules always see "larger = more anomalous".
+
+A forest scores a chunk of rows through all its trees at once, one tree
+level per step; a k-NN plan scores all its models from one distance matrix
+per chunk of rows.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ _KNN_CHUNK = 512
 _KNN_WINDOW = 64
 # element budget of one (models x rows x window) block of a plan scoring
 _KNN_BLOCK = 1 << 21
+# element budget of the (trees x rows) node matrix of a forest scoring
+_FOREST_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -101,77 +107,40 @@ def average_path_length(m):
     return 2.0 * _harmonic(m - 1) - 2.0 * (m - 1) / m
 
 
-class _IsolationTree:
-    """Flat-array binary tree. feature < 0 marks a leaf."""
+def _fit_tree(rows, rng, depth_cap):
+    """Node arrays (feature, threshold, left, size) of one isolation tree.
 
-    __slots__ = ("feature", "threshold", "left", "right", "size")
-
-    def __init__(self, rows, rng, depth_cap):
-        feature, threshold, left, right, size = [], [], [], [], []
-        # (node_index, row_subset, depth), explicit stack so user-set depth
-        # caps cannot hit the interpreter recursion limit
-        stack = [(0, rows, 0)]
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        size.append(len(rows))
-        while stack:
-            node, sub, depth = stack.pop()
-            if depth >= depth_cap or len(sub) <= 1:
-                continue
-            lo = sub.min(axis=0)
-            hi = sub.max(axis=0)
-            cand = np.nonzero(hi > lo)[0]
-            if len(cand) == 0:
-                continue
-            q = int(cand[rng.integers(len(cand))])
-            t = float(rng.uniform(lo[q], hi[q]))
-            mask = sub[:, q] < t
-            li = len(feature)
-            ri = li + 1
-            for child_rows in (sub[mask], sub[~mask]):
-                feature.append(-1)
-                threshold.append(0.0)
-                left.append(-1)
-                right.append(-1)
-                size.append(len(child_rows))
-            feature[node] = q
-            threshold[node] = t
-            left[node] = li
-            right[node] = ri
-            stack.append((li, sub[mask], depth + 1))
-            stack.append((ri, sub[~mask], depth + 1))
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.size = np.asarray(size, dtype=np.int32)
-
-    @classmethod
-    def _from_arrays(cls, feature, threshold, left, right, size):
-        tree = object.__new__(cls)
-        tree.feature = np.asarray(feature, dtype=np.int32)
-        tree.threshold = np.asarray(threshold, dtype=np.float64)
-        tree.left = np.asarray(left, dtype=np.int32)
-        tree.right = np.asarray(right, dtype=np.int32)
-        tree.size = np.asarray(size, dtype=np.int32)
-        return tree
-
-    def path_lengths(self, X, c_table):
-        n = X.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        depth = np.zeros(n, dtype=np.float64)
-        active = np.nonzero(self.feature[node] >= 0)[0]
-        while active.size:
-            cur = node[active]
-            f = self.feature[cur]
-            go_left = X[active, f] < self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
-            depth[active] += 1.0
-            active = active[self.feature[node[active]] >= 0]
-        # unbuilt-subtree adjustment at the leaf
-        return depth + c_table[self.size[node]]
+    Nodes are numbered in creation order; an inner node's children are
+    ``left`` and ``left + 1``, both after it, and feature < 0 marks a leaf.
+    """
+    feature, threshold, left, size = [-1], [0.0], [-1], [len(rows)]
+    # (node_index, row_subset, depth), explicit stack so user-set depth
+    # caps cannot hit the interpreter recursion limit
+    stack = [(0, rows, 0)]
+    while stack:
+        node, sub, depth = stack.pop()
+        if depth >= depth_cap or len(sub) <= 1:
+            continue
+        lo = sub.min(axis=0)
+        hi = sub.max(axis=0)
+        cand = np.nonzero(hi > lo)[0]
+        if len(cand) == 0:
+            continue
+        q = int(cand[rng.integers(len(cand))])
+        t = float(rng.uniform(lo[q], hi[q]))
+        mask = sub[:, q] < t
+        below, above = sub[mask], sub[~mask]
+        li = len(feature)
+        feature += [-1, -1]
+        threshold += [0.0, 0.0]
+        left += [-1, -1]
+        size += [len(below), len(above)]
+        feature[node] = q
+        threshold[node] = t
+        left[node] = li
+        stack.append((li, below, depth + 1))
+        stack.append((li + 1, above, depth + 1))
+    return feature, threshold, left, size
 
 
 class IsolationForestScorer:
@@ -180,25 +149,74 @@ class IsolationForestScorer:
     The anomaly score of a point is 2**(-E[h(x)] / c(psi)) with h the path
     length, psi the subsample size, and c the average-path-length constant,
     so scores lie in (0, 1].
+
+    The trees are kept as the snapshot stores them: node fields of all
+    trees concatenated, child indices local to their tree, and tree t
+    holding nodes ``offsets[t]`` up to ``offsets[t + 1]``.  Scoring walks
+    every tree at once: a (trees x rows) matrix of current nodes moves one
+    level per step through tables in which leaves loop to themselves, and
+    each node carries its depth plus c(size).  Per-tree path lengths are
+    added in tree order, so scores equal those of one walk per tree, bit
+    for bit.
     """
 
     kind = "isolation_forest"
 
-    def __init__(self, spec, trees, psi, n_features, training_size):
+    def __init__(self, spec, feature, threshold, left, size, offsets, psi,
+                 n_features, training_size):
         self.spec = spec
-        self.trees = tuple(trees)
+        self.feature = _readonly(np.asarray(feature, dtype=np.int32))
+        self.threshold = _readonly(np.asarray(threshold, dtype=np.float64))
+        self.left = _readonly(np.asarray(left, dtype=np.int32))
+        self.size = _readonly(np.asarray(size, dtype=np.int32))
+        self.offsets = _readonly(np.asarray(offsets, dtype=np.int64))
         self.psi = int(psi)
         self.n_features = int(n_features)
         self.training_size = int(training_size)
         self._c_psi = average_path_length(psi)
-        self._c_table = np.array([average_path_length(m) for m in range(psi + 1)])
+        c_table = np.array([average_path_length(m) for m in range(psi + 1)])
+        inner = self.feature >= 0
+        tree = np.repeat(np.arange(self.n_trees), np.diff(self.offsets))
+        index = np.arange(self.feature.shape[0])
+        # kernel tables: node -> left + (x[feature] >= threshold), with
+        # leaves sent back to themselves by an infinite threshold
+        self._next = np.where(inner, self.left + self.offsets[tree], index)
+        self._feature = np.where(inner, self.feature, 0)
+        self._threshold = np.where(inner, self.threshold, np.inf)
+        # level pass from the roots; it ends because every child sits
+        # after its parent
+        depth = np.zeros(index.shape[0], dtype=np.int64)
+        level = self.offsets[:-1]
+        self._levels = 0
+        while True:
+            level = level[inner[level]]
+            if not level.size:
+                break
+            self._levels += 1
+            level = np.concatenate([self._next[level], self._next[level] + 1])
+            depth[level] = self._levels
+        self._path = depth + c_table[self.size]
+
+    @property
+    def n_trees(self):
+        return self.offsets.shape[0] - 1
 
     def score_raw(self, X):
-        paths = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.trees:
-            paths += tree.path_lengths(X, self._c_table)
-        mean_path = paths / len(self.trees)
-        return np.power(2.0, -mean_path / self._c_psi)
+        n_trees, n = self.n_trees, X.shape[0]
+        paths = np.empty(n, dtype=np.float64)
+        step = max(1, _FOREST_BLOCK // n_trees)
+        for lo in range(0, n, step):
+            rows = X[lo:lo + step]
+            base = np.arange(rows.shape[0]) * rows.shape[1]
+            flat = rows.ravel()
+            node = np.repeat(self.offsets[:-1, None], rows.shape[0], axis=1)
+            for _ in range(self._levels):
+                x = flat[base + self._feature[node]]
+                node = self._next[node] + (x >= self._threshold[node])
+            # a running sum over trees adds them in tree order, as one
+            # walk per tree would
+            paths[lo:lo + step] = np.add.accumulate(self._path[node], axis=0)[-1]
+        return np.power(2.0, -(paths / n_trees) / self._c_psi)
 
 
 def _cdist(X, refs):
@@ -379,12 +397,15 @@ def fit(spec, train, seed):
         sorted_rows = values[order]
         psi = min(int(spec.subsample_size), n)
         depth_cap = int(spec.max_depth) if spec.max_depth is not None else math.ceil(math.log2(psi))
-        trees = []
+        fields = ([], [], [], [])
+        offsets = [0]
         for t in range(int(spec.n_trees)):
             rng = make_rng(split_seed(seed, t))
             idx = rng.choice(n, size=psi, replace=False)
-            trees.append(_IsolationTree(sorted_rows[idx], rng, depth_cap))
-        return IsolationForestScorer(spec, trees, psi, train.n_cols, n)
+            for field, part in zip(fields, _fit_tree(sorted_rows[idx], rng, depth_cap)):
+                field.extend(part)
+            offsets.append(len(fields[0]))
+        return IsolationForestScorer(spec, *fields, offsets, psi, train.n_cols, n)
     raise InvalidHyperparameter(
         "external scorers are wrapped with wrap_detached, not fitted")
 

@@ -16,12 +16,13 @@ import numpy as np
 
 from . import decisions, detectors, estimation, resampling, weighting
 from .core import (
+    MAX_SEED,
     DataMatrix,
     InvalidAlpha,
+    InvalidHyperparameter,
     InvalidSpec,
     PValueVector,
     check_seed,
-    make_rng,
     split_seed,
 )
 from .detectors import ScorerSpec
@@ -232,18 +233,26 @@ def score_and_p_values(fp: FittedPipeline, X, seed=None):
     return _aggregated(fp, ts), _p_values(fp, X, ts, seed)
 
 
-def stream_p_values(fp: FittedPipeline, X, seed=None) -> PValueVector:
-    """One p-value per stream step, smoothing seeded per step.
+def stream_p_values(fp: FittedPipeline, X, seed=None, start=0) -> PValueVector:
+    """One smoothed p-value per stream step, drawn from a counter-based stream.
 
-    Equivalent to calling ``compute_p_values`` on each row alone with the
-    step-indexed child seed ``split_seed(seed, t)``, so a stream processed
-    incrementally and a stream processed in one batch agree exactly.  Only
-    empirical estimation is smoothed; conditional and probabilistic regimes
-    pass through unchanged.  Weighted pipelines are refused: a density
-    ratio against a one-point target batch is not meaningful.
+    The row at stream step t, counting from ``start`` for the first row of
+    ``X``, smooths with the first double of counter block t of a Philox
+    stream keyed by the base seed (``seed``, or a child of the pipeline
+    seed when None): the first draw of
+    ``Generator(Philox(key=base, counter=t))``, taken as 1 - u so that it
+    lies in (0, 1].  Draws depend only on (base seed, t), so a stream fed
+    row by row, or in pieces, each piece passing the step of its first row
+    as ``start``, gets exactly the values of one batch call.  Only empirical
+    estimation is smoothed; conditional and probabilistic regimes pass
+    through unchanged.  Weighted pipelines are refused: a density ratio
+    against a one-point target batch is not meaningful.
     """
     if fp.config.weighting is not None:
         raise InvalidSpec("stream monitoring does not support weighting")
+    if (isinstance(start, bool) or not isinstance(start, (int, np.integer))
+            or not 0 <= start < MAX_SEED):
+        raise InvalidHyperparameter(f"start must be a nonnegative 64-bit integer, got {start!r}")
     X = _as_matrix(X)
     est = fp.config.estimation
     if est.regime != "empirical":
@@ -253,8 +262,9 @@ def stream_p_values(fp: FittedPipeline, X, seed=None) -> PValueVector:
     _, gt, eq = resampling.paired_rank_counts(cm, ts)
     base = (split_seed(fp.config.seed, _SMOOTH_STREAM)
             if seed is None else check_seed(seed))
-    u = np.array([1.0 - make_rng(split_seed(base, t)).random()
-                  for t in range(X.n_rows)])
+    # a Philox block is four 64-bit words and a double takes one word
+    bits = np.random.Philox(key=base, counter=int(start))
+    u = 1.0 - np.random.Generator(bits).random(4 * X.n_rows)[::4]
     n = cm.n_entries
     return PValueVector((gt + u * (eq + 1)) / (n + 1), estimation="empirical",
                         smoothed=True, calibration_size=n)

@@ -7,14 +7,15 @@ and a trailing SHA-256 over everything before it.  Loads verify magic,
 version, and digest before touching any content, so a truncated or
 corrupted file is refused whole rather than half-loaded.
 
-Format version 3 stores a calibration as its plan: the training rows once
+Format version 4 stores a calibration as its plan: the training rows once
 (``calibration/rows``), each retained model as a row of
 ``calibration/train_counts`` (uint16, models x rows), each entry's row
 index (``calibration/entry_rows``) and score, and the entry-to-model
 pairing as a bit-packed mask (``calibration/oob_bits``).  Isolation
 forests add the node fields of all their trees, model by model and tree by
-tree, as five concatenated arrays (``trees/feature`` and so on) cut into
-trees by ``trees/offsets``.  The digest only detects damage:
+tree, as four concatenated arrays (``trees/feature`` and so on) cut into
+trees by ``trees/offsets``; an inner node's children are ``left`` and
+``left + 1``.  The digest only detects damage:
 anyone can recompute it, so every array is checked for shape, range and
 tree topology before anything is built from it.
 
@@ -38,17 +39,16 @@ from .detectors import (
     KnnPlan,
     ModelSet,
     ScorerSpec,
-    _IsolationTree,
 )
 from .estimation import AdjustmentTable, EstimationSpec
 from .pipeline import FittedPipeline, PipelineConfig
 from .resampling import CalibrationModel, StrategySpec
 
 MAGIC = b"CANOMSNP"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _DIGEST_BYTES = 32
 _TREE_ARRAYS = (("feature", "<i4"), ("threshold", "<f8"), ("left", "<i4"),
-                ("right", "<i4"), ("size", "<i4"))
+                ("size", "<i4"))
 
 
 def _spec_dict(spec):
@@ -93,11 +93,10 @@ def snapshot_save(fp: FittedPipeline, path):
     store.add("calibration/rows", cm.rows)
     store.add("calibration/train_counts", cm.train_counts)
     if not isinstance(cm.scorer, KnnPlan):
-        trees = [tree for model in cm.models for tree in model.trees]
         for field, _ in _TREE_ARRAYS:
-            store.add(f"trees/{field}", np.concatenate([getattr(t, field) for t in trees]))
-        store.add("trees/offsets", np.cumsum([0] + [t.feature.shape[0] for t in trees],
-                                             dtype="<i8"))
+            store.add(f"trees/{field}", np.concatenate([getattr(m, field) for m in cm.models]))
+        tree_sizes = np.concatenate([np.diff(m.offsets) for m in cm.models])
+        store.add("trees/offsets", np.concatenate([[0], np.cumsum(tree_sizes)]).astype("<i8"))
     table_meta = None
     if fp.table is not None:
         store.add("table/adjusted", fp.table.adjusted)
@@ -173,11 +172,12 @@ def _expect(ok, what):
 
 def _load_forests(arrays, spec, sizes, n_features):
     """Rebuild one isolation forest per model after checking that the
-    offsets cut the node arrays into non-empty trees and that every tree
-    path ends: children sit after their parent and inside the tree,
-    features index real columns, and subtree sizes index the model's c(m)
-    table.  The tree count and each subsample size follow from the spec and
-    the model's counts, as they do when fitting."""
+    offsets cut the node arrays into non-empty trees and that each tree is
+    one: an inner node's children ``left`` and ``left + 1`` sit after it
+    and inside its tree, every node but the root is the child of exactly
+    one node, features index real columns, and subtree sizes index the
+    model's c(m) table.  The tree count and each subsample size follow from
+    the spec and the model's counts, as they do when fitting."""
     n_trees = int(spec.n_trees)
     psi = np.minimum(int(spec.subsample_size), sizes)
     fields = [arrays.get(f"trees/{field}", dtype, 1) for field, dtype in _TREE_ARRAYS]
@@ -187,21 +187,25 @@ def _load_forests(arrays, spec, sizes, n_features):
             and offsets[-1] == n_nodes and (offsets[1:] > offsets[:-1]).all()
             and all(a.shape == (n_nodes,) for a in fields),
             "tree offsets do not cut the node arrays into trees")
-    feature, threshold, left, right, size = fields
+    feature, threshold, left, size = fields
     tree = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
     node, end = np.arange(n_nodes) - offsets[tree], offsets[tree + 1] - offsets[tree]
     inner = feature >= 0
     ok = ((feature < n_features) & np.isfinite(threshold)
           & (size >= 0) & (size <= psi[tree // n_trees])
-          & ~(inner & ((left <= node) | (left >= end) | (right <= node) | (right >= end))))
+          & ~(inner & ((left <= node) | (left >= end - 1))))
+    if ok.all():
+        child = (left + offsets[tree])[inner]
+        parents = np.bincount(np.concatenate([child, child + 1]), minlength=n_nodes)
+        ok = parents == (node > 0)
     t = int(tree[np.argmin(ok)])  # the first failing tree, if any
     _expect(ok.all(), f"tree {t % n_trees} of model{t // n_trees} is not a valid isolation tree")
+    cuts = offsets[::n_trees]
     return ModelSet(
-        IsolationForestScorer(
-            spec, [_IsolationTree._from_arrays(*(a[offsets[t]:offsets[t + 1]] for a in fields))
-                   for t in range(i * n_trees, (i + 1) * n_trees)],
-            int(psi[i]), n_features, int(sizes[i]))
-        for i in range(sizes.shape[0]))
+        IsolationForestScorer(spec, *(a[lo:hi] for a in fields),
+                              offsets[i * n_trees:(i + 1) * n_trees + 1] - lo,
+                              int(psi[i]), n_features, int(sizes[i]))
+        for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])))
 
 
 def _load_calibration(cal, arrays, spec):

@@ -1,11 +1,21 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from confanom import detectors
 from confanom.core import (AmbiguousPolarity, DataMatrix, DimensionMismatch,
                            EmptyTrainingSet, InvalidHyperparameter, KTooLarge,
                            make_rng)
 from confanom.detectors import (ScorerSpec, average_path_length, fit,
                                 normalize_polarity, score, wrap_detached)
+from confanom.pipeline import PipelineConfig, score_samples
+from confanom.pipeline import fit as fit_pipeline
+from confanom.resampling import split
+from confanom.snapshot import snapshot_load, snapshot_save
 
 from conftest import gaussian_matrix, labeled_batch
 
@@ -130,6 +140,75 @@ class TestIsolationForest:
         spec = ScorerSpec(kind="isolation_forest", n_trees=10, subsample_size=256)
         scorer = fit(spec, train, seed=0)
         assert scorer.psi == 40
+
+
+def path_lengths(feature, threshold, left, size, X, c_table):
+    """Path lengths through one tree, walked level by level for the rows
+    still on an inner node: the per-tree reference for the forest kernel."""
+    n = X.shape[0]
+    node = np.zeros(n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.float64)
+    active = np.nonzero(feature[node] >= 0)[0]
+    while active.size:
+        cur = node[active]
+        go_left = X[active, feature[cur]] < threshold[cur]
+        node[active] = np.where(go_left, left[cur], left[cur] + 1)
+        depth[active] += 1.0
+        active = active[feature[node[active]] >= 0]
+    return depth + c_table[size[node]]
+
+
+def reference_scores(scorer, X):
+    c_table = np.array([average_path_length(m) for m in range(scorer.psi + 1)])
+    paths = np.zeros(X.shape[0], dtype=np.float64)
+    for lo, hi in zip(scorer.offsets[:-1], scorer.offsets[1:]):
+        paths += path_lengths(*(a[lo:hi] for a in (scorer.feature, scorer.threshold,
+                                                   scorer.left, scorer.size)),
+                              X, c_table)
+    return np.power(2.0, -(paths / scorer.n_trees) / average_path_length(scorer.psi))
+
+
+@st.composite
+def forests(draw):
+    d = draw(st.sampled_from([1, 2, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # rounded, repeated rows give equal values and leaves that end early
+    distinct = np.round(rng.normal(size=(draw(st.integers(1, 30)), d)), draw(st.integers(0, 2)))
+    train = distinct[rng.integers(distinct.shape[0], size=draw(st.integers(2, 90)))]
+    test = np.vstack([train, np.round(rng.normal(scale=2.0, size=(draw(st.integers(1, 40)), d)),
+                                      1)])
+    psi = draw(st.integers(2, 64))
+    depth = draw(st.sampled_from([1, None, int(np.ceil(np.log2(psi))) + 3, 40]))
+    spec = ScorerSpec(kind="isolation_forest", n_trees=draw(st.integers(1, 12)),
+                      subsample_size=psi, max_depth=depth)
+    return spec, DataMatrix(train), DataMatrix(test), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60)
+@given(forests())
+def test_forest_kernel_matches_tree_walks(case):
+    spec, train, test, seed = case
+    scorer = fit(spec, train, seed)
+    # rows that sit exactly on split thresholds go right
+    on_split = scorer.threshold[scorer.feature >= 0][:40]
+    test = DataMatrix(np.vstack([test.values,
+                                 np.repeat(on_split[:, None], test.n_cols, axis=1)]))
+    expected = reference_scores(scorer, test.values)
+    np.testing.assert_array_equal(score(scorer, test).scores, expected)
+    # one row per chunk puts every row on a chunk edge
+    with mock.patch.object(detectors, "_FOREST_BLOCK", 1):
+        np.testing.assert_array_equal(score(scorer, test).scores, expected)
+    if train.n_rows >= 4:
+        fitted = fit_pipeline(PipelineConfig(scorer=spec, strategy=split(0.5), seed=seed),
+                              train)
+        with tempfile.TemporaryDirectory() as tmp:
+            snapshot_save(fitted, Path(tmp) / "forest.snap")
+            loaded = snapshot_load(Path(tmp) / "forest.snap")
+        np.testing.assert_array_equal(score_samples(loaded, test).scores,
+                                      score_samples(fitted, test).scores)
+        model = fitted.calibration.models[0]
+        np.testing.assert_array_equal(score_samples(fitted, test).scores,
+                                      reference_scores(model, test.values))
 
 
 class TestFitValidation:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from confanom import resampling
 from confanom.core import (InvalidAlpha, InvalidHyperparameter, InvalidSpec,
-                           make_rng, split_seed)
+                           make_rng)
 from confanom.detectors import ScorerSpec
 from confanom.estimation import EstimationSpec
 from confanom.pipeline import (FittedPipeline, PipelineConfig, compute_p_values,
@@ -215,19 +216,41 @@ class TestScoreSamples:
 
 class TestStreamPValues:
     def test_matches_per_row_processing(self):
-        # a stream consumed row by row must agree bit for bit with the
-        # same stream consumed as one batch
+        # a stream consumed row by row, each row passing its step as start,
+        # must agree bit for bit with the same stream consumed as one batch
         config = knn_split(seed=31, estimation=EstimationSpec(smoothed=True))
         fp = fit(config, gaussian_matrix(26, 100))
         stream = gaussian_matrix(27, 40)
         batch = stream_p_values(fp, stream)
-        base = split_seed(fp.config.seed, 2**32 + 1)
-        singles = []
-        for t in range(stream.n_rows):
-            row = stream.values[t:t + 1]
-            one = compute_p_values(fp, row, seed=split_seed(base, t))
-            singles.append(one.values[0])
+        singles = [stream_p_values(fp, stream.values[t:t + 1], start=t).values[0]
+                   for t in range(stream.n_rows)]
         np.testing.assert_array_equal(batch.values, np.array(singles))
+
+    def test_pieces_match_batch(self):
+        fp = fit(knn_split(seed=40), gaussian_matrix(41, 100))
+        stream = gaussian_matrix(42, 25)
+        batch = stream_p_values(fp, stream, seed=7, start=3).values
+        for cut in range(1, stream.n_rows):
+            head = stream_p_values(fp, stream.values[:cut], seed=7, start=3)
+            tail = stream_p_values(fp, stream.values[cut:], seed=7, start=3 + cut)
+            np.testing.assert_array_equal(np.concatenate([head.values, tail.values]), batch)
+
+    def test_draws_are_counter_blocks(self):
+        # step t smooths with the first double of Philox counter block t
+        fp = fit(knn_split(seed=43), gaussian_matrix(44, 100))
+        stream = gaussian_matrix(45, 12)
+        pvals = stream_p_values(fp, stream, seed=5, start=2).values
+        ts = resampling.test_score_matrix(fp.calibration, stream)
+        _, gt, eq = resampling.paired_rank_counts(fp.calibration, ts)
+        u = np.array([1.0 - np.random.Generator(np.random.Philox(key=5, counter=t)).random()
+                      for t in range(2, 14)])
+        np.testing.assert_array_equal(pvals, (gt + u * (eq + 1)) / (fp.n_entries + 1))
+
+    @pytest.mark.parametrize("start", [-1, 1.0, True, "3", 2**64])
+    def test_bad_start_rejected(self, start):
+        fp = fit(knn_split(seed=46), gaussian_matrix(47, 100))
+        with pytest.raises(InvalidHyperparameter, match="start"):
+            stream_p_values(fp, gaussian_matrix(48, 5), start=start)
 
     def test_always_smoothed_in_empirical_regime(self):
         # the config's smoothed flag has no off switch here: streams

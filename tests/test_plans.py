@@ -111,8 +111,9 @@ def test_out_of_sample_audit(case):
     np.testing.assert_array_equal(cm.entry_rows, plan.entry_rows)
     if cm.mode == "plus" or strategy.kind == "split":
         assert not (cm.train_counts[:, cm.entry_rows].T.astype(bool) & cm.oob).any()
+        trained_on = cm.model_train_indices
         for row, models in zip(cm.entry_rows, cm.entry_models):
-            assert all(row not in cm.model_train_indices[m] for m in models)
+            assert all(row not in trained_on[m] for m in models)
     assert cm.n_entries + cm.dropped_rows == (data.n_rows if strategy.kind != "split"
                                               else strategy.n_calib)
 

@@ -223,7 +223,7 @@ class TestUntrustedContent:
         blob[8:12] = (1).to_bytes(4, "little")
         (tmp_path / "v1.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 1 is not supported "
-                                                r"\(this build reads version 3\)"):
+                                                r"\(this build reads version 4\)"):
             snapshot_load(tmp_path / "v1.snap")
 
     def test_v2_refused_by_name(self, tmp_path, forest):
@@ -232,18 +232,51 @@ class TestUntrustedContent:
         blob[8:12] = (2).to_bytes(4, "little")
         (tmp_path / "v2.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 2 is not supported "
-                                                r"\(this build reads version 3\)"):
+                                                r"\(this build reads version 4\)"):
             snapshot_load(tmp_path / "v2.snap")
 
+    def test_v3_refused_by_name(self, tmp_path, forest):
+        # version 3 stored a trees/right array, always left + 1
+        header, arrays = forest
+        left = arrays["trees/left"]
+        v3 = {**arrays, "trees/right": np.where(left >= 0, left + 1, -1).astype("<i4")}
+        blob = bytearray(write_snapshot(tmp_path / "v3.snap", header, v3).read_bytes())
+        blob[8:12] = (3).to_bytes(4, "little")
+        (tmp_path / "v3.snap").write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="format version 3 is not supported "
+                                                r"\(this build reads version 4\)"):
+            snapshot_load(tmp_path / "v3.snap")
+
     def test_child_pointing_at_root_refused(self, tmp_path, forest):
-        # path_lengths would cycle through the root forever
+        # a walk would cycle through the root forever
         header, arrays = forest
         arrays["trees/left"][0] = 0
         with pytest.raises(SnapshotError, match="tree 0 of model0 is not a valid isolation tree"):
             snapshot_load(write_snapshot(tmp_path / "cycle.snap", header, arrays))
 
+    def test_children_inside_tree(self, tmp_path, forest):
+        # the root's right child, left + 1, would be the next tree's root
+        header, arrays = forest
+        offsets = arrays["trees/offsets"]
+        arrays["trees/left"][offsets[1]] = offsets[2] - offsets[1] - 1
+        with pytest.raises(SnapshotError, match="tree 1 of model0 is not a valid isolation tree"):
+            snapshot_load(write_snapshot(tmp_path / "outside.snap", header, arrays))
+
+    def test_shared_child_refused(self, tmp_path, forest):
+        # two inner nodes with the same children make a graph, not a tree:
+        # a node's depth would depend on the path taken to it
+        header, arrays = forest
+        start, end = arrays["trees/offsets"][1:3]
+        left = arrays["trees/left"][start:end]
+        inner = np.flatnonzero(arrays["trees/feature"][start:end] >= 0)
+        # both children stay after their new parent and inside the tree
+        i, j = next((i, j) for i in inner for j in inner if i < j < left[i])
+        left[j] = left[i]
+        with pytest.raises(SnapshotError, match="tree 1 of model0 is not a valid isolation tree"):
+            snapshot_load(write_snapshot(tmp_path / "shared.snap", header, arrays))
+
     @pytest.mark.parametrize("field, value", [
-        ("right", 10_000), ("feature", 3), ("size", -1), ("size", 61),
+        ("left", 10_000), ("left", 2**31 - 1), ("feature", 3), ("size", -1), ("size", 61),
         ("threshold", np.nan)])
     def test_tree_arrays_checked(self, tmp_path, forest, field, value):
         header, arrays = forest
