@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -222,25 +223,79 @@ def read_csv_matrix(path, label_column=None):
     ``DataMatrix.labels``.  If the named column is absent the file is
     treated as unlabeled.  Parse diagnostics cite the 1-based line number
     (the header is line 1) and the column name.
+
+    Plain files are parsed in one vectorised call; any file that call
+    refuses or might read differently is scanned cell by cell, which also
+    locates the error of a bad file.
     """
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    header_line, _, body = text.partition("\n")
+    if text and '"' not in text:
+        names, label_idx, feature_names = _csv_header(path, header_line.split(","),
+                                                      label_column)
+        table = _parse_body(body, len(names), label_idx)
+        if table is not None:
+            features = [i for i in range(len(names)) if i != label_idx]
+            labels = None if label_idx is None else table[:, label_idx].astype(np.int64)
+            return DataMatrix(table[:, features], labels=labels, column_names=feature_names)
+    return _scan_csv(path, label_column)
+
+
+def _label_value(cell):
+    text = cell.strip()
+    if text not in ("0", "1"):
+        raise ValueError(f"bad label {cell!r}")
+    return float(text)
+
+
+def _parse_body(body, n_cols, label_idx):
+    """The data rows as one float table, or None where the per-cell scan
+    must run.  numpy parses a number with the routine behind Python's
+    ``float``, so the values agree bit for bit; text that ``float`` reads
+    but numpy refuses (underscores, non-ASCII digits) goes to the scan, and
+    blank lines, which loadtxt skips and the scan refuses, fail the line
+    count."""
+    if not body or body.isspace():
+        return None
+    converters = None if label_idx is None else {label_idx: _label_value}
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2,
+                           dtype=np.float64, converters=converters)
+    except ValueError:
+        return None
+    lines = body.count("\n") + (not body.endswith("\n"))
+    if table.shape != (lines, n_cols) or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _csv_header(path, header, label_column):
+    """Column names, the label column's index and the feature names."""
+    names = [name.strip() for name in header]
+    if any(not name for name in names):
+        raise ConfigError(f"{path}: header has an empty column name")
+    if len(set(names)) != len(names):
+        dup = next(n for n in names if names.count(n) > 1)
+        raise ConfigError(f"{path}: duplicate column name {dup!r} in header")
+    label_idx = None
+    if label_column is not None and label_column in names:
+        label_idx = names.index(label_column)
+    feature_names = tuple(n for i, n in enumerate(names) if i != label_idx)
+    if not feature_names:
+        raise ConfigError(f"{path}: no feature columns besides the label column")
+    return names, label_idx, feature_names
+
+
+def _scan_csv(path, label_column):
+    """read_csv_matrix cell by cell, naming the line and column of an error."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyInput(f"{path}: empty file (a header row is required)") from None
-        names = [name.strip() for name in header]
-        if any(not name for name in names):
-            raise ConfigError(f"{path}: header has an empty column name")
-        if len(set(names)) != len(names):
-            dup = next(n for n in names if names.count(n) > 1)
-            raise ConfigError(f"{path}: duplicate column name {dup!r} in header")
-        label_idx = None
-        if label_column is not None and label_column in names:
-            label_idx = names.index(label_column)
-        feature_names = tuple(n for i, n in enumerate(names) if i != label_idx)
-        if not feature_names:
-            raise ConfigError(f"{path}: no feature columns besides the label column")
+        names, label_idx, feature_names = _csv_header(path, header, label_column)
         rows = []
         labels = [] if label_idx is not None else None
         for line_no, record in enumerate(reader, start=2):

@@ -169,9 +169,85 @@ def split_seed(seed, stream_id):
 
 def make_rng(seed):
     """Generator for the given seed. All package randomness goes through
-    here, except the counter-based smoothing draws of
-    ``pipeline.stream_p_values``."""
+    here, except two counter-based streams: the smoothing draws of
+    ``pipeline.stream_p_values`` and the isolation-forest draws of
+    ``detectors.fit_plan``, which come from :func:`philox_block`."""
     return np.random.default_rng(check_seed(seed))
+
+
+# Philox4x64-10 multipliers and key increments, as numpy's Philox uses them
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# elements per pass, small enough that the temporaries stay in cache
+_PHILOX_CHUNK = 1 << 14
+
+
+def _mulhilo(m, x):
+    # 64 x 64 -> 128-bit product from 32-bit halves
+    m0, m1, x0, x1 = m & _LOW32, m >> _SHIFT32, x & _LOW32, x >> _SHIFT32
+    p01, p10 = m0 * x1, m1 * x0
+    mid = ((m0 * x0) >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return m1 * x1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32), m * x
+
+
+def philox_block(key, tweak, counter, stream):
+    """Counter block ``(counter, stream)`` of the Philox stream keyed by
+    ``(key, tweak)``, for many blocks at once.
+
+    Returns a (4, n) uint64 array: column i holds the four words that
+    ``np.random.Philox(key=key[i] + 2**64 * tweak[i],
+    counter=counter[i] + 2**64 * stream).random_raw(4)`` returns, so a
+    draw depends only on its key and block, never on which other draws are
+    made or in what order.  ``counter`` must lie below 2**63.
+    """
+    key, tweak = np.broadcast_arrays(np.asarray(key, np.uint64), np.asarray(tweak, np.uint64))
+    counter = np.asarray(counter, np.uint64)
+    out = np.empty((4, counter.shape[0]), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for lo in range(0, counter.shape[0], _PHILOX_CHUNK):
+            part = slice(lo, lo + _PHILOX_CHUNK)
+            k0, k1 = key[part], tweak[part]
+            # numpy's Philox increments its counter before each block
+            x0 = counter[part] + np.uint64(1)
+            x1 = np.full_like(x0, stream)
+            x2 = x3 = np.zeros_like(x0)
+            for r in range(10):
+                if r:
+                    k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+                hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+                hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+                x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+            out[:, part] = x0, x1, x2, x3
+    return out
+
+
+def philox_uniform(words):
+    """Doubles in [0, 1) from 64-bit words, as ``Generator.random`` makes them."""
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def philox_choice(key, tweak, sizes, counts, stream):
+    """``counts[i]`` distinct integers below ``sizes[i]`` for every i, drawn
+    from the Philox stream keyed by ``(key[i], tweak[i])``.
+
+    A partial Fisher-Yates shuffle of ``range(sizes[i])`` whose j-th uniform
+    is word j % 4 of counter block ``(j // 4, stream)``.  Returns the draws
+    of all i, concatenated in order.
+    """
+    n, width = counts.shape[0], int(counts.max())
+    blocks = (width + 3) // 4
+    words = philox_block(np.repeat(key, blocks), np.repeat(tweak, blocks),
+                         np.tile(np.arange(blocks), n), stream)
+    u = philox_uniform(words.T.reshape(n, -1))
+    # perm[j, i] is position j of shuffle i
+    perm = np.repeat(np.arange(int(sizes.max()))[:, None], n, axis=1)
+    for j in range(width):
+        live = np.flatnonzero(j < counts)
+        span = sizes[live] - j
+        pick = j + np.minimum((u[live, j] * span).astype(np.int64), span - 1)
+        perm[j, live], perm[pick, live] = perm[pick, live], perm[j, live]
+    return perm[:width].T[np.arange(width) < counts[:, None]]
 
 
 @dataclass(frozen=True)

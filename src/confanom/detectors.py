@@ -7,9 +7,11 @@ fit permutation-invariantly: reordering the training rows yields a scorer
 with identical outputs everywhere. Score polarity is normalized at this
 boundary so that downstream modules always see "larger = more anomalous".
 
-A forest scores a chunk of rows through all its trees at once, one tree
-level per step; a k-NN plan scores all its models from one distance matrix
-per chunk of rows.
+Every model of a resampling plan is scored together: a k-NN plan from one
+distance matrix per chunk of rows, a forest plan through all its trees at
+once, one tree level per step.  The forests are grown level by level
+across all trees, from counter-based Philox draws keyed by (model seed,
+tree index), so a tree does not depend on which trees grow with it.
 """
 
 from __future__ import annotations
@@ -19,20 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    AmbiguousPolarity,
-    DataMatrix,
-    DimensionMismatch,
-    EmptyTrainingSet,
-    InvalidData,
-    InvalidHyperparameter,
-    KTooLarge,
-    ScoreVector,
-    _readonly,
-    check_seed,
-    make_rng,
-    split_seed,
-)
+from .core import (AmbiguousPolarity, DataMatrix, DimensionMismatch, EmptyTrainingSet,
+                   InvalidData, InvalidHyperparameter, KTooLarge, ScoreVector, _readonly,
+                   check_seed, philox_block, philox_choice, philox_uniform, split_seed)
 
 SCORER_KINDS = ("isolation_forest", "knn_distance", "external")
 POLARITIES = ("higher_is_anomalous", "lower_is_anomalous", "auto")
@@ -44,8 +35,10 @@ _KNN_CHUNK = 512
 _KNN_WINDOW = 64
 # element budget of one (models x rows x window) block of a plan scoring
 _KNN_BLOCK = 1 << 21
-# element budget of the (trees x rows) node matrix of a forest scoring
+# element budget of the (trees x cells) node matrix of a forest scoring
 _FOREST_BLOCK = 1 << 15
+# element budget of a chunk of trees grown together, per tree its rows or values
+_FIT_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -93,90 +86,136 @@ class ScorerSpec:
                     f"unknown knn aggregation {self.aggregation!r}")
 
 
-def _harmonic(m):
-    # exact partial sum; m stays small (at most the subsample size)
-    return float(np.sum(1.0 / np.arange(1, m + 1)))
-
-
 def average_path_length(m):
     """c(m) of the isolation-forest score: expected path length of an
     unsuccessful BST search in a subtree of m points."""
     m = int(m)
     if m <= 1:
         return 0.0
-    return 2.0 * _harmonic(m - 1) - 2.0 * (m - 1) / m
+    # exact partial harmonic sum; m stays small (at most the subsample size)
+    return 2.0 * float(np.sum(1.0 / np.arange(1, m))) - 2.0 * (m - 1) / m
 
 
-def _fit_tree(rows, rng, depth_cap):
-    """Node arrays (feature, threshold, left, size) of one isolation tree.
+def _grow(rows, keys, tree, cap, active, psi):
+    """Node fields of a chunk of trees, tree after tree, and their node
+    counts, grown level by level from the subsample rows ``active``.
 
-    Nodes are numbered in creation order; an inner node's children are
-    ``left`` and ``left + 1``, both after it, and feature < 0 marks a leaf.
+    Every open node takes its per-feature range over its contiguous rows,
+    draws a feature that varies there and a threshold uniform in its range
+    from the first two words of counter block ``(node, 0)``, and splits its
+    rows stably, rows below the threshold to the left.  Nodes are numbered
+    in level order within their tree: a node's children are ``left`` and
+    ``left + 1``.
     """
-    feature, threshold, left, size = [-1], [0.0], [-1], [len(rows)]
-    # (node_index, row_subset, depth), explicit stack so user-set depth
-    # caps cannot hit the interpreter recursion limit
-    stack = [(0, rows, 0)]
-    while stack:
-        node, sub, depth = stack.pop()
-        if depth >= depth_cap or len(sub) <= 1:
-            continue
-        lo = sub.min(axis=0)
-        hi = sub.max(axis=0)
-        cand = np.nonzero(hi > lo)[0]
-        if len(cand) == 0:
-            continue
-        q = int(cand[rng.integers(len(cand))])
-        t = float(rng.uniform(lo[q], hi[q]))
-        mask = sub[:, q] < t
-        below, above = sub[mask], sub[~mask]
-        li = len(feature)
-        feature += [-1, -1]
-        threshold += [0.0, 0.0]
-        left += [-1, -1]
-        size += [len(below), len(above)]
-        feature[node] = q
-        threshold[node] = t
-        left[node] = li
-        stack.append((li, below, depth + 1))
-        stack.append((li + 1, above, depth + 1))
-    return feature, threshold, left, size
+    n_trees, width = psi.shape[0], rows.shape[1]
+    seg_tree, seg_node, seg_len = np.arange(n_trees), np.zeros(n_trees, np.int64), psi
+    next_id, depth, splits = np.ones(n_trees, np.int64), 0, []
+    while seg_tree.size:
+        values = np.take(rows, active, axis=0)
+        starts = np.cumsum(seg_len) - seg_len
+        lo, hi = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+        varied = hi > lo
+        if not varied.any(axis=1).all():
+            # nodes whose rows are all equal stay leaves
+            s = varied.any(axis=1)
+            active, values = active[np.repeat(s, seg_len)], values[np.repeat(s, seg_len)]
+            seg_tree, seg_node, seg_len, lo, hi, varied = (
+                a[s] for a in (seg_tree, seg_node, seg_len, lo, hi, varied))
+            starts = np.cumsum(seg_len) - seg_len
+        n_varied, split = varied.sum(axis=1), np.arange(seg_tree.size)
+        words = philox_block(keys[seg_tree], tree[seg_tree], seg_node, 0)
+        k = np.minimum((philox_uniform(words[0]) * n_varied).astype(np.int64), n_varied - 1)
+        q = (np.cumsum(varied, axis=1) > k[:, None]).argmax(axis=1)
+        a, b, u = lo[split, q], hi[split, q], philox_uniform(words[1])
+        # the convex form cannot overflow; the clip absorbs its rounding
+        threshold = np.clip(a * (1.0 - u) + b * u, a, b)
+        # stable partition, left part first, by the left rows before each row
+        of = np.repeat(split, seg_len)
+        at = np.arange(of.shape[0])
+        right = np.take(values.reshape(-1), at * width + q[of]) >= threshold[of]
+        lefts = np.concatenate([[0], np.cumsum(~right)])
+        n_left = lefts[starts + seg_len] - lefts[starts]
+        before = lefts[:-1] - lefts[starts][of]
+        placed = np.empty_like(active)
+        placed[np.where(right, at + n_left[of] - before, starts[of] + before)] = active
+        # children in level order: the r-th split of a tree at this level
+        # takes the tree's next two ids after 2r others
+        left = next_id[seg_tree] + 2 * (split - np.searchsorted(seg_tree, seg_tree))
+        next_id += 2 * np.bincount(seg_tree, minlength=n_trees)
+        child_len = np.column_stack([n_left, seg_len - n_left]).ravel()
+        splits.append((seg_tree, seg_node, q, threshold, left, child_len))
+        depth += 1
+        grows = (child_len >= 2) & (depth < np.repeat(cap[seg_tree], 2))
+        active = placed[np.repeat(grows, child_len)]
+        seg_tree, seg_node = np.repeat(seg_tree, 2)[grows], (left[:, None] + [0, 1]).ravel()[grows]
+        seg_len = child_len[grows]
+    offsets, n_nodes = np.cumsum(next_id) - next_id, int(next_id.sum())
+    feature, threshold = np.full(n_nodes, -1, np.int32), np.zeros(n_nodes)
+    left, size = np.full(n_nodes, -1, np.int32), np.empty(n_nodes, np.int32)
+    tr, node, q, split_at, child, child_len = map(np.concatenate, zip(*splits))
+    at = offsets[tr] + node
+    feature[at], threshold[at], left[at], size[offsets] = q, split_at, child, psi
+    size[((offsets[tr] + child)[:, None] + [0, 1]).ravel()] = child_len
+    return feature, threshold, left, size, next_id
 
 
-class IsolationForestScorer:
-    """Isolation forest fitted on content-sorted, seeded subsamples.
+def _fit_forests(spec, rows, counts, keys):
+    """One ForestPlan: model b trains on row j of ``rows`` repeated
+    ``counts[b, j]`` times and its tree t draws from the Philox key
+    ``(keys[b], t)``.  Trees grow in chunks under the ``_FIT_BLOCK`` budget;
+    a tree's draws depend only on its key, so no tree depends on the chunks."""
+    n_trees, n_features = int(spec.n_trees), rows.shape[1]
+    sizes = counts.sum(axis=1, dtype=np.int64)
+    psi = np.minimum(int(spec.subsample_size), sizes)
+    cap = np.array([spec.max_depth or math.ceil(math.log2(m)) for m in psi])
+    # sorting rows by content makes the forest independent of row order
+    order = np.lexsort(rows.T[::-1])
+    keys = np.asarray(keys, dtype=np.uint64)
+    step = max(1, _FIT_BLOCK // max(int(sizes.max()), int(psi.max()) * n_features))
+    parts = []
+    for lo in range(0, psi.shape[0] * n_trees, step):
+        model, tree = np.divmod(np.arange(lo, min(lo + step, psi.shape[0] * n_trees)), n_trees)
+        # a tree's subsample is positions of its model's rows sorted by
+        # content, drawn from counter stream 1
+        models, model = np.unique(model, return_inverse=True)
+        expanded = np.concatenate([np.repeat(order, counts[b, order]) for b in models])
+        base = np.cumsum(sizes[models]) - sizes[models]
+        key, m_size, m_psi = keys[models][model], sizes[models][model], psi[models][model]
+        sub = expanded[np.repeat(base[model], m_psi) + philox_choice(key, tree, m_size, m_psi, 1)]
+        parts.append(_grow(rows, key, tree, cap[models][model], sub, m_psi))
+    feature, threshold, left, size, n_nodes = map(np.concatenate, zip(*parts))
+    return ForestPlan(spec, feature, threshold, left, size,
+                      np.concatenate([[0], np.cumsum(n_nodes)]), psi, n_features)
 
-    The anomaly score of a point is 2**(-E[h(x)] / c(psi)) with h the path
-    length, psi the subsample size, and c the average-path-length constant,
-    so scores lie in (0, 1].
 
-    The trees are kept as the snapshot stores them: node fields of all
-    trees concatenated, child indices local to their tree, and tree t
-    holding nodes ``offsets[t]`` up to ``offsets[t + 1]``.  Scoring walks
-    every tree at once: a (trees x rows) matrix of current nodes moves one
-    level per step through tables in which leaves loop to themselves, and
-    each node carries its depth plus c(size).  Per-tree path lengths are
-    added in tree order, so scores equal those of one walk per tree, bit
-    for bit.
+class ForestPlan:
+    """Every isolation forest of a resampling plan in one node table.
+
+    Model b scores a point 2**(-E[h(x)] / c(psi_b)), with h the path length,
+    psi_b the model's subsample size and c the average path length, so
+    scores lie in (0, 1].  Node fields are concatenated model by model and
+    tree by tree, as the snapshot stores them, with children local to their
+    tree: tree t of model b starts at node ``offsets[b * n_trees + t]``.
+    Scoring moves a (trees x cells) matrix of current nodes one level per
+    step through tables in which leaves loop to themselves and each node
+    carries its depth plus c(size); a (row, model) cell adds its trees'
+    path lengths in tree order, as one walk per tree would, bit for bit.
     """
 
     kind = "isolation_forest"
 
-    def __init__(self, spec, feature, threshold, left, size, offsets, psi,
-                 n_features, training_size):
+    def __init__(self, spec, feature, threshold, left, size, offsets, psi, n_features):
         self.spec = spec
-        self.feature = _readonly(np.asarray(feature, dtype=np.int32))
-        self.threshold = _readonly(np.asarray(threshold, dtype=np.float64))
-        self.left = _readonly(np.asarray(left, dtype=np.int32))
-        self.size = _readonly(np.asarray(size, dtype=np.int32))
-        self.offsets = _readonly(np.asarray(offsets, dtype=np.int64))
-        self.psi = int(psi)
+        for name, value, dtype in (("feature", feature, np.int32), ("left", left, np.int32),
+                                   ("threshold", threshold, np.float64), ("size", size, np.int32),
+                                   ("offsets", offsets, np.int64), ("psi", psi, np.int64)):
+            setattr(self, name, _readonly(np.asarray(value, dtype=dtype)))
+        self.n_trees, self.n_models = int(spec.n_trees), self.psi.shape[0]
         self.n_features = int(n_features)
-        self.training_size = int(training_size)
-        self._c_psi = average_path_length(psi)
-        c_table = np.array([average_path_length(m) for m in range(psi + 1)])
+        self._c_psi = np.array([average_path_length(m) for m in self.psi])
+        c_table = np.array([average_path_length(m) for m in range(int(self.psi.max()) + 1)])
         inner = self.feature >= 0
-        tree = np.repeat(np.arange(self.n_trees), np.diff(self.offsets))
+        tree = np.repeat(np.arange(self.offsets.shape[0] - 1), np.diff(self.offsets))
         index = np.arange(self.feature.shape[0])
         # kernel tables: node -> left + (x[feature] >= threshold), with
         # leaves sent back to themselves by an infinite threshold
@@ -185,38 +224,37 @@ class IsolationForestScorer:
         self._threshold = np.where(inner, self.threshold, np.inf)
         # level pass from the roots; it ends because every child sits
         # after its parent
-        depth = np.zeros(index.shape[0], dtype=np.int64)
-        level = self.offsets[:-1]
-        self._levels = 0
-        while True:
-            level = level[inner[level]]
-            if not level.size:
-                break
+        depth, level, self._levels = np.zeros(index.shape[0], dtype=np.int64), self.offsets[:-1], 0
+        while (level := level[inner[level]]).size:
             self._levels += 1
             level = np.concatenate([self._next[level], self._next[level] + 1])
             depth[level] = self._levels
         self._path = depth + c_table[self.size]
 
-    @property
-    def n_trees(self):
-        return self.offsets.shape[0] - 1
-
-    def score_raw(self, X):
-        n_trees, n = self.n_trees, X.shape[0]
-        paths = np.empty(n, dtype=np.float64)
+    def score_raw(self, X, mask=None):
+        """(rows, models) scores; with ``mask``, only its cells, the rest 0."""
+        n_rows, n_models, n_trees = X.shape[0], self.n_models, self.n_trees
+        # cells run model by model, so that a chunk walks the trees of few
+        # models and their node tables stay in cache
+        out = np.zeros((n_models, n_rows), dtype=np.float64)
+        cells = None if mask is None else np.flatnonzero(np.transpose(mask))
+        total = out.size if cells is None else cells.shape[0]
+        roots = self.offsets[:-1].reshape(n_models, n_trees).T
+        flat = np.ascontiguousarray(X).ravel()
         step = max(1, _FOREST_BLOCK // n_trees)
-        for lo in range(0, n, step):
-            rows = X[lo:lo + step]
-            base = np.arange(rows.shape[0]) * rows.shape[1]
-            flat = rows.ravel()
-            node = np.repeat(self.offsets[:-1, None], rows.shape[0], axis=1)
+        for lo in range(0, total, step):
+            cell = np.arange(lo, min(lo + step, total)) if cells is None else cells[lo:lo + step]
+            model, row = np.divmod(cell, n_rows)
+            base = row * X.shape[1]
+            node = roots[:, model]
             for _ in range(self._levels):
                 x = flat[base + self._feature[node]]
                 node = self._next[node] + (x >= self._threshold[node])
             # a running sum over trees adds them in tree order, as one
             # walk per tree would
-            paths[lo:lo + step] = np.add.accumulate(self._path[node], axis=0)[-1]
-        return np.power(2.0, -(paths / n_trees) / self._c_psi)
+            paths = np.add.accumulate(self._path[node], axis=0)[-1]
+            out.reshape(-1)[cell] = np.power(2.0, -(paths / n_trees) / self._c_psi[model])
+        return out.T
 
 
 def _cdist(X, refs):
@@ -248,7 +286,6 @@ class KnnScorer:
         self.k = int(spec.k)
         self.aggregation = spec.aggregation
         self.n_features = self.refs.shape[1]
-        self.training_size = self.refs.shape[0]
 
     def score_raw(self, X):
         out = np.empty(X.shape[0], dtype=np.float64)
@@ -323,24 +360,6 @@ class KnnPlan:
         return scores
 
 
-class ModelSet:
-    """Separately fitted models, one score column each: the isolation
-    forests of a plan, or the external scorer of a detached calibration."""
-
-    def __init__(self, models):
-        self.models = tuple(models)
-        self.n_features = self.models[0].n_features
-
-    def score_raw(self, X, mask=None):
-        out = np.zeros((X.shape[0], len(self.models)), dtype=np.float64)
-        for b, model in enumerate(self.models):
-            if mask is None:
-                out[:, b] = model.score_raw(X)
-            elif mask[:, b].any():
-                out[mask[:, b], b] = model.score_raw(X[mask[:, b]])
-        return out
-
-
 class ExternalScorer:
     """Pre-fitted opaque scoring callable wrapped for detached calibration."""
 
@@ -351,17 +370,16 @@ class ExternalScorer:
         self.score_function = score_function
         self.polarity = polarity
         self.n_features = None
-        self.training_size = 0
 
-    def score_raw(self, X):
-        raw = np.asarray(self.score_function(X), dtype=np.float64)
-        raw = raw.reshape(-1)
+    def score_raw(self, X, mask=None):
+        """One column of scores; ``mask`` is accepted and ignored."""
+        raw = np.asarray(self.score_function(X), dtype=np.float64).reshape(-1)
         if raw.shape[0] != X.shape[0]:
             raise DimensionMismatch(
                 f"external scorer returned {raw.shape[0]} scores for {X.shape[0]} rows")
         if self.polarity == "lower_is_anomalous":
             raw = -raw
-        return raw
+        return raw[:, None]
 
 
 def fit(spec, train, seed):
@@ -373,47 +391,24 @@ def fit(spec, train, seed):
     train : DataMatrix
         At least 2 rows; for knn, more than ``spec.k`` rows.
     seed : int
-        Isolation-forest trees draw their subsamples from child streams of
-        this seed, keyed by tree index, over rows sorted lexicographically by
-        content, which makes fitting independent of the input row order.
+        Isolation-forest tree t draws from the Philox key (seed, t) over rows
+        sorted by content, so the input row order does not matter.
 
     Returns
     -------
-    IsolationForestScorer or KnnScorer
+    ForestPlan (with one model) or KnnScorer
     """
     if not isinstance(train, DataMatrix):
         raise InvalidHyperparameter("train must be a DataMatrix")
-    seed = check_seed(seed)
-    n = train.n_rows
-    if n < 2:
-        raise EmptyTrainingSet("training requires at least 2 rows")
-    if spec.kind == "knn_distance":
-        if spec.k >= n:
-            raise KTooLarge(f"k={spec.k} needs more than {n} training rows")
-        return KnnScorer(spec, train.values)
-    if spec.kind == "isolation_forest":
-        values = train.values
-        order = np.lexsort(values.T[::-1])
-        sorted_rows = values[order]
-        psi = min(int(spec.subsample_size), n)
-        depth_cap = int(spec.max_depth) if spec.max_depth is not None else math.ceil(math.log2(psi))
-        fields = ([], [], [], [])
-        offsets = [0]
-        for t in range(int(spec.n_trees)):
-            rng = make_rng(split_seed(seed, t))
-            idx = rng.choice(n, size=psi, replace=False)
-            for field, part in zip(fields, _fit_tree(sorted_rows[idx], rng, depth_cap)):
-                field.extend(part)
-            offsets.append(len(fields[0]))
-        return IsolationForestScorer(spec, *fields, offsets, psi, train.n_cols, n)
-    raise InvalidHyperparameter(
-        "external scorers are wrapped with wrap_detached, not fitted")
+    plan = _fit(spec, train.values, np.ones((1, train.n_rows), dtype=np.uint16),
+                [check_seed(seed)])
+    return plan.models[0] if spec.kind == "knn_distance" else plan
 
 
 def score(scorer, X):
-    """Score a batch. Returns a polarity-normalized ScoreVector."""
+    """Score a batch under one model. Returns a polarity-normalized ScoreVector."""
     _check_batch(scorer, X)
-    return ScoreVector(scorer.score_raw(X.values), polarity_normalized=True)
+    return ScoreVector(scorer.score_raw(X.values).reshape(X.n_rows), polarity_normalized=True)
 
 
 def _check_batch(scorer, X):
@@ -428,29 +423,33 @@ def fit_plan(spec, rows, counts, seed, streams):
     """Fit the models of a resampling plan on one shared row matrix.
 
     Model b trains on row j of ``rows`` repeated ``counts[b, j]`` times.
-    k-NN models share a KnnPlan over the rows and counts; isolation forests
-    are fitted one by one, model b from ``split_seed(seed, streams[b])``.
-    Fitting sorts rows by content, so the order of the expanded rows does
-    not matter.
+    k-NN models share a KnnPlan; the forests of all models grow together
+    into one ForestPlan, model b from the key ``split_seed(seed, streams[b])``,
+    so model b equals ``fit`` on its expanded rows with that child seed.
     """
-    sizes = counts.sum(axis=1)
-    smallest = int(sizes.min())
+    forest = spec.kind == "isolation_forest"
+    return _fit(spec, rows, counts, [split_seed(seed, s) for s in streams] if forest else None)
+
+
+def _fit(spec, rows, counts, keys):
+    smallest = int(counts.sum(axis=1).min())
     if smallest < 2:
         raise EmptyTrainingSet("training requires at least 2 rows")
     if spec.kind == "knn_distance":
         if spec.k >= smallest:
             raise KTooLarge(f"k={spec.k} needs more than {smallest} training rows")
         return KnnPlan(spec, rows, counts)
-    index = np.arange(rows.shape[0])
-    return ModelSet(fit(spec, DataMatrix(rows[np.repeat(index, c)]), split_seed(seed, s))
-                    for c, s in zip(counts, streams))
+    if spec.kind == "isolation_forest":
+        return _fit_forests(spec, rows, counts, keys)
+    raise InvalidHyperparameter(
+        "external scorers are wrapped with wrap_detached, not fitted")
 
 
 def score_plan(scorer, X, mask=None):
     """Polarity-normalized scores of a batch under every model of a plan.
 
     Returns an (n_rows, n_models) array.  ``mask`` (same shape), when given,
-    names the cells the caller reads; separately fitted models skip the rest.
+    names the cells the caller reads; forests score only those cells.
     """
     _check_batch(scorer, X)
     values = scorer.score_raw(X.values, mask)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidSpec, _readonly
+from .core import InvalidData, InvalidSpec, _readonly
 
 MARTINGALE_KINDS = ("power", "simple_mixture", "simple_jumper")
 ALARM_KINDS = ("ville", "restarted_ville", "cusum", "sr")
@@ -346,6 +346,14 @@ def _advance(spec, state, p_stream, alarms):
     p = np.asarray(p_stream, dtype=np.float64)
     if p.ndim != 1:
         raise InvalidSpec(f"p-value stream must be one-dimensional, got {p.ndim}-D")
+    # one NaN would silence every later alarm, so the stream fails closed;
+    # NaN fails both comparisons
+    bad = ~((p >= 0.0) & (p <= 1.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidData(state.step + i, message=(
+            f"p-value at stream step {state.step + i + 1} is {float(p[i])!r}; "
+            "p-values must lie in [0, 1]"))
     log_m, log_f, sum_log_p, capitals = _log_path(spec, state, p)
     log_min_m = _running(np.minimum, state.log_min_m, log_m)
     log_restarted, log_sr, restarted = _restarted_and_sr(
@@ -391,7 +399,12 @@ def _advance(spec, state, p_stream, alarms):
 
 def update(spec: MartingaleSpec, state: MartingaleState, p,
            alarms: AlarmConfig) -> MartingaleState:
-    """Advance one observation and re-evaluate every configured alarm."""
+    """Advance one observation and re-evaluate every configured alarm.
+
+    A p-value outside [0, 1] (NaN and infinities included) raises
+    InvalidData naming its stream step; the state is immutable, so a
+    refused update leaves it as it was.
+    """
     return _advance(spec, state, [p], alarms)[0]
 
 
@@ -399,7 +412,9 @@ def run_stream(spec: MartingaleSpec, alarms: AlarmConfig, p_stream):
     """Run a fresh process over a one-dimensional p-value stream.
 
     Returns the final state and the Trajectory, one entry per observation.
-    The result equals ``update`` folded over the stream, bit for bit.
+    The result equals ``update`` folded over the stream, bit for bit.  The
+    first p-value outside [0, 1] (NaN and infinities included) raises
+    InvalidData naming its step, counted from 1.
     """
     return _advance(spec, init(spec, alarms), p_stream, alarms)
 

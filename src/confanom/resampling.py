@@ -147,8 +147,9 @@ class CalibrationModel:
         held-out set of a detached calibration).
     train_counts : (n_models, n_rows) uint16, how many times each retained
         model trained on each row.
-    scorer : the retained models scored together, a ``detectors.KnnPlan``
-        over ``rows`` and ``train_counts`` or a ``detectors.ModelSet``.
+    scorer : the retained models scored together: a ``detectors.KnnPlan``
+        or ``detectors.ForestPlan`` over ``rows`` and ``train_counts``, or
+        the wrapped scorer of a detached calibration.
     """
 
     entry_scores: np.ndarray
@@ -196,7 +197,7 @@ class CalibrationModel:
 
     @property
     def models(self):
-        """The retained fitted scorers, one per model."""
+        """The retained k-NN scorers, one per model."""
         return self.scorer.models
 
     @property
@@ -346,11 +347,11 @@ def calibrate_detached(scorer, calib):
     """Calibrate a pre-fitted scorer directly on a held-out inlier set."""
     if not isinstance(calib, DataMatrix):
         raise InvalidHyperparameter("calib must be a DataMatrix")
-    models, n = detectors.ModelSet((scorer,)), calib.n_rows
+    n = calib.n_rows
     return CalibrationModel(
-        entry_scores=detectors.score_plan(models, calib)[:, 0], entry_rows=np.arange(n),
+        entry_scores=detectors.score_plan(scorer, calib)[:, 0], entry_rows=np.arange(n),
         oob=np.ones((n, 1), dtype=bool), rows=calib.values,
-        train_counts=np.zeros((1, n), dtype=np.uint16), scorer=models,
+        train_counts=np.zeros((1, n), dtype=np.uint16), scorer=scorer,
         mode="single_model", strategy=split(n), detached=True)
 
 

@@ -34,12 +34,7 @@ import numpy as np
 
 from ._version import __version__
 from .core import ConfanomError, SnapshotError
-from .detectors import (
-    IsolationForestScorer,
-    KnnPlan,
-    ModelSet,
-    ScorerSpec,
-)
+from .detectors import ForestPlan, KnnPlan, ScorerSpec
 from .estimation import AdjustmentTable, EstimationSpec
 from .pipeline import FittedPipeline, PipelineConfig
 from .resampling import CalibrationModel, StrategySpec
@@ -92,11 +87,9 @@ def snapshot_save(fp: FittedPipeline, path):
     store.add("calibration/oob_bits", np.packbits(cm.oob, axis=1))
     store.add("calibration/rows", cm.rows)
     store.add("calibration/train_counts", cm.train_counts)
-    if not isinstance(cm.scorer, KnnPlan):
-        for field, _ in _TREE_ARRAYS:
-            store.add(f"trees/{field}", np.concatenate([getattr(m, field) for m in cm.models]))
-        tree_sizes = np.concatenate([np.diff(m.offsets) for m in cm.models])
-        store.add("trees/offsets", np.concatenate([[0], np.cumsum(tree_sizes)]).astype("<i8"))
+    if isinstance(cm.scorer, ForestPlan):
+        for field, dtype in _TREE_ARRAYS + (("offsets", "<i8"),):
+            store.add(f"trees/{field}", getattr(cm.scorer, field).astype(dtype))
     table_meta = None
     if fp.table is not None:
         store.add("table/adjusted", fp.table.adjusted)
@@ -171,7 +164,7 @@ def _expect(ok, what):
 
 
 def _load_forests(arrays, spec, sizes, n_features):
-    """Rebuild one isolation forest per model after checking that the
+    """Rebuild the forest plan after checking that the
     offsets cut the node arrays into non-empty trees and that each tree is
     one: an inner node's children ``left`` and ``left + 1`` sit after it
     and inside its tree, every node but the root is the child of exactly
@@ -199,13 +192,8 @@ def _load_forests(arrays, spec, sizes, n_features):
         parents = np.bincount(np.concatenate([child, child + 1]), minlength=n_nodes)
         ok = parents == (node > 0)
     t = int(tree[np.argmin(ok)])  # the first failing tree, if any
-    _expect(ok.all(), f"tree {t % n_trees} of model{t // n_trees} is not a valid isolation tree")
-    cuts = offsets[::n_trees]
-    return ModelSet(
-        IsolationForestScorer(spec, *(a[lo:hi] for a in fields),
-                              offsets[i * n_trees:(i + 1) * n_trees + 1] - lo,
-                              int(psi[i]), n_features, int(sizes[i]))
-        for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])))
+    _expect(ok.all(), f"tree {t % n_trees} of model {t // n_trees} is not a valid isolation tree")
+    return ForestPlan(spec, *fields, offsets, psi, n_features)
 
 
 def _load_calibration(cal, arrays, spec):

@@ -3,13 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from confanom import pipeline, resampling
-from confanom.cli import main
-from confanom.core import make_rng
+from confanom import cli, pipeline, resampling
+from confanom.cli import main, read_csv_matrix
+from confanom.core import ConfanomError, InvalidData, make_rng
 
 
 def write_csv(path, X, labels=None, label_name="label"):
@@ -368,3 +371,58 @@ def test_import_leaves_out_scipy_special():
          "import sys, confanom.cli; print('scipy.special' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1e5", "-2.5E-3", "+.5", "1.", " 3.25", "7 ", "\t-0", "0", "1"]))
+ODD_CELLS = st.sampled_from([
+    "1_0", "nan", "inf", "-Infinity", "0x10", "1d5", "", "e5", "1e", "--1", "1 2", "1,5",
+    '"2.5"', "١٢", "\xa01.5", "1.5\x00", "\x1c4", "1e999"])
+LABEL_CELLS = st.sampled_from(["0", "1", " 1", "0 ", "\t1"]) | st.sampled_from(
+    ["2", "1.0", "01", "+1", "x", "", "1e0"])
+
+
+@st.composite
+def csv_files(draw):
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    odd = draw(st.booleans())
+    cells = PLAIN_CELLS | ODD_CELLS if odd else PLAIN_CELLS
+    lines = []
+    for _ in range(n_rows):
+        lines.append(",".join([draw(cells) for _ in range(n_cols)] + [draw(LABEL_CELLS)]))
+    if draw(st.integers(0, 3)) == 0:
+        # blank lines, which loadtxt would skip
+        lines.insert(draw(st.integers(0, n_rows)), "")
+    header = ",".join([f"x{j}" for j in range(n_cols)] + ["label"])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return header + end + end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def read_outcome(read, path):
+    try:
+        m = read(path, "label")
+    except ConfanomError as err:
+        return type(err), str(err), err.row if isinstance(err, InvalidData) else None
+    return m.values.tobytes(), m.values.shape, m.labels.tolist(), m.column_names
+
+
+@given(csv_files())
+def test_csv_fast_path_matches_cell_scan(text):
+    # the vectorised parse and the per-cell scan give the same values, bit
+    # for bit as Python's float, or the same diagnostic
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cells.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        assert read_outcome(read_csv_matrix, path) == read_outcome(cli._scan_csv, path)
+
+
+def test_plain_csv_skips_cell_scan(tmp_path):
+    X = make_rng(5).normal(size=(50, 3))
+    write_csv(tmp_path / "plain.csv", X, labels=np.arange(50) % 2)
+    with mock.patch.object(cli, "_scan_csv", side_effect=AssertionError("scanned")):
+        m = read_csv_matrix(tmp_path / "plain.csv", "label")
+    np.testing.assert_array_equal(m.values, X)
+    np.testing.assert_array_equal(m.labels, np.arange(50) % 2)

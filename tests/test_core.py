@@ -4,7 +4,8 @@ import pytest
 from confanom.core import (DataMatrix, DecisionSet, EmptyCalibration,
                            InvalidData, InvalidHyperparameter, InvalidLabel,
                            InvalidSpec, PValueVector, ScoreVector,
-                           ShapeMismatch, check_seed, make_rng, split_seed,
+                           ShapeMismatch, check_seed, make_rng, philox_block,
+                           philox_choice, philox_uniform, split_seed,
                            validate_matrix)
 
 
@@ -156,3 +157,37 @@ class TestDecisionSet:
         d = DecisionSet(np.array([1, 0, 1]), procedure="bh", alpha=0.1,
                         rejection_threshold=0.02)
         assert d.n_flagged == 2 and len(d) == 3
+
+
+class TestPhilox:
+    def test_blocks_match_numpy_philox(self):
+        rng = np.random.default_rng(7)
+        key = rng.integers(0, 2**64, size=300, dtype=np.uint64)
+        tweak = np.concatenate([rng.integers(0, 2**64, size=150, dtype=np.uint64),
+                                np.arange(150, dtype=np.uint64)])
+        # more blocks than one pass of the kernel handles
+        counter = np.concatenate([np.arange(100), rng.integers(0, 2**63, size=200)])
+        for stream in (0, 1, 5):
+            words = philox_block(key, tweak, counter, stream)
+            for i in range(0, 300, 7):
+                bits = np.random.Philox(key=int(key[i]) + (int(tweak[i]) << 64),
+                                        counter=int(counter[i]) + (stream << 64))
+                np.testing.assert_array_equal(words[:, i], bits.random_raw(4))
+                gen = np.random.Generator(np.random.Philox(
+                    key=int(key[i]) + (int(tweak[i]) << 64), counter=int(counter[i]) + (stream << 64)))
+                np.testing.assert_array_equal(philox_uniform(words[:, i]), gen.random(4))
+
+    def test_choice_draws_distinct_positions_from_its_key(self):
+        sizes, counts = np.array([5, 40, 40, 3, 1000]), np.array([5, 7, 40, 2, 300])
+        keys, tweaks = np.array([1, 2, 2, 3, 4], dtype=np.uint64), np.array([0, 0, 1, 9, 2])
+        drawn = philox_choice(keys, tweaks, sizes, counts, 1)
+        parts = np.split(drawn, np.cumsum(counts)[:-1])
+        for size, count, part in zip(sizes, counts, parts):
+            assert part.shape == (count,) and np.unique(part).size == count
+            assert ((part >= 0) & (part < size)).all()
+        np.testing.assert_array_equal(np.sort(parts[0]), np.arange(5))
+        # each draw depends only on its own key: drawing alone gives the same
+        for i in range(5):
+            np.testing.assert_array_equal(
+                philox_choice(keys[i:i + 1], tweaks[i:i + 1], sizes[i:i + 1], counts[i:i + 1], 1),
+                parts[i])

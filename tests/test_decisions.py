@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from confanom.core import (EmptyInput, InvalidAlpha, InvalidData, NoAnomalies,
@@ -159,3 +160,15 @@ class TestMetrics:
         d = benjamini_hochberg(np.array([0.001, 0.9]), alpha=0.1)
         assert false_discovery_rate(np.array([1, 0]), d) == 0.0
         assert statistical_power(np.array([1, 0]), d) == 1.0
+
+
+@given(st.lists(st.one_of(st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.5, 1.0]),
+                          st.floats(0.0, 1.0)), min_size=1, max_size=60),
+       st.floats(1e-4, 0.999), st.floats(1e-4, 0.999))
+def test_bh_flags_monotone_in_alpha(p, a, b):
+    # a larger level never unflags a point: flags at alpha are a subset of
+    # the flags at any alpha' > alpha, ties among the p-values included
+    lo, hi = sorted((a, b))
+    flags_lo = benjamini_hochberg(p, lo).flags.astype(bool)
+    flags_hi = benjamini_hochberg(p, hi).flags.astype(bool)
+    assert not (flags_lo & ~flags_hi).any()

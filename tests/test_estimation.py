@@ -1,12 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
+from confanom import estimation
 from confanom.core import (DataMatrix, EmptyCalibration, InvalidData,
                            InvalidDelta, InvalidHyperparameter, TableMismatch,
                            make_rng)
 from confanom.detectors import wrap_detached
-from confanom.estimation import (AdjustmentTable, build_adjustment,
+from confanom.estimation import (CONDITIONAL_METHODS, AdjustmentTable, build_adjustment,
                                  conditional_p_value,
                                  conditional_validity_oracle,
                                  conformal_p_values, empirical_p_value,
@@ -285,3 +289,34 @@ class TestProbabilistic:
         ts = score_matrix(cm, gaussian_matrix(16, 2, d=1))
         with pytest.raises(InvalidHyperparameter):
             probabilistic_p_value(cm, ts, bandwidth=-1.0)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 200), st.floats(1e-3, 0.999), st.sampled_from(CONDITIONAL_METHODS),
+       st.integers(0, 2**32 - 1))
+def test_adjusted_p_values_never_below_marginal(n, delta, method, seed):
+    with mock.patch.object(estimation, "_MC_DRAWS", 200):
+        table = build_adjustment(n, delta, method, seed=seed)
+    ranks = np.arange(1, n + 2)
+    assert (table.adjusted >= ranks / (n + 1)).all()
+    # through the rank map too, on tied calibration and test scores
+    rng = np.random.default_rng(seed)
+    _, cm = identity_calibration(rng.integers(0, 4, size=n).astype(float))
+    ts = score_matrix(cm, DataMatrix(rng.integers(-1, 5, size=(30, 1)).astype(float)))
+    marginal = empirical_p_value(cm, ts).values
+    assert (conditional_p_value(cm, ts, table).values >= marginal).all()
+
+
+@given(st.lists(st.integers(0, 3), min_size=2, max_size=80))
+def test_p_values_super_uniform_on_grid_under_ties(scores):
+    # exchangeability: given the multiset of the n + 1 scores, the test
+    # point is each of them with probability 1 / (n + 1), so the exact law
+    # of its p-value is the spread of the leave-one-out p-values
+    s = np.asarray(scores, dtype=float)
+    size = s.shape[0]
+    p = np.array([conformal_p_values(np.delete(s, j), s[j:j + 1]).values[0]
+                  for j in range(size)])
+    grid = p * size
+    np.testing.assert_allclose(grid, np.round(grid), rtol=0, atol=1e-9)
+    for k in range(1, size + 1):
+        assert np.count_nonzero(np.round(grid) <= k) <= k

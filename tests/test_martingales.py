@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from confanom.core import InvalidSpec, make_rng
+from confanom.core import InvalidData, InvalidSpec, make_rng
 from confanom.martingales import (ALARM_KINDS, P_FLOOR, TRAJECTORY_COLUMNS,
                                   AlarmConfig, MartingaleSpec, init, power,
                                   run_stream, simple_jumper, simple_mixture,
@@ -174,13 +174,21 @@ class TestUpdateMechanics:
         state = update(spec, state, 0.5, VILLE)
         assert state.floored_count == 1
 
-    def test_p_above_one_clamped(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.2])
+    def test_p_outside_unit_interval_refused(self, bad):
+        # one NaN used to turn log M into NaN and silence every later alarm
         spec = power(0.5)
-        state = init(spec, VILLE)
-        clamped = update(spec, state, 1.5, VILLE)
-        exact = update(spec, state, 1.0, VILLE)
-        assert clamped.log_m == exact.log_m
-        assert clamped.floored_count == 0
+        alarms = AlarmConfig(ville_threshold=100)
+        with pytest.raises(InvalidData, match="stream step 2 ") as err:
+            run_stream(spec, alarms, [0.5, bad] + [1e-3] * 10)
+        assert err.value.row == 1
+        state = update(spec, init(spec, alarms), 0.5, alarms)
+        with pytest.raises(InvalidData, match="stream step 2 "):
+            update(spec, state, bad, alarms)
+        # the refused update left the state as it was, and the stream goes on
+        assert state == update(spec, init(spec, alarms), 0.5, alarms)
+        final, _ = run_stream(spec, alarms, [0.5] + [1e-3] * 10)
+        assert "ville" in final.triggered_alarms
 
     def test_cusum_is_ratio_to_running_min(self):
         spec = power(0.5)

@@ -251,7 +251,7 @@ class TestUntrustedContent:
         # a walk would cycle through the root forever
         header, arrays = forest
         arrays["trees/left"][0] = 0
-        with pytest.raises(SnapshotError, match="tree 0 of model0 is not a valid isolation tree"):
+        with pytest.raises(SnapshotError, match="tree 0 of model 0 is not a valid isolation tree"):
             snapshot_load(write_snapshot(tmp_path / "cycle.snap", header, arrays))
 
     def test_children_inside_tree(self, tmp_path, forest):
@@ -259,7 +259,7 @@ class TestUntrustedContent:
         header, arrays = forest
         offsets = arrays["trees/offsets"]
         arrays["trees/left"][offsets[1]] = offsets[2] - offsets[1] - 1
-        with pytest.raises(SnapshotError, match="tree 1 of model0 is not a valid isolation tree"):
+        with pytest.raises(SnapshotError, match="tree 1 of model 0 is not a valid isolation tree"):
             snapshot_load(write_snapshot(tmp_path / "outside.snap", header, arrays))
 
     def test_shared_child_refused(self, tmp_path, forest):
@@ -272,7 +272,7 @@ class TestUntrustedContent:
         # both children stay after their new parent and inside the tree
         i, j = next((i, j) for i in inner for j in inner if i < j < left[i])
         left[j] = left[i]
-        with pytest.raises(SnapshotError, match="tree 1 of model0 is not a valid isolation tree"):
+        with pytest.raises(SnapshotError, match="tree 1 of model 0 is not a valid isolation tree"):
             snapshot_load(write_snapshot(tmp_path / "shared.snap", header, arrays))
 
     @pytest.mark.parametrize("field, value", [
@@ -281,7 +281,7 @@ class TestUntrustedContent:
     def test_tree_arrays_checked(self, tmp_path, forest, field, value):
         header, arrays = forest
         arrays[f"trees/{field}"][arrays["trees/offsets"][1]] = value
-        with pytest.raises(SnapshotError, match="tree 1 of model0 is not a valid isolation tree"):
+        with pytest.raises(SnapshotError, match="tree 1 of model 0 is not a valid isolation tree"):
             snapshot_load(write_snapshot(tmp_path / "tree.snap", header, arrays))
 
     def test_tree_offsets_checked(self, tmp_path, forest):
