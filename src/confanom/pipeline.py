@@ -247,6 +247,14 @@ def stream_p_values(fp: FittedPipeline, X, seed=None, start=0) -> PValueVector:
     estimation is smoothed; conditional and probabilistic regimes pass
     through unchanged.  Weighted pipelines are refused: a density ratio
     against a one-point target batch is not meaningful.
+
+    Every step is ranked against the same calibration set, so the values
+    are uniform only on average over that set; given it they are i.i.d.
+    but not uniform.  A martingale fed a long inlier stream can therefore
+    grow at the rate of that discrepancy and exceed the Ville bound of
+    1/threshold: the benchmark's ``stream_monitor`` feeds of seeds 2 and 7
+    raise a Ville alarm in their all-inlier first half, at steps 622 and
+    3,528.  Mending that needs a new estimation regime.
     """
     if fp.config.weighting is not None:
         raise InvalidSpec("stream monitoring does not support weighting")

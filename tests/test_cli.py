@@ -362,15 +362,33 @@ def test_import_leaves_out_scipy_spatial():
     assert out.stdout.strip() == "False"
 
 
-def test_import_leaves_out_scipy_special():
-    # the conditional and probabilistic regimes and the mixture martingale
-    # import scipy.special on first use; other commands never pay for it
+def test_import_leaves_out_scipy_special(data):
+    # the conditional and probabilistic regimes import scipy.special on
+    # first use; other commands never pay for it
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, confanom.cli; print('scipy.special' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+        env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+    # the mixture martingale is computed without scipy, so a forest stream
+    # imports no scipy module at all
+    config = data / "forest.conf"
+    config.write_text("scorer.kind = isolation_forest\nscorer.n_trees = 20\n")
+    X = make_rng(9).normal(size=(300, 4))
+    X[200:] += 4.0
+    write_csv(data / "stream.csv", X)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; from confanom.cli import main; main(sys.argv[1:]); "
+         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))",
+         "stream", "--train", str(data / "train.csv"), "--config", str(config),
+         "--stream", str(data / "stream.csv"), "--seed", "3", "--out", str(data / "traj.csv")],
+        env=env, capture_output=True, text=True, check=True)
+    *summary, modules = out.stdout.strip().splitlines()
+    assert json.loads("\n".join(summary))["martingale_kind"] == "simple_mixture"
+    assert json.loads(modules) == []
 
 
 PLAIN_CELLS = st.one_of(

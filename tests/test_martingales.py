@@ -1,15 +1,19 @@
 import csv
 import dataclasses
+import io
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from confanom import martingales
 from confanom.core import InvalidData, InvalidSpec, make_rng
 from confanom.martingales import (ALARM_KINDS, P_FLOOR, TRAJECTORY_COLUMNS,
-                                  AlarmConfig, MartingaleSpec, init, power,
-                                  run_stream, simple_jumper, simple_mixture,
-                                  trajectory_rows, update, write_trajectory_csv)
+                                  AlarmConfig, MartingaleSpec, Trajectory, init,
+                                  power, run_stream, simple_jumper, simple_mixture,
+                                  update, write_trajectory_csv)
 
 VILLE = AlarmConfig(ville_threshold=100.0)
 BOTH = AlarmConfig(ville_threshold=100.0, restarted_ville_threshold=100.0)
@@ -142,7 +146,51 @@ class TestMixtureMartingale:
             peak + c * width for c in (-40, -10, -3, 0, 3, 10)
             if 0 < peak + c * width < 1})
         want = float(mpmath.log(mpmath.quad(integrand, points)))
-        assert abs(state.log_m - want) <= 1e-8 * max(1.0, abs(want))
+        assert abs(state.log_m - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_regions_agree_where_they_meet(self):
+        # inside Temme's window, Kummer's series (a < nu) and the continued
+        # fraction (a >= nu) still converge: all three must give one value
+        rng = make_rng(7)
+        nu = np.floor(np.exp(rng.uniform(math.log(50), math.log(2e4), 400)))
+        a = nu * np.exp(rng.uniform(-0.3, 0.3, nu.size))
+        got = martingales._log_mixture(nu - 1.0, a)
+        low = a < nu
+        base = 0.5 * np.log(2.0 * np.pi / nu) + martingales._stirlerr(nu)
+        lead = base[~low] + martingales._bd0(nu[~low], a[~low])
+        want = np.empty(nu.size)
+        want[low] = np.log(martingales._kummer(nu[low], a[low])) - np.log(nu[low])
+        want[~low] = (np.log1p(-np.exp(-lead) * martingales._legendre_cf(nu[~low], a[~low]))
+                      + lead)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_loader_terms_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        nu = np.array([1.0, 2.0, 7.0, 15.0, 16.0, 17.0, 40.0, 1e3, 1e7])
+        got = martingales._stirlerr(nu)
+        for v, s in zip(nu.tolist(), got.tolist()):
+            v = mpmath.mpf(v)
+            want = mpmath.loggamma(v + 1) - (v + 0.5) * mpmath.log(v) + v - mpmath.log(
+                2 * mpmath.pi) / 2
+            assert s == pytest.approx(float(want), rel=1e-13, abs=1e-14)
+        m = np.array([1e7 * 0.95, 1e7 * 0.999999, 1e7, 1e7 * 1.05, 2.0, 3.0, 1e7 * 1.2])
+        x = np.array([1e7, 1e7, 1e7, 1e7, 1.0, 3.0, 1e7])
+        for xv, mv, d in zip(x.tolist(), m.tolist(), martingales._bd0(x, m).tolist()):
+            X, M = mpmath.mpf(xv), mpmath.mpf(mv)
+            want = float(X * mpmath.log(X / M) + M - X)
+            assert d == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+    def test_cost_bounded_at_the_transition(self):
+        # at n = 10**7 Kummer's series would need thousands of terms per cell
+        # within a few sqrt(n) of a = n; Temme's expansion needs a fixed few
+        n = np.full(10**4, 1e7)
+        a = n * make_rng(8).uniform(0.999, 1.001, n.size)
+        martingales._log_mixture(n[:10], a[:10])
+        start = time.perf_counter()
+        log_m = martingales._log_mixture(n, a)
+        assert time.perf_counter() - start < 0.5
+        assert np.isfinite(log_m).all()
 
 
 class TestJumperMartingale:
@@ -334,11 +382,14 @@ class TestTrajectoryCsv:
         assert first["ville_threshold"] == "100.0"
         assert first["restarted_ville_threshold"] == ""
 
-    def test_alarm_cell_joins_kinds(self):
+    def test_alarm_cell_joins_kinds(self, tmp_path):
         spec = power(0.5)
         final, trajectory = run_stream(spec, BOTH, [0.01] * 3)
-        rows = trajectory_rows(trajectory, BOTH)
-        assert rows[2][5] == "ville;restarted_ville"
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, trajectory, BOTH)
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert rows[2][TRAJECTORY_COLUMNS.index("alarms")] == "ville;restarted_ville"
 
     def test_float_cells_round_trip(self, tmp_path):
         spec = simple_mixture()
@@ -380,3 +431,79 @@ class TestVilleBound:
             crossings += bool(state.alarm_history)
         bound = 1 / 20
         assert crossings / trials <= bound + 3 * np.sqrt(bound * (1 - bound) / trials)
+
+
+def _reference_sr_fold(log_f, log_sr):
+    # the fold as numpy's logaddexp writes it
+    out = []
+    for f in log_f:
+        log_sr = float(np.logaddexp(log_sr, 0.0)) + f
+        out.append(log_sr)
+    return out
+
+
+SR_FACTORS = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                     700.0, -700.0, 1e-17, -1e-17]))
+
+
+@given(st.sampled_from([-math.inf, 0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 5e-324]),
+       st.lists(SR_FACTORS, max_size=60))
+def test_sr_fold_matches_logaddexp(start, log_f):
+    _, sr, _ = martingales._restarted_and_sr(np.array(log_f, dtype=np.float64), 0.0, start,
+                                             math.inf)
+    want = _reference_sr_fold(log_f, start)
+    assert [v.hex() for v in sr.tolist()] == [v.hex() for v in want]
+
+
+def _reference_trajectory_csv(trajectory, alarms):
+    # one csv.writer row of repr cells per step
+    def cells(values):
+        return [repr(v) for v in values.tolist()]
+
+    steps = len(trajectory)
+    thresholds = [["" if t is None else repr(t)] * steps
+                  for t in (alarms.ville_threshold, alarms.restarted_ville_threshold)]
+    with np.errstate(over="ignore"):
+        linear = [cells(np.exp(log)) for log in (
+            trajectory.log_m, trajectory.log_m_restarted,
+            trajectory.log_m - trajectory.log_min_m, trajectory.log_sr)]
+    new_alarms = [";".join(kind for kind, on in zip(ALARM_KINDS, row) if on)
+                  for row in trajectory.new_alarms.tolist()]
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(TRAJECTORY_COLUMNS)
+    writer.writerows(zip(cells(trajectory.step), *linear, new_alarms, *thresholds,
+                         cells(trajectory.log_m)))
+    return buffer.getvalue().encode("utf-8")
+
+
+LOG_STATS = st.one_of(st.floats(-800.0, 800.0),
+                      st.sampled_from([0.0, 709.78, 709.79, 1e4, -1e4, -745.2, -746.0]))
+THRESHOLDS = st.sampled_from([None, 20.5, 100.0, 1e300, 1.0000000000000002])
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 40).flatmap(lambda steps: st.tuples(
+    *[st.lists(LOG_STATS, min_size=steps, max_size=steps) for _ in range(4)],
+    st.lists(st.integers(0, 15), min_size=steps, max_size=steps))),
+    THRESHOLDS, THRESHOLDS)
+# every pattern of alarm bits, with overflowing and underflowing cells
+@example(columns=([709.79, 1e4, -746.0, 0.5] * 4, [0.0] * 16, [-1e4] * 16,
+                  [-745.2, 800.0, 3.0, -1.0] * 4, list(range(16))),
+         ville=20.5, restarted=None)
+def test_writer_matches_csv_writer(tmp_path_factory, columns, ville, restarted):
+    log_m, log_restarted, log_min_m, log_sr = (np.array(c, dtype=np.float64) for c in columns[:4])
+    codes = np.array(columns[4], dtype=np.int64)
+    steps = log_m.shape[0]
+    bits = (codes.reshape(steps, 1) >> np.arange(len(ALARM_KINDS))) & 1
+    trajectory = Trajectory(
+        step=np.arange(1, steps + 1), log_m=log_m, log_m_restarted=log_restarted,
+        log_min_m=log_min_m, log_sr=log_sr,
+        new_alarms=bits.astype(bool).reshape(steps, len(ALARM_KINDS)))
+    alarms = AlarmConfig(ville_threshold=ville, restarted_ville_threshold=restarted,
+                         sr_threshold=1.0)
+    path = tmp_path_factory.mktemp("traj") / "traj.csv"
+    write_trajectory_csv(path, trajectory, alarms)
+    assert path.read_bytes() == _reference_trajectory_csv(trajectory, alarms)
