@@ -415,6 +415,18 @@ def _write_rows_csv(path, columns, rows):
             writer.writerow([_fmt_cell(cell) for cell in row])
 
 
+def _write_flags_csv(path, scores, p_values, flags):
+    """The detect table, one ``%``-format per row over ``tolist()`` columns.
+
+    The bytes are those of ``_write_rows_csv``: the row index and the flag
+    as integers, floats as ``repr`` writes them, and no cell needs quoting.
+    """
+    rows = zip(range(scores.shape[0]), scores.tolist(), p_values.tolist(), flags.tolist())
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write("row_index,score,p_value,flag\r\n")
+        handle.writelines("%d,%r,%r,%d\r\n" % row for row in rows)
+
+
 def _print_json(payload):
     print(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -450,8 +462,7 @@ def cmd_detect(args):
     else:
         decision = decisions.benjamini_hochberg(p_values, args.alpha)
 
-    rows = zip(range(test.n_rows), scores.scores, p_values.values, decision.flags)
-    _write_rows_csv(args.out, ("row_index", "score", "p_value", "flag"), rows)
+    _write_flags_csv(args.out, scores.scores, p_values.values, decision.flags)
 
     summary = {
         "alpha": decision.alpha,

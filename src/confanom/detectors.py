@@ -8,10 +8,16 @@ with identical outputs everywhere. Score polarity is normalized at this
 boundary so that downstream modules always see "larger = more anomalous".
 
 Every model of a resampling plan is scored together: a k-NN plan from one
-distance matrix per chunk of rows, a forest plan through all its trees at
+filter pass per chunk of rows, a forest plan through all its trees at
 once, one tree level per step.  The forests are grown level by level
 across all trees, from counter-based Philox draws keyed by (model seed,
 tree index), so a tree does not depend on which trees grow with it.
+
+k-NN distances need numpy alone.  A matrix product gives every reference
+row's filter value |r|^2 - 2 x.r; only the rows whose value lies within a
+rounding margin (``_MARGIN``) of a query's w-th smallest get exact
+distances, whose squared feature differences are added in feature order
+as scipy's ``cdist`` adds them, so each score has ``cdist``'s bits.
 """
 
 from __future__ import annotations
@@ -28,11 +34,29 @@ from .core import (AmbiguousPolarity, DataMatrix, DimensionMismatch, EmptyTraini
 SCORER_KINDS = ("isolation_forest", "knn_distance", "external")
 POLARITIES = ("higher_is_anomalous", "lower_is_anomalous", "auto")
 
-# row chunk for brute-force distance computations, bounds peak memory
-_KNN_CHUNK = 512
-# nearest rows in which a plan's models look for their k in-bag neighbours
-# before falling back to the whole distance row
-_KNN_WINDOW = 64
+# most rows of one k-NN filter pass
+_KNN_CHUNK = 64
+# element budget of one (rows x refs) filter block, which with its
+# partitioned copy stays in a 2 MB L2 cache
+_KNN_FILTER = 1 << 17
+# Margin of the k-NN filter (KnnPlan._nearest), in units of d (u M + u |t| + eta):
+# u is the unit roundoff, eta the smallest subnormal, M = |x|^2 + max |r|^2,
+# t the w-th smallest filter value of the row, gamma_n = n u / (1 - n u).
+# A length-n dot product is off by at most gamma_n |x|.|r| in any summation
+# order, with FMA or without (Higham, Accuracy and Stability of Numerical
+# Algorithms, sec. 3.1), and by n eta / 2 more where products underflow.  The
+# filter value a = [-2x, 1].[r, |r|^2] (length d + 1, |r|^2 itself rounded)
+# is thus off |r|^2 - 2 x.r by at most gamma_d |r|^2 + gamma_{d+1} (2 |x| |r|
+# + |r|^2) + 2 d eta <= (3d + 2) u M + 2 d eta, to first order in u, and the
+# exact distance's square D, summed in feature order from rounded
+# differences, is off by at most gamma_{d+2} D + d eta <= 2 (d + 2) u M + d eta.
+# So a + |x|^2 and D differ by at most E = (5d + 6) u M + 3 d eta, any ref
+# among the w nearest by D has a <= t + 2E, and 2E < 22 d (u M + eta) for
+# d >= 1.  Two units more cover the second-order terms, the rounding of |x|^2 in M
+# and that of the cut t + margin, at most u |t| + u margin.
+_MARGIN = 24
+_EPS = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).smallest_subnormal
 # element budget of one (models x rows x window) block of a plan scoring
 _KNN_BLOCK = 1 << 21
 # element budget of the (trees x cells) node matrix of a forest scoring
@@ -257,11 +281,15 @@ class ForestPlan:
         return out.T
 
 
-def _cdist(X, refs):
-    # scipy.spatial is most of the package's import time and only k-NN
-    # distances need it, so it is imported on first use
-    from scipy.spatial.distance import cdist
-    return cdist(X, refs)
+def _distances(X, R):
+    """Euclidean distances between X and R, which broadcast against each
+    other over their leading axes: paired rows, or ``X[:, None]`` against
+    every row of R.  Squared feature differences are added in feature order
+    and then rooted, as scipy's ``cdist`` does, so the values are its bits."""
+    s = np.square(X[..., 0] - R[..., 0])
+    for i in range(1, X.shape[-1]):
+        s += np.square(X[..., i] - R[..., i])
+    return np.sqrt(s, out=s)
 
 
 def _knn_reduce(d, k, aggregation):
@@ -274,39 +302,39 @@ def _knn_reduce(d, k, aggregation):
     return np.sort(part[:, :k], axis=1).mean(axis=1)
 
 
-class KnnScorer:
-    """Distance to the k-th nearest training point (or mean over the k
-    nearest). Query points are never removed from the reference set."""
+@dataclass(frozen=True)
+class KnnModel:
+    """One k-NN model of a plan: its expanded training multiset ``refs``.
+    Query points are never removed from the reference set."""
 
-    kind = "knn_distance"
+    spec: ScorerSpec
+    refs: np.ndarray
 
-    def __init__(self, spec, refs):
-        self.spec = spec
-        self.refs = _readonly(np.asarray(refs, dtype=np.float64))
-        self.k = int(spec.k)
-        self.aggregation = spec.aggregation
-        self.n_features = self.refs.shape[1]
-
-    def score_raw(self, X):
-        out = np.empty(X.shape[0], dtype=np.float64)
-        for start in range(0, X.shape[0], _KNN_CHUNK):
-            d = _cdist(X[start:start + _KNN_CHUNK], self.refs)
-            out[start:start + _KNN_CHUNK] = _knn_reduce(d, self.k, self.aggregation)
-        return out
+    @property
+    def k(self):
+        return int(self.spec.k)
 
 
 class KnnPlan:
-    """Every k-NN model of a resampling plan, scored from one distance matrix.
+    """Every k-NN model of a resampling plan, scored from one filter pass.
 
     Model b's reference multiset is row j of ``rows`` repeated
-    ``counts[b, j]`` times.  A query's distances to the rows are sorted
-    within its ``_KNN_WINDOW`` nearest, and a model's j-th nearest distance
-    sits at the first window position where the model's cumulative count
-    reaches j.  Queries whose window holds fewer than k of a model's rows
-    fall back to the whole distance row.  cdist computes each pair on its
-    own, so every score equals that of a KnnScorer fitted on the expanded
-    multiset, bit for bit.  ``mask`` is accepted and ignored: one distance
-    matrix serves every model.
+    ``counts[b, j]`` times; the plan's refs are the rows some model uses.
+    Per query x, a BLAS product gives the filter value
+    a = |r|^2 - 2 x.r of every ref r, which orders refs as the squared
+    distance |x|^2 + a does, up to rounding.  With t the w-th smallest a of
+    the row, only refs with a <= t + margin (see ``_MARGIN``) get exact
+    distances, computed as ``cdist`` computes them; sorted per row, the
+    first w of them are the w nearest refs, bit for bit.  w is k for a
+    one-model plan and min(refs, 4k + 4) otherwise: every plan gives each
+    ref an in-bag share of at least 1/2, so a model's k-th neighbour lies
+    beyond the window with probability under 1e-3 at k = 5.  A model's j-th
+    nearest distance sits at the first window position where its
+    cumulative count reaches j; queries whose window holds fewer than k of
+    a model's rows fall back to their exact full distance row.  So every
+    score equals the k-th nearest (or mean of the k nearest) ``cdist``
+    distance to the model's multiset, whatever w is.  ``mask`` is accepted
+    and ignored: one filter pass serves every model.
     """
 
     def __init__(self, spec, rows, counts):
@@ -319,32 +347,51 @@ class KnnPlan:
         used = np.flatnonzero(counts.any(axis=0))
         self._refs = rows[used]
         self._counts = counts[:, used]
+        norms = np.einsum("ij,ij->i", self._refs, self._refs)
+        # [-2x, 1] @ lift = |r|^2 - 2 x.r, the filter value of every ref
+        self._lift = np.vstack([self._refs.T, norms])
+        self._norm_max = norms.max()
+        self._window = min(used.shape[0], self.k if counts.shape[0] == 1 else 4 * self.k + 4)
 
     @property
     def models(self):
-        """One KnnScorer per model, holding its expanded training multiset."""
+        """One KnnModel per model, holding its expanded training multiset."""
         index = np.arange(self.rows.shape[0])
-        return tuple(KnnScorer(self.spec, self.rows[np.repeat(index, c)])
+        return tuple(KnnModel(self.spec, _readonly(self.rows[np.repeat(index, c)]))
                      for c in self.counts)
 
     def score_raw(self, X, mask=None):
-        n_models = self._counts.shape[0]
-        if n_models == 1:
-            return self.models[0].score_raw(X)[:, None]
+        n_models, w = self._counts.shape[0], self._window
         out = np.empty((X.shape[0], n_models), dtype=np.float64)
-        w = min(_KNN_WINDOW, self._refs.shape[0])
-        step = int(np.clip(_KNN_BLOCK // (n_models * w), 1, _KNN_CHUNK))
-        for lo in range(0, X.shape[0], step):
-            out[lo:lo + step] = self._window_scores(_cdist(X[lo:lo + step], self._refs), w).T
+        step = int(np.clip(min(_KNN_BLOCK // (n_models * w), _KNN_FILTER // self._refs.shape[0]),
+                           1, _KNN_CHUNK))
+        # rows near the float64 range overflow the filter, which then keeps
+        # every ref; score_plan rejects distances that overflow themselves
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, X.shape[0], step):
+                out[lo:lo + step] = self._window_scores(X[lo:lo + step]).T
         return out
 
-    def _window_scores(self, d, w):
-        near = np.argpartition(d, w - 1, axis=1)[:, :w]
-        order = np.argsort(np.take_along_axis(d, near, axis=1), axis=1)
-        near = np.take_along_axis(near, order, axis=1)
-        dist = np.take_along_axis(d, near, axis=1)
+    def _nearest(self, X):
+        """Each row's w nearest refs and their exact distances, ascending."""
+        w, (n, d), m = self._window, X.shape, self._lift.shape[1]
+        a = np.hstack([-2.0 * X, np.ones((n, 1))]) @ self._lift
+        t = np.partition(a, w - 1, axis=1)[:, w - 1]
+        bound = np.einsum("ij,ij->i", X, X) + self._norm_max + np.abs(t)
+        cut = t + _MARGIN * d * (_EPS * bound + _TINY)
+        # a NaN cut (overflowed inputs) keeps every ref
+        row, ref = np.divmod(np.flatnonzero(~(a > cut[:, None])), m)
+        exact = _distances(X[row], self._refs[ref])
+        order = np.lexsort((exact, row))
+        starts = np.searchsorted(row, np.arange(n))
+        pick = order[(starts[:, None] + np.arange(w)).ravel()]
+        return ref[pick].reshape(-1, w), exact[pick].reshape(-1, w)
+
+    def _window_scores(self, X):
+        near, dist = self._nearest(X)
+        w = near.shape[1]
         cum = np.cumsum(self._counts[:, near], axis=2, dtype=np.int32)
-        queries = np.arange(d.shape[0])[None, :]
+        queries = np.arange(X.shape[0])[None, :]
         if self.aggregation == "kth":
             pos = (cum < self.k).sum(axis=2)
             missing = pos == w
@@ -353,10 +400,13 @@ class KnnPlan:
             pos = np.stack([(cum <= j).sum(axis=2) for j in range(self.k)], axis=2)
             missing = pos[:, :, -1] == w
             scores = dist[queries[:, :, None], np.minimum(pos, w - 1)].mean(axis=2)
-        for b in np.flatnonzero(missing.any(axis=1)):
-            q = np.flatnonzero(missing[b])
-            full = np.repeat(d[q], self._counts[b], axis=1)
-            scores[b, q] = _knn_reduce(full, self.k, self.aggregation)
+        rows = np.flatnonzero(missing.any(axis=0))
+        if rows.size:
+            full = _distances(X[rows, None, :], self._refs)
+            for b in np.flatnonzero(missing.any(axis=1)):
+                q = np.flatnonzero(missing[b, rows])
+                scores[b, rows[q]] = _knn_reduce(
+                    np.repeat(full[q], self._counts[b], axis=1), self.k, self.aggregation)
         return scores
 
 
@@ -396,13 +446,12 @@ def fit(spec, train, seed):
 
     Returns
     -------
-    ForestPlan (with one model) or KnnScorer
+    ForestPlan or KnnPlan, with one model
     """
     if not isinstance(train, DataMatrix):
         raise InvalidHyperparameter("train must be a DataMatrix")
-    plan = _fit(spec, train.values, np.ones((1, train.n_rows), dtype=np.uint16),
+    return _fit(spec, train.values, np.ones((1, train.n_rows), dtype=np.uint16),
                 [check_seed(seed)])
-    return plan.models[0] if spec.kind == "knn_distance" else plan
 
 
 def score(scorer, X):

@@ -197,7 +197,7 @@ class CalibrationModel:
 
     @property
     def models(self):
-        """The retained k-NN scorers, one per model."""
+        """The retained k-NN models, each holding its expanded reference rows."""
         return self.scorer.models
 
     @property

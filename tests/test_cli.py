@@ -352,8 +352,8 @@ class TestErrorPaths:
 
 
 def test_import_leaves_out_scipy_spatial():
-    # k-NN distances import scipy.spatial on first use; forest-only
-    # commands never pay for it
+    # k-NN distances are computed with numpy alone, and importing the CLI
+    # loads no scipy.spatial
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
     out = subprocess.run(
         [sys.executable, "-c",
@@ -389,6 +389,37 @@ def test_import_leaves_out_scipy_special(data):
     *summary, modules = out.stdout.strip().splitlines()
     assert json.loads("\n".join(summary))["martingale_kind"] == "simple_mixture"
     assert json.loads(modules) == []
+    # nor do k-NN scoring with marginal p-values and the strategy sweep, which
+    # calibrates a k-NN detector by split, CV+ and JaB+
+    for argv in (["detect", "--train", str(data / "train.csv"), "--test", str(data / "test.csv"),
+                  "--label-column", "label", "--out", str(data / "flags.csv")],
+                 ["experiment", "--name", "strategy_sweep", "--trials", "1", "--seed", "2",
+                  "--out", str(data / "sweep")]):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys; from confanom.cli import main; main(sys.argv[1:]); "
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))",
+             *argv], env=env, capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout.strip().splitlines()[-1]) == [], argv[0]
+
+
+FLAG_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300,
+                                                       0.1, 1 / 3, 20.5]))
+
+
+@given(st.lists(st.tuples(FLAG_FLOATS, FLAG_FLOATS, st.integers(0, 1)), max_size=40),
+       st.booleans())
+def test_flags_writer_matches_csv_writer(cells, bool_flags):
+    scores = np.array([c[0] for c in cells], dtype=np.float64)
+    p_values = np.array([c[1] for c in cells], dtype=np.float64)
+    flags = np.array([c[2] for c in cells], dtype=bool if bool_flags else np.int64)
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, reference = os.path.join(tmp, "fast.csv"), os.path.join(tmp, "ref.csv")
+        cli._write_flags_csv(fast, scores, p_values, flags)
+        cli._write_rows_csv(reference, ("row_index", "score", "p_value", "flag"),
+                            zip(range(len(cells)), scores, p_values, flags))
+        with open(fast, "rb") as a, open(reference, "rb") as b:
+            assert a.read() == b.read()
 
 
 PLAIN_CELLS = st.one_of(

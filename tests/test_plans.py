@@ -1,19 +1,21 @@
 """Property tests of the resampling plans against one model fitted per plan row.
 
 A resampled model is the multiset of rows it trained on, so a plan's scores
-must equal, bit for bit, those of a KnnScorer fitted on
-``rows[np.repeat(arange(n), counts[b])]``, whatever the window and block
-sizes of the shared-distance path.
+must equal, bit for bit, the k-th nearest (or mean of the k nearest)
+``scipy.spatial.distance.cdist`` distance to
+``rows[np.repeat(arange(n), counts[b])]``, whatever the chunk and block
+sizes of the filtered path.
 """
 
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from confanom import detectors, resampling
 from confanom.core import DataMatrix, split_seed
-from confanom.detectors import KnnScorer, ScorerSpec
+from confanom.detectors import ScorerSpec
 from confanom.resampling import paired_rank_counts
 from confanom.resampling import test_score_matrix as score_matrix
 
@@ -61,16 +63,22 @@ def cases(draw):
         # coarse values give tied distances and duplicated rows
         rows = np.round(rows, 0)
     test = np.vstack([rng.normal(size=(7, rows.shape[1])), rows[:3]])
-    window = draw(st.sampled_from([1, 2, 5, detectors._KNN_WINDOW]))
+    chunk = draw(st.sampled_from([1, 3, detectors._KNN_CHUNK]))
     block = draw(st.sampled_from([1, 50, detectors._KNN_BLOCK]))
-    return spec, strategy, DataMatrix(rows), DataMatrix(test), draw(st.integers(0, 99)), window, block
+    seed = draw(st.integers(0, 99))
+    return spec, strategy, DataMatrix(rows), DataMatrix(test), seed, chunk, block
 
 
 def expanded_scores(spec, rows, counts, X):
-    """Reference: one KnnScorer per plan row, on its expanded multiset."""
+    """Reference: per plan row, every cdist distance to its expanded
+    multiset, reduced by np.partition."""
     index = np.arange(rows.shape[0])
-    return np.column_stack([KnnScorer(spec, rows[np.repeat(index, c)]).score_raw(X)
-                            for c in counts])
+    columns = []
+    for c in counts:
+        part = np.partition(cdist(X, rows[np.repeat(index, c)]), spec.k - 1, axis=1)
+        columns.append(part[:, spec.k - 1] if spec.aggregation == "kth"
+                       else np.sort(part[:, :spec.k], axis=1).mean(axis=1))
+    return np.column_stack(columns)
 
 
 def reference_entries(spec, rows, plan, aggregation):
@@ -83,8 +91,8 @@ def reference_entries(spec, rows, plan, aggregation):
 
 @given(cases())
 def test_plan_scores_equal_expanded_models(case):
-    spec, strategy, data, test, seed, window, block = case
-    with mock.patch.object(detectors, "_KNN_WINDOW", window), \
+    spec, strategy, data, test, seed, chunk, block = case
+    with mock.patch.object(detectors, "_KNN_CHUNK", chunk), \
             mock.patch.object(detectors, "_KNN_BLOCK", block):
         plan = plan_of(strategy, data.n_rows, seed)
         scorer = detectors.fit_plan(spec, data.values, plan.train_counts, seed, plan.streams)
@@ -98,6 +106,48 @@ def test_plan_scores_equal_expanded_models(case):
     retained = expanded_scores(spec, data.values, cm.train_counts, test.values)
     np.testing.assert_array_equal(ts.values, retained[:, 0] if cm.mode == "single_model"
                                   else retained)
+
+
+@st.composite
+def knn_plans(draw):
+    """Count matrices of 1-130 models on up to 10 features, with ties,
+    duplicated rows, a large common offset under a small spread, or
+    subnormal squares, where the filter's rounding margin decides which
+    refs are candidates."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, n_models, n = draw(st.integers(1, 10)), draw(st.integers(1, 130)), draw(st.integers(3, 40))
+    counts = rng.integers(1, 3, size=(n_models, n)) * (rng.random((n_models, n))
+                                                       < draw(st.floats(0.3, 1.0)))
+    counts[:, :2] = np.maximum(counts[:, :2], 1)
+    k = draw(st.integers(1, int(counts.sum(axis=1).min()) - 1))
+    spec = ScorerSpec(kind="knn_distance", k=k,
+                      aggregation=draw(st.sampled_from(["kth", "mean"])))
+    rows, test = rng.normal(size=(n, d)), rng.normal(size=(draw(st.integers(1, 20)), d))
+    shape = draw(st.sampled_from(["plain", "tied", "duplicated", "offset", "underflow"]))
+    if shape == "tied":
+        rows, test = np.round(rows), np.round(test)
+    elif shape == "duplicated":
+        rows[n // 2:] = rows[:n - n // 2]
+        test[:min(3, test.shape[0])] = rows[:min(3, test.shape[0])]
+    elif shape == "offset":
+        offset = 10.0 ** draw(st.floats(2, 5))
+        spread = 10.0 ** draw(st.floats(-4, -1))
+        rows, test = offset + spread * rows, offset + spread * test
+    elif shape == "underflow":
+        # squared differences fall below the normal range
+        rows, test = 1e-160 * rows, 1e-160 * test
+    chunk = draw(st.sampled_from([1, detectors._KNN_CHUNK]))
+    return spec, rows, counts.astype(np.uint16), test, chunk
+
+
+@settings(max_examples=150)
+@given(knn_plans())
+def test_knn_plan_matches_cdist(case):
+    spec, rows, counts, test, chunk = case
+    plan = detectors.fit_plan(spec, rows, counts, 0, np.arange(counts.shape[0]))
+    with mock.patch.object(detectors, "_KNN_CHUNK", chunk):
+        scores = detectors.score_plan(plan, DataMatrix(test))
+    np.testing.assert_array_equal(scores, expanded_scores(spec, rows, counts, test))
 
 
 @given(cases())
