@@ -13,6 +13,14 @@ once, one tree level per step.  The forests are grown level by level
 across all trees, from counter-based Philox draws keyed by (model seed,
 tree index), so a tree does not depend on which trees grow with it.
 
+Forest scoring is the one step that runs on threads: its chunks of cells
+are shared out over min(CPUs the process may run on, chunks) threads, the
+caller among them.  Chunk bounds do not depend on that number, a cell's
+trees are added in tree order inside its chunk, and each chunk writes only
+its own cells, so scores have the same bits on one CPU or many.  k-NN
+scoring stays on the caller's thread: its small chunks spend most of their
+time in Python and would wait on each other for the interpreter lock.
+
 k-NN distances need numpy alone.  A matrix product gives every reference
 row's filter value |r|^2 - 2 x.r; only the rows whose value lies within a
 rounding margin (``_MARGIN``) of a query's w-th smallest get exact
@@ -22,14 +30,17 @@ as scipy's ``cdist`` adds them, so each score has ``cdist``'s bits.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (AmbiguousPolarity, DataMatrix, DimensionMismatch, EmptyTrainingSet,
                    InvalidData, InvalidHyperparameter, KTooLarge, ScoreVector, _readonly,
-                   check_seed, philox_block, philox_choice, philox_uniform, split_seed)
+                   philox_block, philox_choice, philox_uniform, split_seed)
 
 SCORER_KINDS = ("isolation_forest", "knn_distance", "external")
 POLARITIES = ("higher_is_anomalous", "lower_is_anomalous", "auto")
@@ -199,9 +210,11 @@ def _fit_forests(spec, rows, counts, keys):
     parts = []
     for lo in range(0, psi.shape[0] * n_trees, step):
         model, tree = np.divmod(np.arange(lo, min(lo + step, psi.shape[0] * n_trees)), n_trees)
+        # the chunk's trees belong to consecutive models
+        models = np.arange(model[0], model[-1] + 1)
+        model -= model[0]
         # a tree's subsample is positions of its model's rows sorted by
         # content, drawn from counter stream 1
-        models, model = np.unique(model, return_inverse=True)
         expanded = np.concatenate([np.repeat(order, counts[b, order]) for b in models])
         base = np.cumsum(sizes[models]) - sizes[models]
         key, m_size, m_psi = keys[models][model], sizes[models][model], psi[models][model]
@@ -224,6 +237,11 @@ class ForestPlan:
     step through tables in which leaves loop to themselves and each node
     carries its depth plus c(size); a (row, model) cell adds its trees'
     path lengths in tree order, as one walk per tree would, bit for bit.
+    Cells are scored in chunks of ``_FOREST_BLOCK`` // n_trees, and thread
+    i of n = min(CPUs in ``os.sched_getaffinity``, chunks) takes chunks i,
+    i + n, ...; the caller is thread 0, no thread is started when n is 1
+    and none outlives ``score_raw``.  A chunk's cells are its own, so the
+    scores do not depend on n.
     """
 
     kind = "isolation_forest"
@@ -244,7 +262,9 @@ class ForestPlan:
         # kernel tables: node -> left + (x[feature] >= threshold), with
         # leaves sent back to themselves by an infinite threshold
         self._next = np.where(inner, self.left + self.offsets[tree], index)
-        self._feature = np.where(inner, self.feature, 0)
+        # intp, so that the per-level index add needs no cast; with int32
+        # tables, threads sharing the kernel gained nothing
+        self._feature = np.where(inner, self.feature, 0).astype(np.intp)
         self._threshold = np.where(inner, self.threshold, np.inf)
         # level pass from the roots; it ends because every child sits
         # after its parent
@@ -263,13 +283,25 @@ class ForestPlan:
         out = np.zeros((n_models, n_rows), dtype=np.float64)
         cells = None if mask is None else np.flatnonzero(np.transpose(mask))
         total = out.size if cells is None else cells.shape[0]
-        roots = self.offsets[:-1].reshape(n_models, n_trees).T
+        starts = range(0, total, max(1, _FOREST_BLOCK // n_trees))
         flat = np.ascontiguousarray(X).ravel()
+        # every chunk writes its own cells of out, so the chunks may run in
+        # any order and on any thread
+        n_shares = max(1, min(_cpus(), len(starts)))
+        _run_all([functools.partial(self._score_chunks, flat, X.shape[1], n_rows, cells, total,
+                                    starts[share::n_shares], out)
+                  for share in range(n_shares)])
+        return out.T
+
+    def _score_chunks(self, flat, n_features, n_rows, cells, total, starts, out):
+        """Write the cells of the chunks beginning at ``starts`` into ``out``."""
+        n_trees = self.n_trees
         step = max(1, _FOREST_BLOCK // n_trees)
-        for lo in range(0, total, step):
+        roots = self.offsets[:-1].reshape(self.n_models, n_trees).T
+        for lo in starts:
             cell = np.arange(lo, min(lo + step, total)) if cells is None else cells[lo:lo + step]
             model, row = np.divmod(cell, n_rows)
-            base = row * X.shape[1]
+            base = row * n_features
             node = roots[:, model]
             for _ in range(self._levels):
                 x = flat[base + self._feature[node]]
@@ -278,7 +310,38 @@ class ForestPlan:
             # walk per tree would
             paths = np.add.accumulate(self._path[node], axis=0)[-1]
             out.reshape(-1)[cell] = np.power(2.0, -(paths / n_trees) / self._c_psi[model])
-        return out.T
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_all(tasks):
+    """Call every task, the first in the caller and each other on a thread
+    of its own.  A task's exception is raised in the caller once every
+    thread has been joined."""
+    errors, started = [], []
+
+    def run(task):
+        try:
+            task()
+        except BaseException as error:  # re-raised in the caller below
+            errors.append(error)
+
+    try:
+        for task in tasks[1:]:
+            thread = threading.Thread(target=run, args=(task,))
+            thread.start()
+            started.append(thread)
+        tasks[0]()
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _distances(X, R):
@@ -432,34 +495,6 @@ class ExternalScorer:
         return raw[:, None]
 
 
-def fit(spec, train, seed):
-    """Fit a scorer on training data.
-
-    Parameters
-    ----------
-    spec : ScorerSpec
-    train : DataMatrix
-        At least 2 rows; for knn, more than ``spec.k`` rows.
-    seed : int
-        Isolation-forest tree t draws from the Philox key (seed, t) over rows
-        sorted by content, so the input row order does not matter.
-
-    Returns
-    -------
-    ForestPlan or KnnPlan, with one model
-    """
-    if not isinstance(train, DataMatrix):
-        raise InvalidHyperparameter("train must be a DataMatrix")
-    return _fit(spec, train.values, np.ones((1, train.n_rows), dtype=np.uint16),
-                [check_seed(seed)])
-
-
-def score(scorer, X):
-    """Score a batch under one model. Returns a polarity-normalized ScoreVector."""
-    _check_batch(scorer, X)
-    return ScoreVector(scorer.score_raw(X.values).reshape(X.n_rows), polarity_normalized=True)
-
-
 def _check_batch(scorer, X):
     if not isinstance(X, DataMatrix):
         raise InvalidHyperparameter("X must be a DataMatrix")
@@ -474,7 +509,7 @@ def fit_plan(spec, rows, counts, seed, streams):
     Model b trains on row j of ``rows`` repeated ``counts[b, j]`` times.
     k-NN models share a KnnPlan; the forests of all models grow together
     into one ForestPlan, model b from the key ``split_seed(seed, streams[b])``,
-    so model b equals ``fit`` on its expanded rows with that child seed.
+    so model b equals a one-model plan on its expanded rows with that key.
     """
     forest = spec.kind == "isolation_forest"
     return _fit(spec, rows, counts, [split_seed(seed, s) for s in streams] if forest else None)

@@ -298,10 +298,24 @@ def bootstrap_plan(n, n_bootstraps, seed):
                 refit_stream=0)
 
 
-def _aggregate(values, aggregation, axis=-1):
+def _aggregate(values, aggregation):
+    """Median or mean of each row of ``values``."""
     if aggregation == "median":
-        return np.median(values, axis=axis)
-    return np.mean(values, axis=axis)
+        return _median(values)
+    return np.mean(values, axis=-1)
+
+
+def _median(values):
+    """``np.median`` of each row of finite ``values``, bit for bit, without
+    importing ``numpy.ma``: the middle value of a partition, or (lo + hi) / 2
+    of the two middle values.  Like the ``np.mean`` that ``np.median`` takes
+    of them, the sum starts from +0.0, so a -0.0 median reads +0.0."""
+    n = values.shape[-1]
+    h = n // 2
+    part = np.partition(values, h if n % 2 else [h - 1, h], axis=-1)
+    if n % 2:
+        return 0.0 + part[..., h]
+    return (0.0 + part[..., h - 1] + part[..., h]) / 2.0
 
 
 def _pool(scores, oob, aggregation):
@@ -310,9 +324,9 @@ def _pool(scores, oob, aggregation):
     mean rounds as it does over the entry's scores alone."""
     per_entry = oob.sum(axis=1)
     pooled = np.empty(oob.shape[0], dtype=np.float64)
-    for c in np.unique(per_entry):
+    for c in np.flatnonzero(np.bincount(per_entry)):
         sel = per_entry == c
-        pooled[sel] = _aggregate(scores[sel][oob[sel]].reshape(-1, c), aggregation, axis=1)
+        pooled[sel] = _aggregate(scores[sel][oob[sel]].reshape(-1, c), aggregation)
     return pooled
 
 
@@ -479,8 +493,7 @@ def paired_rank_counts(cm, ts):
     order = np.argsort(inverse, kind="stable")
     bounds = np.concatenate([[0], np.cumsum(np.bincount(inverse))])
     for g, mask in enumerate(groups):
-        paired_t = _aggregate(ts.values[:, np.flatnonzero(mask)],
-                              cm.strategy.aggregation, axis=1)
+        paired_t = _aggregate(ts.values[:, np.flatnonzero(mask)], cm.strategy.aggregation)
         group_scores = np.sort(cm.entry_scores[order[bounds[g]:bounds[g + 1]]])
         size = group_scores.shape[0]
         ge += size - np.searchsorted(group_scores, paired_t, side="left")
@@ -556,4 +569,4 @@ def aggregate_test_scores(cm, ts):
     _check_pairing(cm, ts)
     if cm.mode == "single_model":
         return ts.values.copy()
-    return _aggregate(ts.values, cm.strategy.aggregation, axis=1)
+    return _aggregate(ts.values, cm.strategy.aggregation)

@@ -373,16 +373,18 @@ def test_import_leaves_out_scipy_special(data):
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
     # the mixture martingale is computed without scipy, so a forest stream
-    # imports no scipy module at all
+    # imports no scipy module at all; and no command below loads numpy.ma,
+    # which np.median and np.unique import on first use
+    run_and_list = ("import json, sys; from confanom.cli import main; main(sys.argv[1:]); "
+                    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                    " or m.split('.')[:2] == ['numpy', 'ma'])))")
     config = data / "forest.conf"
     config.write_text("scorer.kind = isolation_forest\nscorer.n_trees = 20\n")
     X = make_rng(9).normal(size=(300, 4))
     X[200:] += 4.0
     write_csv(data / "stream.csv", X)
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import json, sys; from confanom.cli import main; main(sys.argv[1:]); "
-         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))",
+        [sys.executable, "-c", run_and_list,
          "stream", "--train", str(data / "train.csv"), "--config", str(config),
          "--stream", str(data / "stream.csv"), "--seed", "3", "--out", str(data / "traj.csv")],
         env=env, capture_output=True, text=True, check=True)
@@ -396,10 +398,8 @@ def test_import_leaves_out_scipy_special(data):
                  ["experiment", "--name", "strategy_sweep", "--trials", "1", "--seed", "2",
                   "--out", str(data / "sweep")]):
         out = subprocess.run(
-            [sys.executable, "-c",
-             "import json, sys; from confanom.cli import main; main(sys.argv[1:]); "
-             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))",
-             *argv], env=env, capture_output=True, text=True, check=True)
+            [sys.executable, "-c", run_and_list, *argv],
+            env=env, capture_output=True, text=True, check=True)
         assert json.loads(out.stdout.strip().splitlines()[-1]) == [], argv[0]
 
 

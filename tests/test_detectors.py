@@ -1,4 +1,6 @@
+import functools
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -10,8 +12,8 @@ from confanom import detectors
 from confanom.core import (AmbiguousPolarity, DataMatrix, DimensionMismatch,
                            EmptyTrainingSet, InvalidHyperparameter, KTooLarge,
                            make_rng, split_seed)
-from confanom.detectors import (ScorerSpec, average_path_length, fit,
-                                normalize_polarity, score, wrap_detached)
+from confanom.detectors import (ScorerSpec, average_path_length, fit_plan,
+                                normalize_polarity, score_plan, wrap_detached)
 from confanom.pipeline import PipelineConfig, compute_p_values, score_samples
 from confanom.pipeline import fit as fit_pipeline
 from confanom.resampling import cross_validation, jackknife, jackknife_bootstrap, split
@@ -56,12 +58,17 @@ class TestAveragePathLength:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def fit_one(spec, train, seed):
+    """A one-model plan on every row of ``train``."""
+    return fit_plan(spec, train.values, np.ones((1, train.n_rows), dtype=np.uint16), seed, (0,))
+
+
 class TestKnn:
     def test_kth_distance_matches_bruteforce(self):
         train = gaussian_matrix(1, 60, d=3)
         test = gaussian_matrix(2, 15, d=3)
-        scorer = fit(ScorerSpec(kind="knn_distance", k=4), train, seed=0)
-        got = score(scorer, test).scores
+        scorer = fit_one(ScorerSpec(kind="knn_distance", k=4), train, seed=0)
+        got = score_plan(scorer, test)[:, 0]
         diffs = test.values[:, None, :] - train.values[None, :, :]
         dist = np.sqrt((diffs ** 2).sum(axis=2))
         expected = np.sort(dist, axis=1)[:, 3]
@@ -70,9 +77,9 @@ class TestKnn:
     def test_mean_aggregation_matches_bruteforce(self):
         train = gaussian_matrix(3, 40, d=2)
         test = gaussian_matrix(4, 10, d=2)
-        scorer = fit(ScorerSpec(kind="knn_distance", k=5, aggregation="mean"),
-                     train, seed=0)
-        got = score(scorer, test).scores
+        scorer = fit_one(ScorerSpec(kind="knn_distance", k=5, aggregation="mean"),
+                         train, seed=0)
+        got = score_plan(scorer, test)[:, 0]
         diffs = test.values[:, None, :] - train.values[None, :, :]
         dist = np.sqrt((diffs ** 2).sum(axis=2))
         expected = np.sort(dist, axis=1)[:, :5].mean(axis=1)
@@ -81,20 +88,20 @@ class TestKnn:
     def test_training_point_excludes_nothing(self):
         # scoring a training row counts the zero self-distance among the k
         train = gaussian_matrix(5, 30, d=2)
-        scorer = fit(ScorerSpec(kind="knn_distance", k=1), train, seed=0)
-        got = score(scorer, train).scores
+        scorer = fit_one(ScorerSpec(kind="knn_distance", k=1), train, seed=0)
+        got = score_plan(scorer, train)[:, 0]
         assert (got == 0.0).all()
 
     def test_k_too_large(self):
         train = gaussian_matrix(6, 5, d=2)
         with pytest.raises(KTooLarge):
-            fit(ScorerSpec(kind="knn_distance", k=5), train, seed=0)
+            fit_one(ScorerSpec(kind="knn_distance", k=5), train, seed=0)
 
     def test_separates_outliers(self):
         train = gaussian_matrix(7, 200, d=4)
         batch = labeled_batch(8, 50, 10, d=4, shift=4.0)
-        scorer = fit(ScorerSpec(kind="knn_distance", k=5), train, seed=0)
-        s = score(scorer, batch).scores
+        scorer = fit_one(ScorerSpec(kind="knn_distance", k=5), train, seed=0)
+        s = score_plan(scorer, batch)[:, 0]
         assert s[batch.labels == 1].min() > s[batch.labels == 0].mean()
 
 
@@ -103,23 +110,23 @@ class TestIsolationForest:
         train = gaussian_matrix(9, 400, d=4)
         batch = labeled_batch(10, 100, 20, d=4, shift=4.0)
         spec = ScorerSpec(kind="isolation_forest", n_trees=100)
-        scorer = fit(spec, train, seed=11)
-        s = score(scorer, batch).scores
+        scorer = fit_one(spec, train, seed=11)
+        s = score_plan(scorer, batch)[:, 0]
         assert np.median(s[batch.labels == 1]) > np.median(s[batch.labels == 0])
 
     def test_score_range(self):
         train = gaussian_matrix(12, 300, d=3)
         spec = ScorerSpec(kind="isolation_forest", n_trees=50)
-        scorer = fit(spec, train, seed=1)
-        s = score(scorer, train).scores
+        scorer = fit_one(spec, train, seed=1)
+        s = score_plan(scorer, train)[:, 0]
         assert (s > 0.0).all() and (s < 1.0).all()
 
     def test_deterministic_in_seed(self):
         train = gaussian_matrix(13, 120, d=3)
         spec = ScorerSpec(kind="isolation_forest", n_trees=20)
-        a = score(fit(spec, train, seed=5), train).scores
-        b = score(fit(spec, train, seed=5), train).scores
-        c = score(fit(spec, train, seed=6), train).scores
+        a = score_plan(fit_one(spec, train, seed=5), train)[:, 0]
+        b = score_plan(fit_one(spec, train, seed=5), train)[:, 0]
+        c = score_plan(fit_one(spec, train, seed=6), train)[:, 0]
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -131,14 +138,14 @@ class TestIsolationForest:
         shuffled = gaussian_matrix(14, 150, d=3).values[perm]
         spec = ScorerSpec(kind="isolation_forest", n_trees=25)
         test = gaussian_matrix(15, 20, d=3)
-        a = score(fit(spec, train, seed=3), test).scores
-        b = score(fit(spec, DataMatrix(shuffled), seed=3), test).scores
+        a = score_plan(fit_one(spec, train, seed=3), test)[:, 0]
+        b = score_plan(fit_one(spec, DataMatrix(shuffled), seed=3), test)[:, 0]
         np.testing.assert_array_equal(a, b)
 
     def test_subsample_capped_at_n(self):
         train = gaussian_matrix(16, 40, d=2)
         spec = ScorerSpec(kind="isolation_forest", n_trees=10, subsample_size=256)
-        scorer = fit(spec, train, seed=0)
+        scorer = fit_one(spec, train, seed=0)
         assert scorer.psi == 40
 
 
@@ -281,15 +288,64 @@ def test_forest_kernel_matches_tree_walks(case):
     test = DataMatrix(np.vstack([test, np.repeat(on_split[:, None], test.shape[1], axis=1)]))
     expected = reference_scores(plan, test.values)
     mask = np.random.default_rng(seed % 2**32).random(expected.shape) < 0.3
-    for block in (detectors._FOREST_BLOCK, 1):
-        # one cell per chunk puts every cell on a chunk edge
-        with mock.patch.object(detectors, "_FOREST_BLOCK", block):
+    # one cell per chunk puts every cell on a chunk edge, and 1 to 3
+    # threads share the chunks out
+    for block, cpus in [(detectors._FOREST_BLOCK, detectors._cpus()), (1, 1), (1, 2), (1, 3)]:
+        with mock.patch.object(detectors, "_FOREST_BLOCK", block), \
+                mock.patch.object(detectors, "_cpus", lambda: cpus):
             np.testing.assert_array_equal(detectors.score_plan(plan, test), expected)
             np.testing.assert_array_equal(detectors.score_plan(plan, test, mask),
                                           np.where(mask, expected, 0.0))
-    alone = fit(spec, DataMatrix(rows[np.repeat(np.arange(rows.shape[0]), counts[0])]),
-                split_seed(seed, 3))
-    np.testing.assert_array_equal(score(alone, test).scores, expected[:, 0])
+    # model 0 alone, from the same key split_seed(seed, 3)
+    alone = fit_plan(spec, rows[np.repeat(np.arange(rows.shape[0]), counts[0])],
+                     np.ones((1, int(counts[0].sum())), dtype=np.uint16), seed, (3,))
+    np.testing.assert_array_equal(score_plan(alone, test)[:, 0], expected[:, 0])
+
+
+def test_forest_threads_bounded_and_joined():
+    """No more threads than min(CPUs, chunks) start; a chunk's error reaches
+    the caller after every thread has been joined."""
+    plan, _ = fit_forest_plan(ScorerSpec(kind="isolation_forest", n_trees=4, subsample_size=8),
+                              gaussian_matrix(0, 20, d=2).values,
+                              np.ones((2, 20), dtype=np.uint16), 5)
+    test = gaussian_matrix(1, 6, d=2)
+    expected = reference_scores(plan, test.values)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    score_chunks = detectors.ForestPlan._score_chunks
+
+    def failing(self, *args, bad):
+        *head, starts, out = args
+
+        def chunks():
+            for lo in starts:
+                if lo == bad:
+                    raise ValueError(f"chunk {lo}")
+                yield lo
+        return score_chunks(self, *head, chunks(), out)
+
+    before = threading.active_count()
+    # with block 4, each chunk is one cell of 4 trees: 12 chunks
+    for block, cpus, threads in [(4, 1, 0), (4, 2, 1), (4, 3, 2), (4, 64, 11), (1 << 15, 3, 0)]:
+        with mock.patch.object(detectors, "_FOREST_BLOCK", block), \
+                mock.patch.object(detectors, "_cpus", lambda: cpus), \
+                mock.patch.object(detectors.threading, "Thread", Counted):
+            started.clear()
+            np.testing.assert_array_equal(detectors.score_plan(plan, test), expected)
+            assert len(started) == threads
+            # chunk 0 runs in the caller, chunk 1 on the first thread if any
+            for bad in (0, 1, 11) if block == 4 else (0,):
+                with mock.patch.object(detectors.ForestPlan, "_score_chunks",
+                                       functools.partialmethod(failing, bad=bad)):
+                    with pytest.raises(ValueError, match=f"chunk {bad}"):
+                        detectors.score_plan(plan, test)
+                assert threading.active_count() == before
+                assert not any(t.is_alive() for t in started)
 
 
 @settings(max_examples=15)
@@ -314,18 +370,18 @@ def test_forest_snapshot_p_values_equal_fresh_fit(case, strategy):
 class TestFitValidation:
     def test_needs_two_rows(self):
         with pytest.raises(EmptyTrainingSet):
-            fit(ScorerSpec(kind="knn_distance", k=1), gaussian_matrix(0, 1), seed=0)
+            fit_one(ScorerSpec(kind="knn_distance", k=1), gaussian_matrix(0, 1), seed=0)
 
     def test_external_not_fittable(self):
         spec = ScorerSpec(kind="external", polarity="higher_is_anomalous")
         with pytest.raises(InvalidHyperparameter):
-            fit(spec, gaussian_matrix(0, 10), seed=0)
+            fit_one(spec, gaussian_matrix(0, 10), seed=0)
 
     def test_feature_count_checked_at_score_time(self):
-        scorer = fit(ScorerSpec(kind="knn_distance", k=2),
-                     gaussian_matrix(1, 10, d=3), seed=0)
+        scorer = fit_one(ScorerSpec(kind="knn_distance", k=2),
+                         gaussian_matrix(1, 10, d=3), seed=0)
         with pytest.raises(DimensionMismatch):
-            score(scorer, gaussian_matrix(2, 5, d=2))
+            score_plan(scorer, gaussian_matrix(2, 5, d=2))
 
 
 class TestPolarity:
@@ -348,13 +404,13 @@ class TestWrapDetached:
     def test_wraps_and_scores(self):
         scorer = wrap_detached(lambda X: X[:, 0], "higher_is_anomalous")
         batch = gaussian_matrix(17, 8, d=2)
-        np.testing.assert_array_equal(score(scorer, batch).scores,
+        np.testing.assert_array_equal(score_plan(scorer, batch)[:, 0],
                                       batch.values[:, 0])
 
     def test_lower_polarity_negates(self):
         scorer = wrap_detached(lambda X: X[:, 0], "lower_is_anomalous")
         batch = gaussian_matrix(18, 8, d=2)
-        np.testing.assert_array_equal(score(scorer, batch).scores,
+        np.testing.assert_array_equal(score_plan(scorer, batch)[:, 0],
                                       -batch.values[:, 0])
 
     def test_auto_refused(self):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from confanom import detectors, resampling
-from confanom.core import DataMatrix, split_seed
+from confanom.core import DataMatrix
 from confanom.detectors import ScorerSpec
 from confanom.resampling import paired_rank_counts
 from confanom.resampling import test_score_matrix as score_matrix
@@ -192,10 +192,11 @@ def test_forest_plan_fits_each_model_on_its_rows():
     models = detectors.fit_plan(spec, data.values, plan.train_counts, 3, plan.streams)
     index = np.arange(40)
     for b, counts in enumerate(plan.train_counts):
-        alone = detectors.fit(spec, DataMatrix(data.values[np.repeat(index, counts)]),
-                              split_seed(3, plan.streams[b]))
+        alone = detectors.fit_plan(spec, data.values[np.repeat(index, counts)],
+                                   np.ones((1, int(counts.sum())), dtype=np.uint16), 3,
+                                   (plan.streams[b],))
         np.testing.assert_array_equal(detectors.score_plan(models, test)[:, b],
-                                      detectors.score(alone, test).scores)
+                                      detectors.score_plan(alone, test)[:, 0])
 
 
 @st.composite

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from confanom import resampling
 
 from confanom.core import (CalibrationTooLarge, DataMatrix,
                            DimensionMismatch, InvalidHyperparameter,
@@ -236,3 +239,19 @@ class TestRowOrderInvariance:
         fit_rows = shuffled.values[list(cm.model_train_indices[0])]
         for row in cm.cal_rows:
             assert not (fit_rows == row).all(axis=1).any()
+
+
+MEDIAN_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([0.0, -0.0, 1.0, 1e308, -1e308, 5e-324, 0.5]))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 4).flatmap(lambda rows: st.integers(1, 9).flatmap(
+    lambda n: st.lists(MEDIAN_VALUES, min_size=rows * n, max_size=rows * n).map(
+        lambda v: np.array(v, dtype=np.float64).reshape(rows, n)))))
+def test_median_matches_numpy(values):
+    # odd and even counts, ties, signed zeros and sums that overflow
+    with np.errstate(over="ignore"):
+        got = resampling._median(values)
+        expected = np.median(values, axis=1)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
