@@ -561,9 +561,11 @@ def cmd_experiment(args):
 
 def cmd_snapshot(args):
     if args.inspect:
-        fitted = snapshot.snapshot_load(args.inspect)
+        fitted, array_bytes = snapshot.snapshot_inspect(args.inspect)
         config = fitted.config
         _print_json({
+            "bytes": os.path.getsize(args.inspect),
+            "array_bytes": array_bytes,
             "scorer": config.scorer.kind,
             "strategy": config.strategy.kind,
             "estimation": config.estimation.regime,

@@ -120,6 +120,10 @@ class ScorerSpec:
                 raise InvalidHyperparameter(
                     f"unknown knn aggregation {self.aggregation!r}")
 
+    def depth_caps(self, psi):
+        """The forest depth cap of each subsample size in ``psi``."""
+        return np.array([self.max_depth or math.ceil(math.log2(m)) for m in psi])
+
 
 def average_path_length(m):
     """c(m) of the isolation-forest score: expected path length of an
@@ -138,9 +142,9 @@ def _grow(rows, keys, tree, cap, active, psi):
     Every open node takes its per-feature range over its contiguous rows,
     draws a feature that varies there and a threshold uniform in its range
     from the first two words of counter block ``(node, 0)``, and splits its
-    rows stably, rows below the threshold to the left.  Nodes are numbered
-    in level order within their tree: a node's children are ``left`` and
-    ``left + 1``.
+    rows stably, rows below the threshold to the left.  Nodes are numbered in
+    level order within their tree, so its r-th inner node has children 2r + 1
+    and 2r + 2.  Features come per node, thresholds per inner node, sizes per leaf.
     """
     n_trees, width = psi.shape[0], rows.shape[1]
     seg_tree, seg_node, seg_len = np.arange(n_trees), np.zeros(n_trees, np.int64), psi
@@ -185,13 +189,12 @@ def _grow(rows, keys, tree, cap, active, psi):
         seg_tree, seg_node = np.repeat(seg_tree, 2)[grows], (left[:, None] + [0, 1]).ravel()[grows]
         seg_len = child_len[grows]
     offsets, n_nodes = np.cumsum(next_id) - next_id, int(next_id.sum())
-    feature, threshold = np.full(n_nodes, -1, np.int32), np.zeros(n_nodes)
-    left, size = np.full(n_nodes, -1, np.int32), np.empty(n_nodes, np.int32)
+    feature, size = np.full(n_nodes, -1, np.int32), np.empty(n_nodes, np.int32)
     tr, node, q, split_at, child, child_len = map(np.concatenate, zip(*splits))
     at = offsets[tr] + node
-    feature[at], threshold[at], left[at], size[offsets] = q, split_at, child, psi
+    feature[at], size[offsets] = q, psi
     size[((offsets[tr] + child)[:, None] + [0, 1]).ravel()] = child_len
-    return feature, threshold, left, size, next_id
+    return feature, split_at[np.argsort(at)], size[feature < 0], next_id
 
 
 def _fit_forests(spec, rows, counts, keys):
@@ -202,7 +205,7 @@ def _fit_forests(spec, rows, counts, keys):
     n_trees, n_features = int(spec.n_trees), rows.shape[1]
     sizes = counts.sum(axis=1, dtype=np.int64)
     psi = np.minimum(int(spec.subsample_size), sizes)
-    cap = np.array([spec.max_depth or math.ceil(math.log2(m)) for m in psi])
+    cap = spec.depth_caps(psi)
     # sorting rows by content makes the forest independent of row order
     order = np.lexsort(rows.T[::-1])
     keys = np.asarray(keys, dtype=np.uint64)
@@ -220,8 +223,8 @@ def _fit_forests(spec, rows, counts, keys):
         key, m_size, m_psi = keys[models][model], sizes[models][model], psi[models][model]
         sub = expanded[np.repeat(base[model], m_psi) + philox_choice(key, tree, m_size, m_psi, 1)]
         parts.append(_grow(rows, key, tree, cap[models][model], sub, m_psi))
-    feature, threshold, left, size, n_nodes = map(np.concatenate, zip(*parts))
-    return ForestPlan(spec, feature, threshold, left, size,
+    feature, threshold, leaf_size, n_nodes = map(np.concatenate, zip(*parts))
+    return ForestPlan(spec, feature, threshold, leaf_size,
                       np.concatenate([[0], np.cumsum(n_nodes)]), psi, n_features)
 
 
@@ -230,13 +233,15 @@ class ForestPlan:
 
     Model b scores a point 2**(-E[h(x)] / c(psi_b)), with h the path length,
     psi_b the model's subsample size and c the average path length, so
-    scores lie in (0, 1].  Node fields are concatenated model by model and
-    tree by tree, as the snapshot stores them, with children local to their
-    tree: tree t of model b starts at node ``offsets[b * n_trees + t]``.
-    Scoring moves a (trees x cells) matrix of current nodes one level per
-    step through tables in which leaves loop to themselves and each node
-    carries its depth plus c(size); a (row, model) cell adds its trees'
-    path lengths in tree order, as one walk per tree would, bit for bit.
+    scores lie in (0, 1].  Trees are stored by level-order shape, model by
+    model and tree by tree, as in the snapshot: ``feature`` per node (-1 for
+    a leaf), ``threshold`` per inner node, ``leaf_size`` per leaf.  Tree t of
+    model b starts at node ``offsets[b * n_trees + t]``; its r-th inner node
+    has its nodes 2r + 1 and 2r + 2 as children.  Scoring moves a (trees x
+    cells) matrix of current nodes one level per step through tables in
+    which leaves loop to themselves and a leaf carries its depth plus
+    c(size); a (row, model) cell adds its trees' path lengths in tree
+    order, as one walk per tree would, bit for bit.
     Cells are scored in chunks of ``_FOREST_BLOCK`` // n_trees, and thread
     i of n = min(CPUs in ``os.sched_getaffinity``, chunks) takes chunks i,
     i + n, ...; the caller is thread 0, no thread is started when n is 1
@@ -246,26 +251,27 @@ class ForestPlan:
 
     kind = "isolation_forest"
 
-    def __init__(self, spec, feature, threshold, left, size, offsets, psi, n_features):
+    def __init__(self, spec, feature, threshold, leaf_size, offsets, psi, n_features):
         self.spec = spec
-        for name, value, dtype in (("feature", feature, np.int32), ("left", left, np.int32),
-                                   ("threshold", threshold, np.float64), ("size", size, np.int32),
-                                   ("offsets", offsets, np.int64), ("psi", psi, np.int64)):
+        for name, value, dtype in (("feature", feature, np.int32), ("offsets", offsets, np.int64),
+                                   ("threshold", threshold, np.float64), ("psi", psi, np.int64),
+                                   ("leaf_size", leaf_size, np.int32)):
             setattr(self, name, _readonly(np.asarray(value, dtype=dtype)))
         self.n_trees, self.n_models = int(spec.n_trees), self.psi.shape[0]
         self.n_features = int(n_features)
         self._c_psi = np.array([average_path_length(m) for m in self.psi])
         c_table = np.array([average_path_length(m) for m in range(int(self.psi.max()) + 1)])
         inner = self.feature >= 0
-        tree = np.repeat(np.arange(self.offsets.shape[0] - 1), np.diff(self.offsets))
+        start = np.repeat(self.offsets[:-1], np.diff(self.offsets))
         index = np.arange(self.feature.shape[0])
-        # kernel tables: node -> left + (x[feature] >= threshold), with
+        # kernel tables: node -> left child + (x[feature] >= threshold), with
         # leaves sent back to themselves by an infinite threshold
-        self._next = np.where(inner, self.left + self.offsets[tree], index)
+        rank = np.cumsum(inner) - inner  # inner nodes before each node
+        self._next = np.where(inner, start + 2 * (rank - rank[start]) + 1, index)
+        self._threshold = np.append(self.threshold, np.inf)[np.where(inner, rank, -1)]
         # intp, so that the per-level index add needs no cast; with int32
         # tables, threads sharing the kernel gained nothing
         self._feature = np.where(inner, self.feature, 0).astype(np.intp)
-        self._threshold = np.where(inner, self.threshold, np.inf)
         # level pass from the roots; it ends because every child sits
         # after its parent
         depth, level, self._levels = np.zeros(index.shape[0], dtype=np.int64), self.offsets[:-1], 0
@@ -273,7 +279,8 @@ class ForestPlan:
             self._levels += 1
             level = np.concatenate([self._next[level], self._next[level] + 1])
             depth[level] = self._levels
-        self._path = depth + c_table[self.size]
+        self._path = depth.astype(np.float64)  # walks end on leaves: inner ones are not read
+        self._path[~inner] += c_table[self.leaf_size]
 
     def score_raw(self, X, mask=None):
         """(rows, models) scores; with ``mask``, only its cells, the rest 0."""

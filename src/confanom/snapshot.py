@@ -7,17 +7,17 @@ and a trailing SHA-256 over everything before it.  Loads verify magic,
 version, and digest before touching any content, so a truncated or
 corrupted file is refused whole rather than half-loaded.
 
-Format version 4 stores a calibration as its plan: the training rows once
+Format version 5 stores a calibration as its plan: the training rows once
 (``calibration/rows``), each retained model as a row of
-``calibration/train_counts`` (uint16, models x rows), each entry's row
-index (``calibration/entry_rows``) and score, and the entry-to-model
+``calibration/train_counts`` (models x rows; uint8 if all are below 256,
+else uint16), each entry's row index and score, and the entry-to-model
 pairing as a bit-packed mask (``calibration/oob_bits``).  Isolation
-forests add the node fields of all their trees, model by model and tree by
-tree, as four concatenated arrays (``trees/feature`` and so on) cut into
-trees by ``trees/offsets``; an inner node's children are ``left`` and
-``left + 1``.  The digest only detects damage:
-anyone can recompute it, so every array is checked for shape, range and
-tree topology before anything is built from it.
+forests add their trees, model by model and tree by tree, by level-order
+shape: ``trees/feature`` per node (-1 for a leaf), ``trees/threshold`` per
+inner node and ``trees/leaf_size`` per leaf, cut by ``trees/offsets``; a
+tree's r-th inner node has children 2r + 1 and 2r + 2.  The digest only
+detects damage: anyone can recompute it, so every array is checked for
+shape, range, tree shape and depth before anything is built from it.
 
 Only built-in detectors can be saved: an external scorer is an opaque
 callable and an oracle weighting carries a user function, neither of
@@ -40,10 +40,9 @@ from .pipeline import FittedPipeline, PipelineConfig
 from .resampling import CalibrationModel, StrategySpec
 
 MAGIC = b"CANOMSNP"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _DIGEST_BYTES = 32
-_TREE_ARRAYS = (("feature", "<i4"), ("threshold", "<f8"), ("left", "<i4"),
-                ("size", "<i4"))
+_TREE_ARRAYS = (("feature", "<i4"), ("threshold", "<f8"), ("leaf_size", "<i4"))
 
 
 def _spec_dict(spec):
@@ -86,7 +85,8 @@ def snapshot_save(fp: FittedPipeline, path):
     store.add("calibration/entry_rows", cm.entry_rows)
     store.add("calibration/oob_bits", np.packbits(cm.oob, axis=1))
     store.add("calibration/rows", cm.rows)
-    store.add("calibration/train_counts", cm.train_counts)
+    counts = cm.train_counts
+    store.add("calibration/train_counts", counts.astype("<u1") if counts.max() < 256 else counts)
     if isinstance(cm.scorer, ForestPlan):
         for field, dtype in _TREE_ARRAYS + (("offsets", "<i8"),):
             store.add(f"trees/{field}", getattr(cm.scorer, field).astype(dtype))
@@ -153,7 +153,7 @@ class _Arrays:
 
     def get(self, name, dtype, ndim):
         array = self.arrays.get(name)
-        if array is None or array.dtype != np.dtype(dtype) or array.ndim != ndim:
+        if array is None or array.dtype.str not in dtype.split() or array.ndim != ndim:
             raise SnapshotError(f"snapshot array {name!r} is missing or malformed")
         return array
 
@@ -164,42 +164,46 @@ def _expect(ok, what):
 
 
 def _load_forests(arrays, spec, sizes, n_features):
-    """Rebuild the forest plan after checking that the
-    offsets cut the node arrays into non-empty trees and that each tree is
-    one: an inner node's children ``left`` and ``left + 1`` sit after it
-    and inside its tree, every node but the root is the child of exactly
-    one node, features index real columns, and subtree sizes index the
-    model's c(m) table.  The tree count and each subsample size follow from
-    the spec and the model's counts, as they do when fitting."""
-    n_trees = int(spec.n_trees)
-    psi = np.minimum(int(spec.subsample_size), sizes)
-    fields = [arrays.get(f"trees/{field}", dtype, 1) for field, dtype in _TREE_ARRAYS]
+    """Rebuild the forest plan after checking that the offsets cut the node
+    array into trees of 1 + 2r nodes, r inner, the r-th at a position of at
+    most 2r: every other node then has one parent before it, the inner node
+    with children 2r + 1 and 2r + 2.  Features index real columns, thresholds
+    are finite, leaf sizes index the model's c(m) table and no tree is deeper
+    than its model's cap.  Tree count and subsample sizes follow from the spec."""
+    n_trees, psi = int(spec.n_trees), np.minimum(int(spec.subsample_size), sizes)
+    feature, threshold, leaf_size = (arrays.get(f"trees/{f}", d, 1) for f, d in _TREE_ARRAYS)
     offsets = arrays.get("trees/offsets", "<i8", 1)
-    n_nodes = fields[0].shape[0]
+    n_nodes, root, stop = feature.shape[0], offsets[:-1], offsets[1:]
     _expect(offsets.shape == (sizes.shape[0] * n_trees + 1,) and offsets[0] == 0
-            and offsets[-1] == n_nodes and (offsets[1:] > offsets[:-1]).all()
-            and all(a.shape == (n_nodes,) for a in fields),
+            and offsets[-1] == n_nodes and (stop > root).all(),
             "tree offsets do not cut the node arrays into trees")
-    feature, threshold, left, size = fields
-    tree = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
-    node, end = np.arange(n_nodes) - offsets[tree], offsets[tree + 1] - offsets[tree]
     inner = feature >= 0
-    ok = ((feature < n_features) & np.isfinite(threshold)
-          & (size >= 0) & (size <= psi[tree // n_trees])
-          & ~(inner & ((left <= node) | (left >= end - 1))))
-    if ok.all():
-        child = (left + offsets[tree])[inner]
-        parents = np.bincount(np.concatenate([child, child + 1]), minlength=n_nodes)
-        ok = parents == (node > 0)
-    t = int(tree[np.argmin(ok)])  # the first failing tree, if any
-    _expect(ok.all(), f"tree {t % n_trees} of model {t // n_trees} is not a valid isolation tree")
-    return ForestPlan(spec, *fields, offsets, psi, n_features)
+    before = np.concatenate([[0], np.cumsum(inner)])  # inner nodes before each position
+    _expect(threshold.shape == (before[-1],) and leaf_size.shape == (n_nodes - before[-1],),
+            "thresholds or leaf sizes disagree with the inner and leaf counts")
+    tree = np.repeat(np.arange(root.shape[0]), np.diff(offsets))
+    ok = (feature >= -1) & (feature < n_features)
+    ok &= ~inner | (np.arange(n_nodes) - root[tree] <= 2 * (before[:-1] - before[root][tree]))
+    ok[inner] &= np.isfinite(threshold)
+    ok[~inner] &= (leaf_size >= 0) & (leaf_size <= psi[tree[~inner] // n_trees])
+    good = stop - root == 1 + 2 * (before[stop] - before[root])
+    good[tree[~ok]] = False
+    t = int(np.argmin(good))  # the first failing tree, if any
+    _expect(good.all(), f"tree {t % n_trees} of model {t // n_trees} is not a valid isolation tree")
+    # levels 0 to k of a tree end where the children of their inner nodes end
+    cap, end, level = np.repeat(spec.depth_caps(psi), n_trees), root + 1, 0
+    while level < cap.max() and (end < stop).any():
+        level += 1
+        end = np.where(level <= cap, root + 1 + 2 * (before[end] - before[root]), end)
+    t = int(np.argmax(end < stop))
+    _expect(end[t] == stop[t], f"tree {t % n_trees} of model {t // n_trees} is deeper than its cap")
+    return ForestPlan(spec, feature, threshold, leaf_size, offsets, psi, n_features)
 
 
 def _load_calibration(cal, arrays, spec):
     """Cross-check the plan arrays, then build the calibration model."""
     rows = arrays.get("calibration/rows", "<f8", 2)
-    counts = arrays.get("calibration/train_counts", "<u2", 2)
+    counts = arrays.get("calibration/train_counts", "|u1 <u2", 2).astype(np.uint16)
     entry_scores = arrays.get("calibration/entry_scores", "<f8", 1)
     entry_rows = arrays.get("calibration/entry_rows", "<i8", 1)
     bits = arrays.get("calibration/oob_bits", "|u1", 2)
@@ -242,6 +246,11 @@ def snapshot_load(path) -> FittedPipeline:
     Everything after the digest is untrusted: a malformed header or array
     raises SnapshotError, never a foreign exception or a hang.
     """
+    return snapshot_inspect(path)[0]
+
+
+def snapshot_inspect(path):
+    """``snapshot_load``'s pipeline and the payload bytes of each array by name."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < len(MAGIC) + 4 + 8 + _DIGEST_BYTES:
@@ -283,6 +292,7 @@ def snapshot_load(path) -> FittedPipeline:
     except SnapshotError:
         raise
     except (ConfanomError, KeyError, TypeError, ValueError, IndexError,
-            AttributeError, RecursionError) as exc:
+            AttributeError, OverflowError, RecursionError) as exc:
         raise SnapshotError(f"malformed snapshot: {exc}") from None
-    return FittedPipeline(config=config, calibration=cm, table=table)
+    return (FittedPipeline(config=config, calibration=cm, table=table),
+            {name: a.nbytes for name, a in arrays.arrays.items()})

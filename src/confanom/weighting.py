@@ -25,6 +25,7 @@ from .core import (
     _readonly,
     check_finite,
 )
+from .resampling import _median
 
 WEIGHT_KINDS = ("logistic", "oracle", "uniform")
 
@@ -168,7 +169,7 @@ def fit_weight_estimator(cal_X, test_X, kind="logistic", seed=None,
             raise InvalidHyperparameter("oracle weighting requires a ratio_function")
     raw_cal = _raw_ratios(kind, cal, mu, sd, coef, intercept, ratio_function,
                           cal.shape[0], test.shape[0])
-    cap_value = float("inf") if cap_factor is None else float(cap_factor * np.median(raw_cal))
+    cap_value = float("inf") if cap_factor is None else float(cap_factor * _median(raw_cal))
     return WeightModel(kind=kind, n_cal=cal.shape[0], n_test=test.shape[0],
                        cap_factor=None if cap_factor is None else float(cap_factor),
                        cap_value=cap_value, mu=mu, sd=sd, coef=coef,

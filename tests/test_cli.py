@@ -245,6 +245,30 @@ class TestSnapshot:
         assert info["table"] is None
         assert info["n_entries"] >= 1
 
+    @pytest.mark.parametrize("config, trees", [
+        ("scorer.kind = isolation_forest\nscorer.n_trees = 20\n", True),
+        ("strategy.kind = jackknife_bootstrap\nstrategy.n_bootstraps = 12\n"
+         "strategy.mode = plus\n", False)], ids=["forest", "jab_plus"])
+    def test_inspect_reports_bytes(self, data, capsys, config, trees):
+        (data / "model.conf").write_text(config)
+        snap = data / "model.snap"
+        code, _, _ = run_cli(capsys, "snapshot", "--train", str(data / "train.csv"),
+                             "--config", str(data / "model.conf"), "--seed", "4",
+                             "--out", str(snap))
+        assert code == 0
+        code, stdout, _ = run_cli(capsys, "snapshot", "--inspect", str(snap))
+        assert code == 0
+        info = json.loads(stdout)
+        assert info["bytes"] == snap.stat().st_size
+        names = list(info["array_bytes"])
+        assert names == sorted(names)
+        assert ("trees/leaf_size" in names) == trees and "trees/left" not in names
+        # the header, the fixed fields and the digest take the rest
+        assert 0 < sum(info["array_bytes"].values()) < info["bytes"]
+        # one byte per model and row: every count is below 256
+        assert info["array_bytes"]["calibration/train_counts"] == info["n_models"] * 200
+        assert run_cli(capsys, "snapshot", "--inspect", str(snap))[1] == stdout
+
     def test_save_requires_out(self, data, capsys):
         with pytest.raises(SystemExit):
             main(["snapshot", "--train", str(data / "train.csv")])

@@ -165,11 +165,31 @@ def path_lengths(feature, threshold, left, size, X, c_table):
     return depth + c_table[size[node]]
 
 
+def level_order_tree(feature, threshold, leaf_size):
+    """Per-node feature, threshold, left child and size of one tree stored
+    by its level-order shape.  Numbering nodes level by level, each inner
+    node in turn takes the next two ids for its children, and takes the
+    next threshold; each leaf takes the next leaf size."""
+    n = feature.shape[0]
+    split, left, size = np.full(n, np.nan), np.full(n, -1), np.full(n, -1)
+    next_id, n_inner = 1, 0
+    for node in range(n):
+        if feature[node] >= 0:
+            split[node], left[node] = threshold[n_inner], next_id
+            next_id, n_inner = next_id + 2, n_inner + 1
+        else:
+            size[node] = leaf_size[node - n_inner]
+    assert next_id == n and n_inner == threshold.shape[0]
+    return feature, split, left, size
+
+
 def trees_of(plan, b):
-    """The node arrays of each tree of model b, in tree order."""
+    """Each tree of model b, in tree order, as per-node arrays."""
     cuts = plan.offsets[b * plan.n_trees:(b + 1) * plan.n_trees + 1]
+    inner = np.concatenate([[0], np.cumsum(plan.feature >= 0)])
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        yield tuple(a[lo:hi] for a in (plan.feature, plan.threshold, plan.left, plan.size))
+        yield level_order_tree(plan.feature[lo:hi], plan.threshold[inner[lo]:inner[hi]],
+                               plan.leaf_size[lo - inner[lo]:hi - inner[hi]])
 
 
 def reference_scores(plan, X):
@@ -199,20 +219,20 @@ def reference_subsample(rows, counts, key, t, psi):
 
 
 def check_tree_law(tree, rows, key, t, cap):
-    """Route the subsample through the tree and check every node: its size
-    counts its rows; an inner node splits below the cap on a feature that
-    varies on its rows, at a threshold in that feature's range, both drawn
-    from counter block ``node``; a leaf sits at the cap, on one row or on
-    equal rows."""
+    """Route the subsample through the tree and check every node: an inner
+    node splits below the cap on a feature that varies on its rows, at a
+    threshold in that feature's range, both drawn from counter block
+    ``node``; a leaf's size counts its rows, and it sits at the cap, on one
+    row or on equal rows."""
     feature, threshold, left, size = tree
     todo = [(0, rows, 0)]
     seen = 0
     while todo:
         node, sub, depth = todo.pop()
         seen += 1
-        assert size[node] == sub.shape[0]
         varied = np.flatnonzero(sub.max(axis=0) > sub.min(axis=0)) if sub.size else []
         if feature[node] < 0:
+            assert size[node] == sub.shape[0]
             assert depth >= cap or sub.shape[0] <= 1 or len(varied) == 0
             continue
         assert depth < cap and sub.shape[0] >= 2
@@ -224,7 +244,6 @@ def check_tree_law(tree, rows, key, t, cap):
         assert threshold[node] == np.clip(lo * (1.0 - u[1]) + hi * u[1], lo, hi)
         below = sub[:, q] < threshold[node]
         assert left[node] > node
-        assert size[left[node]] + size[left[node] + 1] == size[node]
         todo += [(left[node], sub[below], depth + 1), (left[node] + 1, sub[~below], depth + 1)]
     assert seen == feature.shape[0]
 
@@ -274,7 +293,7 @@ def test_forest_plan_follows_tree_law(case):
     for block in (1, 7):
         with mock.patch.object(detectors, "_FIT_BLOCK", block):
             chunked, _ = fit_forest_plan(spec, rows, counts, seed)
-        for field in ("feature", "threshold", "left", "size", "offsets"):
+        for field in ("feature", "threshold", "leaf_size", "offsets"):
             np.testing.assert_array_equal(getattr(chunked, field), getattr(plan, field))
 
 
@@ -284,7 +303,7 @@ def test_forest_kernel_matches_tree_walks(case):
     spec, rows, counts, test, seed = case
     plan, _ = fit_forest_plan(spec, rows, counts, seed)
     # rows that sit exactly on split thresholds go right
-    on_split = plan.threshold[plan.feature >= 0][:40]
+    on_split = plan.threshold[:40]
     test = DataMatrix(np.vstack([test, np.repeat(on_split[:, None], test.shape[1], axis=1)]))
     expected = reference_scores(plan, test.values)
     mask = np.random.default_rng(seed % 2**32).random(expected.shape) < 0.3
@@ -348,10 +367,12 @@ def test_forest_threads_bounded_and_joined():
                 assert not any(t.is_alive() for t in started)
 
 
-@settings(max_examples=15)
-@given(forest_plans(), st.sampled_from([split(0.5), cross_validation(3), jackknife(),
-                                        jackknife_bootstrap(4)]))
+@settings(max_examples=20)
+@given(forest_plans(max_trees=12), st.sampled_from([split(0.5), cross_validation(3),
+                                                    jackknife(), jackknife_bootstrap(4)]))
 def test_forest_snapshot_p_values_equal_fresh_fit(case, strategy):
+    """A saved forest plan, stored by tree shape, loads with the same node
+    arrays and gives every model's score, and every p-value, bit for bit."""
     spec, rows, _, test, seed = case
     if rows.shape[0] < 6:
         rows = np.vstack([rows, rows + 1.0, rows + 2.0])
@@ -361,6 +382,11 @@ def test_forest_snapshot_p_values_equal_fresh_fit(case, strategy):
         snapshot_save(fitted, Path(tmp) / "forest.snap")
         loaded = snapshot_load(Path(tmp) / "forest.snap")
     test = DataMatrix(test)
+    plan, reloaded = fitted.calibration.scorer, loaded.calibration.scorer
+    for field in ("feature", "threshold", "leaf_size", "offsets", "psi"):
+        np.testing.assert_array_equal(getattr(reloaded, field), getattr(plan, field))
+    np.testing.assert_array_equal(score_plan(reloaded, test).view(np.uint64),
+                                  score_plan(plan, test).view(np.uint64))
     np.testing.assert_array_equal(compute_p_values(loaded, test).values,
                                   compute_p_values(fitted, test).values)
     np.testing.assert_array_equal(score_samples(loaded, test).scores,

@@ -1,11 +1,13 @@
+import dataclasses
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
 
 from confanom.core import ConfanomError, SnapshotError
-from confanom.detectors import ScorerSpec
+from confanom.detectors import KnnPlan, ScorerSpec
 from confanom.estimation import EstimationSpec
 from confanom.pipeline import (PipelineConfig, compute_p_values, fit,
                                fit_detached, score_samples, stream_p_values)
@@ -202,6 +204,44 @@ def write_snapshot(path, header, arrays):
     return path
 
 
+def replace_tree(arrays, t, feature, threshold, leaf_size):
+    """The arrays of a forest snapshot with tree t replaced by the tree of
+    the given shape."""
+    offsets, old = arrays["trees/offsets"], arrays["trees/feature"]
+    lo, hi = offsets[t], offsets[t + 1]
+    inner = np.concatenate([[0], np.cumsum(old >= 0)])
+
+    def splice(a, i, j, part):
+        return np.concatenate([a[:i], np.asarray(part, dtype=a.dtype), a[j:]])
+
+    return {**arrays,
+            "trees/feature": splice(old, lo, hi, feature),
+            "trees/threshold": splice(arrays["trees/threshold"], inner[lo], inner[hi], threshold),
+            "trees/leaf_size": splice(arrays["trees/leaf_size"], lo - inner[lo], hi - inner[hi],
+                                      leaf_size),
+            "trees/offsets": splice(offsets, t + 1, offsets.size,
+                                    offsets[t + 1:] + len(feature) - (hi - lo))}
+
+
+def v4_arrays(arrays):
+    """A forest's arrays as format version 4 stored them: per node its
+    feature, threshold, left child (-1 for a leaf) and subtree size."""
+    offsets, feature = arrays["trees/offsets"], arrays["trees/feature"]
+    inner = feature >= 0
+    rank = np.cumsum(inner) - inner
+    left, threshold = np.full(feature.size, -1), np.zeros(feature.size)
+    size = np.zeros(feature.size, dtype="<i4")
+    threshold[inner], size[~inner] = arrays["trees/threshold"], arrays["trees/leaf_size"]
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        for node in range(hi - 1, lo - 1, -1):
+            if inner[node]:
+                left[node] = 2 * (rank[node] - rank[lo]) + 1
+                size[node] = size[lo + left[node]] + size[lo + left[node] + 1]
+    v4 = {name: a for name, a in arrays.items() if not name.startswith("trees/")}
+    return {**v4, "trees/feature": feature, "trees/threshold": threshold,
+            "trees/left": left.astype("<i4"), "trees/size": size, "trees/offsets": offsets}
+
+
 class TestUntrustedContent:
     """The digest proves nothing about intent: crafted files with a valid
     digest are refused before anything is built from them."""
@@ -223,7 +263,7 @@ class TestUntrustedContent:
         blob[8:12] = (1).to_bytes(4, "little")
         (tmp_path / "v1.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 1 is not supported "
-                                                r"\(this build reads version 4\)"):
+                                                r"\(this build reads version 5\)"):
             snapshot_load(tmp_path / "v1.snap")
 
     def test_v2_refused_by_name(self, tmp_path, forest):
@@ -232,57 +272,136 @@ class TestUntrustedContent:
         blob[8:12] = (2).to_bytes(4, "little")
         (tmp_path / "v2.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 2 is not supported "
-                                                r"\(this build reads version 4\)"):
+                                                r"\(this build reads version 5\)"):
             snapshot_load(tmp_path / "v2.snap")
 
     def test_v3_refused_by_name(self, tmp_path, forest):
-        # version 3 stored a trees/right array, always left + 1
+        # version 3 also stored a trees/right array, always left + 1
         header, arrays = forest
-        left = arrays["trees/left"]
-        v3 = {**arrays, "trees/right": np.where(left >= 0, left + 1, -1).astype("<i4")}
+        v3 = v4_arrays(arrays)
+        v3["trees/right"] = np.where(v3["trees/left"] >= 0, v3["trees/left"] + 1, -1)
         blob = bytearray(write_snapshot(tmp_path / "v3.snap", header, v3).read_bytes())
         blob[8:12] = (3).to_bytes(4, "little")
         (tmp_path / "v3.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 3 is not supported "
-                                                r"\(this build reads version 4\)"):
+                                                r"\(this build reads version 5\)"):
             snapshot_load(tmp_path / "v3.snap")
 
-    def test_child_pointing_at_root_refused(self, tmp_path, forest):
-        # a walk would cycle through the root forever
+    def test_v4_refused_by_name(self, tmp_path, forest):
+        # version 4 stored every node's left child, threshold and size
+        blob = bytearray(write_snapshot(tmp_path / "v4.snap", forest[0],
+                                        v4_arrays(forest[1])).read_bytes())
+        blob[8:12] = (4).to_bytes(4, "little")
+        (tmp_path / "v4.snap").write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="format version 4 is not supported "
+                                                r"\(this build reads version 5\)"):
+            snapshot_load(tmp_path / "v4.snap")
+
+    def test_forest_stored_by_shape(self, forest):
+        # no child pointers and no inner sizes: thresholds for inner nodes
+        # only, sizes for leaves only
         header, arrays = forest
-        arrays["trees/left"][0] = 0
+        inner = arrays["trees/feature"] >= 0
+        assert sorted(name for name in arrays if name.startswith("trees/")) == [
+            "trees/feature", "trees/leaf_size", "trees/offsets", "trees/threshold"]
+        assert arrays["trees/threshold"].shape == (inner.sum(),)
+        assert arrays["trees/leaf_size"].shape == ((~inner).sum(),)
+
+    def test_inner_node_own_parent_refused(self, tmp_path, forest):
+        # [leaf, inner, leaf]: the inner node's children would be itself and
+        # the node after it, a cycle no walk from the root reaches
+        header, arrays = forest
+        crafted = replace_tree(arrays, 0, [-1, 0, -1], [0.0], [1, 1])
         with pytest.raises(SnapshotError, match="tree 0 of model 0 is not a valid isolation tree"):
-            snapshot_load(write_snapshot(tmp_path / "cycle.snap", header, arrays))
+            snapshot_load(write_snapshot(tmp_path / "cycle.snap", header, crafted))
 
     def test_children_inside_tree(self, tmp_path, forest):
-        # the root's right child, left + 1, would be the next tree's root
+        # a leaf turned inner would take the two nodes after its tree, the
+        # next tree's root among them, as children
         header, arrays = forest
-        offsets = arrays["trees/offsets"]
-        arrays["trees/left"][offsets[1]] = offsets[2] - offsets[1] - 1
+        offsets, feature = arrays["trees/offsets"], arrays["trees/feature"]
+        tree = feature[offsets[1]:offsets[2]]
+        inner, leaves = tree >= 0, tree < 0
+        grown = np.where(np.arange(tree.size) == np.flatnonzero(leaves)[-1], 0, tree)
+        thresholds = np.zeros(int(inner.sum()) + 1)
+        crafted = replace_tree(arrays, 1, grown, thresholds, np.ones(int(leaves.sum()) - 1))
         with pytest.raises(SnapshotError, match="tree 1 of model 0 is not a valid isolation tree"):
-            snapshot_load(write_snapshot(tmp_path / "outside.snap", header, arrays))
+            snapshot_load(write_snapshot(tmp_path / "outside.snap", header, crafted))
 
-    def test_shared_child_refused(self, tmp_path, forest):
-        # two inner nodes with the same children make a graph, not a tree:
-        # a node's depth would depend on the path taken to it
+    def test_node_count_checked(self, tmp_path, forest):
+        # one inner node has two children: three or five nodes are not a tree
         header, arrays = forest
-        start, end = arrays["trees/offsets"][1:3]
-        left = arrays["trees/left"][start:end]
-        inner = np.flatnonzero(arrays["trees/feature"][start:end] >= 0)
-        # both children stay after their new parent and inside the tree
-        i, j = next((i, j) for i in inner for j in inner if i < j < left[i])
-        left[j] = left[i]
-        with pytest.raises(SnapshotError, match="tree 1 of model 0 is not a valid isolation tree"):
-            snapshot_load(write_snapshot(tmp_path / "shared.snap", header, arrays))
+        for feature, n_leaves in (([0, -1, -1, -1], 3), ([0, 0, -1], 1)):
+            inner = sum(f >= 0 for f in feature)
+            crafted = replace_tree(arrays, 2, feature, np.zeros(inner), np.ones(n_leaves))
+            with pytest.raises(SnapshotError,
+                               match="tree 2 of model 0 is not a valid isolation tree"):
+                snapshot_load(write_snapshot(tmp_path / "count.snap", header, crafted))
+
+    @pytest.mark.parametrize("name", ["trees/threshold", "trees/leaf_size"])
+    def test_per_kind_lengths_checked(self, tmp_path, forest, name):
+        header, arrays = forest
+        for bad in (arrays[name][:-1], np.concatenate([arrays[name], arrays[name][:1]])):
+            with pytest.raises(SnapshotError, match="disagree with the inner and leaf counts"):
+                snapshot_load(write_snapshot(tmp_path / "lengths.snap", header,
+                                             {**arrays, name: bad}))
 
     @pytest.mark.parametrize("field, value", [
-        ("left", 10_000), ("left", 2**31 - 1), ("feature", 3), ("size", -1), ("size", 61),
-        ("threshold", np.nan)])
+        ("feature", 3), ("feature", -2), ("size", -1), ("size", 61), ("threshold", np.nan),
+        ("threshold", np.inf)])
     def test_tree_arrays_checked(self, tmp_path, forest, field, value):
+        # the field's first entry in tree 1: the root's feature, a leaf's
+        # feature below -1, or the first inner node's threshold or leaf's size
         header, arrays = forest
-        arrays[f"trees/{field}"][arrays["trees/offsets"][1]] = value
+        start, feature = arrays["trees/offsets"][1], arrays["trees/feature"]
+        n_inner = int((feature[:start] >= 0).sum())
+        leaf = start + int(np.argmax(feature[start:] < 0))
+        name, at = {"feature": ("trees/feature", start if value >= 0 else leaf),
+                    "threshold": ("trees/threshold", n_inner),
+                    "size": ("trees/leaf_size", start - n_inner)}[field]
+        arrays[name][at] = value
         with pytest.raises(SnapshotError, match="tree 1 of model 0 is not a valid isolation tree"):
             snapshot_load(write_snapshot(tmp_path / "tree.snap", header, arrays))
+
+    @pytest.mark.parametrize("max_depth", [None, 40])
+    def test_deep_chain_refused_quickly(self, tmp_path, max_depth):
+        # a 20,000-deep chain in a one-tree forest of psi = 100, whose cap is
+        # ceil(log2 100) = 7 (or max_depth): every level would cost a
+        # kernel step per row
+        scorer = ScorerSpec(kind="isolation_forest", n_trees=1, subsample_size=100,
+                            max_depth=max_depth)
+        config = PipelineConfig(scorer=scorer, strategy=split(0.5), seed=23)
+        snapshot_save(fit(config, gaussian_matrix(23, 200, d=2)), tmp_path / "one.snap")
+        header, arrays = read_snapshot(tmp_path / "one.snap")
+        depth = 20_000
+        feature = np.where(np.arange(2 * depth + 1) % 2 == 0, 0, -1)
+        feature[-1] = -1
+        crafted = replace_tree(arrays, 0, feature, np.zeros(depth), np.ones(depth + 1))
+        path = write_snapshot(tmp_path / "chain.snap", header, crafted)
+        began = time.perf_counter()
+        with pytest.raises(SnapshotError, match="tree 0 of model 0 is deeper than its cap"):
+            snapshot_load(path)
+        assert time.perf_counter() - began < 1.0
+
+    def test_depth_at_cap_loads(self, tmp_path):
+        # chains of depth 7 and 8 under the cap ceil(log2 100) = 7
+        config = PipelineConfig(scorer=ScorerSpec(kind="isolation_forest", n_trees=1,
+                                                  subsample_size=100),
+                                strategy=split(0.5), seed=24)
+        snapshot_save(fit(config, gaussian_matrix(24, 200, d=2)), tmp_path / "one.snap")
+        header, arrays = read_snapshot(tmp_path / "one.snap")
+        X = gaussian_matrix(25, 5, d=2)
+        for depth in (7, 8):
+            feature = np.where(np.arange(2 * depth + 1) % 2 == 0, 1, -1)
+            feature[-1] = -1
+            crafted = replace_tree(arrays, 0, feature, np.zeros(depth), np.ones(depth + 1))
+            path = write_snapshot(tmp_path / "chain.snap", json.loads(json.dumps(header)),
+                                  crafted)
+            if depth == 8:
+                with pytest.raises(SnapshotError, match="tree 0 of model 0 is deeper than its cap"):
+                    snapshot_load(path)
+            else:
+                assert np.isfinite(compute_p_values(snapshot_load(path), X).values).all()
 
     def test_tree_offsets_checked(self, tmp_path, forest):
         header, arrays = forest
@@ -312,6 +431,41 @@ class TestUntrustedContent:
                     continue
                 assert np.isfinite(compute_p_values(loaded, X).values).all()
 
+    def test_train_counts_one_byte_below_256(self, tmp_path, jab):
+        # the JaB counts are small, so each takes one byte; loads widen them
+        header, arrays = jab
+        counts = arrays["calibration/train_counts"]
+        assert counts.dtype == np.uint8
+        X = gaussian_matrix(26, 10, d=2)
+        wide = write_snapshot(tmp_path / "wide.snap", json.loads(json.dumps(header)),
+                              {**arrays, "calibration/train_counts": counts.astype("<u2")})
+        narrow = write_snapshot(tmp_path / "narrow.snap", header, arrays)
+        for path in (narrow, wide):
+            loaded = snapshot_load(path)
+            assert loaded.calibration.train_counts.dtype == np.uint16
+            assert loaded.calibration.scorer.counts.dtype == np.uint16
+            np.testing.assert_array_equal(loaded.calibration.train_counts, counts)
+        np.testing.assert_array_equal(compute_p_values(snapshot_load(narrow), X).values,
+                                      compute_p_values(snapshot_load(wide), X).values)
+
+    def test_train_counts_two_bytes_from_256(self, tmp_path):
+        # a split model trained 256 times on its first row: 555 of 600 rows
+        config = PipelineConfig(scorer=KNN, strategy=split(0.5), seed=27)
+        fitted = fit(config, gaussian_matrix(27, 600, d=2))
+        cm = fitted.calibration
+        counts = cm.train_counts.copy()
+        counts[0, np.flatnonzero(counts[0])[0]] = 256
+        heavy = dataclasses.replace(fitted, calibration=dataclasses.replace(
+            cm, train_counts=counts, scorer=KnnPlan(KNN, cm.rows, counts)))
+        snapshot_save(heavy, tmp_path / "heavy.snap")
+        _, arrays = read_snapshot(tmp_path / "heavy.snap")
+        assert arrays["calibration/train_counts"].dtype == np.dtype("<u2")
+        loaded = snapshot_load(tmp_path / "heavy.snap")
+        np.testing.assert_array_equal(loaded.calibration.train_counts, counts)
+        X = gaussian_matrix(28, 10, d=2)
+        np.testing.assert_array_equal(compute_p_values(loaded, X).values,
+                                      compute_p_values(heavy, X).values)
+
     def test_plan_arrays_cross_checked(self, tmp_path, jab):
         header, arrays = jab
         rows = arrays["calibration/entry_rows"]
@@ -338,6 +492,7 @@ class TestUntrustedContent:
         lambda h: h["config"]["scorer"].update(k="three"),
         lambda h: h.update(table={"n": 1, "delta": 0.1, "method": "mc"}),
         lambda h: h["config"]["scorer"].update(kind="isolation_forest"),
+        lambda h: h["config"]["scorer"].update(k=float("inf")),
     ])
     def test_malformed_header_refused(self, tmp_path, jab, mutate):
         header, arrays = jab

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+from confanom import weighting
 
 from confanom.core import (DimensionMismatch, EmptyCalibration, EmptyInput,
                            InvalidData, InvalidHyperparameter, ShapeMismatch,
@@ -131,6 +137,29 @@ class TestFitWeightEstimator:
         raw_med = np.median(weights(
             fit_weight_estimator(cal, test, kind="logistic", cap_factor=None), cal))
         assert model.cap_value == pytest.approx(20.0 * raw_med, rel=1e-9)
+
+    def test_cap_without_numpy_ma(self):
+        # np.median imports numpy.ma on first use; the cap takes the same
+        # median, bit for bit, without it
+        src = os.path.dirname(os.path.dirname(weighting.__file__))
+        script = (
+            "import sys, numpy as np\n"
+            "from confanom.weighting import fit_weight_estimator, weights\n"
+            "rng = np.random.default_rng(12)\n"
+            "fits = []\n"
+            "for n_cal in (100, 101):\n"
+            "    cal, test = rng.normal(size=(n_cal, 2)), rng.normal(size=(80, 2)) + 0.5\n"
+            "    fits.append((cal, test, fit_weight_estimator(cal, test, kind='logistic')))\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+            "for cal, test, model in fits:\n"
+            "    raw = weights(fit_weight_estimator(cal, test, kind='logistic',\n"
+            "                                       cap_factor=None), cal)\n"
+            "    assert model.cap_value == float(20.0 * np.median(raw))\n"
+            "print('ok')\n")
+        out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "ok"
 
     def test_oracle_requires_callable(self):
         rng = make_rng(9)
