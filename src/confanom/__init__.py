@@ -18,8 +18,7 @@ from .core import (ConfanomError, ConfigError, DataMatrix, DecisionSet,
                    InvalidData, PValueVector, ScoreVector, SnapshotError,
                    make_rng, split_seed, validate_matrix)
 from .decisions import (benjamini_hochberg, false_discovery_rate,
-                        fixed_threshold, statistical_power,
-                        weighted_false_discovery_control)
+                        fixed_threshold, statistical_power)
 from .detectors import ScorerSpec
 from .estimation import (AdjustmentTable, EstimationSpec, build_adjustment,
                          conditional_validity_oracle, conformal_p_values)
@@ -78,7 +77,6 @@ __all__ = [
     "statistical_power",
     "stream_p_values",
     "validate_matrix",
-    "weighted_false_discovery_control",
     "weighted_p_values",
     "write_trajectory_csv",
 ]

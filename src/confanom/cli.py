@@ -431,12 +431,6 @@ def _print_json(payload):
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _resolved_seed(args, entries):
-    if args.seed is not None:
-        return args.seed
-    return entries.get("seed", 0)
-
-
 def _effective_config(entries, **extra):
     merged = dict(entries)
     for key, value in extra.items():
@@ -450,17 +444,13 @@ def _effective_config(entries, **extra):
 
 def cmd_detect(args):
     entries = parse_config(args.config) if args.config else {}
-    seed = _resolved_seed(args, entries)
-    config = build_pipeline_config(entries, seed=seed)
+    config = build_pipeline_config(entries, seed=args.seed)
     train = read_csv_matrix(args.train, label_column=args.label_column)
     test = read_csv_matrix(args.test, label_column=args.label_column)
 
     fitted = pipeline.fit(config, train)
     scores, p_values = pipeline.score_and_p_values(fitted, test)
-    if config.weighting is not None:
-        decision = decisions.weighted_false_discovery_control(p_values, args.alpha)
-    else:
-        decision = decisions.benjamini_hochberg(p_values, args.alpha)
+    decision = decisions.benjamini_hochberg(p_values, args.alpha)
 
     _write_flags_csv(args.out, scores.scores, p_values.values, decision.flags)
 
@@ -483,8 +473,8 @@ def cmd_detect(args):
 
     inputs = [args.train, args.test] + ([args.config] if args.config else [])
     _write_manifest(args.out, args.argv, _effective_config(
-        entries, seed=seed, alpha=args.alpha, label_column=args.label_column),
-        seed, inputs, [args.out, summary_path])
+        entries, seed=config.seed, alpha=args.alpha, label_column=args.label_column),
+        config.seed, inputs, [args.out, summary_path])
     return 0
 
 
@@ -501,12 +491,11 @@ def cmd_stream(args):
             raise ConfigError(
                 "--seed conflicts with --snapshot (the snapshot fixes the seed)")
         fitted = snapshot.snapshot_load(args.snapshot)
-        seed = fitted.config.seed
     else:
-        seed = _resolved_seed(args, entries)
-        config = build_pipeline_config(entries, seed=seed)
+        config = build_pipeline_config(entries, seed=args.seed)
         train = read_csv_matrix(args.train, label_column=args.label_column)
         fitted = pipeline.fit(config, train)
+    seed = fitted.config.seed
     spec, alarms = build_martingale(entries)
     stream = read_csv_matrix(args.stream, label_column=args.label_column)
 
@@ -581,8 +570,7 @@ def cmd_snapshot(args):
         })
         return 0
     entries = parse_config(args.config) if args.config else {}
-    seed = _resolved_seed(args, entries)
-    config = build_pipeline_config(entries, seed=seed)
+    config = build_pipeline_config(entries, seed=args.seed)
     train = read_csv_matrix(args.train, label_column=args.label_column)
     fitted = pipeline.fit(config, train)
     snapshot.snapshot_save(fitted, args.out)
@@ -590,8 +578,8 @@ def cmd_snapshot(args):
 
     inputs = [args.train] + ([args.config] if args.config else [])
     _write_manifest(args.out, args.argv, _effective_config(
-        entries, seed=seed, label_column=args.label_column),
-        seed, inputs, [args.out])
+        entries, seed=config.seed, label_column=args.label_column),
+        config.seed, inputs, [args.out])
     return 0
 
 

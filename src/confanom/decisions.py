@@ -15,6 +15,7 @@ import numpy as np
 from .core import (
     DecisionSet,
     EmptyInput,
+    InvalidAlpha,
     NoAnomalies,
     PValueVector,
     ShapeMismatch,
@@ -39,63 +40,53 @@ def _p_array(pvals):
     return check_finite(values, "p-value")
 
 
-def _alpha_float(alpha):
-    return float(alpha)
-
-
-def _bh_flags(values, alpha):
-    """Step-up pass: largest k with p_(k) <= k*alpha/m, flag p <= p_(k*)."""
-    m = values.shape[0]
-    order = np.sort(values)
-    passed = order <= alpha * np.arange(1, m + 1) / m
-    if not passed.any():
-        return np.zeros(m, dtype=np.int64), 0.0
-    threshold = order[np.flatnonzero(passed)[-1]]
-    return (values <= threshold).astype(np.int64), float(threshold)
+def _alpha(alpha):
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError):
+        raise InvalidAlpha(f"alpha must be a real number, got {alpha!r}") from None
+    if not 0.0 < alpha < 1.0:
+        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+    return alpha
 
 
 def benjamini_hochberg(pvals, alpha) -> DecisionSet:
-    """Select anomalies with BH false-discovery-rate control at ``alpha``."""
+    """Select anomalies with BH false-discovery-rate control at ``alpha``:
+    the largest k with p_(k) <= k alpha / m, flagging every p <= p_(k).
+
+    Weighted p-values (a PValueVector whose ``weighting`` is set) get the
+    same step-up under the procedure tag 'weighted_bh'.  Weighted conformal
+    p-values restore marginal validity under covariate shift, but the BH
+    guarantee was proved for unweighted exchangeable p-values, so the
+    decisions carry that caveat as a note; empirical FDR should be checked
+    by simulation for the shift at hand.
+    """
+    alpha = _alpha(alpha)
     values = _p_array(pvals)
-    alpha = _alpha_float(alpha)
-    flags, threshold = _bh_flags(values, alpha)
+    m = values.shape[0]
+    order = np.sort(values)
+    passed = np.flatnonzero(order <= alpha * np.arange(1, m + 1) / m)
+    # with no k passing, every p exceeds alpha / m > 0 and none is flagged
+    threshold = float(order[passed[-1]]) if passed.size else 0.0
+    weighted = isinstance(pvals, PValueVector) and pvals.weighting is not None
     return DecisionSet(
-        flags=flags,
-        procedure="bh",
+        flags=values <= threshold,
+        procedure="weighted_bh" if weighted else "bh",
         alpha=alpha,
         rejection_threshold=threshold,
+        notes=(WEIGHTED_BH_CAVEAT,) if weighted else (),
     )
 
 
 def fixed_threshold(pvals, alpha) -> DecisionSet:
     """Flag every point with p <= alpha (per-test level, no FDR control)."""
+    alpha = _alpha(alpha)
     values = _p_array(pvals)
-    alpha = _alpha_float(alpha)
     return DecisionSet(
         flags=(values <= alpha).astype(np.int64),
         procedure="fixed_threshold",
         alpha=alpha,
         rejection_threshold=alpha,
-    )
-
-
-def weighted_false_discovery_control(weighted_pvals, alpha) -> DecisionSet:
-    """BH step-up on weighted p-values.
-
-    Weighted conformal p-values restore marginal validity under covariate
-    shift, but the BH guarantee was proved for unweighted exchangeable
-    p-values.  The returned notes carry that caveat; empirical FDR should
-    be checked by simulation for the shift at hand.
-    """
-    values = _p_array(weighted_pvals)
-    alpha = _alpha_float(alpha)
-    flags, threshold = _bh_flags(values, alpha)
-    return DecisionSet(
-        flags=flags,
-        procedure="weighted_bh",
-        alpha=alpha,
-        rejection_threshold=threshold,
-        notes=(WEIGHTED_BH_CAVEAT,),
     )
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AmbiguousPolarity, DataMatrix, DimensionMismatch, EmptyTrainingSet,
-                   InvalidData, InvalidHyperparameter, KTooLarge, ScoreVector, _readonly,
+                   InvalidData, InvalidHyperparameter, KTooLarge, _readonly,
                    philox_block, philox_choice, philox_uniform, split_seed)
 
 SCORER_KINDS = ("isolation_forest", "knn_distance", "external")
@@ -89,8 +89,9 @@ class ScorerSpec:
         knn settings; ``aggregation`` is 'kth' (k-th nearest distance) or
         'mean' (mean of the k nearest distances).
     polarity : {'higher_is_anomalous', 'lower_is_anomalous', 'auto'}
-        'auto' resolves from the kind for built-ins and is an error for
-        external scorers.
+        Built-in scores are higher_is_anomalous, which 'auto' resolves to;
+        'lower_is_anomalous' is refused for them.  External scorers state
+        their polarity when wrapped (``wrap_detached``).
     """
 
     kind: str
@@ -106,6 +107,10 @@ class ScorerSpec:
             raise InvalidHyperparameter(f"unknown scorer kind {self.kind!r}")
         if self.polarity not in POLARITIES:
             raise InvalidHyperparameter(f"unknown polarity {self.polarity!r}")
+        if self.kind != "external" and self.polarity == "lower_is_anomalous":
+            raise InvalidHyperparameter(
+                f"{self.kind} scores are higher_is_anomalous; "
+                "polarity 'lower_is_anomalous' does not apply")
         if self.kind == "isolation_forest":
             if int(self.n_trees) < 1:
                 raise InvalidHyperparameter("n_trees must be at least 1")
@@ -549,26 +554,6 @@ def score_plan(scorer, X, mask=None):
         row, col = np.argwhere(bad)[0]
         raise InvalidData(row, col if values.shape[1] > 1 else None)
     return values
-
-
-def normalize_polarity(raw, polarity, kind=None):
-    """Normalize raw scores to the higher-is-anomalous convention.
-
-    ``auto`` resolves from the scorer kind for built-in detectors; external
-    or unknown kinds must state their polarity explicitly.
-    """
-    if polarity not in POLARITIES:
-        raise InvalidHyperparameter(f"unknown polarity {polarity!r}")
-    if polarity == "auto":
-        if kind in ("isolation_forest", "knn_distance"):
-            polarity = "higher_is_anomalous"
-        else:
-            raise AmbiguousPolarity(
-                "polarity cannot be inferred for external scorers; state it explicitly")
-    raw = np.asarray(raw, dtype=np.float64)
-    if polarity == "lower_is_anomalous":
-        raw = -raw
-    return ScoreVector(raw, polarity_normalized=True)
 
 
 def wrap_detached(score_function, polarity):

@@ -6,7 +6,14 @@ The empirical regime implements the rank-count p-value
     p = (#{i : S_i >= s_test} + 1) / (n + 1)
 
 which is super-uniform under exchangeability; the smoothed variant breaks
-ties with a uniform draw and is exactly Uniform(0, 1). The conditional regime
+ties with a uniform draw U in (0, 1],
+
+    p = (#{i : S_i > s_test} + U (#{i : S_i = s_test} + 1)) / (n + 1),
+
+and is exactly Uniform(0, 1) (Bates et al. 2023, "Testing for outliers with
+conformal p-values").  Both come from one helper that takes the two counts
+and the draws: batches draw U from ``make_rng``, streams from Philox counter
+blocks (``pipeline.stream_p_values``).  The conditional regime
 replaces the raw rank with a simultaneous upper-confidence-band adjustment so
 super-uniformity holds with probability at least 1 - delta over the draw of
 the calibration set itself. The probabilistic regime replaces rank counting
@@ -110,32 +117,36 @@ def conformal_p_values(cal_scores, test_scores, smoothed=False, seed=None):
         raise EmptyCalibration("no calibration scores")
     cal_sorted = np.sort(cal)
     ge = n - np.searchsorted(cal_sorted, t, side="left")
-    if not smoothed:
-        return PValueVector((ge + 1) / (n + 1), estimation="empirical",
-                            smoothed=False, calibration_size=n)
-    if seed is None:
-        raise InvalidHyperparameter("smoothed p-values require a seed")
     gt = n - np.searchsorted(cal_sorted, t, side="right")
-    eq = ge - gt
-    # 1 - U lies in (0, 1], keeping the p-value strictly positive
-    u = 1.0 - make_rng(seed).random(t.shape[0])
-    return PValueVector((gt + u * (eq + 1)) / (n + 1), estimation="empirical",
-                        smoothed=True, calibration_size=n)
+    return _rank_p_values(ge, gt, n, _draws(smoothed, seed, t.shape[0]))
 
 
 def empirical_p_value(cm, ts, smoothed=False, seed=None):
     """Empirical conformal p-values for test scores paired to a calibration
     model (plus-mode entries compare against the test score under the entry's
     own models)."""
-    n = cm.n_entries
-    ge, gt, eq = paired_rank_counts(cm, ts)
+    ge, gt = paired_rank_counts(cm, ts)
+    return _rank_p_values(ge, gt, cm.n_entries, _draws(smoothed, seed, ts.n_test))
+
+
+def _draws(smoothed, seed, m):
+    """None when unsmoothed, else m tie-breaking draws from ``make_rng(seed)``."""
     if not smoothed:
-        return PValueVector((ge + 1) / (n + 1), estimation="empirical",
-                            smoothed=False, calibration_size=n)
+        return None
     if seed is None:
         raise InvalidHyperparameter("smoothed p-values require a seed")
-    u = 1.0 - make_rng(seed).random(ts.n_test)
-    return PValueVector((gt + u * (eq + 1)) / (n + 1), estimation="empirical",
+    # 1 - U lies in (0, 1], keeping the p-value strictly positive
+    return 1.0 - make_rng(seed).random(m)
+
+
+def _rank_p_values(ge, gt, n, u):
+    """Empirical p-values from each test point's counts of the n entries at
+    least as large (``ge``) and larger (``gt``): (ge + 1)/(n + 1) when ``u``
+    is None, else smoothed by the draws ``u`` in (0, 1]."""
+    if u is None:
+        return PValueVector((ge + 1) / (n + 1), estimation="empirical",
+                            smoothed=False, calibration_size=n)
+    return PValueVector((gt + u * (ge - gt + 1)) / (n + 1), estimation="empirical",
                         smoothed=True, calibration_size=n)
 
 
@@ -241,7 +252,7 @@ def conditional_p_value(cm, ts, table):
     if table.n != cm.n_entries:
         raise TableMismatch(
             f"table built for n={table.n}, calibration has {cm.n_entries} entries")
-    ge, _, _ = paired_rank_counts(cm, ts)
+    ge, _ = paired_rank_counts(cm, ts)
     ranks = ge + 1
     return PValueVector(table.adjusted[ranks - 1], estimation="conditional_empirical",
                         smoothed=False, calibration_size=cm.n_entries)

@@ -18,10 +18,10 @@ from . import decisions, detectors, estimation, resampling, weighting
 from .core import (
     MAX_SEED,
     DataMatrix,
-    InvalidAlpha,
     InvalidHyperparameter,
     InvalidSpec,
     PValueVector,
+    ScoreVector,
     check_seed,
     split_seed,
 )
@@ -208,9 +208,9 @@ def _p_values(fp: FittedPipeline, X: DataMatrix, ts: resampling.TestScores,
     return estimation.probabilistic_p_value(cm, ts, bandwidth=est.bandwidth)
 
 
-def _aggregated(fp: FittedPipeline, ts: resampling.TestScores) -> detectors.ScoreVector:
-    return detectors.ScoreVector(resampling.aggregate_test_scores(fp.calibration, ts),
-                                 polarity_normalized=True)
+def _aggregated(fp: FittedPipeline, ts: resampling.TestScores) -> ScoreVector:
+    return ScoreVector(resampling.aggregate_test_scores(fp.calibration, ts),
+                       polarity_normalized=True)
 
 
 def compute_p_values(fp: FittedPipeline, X, seed=None) -> PValueVector:
@@ -266,32 +266,21 @@ def stream_p_values(fp: FittedPipeline, X, seed=None, start=0) -> PValueVector:
     if est.regime != "empirical":
         return compute_p_values(fp, X)
     cm = fp.calibration
-    ts = resampling.test_score_matrix(cm, X)
-    _, gt, eq = resampling.paired_rank_counts(cm, ts)
+    ge, gt = resampling.paired_rank_counts(cm, resampling.test_score_matrix(cm, X))
     base = (split_seed(fp.config.seed, _SMOOTH_STREAM)
             if seed is None else check_seed(seed))
     # a Philox block is four 64-bit words and a double takes one word
     bits = np.random.Philox(key=base, counter=int(start))
     u = 1.0 - np.random.Generator(bits).random(4 * X.n_rows)[::4]
-    n = cm.n_entries
-    return PValueVector((gt + u * (eq + 1)) / (n + 1), estimation="empirical",
-                        smoothed=True, calibration_size=n)
+    return estimation._rank_p_values(ge, gt, cm.n_entries, u)
 
 
 def select(fp: FittedPipeline, X, alpha, seed=None) -> decisions.DecisionSet:
-    """Flag anomalies in a batch with FDR control at ``alpha``."""
-    try:
-        alpha = float(alpha)
-    except (TypeError, ValueError):
-        raise InvalidAlpha(f"alpha must be a real number, got {alpha!r}") from None
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
-    pvals = compute_p_values(fp, X, seed=seed)
-    if fp.config.weighting is not None:
-        return decisions.weighted_false_discovery_control(pvals, alpha)
-    return decisions.benjamini_hochberg(pvals, alpha)
+    """Flag anomalies in a batch by ``decisions.benjamini_hochberg`` at
+    ``alpha``, which tags weighted p-values and notes their caveat."""
+    return decisions.benjamini_hochberg(compute_p_values(fp, X, seed=seed), alpha)
 
 
-def score_samples(fp: FittedPipeline, X) -> detectors.ScoreVector:
+def score_samples(fp: FittedPipeline, X) -> ScoreVector:
     """Aggregated polarity-normalized anomaly scores, one per test point."""
     return _aggregated(fp, _test_scores(fp, X)[1])

@@ -10,6 +10,12 @@ discipline that no entry was scored by a model whose training multiset
 contains that entry's row. The number of entries fixes the p-value floor
 1/(n_entries + 1) downstream.
 
+A single-model calibration (split, detached, or a single_model strategy,
+which refits one model on every row once the entries are scored) keeps one
+model and pairs every entry with it.  It is a one-model plan: test scores
+are a (n_test, 1) table and rank counting takes the same path as for any
+other plan.
+
 A plus-mode test point is compared with each entry through the median of
 its test scores under the entry's out-of-bag models.  Where those sets
 hold more than one model (JaB+), rank counting counts instead of taking
@@ -158,7 +164,6 @@ class CalibrationModel:
     rows: np.ndarray
     train_counts: np.ndarray
     scorer: object
-    mode: str
     strategy: StrategySpec
     detached: bool = False
 
@@ -169,14 +174,17 @@ class CalibrationModel:
         n = self.entry_scores.shape[0]
         if n == 0:
             raise EmptyCalibration("calibration produced no entries")
-        if self.mode not in MODES:
-            raise InvalidHyperparameter(f"unknown mode {self.mode!r}")
         if (self.entry_rows.shape != (n,) or self.oob.shape != (n, self.n_models)
                 or self.train_counts.shape[1:] != self.rows.shape[:1]):
             raise ShapeMismatch("calibration arrays disagree in shape")
         if self.mode == "single_model" and (self.n_models != 1 or not self.oob.all()):
             raise InvalidHyperparameter(
                 "single_model calibration must bind every entry to model 0")
+
+    @property
+    def mode(self):
+        """'plus', or 'single_model' for split and detached calibrations too."""
+        return "plus" if self.strategy.mode == "plus" else "single_model"
 
     @property
     def n_entries(self):
@@ -345,9 +353,7 @@ def _calibrate(spec, data, strategy, plan, seed):
         scorer = detectors.fit_plan(spec, rows, counts, seed, (plan.refit_stream,))
     return CalibrationModel(
         entry_scores=entries, entry_rows=plan.entry_rows, oob=oob, rows=rows,
-        train_counts=counts, scorer=scorer,
-        mode="plus" if strategy.mode == "plus" else "single_model",
-        strategy=strategy)
+        train_counts=counts, scorer=scorer, strategy=strategy)
 
 
 def calibrate_split(spec, data, n_calib, seed):
@@ -366,7 +372,7 @@ def calibrate_detached(scorer, calib):
         entry_scores=detectors.score_plan(scorer, calib)[:, 0], entry_rows=np.arange(n),
         oob=np.ones((n, 1), dtype=bool), rows=calib.values,
         train_counts=np.zeros((1, n), dtype=np.uint16), scorer=scorer,
-        mode="single_model", strategy=split(n), detached=True)
+        strategy=split(n), detached=True)
 
 
 def calibrate_cv(spec, data, k, mode, seed, aggregation="median"):
@@ -409,18 +415,19 @@ def calibrate_bootstrap(spec, data, n_bootstraps, mode, seed, aggregation="media
 class TestScores:
     """Per-test-point scores produced against a CalibrationModel.
 
-    ``values`` is (n_test,) in single_model mode and (n_test, n_models) in
-    plus mode, one column per retained model.
+    ``values`` is (n_test, n_models), one column per retained model.  A
+    single-model calibration (split, detached or single_model) is a
+    one-model plan, so its table has one column.
     """
 
-    mode: str
     n_entries: int
     values: np.ndarray
-    aggregation: str = "median"
 
     def __post_init__(self):
-        object.__setattr__(self, "values",
-                           _readonly(np.asarray(self.values, dtype=np.float64)))
+        values = _readonly(np.asarray(self.values, dtype=np.float64))
+        if values.ndim != 2:
+            raise ShapeMismatch("test scores must be a (n_test, n_models) table")
+        object.__setattr__(self, "values", values)
 
     @property
     def n_test(self):
@@ -428,40 +435,31 @@ class TestScores:
 
 
 def test_score_matrix(cm, X):
-    """Score test points under every model retained by the calibration.
-
-    single_model: one score per test point. plus: a (n_test, n_models) table
-    so estimation can compare each entry against the test score produced by
-    the entry's own fold or out-of-bag models.
-    """
-    values = detectors.score_plan(cm.scorer, X)
-    if cm.mode == "single_model":
-        values = values[:, 0]
-    return TestScores(mode=cm.mode, n_entries=cm.n_entries, values=values,
-                      aggregation=cm.strategy.aggregation)
+    """Score test points under every model retained by the calibration: a
+    (n_test, n_models) table, so rank counting can compare each entry with
+    the test scores of the entry's own fold or out-of-bag models."""
+    return TestScores(n_entries=cm.n_entries, values=detectors.score_plan(cm.scorer, X))
 
 
 def _check_pairing(cm, ts):
-    if ts.n_entries != cm.n_entries or ts.mode != cm.mode:
+    if ts.n_entries != cm.n_entries or ts.values.shape[1] != cm.n_models:
         raise DimensionMismatch(
             "test scores were not produced from this calibration model")
-    if cm.mode == "plus" and ts.values.shape[1] != cm.n_models:
-        raise DimensionMismatch(
-            "test score table has the wrong number of model columns")
 
 
 def paired_rank_counts(cm, ts):
-    """Count calibration entries at least as large as each test point's
-    paired score.
+    """Count calibration entries at least as large as, and larger than,
+    each test point's paired score.
 
-    Returns (ge, gt, eq) int arrays of length n_test, where the comparison
-    for an entry uses the test score under that entry's bound model in plus
-    mode (aggregated over the entry's out-of-bag set) and the single test
-    score otherwise.
+    Returns (ge, gt) int arrays of length n_test; ge - gt counts the ties.
+    An entry is compared with the test score under its out-of-bag models,
+    aggregated with the strategy's aggregation.  A single-model calibration
+    pairs every entry with its one model, so there the paired score is the
+    test score itself.
 
-    Plus mode with median aggregation and some out-of-bag set of more than
-    one model (JaB+) counts instead of taking medians.  For an entry with
-    score E whose set's test scores are S, c = |S| and h = c // 2,
+    With median aggregation and some out-of-bag set of more than one model
+    (JaB+), entries are counted instead of medians taken.  For an entry
+    with score E whose set's test scores are S, c = |S| and h = c // 2,
     E >= median(S) exactly when le = #{s in S : s <= E} > h, except when c
     is even and le == h: then E lies between the two middle scores and is
     compared with their midpoint, computed as ``np.median`` computes it.
@@ -469,24 +467,16 @@ def paired_rank_counts(cm, ts):
     come from bit-packed masks, so no set's median is ever taken, and they
     equal those of the per-set medians whenever the midpoint of two scores
     does not overflow (k-NN distances of finite rows stay below 1e155 and
-    forest scores lie in (0, 1]).  Other plus-mode calibrations loop over
-    the distinct out-of-bag sets.
+    forest scores lie in (0, 1]).  Other calibrations loop over the
+    distinct out-of-bag sets, a single one for a single-model calibration.
     """
     _check_pairing(cm, ts)
-    n_test = ts.n_test
-    if cm.mode == "single_model":
-        entries = np.sort(cm.entry_scores)
-        t = ts.values
-        ge = cm.n_entries - np.searchsorted(entries, t, side="left")
-        gt = cm.n_entries - np.searchsorted(entries, t, side="right")
-        return ge.astype(np.int64), gt.astype(np.int64), (ge - gt).astype(np.int64)
     # where every set is one model (CV+, jackknife+) the loop below is
     # 1.7-3.5 times faster than counting, so only JaB+ sets go to the kernel
     if cm.strategy.aggregation == "median" and cm.oob.sum(axis=1).max() > 1:
-        ge, gt = _median_rank_counts(cm.entry_scores, cm.oob, ts.values)
-        return ge, gt, ge - gt
-    ge = np.zeros(n_test, dtype=np.int64)
-    gt = np.zeros(n_test, dtype=np.int64)
+        return _median_rank_counts(cm.entry_scores, cm.oob, ts.values)
+    ge = np.zeros(ts.n_test, dtype=np.int64)
+    gt = np.zeros(ts.n_test, dtype=np.int64)
     # entries sharing an out-of-bag set share the paired test score
     groups, inverse = np.unique(cm.oob, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
@@ -498,7 +488,7 @@ def paired_rank_counts(cm, ts):
         size = group_scores.shape[0]
         ge += size - np.searchsorted(group_scores, paired_t, side="left")
         gt += size - np.searchsorted(group_scores, paired_t, side="right")
-    return ge, gt, ge - gt
+    return ge, gt
 
 
 def _median_rank_counts(entries, oob, t):
@@ -564,9 +554,7 @@ def _midpoint_hits(block, i, e, members, p, strict):
 
 
 def aggregate_test_scores(cm, ts):
-    """One polarity-normalized score per test point (plus-mode scores are
-    pooled over all models with the strategy's aggregation)."""
+    """One polarity-normalized score per test point: the test scores pooled
+    over all models with the strategy's aggregation."""
     _check_pairing(cm, ts)
-    if cm.mode == "single_model":
-        return ts.values.copy()
     return _aggregate(ts.values, cm.strategy.aggregation)

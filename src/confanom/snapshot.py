@@ -218,11 +218,6 @@ def _load_calibration(cal, arrays, spec):
             "entry row index out of range")
     oob = np.unpackbits(bits, axis=1, count=n_models).astype(bool)
     _expect(oob.any(axis=1).all(), "an entry is paired with no model")
-    if cal["mode"] == "single_model":
-        _expect(n_models == 1 and oob.all(), "single_model pairing is not model 0")
-    else:
-        _expect(not (counts[:, entry_rows].T.astype(bool) & oob).any(),
-                "an entry is paired with a model trained on its row")
     # every plan trains a model on at most n rows in total, which also
     # bounds what expanding a model's rows can allocate
     sizes = counts.sum(axis=1)
@@ -234,10 +229,16 @@ def _load_calibration(cal, arrays, spec):
         _expect(spec.kind == "isolation_forest" and sizes.min() >= 2,
                 "a forest model has too few training rows")
         scorer = _load_forests(arrays, spec, sizes, n_features)
-    return CalibrationModel(
+    cm = CalibrationModel(
         entry_scores=entry_scores, entry_rows=entry_rows, oob=oob, rows=rows,
-        train_counts=counts, scorer=scorer, mode=cal["mode"],
-        strategy=StrategySpec(**cal["strategy"]))
+        train_counts=counts, scorer=scorer, strategy=StrategySpec(**cal["strategy"]))
+    # the mode follows from the strategy, and the header repeats it
+    _expect(cal["mode"] == cm.mode, f"mode {cal['mode']!r} disagrees with the strategy")
+    # a single_model refit trains on every row, the entries' rows included
+    _expect(cm.mode == "single_model"
+            or not (counts[:, entry_rows].T.astype(bool) & oob).any(),
+            "an entry is paired with a model trained on its row")
+    return cm
 
 
 def snapshot_load(path) -> FittedPipeline:

@@ -121,8 +121,8 @@ def _raw_ratios(kind, X, mu, sd, coef, intercept, ratio_function, n_cal, n_test)
     return ratios
 
 
-def fit_weight_estimator(cal_X, test_X, kind="logistic", seed=None,
-                         ratio_function=None, cap_factor=20.0):
+def fit_weight_estimator(cal_X, test_X, kind="logistic", ratio_function=None,
+                         cap_factor=20.0):
     """Fit a density-ratio weight model from calibration and test covariates.
 
     Parameters
@@ -134,8 +134,7 @@ def fit_weight_estimator(cal_X, test_X, kind="logistic", seed=None,
         log-likelihood, with features standardized by calibration statistics,
         and converts probabilities to ratios pi/(1-pi) * n_cal/n_test.
         'oracle' wraps a user-supplied ratio function; 'uniform' is all ones.
-    seed : unused by the built-in kinds (the logistic fit is deterministic
-        from a zero start); accepted for interface uniformity.
+        The logistic fit is deterministic: it starts from zero.
     cap_factor : positive float or None
         Weights are capped at cap_factor times the median calibration-side
         ratio; None disables the cap.
@@ -188,8 +187,8 @@ def weights(model, X):
     return np.minimum(raw, model.cap_value)
 
 
-def weighted_p_value(cal_scores, cal_weights, s_test, w_test):
-    """Weighted conformal p-value for a single test score.
+def weighted_p_values(cal_scores, cal_weights, test_scores, test_weights):
+    """Weighted conformal p-values, one self-weight per test point:
 
     p = (sum of weights of calibration scores >= s_test + w_test)
         / (total calibration weight + w_test)
@@ -197,13 +196,6 @@ def weighted_p_value(cal_scores, cal_weights, s_test, w_test):
     Ties count toward the numerator, mirroring the unweighted rank rule, so
     unit weights reduce exactly to the empirical formula.
     """
-    p = weighted_p_values(cal_scores, cal_weights, np.asarray([s_test]),
-                          np.asarray([w_test]))
-    return float(p[0])
-
-
-def weighted_p_values(cal_scores, cal_weights, test_scores, test_weights):
-    """Vectorized weighted conformal p-values (one self-weight per test point)."""
     cal = np.asarray(cal_scores, dtype=np.float64).reshape(-1)
     w = np.asarray(cal_weights, dtype=np.float64).reshape(-1)
     t = np.asarray(test_scores, dtype=np.float64).reshape(-1)

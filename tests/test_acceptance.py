@@ -21,7 +21,7 @@ import pytest
 from scipy import stats
 
 from confanom import cli, decisions, estimation, experiments, pipeline, resampling
-from confanom.core import DataMatrix, make_rng, split_seed
+from confanom.core import DataMatrix, PValueVector, make_rng, split_seed
 from confanom.detectors import ScorerSpec
 from confanom.estimation import (build_adjustment, conditional_validity_oracle,
                                  conformal_p_values)
@@ -342,9 +342,11 @@ def test_a11_equivalences(capsys):
     weights_eq = np.array_equal(unit, plain)
 
     pvals = rng.random(30)
-    wbh = decisions.weighted_false_discovery_control(pvals, 0.1)
+    wbh = decisions.benjamini_hochberg(
+        PValueVector(pvals, estimation="empirical", smoothed=False, calibration_size=40,
+                     weighting="uniform"), 0.1)
     bh = decisions.benjamini_hochberg(pvals, 0.1)
-    bh_eq = (np.array_equal(wbh.flags, bh.flags)
+    bh_eq = (wbh.procedure == "weighted_bh" and np.array_equal(wbh.flags, bh.flags)
              and wbh.rejection_threshold == bh.rejection_threshold)
 
     elapsed = time.perf_counter() - t0

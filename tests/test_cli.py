@@ -151,6 +151,8 @@ class TestDetect:
         manifest = json.loads((data / "m.manifest.json").read_text())
         assert set(manifest) == {"command", "config", "inputs", "outputs",
                                  "seed", "version"}
+        # without the flag or a config entry the seed is 0
+        assert manifest["seed"] == manifest["config"]["seed"] == 0
         for name, digest in manifest["inputs"].items():
             assert len(digest) == 64
 
@@ -305,6 +307,19 @@ class TestErrorPaths:
             "--out", str(data / "x.csv"))
         assert code == 2
         assert "unknown config key 'scorer.neighbors'" in err
+
+    @pytest.mark.parametrize("kind", ["knn_distance", "isolation_forest"])
+    def test_ignored_polarity_refused(self, data, capsys, kind):
+        # built-in scores are higher_is_anomalous; the setting would be ignored
+        config = data / "polarity.cfg"
+        config.write_text(f"scorer.kind = {kind}\nscorer.polarity = lower_is_anomalous\n")
+        code, _, err = run_cli(
+            capsys, "detect", "--train", str(data / "train.csv"),
+            "--test", str(data / "test.csv"), "--config", str(config),
+            "--out", str(data / "x.csv"))
+        assert code == 2
+        assert "lower_is_anomalous" in err
+        assert not (data / "x.csv").exists()
 
     def test_bad_config_value_reports_line(self, data, capsys):
         config = data / "bad.cfg"

@@ -7,8 +7,13 @@ from confanom.core import (EmptyInput, InvalidAlpha, InvalidData, NoAnomalies,
                            PValueVector, ShapeMismatch, make_rng)
 from confanom.decisions import (WEIGHTED_BH_CAVEAT, benjamini_hochberg,
                                 false_discovery_rate, fixed_threshold,
-                                statistical_power,
-                                weighted_false_discovery_control)
+                                statistical_power)
+
+
+def weighted(p, kind="logistic"):
+    """p-values tagged as weighted, as the weighted pipeline produces them."""
+    return PValueVector(np.asarray(p, dtype=float), estimation="empirical",
+                        smoothed=False, calibration_size=10, weighting=kind)
 
 
 def bh_bruteforce(p, alpha):
@@ -82,6 +87,12 @@ class TestBenjaminiHochberg:
         with pytest.raises(InvalidAlpha):
             benjamini_hochberg(np.array([0.5]), alpha=1.0)
 
+    @pytest.mark.parametrize("alpha", ["abc", None, [0.1], float("nan")])
+    @pytest.mark.parametrize("procedure", [benjamini_hochberg, fixed_threshold])
+    def test_malformed_alpha_refused(self, procedure, alpha):
+        with pytest.raises(InvalidAlpha):
+            procedure(np.array([0.01, 0.5]), alpha)
+
     def test_empty_refused(self):
         with pytest.raises(EmptyInput):
             benjamini_hochberg(np.array([]), alpha=0.1)
@@ -92,7 +103,7 @@ class TestBenjaminiHochberg:
             benjamini_hochberg([np.nan, 0.01, 0.5], 0.1)
         assert err.value.row == 0
         with pytest.raises(InvalidData, match="position 1"):
-            weighted_false_discovery_control([0.01, np.inf], 0.1)
+            benjamini_hochberg([0.01, np.inf], 0.1)
 
     def test_fdr_controlled_under_null(self):
         # all-null uniform p-values: expected FDR is at most alpha
@@ -115,21 +126,25 @@ class TestFixedThreshold:
 
 
 class TestWeightedControl:
+    # benjamini_hochberg tags p-values whose weighting is set
     def test_same_rule_as_bh(self):
-        p = np.array([0.01, 0.5])
-        d = weighted_false_discovery_control(p, alpha=0.1)
+        d = benjamini_hochberg(weighted([0.01, 0.5]), alpha=0.1)
         assert d.flags.tolist() == [1, 0]
         assert d.procedure == "weighted_bh"
 
     def test_carries_caveat_note(self):
-        d = weighted_false_discovery_control(np.array([0.01]), alpha=0.1)
-        assert WEIGHTED_BH_CAVEAT in d.notes
+        for kind in ("logistic", "oracle", "uniform"):
+            d = benjamini_hochberg(weighted([0.01], kind), alpha=0.1)
+            assert d.procedure == "weighted_bh" and d.notes == (WEIGHTED_BH_CAVEAT,)
+        plain = benjamini_hochberg(PValueVector(np.array([0.01]), estimation="empirical",
+                                                smoothed=True, calibration_size=10), 0.1)
+        assert plain.procedure == "bh" and plain.notes == ()
 
     def test_unit_weight_equivalence(self):
         rng = make_rng(4)
         p = rng.random(40)
         a = benjamini_hochberg(p, 0.15)
-        b = weighted_false_discovery_control(p, 0.15)
+        b = benjamini_hochberg(weighted(p, "uniform"), 0.15)
         np.testing.assert_array_equal(a.flags, b.flags)
         assert a.rejection_threshold == b.rejection_threshold
 

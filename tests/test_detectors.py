@@ -13,8 +13,8 @@ from confanom.core import (AmbiguousPolarity, DataMatrix, DimensionMismatch,
                            EmptyTrainingSet, InvalidHyperparameter, KTooLarge,
                            make_rng, split_seed)
 from confanom.detectors import (ScorerSpec, average_path_length, fit_plan,
-                                normalize_polarity, score_plan, wrap_detached)
-from confanom.pipeline import PipelineConfig, compute_p_values, score_samples
+                                score_plan, wrap_detached)
+from confanom.pipeline import PipelineConfig, compute_p_values, fit_detached, score_samples
 from confanom.pipeline import fit as fit_pipeline
 from confanom.resampling import cross_validation, jackknife, jackknife_bootstrap, split
 from confanom.snapshot import snapshot_load, snapshot_save
@@ -32,6 +32,13 @@ class TestScorerSpec:
             ScorerSpec(kind="knn_distance", k=0)
         with pytest.raises(InvalidHyperparameter):
             ScorerSpec(kind="knn_distance", aggregation="max")
+
+    @pytest.mark.parametrize("kind", ["knn_distance", "isolation_forest"])
+    def test_lower_polarity_refused_for_builtins(self, kind):
+        # built-in scores are higher_is_anomalous; the setting would be ignored
+        with pytest.raises(InvalidHyperparameter, match="lower_is_anomalous"):
+            ScorerSpec(kind=kind, polarity="lower_is_anomalous")
+        assert ScorerSpec(kind="external", polarity="lower_is_anomalous").kind == "external"
 
     def test_forest_bounds(self):
         with pytest.raises(InvalidHyperparameter):
@@ -413,17 +420,26 @@ class TestFitValidation:
 class TestPolarity:
     def test_lower_is_anomalous_negated(self):
         raw = np.array([1.0, -2.0, 3.0])
-        out = normalize_polarity(raw, "lower_is_anomalous")
+        fp = fit_detached(lambda X: X[:, 0], gaussian_matrix(3, 20), "lower_is_anomalous", 0)
+        out = score_samples(fp, DataMatrix(raw[:, None]))
         np.testing.assert_array_equal(out.scores, -raw)
         assert out.polarity_normalized
 
     def test_auto_resolves_for_builtins(self):
-        out = normalize_polarity(np.array([1.0]), "auto", kind="knn_distance")
-        np.testing.assert_array_equal(out.scores, [1.0])
+        # built-in scores are higher_is_anomalous, and 'auto' keeps them so
+        data, batch = gaussian_matrix(4, 40), gaussian_matrix(5, 6)
+        for kind in ("knn_distance", "isolation_forest"):
+            auto = score_plan(fit_one(ScorerSpec(kind=kind), data, seed=0), batch)
+            higher = score_plan(fit_one(ScorerSpec(kind=kind, polarity="higher_is_anomalous"),
+                                        data, seed=0), batch)
+            np.testing.assert_array_equal(auto, higher)
+            assert (auto > 0).all()
 
     def test_auto_ambiguous_for_external(self):
         with pytest.raises(AmbiguousPolarity):
-            normalize_polarity(np.array([1.0]), "auto", kind="external")
+            wrap_detached(lambda X: X[:, 0], "auto")
+        with pytest.raises(AmbiguousPolarity):
+            fit_detached(lambda X: X[:, 0], gaussian_matrix(6, 20), "auto", 0)
 
 
 class TestWrapDetached:

@@ -241,10 +241,10 @@ class TestStreamPValues:
         stream = gaussian_matrix(45, 12)
         pvals = stream_p_values(fp, stream, seed=5, start=2).values
         ts = resampling.test_score_matrix(fp.calibration, stream)
-        _, gt, eq = resampling.paired_rank_counts(fp.calibration, ts)
+        ge, gt = resampling.paired_rank_counts(fp.calibration, ts)
         u = np.array([1.0 - np.random.Generator(np.random.Philox(key=5, counter=t)).random()
                       for t in range(2, 14)])
-        np.testing.assert_array_equal(pvals, (gt + u * (eq + 1)) / (fp.n_entries + 1))
+        np.testing.assert_array_equal(pvals, (gt + u * (ge - gt + 1)) / (fp.n_entries + 1))
 
     @pytest.mark.parametrize("start", [-1, 1.0, True, "3", 2**64])
     def test_bad_start_rejected(self, start):

@@ -103,9 +103,8 @@ def test_plan_scores_equal_expanded_models(case):
         ts = score_matrix(cm, test)
     np.testing.assert_array_equal(
         cm.entry_scores, reference_entries(spec, data.values, plan, strategy.aggregation))
-    retained = expanded_scores(spec, data.values, cm.train_counts, test.values)
-    np.testing.assert_array_equal(ts.values, retained[:, 0] if cm.mode == "single_model"
-                                  else retained)
+    np.testing.assert_array_equal(
+        ts.values, expanded_scores(spec, data.values, cm.train_counts, test.values))
 
 
 @st.composite
@@ -173,14 +172,11 @@ def test_rank_counts_match_entry_loop(case):
     spec, strategy, data, test, seed, _, _ = case
     cm = CALIBRATE[strategy.kind](spec, data, strategy, seed)
     ts = score_matrix(cm, test)
-    ge, gt, eq = paired_rank_counts(cm, ts)
+    ge, gt = paired_rank_counts(cm, ts)
     pool = np.median if strategy.aggregation == "median" else np.mean
-    paired = (np.column_stack([ts.values] * cm.n_entries) if cm.mode == "single_model"
-              else np.column_stack([pool(ts.values[:, list(m)], axis=1)
-                                    for m in cm.entry_models]))
+    paired = np.column_stack([pool(ts.values[:, list(m)], axis=1) for m in cm.entry_models])
     np.testing.assert_array_equal(ge, (cm.entry_scores >= paired).sum(axis=1))
     np.testing.assert_array_equal(gt, (cm.entry_scores > paired).sum(axis=1))
-    np.testing.assert_array_equal(eq, ge - gt)
 
 
 def test_forest_plan_fits_each_model_on_its_rows():
@@ -225,12 +221,11 @@ def test_median_rank_counts_match_entry_loop(table):
     n, n_models = oob.shape
     cm = resampling.CalibrationModel(
         entry_scores=entries, entry_rows=np.arange(n), oob=oob, rows=np.zeros((n, 1)),
-        train_counts=np.zeros((n_models, n), dtype=np.uint16), scorer=None, mode="plus",
+        train_counts=np.zeros((n_models, n), dtype=np.uint16), scorer=None,
         strategy=resampling.jackknife_bootstrap(n_models))
-    ts = resampling.TestScores(mode="plus", n_entries=n, values=values)
+    ts = resampling.TestScores(n_entries=n, values=values)
     with mock.patch.object(resampling, "_RANK_BLOCK", block):
-        ge, gt, eq = paired_rank_counts(cm, ts)
+        ge, gt = paired_rank_counts(cm, ts)
     paired = np.column_stack([np.median(values[:, m], axis=1) for m in oob])
     np.testing.assert_array_equal(ge, (entries >= paired).sum(axis=1))
     np.testing.assert_array_equal(gt, (entries > paired).sum(axis=1))
-    np.testing.assert_array_equal(eq, ge - gt)

@@ -6,7 +6,7 @@ from confanom import resampling
 
 from confanom.core import (CalibrationTooLarge, DataMatrix,
                            DimensionMismatch, InvalidHyperparameter,
-                           KOutOfRange, make_rng)
+                           KOutOfRange, ShapeMismatch, make_rng)
 from confanom.detectors import ScorerSpec, wrap_detached
 from confanom.resampling import StrategySpec, aggregate_test_scores
 from confanom.resampling import calibrate_bootstrap, calibrate_cv
@@ -192,18 +192,19 @@ class TestPairedRankCounts:
         cm = calibrate_split(KNN, data, 0.4, seed=1)
         test = gaussian_matrix(19, 7)
         ts = score_matrix(cm, test)
-        ge, gt, eq = paired_rank_counts(cm, ts)
+        assert ts.values.shape == (7, 1)
+        ge, gt = paired_rank_counts(cm, ts)
         for j in range(7):
-            assert ge[j] == int((cm.entry_scores >= ts.values[j]).sum())
-            assert gt[j] == int((cm.entry_scores > ts.values[j]).sum())
-            assert eq[j] == ge[j] - gt[j]
+            assert ge[j] == int((cm.entry_scores >= ts.values[j, 0]).sum())
+            assert gt[j] == int((cm.entry_scores > ts.values[j, 0]).sum())
+            assert ge[j] - gt[j] == int((cm.entry_scores == ts.values[j, 0]).sum())
 
     def test_plus_mode_counts_match_bruteforce(self):
         data = gaussian_matrix(20, 18)
         cm = calibrate_cv(KNN, data, 3, "plus", seed=4)
         test = gaussian_matrix(21, 5)
         ts = score_matrix(cm, test)
-        ge, gt, _ = paired_rank_counts(cm, ts)
+        ge, gt = paired_rank_counts(cm, ts)
         expected_ge = np.zeros(5, dtype=int)
         expected_gt = np.zeros(5, dtype=int)
         for i, mset in enumerate(cm.entry_models):
@@ -212,6 +213,17 @@ class TestPairedRankCounts:
             expected_gt += cm.entry_scores[i] > paired
         np.testing.assert_array_equal(ge, expected_ge)
         np.testing.assert_array_equal(gt, expected_gt)
+
+    def test_mean_pooled_counts_match_bruteforce(self):
+        # JaB+ sets of several models, pooled by the mean, not the median
+        data = gaussian_matrix(29, 30, d=2)
+        cm = calibrate_bootstrap(KNN, data, 8, "plus", seed=3, aggregation="mean")
+        ts = score_matrix(cm, gaussian_matrix(30, 10, d=2))
+        assert max(len(m) for m in cm.entry_models) > 1
+        paired = np.column_stack([ts.values[:, list(m)].mean(axis=1) for m in cm.entry_models])
+        ge, gt = paired_rank_counts(cm, ts)
+        np.testing.assert_array_equal(ge, (cm.entry_scores >= paired).sum(axis=1))
+        np.testing.assert_array_equal(gt, (cm.entry_scores > paired).sum(axis=1))
 
     def test_pairing_guard(self):
         data = gaussian_matrix(22, 20)
@@ -228,6 +240,73 @@ class TestPairedRankCounts:
         ts = score_matrix(cm, test)
         agg = aggregate_test_scores(cm, ts)
         np.testing.assert_allclose(agg, np.median(ts.values, axis=1))
+
+
+STRATEGIES = {
+    "split": lambda data: calibrate_split(KNN, data, 0.4, seed=1),
+    "detached": lambda data: calibrate_detached(
+        wrap_detached(lambda X: X[:, 0], "lower_is_anomalous"), data),
+    "cv_plus": lambda data: calibrate_cv(KNN, data, 3, "plus", seed=1),
+    "cv_single_model": lambda data: calibrate_cv(KNN, data, 3, "single_model", seed=1),
+    "jackknife_plus": lambda data: calibrate_jackknife(KNN, data, "plus", seed=1),
+    "jackknife_single_model": lambda data: calibrate_jackknife(KNN, data, "single_model",
+                                                               seed=1),
+    "jab_plus": lambda data: calibrate_bootstrap(KNN, data, 6, "plus", seed=1),
+    "jab_single_model": lambda data: calibrate_bootstrap(KNN, data, 6, "single_model",
+                                                         seed=1),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_score_table_has_a_column_per_model(strategy):
+    # a single-model calibration is a one-model plan: one column, not 1-D
+    cm = STRATEGIES[strategy](gaussian_matrix(27, 24))
+    ts = score_matrix(cm, gaussian_matrix(28, 5))
+    assert ts.values.ndim == 2
+    assert ts.values.shape == (5, cm.n_models)
+    assert (cm.n_models == 1) == (cm.mode == "single_model")
+    with pytest.raises(ShapeMismatch):
+        resampling.TestScores(n_entries=cm.n_entries, values=ts.values[:, 0])
+
+
+@st.composite
+def single_model_cases(draw):
+    """Split, detached, CV and JaB single_model calibrations on coarse rows,
+    so that entries tie with each other and with test scores."""
+    n = draw(st.integers(8, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 4))
+    rows = rng.integers(0, levels, size=(n, 2)).astype(float)
+    test = np.vstack([rng.integers(0, levels, size=(draw(st.integers(1, 8)), 2)), rows[:3]])
+    kind = draw(st.sampled_from(["split", "detached", "cross_validation",
+                                 "jackknife_bootstrap"]))
+    seed = draw(st.integers(0, 99))
+    spec = ScorerSpec(kind="knn_distance", k=1)
+    data = DataMatrix(rows)
+    if kind == "split":
+        cm = calibrate_split(spec, data, draw(st.integers(1, n - 3)), seed)
+    elif kind == "detached":
+        polarity = draw(st.sampled_from(["higher_is_anomalous", "lower_is_anomalous"]))
+        cm = calibrate_detached(wrap_detached(lambda X: X.sum(axis=1), polarity), data)
+    elif kind == "cross_validation":
+        cm = calibrate_cv(spec, data, draw(st.integers(2, 4)), "single_model", seed,
+                          draw(st.sampled_from(resampling.AGGREGATIONS)))
+    else:
+        cm = calibrate_bootstrap(spec, data, draw(st.integers(2, 6)), "single_model", seed,
+                                 draw(st.sampled_from(resampling.AGGREGATIONS)))
+    return cm, DataMatrix(test)
+
+
+@settings(max_examples=150)
+@given(single_model_cases())
+def test_single_model_rank_counts_match_bruteforce(case):
+    cm, test = case
+    ts = score_matrix(cm, test)
+    ge, gt = paired_rank_counts(cm, ts)
+    t = ts.values[:, 0][:, None]
+    np.testing.assert_array_equal(ge, (cm.entry_scores >= t).sum(axis=1))
+    np.testing.assert_array_equal(gt, (cm.entry_scores > t).sum(axis=1))
+    assert ge.dtype == gt.dtype == np.int64
 
 
 class TestRowOrderInvariance:

@@ -501,6 +501,15 @@ class TestUntrustedContent:
             snapshot_load(write_snapshot(tmp_path / "header.snap", header, arrays))
 
     @pytest.mark.parametrize("which", ["forest", "jab"])
+    def test_swapped_mode_refused(self, tmp_path, request, which):
+        # the header's mode must be the one the strategy implies
+        header, arrays = request.getfixturevalue(which)
+        swapped = {"plus": "single_model", "single_model": "plus"}[header["calibration"]["mode"]]
+        header["calibration"]["mode"] = swapped
+        with pytest.raises(SnapshotError, match="disagrees with the strategy"):
+            snapshot_load(write_snapshot(tmp_path / "mode.snap", header, arrays))
+
+    @pytest.mark.parametrize("which", ["forest", "jab"])
     def test_fuzzed_arrays_never_hang_or_leak(self, tmp_path, request, which):
         header, arrays = request.getfixturevalue(which)
         rng = np.random.default_rng(20)

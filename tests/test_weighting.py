@@ -12,7 +12,7 @@ from confanom.core import (DimensionMismatch, EmptyCalibration, EmptyInput,
                            make_rng)
 from confanom.estimation import conformal_p_values
 from confanom.weighting import (WeightModel, fit_weight_estimator,
-                                weighted_p_value, weighted_p_values, weights)
+                                weighted_p_values, weights)
 
 
 class TestWeightedPValue:
@@ -20,11 +20,13 @@ class TestWeightedPValue:
         # scores [1,2,3], weights [2,1,1], test 2.5 with self-weight 1:
         # numerator 1 + 1 (the score-3 entry plus the test point),
         # denominator 4 + 1
-        assert weighted_p_value([1, 2, 3], [2, 1, 1], 2.5, 1.0) == pytest.approx(0.4)
+        p = weighted_p_values([1, 2, 3], [2, 1, 1], [2.5], [1.0])
+        assert p.shape == (1,) and p[0] == pytest.approx(0.4)
 
     def test_tie_in_numerator(self):
         # entries >= are {2, 3} with weights 1 + 1
-        assert weighted_p_value([1, 2, 3], [2, 1, 1], 2.0, 1.0) == pytest.approx(0.6)
+        p = weighted_p_values([1, 2, 3], [2, 1, 1], [2.0], [1.0])
+        assert p.shape == (1,) and p[0] == pytest.approx(0.6)
 
     def test_unit_weights_reduce_to_empirical(self):
         rng = make_rng(1)
