@@ -138,6 +138,16 @@ def check_seed(seed):
     return seed
 
 
+def check_count(name, value, least):
+    """Validate a count hyperparameter and normalize it to a plain int: like
+    seeds, counts refuse floats, strings and bools rather than truncating."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidHyperparameter(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidHyperparameter(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
 def split_seed(seed, stream_id):
     """Derive a child seed for an independent random stream.
 
@@ -158,11 +168,7 @@ def split_seed(seed, stream_id):
         Child seed in [0, 2**64).
     """
     seed = check_seed(seed)
-    if isinstance(stream_id, bool) or not isinstance(stream_id, (int, np.integer)):
-        raise InvalidHyperparameter("stream_id must be an integer")
-    stream_id = int(stream_id)
-    if stream_id < 0:
-        raise InvalidHyperparameter("stream_id must be nonnegative")
+    stream_id = check_count("stream_id", stream_id, 0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -170,8 +176,9 @@ def split_seed(seed, stream_id):
 def make_rng(seed):
     """Generator for the given seed. All package randomness goes through
     here, except two counter-based streams: the smoothing draws of
-    ``pipeline.stream_p_values`` and the isolation-forest draws of
-    ``detectors.fit_plan``, which come from :func:`philox_block`."""
+    ``pipeline.stream_p_values``, which come from ``np.random.Philox``, and
+    the isolation-forest draws of ``detectors.fit_plan``, which come from
+    :func:`philox_block`."""
     return np.random.default_rng(check_seed(seed))
 
 

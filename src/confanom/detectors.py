@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AmbiguousPolarity, DataMatrix, DimensionMismatch, EmptyTrainingSet,
-                   InvalidData, InvalidHyperparameter, KTooLarge, _readonly,
+                   InvalidData, InvalidHyperparameter, KTooLarge, _readonly, check_count,
                    philox_block, philox_choice, philox_uniform, split_seed)
 
 SCORER_KINDS = ("isolation_forest", "knn_distance", "external")
@@ -111,19 +111,11 @@ class ScorerSpec:
             raise InvalidHyperparameter(
                 f"{self.kind} scores are higher_is_anomalous; "
                 "polarity 'lower_is_anomalous' does not apply")
-        if self.kind == "isolation_forest":
-            if int(self.n_trees) < 1:
-                raise InvalidHyperparameter("n_trees must be at least 1")
-            if int(self.subsample_size) < 2:
-                raise InvalidHyperparameter("subsample_size must be at least 2")
-            if self.max_depth is not None and int(self.max_depth) < 1:
-                raise InvalidHyperparameter("max_depth must be at least 1")
-        elif self.kind == "knn_distance":
-            if int(self.k) < 1:
-                raise InvalidHyperparameter("k must be at least 1")
-            if self.aggregation not in ("kth", "mean"):
-                raise InvalidHyperparameter(
-                    f"unknown knn aggregation {self.aggregation!r}")
+        for name, least in (("n_trees", 1), ("subsample_size", 2), ("max_depth", 1), ("k", 1)):
+            if name != "max_depth" or self.max_depth is not None:
+                object.__setattr__(self, name, check_count(name, getattr(self, name), least))
+        if self.kind == "knn_distance" and self.aggregation not in ("kth", "mean"):
+            raise InvalidHyperparameter(f"unknown knn aggregation {self.aggregation!r}")
 
     def depth_caps(self, psi):
         """The forest depth cap of each subsample size in ``psi``."""
@@ -207,9 +199,9 @@ def _fit_forests(spec, rows, counts, keys):
     ``counts[b, j]`` times and its tree t draws from the Philox key
     ``(keys[b], t)``.  Trees grow in chunks under the ``_FIT_BLOCK`` budget;
     a tree's draws depend only on its key, so no tree depends on the chunks."""
-    n_trees, n_features = int(spec.n_trees), rows.shape[1]
+    n_trees, n_features = spec.n_trees, rows.shape[1]
     sizes = counts.sum(axis=1, dtype=np.int64)
-    psi = np.minimum(int(spec.subsample_size), sizes)
+    psi = np.minimum(spec.subsample_size, sizes)
     cap = spec.depth_caps(psi)
     # sorting rows by content makes the forest independent of row order
     order = np.lexsort(rows.T[::-1])
@@ -262,7 +254,7 @@ class ForestPlan:
                                    ("threshold", threshold, np.float64), ("psi", psi, np.int64),
                                    ("leaf_size", leaf_size, np.int32)):
             setattr(self, name, _readonly(np.asarray(value, dtype=dtype)))
-        self.n_trees, self.n_models = int(spec.n_trees), self.psi.shape[0]
+        self.n_trees, self.n_models = spec.n_trees, self.psi.shape[0]
         self.n_features = int(n_features)
         self._c_psi = np.array([average_path_length(m) for m in self.psi])
         c_table = np.array([average_path_length(m) for m in range(int(self.psi.max()) + 1)])
@@ -387,7 +379,7 @@ class KnnModel:
 
     @property
     def k(self):
-        return int(self.spec.k)
+        return self.spec.k
 
 
 class KnnPlan:
@@ -414,7 +406,7 @@ class KnnPlan:
 
     def __init__(self, spec, rows, counts):
         self.spec = spec
-        self.k = int(spec.k)
+        self.k = spec.k
         self.aggregation = spec.aggregation
         self.rows = rows
         self.counts = counts

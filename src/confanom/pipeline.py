@@ -102,24 +102,6 @@ def _as_matrix(data) -> DataMatrix:
     return data if isinstance(data, DataMatrix) else DataMatrix(data)
 
 
-def _calibrate(config: PipelineConfig, train: DataMatrix) -> CalibrationModel:
-    strategy = config.strategy
-    if strategy.kind == "split":
-        return resampling.calibrate_split(config.scorer, train,
-                                          strategy.n_calib, config.seed)
-    if strategy.kind == "cross_validation":
-        return resampling.calibrate_cv(config.scorer, train, strategy.k,
-                                       strategy.mode, config.seed,
-                                       strategy.aggregation)
-    if strategy.kind == "jackknife":
-        return resampling.calibrate_jackknife(config.scorer, train,
-                                              strategy.mode, config.seed,
-                                              strategy.aggregation)
-    return resampling.calibrate_bootstrap(config.scorer, train,
-                                          strategy.n_bootstraps, strategy.mode,
-                                          config.seed, strategy.aggregation)
-
-
 def _attach_table(config: PipelineConfig, cm: CalibrationModel) -> AdjustmentTable | None:
     est = config.estimation
     if est.regime != "conditional_empirical":
@@ -132,8 +114,7 @@ def fit(config: PipelineConfig, train) -> FittedPipeline:
     """Run the configured strategy on training data and freeze the result."""
     if not isinstance(config, PipelineConfig):
         raise InvalidSpec("config must be a PipelineConfig")
-    train = _as_matrix(train)
-    cm = _calibrate(config, train)
+    cm = resampling.calibrate(config.scorer, _as_matrix(train), config.strategy, config.seed)
     return FittedPipeline(config=config, calibration=cm,
                           table=_attach_table(config, cm))
 

@@ -3,12 +3,13 @@ jackknife-after-bootstrap calibration.
 
 Every strategy is a :class:`Plan`, a matrix of how many times each
 resampled model trains on each row plus the out-of-bag mask of the models
-that score each entry, and one generic calibration turns any plan into a
-:class:`CalibrationModel`: calibration-score entries, each bound to the model
-(or out-of-bag model set) that produced it, under the out-of-sample
-discipline that no entry was scored by a model whose training multiset
-contains that entry's row. The number of entries fixes the p-value floor
-1/(n_entries + 1) downstream.
+that score each entry.  One entry, :func:`calibrate`, maps a
+:class:`StrategySpec` to its plan (:func:`strategy_plan`) and turns the
+plan into a :class:`CalibrationModel`: calibration-score entries, each
+bound to the model (or out-of-bag model set) that produced it, under the
+out-of-sample discipline that no entry was scored by a model whose training
+multiset contains that entry's row. The number of entries fixes the
+p-value floor 1/(n_entries + 1) downstream.
 
 A single-model calibration (split, detached, or a single_model strategy,
 which refits one model on every row once the entries are scored) keeps one
@@ -41,6 +42,7 @@ from .core import (
     NoOutOfBagRows,
     ShapeMismatch,
     _readonly,
+    check_count,
     check_seed,
     make_rng,
     split_seed,
@@ -92,30 +94,18 @@ class StrategySpec:
         if self.mode not in MODES:
             raise InvalidHyperparameter(
                 f"{self.kind} requires mode 'plus' or 'single_model'")
-        if self.kind == "cross_validation":
-            if self.k is None or int(self.k) < 2:
-                raise InvalidHyperparameter("cross_validation requires k >= 2")
-        elif self.k is not None:
-            raise InvalidHyperparameter(f"{self.kind} does not take k")
-        if self.kind == "jackknife_bootstrap":
-            if self.n_bootstraps is None or int(self.n_bootstraps) < 1:
-                raise InvalidHyperparameter(
-                    "jackknife_bootstrap requires n_bootstraps >= 1")
-        elif self.n_bootstraps is not None:
-            raise InvalidHyperparameter(f"{self.kind} does not take n_bootstraps")
+        for name, kind, least in (("k", "cross_validation", 2),
+                                  ("n_bootstraps", "jackknife_bootstrap", 1)):
+            if self.kind == kind:
+                object.__setattr__(self, name, check_count(name, getattr(self, name), least))
+            elif getattr(self, name) is not None:
+                raise InvalidHyperparameter(f"{self.kind} does not take {name}")
 
     def _check_n_calib(self):
-        v = self.n_calib
-        if isinstance(v, bool):
-            raise InvalidHyperparameter("n_calib must be a count or fraction")
-        if isinstance(v, (int, np.integer)):
-            if v < 1:
-                raise InvalidHyperparameter("n_calib count must be positive")
-        elif isinstance(v, float):
-            if not 0.0 < v < 1.0:
-                raise InvalidHyperparameter("n_calib fraction must be inside (0, 1)")
-        else:
-            raise InvalidHyperparameter("n_calib must be a count or fraction")
+        if not isinstance(self.n_calib, float):
+            object.__setattr__(self, "n_calib", check_count("n_calib", self.n_calib, 1))
+        elif not 0.0 < self.n_calib < 1.0:
+            raise InvalidHyperparameter("n_calib fraction must be inside (0, 1)")
 
 
 def split(n_calib):
@@ -150,7 +140,8 @@ class CalibrationModel:
         paired with: its fold model or out-of-bag set in plus mode, model 0
         in single_model mode.
     rows : (n_rows, n_features) the data passed to calibration (the
-        held-out set of a detached calibration).
+        held-out set of a detached calibration, on which its model trained
+        zero times).
     train_counts : (n_models, n_rows) uint16, how many times each retained
         model trained on each row.
     scorer : the retained models scored together: a ``detectors.KnnPlan``
@@ -165,7 +156,6 @@ class CalibrationModel:
     train_counts: np.ndarray
     scorer: object
     strategy: StrategySpec
-    detached: bool = False
 
     def __post_init__(self):
         for name, dtype in (("entry_scores", np.float64), ("entry_rows", np.int64), ("oob", bool),
@@ -244,11 +234,8 @@ class Plan:
 
 
 def _resolve_n_calib(n_calib, n_rows):
-    if isinstance(n_calib, float) and not isinstance(n_calib, bool):
-        # round half away from zero; 0.2 of 1000 must be exactly 200
-        resolved = int(np.floor(n_calib * n_rows + 0.5))
-    else:
-        resolved = int(n_calib)
+    # a fraction rounds half away from zero; 0.2 of 1000 must be exactly 200
+    resolved = int(np.floor(n_calib * n_rows + 0.5)) if isinstance(n_calib, float) else n_calib
     if resolved < 1:
         raise CalibrationTooLarge(
             f"n_calib={n_calib} resolves to {resolved}, need at least 1 entry")
@@ -338,11 +325,32 @@ def _pool(scores, oob, aggregation):
     return pooled
 
 
-def _calibrate(spec, data, strategy, plan, seed):
-    """Fit a plan's models, score each entry under its out-of-bag models and
-    pool.  In single_model mode the plan's models only produce the entries;
-    one model refitted on every row is retained."""
+def strategy_plan(strategy, n, seed):
+    """The plan of ``strategy`` over n rows: split and JaB have their own,
+    cross-validation its k folds and the jackknife n folds of one row."""
+    if strategy.kind == "split":
+        return split_plan(n, strategy.n_calib, seed)
+    if strategy.kind == "jackknife_bootstrap":
+        return bootstrap_plan(n, strategy.n_bootstraps, seed)
+    if strategy.kind == "jackknife" and n < 2:
+        raise KOutOfRange("jackknife requires at least 2 rows")
+    return cv_plan(n, n if strategy.kind == "jackknife" else strategy.k, seed)
+
+
+def calibrate(spec, data, strategy, seed):
+    """Calibrate scorer ``spec`` on ``data`` under ``strategy``: fit the
+    plan's models, score each entry under its out-of-bag models and pool.
+
+    In single_model mode the plan's models only produce the entries; one
+    model refitted on every row is retained.  JaB drops the rows that are
+    in-bag in every bootstrap and counts them in ``dropped_rows``: they
+    vanish for any realistic number of bootstraps.
+    """
+    if not isinstance(data, DataMatrix):
+        raise InvalidHyperparameter("data must be a DataMatrix")
+    seed = check_seed(seed)
     rows = data.values
+    plan = strategy_plan(strategy, rows.shape[0], seed)
     scorer = detectors.fit_plan(spec, rows, plan.train_counts, seed, plan.streams)
     scores = detectors.score_plan(scorer, DataMatrix(rows[plan.entry_rows]), plan.oob)
     entries = _pool(scores, plan.oob, strategy.aggregation)
@@ -356,13 +364,6 @@ def _calibrate(spec, data, strategy, plan, seed):
         train_counts=counts, scorer=scorer, strategy=strategy)
 
 
-def calibrate_split(spec, data, n_calib, seed):
-    """Disjoint-split calibration: one scorer on D_train, entries on D_cal."""
-    seed = check_seed(seed)
-    return _calibrate(spec, data, split(n_calib),
-                      split_plan(data.n_rows, n_calib, seed), seed)
-
-
 def calibrate_detached(scorer, calib):
     """Calibrate a pre-fitted scorer directly on a held-out inlier set."""
     if not isinstance(calib, DataMatrix):
@@ -371,44 +372,7 @@ def calibrate_detached(scorer, calib):
     return CalibrationModel(
         entry_scores=detectors.score_plan(scorer, calib)[:, 0], entry_rows=np.arange(n),
         oob=np.ones((n, 1), dtype=bool), rows=calib.values,
-        train_counts=np.zeros((1, n), dtype=np.uint16), scorer=scorer,
-        strategy=split(n), detached=True)
-
-
-def calibrate_cv(spec, data, k, mode, seed, aggregation="median"):
-    """K-fold cross-conformal calibration.
-
-    Each fold's rows are scored by the model trained on the other k-1 folds.
-    'plus' keeps the k fold models; 'single_model' refits on all rows and
-    rebinds every entry to that one model.
-    """
-    seed = check_seed(seed)
-    plan = cv_plan(data.n_rows, int(k), seed)
-    return _calibrate(spec, data, cross_validation(int(k), mode, aggregation), plan, seed)
-
-
-def calibrate_jackknife(spec, data, mode, seed, aggregation="median"):
-    """Leave-one-out calibration: the cross-validation plan with k = n_rows."""
-    if data.n_rows < 2:
-        raise KOutOfRange("jackknife requires at least 2 rows")
-    seed = check_seed(seed)
-    return _calibrate(spec, data, jackknife(mode, aggregation),
-                      cv_plan(data.n_rows, data.n_rows, seed), seed)
-
-
-def calibrate_bootstrap(spec, data, n_bootstraps, mode, seed, aggregation="median"):
-    """Jackknife-after-bootstrap calibration.
-
-    Each bootstrap resamples the rows with replacement and fits one scorer;
-    a row's entry is the aggregate (default median) of its scores under the
-    models for which it is out-of-bag. Rows that are in-bag everywhere are
-    dropped and counted in ``dropped_rows`` rather than erred: they vanish
-    for any realistic number of bootstraps.
-    """
-    seed = check_seed(seed)
-    strategy = jackknife_bootstrap(int(n_bootstraps), mode, aggregation)
-    return _calibrate(spec, data, strategy,
-                      bootstrap_plan(data.n_rows, strategy.n_bootstraps, seed), seed)
+        train_counts=np.zeros((1, n), dtype=np.uint16), scorer=scorer, strategy=split(n))
 
 
 @dataclass(frozen=True)

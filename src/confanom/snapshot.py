@@ -1,13 +1,19 @@
 """Pipeline persistence as a versioned, self-describing binary container.
 
 Layout: an 8-byte magic, a little-endian uint32 format version, a
-little-endian uint64 header length, a JSON header (configuration, model
-metadata, and an array index), the raw array payloads in index order,
+little-endian uint64 header length, a JSON header (configuration,
+package version and array index), the raw array payloads in index order,
 and a trailing SHA-256 over everything before it.  Loads verify magic,
 version, and digest before touching any content, so a truncated or
 corrupted file is refused whole rather than half-loaded.
 
-Format version 5 stores a calibration as its plan: the training rows once
+The header gives each setting once: the pipeline configuration (scorer,
+strategy, estimation, weighting, seed), the package version and the array
+index.  Everything else follows from it: the calibration's strategy and
+mode are the configured strategy's, and an adjustment table's size, delta
+and method are the entry count and the configured estimation's.
+
+Format version 6 stores a calibration as its plan: the training rows once
 (``calibration/rows``), each retained model as a row of
 ``calibration/train_counts`` (models x rows; uint8 if all are below 256,
 else uint16), each entry's row index and score, and the entry-to-model
@@ -15,9 +21,17 @@ pairing as a bit-packed mask (``calibration/oob_bits``).  Isolation
 forests add their trees, model by model and tree by tree, by level-order
 shape: ``trees/feature`` per node (-1 for a leaf), ``trees/threshold`` per
 inner node and ``trees/leaf_size`` per leaf, cut by ``trees/offsets``; a
-tree's r-th inner node has children 2r + 1 and 2r + 2.  The digest only
-detects damage: anyone can recompute it, so every array is checked for
-shape, range, tree shape and depth before anything is built from it.
+tree's r-th inner node has children 2r + 1 and 2r + 2.  A
+calibration-conditional pipeline adds ``table/adjusted``, its n_entries + 1
+adjusted p-values.  The digest only detects damage: anyone can recompute
+it, so every array is checked for shape, range, tree shape and depth before
+anything is built from it.  The arrays must also be the configuration's: a
+plus-mode strategy has as many models as it fits, a single_model refit
+trains once on every row, and a file is refused if
+a conditional configuration has no table, a table has the wrong length, or
+an array (a table under another regime, say) belongs to no part of the
+configuration.  Files of earlier formats (5 repeated the strategy and the
+table's settings in the header) are refused by their version.
 
 Only built-in detectors can be saved: an external scorer is an opaque
 callable and an oracle weighting carries a user function, neither of
@@ -40,13 +54,9 @@ from .pipeline import FittedPipeline, PipelineConfig
 from .resampling import CalibrationModel, StrategySpec
 
 MAGIC = b"CANOMSNP"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _DIGEST_BYTES = 32
 _TREE_ARRAYS = (("feature", "<i4"), ("threshold", "<f8"), ("leaf_size", "<i4"))
-
-
-def _spec_dict(spec):
-    return dataclasses.asdict(spec)
 
 
 class _ArrayStore:
@@ -74,7 +84,7 @@ def snapshot_save(fp: FittedPipeline, path):
         raise SnapshotError(
             "oracle weighting cannot be snapshotted: the ratio function is "
             "a user-supplied callable")
-    if fp.calibration.detached or fp.config.scorer.kind == "external":
+    if fp.config.scorer.kind == "external":
         raise SnapshotError(
             "external scorers cannot be snapshotted: the scoring function is "
             "an opaque callable")
@@ -90,29 +100,18 @@ def snapshot_save(fp: FittedPipeline, path):
     if isinstance(cm.scorer, ForestPlan):
         for field, dtype in _TREE_ARRAYS + (("offsets", "<i8"),):
             store.add(f"trees/{field}", getattr(cm.scorer, field).astype(dtype))
-    table_meta = None
     if fp.table is not None:
         store.add("table/adjusted", fp.table.adjusted)
-        table_meta = {
-            "n": fp.table.n,
-            "delta": fp.table.delta,
-            "method": fp.table.method,
-        }
     header = {
         "format_version": FORMAT_VERSION,
         "package_version": __version__,
         "config": {
-            "scorer": _spec_dict(fp.config.scorer),
-            "strategy": _spec_dict(fp.config.strategy),
-            "estimation": _spec_dict(fp.config.estimation),
+            "scorer": dataclasses.asdict(fp.config.scorer),
+            "strategy": dataclasses.asdict(fp.config.strategy),
+            "estimation": dataclasses.asdict(fp.config.estimation),
             "weighting": fp.config.weighting,
             "seed": fp.config.seed,
         },
-        "calibration": {
-            "mode": cm.mode,
-            "strategy": _spec_dict(cm.strategy),
-        },
-        "table": table_meta,
         "arrays": store.index,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -134,7 +133,7 @@ class _Arrays:
     the format expects."""
 
     def __init__(self, index, payload):
-        self.arrays = {}
+        self.arrays, self.used = {}, set()
         offset = 0
         for entry in index:
             name = entry["name"]
@@ -153,6 +152,7 @@ class _Arrays:
 
     def get(self, name, dtype, ndim):
         array = self.arrays.get(name)
+        self.used.add(name)
         if array is None or array.dtype.str not in dtype.split() or array.ndim != ndim:
             raise SnapshotError(f"snapshot array {name!r} is missing or malformed")
         return array
@@ -170,7 +170,7 @@ def _load_forests(arrays, spec, sizes, n_features):
     with children 2r + 1 and 2r + 2.  Features index real columns, thresholds
     are finite, leaf sizes index the model's c(m) table and no tree is deeper
     than its model's cap.  Tree count and subsample sizes follow from the spec."""
-    n_trees, psi = int(spec.n_trees), np.minimum(int(spec.subsample_size), sizes)
+    n_trees, psi = spec.n_trees, np.minimum(spec.subsample_size, sizes)
     feature, threshold, leaf_size = (arrays.get(f"trees/{f}", d, 1) for f, d in _TREE_ARRAYS)
     offsets = arrays.get("trees/offsets", "<i8", 1)
     n_nodes, root, stop = feature.shape[0], offsets[:-1], offsets[1:]
@@ -200,8 +200,10 @@ def _load_forests(arrays, spec, sizes, n_features):
     return ForestPlan(spec, feature, threshold, leaf_size, offsets, psi, n_features)
 
 
-def _load_calibration(cal, arrays, spec):
-    """Cross-check the plan arrays, then build the calibration model."""
+def _load_calibration(arrays, config):
+    """Cross-check the plan arrays against each other and against the
+    configured strategy, then build the calibration model."""
+    spec, strategy = config.scorer, config.strategy
     rows = arrays.get("calibration/rows", "<f8", 2)
     counts = arrays.get("calibration/train_counts", "|u1 <u2", 2).astype(np.uint16)
     entry_scores = arrays.get("calibration/entry_scores", "<f8", 1)
@@ -229,15 +231,20 @@ def _load_calibration(cal, arrays, spec):
         _expect(spec.kind == "isolation_forest" and sizes.min() >= 2,
                 "a forest model has too few training rows")
         scorer = _load_forests(arrays, spec, sizes, n_features)
+    # a single-model calibration binds every entry to its one model
     cm = CalibrationModel(
         entry_scores=entry_scores, entry_rows=entry_rows, oob=oob, rows=rows,
-        train_counts=counts, scorer=scorer, strategy=StrategySpec(**cal["strategy"]))
-    # the mode follows from the strategy, and the header repeats it
-    _expect(cal["mode"] == cm.mode, f"mode {cal['mode']!r} disagrees with the strategy")
-    # a single_model refit trains on every row, the entries' rows included
-    _expect(cm.mode == "single_model"
-            or not (counts[:, entry_rows].T.astype(bool) & oob).any(),
-            "an entry is paired with a model trained on its row")
+        train_counts=counts, scorer=scorer, strategy=strategy)
+    if strategy.mode == "plus":
+        models = {"cross_validation": strategy.k, "jackknife": n_rows,
+                  "jackknife_bootstrap": strategy.n_bootstraps}[strategy.kind]
+        _expect(n_models == models, f"{n_models} models where the strategy fits {models}")
+    # a single_model refit trains once on every row, the entries' rows included
+    if strategy.mode == "single_model":
+        _expect((counts == 1).all(), "a single_model refit must train once on every row")
+    else:
+        _expect(not (counts[:, entry_rows].T.astype(bool) & oob).any(),
+                "an entry is paired with a model trained on its row")
     return cm
 
 
@@ -273,23 +280,28 @@ def snapshot_inspect(path):
         raise SnapshotError("snapshot file is truncated")
     try:
         header = json.loads(body[20:header_end].decode("utf-8"))
+        _expect(sorted(header) == ["arrays", "config", "format_version", "package_version"],
+                "the header has sections other than config, arrays and versions")
         arrays = _Arrays(header["arrays"], body[header_end:])
         cfg = header["config"]
-        scorer_spec = ScorerSpec(**cfg["scorer"])
         config = PipelineConfig(
-            scorer=scorer_spec,
+            scorer=ScorerSpec(**cfg["scorer"]),
             strategy=StrategySpec(**cfg["strategy"]),
             seed=cfg["seed"],
             estimation=EstimationSpec(**cfg["estimation"]),
             weighting=cfg["weighting"],
         )
-        cm = _load_calibration(header["calibration"], arrays, scorer_spec)
-        table = None
-        if header["table"] is not None:
-            tm = header["table"]
-            _expect(tm["n"] == cm.n_entries, "adjustment table size differs from the entries")
-            table = AdjustmentTable(n=tm["n"], delta=tm["delta"], method=tm["method"],
-                                    adjusted=arrays.get("table/adjusted", "<f8", 1))
+        cm = _load_calibration(arrays, config)
+        table, est = None, config.estimation
+        if est.regime == "conditional_empirical":
+            adjusted = arrays.get("table/adjusted", "<f8", 1)
+            _expect(adjusted.shape == (cm.n_entries + 1,),
+                    f"an adjustment table of {adjusted.shape[0]} ranks for "
+                    f"{cm.n_entries} entries")
+            table = AdjustmentTable(n=cm.n_entries, delta=est.delta, method=est.method,
+                                    adjusted=adjusted)
+        unused = sorted(set(arrays.arrays) - arrays.used)
+        _expect(not unused, f"arrays {unused} do not belong to this configuration")
     except SnapshotError:
         raise
     except (ConfanomError, KeyError, TypeError, ValueError, IndexError,

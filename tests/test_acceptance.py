@@ -330,8 +330,8 @@ def test_a11_equivalences(capsys):
     rng = make_rng(111)
     data = DataMatrix(rng.normal(size=(25, 3)))
     spec = ScorerSpec(kind="knn_distance", k=3)
-    jk = resampling.calibrate_jackknife(spec, data, "plus", 17)
-    cv = resampling.calibrate_cv(spec, data, 25, "plus", 17)
+    jk = resampling.calibrate(spec, data, resampling.jackknife("plus"), 17)
+    cv = resampling.calibrate(spec, data, resampling.cross_validation(25, "plus"), 17)
     jk_cv = (np.array_equal(jk.entry_scores, cv.entry_scores)
              and jk.entry_models == cv.entry_models)
 

@@ -46,6 +46,17 @@ class TestScorerSpec:
         with pytest.raises(InvalidHyperparameter):
             ScorerSpec(kind="isolation_forest", subsample_size=1)
 
+    @pytest.mark.parametrize("field", ["n_trees", "subsample_size", "max_depth", "k"])
+    def test_counts_are_integers(self, field):
+        # counts are refused, not truncated, unless they are integers, and
+        # numpy integers are stored as plain ints
+        for kind in ("isolation_forest", "knn_distance"):
+            for bad in (2.5, "3", True):
+                with pytest.raises(InvalidHyperparameter, match=f"{field} must be an integer"):
+                    ScorerSpec(kind=kind, **{field: bad})
+            value = getattr(ScorerSpec(kind=kind, **{field: np.int64(3)}), field)
+            assert type(value) is int and value == 3
+
 
 class TestAveragePathLength:
     def test_small_values(self):

@@ -87,6 +87,14 @@ class TestFit:
         with pytest.raises(AttributeError):
             fp.config = None
 
+    def test_calibration_holds_the_configured_strategy(self):
+        # the strategy is stated once: fit hands the config's own spec on
+        for strategy in (SPLIT, cross_validation(3), jackknife("single_model"),
+                         resampling.jackknife_bootstrap(4)):
+            fp = fit(PipelineConfig(scorer=KNN, strategy=strategy, seed=2),
+                     gaussian_matrix(0, 30))
+            assert fp.config.strategy is fp.calibration.strategy is strategy
+
     def test_fit_rejects_plain_spec(self):
         with pytest.raises(InvalidSpec):
             fit(KNN, gaussian_matrix(0, 40))

@@ -19,32 +19,10 @@ from confanom.detectors import ScorerSpec
 from confanom.resampling import paired_rank_counts
 from confanom.resampling import test_score_matrix as score_matrix
 
-CALIBRATE = {
-    "split": lambda spec, data, s, seed: resampling.calibrate_split(
-        spec, data, s.n_calib, seed),
-    "cross_validation": lambda spec, data, s, seed: resampling.calibrate_cv(
-        spec, data, s.k, s.mode, seed, s.aggregation),
-    "jackknife": lambda spec, data, s, seed: resampling.calibrate_jackknife(
-        spec, data, s.mode, seed, s.aggregation),
-    "jackknife_bootstrap": lambda spec, data, s, seed: resampling.calibrate_bootstrap(
-        spec, data, s.n_bootstraps, s.mode, seed, s.aggregation),
-}
-
-
-def plan_of(strategy, n, seed):
-    if strategy.kind == "split":
-        return resampling.split_plan(n, strategy.n_calib, seed)
-    if strategy.kind == "cross_validation":
-        return resampling.cv_plan(n, strategy.k, seed)
-    if strategy.kind == "jackknife":
-        return resampling.cv_plan(n, n, seed)
-    return resampling.bootstrap_plan(n, strategy.n_bootstraps, seed)
-
-
 @st.composite
 def cases(draw):
     n = draw(st.integers(8, 40))
-    kind = draw(st.sampled_from(sorted(CALIBRATE)))
+    kind = draw(st.sampled_from(sorted(resampling.STRATEGY_KINDS)))
     mode = draw(st.sampled_from(resampling.MODES))
     aggregation = draw(st.sampled_from(resampling.AGGREGATIONS))
     if kind == "split":
@@ -94,12 +72,12 @@ def test_plan_scores_equal_expanded_models(case):
     spec, strategy, data, test, seed, chunk, block = case
     with mock.patch.object(detectors, "_KNN_CHUNK", chunk), \
             mock.patch.object(detectors, "_KNN_BLOCK", block):
-        plan = plan_of(strategy, data.n_rows, seed)
+        plan = resampling.strategy_plan(strategy, data.n_rows, seed)
         scorer = detectors.fit_plan(spec, data.values, plan.train_counts, seed, plan.streams)
         np.testing.assert_array_equal(
             detectors.score_plan(scorer, test),
             expanded_scores(spec, data.values, plan.train_counts, test.values))
-        cm = CALIBRATE[strategy.kind](spec, data, strategy, seed)
+        cm = resampling.calibrate(spec, data, strategy, seed)
         ts = score_matrix(cm, test)
     np.testing.assert_array_equal(
         cm.entry_scores, reference_entries(spec, data.values, plan, strategy.aggregation))
@@ -153,10 +131,10 @@ def test_knn_plan_matches_cdist(case):
 def test_out_of_sample_audit(case):
     # every model bound to an entry has count 0 on that entry's row
     spec, strategy, data, _, seed, _, _ = case
-    plan = plan_of(strategy, data.n_rows, seed)
+    plan = resampling.strategy_plan(strategy, data.n_rows, seed)
     assert plan.oob.any(axis=1).all()
     assert not (plan.train_counts[:, plan.entry_rows].T.astype(bool) & plan.oob).any()
-    cm = CALIBRATE[strategy.kind](spec, data, strategy, seed)
+    cm = resampling.calibrate(spec, data, strategy, seed)
     np.testing.assert_array_equal(cm.entry_rows, plan.entry_rows)
     if cm.mode == "plus" or strategy.kind == "split":
         assert not (cm.train_counts[:, cm.entry_rows].T.astype(bool) & cm.oob).any()
@@ -170,7 +148,7 @@ def test_out_of_sample_audit(case):
 @given(cases())
 def test_rank_counts_match_entry_loop(case):
     spec, strategy, data, test, seed, _, _ = case
-    cm = CALIBRATE[strategy.kind](spec, data, strategy, seed)
+    cm = resampling.calibrate(spec, data, strategy, seed)
     ts = score_matrix(cm, test)
     ge, gt = paired_rank_counts(cm, ts)
     pool = np.median if strategy.aggregation == "median" else np.mean

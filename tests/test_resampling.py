@@ -8,10 +8,8 @@ from confanom.core import (CalibrationTooLarge, DataMatrix,
                            DimensionMismatch, InvalidHyperparameter,
                            KOutOfRange, ShapeMismatch, make_rng)
 from confanom.detectors import ScorerSpec, wrap_detached
-from confanom.resampling import StrategySpec, aggregate_test_scores
-from confanom.resampling import calibrate_bootstrap, calibrate_cv
-from confanom.resampling import calibrate_detached, calibrate_jackknife
-from confanom.resampling import calibrate_split, cross_validation, jackknife
+from confanom.resampling import StrategySpec, aggregate_test_scores, calibrate
+from confanom.resampling import calibrate_detached, cross_validation, jackknife
 from confanom.resampling import jackknife_bootstrap, paired_rank_counts, split
 from confanom.resampling import test_score_matrix as score_matrix
 
@@ -50,6 +48,35 @@ class TestStrategySpec:
         with pytest.raises(InvalidHyperparameter):
             jackknife_bootstrap(n_bootstraps=0)
 
+    def test_counts_are_integers(self):
+        # k = 2.5 would fit 2 folds and n_bootstraps = True one bootstrap;
+        # counts are refused unless they are integers, and numpy integers
+        # are stored as plain ints
+        for bad in (2.5, "3", True):
+            with pytest.raises(InvalidHyperparameter, match="k must be an integer"):
+                cross_validation(bad)
+            with pytest.raises(InvalidHyperparameter, match="n_bootstraps must be an integer"):
+                jackknife_bootstrap(bad)
+        with pytest.raises(InvalidHyperparameter, match="n_calib must be an integer"):
+            split(True)
+        for spec, field in ((cross_validation(np.int64(3)), "k"),
+                            (jackknife_bootstrap(np.int32(3)), "n_bootstraps"),
+                            (split(np.int16(3)), "n_calib")):
+            assert type(getattr(spec, field)) is int and getattr(spec, field) == 3
+
+    def test_one_entry_maps_each_strategy_to_its_plan(self):
+        # one model per fold, per row or per bootstrap; split fits one
+        data = gaussian_matrix(31, 12)
+        for strategy, n_models in ((split(4), 1), (cross_validation(3), 3), (jackknife(), 12),
+                                   (jackknife_bootstrap(5), 5)):
+            cm = calibrate(KNN, data, strategy, seed=2)
+            assert cm.strategy is strategy and cm.n_models == n_models
+            plan = resampling.strategy_plan(strategy, 12, 2)
+            np.testing.assert_array_equal(cm.train_counts, plan.train_counts)
+            np.testing.assert_array_equal(cm.entry_rows, plan.entry_rows)
+        with pytest.raises(KOutOfRange, match="jackknife requires at least 2 rows"):
+            calibrate(KNN, gaussian_matrix(32, 1), jackknife(), seed=0)
+
     def test_factories(self):
         assert cross_validation(5).kind == "cross_validation"
         assert jackknife().mode == "plus"
@@ -59,37 +86,37 @@ class TestStrategySpec:
 class TestSplit:
     def test_partition_sizes(self):
         data = gaussian_matrix(1, 40)
-        cm = calibrate_split(KNN, data, 0.25, seed=7)
+        cm = calibrate(KNN, data, split(0.25), seed=7)
         assert cm.n_entries == 10
         assert len(set(cm.model_train_indices[0])) == 30
         assert cm.cal_rows.shape == (10, 4)
 
     def test_count_and_fraction_agree(self):
         data = gaussian_matrix(2, 40)
-        a = calibrate_split(KNN, data, 10, seed=7)
-        b = calibrate_split(KNN, data, 0.25, seed=7)
+        a = calibrate(KNN, data, split(10), seed=7)
+        b = calibrate(KNN, data, split(0.25), seed=7)
         np.testing.assert_array_equal(a.entry_scores, b.entry_scores)
 
     def test_calibration_cannot_swallow_training(self):
         data = gaussian_matrix(3, 10)
         with pytest.raises(CalibrationTooLarge):
-            calibrate_split(KNN, data, 10, seed=0)
+            calibrate(KNN, data, split(10), seed=0)
         with pytest.raises(CalibrationTooLarge):
-            calibrate_split(KNN, data, 11, seed=0)
+            calibrate(KNN, data, split(11), seed=0)
 
     def test_entries_are_out_of_sample(self):
         # every calibration row must be absent from the fit subset
         data = gaussian_matrix(4, 30)
-        cm = calibrate_split(KNN, data, 0.5, seed=3)
+        cm = calibrate(KNN, data, split(0.5), seed=3)
         fit_rows = data.values[list(cm.model_train_indices[0])]
         for row in cm.cal_rows:
             assert not (fit_rows == row).all(axis=1).any()
 
     def test_deterministic(self):
         data = gaussian_matrix(5, 30)
-        a = calibrate_split(KNN, data, 0.5, seed=3)
-        b = calibrate_split(KNN, data, 0.5, seed=3)
-        c = calibrate_split(KNN, data, 0.5, seed=4)
+        a = calibrate(KNN, data, split(0.5), seed=3)
+        b = calibrate(KNN, data, split(0.5), seed=3)
+        c = calibrate(KNN, data, split(0.5), seed=4)
         np.testing.assert_array_equal(a.entry_scores, b.entry_scores)
         assert not np.array_equal(a.entry_scores, c.entry_scores)
 
@@ -100,26 +127,27 @@ class TestDetached:
         scorer = wrap_detached(lambda X: X[:, 0], "higher_is_anomalous")
         cm = calibrate_detached(scorer, calib)
         np.testing.assert_array_equal(cm.entry_scores, calib.values[:, 0])
-        assert cm.detached
+        # the wrapped scorer trained on none of the held-out rows
+        assert cm.n_models == 1 and not cm.train_counts.any()
 
 
 class TestCrossValidation:
     def test_every_row_becomes_an_entry(self):
         data = gaussian_matrix(7, 33)
-        cm = calibrate_cv(KNN, data, 5, "plus", seed=1)
+        cm = calibrate(KNN, data, cross_validation(5, "plus"), seed=1)
         assert cm.n_entries == 33
         assert len(cm.models) == 5
 
     def test_fold_sizes_balanced(self):
         data = gaussian_matrix(8, 33)
-        cm = calibrate_cv(KNN, data, 5, "plus", seed=1)
+        cm = calibrate(KNN, data, cross_validation(5, "plus"), seed=1)
         sizes = [len(idx) for idx in cm.model_train_indices]
         # 33 rows in 5 folds: three folds of 7 and two of 6
         assert sorted(33 - s for s in sizes) == [6, 6, 7, 7, 7]
 
     def test_entry_pairs_with_out_of_fold_model(self):
         data = gaussian_matrix(9, 20)
-        cm = calibrate_cv(KNN, data, 4, "plus", seed=2)
+        cm = calibrate(KNN, data, cross_validation(4, "plus"), seed=2)
         for entry_idx, models in enumerate(cm.entry_models):
             assert len(models) == 1
             rows = cm.model_train_indices[models[0]]
@@ -129,7 +157,7 @@ class TestCrossValidation:
 
     def test_single_model_refits_once(self):
         data = gaussian_matrix(10, 20)
-        cm = calibrate_cv(KNN, data, 4, "single_model", seed=2)
+        cm = calibrate(KNN, data, cross_validation(4, "single_model"), seed=2)
         assert len(cm.models) == 1
         assert len(cm.model_train_indices[0]) == 20
         assert all(m == (0,) for m in cm.entry_models)
@@ -137,15 +165,15 @@ class TestCrossValidation:
     def test_k_out_of_range(self):
         data = gaussian_matrix(11, 6)
         with pytest.raises(KOutOfRange):
-            calibrate_cv(KNN, data, 7, "plus", seed=0)
+            calibrate(KNN, data, cross_validation(7, "plus"), seed=0)
 
 
 class TestJackknife:
     def test_equals_cv_with_k_equal_n(self):
         # leave-one-out is exactly n-fold cross-validation
         data = gaussian_matrix(12, 12)
-        jk = calibrate_jackknife(KNN, data, "plus", seed=5)
-        cv = calibrate_cv(KNN, data, 12, "plus", seed=5)
+        jk = calibrate(KNN, data, jackknife("plus"), seed=5)
+        cv = calibrate(KNN, data, cross_validation(12, "plus"), seed=5)
         np.testing.assert_array_equal(jk.entry_scores, cv.entry_scores)
         assert jk.entry_models == cv.entry_models
         test = gaussian_matrix(13, 6)
@@ -158,18 +186,18 @@ class TestBootstrap:
         # P(row out of bag) = (1 - 1/n)^n -> 1/e; one bootstrap, n = 10000
         data = gaussian_matrix(14, 10000, d=1)
         forest = ScorerSpec(kind="isolation_forest", n_trees=5)
-        cm = calibrate_bootstrap(forest, data, 1, "plus", seed=42)
+        cm = calibrate(forest, data, jackknife_bootstrap(1, "plus"), seed=42)
         oob_fraction = cm.n_entries / 10000
         assert abs(oob_fraction - np.exp(-1)) < 0.03
 
     def test_dropped_rows_accounted(self):
         data = gaussian_matrix(15, 50, d=2)
-        cm = calibrate_bootstrap(KNN, data, 2, "plus", seed=3)
+        cm = calibrate(KNN, data, jackknife_bootstrap(2, "plus"), seed=3)
         assert cm.n_entries + cm.dropped_rows == 50
 
     def test_entry_models_are_oob_sets(self):
         data = gaussian_matrix(16, 40, d=2)
-        cm = calibrate_bootstrap(KNN, data, 5, "plus", seed=9)
+        cm = calibrate(KNN, data, jackknife_bootstrap(5, "plus"), seed=9)
         for entry_idx, mset in enumerate(cm.entry_models):
             assert len(mset) >= 1
             row = cm.cal_rows[entry_idx]
@@ -180,8 +208,8 @@ class TestBootstrap:
 
     def test_single_model_keeps_oob_entries(self):
         data = gaussian_matrix(17, 60, d=2)
-        plus = calibrate_bootstrap(KNN, data, 4, "plus", seed=1)
-        single = calibrate_bootstrap(KNN, data, 4, "single_model", seed=1)
+        plus = calibrate(KNN, data, jackknife_bootstrap(4, "plus"), seed=1)
+        single = calibrate(KNN, data, jackknife_bootstrap(4, "single_model"), seed=1)
         assert single.n_entries == plus.n_entries
         assert len(single.models) == 1
 
@@ -189,7 +217,7 @@ class TestBootstrap:
 class TestPairedRankCounts:
     def test_single_model_counts_match_bruteforce(self):
         data = gaussian_matrix(18, 25)
-        cm = calibrate_split(KNN, data, 0.4, seed=1)
+        cm = calibrate(KNN, data, split(0.4), seed=1)
         test = gaussian_matrix(19, 7)
         ts = score_matrix(cm, test)
         assert ts.values.shape == (7, 1)
@@ -201,7 +229,7 @@ class TestPairedRankCounts:
 
     def test_plus_mode_counts_match_bruteforce(self):
         data = gaussian_matrix(20, 18)
-        cm = calibrate_cv(KNN, data, 3, "plus", seed=4)
+        cm = calibrate(KNN, data, cross_validation(3, "plus"), seed=4)
         test = gaussian_matrix(21, 5)
         ts = score_matrix(cm, test)
         ge, gt = paired_rank_counts(cm, ts)
@@ -217,7 +245,7 @@ class TestPairedRankCounts:
     def test_mean_pooled_counts_match_bruteforce(self):
         # JaB+ sets of several models, pooled by the mean, not the median
         data = gaussian_matrix(29, 30, d=2)
-        cm = calibrate_bootstrap(KNN, data, 8, "plus", seed=3, aggregation="mean")
+        cm = calibrate(KNN, data, jackknife_bootstrap(8, "plus", "mean"), seed=3)
         ts = score_matrix(cm, gaussian_matrix(30, 10, d=2))
         assert max(len(m) for m in cm.entry_models) > 1
         paired = np.column_stack([ts.values[:, list(m)].mean(axis=1) for m in cm.entry_models])
@@ -227,15 +255,15 @@ class TestPairedRankCounts:
 
     def test_pairing_guard(self):
         data = gaussian_matrix(22, 20)
-        cm_a = calibrate_split(KNN, data, 0.5, seed=1)
-        cm_b = calibrate_cv(KNN, data, 4, "plus", seed=1)
+        cm_a = calibrate(KNN, data, split(0.5), seed=1)
+        cm_b = calibrate(KNN, data, cross_validation(4, "plus"), seed=1)
         ts_b = score_matrix(cm_b, gaussian_matrix(23, 4))
         with pytest.raises(DimensionMismatch):
             paired_rank_counts(cm_a, ts_b)
 
     def test_aggregate_scores_pool_all_models(self):
         data = gaussian_matrix(24, 21)
-        cm = calibrate_cv(KNN, data, 3, "plus", seed=2)
+        cm = calibrate(KNN, data, cross_validation(3, "plus"), seed=2)
         test = gaussian_matrix(25, 6)
         ts = score_matrix(cm, test)
         agg = aggregate_test_scores(cm, ts)
@@ -243,17 +271,18 @@ class TestPairedRankCounts:
 
 
 STRATEGIES = {
-    "split": lambda data: calibrate_split(KNN, data, 0.4, seed=1),
+    "split": lambda data: calibrate(KNN, data, split(0.4), seed=1),
     "detached": lambda data: calibrate_detached(
         wrap_detached(lambda X: X[:, 0], "lower_is_anomalous"), data),
-    "cv_plus": lambda data: calibrate_cv(KNN, data, 3, "plus", seed=1),
-    "cv_single_model": lambda data: calibrate_cv(KNN, data, 3, "single_model", seed=1),
-    "jackknife_plus": lambda data: calibrate_jackknife(KNN, data, "plus", seed=1),
-    "jackknife_single_model": lambda data: calibrate_jackknife(KNN, data, "single_model",
-                                                               seed=1),
-    "jab_plus": lambda data: calibrate_bootstrap(KNN, data, 6, "plus", seed=1),
-    "jab_single_model": lambda data: calibrate_bootstrap(KNN, data, 6, "single_model",
-                                                         seed=1),
+    "cv_plus": lambda data: calibrate(KNN, data, cross_validation(3, "plus"), seed=1),
+    "cv_single_model": lambda data: calibrate(KNN, data, cross_validation(3, "single_model"),
+                                              seed=1),
+    "jackknife_plus": lambda data: calibrate(KNN, data, jackknife("plus"), seed=1),
+    "jackknife_single_model": lambda data: calibrate(KNN, data, jackknife("single_model"),
+                                                     seed=1),
+    "jab_plus": lambda data: calibrate(KNN, data, jackknife_bootstrap(6, "plus"), seed=1),
+    "jab_single_model": lambda data: calibrate(KNN, data, jackknife_bootstrap(6, "single_model"),
+                                               seed=1),
 }
 
 
@@ -284,16 +313,18 @@ def single_model_cases(draw):
     spec = ScorerSpec(kind="knn_distance", k=1)
     data = DataMatrix(rows)
     if kind == "split":
-        cm = calibrate_split(spec, data, draw(st.integers(1, n - 3)), seed)
+        cm = calibrate(spec, data, split(draw(st.integers(1, n - 3))), seed)
     elif kind == "detached":
         polarity = draw(st.sampled_from(["higher_is_anomalous", "lower_is_anomalous"]))
         cm = calibrate_detached(wrap_detached(lambda X: X.sum(axis=1), polarity), data)
     elif kind == "cross_validation":
-        cm = calibrate_cv(spec, data, draw(st.integers(2, 4)), "single_model", seed,
-                          draw(st.sampled_from(resampling.AGGREGATIONS)))
+        cm = calibrate(spec, data, cross_validation(
+            draw(st.integers(2, 4)), "single_model",
+            draw(st.sampled_from(resampling.AGGREGATIONS))), seed)
     else:
-        cm = calibrate_bootstrap(spec, data, draw(st.integers(2, 6)), "single_model", seed,
-                                 draw(st.sampled_from(resampling.AGGREGATIONS)))
+        cm = calibrate(spec, data, jackknife_bootstrap(
+            draw(st.integers(2, 6)), "single_model",
+            draw(st.sampled_from(resampling.AGGREGATIONS))), seed)
     return cm, DataMatrix(test)
 
 
@@ -314,7 +345,7 @@ class TestRowOrderInvariance:
         data = gaussian_matrix(26, 30)
         perm = make_rng(0).permutation(30)
         shuffled = DataMatrix(data.values[perm])
-        cm = calibrate_split(KNN, shuffled, 0.5, seed=8)
+        cm = calibrate(KNN, shuffled, split(0.5), seed=8)
         fit_rows = shuffled.values[list(cm.model_train_indices[0])]
         for row in cm.cal_rows:
             assert not (fit_rows == row).all(axis=1).any()

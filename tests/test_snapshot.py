@@ -11,7 +11,7 @@ from confanom.detectors import KnnPlan, ScorerSpec
 from confanom.estimation import EstimationSpec
 from confanom.pipeline import (PipelineConfig, compute_p_values, fit,
                                fit_detached, score_samples, stream_p_values)
-from confanom.resampling import cross_validation, jackknife_bootstrap, split
+from confanom.resampling import cross_validation, jackknife, jackknife_bootstrap, split
 from confanom.snapshot import (FORMAT_VERSION, MAGIC, snapshot_load,
                                snapshot_save)
 
@@ -57,8 +57,9 @@ class TestRoundTrip:
             estimation=EstimationSpec(regime="conditional_empirical",
                                       method="mc", delta=0.1))
         original, loaded = round_trip(tmp_path, config, gaussian_matrix(4, 120))
-        assert loaded.table.method == "mc"
-        assert loaded.table.delta == 0.1
+        assert loaded.table.method == loaded.config.estimation.method == "mc"
+        assert loaded.table.delta == loaded.config.estimation.delta == 0.1
+        assert loaded.table.n == loaded.n_entries
         np.testing.assert_array_equal(loaded.table.adjusted,
                                       original.table.adjusted)
         X = gaussian_matrix(5, 15)
@@ -253,6 +254,14 @@ class TestUntrustedContent:
         return read_snapshot(tmp_path / "forest.snap")
 
     @pytest.fixture
+    def conditional(self, tmp_path):
+        config = PipelineConfig(
+            scorer=KNN, strategy=split(0.5), seed=29,
+            estimation=EstimationSpec(regime="conditional_empirical", method="simes", delta=0.1))
+        snapshot_save(fit(config, gaussian_matrix(29, 60, d=2)), tmp_path / "cond.snap")
+        return read_snapshot(tmp_path / "cond.snap")
+
+    @pytest.fixture
     def jab(self, tmp_path):
         config = PipelineConfig(scorer=KNN, strategy=jackknife_bootstrap(7), seed=19)
         snapshot_save(fit(config, gaussian_matrix(17, 50, d=2)), tmp_path / "jab.snap")
@@ -263,7 +272,7 @@ class TestUntrustedContent:
         blob[8:12] = (1).to_bytes(4, "little")
         (tmp_path / "v1.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 1 is not supported "
-                                                r"\(this build reads version 5\)"):
+                                                r"\(this build reads version 6\)"):
             snapshot_load(tmp_path / "v1.snap")
 
     def test_v2_refused_by_name(self, tmp_path, forest):
@@ -272,7 +281,7 @@ class TestUntrustedContent:
         blob[8:12] = (2).to_bytes(4, "little")
         (tmp_path / "v2.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 2 is not supported "
-                                                r"\(this build reads version 5\)"):
+                                                r"\(this build reads version 6\)"):
             snapshot_load(tmp_path / "v2.snap")
 
     def test_v3_refused_by_name(self, tmp_path, forest):
@@ -284,7 +293,7 @@ class TestUntrustedContent:
         blob[8:12] = (3).to_bytes(4, "little")
         (tmp_path / "v3.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 3 is not supported "
-                                                r"\(this build reads version 5\)"):
+                                                r"\(this build reads version 6\)"):
             snapshot_load(tmp_path / "v3.snap")
 
     def test_v4_refused_by_name(self, tmp_path, forest):
@@ -294,8 +303,27 @@ class TestUntrustedContent:
         blob[8:12] = (4).to_bytes(4, "little")
         (tmp_path / "v4.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 4 is not supported "
-                                                r"\(this build reads version 5\)"):
+                                                r"\(this build reads version 6\)"):
             snapshot_load(tmp_path / "v4.snap")
+
+    def test_v5_refused_by_name(self, tmp_path, jab):
+        # version 5 repeated the strategy, the mode and the table's settings
+        header, arrays = jab
+        header["calibration"] = {"mode": "plus", "strategy": header["config"]["strategy"]}
+        header["table"] = None
+        blob = bytearray(write_snapshot(tmp_path / "v5.snap", header, arrays).read_bytes())
+        blob[8:12] = (5).to_bytes(4, "little")
+        (tmp_path / "v5.snap").write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="format version 5 is not supported "
+                                                r"\(this build reads version 6\)"):
+            snapshot_load(tmp_path / "v5.snap")
+
+    def test_header_gives_each_setting_once(self, jab, conditional):
+        # no calibration or table section: the configuration says it all
+        for header, _ in (jab, conditional):
+            assert sorted(header) == ["arrays", "config", "format_version", "package_version"]
+            assert sorted(header["config"]) == ["estimation", "scorer", "seed", "strategy",
+                                                "weighting"]
 
     def test_forest_stored_by_shape(self, forest):
         # no child pointers and no inner sizes: thresholds for inner nodes
@@ -487,12 +515,13 @@ class TestUntrustedContent:
                                              {**arrays, name: value}))
 
     @pytest.mark.parametrize("mutate", [
-        lambda h: h.pop("calibration"),
-        lambda h: h["calibration"].update(mode="both"),
+        lambda h: h["config"].pop("strategy"),
+        lambda h: h["config"]["strategy"].update(mode="both"),
         lambda h: h["config"]["scorer"].update(k="three"),
         lambda h: h.update(table={"n": 1, "delta": 0.1, "method": "mc"}),
         lambda h: h["config"]["scorer"].update(kind="isolation_forest"),
         lambda h: h["config"]["scorer"].update(k=float("inf")),
+        lambda h: h.update(calibration={"mode": "plus"}),
     ])
     def test_malformed_header_refused(self, tmp_path, jab, mutate):
         header, arrays = jab
@@ -500,14 +529,54 @@ class TestUntrustedContent:
         with pytest.raises(SnapshotError):
             snapshot_load(write_snapshot(tmp_path / "header.snap", header, arrays))
 
-    @pytest.mark.parametrize("which", ["forest", "jab"])
-    def test_swapped_mode_refused(self, tmp_path, request, which):
-        # the header's mode must be the one the strategy implies
-        header, arrays = request.getfixturevalue(which)
-        swapped = {"plus": "single_model", "single_model": "plus"}[header["calibration"]["mode"]]
-        header["calibration"]["mode"] = swapped
-        with pytest.raises(SnapshotError, match="disagrees with the strategy"):
-            snapshot_load(write_snapshot(tmp_path / "mode.snap", header, arrays))
+    def test_jab_relabelled_split_refused(self, tmp_path, jab):
+        # the calibration is built from the configured strategy: a JaB+ file
+        # called split would give weighted p-values from a plus-mode one
+        header, arrays = jab
+        header["config"].update(strategy=dataclasses.asdict(split(0.5)), weighting="logistic")
+        with pytest.raises(SnapshotError, match="single_model calibration must bind every entry"):
+            snapshot_load(write_snapshot(tmp_path / "relabelled.snap", header, arrays))
+
+    def test_plus_model_count_checked(self, tmp_path, jab):
+        # a plus-mode strategy fits one model per fold, row or bootstrap
+        header, arrays = jab
+        for strategy, fits in ((jackknife_bootstrap(8), 8), (cross_validation(6), 6),
+                               (jackknife(), 50)):
+            header["config"]["strategy"] = dataclasses.asdict(strategy)
+            with pytest.raises(SnapshotError, match=f"7 models where the strategy fits {fits}"):
+                snapshot_load(write_snapshot(tmp_path / "count.snap", header, arrays))
+
+    def test_split_relabelled_single_model_refused(self, tmp_path, conditional):
+        # a single_model refit trains once on every row; a split model does not
+        header, arrays = conditional
+        for strategy in (cross_validation(3, "single_model"), jackknife("single_model")):
+            header["config"]["strategy"] = dataclasses.asdict(strategy)
+            with pytest.raises(SnapshotError, match="must train once on every row"):
+                snapshot_load(write_snapshot(tmp_path / "refit.snap", header, arrays))
+
+    def test_conditional_without_table_refused(self, tmp_path, conditional):
+        # it used to load, and scoring then died on a missing table
+        header, arrays = conditional
+        arrays.pop("table/adjusted")
+        with pytest.raises(SnapshotError, match="'table/adjusted' is missing"):
+            snapshot_load(write_snapshot(tmp_path / "no_table.snap", header, arrays))
+
+    def test_table_under_other_regime_refused(self, tmp_path, conditional):
+        header, arrays = conditional
+        for estimation in (EstimationSpec(), EstimationSpec(regime="probabilistic")):
+            header["config"]["estimation"] = dataclasses.asdict(estimation)
+            with pytest.raises(SnapshotError, match=r"\['table/adjusted'\] do not belong"):
+                snapshot_load(write_snapshot(tmp_path / "stray.snap", header, arrays))
+
+    def test_table_length_checked(self, tmp_path, conditional):
+        header, arrays = conditional
+        adjusted = arrays["table/adjusted"]
+        assert adjusted.shape == (31,)
+        for bad, ranks in ((adjusted[1:], 30), (np.concatenate([adjusted[:1], adjusted]), 32)):
+            with pytest.raises(SnapshotError,
+                               match=f"an adjustment table of {ranks} ranks for 30 entries"):
+                snapshot_load(write_snapshot(tmp_path / "length.snap", header,
+                                             {**arrays, "table/adjusted": bad}))
 
     @pytest.mark.parametrize("which", ["forest", "jab"])
     def test_fuzzed_arrays_never_hang_or_leak(self, tmp_path, request, which):
