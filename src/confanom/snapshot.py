@@ -26,8 +26,9 @@ calibration-conditional pipeline adds ``table/adjusted``, its n_entries + 1
 adjusted p-values.  The digest only detects damage: anyone can recompute
 it, so every array is checked for shape, range, tree shape and depth before
 anything is built from it.  The arrays must also be the configuration's: a
-plus-mode strategy has as many models as it fits, a single_model refit
-trains once on every row, and a file is refused if
+plus-mode strategy has as many models as it fits, each a bootstrap of n
+rows or a fold model trained once on every row outside its fold, a
+single_model refit trains once on every row, and a file is refused if
 a conditional configuration has no table, a table has the wrong length, or
 an array (a table under another regime, say) belongs to no part of the
 configuration.  Files of earlier formats (5 repeated the strategy and the
@@ -239,6 +240,15 @@ def _load_calibration(arrays, config):
         models = {"cross_validation": strategy.k, "jackknife": n_rows,
                   "jackknife_bootstrap": strategy.n_bootstraps}[strategy.kind]
         _expect(n_models == models, f"{n_models} models where the strategy fits {models}")
+        # a bootstrap draws as many rows as the data holds; a fold model
+        # trains once on every row outside its fold and scores the fold
+        if strategy.kind == "jackknife_bootstrap":
+            _expect((sizes == n_rows).all(),
+                    "a bootstrap model must draw as many rows as the data holds")
+        else:
+            _expect(n_entries == n_rows and (entry_rows == np.arange(n_rows)).all()
+                    and (oob.sum(axis=1) == 1).all() and (counts == ~oob.T).all(),
+                    "a fold model must train once on every row outside its fold")
     # a single_model refit trains once on every row, the entries' rows included
     if strategy.mode == "single_model":
         _expect((counts == 1).all(), "a single_model refit must train once on every row")

@@ -537,6 +537,28 @@ class TestUntrustedContent:
         with pytest.raises(SnapshotError, match="single_model calibration must bind every entry"):
             snapshot_load(write_snapshot(tmp_path / "relabelled.snap", header, arrays))
 
+    @pytest.mark.parametrize("which", ["forest", "jab"])
+    def test_swapped_mode_refused(self, tmp_path, request, which):
+        # the stored calibration must have the mode the strategy implies: a
+        # split file called JaB+ with one bootstrap, or a JaB+ file called a
+        # single_model refit, is refused
+        header, arrays = request.getfixturevalue(which)
+        swapped, message = {
+            "forest": (jackknife_bootstrap(1), "must draw as many rows as the data holds"),
+            "jab": (jackknife_bootstrap(7, "single_model"), "must bind every entry to model 0"),
+        }[which]
+        header["config"]["strategy"] = dataclasses.asdict(swapped)
+        with pytest.raises(SnapshotError, match=message):
+            snapshot_load(write_snapshot(tmp_path / "mode.snap", header, arrays))
+
+    def test_fold_models_checked(self, tmp_path, jab):
+        # JaB+ with 7 bootstraps called 7-fold CV+: no entry is paired with a
+        # model trained on its row, but the models are bootstraps, not folds
+        header, arrays = jab
+        header["config"]["strategy"] = dataclasses.asdict(cross_validation(7))
+        with pytest.raises(SnapshotError, match="train once on every row outside its fold"):
+            snapshot_load(write_snapshot(tmp_path / "folds.snap", header, arrays))
+
     def test_plus_model_count_checked(self, tmp_path, jab):
         # a plus-mode strategy fits one model per fold, row or bootstrap
         header, arrays = jab
