@@ -372,11 +372,6 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _manifest_path(out_path):
-    base, _ = os.path.splitext(out_path)
-    return base + ".manifest.json"
-
-
 def _sibling(out_path, tag):
     base, _ = os.path.splitext(out_path)
     return f"{base}.{tag}"
@@ -390,7 +385,7 @@ def _write_manifest(out_path, command, config, seed, input_paths, outputs):
         inputs={p: _sha256(p) for p in input_paths},
         outputs=tuple(outputs),
     )
-    path = _manifest_path(out_path)
+    path = _sibling(out_path, "manifest.json")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(manifest.to_json())
     return path
@@ -550,11 +545,12 @@ def cmd_experiment(args):
 
 def cmd_snapshot(args):
     if args.inspect:
-        fitted, array_bytes = snapshot.snapshot_inspect(args.inspect)
+        fitted, package_version, array_bytes = snapshot.snapshot_inspect(args.inspect)
         config = fitted.config
         _print_json({
             "bytes": os.path.getsize(args.inspect),
             "array_bytes": array_bytes,
+            "package_version": package_version,
             "scorer": config.scorer.kind,
             "strategy": config.strategy.kind,
             "estimation": config.estimation.regime,

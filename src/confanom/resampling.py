@@ -4,8 +4,10 @@ jackknife-after-bootstrap calibration.
 Every strategy is a :class:`Plan`, a matrix of how many times each
 resampled model trains on each row plus the out-of-bag mask of the models
 that score each entry.  One entry, :func:`calibrate`, maps a
-:class:`StrategySpec` to its plan (:func:`strategy_plan`) and turns the
-plan into a :class:`CalibrationModel`: calibration-score entries, each
+:class:`StrategySpec` to its plan (:func:`strategy_plan` and
+:func:`kept_plan`, which a snapshot load calls again to rebuild the plan
+from the strategy, the row count and the seed) and turns the plan into a
+:class:`CalibrationModel`: calibration-score entries, each
 bound to the model (or out-of-bag model set) that produced it, under the
 out-of-sample discipline that no entry was scored by a model whose training
 multiset contains that entry's row. The number of entries fixes the
@@ -167,9 +169,6 @@ class CalibrationModel:
         if (self.entry_rows.shape != (n,) or self.oob.shape != (n, self.n_models)
                 or self.train_counts.shape[1:] != self.rows.shape[:1]):
             raise ShapeMismatch("calibration arrays disagree in shape")
-        if self.mode == "single_model" and (self.n_models != 1 or not self.oob.all()):
-            raise InvalidHyperparameter(
-                "single_model calibration must bind every entry to model 0")
 
     @property
     def mode(self):
@@ -325,6 +324,13 @@ def _pool(scores, oob, aggregation):
     return pooled
 
 
+def plan_models(strategy, n):
+    """How many models the plan of ``strategy`` over n rows fits: one for
+    split, k folds, n jackknife folds or ``n_bootstraps``."""
+    return {"split": 1, "cross_validation": strategy.k, "jackknife": n,
+            "jackknife_bootstrap": strategy.n_bootstraps}[strategy.kind]
+
+
 def strategy_plan(strategy, n, seed):
     """The plan of ``strategy`` over n rows: split and JaB have their own,
     cross-validation its k folds and the jackknife n folds of one row."""
@@ -334,7 +340,17 @@ def strategy_plan(strategy, n, seed):
         return bootstrap_plan(n, strategy.n_bootstraps, seed)
     if strategy.kind == "jackknife" and n < 2:
         raise KOutOfRange("jackknife requires at least 2 rows")
-    return cv_plan(n, n if strategy.kind == "jackknife" else strategy.k, seed)
+    return cv_plan(n, plan_models(strategy, n), seed)
+
+
+def kept_plan(plan, strategy):
+    """The models a calibration keeps: the plan's, or in single_model mode one
+    refitted on every row from ``refit_stream`` and paired with every entry."""
+    if strategy.mode != "single_model":
+        return plan
+    n_entries = plan.entry_rows.shape[0]
+    return Plan(np.ones((1, plan.train_counts.shape[1]), dtype=np.uint16),
+                (plan.refit_stream,), plan.entry_rows, np.ones((n_entries, 1), dtype=bool))
 
 
 def calibrate(spec, data, strategy, seed):
@@ -354,14 +370,12 @@ def calibrate(spec, data, strategy, seed):
     scorer = detectors.fit_plan(spec, rows, plan.train_counts, seed, plan.streams)
     scores = detectors.score_plan(scorer, DataMatrix(rows[plan.entry_rows]), plan.oob)
     entries = _pool(scores, plan.oob, strategy.aggregation)
-    counts, oob = plan.train_counts, plan.oob
-    if strategy.mode == "single_model":
-        counts = np.ones((1, rows.shape[0]), dtype=np.uint16)
-        oob = np.ones((entries.shape[0], 1), dtype=bool)
-        scorer = detectors.fit_plan(spec, rows, counts, seed, (plan.refit_stream,))
+    kept = kept_plan(plan, strategy)
+    if kept is not plan:
+        scorer = detectors.fit_plan(spec, rows, kept.train_counts, seed, kept.streams)
     return CalibrationModel(
-        entry_scores=entries, entry_rows=plan.entry_rows, oob=oob, rows=rows,
-        train_counts=counts, scorer=scorer, strategy=strategy)
+        entry_scores=entries, entry_rows=kept.entry_rows, oob=kept.oob, rows=rows,
+        train_counts=kept.train_counts, scorer=scorer, strategy=strategy)
 
 
 def calibrate_detached(scorer, calib):

@@ -13,26 +13,26 @@ index.  Everything else follows from it: the calibration's strategy and
 mode are the configured strategy's, and an adjustment table's size, delta
 and method are the entry count and the configured estimation's.
 
-Format version 6 stores a calibration as its plan: the training rows once
-(``calibration/rows``), each retained model as a row of
-``calibration/train_counts`` (models x rows; uint8 if all are below 256,
-else uint16), each entry's row index and score, and the entry-to-model
-pairing as a bit-packed mask (``calibration/oob_bits``).  Isolation
-forests add their trees, model by model and tree by tree, by level-order
-shape: ``trees/feature`` per node (-1 for a leaf), ``trees/threshold`` per
-inner node and ``trees/leaf_size`` per leaf, cut by ``trees/offsets``; a
-tree's r-th inner node has children 2r + 1 and 2r + 2.  A
-calibration-conditional pipeline adds ``table/adjusted``, its n_entries + 1
-adjusted p-values.  The digest only detects damage: anyone can recompute
-it, so every array is checked for shape, range, tree shape and depth before
-anything is built from it.  The arrays must also be the configuration's: a
-plus-mode strategy has as many models as it fits, each a bootstrap of n
-rows or a fold model trained once on every row outside its fold, a
-single_model refit trains once on every row, and a file is refused if
-a conditional configuration has no table, a table has the wrong length, or
-an array (a table under another regime, say) belongs to no part of the
-configuration.  Files of earlier formats (5 repeated the strategy and the
-table's settings in the header) are refused by their version.
+Format version 7 stores a calibration's rows once (``calibration/rows``),
+its entry scores and only the SHA-256 of its plan
+(``calibration/plan_digest``): a plan is a deterministic function of the
+strategy, the row count and the seed, so the loader rebuilds it with
+``resampling.strategy_plan`` and ``resampling.kept_plan`` and refuses a
+file whose rebuilt plan has another digest (an edited strategy or seed, or
+a numpy whose ``Generator`` streams differ).  Plans above
+``MAX_PLAN_MODELS`` models or ``MAX_PLAN_CELLS`` model x row cells are
+refused before anything is built, at save and at load.  Isolation forests
+add their trees, model by model and tree by tree, by level-order shape:
+``trees/feature`` per node (-1 for a leaf), ``trees/threshold`` per inner
+node and ``trees/leaf_size`` per leaf, cut by ``trees/offsets``; a tree's
+r-th inner node has children 2r + 1 and 2r + 2.  A calibration-conditional
+pipeline adds ``table/adjusted``, its n_entries + 1 adjusted p-values.  The
+file digest only detects damage: anyone can recompute it, so every array is
+checked for shape, range, tree shape and depth before anything is built
+from it, and a file is refused if a conditional configuration has no
+table, a table has the wrong length, or an array (a table under another
+regime, say) belongs to no part of the configuration.  Files of earlier
+formats (6 stored the plan itself) are refused by their version.
 
 Only built-in detectors can be saved: an external scorer is an opaque
 callable and an oracle weighting carries a user function, neither of
@@ -52,29 +52,32 @@ from .core import ConfanomError, SnapshotError
 from .detectors import ForestPlan, KnnPlan, ScorerSpec
 from .estimation import AdjustmentTable, EstimationSpec
 from .pipeline import FittedPipeline, PipelineConfig
-from .resampling import CalibrationModel, StrategySpec
+from .resampling import CalibrationModel, StrategySpec, kept_plan, plan_models, strategy_plan
 
 MAGIC = b"CANOMSNP"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 _DIGEST_BYTES = 32
+# the largest plan a load rebuilds: each model costs a seeded draw, each
+# cell a count and a mask byte
+MAX_PLAN_MODELS = 1 << 14
+MAX_PLAN_CELLS = 1 << 26
 _TREE_ARRAYS = (("feature", "<i4"), ("threshold", "<f8"), ("leaf_size", "<i4"))
 
 
-class _ArrayStore:
-    """Accumulates named arrays for the payload and its header index."""
+def _check_plan_size(strategy, n_rows):
+    models = plan_models(strategy, n_rows)
+    if models > MAX_PLAN_MODELS or models * n_rows > MAX_PLAN_CELLS:
+        raise SnapshotError(
+            f"a plan of {models} models over {n_rows} rows is larger than a snapshot "
+            f"rebuilds ({MAX_PLAN_MODELS} models, {MAX_PLAN_CELLS} model x row cells)")
 
-    def __init__(self):
-        self.index = []
-        self.payload = []
 
-    def add(self, name, array):
-        array = np.ascontiguousarray(array)
-        self.index.append({
-            "name": name,
-            "dtype": array.dtype.str,
-            "shape": list(array.shape),
-        })
-        self.payload.append(array.tobytes())
+def _plan_digest(plan):
+    """SHA-256 of a kept plan: its train counts as <u2, entry rows as <i8 and
+    out-of-bag mask as one byte per cell, each in C order, concatenated."""
+    parts = ((plan.train_counts, "<u2"), (plan.entry_rows, "<i8"), (plan.oob, "|b1"))
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a, d).tobytes()
+                                   for a, d in parts)).digest()
 
 
 def snapshot_save(fp: FittedPipeline, path):
@@ -90,21 +93,17 @@ def snapshot_save(fp: FittedPipeline, path):
             "external scorers cannot be snapshotted: the scoring function is "
             "an opaque callable")
 
-    store = _ArrayStore()
     cm = fp.calibration
-    store.add("calibration/entry_scores", cm.entry_scores)
-    store.add("calibration/entry_rows", cm.entry_rows)
-    store.add("calibration/oob_bits", np.packbits(cm.oob, axis=1))
-    store.add("calibration/rows", cm.rows)
-    counts = cm.train_counts
-    store.add("calibration/train_counts", counts.astype("<u1") if counts.max() < 256 else counts)
+    _check_plan_size(fp.config.strategy, cm.rows.shape[0])
+    arrays = {"calibration/entry_scores": cm.entry_scores,
+              "calibration/plan_digest": np.frombuffer(_plan_digest(cm), np.uint8),
+              "calibration/rows": cm.rows}
     if isinstance(cm.scorer, ForestPlan):
         for field, dtype in _TREE_ARRAYS + (("offsets", "<i8"),):
-            store.add(f"trees/{field}", getattr(cm.scorer, field).astype(dtype))
+            arrays[f"trees/{field}"] = getattr(cm.scorer, field).astype(dtype)
     if fp.table is not None:
-        store.add("table/adjusted", fp.table.adjusted)
+        arrays["table/adjusted"] = fp.table.adjusted
     header = {
-        "format_version": FORMAT_VERSION,
         "package_version": __version__,
         "config": {
             "scorer": dataclasses.asdict(fp.config.scorer),
@@ -113,7 +112,8 @@ def snapshot_save(fp: FittedPipeline, path):
             "weighting": fp.config.weighting,
             "seed": fp.config.seed,
         },
-        "arrays": store.index,
+        "arrays": [{"name": name, "dtype": a.dtype.str, "shape": list(a.shape)}
+                   for name, a in arrays.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     body = b"".join([
@@ -121,7 +121,7 @@ def snapshot_save(fp: FittedPipeline, path):
         FORMAT_VERSION.to_bytes(4, "little"),
         len(header_bytes).to_bytes(8, "little"),
         header_bytes,
-        *store.payload,
+        *(np.ascontiguousarray(a).tobytes() for a in arrays.values()),
     ])
     digest = hashlib.sha256(body).digest()
     with open(path, "wb") as handle:
@@ -154,7 +154,7 @@ class _Arrays:
     def get(self, name, dtype, ndim):
         array = self.arrays.get(name)
         self.used.add(name)
-        if array is None or array.dtype.str not in dtype.split() or array.ndim != ndim:
+        if array is None or array.dtype.str != dtype or array.ndim != ndim:
             raise SnapshotError(f"snapshot array {name!r} is missing or malformed")
         return array
 
@@ -202,29 +202,24 @@ def _load_forests(arrays, spec, sizes, n_features):
 
 
 def _load_calibration(arrays, config):
-    """Cross-check the plan arrays against each other and against the
-    configured strategy, then build the calibration model."""
+    """Rebuild the configured strategy's plan over the stored rows, check it
+    against the stored digest, then build the calibration model."""
     spec, strategy = config.scorer, config.strategy
     rows = arrays.get("calibration/rows", "<f8", 2)
-    counts = arrays.get("calibration/train_counts", "|u1 <u2", 2).astype(np.uint16)
     entry_scores = arrays.get("calibration/entry_scores", "<f8", 1)
-    entry_rows = arrays.get("calibration/entry_rows", "<i8", 1)
-    bits = arrays.get("calibration/oob_bits", "|u1", 2)
-    (n_rows, n_features), n_models, n_entries = rows.shape, counts.shape[0], entry_scores.shape[0]
-    _expect(n_rows >= 1 and n_features >= 1 and n_models >= 1 and n_entries >= 1
-            and counts.shape[1] == n_rows and entry_rows.shape == (n_entries,)
-            and bits.shape == (n_entries, (n_models + 7) // 8),
-            "calibration array shapes disagree")
-    _expect(np.isfinite(rows).all() and np.isfinite(entry_scores).all(),
-            "non-finite calibration rows or scores")
-    _expect(((entry_rows >= 0) & (entry_rows < n_rows)).all(),
-            "entry row index out of range")
-    oob = np.unpackbits(bits, axis=1, count=n_models).astype(bool)
-    _expect(oob.any(axis=1).all(), "an entry is paired with no model")
-    # every plan trains a model on at most n rows in total, which also
-    # bounds what expanding a model's rows can allocate
+    digest = arrays.get("calibration/plan_digest", "|u1", 1)
+    n_rows, n_features = rows.shape
+    _expect(n_features >= 1 and np.isfinite(rows).all() and np.isfinite(entry_scores).all(),
+            "featureless or non-finite calibration rows, or non-finite scores")
+    # an empty or too small row set fails in strategy_plan, and one score too
+    # many or too few in CalibrationModel
+    _check_plan_size(strategy, n_rows)
+    plan = kept_plan(strategy_plan(strategy, n_rows, config.seed), strategy)
+    _expect(digest.tobytes() == _plan_digest(plan),
+            "the plan digest is not that of the plan the strategy and seed give over "
+            "these rows (an edited strategy or seed, or other numpy random streams)")
+    counts = plan.train_counts
     sizes = counts.sum(axis=1)
-    _expect(sizes.max() <= n_rows, "a model trains on more rows than the data holds")
     if spec.kind == "knn_distance":
         _expect(sizes.min() > max(1, spec.k), "a k-NN model has too few training rows")
         scorer = KnnPlan(spec, rows, counts)
@@ -232,30 +227,9 @@ def _load_calibration(arrays, config):
         _expect(spec.kind == "isolation_forest" and sizes.min() >= 2,
                 "a forest model has too few training rows")
         scorer = _load_forests(arrays, spec, sizes, n_features)
-    # a single-model calibration binds every entry to its one model
-    cm = CalibrationModel(
-        entry_scores=entry_scores, entry_rows=entry_rows, oob=oob, rows=rows,
+    return CalibrationModel(
+        entry_scores=entry_scores, entry_rows=plan.entry_rows, oob=plan.oob, rows=rows,
         train_counts=counts, scorer=scorer, strategy=strategy)
-    if strategy.mode == "plus":
-        models = {"cross_validation": strategy.k, "jackknife": n_rows,
-                  "jackknife_bootstrap": strategy.n_bootstraps}[strategy.kind]
-        _expect(n_models == models, f"{n_models} models where the strategy fits {models}")
-        # a bootstrap draws as many rows as the data holds; a fold model
-        # trains once on every row outside its fold and scores the fold
-        if strategy.kind == "jackknife_bootstrap":
-            _expect((sizes == n_rows).all(),
-                    "a bootstrap model must draw as many rows as the data holds")
-        else:
-            _expect(n_entries == n_rows and (entry_rows == np.arange(n_rows)).all()
-                    and (oob.sum(axis=1) == 1).all() and (counts == ~oob.T).all(),
-                    "a fold model must train once on every row outside its fold")
-    # a single_model refit trains once on every row, the entries' rows included
-    if strategy.mode == "single_model":
-        _expect((counts == 1).all(), "a single_model refit must train once on every row")
-    else:
-        _expect(not (counts[:, entry_rows].T.astype(bool) & oob).any(),
-                "an entry is paired with a model trained on its row")
-    return cm
 
 
 def snapshot_load(path) -> FittedPipeline:
@@ -268,7 +242,8 @@ def snapshot_load(path) -> FittedPipeline:
 
 
 def snapshot_inspect(path):
-    """``snapshot_load``'s pipeline and the payload bytes of each array by name."""
+    """``snapshot_load``'s pipeline, the package version that wrote the file
+    and the payload bytes of each array by name."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < len(MAGIC) + 4 + 8 + _DIGEST_BYTES:
@@ -284,14 +259,14 @@ def snapshot_inspect(path):
     if hashlib.sha256(body).digest() != digest:
         raise SnapshotError("snapshot integrity check failed "
                             "(file truncated or corrupted)")
-    header_len = int.from_bytes(blob[12:20], "little")
-    header_end = 20 + header_len
+    header_end = 20 + int.from_bytes(blob[12:20], "little")
     if header_end > len(body):
         raise SnapshotError("snapshot file is truncated")
     try:
         header = json.loads(body[20:header_end].decode("utf-8"))
-        _expect(sorted(header) == ["arrays", "config", "format_version", "package_version"],
-                "the header has sections other than config, arrays and versions")
+        _expect(sorted(header) == ["arrays", "config", "package_version"]
+                and isinstance(header["package_version"], str),
+                "the header has sections other than config, arrays and package_version")
         arrays = _Arrays(header["arrays"], body[header_end:])
         cfg = header["config"]
         config = PipelineConfig(
@@ -318,4 +293,4 @@ def snapshot_inspect(path):
             AttributeError, OverflowError, RecursionError) as exc:
         raise SnapshotError(f"malformed snapshot: {exc}") from None
     return (FittedPipeline(config=config, calibration=cm, table=table),
-            {name: a.nbytes for name, a in arrays.arrays.items()})
+            header["package_version"], {name: a.nbytes for name, a in arrays.arrays.items()})

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from confanom import cli, pipeline, resampling
+from confanom import __version__, cli, pipeline, resampling
 from confanom.cli import main, read_csv_matrix
 from confanom.core import ConfanomError, InvalidData, make_rng
 
@@ -242,6 +242,7 @@ class TestSnapshot:
         code, stdout, _ = run_cli(capsys, "snapshot", "--inspect", str(snap))
         assert code == 0
         info = json.loads(stdout)
+        assert info["package_version"] == __version__
         assert info["seed"] == 8
         assert info["scorer"] == "knn_distance"
         assert info["table"] is None
@@ -267,8 +268,10 @@ class TestSnapshot:
         assert ("trees/leaf_size" in names) == trees and "trees/left" not in names
         # the header, the fixed fields and the digest take the rest
         assert 0 < sum(info["array_bytes"].values()) < info["bytes"]
-        # one byte per model and row: every count is below 256
-        assert info["array_bytes"]["calibration/train_counts"] == info["n_models"] * 200
+        # the plan is rebuilt at load: only its digest is stored
+        assert [n for n in names if n.startswith("calibration/")] == [
+            "calibration/entry_scores", "calibration/plan_digest", "calibration/rows"]
+        assert info["array_bytes"]["calibration/plan_digest"] == 32
         assert run_cli(capsys, "snapshot", "--inspect", str(snap))[1] == stdout
 
     def test_save_requires_out(self, data, capsys):

@@ -6,8 +6,9 @@ import time
 import numpy as np
 import pytest
 
+from confanom import snapshot
 from confanom.core import ConfanomError, SnapshotError
-from confanom.detectors import KnnPlan, ScorerSpec
+from confanom.detectors import ScorerSpec
 from confanom.estimation import EstimationSpec
 from confanom.pipeline import (PipelineConfig, compute_p_values, fit,
                                fit_detached, score_samples, stream_p_values)
@@ -19,6 +20,14 @@ from conftest import gaussian_matrix
 
 KNN = ScorerSpec(kind="knn_distance", k=4)
 FOREST = ScorerSpec(kind="isolation_forest", n_trees=12, subsample_size=32)
+SMALL_FOREST = ScorerSpec(kind="isolation_forest", n_trees=3, subsample_size=16)
+STRATEGIES = {
+    "split": split(0.4),
+    "cv_plus": cross_validation(4), "cv_single": cross_validation(4, "single_model"),
+    "jackknife_plus": jackknife(), "jackknife_single": jackknife("single_model"),
+    "jab_plus": jackknife_bootstrap(6), "jab_single": jackknife_bootstrap(6, "single_model"),
+}
+PLAN_MISMATCH = "plan digest is not that of the plan the strategy and seed give"
 
 
 def round_trip(tmp_path, config, train):
@@ -29,15 +38,24 @@ def round_trip(tmp_path, config, train):
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("strategy", list(STRATEGIES.values()), ids=list(STRATEGIES))
+    @pytest.mark.parametrize("scorer", [KNN, SMALL_FOREST], ids=["knn", "forest"])
+    def test_plan_rebuilt_bit_for_bit(self, tmp_path, scorer, strategy):
+        # the file holds no plan: the loader rebuilds it from strategy and seed
+        config = PipelineConfig(scorer=scorer, strategy=strategy, seed=9)
+        original, loaded = round_trip(tmp_path, config, gaussian_matrix(0, 30, d=2))
+        for name in ("train_counts", "oob", "entry_rows", "entry_scores"):
+            a, b = getattr(loaded.calibration, name), getattr(original.calibration, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        X = gaussian_matrix(1, 12, d=2)
+        for p_values in (compute_p_values, stream_p_values):
+            assert p_values(loaded, X).values.tobytes() == p_values(original, X).values.tobytes()
+
     def test_knn_split(self, tmp_path):
         config = PipelineConfig(scorer=KNN, strategy=split(0.4), seed=9)
         original, loaded = round_trip(tmp_path, config, gaussian_matrix(0, 100))
         assert loaded.config == original.config
-        np.testing.assert_array_equal(loaded.calibration.entry_scores,
-                                      original.calibration.entry_scores)
-        X = gaussian_matrix(1, 25)
-        np.testing.assert_array_equal(compute_p_values(loaded, X).values,
-                                      compute_p_values(original, X).values)
 
     def test_forest_cv_plus(self, tmp_path):
         config = PipelineConfig(scorer=FOREST,
@@ -47,8 +65,6 @@ class TestRoundTrip:
         X = gaussian_matrix(3, 20)
         np.testing.assert_array_equal(score_samples(loaded, X).scores,
                                       score_samples(original, X).scores)
-        np.testing.assert_array_equal(compute_p_values(loaded, X).values,
-                                      compute_p_values(original, X).values)
         assert loaded.calibration.entry_models == original.calibration.entry_models
 
     def test_conditional_table_preserved(self, tmp_path):
@@ -86,9 +102,6 @@ class TestRoundTrip:
             seed=13)
         original, loaded = round_trip(tmp_path, config, gaussian_matrix(8, 60))
         assert loaded.calibration.dropped_rows == original.calibration.dropped_rows
-        X = gaussian_matrix(9, 10)
-        np.testing.assert_array_equal(compute_p_values(loaded, X).values,
-                                      compute_p_values(original, X).values)
 
     def test_smoothed_streams_replay_identically(self, tmp_path):
         # smoothing always derives from the stored pipeline seed, so a
@@ -272,7 +285,7 @@ class TestUntrustedContent:
         blob[8:12] = (1).to_bytes(4, "little")
         (tmp_path / "v1.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 1 is not supported "
-                                                r"\(this build reads version 6\)"):
+                                                r"\(this build reads version 7\)"):
             snapshot_load(tmp_path / "v1.snap")
 
     def test_v2_refused_by_name(self, tmp_path, forest):
@@ -281,7 +294,7 @@ class TestUntrustedContent:
         blob[8:12] = (2).to_bytes(4, "little")
         (tmp_path / "v2.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 2 is not supported "
-                                                r"\(this build reads version 6\)"):
+                                                r"\(this build reads version 7\)"):
             snapshot_load(tmp_path / "v2.snap")
 
     def test_v3_refused_by_name(self, tmp_path, forest):
@@ -293,7 +306,7 @@ class TestUntrustedContent:
         blob[8:12] = (3).to_bytes(4, "little")
         (tmp_path / "v3.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 3 is not supported "
-                                                r"\(this build reads version 6\)"):
+                                                r"\(this build reads version 7\)"):
             snapshot_load(tmp_path / "v3.snap")
 
     def test_v4_refused_by_name(self, tmp_path, forest):
@@ -303,7 +316,7 @@ class TestUntrustedContent:
         blob[8:12] = (4).to_bytes(4, "little")
         (tmp_path / "v4.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 4 is not supported "
-                                                r"\(this build reads version 6\)"):
+                                                r"\(this build reads version 7\)"):
             snapshot_load(tmp_path / "v4.snap")
 
     def test_v5_refused_by_name(self, tmp_path, jab):
@@ -315,13 +328,35 @@ class TestUntrustedContent:
         blob[8:12] = (5).to_bytes(4, "little")
         (tmp_path / "v5.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 5 is not supported "
-                                                r"\(this build reads version 6\)"):
+                                                r"\(this build reads version 7\)"):
             snapshot_load(tmp_path / "v5.snap")
 
+    def test_v6_refused_by_name(self, tmp_path):
+        # version 6 stored the plan itself and a JSON copy of the version
+        config = PipelineConfig(scorer=KNN, strategy=jackknife_bootstrap(7), seed=19)
+        fitted = fit(config, gaussian_matrix(17, 50, d=2))
+        cm = fitted.calibration
+        snapshot_save(fitted, tmp_path / "jab.snap")
+        header, arrays = read_snapshot(tmp_path / "jab.snap")
+        header["format_version"] = 6
+        arrays.pop("calibration/plan_digest")
+        arrays.update({"calibration/entry_rows": cm.entry_rows,
+                       "calibration/oob_bits": np.packbits(cm.oob, axis=1),
+                       "calibration/train_counts": cm.train_counts.astype("<u1")})
+        blob = bytearray(write_snapshot(tmp_path / "v6.snap", header, arrays).read_bytes())
+        blob[8:12] = (6).to_bytes(4, "little")
+        (tmp_path / "v6.snap").write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="format version 6 is not supported "
+                                                r"\(this build reads version 7\)"):
+            snapshot_load(tmp_path / "v6.snap")
+
     def test_header_gives_each_setting_once(self, jab, conditional):
-        # no calibration or table section: the configuration says it all
-        for header, _ in (jab, conditional):
-            assert sorted(header) == ["arrays", "config", "format_version", "package_version"]
+        # no calibration or table section and no JSON copy of the format
+        # version: the configuration says it all
+        for header, arrays in (jab, conditional):
+            assert sorted(header) == ["arrays", "config", "package_version"]
+            assert sorted(name for name in arrays if name.startswith("calibration/")) == [
+                "calibration/entry_scores", "calibration/plan_digest", "calibration/rows"]
             assert sorted(header["config"]) == ["estimation", "scorer", "seed", "strategy",
                                                 "weighting"]
 
@@ -459,60 +494,51 @@ class TestUntrustedContent:
                     continue
                 assert np.isfinite(compute_p_values(loaded, X).values).all()
 
-    def test_train_counts_one_byte_below_256(self, tmp_path, jab):
-        # the JaB counts are small, so each takes one byte; loads widen them
-        header, arrays = jab
-        counts = arrays["calibration/train_counts"]
-        assert counts.dtype == np.uint8
-        X = gaussian_matrix(26, 10, d=2)
-        wide = write_snapshot(tmp_path / "wide.snap", json.loads(json.dumps(header)),
-                              {**arrays, "calibration/train_counts": counts.astype("<u2")})
-        narrow = write_snapshot(tmp_path / "narrow.snap", header, arrays)
-        for path in (narrow, wide):
-            loaded = snapshot_load(path)
-            assert loaded.calibration.train_counts.dtype == np.uint16
-            assert loaded.calibration.scorer.counts.dtype == np.uint16
-            np.testing.assert_array_equal(loaded.calibration.train_counts, counts)
-        np.testing.assert_array_equal(compute_p_values(snapshot_load(narrow), X).values,
-                                      compute_p_values(snapshot_load(wide), X).values)
-
-    def test_train_counts_two_bytes_from_256(self, tmp_path):
-        # a split model trained 256 times on its first row: 555 of 600 rows
-        config = PipelineConfig(scorer=KNN, strategy=split(0.5), seed=27)
-        fitted = fit(config, gaussian_matrix(27, 600, d=2))
-        cm = fitted.calibration
-        counts = cm.train_counts.copy()
-        counts[0, np.flatnonzero(counts[0])[0]] = 256
-        heavy = dataclasses.replace(fitted, calibration=dataclasses.replace(
-            cm, train_counts=counts, scorer=KnnPlan(KNN, cm.rows, counts)))
-        snapshot_save(heavy, tmp_path / "heavy.snap")
-        _, arrays = read_snapshot(tmp_path / "heavy.snap")
-        assert arrays["calibration/train_counts"].dtype == np.dtype("<u2")
-        loaded = snapshot_load(tmp_path / "heavy.snap")
-        np.testing.assert_array_equal(loaded.calibration.train_counts, counts)
-        X = gaussian_matrix(28, 10, d=2)
-        np.testing.assert_array_equal(compute_p_values(loaded, X).values,
-                                      compute_p_values(heavy, X).values)
-
     def test_plan_arrays_cross_checked(self, tmp_path, jab):
         header, arrays = jab
-        rows = arrays["calibration/entry_rows"]
-        counts = arrays["calibration/train_counts"]
-        cases = {
-            "entry row index out of range": ("calibration/entry_rows", rows + 50),
-            "shapes disagree": ("calibration/train_counts", counts[:, :-1]),
-            "trained on its row": ("calibration/oob_bits",
-                                   np.full_like(arrays["calibration/oob_bits"], 0xFF)),
-            "too few training rows": ("calibration/train_counts", counts * 0),
-            "more rows than the data holds": ("calibration/train_counts", counts * 3),
-            "non-finite": ("calibration/entry_scores",
-                           np.full_like(arrays["calibration/entry_scores"], np.nan)),
-            "missing or malformed": ("calibration/train_counts", counts.astype("<u4")),
-        }
-        for message, (name, value) in cases.items():
+        scores, digest = arrays["calibration/entry_scores"], arrays["calibration/plan_digest"]
+        flipped = digest.copy()
+        flipped[5] ^= 0x01
+        cases = [
+            ("non-finite", "calibration/entry_scores", np.full_like(scores, np.nan)),
+            ("disagree in shape", "calibration/entry_scores", np.concatenate([scores, scores[:1]])),
+            ("disagree in shape", "calibration/entry_scores", scores[:-1]),
+            (PLAN_MISMATCH, "calibration/plan_digest", flipped),
+            (PLAN_MISMATCH, "calibration/plan_digest", digest[:-1]),
+            (PLAN_MISMATCH, "calibration/plan_digest", np.concatenate([digest, digest[:1]])),
+            ("missing or malformed", "calibration/plan_digest", digest.view("<u2")),
+            ("missing or malformed", "calibration/plan_digest", digest.astype("<i8")),
+        ]
+        for message, name, value in cases:
             with pytest.raises(SnapshotError, match=message):
                 snapshot_load(write_snapshot(tmp_path / "plan.snap", header,
                                              {**arrays, name: value}))
+
+    @pytest.mark.parametrize("strategy, n_rows", [
+        (jackknife_bootstrap(10 ** 12), 50), (cross_validation(9_999), 10_000),
+        (jackknife(), 10_000), (jackknife_bootstrap(2 ** 14 + 1), 50)],
+        ids=["jab-1e12", "cv-near-rows", "jackknife-large", "jab-many-models"])
+    def test_plan_above_bound_refused_quickly(self, tmp_path, jab, strategy, n_rows):
+        # the header alone would make the loader draw a plan of 10^13 model x
+        # row cells, 10^8 over a larger file's rows, or 2^14 + 1 bootstraps
+        header, arrays = jab
+        header["config"]["strategy"] = dataclasses.asdict(strategy)
+        rows = gaussian_matrix(30, n_rows, d=1).values
+        path = write_snapshot(tmp_path / "huge.snap", header,
+                              {**arrays, "calibration/rows": rows})
+        began = time.perf_counter()
+        with pytest.raises(SnapshotError, match="larger than a snapshot rebuilds"):
+            snapshot_load(path)
+        assert time.perf_counter() - began < 1.0
+
+    def test_plan_above_bound_not_saved(self, tmp_path, monkeypatch):
+        # a file that no load could rebuild is refused when it is written
+        config = PipelineConfig(scorer=KNN, strategy=jackknife_bootstrap(7), seed=19)
+        fitted = fit(config, gaussian_matrix(17, 50, d=2))
+        monkeypatch.setattr(snapshot, "MAX_PLAN_MODELS", 6)
+        with pytest.raises(SnapshotError, match="a plan of 7 models over 50 rows"):
+            snapshot_save(fitted, tmp_path / "big.snap")
+        assert not (tmp_path / "big.snap").exists()
 
     @pytest.mark.parametrize("mutate", [
         lambda h: h["config"].pop("strategy"),
@@ -534,7 +560,7 @@ class TestUntrustedContent:
         # called split would give weighted p-values from a plus-mode one
         header, arrays = jab
         header["config"].update(strategy=dataclasses.asdict(split(0.5)), weighting="logistic")
-        with pytest.raises(SnapshotError, match="single_model calibration must bind every entry"):
+        with pytest.raises(SnapshotError, match=PLAN_MISMATCH):
             snapshot_load(write_snapshot(tmp_path / "relabelled.snap", header, arrays))
 
     @pytest.mark.parametrize("which", ["forest", "jab"])
@@ -543,12 +569,10 @@ class TestUntrustedContent:
         # split file called JaB+ with one bootstrap, or a JaB+ file called a
         # single_model refit, is refused
         header, arrays = request.getfixturevalue(which)
-        swapped, message = {
-            "forest": (jackknife_bootstrap(1), "must draw as many rows as the data holds"),
-            "jab": (jackknife_bootstrap(7, "single_model"), "must bind every entry to model 0"),
-        }[which]
+        swapped = {"forest": jackknife_bootstrap(1),
+                   "jab": jackknife_bootstrap(7, "single_model")}[which]
         header["config"]["strategy"] = dataclasses.asdict(swapped)
-        with pytest.raises(SnapshotError, match=message):
+        with pytest.raises(SnapshotError, match=PLAN_MISMATCH):
             snapshot_load(write_snapshot(tmp_path / "mode.snap", header, arrays))
 
     def test_fold_models_checked(self, tmp_path, jab):
@@ -556,16 +580,15 @@ class TestUntrustedContent:
         # model trained on its row, but the models are bootstraps, not folds
         header, arrays = jab
         header["config"]["strategy"] = dataclasses.asdict(cross_validation(7))
-        with pytest.raises(SnapshotError, match="train once on every row outside its fold"):
+        with pytest.raises(SnapshotError, match=PLAN_MISMATCH):
             snapshot_load(write_snapshot(tmp_path / "folds.snap", header, arrays))
 
     def test_plus_model_count_checked(self, tmp_path, jab):
         # a plus-mode strategy fits one model per fold, row or bootstrap
         header, arrays = jab
-        for strategy, fits in ((jackknife_bootstrap(8), 8), (cross_validation(6), 6),
-                               (jackknife(), 50)):
+        for strategy in (jackknife_bootstrap(8), cross_validation(6), jackknife()):
             header["config"]["strategy"] = dataclasses.asdict(strategy)
-            with pytest.raises(SnapshotError, match=f"7 models where the strategy fits {fits}"):
+            with pytest.raises(SnapshotError, match=PLAN_MISMATCH):
                 snapshot_load(write_snapshot(tmp_path / "count.snap", header, arrays))
 
     def test_split_relabelled_single_model_refused(self, tmp_path, conditional):
@@ -573,8 +596,29 @@ class TestUntrustedContent:
         header, arrays = conditional
         for strategy in (cross_validation(3, "single_model"), jackknife("single_model")):
             header["config"]["strategy"] = dataclasses.asdict(strategy)
-            with pytest.raises(SnapshotError, match="must train once on every row"):
+            with pytest.raises(SnapshotError, match=PLAN_MISMATCH):
                 snapshot_load(write_snapshot(tmp_path / "refit.snap", header, arrays))
+
+    def test_single_model_relabel_refused(self, tmp_path):
+        # a JaB single_model file drops rows no CV plan drops; its plan,
+        # though kept as one refit model, still names its entries' rows
+        config = PipelineConfig(scorer=KNN, strategy=jackknife_bootstrap(3, "single_model"),
+                                seed=31)
+        fitted = fit(config, gaussian_matrix(31, 60, d=2))
+        assert fitted.calibration.dropped_rows > 0
+        snapshot_save(fitted, tmp_path / "jab1.snap")
+        header, arrays = read_snapshot(tmp_path / "jab1.snap")
+        header["config"]["strategy"] = dataclasses.asdict(cross_validation(3, "single_model"))
+        with pytest.raises(SnapshotError, match=PLAN_MISMATCH):
+            snapshot_load(write_snapshot(tmp_path / "cv1.snap", header, arrays))
+
+    @pytest.mark.parametrize("which", ["forest", "jab"])
+    def test_edited_seed_refused(self, tmp_path, request, which):
+        # another seed draws another plan: its models trained on other rows
+        header, arrays = request.getfixturevalue(which)
+        header["config"]["seed"] += 1
+        with pytest.raises(SnapshotError, match=PLAN_MISMATCH):
+            snapshot_load(write_snapshot(tmp_path / "seed.snap", header, arrays))
 
     def test_conditional_without_table_refused(self, tmp_path, conditional):
         # it used to load, and scoring then died on a missing table
