@@ -269,9 +269,9 @@ def cv_plan(n, k, seed):
     sizes[: n % k] += 1
     fold = np.empty(n, dtype=np.int64)
     fold[perm] = np.repeat(np.arange(k), sizes)
-    oob = fold[:, None] == np.arange(k)
-    return Plan((~oob.T).astype(np.uint16), tuple(range(1, k + 1)), np.arange(n),
-                oob, refit_stream=1 + k)
+    counts = (np.arange(k)[:, None] != fold).astype(np.uint16)
+    return Plan(counts, tuple(range(1, k + 1)), np.arange(n), fold[:, None] == np.arange(k),
+                refit_stream=1 + k)
 
 
 def bootstrap_plan(n, n_bootstraps, seed):

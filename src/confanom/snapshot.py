@@ -19,20 +19,23 @@ its entry scores and only the SHA-256 of its plan
 strategy, the row count and the seed, so the loader rebuilds it with
 ``resampling.strategy_plan`` and ``resampling.kept_plan`` and refuses a
 file whose rebuilt plan has another digest (an edited strategy or seed, or
-a numpy whose ``Generator`` streams differ).  Plans above
-``MAX_PLAN_MODELS`` models or ``MAX_PLAN_CELLS`` model x row cells are
-refused before anything is built, at save and at load.  Isolation forests
-add their trees, model by model and tree by tree, by level-order shape:
-``trees/feature`` per node (-1 for a leaf), ``trees/threshold`` per inner
-node and ``trees/leaf_size`` per leaf, cut by ``trees/offsets``; a tree's
-r-th inner node has children 2r + 1 and 2r + 2.  A calibration-conditional
-pipeline adds ``table/adjusted``, its n_entries + 1 adjusted p-values.  The
-file digest only detects damage: anyone can recompute it, so every array is
-checked for shape, range, tree shape and depth before anything is built
-from it, and a file is refused if a conditional configuration has no
-table, a table has the wrong length, or an array (a table under another
-regime, say) belongs to no part of the configuration.  Files of earlier
-formats (6 stored the plan itself) are refused by their version.
+a numpy whose ``Generator`` streams differ: NEP 19 does not promise them
+across numpy versions, so a file loads only under a numpy that draws the
+plans as the saving one did).  Plans above ``MAX_PLAN_MODELS`` models or
+``MAX_PLAN_CELLS`` model x row cells are refused before anything is built,
+at save and at load, so a pipeline above them can be fitted but not saved.
+Isolation forests add their trees, model by model and tree by tree, by
+level-order shape: ``trees/feature`` per node (-1 for a leaf),
+``trees/threshold`` per inner node and ``trees/leaf_size`` per leaf, cut by
+``trees/offsets``; a tree's r-th inner node has children 2r + 1 and
+2r + 2.  A calibration-conditional pipeline adds ``table/adjusted``, its
+n_entries + 1 adjusted p-values.  The file digest only detects damage:
+anyone can recompute it, so every array is checked for shape, range, tree
+shape and depth before anything is built from it, and a file is refused if
+a conditional configuration has no table, a table has the wrong length, or
+an array (a table under another regime, say) belongs to no part of the
+configuration.  Files of earlier formats (6 stored the plan itself) are
+refused by their version.
 
 Only built-in detectors can be saved: an external scorer is an opaque
 callable and an oracle weighting carries a user function, neither of
@@ -57,8 +60,11 @@ from .resampling import CalibrationModel, StrategySpec, kept_plan, plan_models, 
 MAGIC = b"CANOMSNP"
 FORMAT_VERSION = 7
 _DIGEST_BYTES = 32
-# the largest plan a load rebuilds: each model costs a seeded draw, each
-# cell a count and a mask byte
+# the largest plan a load rebuilds, whatever the mode: a single_model load
+# rebuilds the plan that scored its entries too.  Only JaB plans reach the
+# model bound, each bootstrap being a seeded draw; CV and jackknife plans
+# are one permutation and reach the cell bound first.  Each cell costs a
+# uint16 count and a mask byte
 MAX_PLAN_MODELS = 1 << 14
 MAX_PLAN_CELLS = 1 << 26
 _TREE_ARRAYS = (("feature", "<i4"), ("threshold", "<f8"), ("leaf_size", "<i4"))
@@ -75,9 +81,10 @@ def _check_plan_size(strategy, n_rows):
 def _plan_digest(plan):
     """SHA-256 of a kept plan: its train counts as <u2, entry rows as <i8 and
     out-of-bag mask as one byte per cell, each in C order, concatenated."""
-    parts = ((plan.train_counts, "<u2"), (plan.entry_rows, "<i8"), (plan.oob, "|b1"))
-    return hashlib.sha256(b"".join(np.ascontiguousarray(a, d).tobytes()
-                                   for a, d in parts)).digest()
+    digest = hashlib.sha256()
+    for a, dtype in ((plan.train_counts, "<u2"), (plan.entry_rows, "<i8"), (plan.oob, "|b1")):
+        digest.update(np.ascontiguousarray(a, dtype))
+    return digest.digest()
 
 
 def snapshot_save(fp: FittedPipeline, path):

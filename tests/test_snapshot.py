@@ -12,7 +12,8 @@ from confanom.detectors import ScorerSpec
 from confanom.estimation import EstimationSpec
 from confanom.pipeline import (PipelineConfig, compute_p_values, fit,
                                fit_detached, score_samples, stream_p_values)
-from confanom.resampling import cross_validation, jackknife, jackknife_bootstrap, split
+from confanom.resampling import (cross_validation, jackknife, jackknife_bootstrap, kept_plan,
+                                  split, strategy_plan)
 from confanom.snapshot import (FORMAT_VERSION, MAGIC, snapshot_load,
                                snapshot_save)
 
@@ -513,6 +514,24 @@ class TestUntrustedContent:
             with pytest.raises(SnapshotError, match=message):
                 snapshot_load(write_snapshot(tmp_path / "plan.snap", header,
                                              {**arrays, name: value}))
+
+    @pytest.mark.parametrize("which", ["jab", "forest"])
+    def test_model_sizes_checked(self, tmp_path, request, which):
+        # the plan digest does not cover the scorer: k = 60 over bootstraps
+        # of 50 rows, or a split (with its digest) that trains a forest on
+        # one of 60 rows, is refused before any model is built
+        header, arrays = request.getfixturevalue(which)
+        if which == "jab":
+            header["config"]["scorer"]["k"] = 60
+        else:
+            strategy = split(59)
+            header["config"]["strategy"] = dataclasses.asdict(strategy)
+            plan = kept_plan(strategy_plan(strategy, 60, header["config"]["seed"]), strategy)
+            arrays = {**arrays, "calibration/plan_digest":
+                      np.frombuffer(snapshot._plan_digest(plan), np.uint8)}
+        kind = {"jab": "k-NN", "forest": "forest"}[which]
+        with pytest.raises(SnapshotError, match=f"a {kind} model has too few training rows"):
+            snapshot_load(write_snapshot(tmp_path / "small.snap", header, arrays))
 
     @pytest.mark.parametrize("strategy, n_rows", [
         (jackknife_bootstrap(10 ** 12), 50), (cross_validation(9_999), 10_000),
