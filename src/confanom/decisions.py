@@ -54,12 +54,14 @@ def benjamini_hochberg(pvals, alpha) -> DecisionSet:
     """Select anomalies with BH false-discovery-rate control at ``alpha``:
     the largest k with p_(k) <= k alpha / m, flagging every p <= p_(k).
 
-    Weighted p-values (a PValueVector whose ``weighting`` is set) get the
-    same step-up under the procedure tag 'weighted_bh'.  Weighted conformal
-    p-values restore marginal validity under covariate shift, but the BH
-    guarantee was proved for unweighted exchangeable p-values, so the
-    decisions carry that caveat as a note; empirical FDR should be checked
-    by simulation for the shift at hand.
+    Weighted p-values (a PValueVector whose ``weighting`` is set to other
+    than 'uniform') get the same step-up under the procedure tag
+    'weighted_bh'.  Weighted conformal p-values restore marginal validity
+    under covariate shift, but the BH guarantee was proved for unweighted
+    exchangeable p-values, so the decisions carry that caveat as a note;
+    empirical FDR should be checked by simulation for the shift at hand.
+    Unit weights give the plain conformal p-values, so 'uniform' ones are
+    tagged 'bh' with no note.
     """
     alpha = _alpha(alpha)
     values = _p_array(pvals)
@@ -68,7 +70,7 @@ def benjamini_hochberg(pvals, alpha) -> DecisionSet:
     passed = np.flatnonzero(order <= alpha * np.arange(1, m + 1) / m)
     # with no k passing, every p exceeds alpha / m > 0 and none is flagged
     threshold = float(order[passed[-1]]) if passed.size else 0.0
-    weighted = isinstance(pvals, PValueVector) and pvals.weighting is not None
+    weighted = isinstance(pvals, PValueVector) and pvals.weighting not in (None, "uniform")
     return DecisionSet(
         flags=values <= threshold,
         procedure="weighted_bh" if weighted else "bh",

@@ -13,7 +13,7 @@ index.  Everything else follows from it: the calibration's strategy and
 mode are the configured strategy's, and an adjustment table's size, delta
 and method are the entry count and the configured estimation's.
 
-Format version 7 stores a calibration's rows once (``calibration/rows``),
+Format version 8 stores a calibration's rows once (``calibration/rows``),
 its entry scores and only the SHA-256 of its plan
 (``calibration/plan_digest``): a plan is a deterministic function of the
 strategy, the row count and the seed, so the loader rebuilds it with
@@ -26,16 +26,22 @@ plans as the saving one did).  Plans above ``MAX_PLAN_MODELS`` models or
 at save and at load, so a pipeline above them can be fitted but not saved.
 Isolation forests add their trees, model by model and tree by tree, by
 level-order shape: ``trees/feature`` per node (-1 for a leaf),
-``trees/threshold`` per inner node and ``trees/leaf_size`` per leaf, cut by
-``trees/offsets``; a tree's r-th inner node has children 2r + 1 and
-2r + 2.  A calibration-conditional pipeline adds ``table/adjusted``, its
-n_entries + 1 adjusted p-values.  The file digest only detects damage:
-anyone can recompute it, so every array is checked for shape, range, tree
-shape and depth before anything is built from it, and a file is refused if
-a conditional configuration has no table, a table has the wrong length, or
-an array (a table under another regime, say) belongs to no part of the
-configuration.  Files of earlier formats (6 stored the plan itself) are
-refused by their version.
+``trees/threshold`` per inner node and ``trees/leaf_size`` per leaf; a
+tree's r-th inner node has children 2r + 1 and 2r + 2.  Features are stored
+as the narrowest of int8, int16 and int32 that holds their values, and leaf
+sizes as the narrowest of uint8, uint16 and uint32; the loader refuses any
+other width, so a pipeline has one encoding.  No tree offsets are stored: a
+tree of r inner nodes has 1 + 2r nodes, so a running sum of +1 per inner
+node and -1 per leaf reaches a new minimum exactly where a tree ends, and
+the node array must cut into models x ``n_trees`` whole trees.  A
+calibration-conditional pipeline adds ``table/adjusted``, its n_entries + 1
+adjusted p-values.  The file digest only detects damage: anyone can
+recompute it, so every array is checked for dtype, shape, range and depth
+before anything is built from it, and a file is refused if a conditional
+configuration has no table, a table has the wrong length, or an array (a
+table under another regime, say) belongs to no part of the configuration.
+Files of earlier formats (7 stored tree features and leaf sizes as int32
+and the tree offsets, 6 the plan itself) are refused by their version.
 
 Only built-in detectors can be saved: an external scorer is an opaque
 callable and an oracle weighting carries a user function, neither of
@@ -58,7 +64,7 @@ from .pipeline import FittedPipeline, PipelineConfig
 from .resampling import CalibrationModel, StrategySpec, kept_plan, plan_models, strategy_plan
 
 MAGIC = b"CANOMSNP"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 _DIGEST_BYTES = 32
 # the largest plan a load rebuilds, whatever the mode: a single_model load
 # rebuilds the plan that scored its entries too.  Only JaB plans reach the
@@ -67,7 +73,16 @@ _DIGEST_BYTES = 32
 # uint16 count and a mask byte
 MAX_PLAN_MODELS = 1 << 14
 MAX_PLAN_CELLS = 1 << 26
-_TREE_ARRAYS = (("feature", "<i4"), ("threshold", "<f8"), ("leaf_size", "<i4"))
+# a tree array's dtype, or the integer dtypes of which it takes the
+# narrowest that holds its values
+_TREE_ARRAYS = (("feature", ("|i1", "<i2", "<i4")), ("threshold", "<f8"),
+                ("leaf_size", ("|u1", "<u2", "<u4")))
+
+
+def _narrowest(a, dtypes):
+    """The first of the integer ``dtypes`` that holds every value of ``a``."""
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    return next(d for d in dtypes if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max)
 
 
 def _check_plan_size(strategy, n_rows):
@@ -106,8 +121,10 @@ def snapshot_save(fp: FittedPipeline, path):
               "calibration/plan_digest": np.frombuffer(_plan_digest(cm), np.uint8),
               "calibration/rows": cm.rows}
     if isinstance(cm.scorer, ForestPlan):
-        for field, dtype in _TREE_ARRAYS + (("offsets", "<i8"),):
-            arrays[f"trees/{field}"] = getattr(cm.scorer, field).astype(dtype)
+        for field, dtype in _TREE_ARRAYS:
+            a = getattr(cm.scorer, field)
+            arrays[f"trees/{field}"] = a.astype(dtype if isinstance(dtype, str)
+                                                else _narrowest(a, dtype))
     if fp.table is not None:
         arrays["table/adjusted"] = fp.table.adjusted
     header = {
@@ -159,8 +176,12 @@ class _Arrays:
             raise SnapshotError("snapshot payload does not match its index")
 
     def get(self, name, dtype, ndim):
+        """The array ``name`` of rank ``ndim`` and dtype ``dtype``, or of the
+        narrowest of a tuple of integer dtypes that holds its values."""
         array = self.arrays.get(name)
         self.used.add(name)
+        if array is not None and isinstance(dtype, tuple):
+            dtype = _narrowest(array, dtype) if array.dtype.str in dtype else None
         if array is None or array.dtype.str != dtype or array.ndim != ndim:
             raise SnapshotError(f"snapshot array {name!r} is missing or malformed")
         return array
@@ -172,32 +193,37 @@ def _expect(ok, what):
 
 
 def _load_forests(arrays, spec, sizes, n_features):
-    """Rebuild the forest plan after checking that the offsets cut the node
-    array into trees of 1 + 2r nodes, r inner, the r-th at a position of at
-    most 2r: every other node then has one parent before it, the inner node
-    with children 2r + 1 and 2r + 2.  Features index real columns, thresholds
-    are finite, leaf sizes index the model's c(m) table and no tree is deeper
-    than its model's cap.  Tree count and subsample sizes follow from the spec."""
+    """Rebuild the forest plan after cutting the node array into trees.  A
+    tree of r inner nodes has 1 + 2r nodes, so the running sum of +1 per
+    inner node and -1 per leaf first falls to -k where the k-th tree ends;
+    the cut must give models x ``n_trees`` whole trees.  Before the end of
+    its tree the sum is at least 0, so the r-th inner node sits at a
+    position of at most 2r: every node but the root has one parent, the
+    inner node with children 2r + 1 and 2r + 2, which comes before it.
+    Features index real columns, thresholds are finite, leaf sizes index the
+    model's c(m) table and no tree is deeper than its model's cap.  Tree
+    count and subsample sizes follow from the spec."""
     n_trees, psi = spec.n_trees, np.minimum(spec.subsample_size, sizes)
     feature, threshold, leaf_size = (arrays.get(f"trees/{f}", d, 1) for f, d in _TREE_ARRAYS)
-    offsets = arrays.get("trees/offsets", "<i8", 1)
-    n_nodes, root, stop = feature.shape[0], offsets[:-1], offsets[1:]
-    _expect(offsets.shape == (sizes.shape[0] * n_trees + 1,) and offsets[0] == 0
-            and offsets[-1] == n_nodes and (stop > root).all(),
-            "tree offsets do not cut the node arrays into trees")
-    inner = feature >= 0
-    before = np.concatenate([[0], np.cumsum(inner)])  # inner nodes before each position
+    n_nodes, n_cut, inner = feature.shape[0], sizes.shape[0] * n_trees, feature >= 0
+    height = np.cumsum(np.where(inner, 1, -1))
+    ends = np.flatnonzero(height < np.minimum.accumulate(np.append(0, height))[:-1])
+    whole = ends.size > 0 and ends[-1] == n_nodes - 1
+    _expect(whole and ends.size == n_cut,
+            f"the tree nodes cut into {ends.size} whole trees"
+            f"{'' if whole or not n_nodes else ' and part of one'}, not "
+            f"{sizes.shape[0]} models x {n_trees}")
+    offsets = np.append(0, ends + 1)
+    root, stop = offsets[:-1], offsets[1:]
+    before = np.append(0, np.cumsum(inner))  # inner nodes before each position
     _expect(threshold.shape == (before[-1],) and leaf_size.shape == (n_nodes - before[-1],),
             "thresholds or leaf sizes disagree with the inner and leaf counts")
-    tree = np.repeat(np.arange(root.shape[0]), np.diff(offsets))
+    tree = np.repeat(np.arange(n_cut), np.diff(offsets))
     ok = (feature >= -1) & (feature < n_features)
-    ok &= ~inner | (np.arange(n_nodes) - root[tree] <= 2 * (before[:-1] - before[root][tree]))
     ok[inner] &= np.isfinite(threshold)
-    ok[~inner] &= (leaf_size >= 0) & (leaf_size <= psi[tree[~inner] // n_trees])
-    good = stop - root == 1 + 2 * (before[stop] - before[root])
-    good[tree[~ok]] = False
-    t = int(np.argmin(good))  # the first failing tree, if any
-    _expect(good.all(), f"tree {t % n_trees} of model {t // n_trees} is not a valid isolation tree")
+    ok[~inner] &= leaf_size <= psi[tree[~inner] // n_trees]
+    t = int(tree[np.argmin(ok)])  # the first failing tree, if any
+    _expect(ok.all(), f"tree {t % n_trees} of model {t // n_trees} is not a valid isolation tree")
     # levels 0 to k of a tree end where the children of their inner nodes end
     cap, end, level = np.repeat(spec.depth_caps(psi), n_trees), root + 1, 0
     while level < cap.max() and (end < stop).any():

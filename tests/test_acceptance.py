@@ -346,7 +346,8 @@ def test_a11_equivalences(capsys):
         PValueVector(pvals, estimation="empirical", smoothed=False, calibration_size=40,
                      weighting="uniform"), 0.1)
     bh = decisions.benjamini_hochberg(pvals, 0.1)
-    bh_eq = (wbh.procedure == "weighted_bh" and np.array_equal(wbh.flags, bh.flags)
+    bh_eq = (wbh.procedure == bh.procedure == "bh" and wbh.notes == bh.notes == ()
+             and np.array_equal(wbh.flags, bh.flags)
              and wbh.rejection_threshold == bh.rejection_threshold)
 
     elapsed = time.perf_counter() - t0

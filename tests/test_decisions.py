@@ -126,16 +126,19 @@ class TestFixedThreshold:
 
 
 class TestWeightedControl:
-    # benjamini_hochberg tags p-values whose weighting is set
+    # benjamini_hochberg tags p-values whose weighting is set, unit weights aside
     def test_same_rule_as_bh(self):
         d = benjamini_hochberg(weighted([0.01, 0.5]), alpha=0.1)
         assert d.flags.tolist() == [1, 0]
         assert d.procedure == "weighted_bh"
 
     def test_carries_caveat_note(self):
-        for kind in ("logistic", "oracle", "uniform"):
+        for kind in ("logistic", "oracle"):
             d = benjamini_hochberg(weighted([0.01], kind), alpha=0.1)
             assert d.procedure == "weighted_bh" and d.notes == (WEIGHTED_BH_CAVEAT,)
+        # unit weights give the plain conformal p-values, which BH covers
+        uniform = benjamini_hochberg(weighted([0.01], "uniform"), alpha=0.1)
+        assert uniform.procedure == "bh" and uniform.notes == ()
         plain = benjamini_hochberg(PValueVector(np.array([0.01]), estimation="empirical",
                                                 smoothed=True, calibration_size=10), 0.1)
         assert plain.procedure == "bh" and plain.notes == ()

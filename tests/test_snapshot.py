@@ -1,13 +1,19 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import pathlib
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from confanom import snapshot
-from confanom.core import ConfanomError, SnapshotError
+from confanom.cli import main
+from confanom.core import ConfanomError, DataMatrix, SnapshotError
 from confanom.detectors import ScorerSpec
 from confanom.estimation import EstimationSpec
 from confanom.pipeline import (PipelineConfig, compute_p_values, fit,
@@ -123,6 +129,54 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+def narrowest(values, dtypes, bounds):
+    """The first of ``dtypes`` whose bound exceeds every value."""
+    return next(d for d, bound in zip(dtypes, bounds) if values.max(initial=0) < bound)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_features=st.integers(1, 140), varied=st.integers(0, 139), n_rows=st.integers(8, 700),
+       subsample_size=st.integers(2, 600), max_depth=st.sampled_from([1, 2, None]),
+       n_trees=st.integers(1, 4), bootstraps=st.sampled_from([0, 2, 3]),
+       seed=st.integers(0, 2 ** 16))
+# a split on a column past 127 needs int16 features; one split of more than
+# 510 rows leaves a leaf of more than 255, which needs uint16 leaf sizes
+@example(n_features=140, varied=128, n_rows=200, subsample_size=64, max_depth=None,
+         n_trees=2, bootstraps=0, seed=1)
+@example(n_features=1, varied=0, n_rows=700, subsample_size=520, max_depth=1, n_trees=2,
+         bootstraps=0, seed=2)
+def test_forest_round_trip_narrowest(n_features, varied, n_rows, subsample_size, max_depth,
+                                     n_trees, bootstraps, seed):
+    # columns before ``varied`` are constant, so every split is on a later one
+    rows = np.random.default_rng(seed).normal(size=(n_rows, n_features))
+    rows[:, :min(varied, n_features - 1)] = 0.0
+    scorer = ScorerSpec(kind="isolation_forest", n_trees=n_trees,
+                        subsample_size=subsample_size, max_depth=max_depth)
+    strategy = jackknife_bootstrap(bootstraps) if bootstraps else split(0.2)
+    fitted = fit(PipelineConfig(scorer=scorer, strategy=strategy, seed=seed), DataMatrix(rows))
+    plan = fitted.calibration.scorer
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "forest.snap"
+        snapshot_save(fitted, path)
+        loaded = snapshot_load(path).calibration.scorer
+        header, _ = read_snapshot(path)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["snapshot", "--inspect", str(path)]) == 0
+    probe = np.random.default_rng(seed + 1).normal(size=(20, n_features))
+    assert loaded.score_raw(probe).tobytes() == plan.score_raw(probe).tobytes()
+    dtypes = {entry["name"]: np.dtype(entry["dtype"]) for entry in header["arrays"]}
+    assert dtypes["trees/feature"] == narrowest(plan.feature, ("|i1", "<i2", "<i4"),
+                                                (2 ** 7, 2 ** 15, 2 ** 31))
+    assert dtypes["trees/leaf_size"] == narrowest(plan.leaf_size, ("|u1", "<u2", "<u4"),
+                                                  (2 ** 8, 2 ** 16, 2 ** 32))
+    assert dtypes["trees/threshold"] == np.dtype("<f8")
+    n_inner = int((plan.feature >= 0).sum())
+    array_bytes = json.loads(out.getvalue())["array_bytes"]
+    for name, n in (("feature", plan.feature.size), ("threshold", n_inner),
+                    ("leaf_size", plan.feature.size - n_inner)):
+        assert array_bytes[f"trees/{name}"] == n * dtypes[f"trees/{name}"].itemsize
+
+
 class TestRefusals:
     def test_external_scorer_refused(self, tmp_path):
         fitted = fit_detached(lambda X: X[:, 0], gaussian_matrix(13, 40),
@@ -219,11 +273,25 @@ def write_snapshot(path, header, arrays):
     return path
 
 
+def tree_offsets(feature):
+    """Where each tree of a level-order node array starts, then the node
+    count: a tree has one node left to read at its root, an inner node adds
+    two and each node read takes one, so the tree ends when none is left."""
+    offsets, pending = [0], 1
+    for at, f in enumerate(feature):
+        pending += 1 if f >= 0 else -1
+        if pending == 0:
+            offsets.append(at + 1)
+            pending = 1
+    assert offsets[-1] == len(feature), "the node array ends mid-tree"
+    return np.array(offsets)
+
+
 def replace_tree(arrays, t, feature, threshold, leaf_size):
-    """The arrays of a forest snapshot with tree t replaced by the tree of
-    the given shape."""
-    offsets, old = arrays["trees/offsets"], arrays["trees/feature"]
-    lo, hi = offsets[t], offsets[t + 1]
+    """The arrays of a forest snapshot with tree t replaced by the given
+    nodes, which need not be a tree."""
+    old = arrays["trees/feature"]
+    lo, hi = tree_offsets(old)[t:t + 2]
     inner = np.concatenate([[0], np.cumsum(old >= 0)])
 
     def splice(a, i, j, part):
@@ -233,15 +301,22 @@ def replace_tree(arrays, t, feature, threshold, leaf_size):
             "trees/feature": splice(old, lo, hi, feature),
             "trees/threshold": splice(arrays["trees/threshold"], inner[lo], inner[hi], threshold),
             "trees/leaf_size": splice(arrays["trees/leaf_size"], lo - inner[lo], hi - inner[hi],
-                                      leaf_size),
-            "trees/offsets": splice(offsets, t + 1, offsets.size,
-                                    offsets[t + 1:] + len(feature) - (hi - lo))}
+                                      leaf_size)}
+
+
+def v7_arrays(arrays):
+    """A forest's arrays as format version 7 stored them: features and leaf
+    sizes as <i4, and the tree offsets."""
+    return {**arrays, "trees/feature": arrays["trees/feature"].astype("<i4"),
+            "trees/leaf_size": arrays["trees/leaf_size"].astype("<i4"),
+            "trees/offsets": tree_offsets(arrays["trees/feature"]).astype("<i8")}
 
 
 def v4_arrays(arrays):
     """A forest's arrays as format version 4 stored them: per node its
     feature, threshold, left child (-1 for a leaf) and subtree size."""
-    offsets, feature = arrays["trees/offsets"], arrays["trees/feature"]
+    feature = arrays["trees/feature"].astype("<i4")
+    offsets = tree_offsets(feature)
     inner = feature >= 0
     rank = np.cumsum(inner) - inner
     left, threshold = np.full(feature.size, -1), np.zeros(feature.size)
@@ -286,7 +361,7 @@ class TestUntrustedContent:
         blob[8:12] = (1).to_bytes(4, "little")
         (tmp_path / "v1.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 1 is not supported "
-                                                r"\(this build reads version 7\)"):
+                                                r"\(this build reads version 8\)"):
             snapshot_load(tmp_path / "v1.snap")
 
     def test_v2_refused_by_name(self, tmp_path, forest):
@@ -295,7 +370,7 @@ class TestUntrustedContent:
         blob[8:12] = (2).to_bytes(4, "little")
         (tmp_path / "v2.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 2 is not supported "
-                                                r"\(this build reads version 7\)"):
+                                                r"\(this build reads version 8\)"):
             snapshot_load(tmp_path / "v2.snap")
 
     def test_v3_refused_by_name(self, tmp_path, forest):
@@ -307,7 +382,7 @@ class TestUntrustedContent:
         blob[8:12] = (3).to_bytes(4, "little")
         (tmp_path / "v3.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 3 is not supported "
-                                                r"\(this build reads version 7\)"):
+                                                r"\(this build reads version 8\)"):
             snapshot_load(tmp_path / "v3.snap")
 
     def test_v4_refused_by_name(self, tmp_path, forest):
@@ -317,7 +392,7 @@ class TestUntrustedContent:
         blob[8:12] = (4).to_bytes(4, "little")
         (tmp_path / "v4.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 4 is not supported "
-                                                r"\(this build reads version 7\)"):
+                                                r"\(this build reads version 8\)"):
             snapshot_load(tmp_path / "v4.snap")
 
     def test_v5_refused_by_name(self, tmp_path, jab):
@@ -329,7 +404,7 @@ class TestUntrustedContent:
         blob[8:12] = (5).to_bytes(4, "little")
         (tmp_path / "v5.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 5 is not supported "
-                                                r"\(this build reads version 7\)"):
+                                                r"\(this build reads version 8\)"):
             snapshot_load(tmp_path / "v5.snap")
 
     def test_v6_refused_by_name(self, tmp_path):
@@ -348,8 +423,18 @@ class TestUntrustedContent:
         blob[8:12] = (6).to_bytes(4, "little")
         (tmp_path / "v6.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 6 is not supported "
-                                                r"\(this build reads version 7\)"):
+                                                r"\(this build reads version 8\)"):
             snapshot_load(tmp_path / "v6.snap")
+
+    def test_v7_refused_by_name(self, tmp_path, forest):
+        # version 7 stored tree features and leaf sizes as <i4 and the offsets
+        blob = bytearray(write_snapshot(tmp_path / "v7.snap", forest[0],
+                                        v7_arrays(forest[1])).read_bytes())
+        blob[8:12] = (7).to_bytes(4, "little")
+        (tmp_path / "v7.snap").write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="format version 7 is not supported "
+                                                r"\(this build reads version 8\)"):
+            snapshot_load(tmp_path / "v7.snap")
 
     def test_header_gives_each_setting_once(self, jab, conditional):
         # no calibration or table section and no JSON copy of the format
@@ -362,44 +447,53 @@ class TestUntrustedContent:
                                                 "weighting"]
 
     def test_forest_stored_by_shape(self, forest):
-        # no child pointers and no inner sizes: thresholds for inner nodes
-        # only, sizes for leaves only
+        # no child pointers, no inner sizes and no offsets: thresholds for
+        # inner nodes only, sizes for leaves only, in their narrowest types
         header, arrays = forest
         inner = arrays["trees/feature"] >= 0
         assert sorted(name for name in arrays if name.startswith("trees/")) == [
-            "trees/feature", "trees/leaf_size", "trees/offsets", "trees/threshold"]
+            "trees/feature", "trees/leaf_size", "trees/threshold"]
         assert arrays["trees/threshold"].shape == (inner.sum(),)
         assert arrays["trees/leaf_size"].shape == ((~inner).sum(),)
+        assert (arrays["trees/feature"].dtype.str, arrays["trees/leaf_size"].dtype.str) == (
+            "|i1", "|u1")
 
     def test_inner_node_own_parent_refused(self, tmp_path, forest):
-        # [leaf, inner, leaf]: the inner node's children would be itself and
-        # the node after it, a cycle no walk from the root reaches
+        # [leaf, inner, leaf] would make the inner node's children itself and
+        # the node after it.  The cut ends a tree at the first leaf, so as
+        # the last tree it leaves [inner, leaf], which is no whole tree
         header, arrays = forest
-        crafted = replace_tree(arrays, 0, [-1, 0, -1], [0.0], [1, 1])
-        with pytest.raises(SnapshotError, match="tree 0 of model 0 is not a valid isolation tree"):
+        crafted = replace_tree(arrays, 11, [-1, 0, -1], [0.0], [1, 1])
+        with pytest.raises(SnapshotError,
+                           match="cut into 12 whole trees and part of one, not 1 models x 12"):
             snapshot_load(write_snapshot(tmp_path / "cycle.snap", header, crafted))
 
     def test_children_inside_tree(self, tmp_path, forest):
         # a leaf turned inner would take the two nodes after its tree, the
-        # next tree's root among them, as children
+        # next tree's root among them, as children: its tree runs on over
+        # the next two, and the forest is two trees short
         header, arrays = forest
-        offsets, feature = arrays["trees/offsets"], arrays["trees/feature"]
-        tree = feature[offsets[1]:offsets[2]]
+        feature = arrays["trees/feature"]
+        lo, hi = tree_offsets(feature)[1:3]
+        tree = feature[lo:hi]
         inner, leaves = tree >= 0, tree < 0
         grown = np.where(np.arange(tree.size) == np.flatnonzero(leaves)[-1], 0, tree)
         thresholds = np.zeros(int(inner.sum()) + 1)
         crafted = replace_tree(arrays, 1, grown, thresholds, np.ones(int(leaves.sum()) - 1))
-        with pytest.raises(SnapshotError, match="tree 1 of model 0 is not a valid isolation tree"):
+        with pytest.raises(SnapshotError, match="cut into 10 whole trees, not 1 models x 12"):
             snapshot_load(write_snapshot(tmp_path / "outside.snap", header, crafted))
 
     def test_node_count_checked(self, tmp_path, forest):
-        # one inner node has two children: three or five nodes are not a tree
+        # one inner node has two children: three nodes and a spare leaf make
+        # one tree too many, and three nodes with two inner ones run on over
+        # the next two trees
         header, arrays = forest
-        for feature, n_leaves in (([0, -1, -1, -1], 3), ([0, 0, -1], 1)):
+        for feature, n_leaves, message in (
+                ([0, -1, -1, -1], 3, "cut into 13 whole trees, not 1 models x 12"),
+                ([0, 0, -1], 1, "cut into 10 whole trees, not 1 models x 12")):
             inner = sum(f >= 0 for f in feature)
             crafted = replace_tree(arrays, 2, feature, np.zeros(inner), np.ones(n_leaves))
-            with pytest.raises(SnapshotError,
-                               match="tree 2 of model 0 is not a valid isolation tree"):
+            with pytest.raises(SnapshotError, match=message):
                 snapshot_load(write_snapshot(tmp_path / "count.snap", header, crafted))
 
     @pytest.mark.parametrize("name", ["trees/threshold", "trees/leaf_size"])
@@ -415,16 +509,24 @@ class TestUntrustedContent:
         ("threshold", np.inf)])
     def test_tree_arrays_checked(self, tmp_path, forest, field, value):
         # the field's first entry in tree 1: the root's feature, a leaf's
-        # feature below -1, or the first inner node's threshold or leaf's size
+        # feature below -1, or the first inner node's threshold or leaf's
+        # size.  The features stay int8; a negative size needs a signed
+        # array, which no leaf size may have
         header, arrays = forest
-        start, feature = arrays["trees/offsets"][1], arrays["trees/feature"]
+        feature = arrays["trees/feature"]
+        start = tree_offsets(feature)[1]
         n_inner = int((feature[:start] >= 0).sum())
         leaf = start + int(np.argmax(feature[start:] < 0))
         name, at = {"feature": ("trees/feature", start if value >= 0 else leaf),
                     "threshold": ("trees/threshold", n_inner),
                     "size": ("trees/leaf_size", start - n_inner)}[field]
+        message = "tree 1 of model 0 is not a valid isolation tree"
+        if value < 0 and field == "size":
+            arrays[name] = arrays[name].astype("|i1")
+            message = "'trees/leaf_size' is missing or malformed"
         arrays[name][at] = value
-        with pytest.raises(SnapshotError, match="tree 1 of model 0 is not a valid isolation tree"):
+        assert arrays["trees/feature"].dtype == np.int8
+        with pytest.raises(SnapshotError, match=message):
             snapshot_load(write_snapshot(tmp_path / "tree.snap", header, arrays))
 
     @pytest.mark.parametrize("max_depth", [None, 40])
@@ -467,33 +569,58 @@ class TestUntrustedContent:
             else:
                 assert np.isfinite(compute_p_values(snapshot_load(path), X).values).all()
 
-    def test_tree_offsets_checked(self, tmp_path, forest):
+    def test_tree_cuts_checked(self, tmp_path, forest):
+        # the trees are cut from the node array: it must end where a tree
+        # ends and hold exactly models x n_trees of them
         header, arrays = forest
-        offsets = arrays["trees/offsets"]
-        # int64 differences of these wrap round to positive tree sizes
-        wrapped = offsets.copy()
-        wrapped[1:4] = (2 ** 62, 2 ** 63 - 1, -2 ** 62)
-        assert (np.diff(wrapped) >= 1).all()
-        for bad in (offsets[:-1], offsets + 1, offsets - 1, np.sort(offsets)[::-1],
-                    np.concatenate([offsets[:1], offsets[:-1]]),
-                    np.where(np.arange(offsets.size) == 2, offsets[-1] + 5, offsets), wrapped):
-            with pytest.raises(SnapshotError, match="tree offsets"):
-                snapshot_load(write_snapshot(tmp_path / "offsets.snap", header,
-                                             {**arrays, "trees/offsets": bad}))
-        # a moved boundary keeps the offsets monotone: the trees it cuts are
-        # checked like any other, so the file is refused or loads and scores
+        feature, leaf_size = arrays["trees/feature"], arrays["trees/leaf_size"]
+        last = tree_offsets(feature)[-2]
+        n_inner = int((feature[:last] >= 0).sum())
+        cases = [
+            ("11 whole trees and part of one, not 1 models x 12", feature[:-1], leaf_size[:-1]),
+            ("13 whole trees, not 1 models x 12", np.append(feature, feature[-1:]),
+             np.append(leaf_size, leaf_size[-1:])),
+            ("11 whole trees, not 1 models x 12", feature[:last],
+             leaf_size[:last - n_inner]),
+            ("0 whole trees, not 1 models x 12", feature[:0], leaf_size[:0]),
+        ]
+        for message, bad_feature, bad_size in cases:
+            crafted = {**arrays, "trees/feature": bad_feature, "trees/leaf_size": bad_size,
+                       "trees/threshold": arrays["trees/threshold"][:(bad_feature >= 0).sum()]}
+            with pytest.raises(SnapshotError, match=message):
+                snapshot_load(write_snapshot(tmp_path / "cuts.snap",
+                                             json.loads(json.dumps(header)), crafted))
+        # a leaf swapped with the next tree's root moves the cut: the trees it
+        # makes are checked like any other, so the file is refused or loads
+        # and scores
         X = gaussian_matrix(22, 5, d=3)
-        for t in range(1, offsets.size - 1):
-            for shift in (-1, 1):
-                moved = offsets.copy()
-                moved[t] += shift
-                path = write_snapshot(tmp_path / "moved.snap", json.loads(json.dumps(header)),
-                                      {**arrays, "trees/offsets": moved})
-                try:
-                    loaded = snapshot_load(path)
-                except SnapshotError:
-                    continue
-                assert np.isfinite(compute_p_values(loaded, X).values).all()
+        for t in tree_offsets(feature)[1:-1]:
+            if feature[t] < 0:
+                continue
+            swapped = feature.copy()
+            swapped[[t - 1, t]] = feature[[t, t - 1]]  # thresholds and sizes keep their order
+            path = write_snapshot(tmp_path / "moved.snap", json.loads(json.dumps(header)),
+                                  {**arrays, "trees/feature": swapped})
+            try:
+                loaded = snapshot_load(path)
+            except SnapshotError:
+                continue
+            assert np.isfinite(compute_p_values(loaded, X).values).all()
+
+    @pytest.mark.parametrize("name, dtype", [
+        ("trees/feature", "<i2"), ("trees/feature", "<i4"), ("trees/feature", "<f8"),
+        ("trees/feature", "|u1"), ("trees/feature", "<u2"), ("trees/feature", ">i2"),
+        ("trees/leaf_size", "<u2"), ("trees/leaf_size", "<u4"), ("trees/leaf_size", "|i1"),
+        ("trees/leaf_size", "<i4"), ("trees/leaf_size", "<f8")])
+    def test_tree_dtypes_checked(self, tmp_path, forest, name, dtype):
+        # features come as the narrowest of int8, int16 and int32 that holds
+        # them, leaf sizes as the narrowest of uint8, uint16 and uint32: a
+        # wider, unsigned or float feature array, or a wider, signed or float
+        # leaf-size array, is refused though its values are the saved ones
+        header, arrays = forest
+        crafted = {**arrays, name: arrays[name].astype(dtype)}
+        with pytest.raises(SnapshotError, match=f"'{name}' is missing or malformed"):
+            snapshot_load(write_snapshot(tmp_path / "dtype.snap", header, crafted))
 
     def test_plan_arrays_cross_checked(self, tmp_path, jab):
         header, arrays = jab
@@ -675,7 +802,9 @@ class TestUntrustedContent:
             if bad.size == 0:
                 continue
             flat = bad.reshape(-1)
-            flat[rng.integers(flat.size)] = rng.choice([0, 1, -1, 2, 63, 200, 65535])
+            # a value the array's type cannot hold wraps, as in a damaged payload
+            value = rng.choice([0, 1, -1, 2, 63, 200, 65535])
+            flat[rng.integers(flat.size)] = np.asarray(value).astype(flat.dtype)
             path = write_snapshot(tmp_path / "fuzz.snap", json.loads(json.dumps(header)),
                                   {**arrays, name: bad})
             try:
