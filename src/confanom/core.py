@@ -191,11 +191,11 @@ _PHILOX_CHUNK = 1 << 14
 
 
 def _mulhilo(m, x):
-    # 64 x 64 -> 128-bit product from 32-bit halves
+    # 64 x 64 -> 128-bit product from 32-bit halves, carrying as Warren's
+    # mulhu does (Hacker's Delight, sec. 8-2): no partial sum overflows
     m0, m1, x0, x1 = m & _LOW32, m >> _SHIFT32, x & _LOW32, x >> _SHIFT32
-    p01, p10 = m0 * x1, m1 * x0
-    mid = ((m0 * x0) >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
-    return m1 * x1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32), m * x
+    t = m1 * x0 + ((m0 * x0) >> _SHIFT32)
+    return m1 * x1 + (t >> _SHIFT32) + ((m0 * x1 + (t & _LOW32)) >> _SHIFT32), m * x
 
 
 def philox_block(key, tweak, counter, stream):

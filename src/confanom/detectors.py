@@ -132,16 +132,36 @@ def average_path_length(m):
     return 2.0 * float(np.sum(1.0 / np.arange(1, m))) - 2.0 * (m - 1) / m
 
 
+def _split_thresholds(a, b, words):
+    """Each split's threshold, uniform in its range [a, b] by the isolation
+    forest rule clip(a (1 - u) + b u, a, b) (Liu, Ting & Zhou 2008), with u
+    from the second word of the split's counter block ``words``."""
+    u = philox_uniform(words[1])
+    # the convex form cannot overflow; the clip absorbs its rounding
+    return np.clip(a * (1.0 - u) + b * u, a, b)
+
+
+def _first_in_segment(hits, starts):
+    """Position of the first hit of each segment starting at ``starts``;
+    every segment holds one."""
+    at = np.flatnonzero(hits)
+    return at[np.searchsorted(at, starts)]
+
+
 def _grow(rows, keys, tree, cap, active, psi):
-    """Node fields of a chunk of trees, tree after tree, and their node
-    counts, grown level by level from the subsample rows ``active``.
+    """Node fields of a chunk of trees, tree after tree, grown level by
+    level from the subsample rows ``active``.
 
     Every open node takes its per-feature range over its contiguous rows,
     draws a feature that varies there and a threshold uniform in its range
     from the first two words of counter block ``(node, 0)``, and splits its
     rows stably, rows below the threshold to the left.  Nodes are numbered in
     level order within their tree, so its r-th inner node has children 2r + 1
-    and 2r + 2.  Features come per node, thresholds per inner node, sizes per leaf.
+    and 2r + 2.  Features come per node, sizes per leaf, and per inner node
+    its threshold and its split rows: the first of its rows whose value on
+    the split feature has the bits of the range's low end, and the first
+    with those of its high end, so ``rebuilt_thresholds`` draws the threshold
+    again from the rows, the key, the tree and the node.
     """
     n_trees, width = psi.shape[0], rows.shape[1]
     seg_tree, seg_node, seg_len = np.arange(n_trees), np.zeros(n_trees, np.int64), psi
@@ -162,13 +182,17 @@ def _grow(rows, keys, tree, cap, active, psi):
         words = philox_block(keys[seg_tree], tree[seg_tree], seg_node, 0)
         k = np.minimum((philox_uniform(words[0]) * n_varied).astype(np.int64), n_varied - 1)
         q = (np.cumsum(varied, axis=1) > k[:, None]).argmax(axis=1)
-        a, b, u = lo[split, q], hi[split, q], philox_uniform(words[1])
-        # the convex form cannot overflow; the clip absorbs its rounding
-        threshold = np.clip(a * (1.0 - u) + b * u, a, b)
+        a, b = lo[split, q], hi[split, q]
+        threshold = _split_thresholds(a, b, words)
         # stable partition, left part first, by the left rows before each row
         of = np.repeat(split, seg_len)
         at = np.arange(of.shape[0])
-        right = np.take(values.reshape(-1), at * width + q[of]) >= threshold[of]
+        value = np.take(values.reshape(-1), at * width + q[of])
+        right = value >= threshold[of]
+        # bits, not values, so that -0.0 and 0.0 stay apart
+        bits = value.view(np.int64)
+        bounds = [active[_first_in_segment(bits == end.view(np.int64)[of], starts)]
+                  for end in (a, b)]
         lefts = np.concatenate([[0], np.cumsum(~right)])
         n_left = lefts[starts + seg_len] - lefts[starts]
         before = lefts[:-1] - lefts[starts][of]
@@ -179,7 +203,7 @@ def _grow(rows, keys, tree, cap, active, psi):
         left = next_id[seg_tree] + 2 * (split - np.searchsorted(seg_tree, seg_tree))
         next_id += 2 * np.bincount(seg_tree, minlength=n_trees)
         child_len = np.column_stack([n_left, seg_len - n_left]).ravel()
-        splits.append((seg_tree, seg_node, q, threshold, left, child_len))
+        splits.append((seg_tree, seg_node, q, threshold, *bounds, left, child_len))
         depth += 1
         grows = (child_len >= 2) & (depth < np.repeat(cap[seg_tree], 2))
         active = placed[np.repeat(grows, child_len)]
@@ -187,11 +211,12 @@ def _grow(rows, keys, tree, cap, active, psi):
         seg_len = child_len[grows]
     offsets, n_nodes = np.cumsum(next_id) - next_id, int(next_id.sum())
     feature, size = np.full(n_nodes, -1, np.int32), np.empty(n_nodes, np.int32)
-    tr, node, q, split_at, child, child_len = map(np.concatenate, zip(*splits))
+    tr, node, q, split_at, low, high, child, child_len = map(np.concatenate, zip(*splits))
     at = offsets[tr] + node
     feature[at], size[offsets] = q, psi
     size[((offsets[tr] + child)[:, None] + [0, 1]).ravel()] = child_len
-    return feature, split_at[np.argsort(at)], size[feature < 0], next_id
+    order = np.argsort(at)
+    return feature, split_at[order], np.column_stack([low, high])[order], size[feature < 0]
 
 
 def _fit_forests(spec, rows, counts, keys):
@@ -220,9 +245,26 @@ def _fit_forests(spec, rows, counts, keys):
         key, m_size, m_psi = keys[models][model], sizes[models][model], psi[models][model]
         sub = expanded[np.repeat(base[model], m_psi) + philox_choice(key, tree, m_size, m_psi, 1)]
         parts.append(_grow(rows, key, tree, cap[models][model], sub, m_psi))
-    feature, threshold, leaf_size, n_nodes = map(np.concatenate, zip(*parts))
-    return ForestPlan(spec, feature, threshold, leaf_size,
-                      np.concatenate([[0], np.cumsum(n_nodes)]), psi, n_features)
+    feature, threshold, split_rows, leaf_size = map(np.concatenate, zip(*parts))
+    return ForestPlan(spec, feature, threshold, split_rows, leaf_size, psi, n_features)
+
+
+def tree_ends(feature):
+    """Where each whole tree of a level-order node array ends.  A tree of r
+    inner nodes has 1 + 2r nodes, so the running sum of +1 per inner node
+    and -1 per leaf first falls to -k where the k-th tree ends."""
+    height = np.cumsum(np.where(feature >= 0, 1, -1))
+    return np.flatnonzero(height < np.minimum.accumulate(np.append(0, height))[:-1])
+
+
+def rebuilt_thresholds(keys, n_trees, tree, node, a, b):
+    """The thresholds ``_grow`` drew for splits between ``a`` and ``b``: the
+    split of level-order node ``node`` of tree ``tree`` (tree t of model b
+    is tree b * n_trees + t) draws from counter block (node, 0) of the
+    Philox key (``keys[b]``, t)."""
+    model, t = np.divmod(tree, n_trees)
+    return _split_thresholds(a, b, philox_block(np.asarray(keys, dtype=np.uint64)[model], t,
+                                                node, 0))
 
 
 class ForestPlan:
@@ -232,9 +274,11 @@ class ForestPlan:
     psi_b the model's subsample size and c the average path length, so
     scores lie in (0, 1].  Trees are stored by level-order shape, model by
     model and tree by tree, as in the snapshot: ``feature`` per node (-1 for
-    a leaf), ``threshold`` per inner node, ``leaf_size`` per leaf.  Tree t of
-    model b starts at node ``offsets[b * n_trees + t]``; its r-th inner node
-    has its nodes 2r + 1 and 2r + 2 as children.  Scoring moves a (trees x
+    a leaf), ``threshold`` and its two bounding rows ``split_rows`` (see
+    ``_grow``) per inner node, ``leaf_size`` per leaf.  The plan cuts the
+    node array into trees itself (``tree_ends``): tree t of model b starts at
+    node ``offsets[b * n_trees + t]``, and its r-th inner node has its nodes
+    2r + 1 and 2r + 2 as children.  Scoring moves a (trees x
     cells) matrix of current nodes one level per step through tables in
     which leaves loop to themselves and a leaf carries its depth plus
     c(size); a (row, model) cell adds its trees' path lengths in tree
@@ -248,16 +292,22 @@ class ForestPlan:
 
     kind = "isolation_forest"
 
-    def __init__(self, spec, feature, threshold, leaf_size, offsets, psi, n_features):
+    def __init__(self, spec, feature, threshold, split_rows, leaf_size, psi, n_features):
         self.spec = spec
-        for name, value, dtype in (("feature", feature, np.int32), ("offsets", offsets, np.int64),
-                                   ("threshold", threshold, np.float64), ("psi", psi, np.int64),
+        for name, value, dtype in (("feature", feature, np.int32),
+                                   ("threshold", threshold, np.float64),
+                                   ("split_rows", split_rows, np.int64), ("psi", psi, np.int64),
                                    ("leaf_size", leaf_size, np.int32)):
             setattr(self, name, _readonly(np.asarray(value, dtype=dtype)))
+        self.offsets = _readonly(np.append(0, tree_ends(self.feature) + 1))
         self.n_trees, self.n_models = spec.n_trees, self.psi.shape[0]
         self.n_features = int(n_features)
-        self._c_psi = np.array([average_path_length(m) for m in self.psi])
-        c_table = np.array([average_path_length(m) for m in range(int(self.psi.max()) + 1)])
+        # c(m) of every subsample and leaf size that occurs, and of no other m
+        c_table = np.zeros(int(self.psi.max()) + 1)
+        m = np.flatnonzero(np.bincount(np.append(self.psi, self.leaf_size),
+                                       minlength=c_table.shape[0]))
+        c_table[m] = [average_path_length(v) for v in m]
+        self._c_psi = c_table[self.psi]
         inner = self.feature >= 0
         start = np.repeat(self.offsets[:-1], np.diff(self.offsets))
         index = np.arange(self.feature.shape[0])
@@ -516,7 +566,12 @@ def fit_plan(spec, rows, counts, seed, streams):
     so model b equals a one-model plan on its expanded rows with that key.
     """
     forest = spec.kind == "isolation_forest"
-    return _fit(spec, rows, counts, [split_seed(seed, s) for s in streams] if forest else None)
+    return _fit(spec, rows, counts, forest_keys(seed, streams) if forest else None)
+
+
+def forest_keys(seed, streams):
+    """The Philox key of each model of a forest plan, from its seed stream."""
+    return [split_seed(seed, s) for s in streams]
 
 
 def _fit(spec, rows, counts, keys):

@@ -13,7 +13,7 @@ index.  Everything else follows from it: the calibration's strategy and
 mode are the configured strategy's, and an adjustment table's size, delta
 and method are the entry count and the configured estimation's.
 
-Format version 8 stores a calibration's rows once (``calibration/rows``),
+Format version 9 stores a calibration's rows once (``calibration/rows``),
 its entry scores and only the SHA-256 of its plan
 (``calibration/plan_digest``): a plan is a deterministic function of the
 strategy, the row count and the seed, so the loader rebuilds it with
@@ -26,22 +26,28 @@ plans as the saving one did).  Plans above ``MAX_PLAN_MODELS`` models or
 at save and at load, so a pipeline above them can be fitted but not saved.
 Isolation forests add their trees, model by model and tree by tree, by
 level-order shape: ``trees/feature`` per node (-1 for a leaf),
-``trees/threshold`` per inner node and ``trees/leaf_size`` per leaf; a
+``trees/split_rows`` per inner node and ``trees/leaf_size`` per leaf; a
 tree's r-th inner node has children 2r + 1 and 2r + 2.  Features are stored
 as the narrowest of int8, int16 and int32 that holds their values, and leaf
 sizes as the narrowest of uint8, uint16 and uint32; the loader refuses any
-other width, so a pipeline has one encoding.  No tree offsets are stored: a
-tree of r inner nodes has 1 + 2r nodes, so a running sum of +1 per inner
-node and -1 per leaf reaches a new minimum exactly where a tree ends, and
-the node array must cut into models x ``n_trees`` whole trees.  A
-calibration-conditional pipeline adds ``table/adjusted``, its n_entries + 1
-adjusted p-values.  The file digest only detects damage: anyone can
-recompute it, so every array is checked for dtype, shape, range and depth
-before anything is built from it, and a file is refused if a conditional
-configuration has no table, a table has the wrong length, or an array (a
-table under another regime, say) belongs to no part of the configuration.
-Files of earlier formats (7 stored tree features and leaf sizes as int32
-and the tree offsets, 6 the plan itself) are refused by their version.
+other width, so a pipeline has one encoding.  No thresholds are stored: an
+inner node's split rows are the two calibration rows whose values on its
+feature bound its range, stored in the narrowest of uint8, uint16 and
+uint32 that holds every row index, and the loader draws the threshold
+between them again with ``detectors.rebuilt_thresholds``, from the kept
+plan's model keys, the tree and the node, as the fit drew it.  No tree
+offsets are stored: a tree of r inner nodes has 1 + 2r nodes, so a running
+sum of +1 per inner node and -1 per leaf reaches a new minimum exactly
+where a tree ends, and the node array must cut into models x ``n_trees``
+whole trees.  A calibration-conditional pipeline adds ``table/adjusted``,
+its n_entries + 1 adjusted p-values.  The file digest only detects damage:
+anyone can recompute it, so every array is checked for dtype, shape, range
+and depth before anything is built from it, and a file is refused if a
+conditional configuration has no table, a table has the wrong length, or an
+array (a table under another regime, say) belongs to no part of the
+configuration.  Files of earlier formats (8 stored the thresholds, 7 also
+tree features and leaf sizes as int32 and the tree offsets, 6 the plan
+itself) are refused by their version.
 
 Only built-in detectors can be saved: an external scorer is an opaque
 callable and an oracle weighting carries a user function, neither of
@@ -58,13 +64,13 @@ import numpy as np
 
 from ._version import __version__
 from .core import ConfanomError, SnapshotError
-from .detectors import ForestPlan, KnnPlan, ScorerSpec
+from .detectors import ForestPlan, KnnPlan, ScorerSpec, forest_keys, rebuilt_thresholds, tree_ends
 from .estimation import AdjustmentTable, EstimationSpec
 from .pipeline import FittedPipeline, PipelineConfig
 from .resampling import CalibrationModel, StrategySpec, kept_plan, plan_models, strategy_plan
 
 MAGIC = b"CANOMSNP"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 _DIGEST_BYTES = 32
 # the largest plan a load rebuilds, whatever the mode: a single_model load
 # rebuilds the plan that scored its entries too.  Only JaB plans reach the
@@ -73,16 +79,21 @@ _DIGEST_BYTES = 32
 # uint16 count and a mask byte
 MAX_PLAN_MODELS = 1 << 14
 MAX_PLAN_CELLS = 1 << 26
-# a tree array's dtype, or the integer dtypes of which it takes the
-# narrowest that holds its values
-_TREE_ARRAYS = (("feature", ("|i1", "<i2", "<i4")), ("threshold", "<f8"),
-                ("leaf_size", ("|u1", "<u2", "<u4")))
+# the integer dtypes of which a tree array takes the narrowest that holds
+# its values: features in the signed ones, leaf sizes in the unsigned ones;
+# split rows take the unsigned one that holds every row index
+_SIGNED, _UNSIGNED = ("|i1", "<i2", "<i4"), ("|u1", "<u2", "<u4")
 
 
 def _narrowest(a, dtypes):
     """The first of the integer ``dtypes`` that holds every value of ``a``."""
     lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
     return next(d for d in dtypes if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max)
+
+
+def _row_dtype(n_rows):
+    """The dtype of split rows: the narrowest that holds every row index."""
+    return _narrowest(np.array([n_rows - 1]), _UNSIGNED)
 
 
 def _check_plan_size(strategy, n_rows):
@@ -121,10 +132,10 @@ def snapshot_save(fp: FittedPipeline, path):
               "calibration/plan_digest": np.frombuffer(_plan_digest(cm), np.uint8),
               "calibration/rows": cm.rows}
     if isinstance(cm.scorer, ForestPlan):
-        for field, dtype in _TREE_ARRAYS:
-            a = getattr(cm.scorer, field)
-            arrays[f"trees/{field}"] = a.astype(dtype if isinstance(dtype, str)
-                                                else _narrowest(a, dtype))
+        plan = cm.scorer
+        arrays["trees/feature"] = plan.feature.astype(_narrowest(plan.feature, _SIGNED))
+        arrays["trees/split_rows"] = plan.split_rows.astype(_row_dtype(cm.rows.shape[0]))
+        arrays["trees/leaf_size"] = plan.leaf_size.astype(_narrowest(plan.leaf_size, _UNSIGNED))
     if fp.table is not None:
         arrays["table/adjusted"] = fp.table.adjusted
     header = {
@@ -192,22 +203,25 @@ def _expect(ok, what):
         raise SnapshotError(f"malformed snapshot: {what}")
 
 
-def _load_forests(arrays, spec, sizes, n_features):
-    """Rebuild the forest plan after cutting the node array into trees.  A
-    tree of r inner nodes has 1 + 2r nodes, so the running sum of +1 per
-    inner node and -1 per leaf first falls to -k where the k-th tree ends;
-    the cut must give models x ``n_trees`` whole trees.  Before the end of
-    its tree the sum is at least 0, so the r-th inner node sits at a
-    position of at most 2r: every node but the root has one parent, the
-    inner node with children 2r + 1 and 2r + 2, which comes before it.
-    Features index real columns, thresholds are finite, leaf sizes index the
-    model's c(m) table and no tree is deeper than its model's cap.  Tree
+def _load_forests(arrays, spec, sizes, rows, keys):
+    """Rebuild the forest plan after cutting the node array into trees with
+    ``detectors.tree_ends``; the cut must give models x ``n_trees`` whole
+    trees.  Before the end of its tree the running sum is at least 0, so
+    the r-th inner node sits at a position of at most 2r: every node but the
+    root has one parent, the inner node with children 2r + 1 and 2r + 2,
+    which comes before it.  Features index real columns, split rows index
+    calibration rows whose values on the feature rise from the first to the
+    second, leaf sizes index the model's c(m) table and no tree is deeper
+    than its model's cap.  Only then are the thresholds drawn again.  Tree
     count and subsample sizes follow from the spec."""
     n_trees, psi = spec.n_trees, np.minimum(spec.subsample_size, sizes)
-    feature, threshold, leaf_size = (arrays.get(f"trees/{f}", d, 1) for f, d in _TREE_ARRAYS)
-    n_nodes, n_cut, inner = feature.shape[0], sizes.shape[0] * n_trees, feature >= 0
-    height = np.cumsum(np.where(inner, 1, -1))
-    ends = np.flatnonzero(height < np.minimum.accumulate(np.append(0, height))[:-1])
+    n_rows, n_features = rows.shape
+    feature = arrays.get("trees/feature", _SIGNED, 1)
+    split_rows = arrays.get("trees/split_rows", _row_dtype(n_rows), 2)
+    leaf_size = arrays.get("trees/leaf_size", _UNSIGNED, 1)
+    n_nodes = feature.shape[0]
+    n_cut, inner = sizes.shape[0] * n_trees, feature >= 0
+    ends = tree_ends(feature)
     whole = ends.size > 0 and ends[-1] == n_nodes - 1
     _expect(whole and ends.size == n_cut,
             f"the tree nodes cut into {ends.size} whole trees"
@@ -216,11 +230,14 @@ def _load_forests(arrays, spec, sizes, n_features):
     offsets = np.append(0, ends + 1)
     root, stop = offsets[:-1], offsets[1:]
     before = np.append(0, np.cumsum(inner))  # inner nodes before each position
-    _expect(threshold.shape == (before[-1],) and leaf_size.shape == (n_nodes - before[-1],),
-            "thresholds or leaf sizes disagree with the inner and leaf counts")
+    _expect(split_rows.shape == (before[-1], 2) and leaf_size.shape == (n_nodes - before[-1],),
+            "split rows or leaf sizes disagree with the inner and leaf counts")
     tree = np.repeat(np.arange(n_cut), np.diff(offsets))
     ok = (feature >= -1) & (feature < n_features)
-    ok[inner] &= np.isfinite(threshold)
+    # read the bounds only where the row and the feature exist
+    f, r = np.clip(feature[inner], 0, n_features - 1), np.minimum(split_rows, n_rows - 1)
+    low, high = rows[r[:, 0], f], rows[r[:, 1], f]
+    ok[inner] &= (split_rows[:, 0] < n_rows) & (split_rows[:, 1] < n_rows) & (low < high)
     ok[~inner] &= leaf_size <= psi[tree[~inner] // n_trees]
     t = int(tree[np.argmin(ok)])  # the first failing tree, if any
     _expect(ok.all(), f"tree {t % n_trees} of model {t // n_trees} is not a valid isolation tree")
@@ -231,7 +248,9 @@ def _load_forests(arrays, spec, sizes, n_features):
         end = np.where(level <= cap, root + 1 + 2 * (before[end] - before[root]), end)
     t = int(np.argmax(end < stop))
     _expect(end[t] == stop[t], f"tree {t % n_trees} of model {t // n_trees} is deeper than its cap")
-    return ForestPlan(spec, feature, threshold, leaf_size, offsets, psi, n_features)
+    at = np.flatnonzero(inner)
+    threshold = rebuilt_thresholds(keys, n_trees, tree[at], at - root[tree[at]], low, high)
+    return ForestPlan(spec, feature, threshold, split_rows, leaf_size, psi, n_features)
 
 
 def _load_calibration(arrays, config):
@@ -259,7 +278,7 @@ def _load_calibration(arrays, config):
     else:
         _expect(spec.kind == "isolation_forest" and sizes.min() >= 2,
                 "a forest model has too few training rows")
-        scorer = _load_forests(arrays, spec, sizes, n_features)
+        scorer = _load_forests(arrays, spec, sizes, rows, forest_keys(config.seed, plan.streams))
     return CalibrationModel(
         entry_scores=entry_scores, entry_rows=plan.entry_rows, oob=plan.oob, rows=rows,
         train_counts=counts, scorer=scorer, strategy=strategy)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -391,6 +392,58 @@ class TestErrorPaths:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "confanom" in out
+
+
+class TestExitPath:
+    """A process of its own runs ``main`` through ``cli.run``, which freezes
+    the collector once ``main`` has returned; exit codes and messages are
+    those of ``main``."""
+
+    @staticmethod
+    def command(*argv, via="-m"):
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        prefix = (["-m", "confanom"] if via == "-m" else
+                  ["-c", "import sys; from confanom import cli; "
+                         "cli.cmd_snapshot = lambda args: 1 / 0; sys.exit(cli.run())"])
+        return subprocess.run([sys.executable, *prefix, *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+
+    def test_exit_codes_and_stderr(self, data, capsys):
+        snap = data / "model.snap"
+        ok = self.command("snapshot", "--train", str(data / "train.csv"), "--seed", "8",
+                          "--out", str(snap))
+        assert (ok.returncode, ok.stderr) == (0, "")
+        inspect = self.command("snapshot", "--inspect", str(snap))
+        assert inspect.returncode == 0
+        assert inspect.stdout == run_cli(capsys, "snapshot", "--inspect", str(snap))[1]
+        # a data error and a usage error exit 2 with main's message
+        argv = ["detect", "--train", str(data / "absent.csv"), "--test", str(data / "test.csv"),
+                "--out", str(data / "x.csv")]
+        missing = self.command(*argv)
+        assert (missing.returncode, missing.stdout) == (2, "")
+        assert missing.stderr == run_cli(capsys, *argv)[2]
+        assert missing.stderr.startswith("confanom: error: ")
+        usage = self.command("snapshot", "--train", str(data / "train.csv"))
+        assert usage.returncode == 2
+        assert "snapshot --train requires --out" in usage.stderr
+        # an internal error exits 1 with its traceback
+        failed = self.command("snapshot", "--inspect", str(snap), via="run")
+        assert failed.returncode == 1
+        assert failed.stderr.startswith("Traceback")
+        assert failed.stderr.rstrip().endswith("ZeroDivisionError: division by zero")
+
+    def test_main_leaves_collector_alone(self, data, capsys):
+        frozen = gc.get_freeze_count()
+        assert run_cli(capsys, "snapshot", "--train", str(data / "train.csv"), "--seed", "8",
+                       "--out", str(data / "model.snap"))[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_run_freezes_after_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        assert cli.run() == 3
+        assert calls == ["main", "freeze"]
 
 
 def test_import_leaves_out_scipy_spatial():

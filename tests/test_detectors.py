@@ -210,6 +210,16 @@ def trees_of(plan, b):
                                plan.leaf_size[lo - inner[lo]:hi - inner[hi]])
 
 
+def split_rows_of(plan, b):
+    """Each tree of model b's split rows by node, -1 at a leaf."""
+    cuts = plan.offsets[b * plan.n_trees:(b + 1) * plan.n_trees + 1]
+    inner = np.concatenate([[0], np.cumsum(plan.feature >= 0)])
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        bounds = np.full((hi - lo, 2), -1)
+        bounds[plan.feature[lo:hi] >= 0] = plan.split_rows[inner[lo]:inner[hi]]
+        yield bounds
+
+
 def reference_scores(plan, X):
     """(rows, models) scores from one walk per tree, summed in tree order."""
     c_table = np.array([average_path_length(m) for m in range(int(plan.psi.max()) + 1)])
@@ -236,17 +246,19 @@ def reference_subsample(rows, counts, key, t, psi):
     return multiset[perm[:psi]]
 
 
-def check_tree_law(tree, rows, key, t, cap):
-    """Route the subsample through the tree and check every node: an inner
-    node splits below the cap on a feature that varies on its rows, at a
-    threshold in that feature's range, both drawn from counter block
-    ``node``; a leaf's size counts its rows, and it sits at the cap, on one
-    row or on equal rows."""
+def check_tree_law(tree, bounds, rows, index, key, t, cap):
+    """Route the subsample, rows ``index`` of ``rows``, through the tree and
+    check every node: an inner node splits below the cap on a feature that
+    varies on its rows, at a threshold in that feature's range, both drawn
+    from counter block ``node``, and its split rows are the first of its
+    rows with the bits of that range's ends; a leaf's size counts its rows,
+    and it sits at the cap, on one row or on equal rows."""
     feature, threshold, left, size = tree
-    todo = [(0, rows, 0)]
+    todo = [(0, index, 0)]
     seen = 0
     while todo:
-        node, sub, depth = todo.pop()
+        node, index, depth = todo.pop()
+        sub = rows[index]
         seen += 1
         varied = np.flatnonzero(sub.max(axis=0) > sub.min(axis=0)) if sub.size else []
         if feature[node] < 0:
@@ -260,9 +272,13 @@ def check_tree_law(tree, rows, key, t, cap):
         assert feature[node] == q
         assert lo <= threshold[node] <= hi
         assert threshold[node] == np.clip(lo * (1.0 - u[1]) + hi * u[1], lo, hi)
+        bits = sub[:, q].view(np.int64)
+        for row, end in zip(bounds[node], (lo, hi)):
+            assert rows[row, q] == end
+            assert row == index[np.argmax(bits == rows[row, q].view(np.int64))]
         below = sub[:, q] < threshold[node]
         assert left[node] > node
-        todo += [(left[node], sub[below], depth + 1), (left[node] + 1, sub[~below], depth + 1)]
+        todo += [(left[node], index[below], depth + 1), (left[node] + 1, index[~below], depth + 1)]
     assert seen == feature.shape[0]
 
 
@@ -303,16 +319,25 @@ def test_forest_plan_follows_tree_law(case):
         psi = min(spec.subsample_size, n_b)
         assert plan.psi[b] == psi
         cap = spec.max_depth or int(np.ceil(np.log2(psi)))
-        for t, tree in enumerate(trees_of(plan, b)):
-            sub = rows[reference_subsample(rows, counts[b], key, t, psi)]
-            check_tree_law(tree, sub, key, t, cap)
+        for t, (tree, bounds) in enumerate(zip(trees_of(plan, b), split_rows_of(plan, b))):
+            index = reference_subsample(rows, counts[b], key, t, psi)
+            check_tree_law(tree, bounds, rows, index, key, t, cap)
     # a tree depends only on its key: growing one tree per chunk, or a few,
     # gives the same node table
     for block in (1, 7):
         with mock.patch.object(detectors, "_FIT_BLOCK", block):
             chunked, _ = fit_forest_plan(spec, rows, counts, seed)
-        for field in ("feature", "threshold", "leaf_size", "offsets"):
+        for field in ("feature", "threshold", "split_rows", "leaf_size", "offsets"):
             np.testing.assert_array_equal(getattr(chunked, field), getattr(plan, field))
+    # the loader's rebuild draws the same thresholds, bit for bit, and the
+    # plan cuts its own node array into models x n_trees trees
+    at = np.flatnonzero(plan.feature >= 0)
+    tree, f = np.searchsorted(plan.offsets, at, side="right") - 1, plan.feature[at]
+    rebuilt = detectors.rebuilt_thresholds(
+        detectors.forest_keys(seed, streams), spec.n_trees, tree, at - plan.offsets[tree],
+        rows[plan.split_rows[:, 0], f], rows[plan.split_rows[:, 1], f])
+    assert rebuilt.view(np.uint64).tobytes() == plan.threshold.view(np.uint64).tobytes()
+    assert plan.offsets.shape == (counts.shape[0] * spec.n_trees + 1,)
 
 
 @settings(max_examples=60)
@@ -389,8 +414,9 @@ def test_forest_threads_bounded_and_joined():
 @given(forest_plans(max_trees=12), st.sampled_from([split(0.5), cross_validation(3),
                                                     jackknife(), jackknife_bootstrap(4)]))
 def test_forest_snapshot_p_values_equal_fresh_fit(case, strategy):
-    """A saved forest plan, stored by tree shape, loads with the same node
-    arrays and gives every model's score, and every p-value, bit for bit."""
+    """A saved forest plan, stored by tree shape and split rows, loads with
+    the same node arrays, thresholds drawn again included, and gives every
+    model's score, and every p-value, bit for bit."""
     spec, rows, _, test, seed = case
     if rows.shape[0] < 6:
         rows = np.vstack([rows, rows + 1.0, rows + 2.0])
@@ -401,8 +427,9 @@ def test_forest_snapshot_p_values_equal_fresh_fit(case, strategy):
         loaded = snapshot_load(Path(tmp) / "forest.snap")
     test = DataMatrix(test)
     plan, reloaded = fitted.calibration.scorer, loaded.calibration.scorer
-    for field in ("feature", "threshold", "leaf_size", "offsets", "psi"):
+    for field in ("feature", "split_rows", "leaf_size", "offsets", "psi"):
         np.testing.assert_array_equal(getattr(reloaded, field), getattr(plan, field))
+    assert reloaded.threshold.view(np.uint64).tobytes() == plan.threshold.view(np.uint64).tobytes()
     np.testing.assert_array_equal(score_plan(reloaded, test).view(np.uint64),
                                   score_plan(plan, test).view(np.uint64))
     np.testing.assert_array_equal(compute_p_values(loaded, test).values,

@@ -145,6 +145,11 @@ def narrowest(values, dtypes, bounds):
          n_trees=2, bootstraps=0, seed=1)
 @example(n_features=1, varied=0, n_rows=700, subsample_size=520, max_depth=1, n_trees=2,
          bootstraps=0, seed=2)
+# split rows take uint8 up to 256 rows and uint16 from 257
+@example(n_features=2, varied=0, n_rows=256, subsample_size=256, max_depth=None, n_trees=2,
+         bootstraps=0, seed=3)
+@example(n_features=2, varied=0, n_rows=257, subsample_size=16, max_depth=None, n_trees=1,
+         bootstraps=0, seed=4)
 def test_forest_round_trip_narrowest(n_features, varied, n_rows, subsample_size, max_depth,
                                      n_trees, bootstraps, seed):
     # columns before ``varied`` are constant, so every split is on a later one
@@ -169,12 +174,60 @@ def test_forest_round_trip_narrowest(n_features, varied, n_rows, subsample_size,
                                                 (2 ** 7, 2 ** 15, 2 ** 31))
     assert dtypes["trees/leaf_size"] == narrowest(plan.leaf_size, ("|u1", "<u2", "<u4"),
                                                   (2 ** 8, 2 ** 16, 2 ** 32))
-    assert dtypes["trees/threshold"] == np.dtype("<f8")
+    # split rows take the narrowest type that holds every row index
+    assert dtypes["trees/split_rows"] == narrowest(np.array([n_rows - 1]), ("|u1", "<u2", "<u4"),
+                                                   (2 ** 8, 2 ** 16, 2 ** 32))
+    assert loaded.threshold.view(np.uint64).tobytes() == plan.threshold.view(np.uint64).tobytes()
     n_inner = int((plan.feature >= 0).sum())
     array_bytes = json.loads(out.getvalue())["array_bytes"]
-    for name, n in (("feature", plan.feature.size), ("threshold", n_inner),
+    assert "trees/threshold" not in array_bytes
+    for name, n in (("feature", plan.feature.size), ("split_rows", 2 * n_inner),
                     ("leaf_size", plan.feature.size - n_inner)):
         assert array_bytes[f"trees/{name}"] == n * dtypes[f"trees/{name}"].itemsize
+
+
+TINY = np.finfo(np.float64).smallest_subnormal
+
+
+@st.composite
+def awkward_rows(draw):
+    """Rows whose values tie, change sign at zero, neighbour each other or
+    are subnormal, some rows repeated: the bounds of a split may then be
+    -0.0 against 0.0, or one ulp apart."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = float(np.round(rng.normal(), 1))
+    palette = np.array([-0.0, 0.0, x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
+                        -x, TINY, -TINY, 3 * TINY, 1.0, -1.0, 1e300, -1e300])
+    palette = palette[:draw(st.integers(2, palette.size))]
+    d, n = draw(st.integers(1, 5)), draw(st.integers(10, 60))
+    rows = palette[rng.integers(palette.size, size=(n, d))]
+    rows[rng.integers(n, size=n // 3)] = rows[0]  # repeated rows
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=awkward_rows(), max_depth=st.sampled_from([None, 40]), n_trees=st.integers(1, 6),
+       subsample_size=st.integers(2, 64),
+       strategy=st.sampled_from([split(0.3), cross_validation(3), jackknife_bootstrap(3)]),
+       seed=st.integers(0, 2 ** 32))
+def test_split_rows_rebuild_thresholds(rows, max_depth, n_trees, subsample_size, strategy, seed):
+    # the loader draws every threshold again from its split rows, the model
+    # keys, the tree and the node, with the bits of the fitted ones, for
+    # one-model and plus-mode forests alike
+    scorer = ScorerSpec(kind="isolation_forest", n_trees=n_trees, subsample_size=subsample_size,
+                        max_depth=max_depth)
+    fitted = fit(PipelineConfig(scorer=scorer, strategy=strategy, seed=seed), DataMatrix(rows))
+    plan = fitted.calibration.scorer
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "forest.snap"
+        snapshot_save(fitted, path)
+        loaded = snapshot_load(path).calibration.scorer
+    assert loaded.split_rows.tobytes() == plan.split_rows.tobytes()
+    assert loaded.threshold.view(np.uint64).tobytes() == plan.threshold.view(np.uint64).tobytes()
+    # each split lies between its rows' values on its feature, low below high
+    f = plan.feature[plan.feature >= 0]
+    low, high = rows[plan.split_rows[:, 0], f], rows[plan.split_rows[:, 1], f]
+    assert (low < high).all() and (low <= plan.threshold).all() and (plan.threshold <= high).all()
 
 
 class TestRefusals:
@@ -287,34 +340,46 @@ def tree_offsets(feature):
     return np.array(offsets)
 
 
-def replace_tree(arrays, t, feature, threshold, leaf_size):
+def replace_tree(arrays, t, feature, leaf_size):
     """The arrays of a forest snapshot with tree t replaced by the given
-    nodes, which need not be a tree."""
+    nodes, which need not be a tree.  Each inner node splits between the
+    calibration rows with the least and the greatest value on its feature."""
     old = arrays["trees/feature"]
     lo, hi = tree_offsets(old)[t:t + 2]
     inner = np.concatenate([[0], np.cumsum(old >= 0)])
+    rows = arrays["calibration/rows"]
+    split_rows = [(rows[:, f].argmin(), rows[:, f].argmax()) for f in feature if f >= 0]
 
     def splice(a, i, j, part):
-        return np.concatenate([a[:i], np.asarray(part, dtype=a.dtype), a[j:]])
+        return np.concatenate([a[:i], np.asarray(part, dtype=a.dtype).reshape(-1, *a.shape[1:]),
+                               a[j:]])
 
     return {**arrays,
             "trees/feature": splice(old, lo, hi, feature),
-            "trees/threshold": splice(arrays["trees/threshold"], inner[lo], inner[hi], threshold),
+            "trees/split_rows": splice(arrays["trees/split_rows"], inner[lo], inner[hi],
+                                       split_rows),
             "trees/leaf_size": splice(arrays["trees/leaf_size"], lo - inner[lo], hi - inner[hi],
                                       leaf_size)}
 
 
+def v8_arrays(arrays, threshold):
+    """A forest's arrays as format version 8 stored them: each inner node's
+    threshold as <f8, and no split rows."""
+    v8 = {name: a for name, a in arrays.items() if name != "trees/split_rows"}
+    return {**v8, "trees/threshold": np.asarray(threshold, dtype="<f8")}
+
+
 def v7_arrays(arrays):
-    """A forest's arrays as format version 7 stored them: features and leaf
-    sizes as <i4, and the tree offsets."""
+    """A version 8 forest's arrays as format version 7 stored them: features
+    and leaf sizes as <i4, and the tree offsets."""
     return {**arrays, "trees/feature": arrays["trees/feature"].astype("<i4"),
             "trees/leaf_size": arrays["trees/leaf_size"].astype("<i4"),
             "trees/offsets": tree_offsets(arrays["trees/feature"]).astype("<i8")}
 
 
 def v4_arrays(arrays):
-    """A forest's arrays as format version 4 stored them: per node its
-    feature, threshold, left child (-1 for a leaf) and subtree size."""
+    """A version 8 forest's arrays as format version 4 stored them: per node
+    its feature, threshold, left child (-1 for a leaf) and subtree size."""
     feature = arrays["trees/feature"].astype("<i4")
     offsets = tree_offsets(feature)
     inner = feature >= 0
@@ -343,6 +408,14 @@ class TestUntrustedContent:
         return read_snapshot(tmp_path / "forest.snap")
 
     @pytest.fixture
+    def forest_v8(self, tmp_path, forest):
+        """The forest file's header and its arrays as format version 8 stored
+        them, thresholds taken from the loaded plan."""
+        header, arrays = forest
+        threshold = snapshot_load(tmp_path / "forest.snap").calibration.scorer.threshold
+        return header, v8_arrays(arrays, threshold)
+
+    @pytest.fixture
     def conditional(self, tmp_path):
         config = PipelineConfig(
             scorer=KNN, strategy=split(0.5), seed=29,
@@ -361,7 +434,7 @@ class TestUntrustedContent:
         blob[8:12] = (1).to_bytes(4, "little")
         (tmp_path / "v1.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 1 is not supported "
-                                                r"\(this build reads version 8\)"):
+                                                r"\(this build reads version 9\)"):
             snapshot_load(tmp_path / "v1.snap")
 
     def test_v2_refused_by_name(self, tmp_path, forest):
@@ -370,29 +443,29 @@ class TestUntrustedContent:
         blob[8:12] = (2).to_bytes(4, "little")
         (tmp_path / "v2.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 2 is not supported "
-                                                r"\(this build reads version 8\)"):
+                                                r"\(this build reads version 9\)"):
             snapshot_load(tmp_path / "v2.snap")
 
-    def test_v3_refused_by_name(self, tmp_path, forest):
+    def test_v3_refused_by_name(self, tmp_path, forest_v8):
         # version 3 also stored a trees/right array, always left + 1
-        header, arrays = forest
+        header, arrays = forest_v8
         v3 = v4_arrays(arrays)
         v3["trees/right"] = np.where(v3["trees/left"] >= 0, v3["trees/left"] + 1, -1)
         blob = bytearray(write_snapshot(tmp_path / "v3.snap", header, v3).read_bytes())
         blob[8:12] = (3).to_bytes(4, "little")
         (tmp_path / "v3.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 3 is not supported "
-                                                r"\(this build reads version 8\)"):
+                                                r"\(this build reads version 9\)"):
             snapshot_load(tmp_path / "v3.snap")
 
-    def test_v4_refused_by_name(self, tmp_path, forest):
+    def test_v4_refused_by_name(self, tmp_path, forest_v8):
         # version 4 stored every node's left child, threshold and size
-        blob = bytearray(write_snapshot(tmp_path / "v4.snap", forest[0],
-                                        v4_arrays(forest[1])).read_bytes())
+        blob = bytearray(write_snapshot(tmp_path / "v4.snap", forest_v8[0],
+                                        v4_arrays(forest_v8[1])).read_bytes())
         blob[8:12] = (4).to_bytes(4, "little")
         (tmp_path / "v4.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 4 is not supported "
-                                                r"\(this build reads version 8\)"):
+                                                r"\(this build reads version 9\)"):
             snapshot_load(tmp_path / "v4.snap")
 
     def test_v5_refused_by_name(self, tmp_path, jab):
@@ -404,7 +477,7 @@ class TestUntrustedContent:
         blob[8:12] = (5).to_bytes(4, "little")
         (tmp_path / "v5.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 5 is not supported "
-                                                r"\(this build reads version 8\)"):
+                                                r"\(this build reads version 9\)"):
             snapshot_load(tmp_path / "v5.snap")
 
     def test_v6_refused_by_name(self, tmp_path):
@@ -423,18 +496,27 @@ class TestUntrustedContent:
         blob[8:12] = (6).to_bytes(4, "little")
         (tmp_path / "v6.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 6 is not supported "
-                                                r"\(this build reads version 8\)"):
+                                                r"\(this build reads version 9\)"):
             snapshot_load(tmp_path / "v6.snap")
 
-    def test_v7_refused_by_name(self, tmp_path, forest):
+    def test_v7_refused_by_name(self, tmp_path, forest_v8):
         # version 7 stored tree features and leaf sizes as <i4 and the offsets
-        blob = bytearray(write_snapshot(tmp_path / "v7.snap", forest[0],
-                                        v7_arrays(forest[1])).read_bytes())
+        blob = bytearray(write_snapshot(tmp_path / "v7.snap", forest_v8[0],
+                                        v7_arrays(forest_v8[1])).read_bytes())
         blob[8:12] = (7).to_bytes(4, "little")
         (tmp_path / "v7.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 7 is not supported "
-                                                r"\(this build reads version 8\)"):
+                                                r"\(this build reads version 9\)"):
             snapshot_load(tmp_path / "v7.snap")
+
+    def test_v8_refused_by_name(self, tmp_path, forest_v8):
+        # version 8 stored each inner node's threshold instead of its split rows
+        blob = bytearray(write_snapshot(tmp_path / "v8.snap", *forest_v8).read_bytes())
+        blob[8:12] = (8).to_bytes(4, "little")
+        (tmp_path / "v8.snap").write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="format version 8 is not supported "
+                                                r"\(this build reads version 9\)"):
+            snapshot_load(tmp_path / "v8.snap")
 
     def test_header_gives_each_setting_once(self, jab, conditional):
         # no calibration or table section and no JSON copy of the format
@@ -447,23 +529,24 @@ class TestUntrustedContent:
                                                 "weighting"]
 
     def test_forest_stored_by_shape(self, forest):
-        # no child pointers, no inner sizes and no offsets: thresholds for
-        # inner nodes only, sizes for leaves only, in their narrowest types
+        # no child pointers, no inner sizes, no offsets and no thresholds:
+        # two split rows per inner node, sizes for leaves only, in their
+        # narrowest types (60 rows index in one byte)
         header, arrays = forest
         inner = arrays["trees/feature"] >= 0
         assert sorted(name for name in arrays if name.startswith("trees/")) == [
-            "trees/feature", "trees/leaf_size", "trees/threshold"]
-        assert arrays["trees/threshold"].shape == (inner.sum(),)
+            "trees/feature", "trees/leaf_size", "trees/split_rows"]
+        assert arrays["trees/split_rows"].shape == (inner.sum(), 2)
         assert arrays["trees/leaf_size"].shape == ((~inner).sum(),)
-        assert (arrays["trees/feature"].dtype.str, arrays["trees/leaf_size"].dtype.str) == (
-            "|i1", "|u1")
+        assert [arrays[f"trees/{name}"].dtype.str
+                for name in ("feature", "split_rows", "leaf_size")] == ["|i1", "|u1", "|u1"]
 
     def test_inner_node_own_parent_refused(self, tmp_path, forest):
         # [leaf, inner, leaf] would make the inner node's children itself and
         # the node after it.  The cut ends a tree at the first leaf, so as
         # the last tree it leaves [inner, leaf], which is no whole tree
         header, arrays = forest
-        crafted = replace_tree(arrays, 11, [-1, 0, -1], [0.0], [1, 1])
+        crafted = replace_tree(arrays, 11, [-1, 0, -1], [1, 1])
         with pytest.raises(SnapshotError,
                            match="cut into 12 whole trees and part of one, not 1 models x 12"):
             snapshot_load(write_snapshot(tmp_path / "cycle.snap", header, crafted))
@@ -476,10 +559,9 @@ class TestUntrustedContent:
         feature = arrays["trees/feature"]
         lo, hi = tree_offsets(feature)[1:3]
         tree = feature[lo:hi]
-        inner, leaves = tree >= 0, tree < 0
+        leaves = tree < 0
         grown = np.where(np.arange(tree.size) == np.flatnonzero(leaves)[-1], 0, tree)
-        thresholds = np.zeros(int(inner.sum()) + 1)
-        crafted = replace_tree(arrays, 1, grown, thresholds, np.ones(int(leaves.sum()) - 1))
+        crafted = replace_tree(arrays, 1, grown, np.ones(int(leaves.sum()) - 1))
         with pytest.raises(SnapshotError, match="cut into 10 whole trees, not 1 models x 12"):
             snapshot_load(write_snapshot(tmp_path / "outside.snap", header, crafted))
 
@@ -491,34 +573,37 @@ class TestUntrustedContent:
         for feature, n_leaves, message in (
                 ([0, -1, -1, -1], 3, "cut into 13 whole trees, not 1 models x 12"),
                 ([0, 0, -1], 1, "cut into 10 whole trees, not 1 models x 12")):
-            inner = sum(f >= 0 for f in feature)
-            crafted = replace_tree(arrays, 2, feature, np.zeros(inner), np.ones(n_leaves))
+            crafted = replace_tree(arrays, 2, feature, np.ones(n_leaves))
             with pytest.raises(SnapshotError, match=message):
                 snapshot_load(write_snapshot(tmp_path / "count.snap", header, crafted))
 
-    @pytest.mark.parametrize("name", ["trees/threshold", "trees/leaf_size"])
+    @pytest.mark.parametrize("name", ["trees/split_rows", "trees/leaf_size"])
     def test_per_kind_lengths_checked(self, tmp_path, forest, name):
+        # one entry too few or too many, or three bounds to a split
         header, arrays = forest
-        for bad in (arrays[name][:-1], np.concatenate([arrays[name], arrays[name][:1]])):
+        bads = [arrays[name][:-1], np.concatenate([arrays[name], arrays[name][:1]])]
+        if name == "trees/split_rows":
+            bads.append(np.column_stack([arrays[name], arrays[name][:, :1]]))
+        for bad in bads:
             with pytest.raises(SnapshotError, match="disagree with the inner and leaf counts"):
                 snapshot_load(write_snapshot(tmp_path / "lengths.snap", header,
                                              {**arrays, name: bad}))
 
     @pytest.mark.parametrize("field, value", [
-        ("feature", 3), ("feature", -2), ("size", -1), ("size", 61), ("threshold", np.nan),
-        ("threshold", np.inf)])
+        ("feature", 3), ("feature", -2), ("size", -1), ("size", 61), ("split_row", 60),
+        ("split_row", 255)])
     def test_tree_arrays_checked(self, tmp_path, forest, field, value):
         # the field's first entry in tree 1: the root's feature, a leaf's
-        # feature below -1, or the first inner node's threshold or leaf's
-        # size.  The features stay int8; a negative size needs a signed
-        # array, which no leaf size may have
+        # feature below -1, the first inner node's low split row (60 is the
+        # row count) or the first leaf's size.  The features stay int8; a
+        # negative size needs a signed array, which no leaf size may have
         header, arrays = forest
         feature = arrays["trees/feature"]
         start = tree_offsets(feature)[1]
         n_inner = int((feature[:start] >= 0).sum())
         leaf = start + int(np.argmax(feature[start:] < 0))
         name, at = {"feature": ("trees/feature", start if value >= 0 else leaf),
-                    "threshold": ("trees/threshold", n_inner),
+                    "split_row": ("trees/split_rows", (n_inner, 0)),
                     "size": ("trees/leaf_size", start - n_inner)}[field]
         message = "tree 1 of model 0 is not a valid isolation tree"
         if value < 0 and field == "size":
@@ -528,6 +613,19 @@ class TestUntrustedContent:
         assert arrays["trees/feature"].dtype == np.int8
         with pytest.raises(SnapshotError, match=message):
             snapshot_load(write_snapshot(tmp_path / "tree.snap", header, arrays))
+
+    @pytest.mark.parametrize("bounds", ["equal", "reversed"])
+    def test_split_bounds_checked(self, tmp_path, forest, bounds):
+        # the first split of tree 1 between a row and itself, or between its
+        # high and its low row: its range is empty, so no threshold lies in it
+        header, arrays = forest
+        feature, split_rows = arrays["trees/feature"], arrays["trees/split_rows"].copy()
+        at = int((feature[:tree_offsets(feature)[1]] >= 0).sum())
+        low, high = split_rows[at]
+        split_rows[at] = {"equal": (high, high), "reversed": (high, low)}[bounds]
+        with pytest.raises(SnapshotError, match="tree 1 of model 0 is not a valid isolation tree"):
+            snapshot_load(write_snapshot(tmp_path / "bounds.snap", header,
+                                         {**arrays, "trees/split_rows": split_rows}))
 
     @pytest.mark.parametrize("max_depth", [None, 40])
     def test_deep_chain_refused_quickly(self, tmp_path, max_depth):
@@ -542,7 +640,7 @@ class TestUntrustedContent:
         depth = 20_000
         feature = np.where(np.arange(2 * depth + 1) % 2 == 0, 0, -1)
         feature[-1] = -1
-        crafted = replace_tree(arrays, 0, feature, np.zeros(depth), np.ones(depth + 1))
+        crafted = replace_tree(arrays, 0, feature, np.ones(depth + 1))
         path = write_snapshot(tmp_path / "chain.snap", header, crafted)
         began = time.perf_counter()
         with pytest.raises(SnapshotError, match="tree 0 of model 0 is deeper than its cap"):
@@ -560,7 +658,7 @@ class TestUntrustedContent:
         for depth in (7, 8):
             feature = np.where(np.arange(2 * depth + 1) % 2 == 0, 1, -1)
             feature[-1] = -1
-            crafted = replace_tree(arrays, 0, feature, np.zeros(depth), np.ones(depth + 1))
+            crafted = replace_tree(arrays, 0, feature, np.ones(depth + 1))
             path = write_snapshot(tmp_path / "chain.snap", json.loads(json.dumps(header)),
                                   crafted)
             if depth == 8:
@@ -586,7 +684,7 @@ class TestUntrustedContent:
         ]
         for message, bad_feature, bad_size in cases:
             crafted = {**arrays, "trees/feature": bad_feature, "trees/leaf_size": bad_size,
-                       "trees/threshold": arrays["trees/threshold"][:(bad_feature >= 0).sum()]}
+                       "trees/split_rows": arrays["trees/split_rows"][:(bad_feature >= 0).sum()]}
             with pytest.raises(SnapshotError, match=message):
                 snapshot_load(write_snapshot(tmp_path / "cuts.snap",
                                              json.loads(json.dumps(header)), crafted))
@@ -598,7 +696,7 @@ class TestUntrustedContent:
             if feature[t] < 0:
                 continue
             swapped = feature.copy()
-            swapped[[t - 1, t]] = feature[[t, t - 1]]  # thresholds and sizes keep their order
+            swapped[[t - 1, t]] = feature[[t, t - 1]]  # split rows and sizes keep their order
             path = write_snapshot(tmp_path / "moved.snap", json.loads(json.dumps(header)),
                                   {**arrays, "trees/feature": swapped})
             try:
@@ -611,12 +709,15 @@ class TestUntrustedContent:
         ("trees/feature", "<i2"), ("trees/feature", "<i4"), ("trees/feature", "<f8"),
         ("trees/feature", "|u1"), ("trees/feature", "<u2"), ("trees/feature", ">i2"),
         ("trees/leaf_size", "<u2"), ("trees/leaf_size", "<u4"), ("trees/leaf_size", "|i1"),
-        ("trees/leaf_size", "<i4"), ("trees/leaf_size", "<f8")])
+        ("trees/leaf_size", "<i4"), ("trees/leaf_size", "<f8"), ("trees/split_rows", "<u2"),
+        ("trees/split_rows", "<u4"), ("trees/split_rows", "|i1"), ("trees/split_rows", "<i8"),
+        ("trees/split_rows", "<f8")])
     def test_tree_dtypes_checked(self, tmp_path, forest, name, dtype):
         # features come as the narrowest of int8, int16 and int32 that holds
-        # them, leaf sizes as the narrowest of uint8, uint16 and uint32: a
-        # wider, unsigned or float feature array, or a wider, signed or float
-        # leaf-size array, is refused though its values are the saved ones
+        # them, leaf sizes as the narrowest of uint8, uint16 and uint32, and
+        # split rows of 60 rows as uint8: a wider, unsigned or float feature
+        # array, or a wider, signed or float leaf-size or split-row array, is
+        # refused though its values are the saved ones
         header, arrays = forest
         crafted = {**arrays, name: arrays[name].astype(dtype)}
         with pytest.raises(SnapshotError, match=f"'{name}' is missing or malformed"):
