@@ -14,9 +14,10 @@ fields (``scorer.kind``, ``strategy.k``, ``estimation.regime``, ...) plus
 rejected rather than ignored.
 
 Every run writes a ``*.manifest.json`` next to its outputs recording the
-command line, the effective configuration, input digests, and output paths.
-The manifest carries no timestamps, so rerunning the same command on the
-same inputs reproduces every output file byte for byte.
+command line, the effective configuration, the seed, SHA-256 input digests,
+output paths and the package version.  The manifest carries no timestamps,
+so rerunning the same command on the same inputs reproduces every output
+file byte for byte.
 
 Exit status: 0 on success, 2 for configuration and input problems (with a
 diagnostic on stderr), 1 for anything that indicates a bug.
@@ -34,14 +35,13 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import decisions, experiments, martingales, pipeline, snapshot
 from ._version import __version__
 from .core import (ConfanomError, ConfigError, DataMatrix, EmptyInput,
-                   InvalidData)
+                   InvalidData, write_csv)
 from .detectors import ScorerSpec
 from .estimation import EstimationSpec
 from .martingales import AlarmConfig, MartingaleSpec
@@ -337,34 +337,6 @@ def _scan_csv(path, label_column):
 # ---------------------------------------------------------------------------
 # manifests and output helpers
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproduction record written next to every command's outputs.
-
-    Holds the command line, the effective flat configuration, the seed,
-    SHA-256 digests of the input files, the output paths, and the package
-    version.  Deliberately no timestamps: equal inputs give equal bytes.
-    """
-
-    command: tuple[str, ...]
-    config: dict
-    seed: int | None
-    inputs: dict
-    outputs: tuple[str, ...]
-    version: str = __version__
-
-    def to_json(self):
-        payload = {
-            "command": list(self.command),
-            "config": dict(sorted(self.config.items())),
-            "seed": self.seed,
-            "inputs": dict(sorted(self.inputs.items())),
-            "outputs": list(self.outputs),
-            "version": self.version,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -379,48 +351,17 @@ def _sibling(out_path, tag):
 
 
 def _write_manifest(out_path, command, config, seed, input_paths, outputs):
-    manifest = RunManifest(
-        command=tuple(command),
-        config=config,
-        seed=seed,
-        inputs={p: _sha256(p) for p in input_paths},
-        outputs=tuple(outputs),
-    )
-    path = _sibling(out_path, "manifest.json")
+    """Write the run's reproduction record, as the module docstring describes."""
+    _write_json(_sibling(out_path, "manifest.json"), {
+        "command": list(command), "config": config, "seed": seed,
+        "inputs": {p: _sha256(p) for p in input_paths},
+        "outputs": list(outputs), "version": __version__})
+
+
+def _write_json(path, payload):
+    """Sorted keys, a two-space indent and a trailing newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(manifest.to_json())
-    return path
-
-
-def _fmt_cell(value):
-    """Deterministic text for a CSV cell; floats round-trip exactly."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_rows_csv(path, columns, rows):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt_cell(cell) for cell in row])
-
-
-def _write_flags_csv(path, scores, p_values, flags):
-    """The detect table, one ``%``-format per row over ``tolist()`` columns.
-
-    The bytes are those of ``_write_rows_csv``: the row index and the flag
-    as integers, floats as ``repr`` writes them, and no cell needs quoting.
-    """
-    rows = zip(range(scores.shape[0]), scores.tolist(), p_values.tolist(), flags.tolist())
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("row_index,score,p_value,flag\r\n")
-        handle.writelines("%d,%r,%r,%d\r\n" % row for row in rows)
+        handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _print_json(payload):
@@ -448,7 +389,9 @@ def cmd_detect(args):
     scores, p_values = pipeline.score_and_p_values(fitted, test)
     decision = decisions.benjamini_hochberg(p_values, args.alpha)
 
-    _write_flags_csv(args.out, scores.scores, p_values.values, decision.flags)
+    write_csv(args.out, ("row_index", "score", "p_value", "flag"), "%d,%r,%r,%d",
+              zip(range(test.n_rows), scores.scores.tolist(), p_values.values.tolist(),
+                  decision.flags.tolist()))
 
     summary = {
         "alpha": decision.alpha,
@@ -463,8 +406,7 @@ def cmd_detect(args):
         if int(test.labels.sum()) > 0:
             summary["power"] = decisions.statistical_power(test.labels, decision.flags)
     summary_path = _sibling(args.out, "summary.json")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write_json(summary_path, summary)
     _print_json(summary)
 
     inputs = [args.train, args.test] + ([args.config] if args.config else [])
@@ -501,7 +443,7 @@ def cmd_stream(args):
     final, trajectory = martingales.run_stream(spec, alarms, p_values.values)
     martingales.write_trajectory_csv(args.out, trajectory, alarms)
     alarms_path = _sibling(args.out, "alarms.csv")
-    _write_rows_csv(alarms_path, ("step", "alarm"), final.alarm_history)
+    write_csv(alarms_path, ("step", "alarm"), "%d,%s", final.alarm_history)
 
     _print_json({
         "steps": len(trajectory),
@@ -535,7 +477,10 @@ def cmd_experiment(args):
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"{result.name}.csv")
-    _write_rows_csv(csv_path, result.columns, result.rows)
+    # rows hold Python ints, floats and strings, one type to a column
+    row = ",".join("%r" if isinstance(cell, float) else "%d" if isinstance(cell, int)
+                   else "%s" for cell in result.rows[0]) if result.rows else ""
+    write_csv(csv_path, result.columns, row, result.rows)
 
     _print_json({"name": result.name, "n_rows": len(result.rows), "csv": csv_path})
     _write_manifest(csv_path, args.argv,

@@ -1,4 +1,5 @@
-"""Shared data containers, input validation, and seeded randomness.
+"""Shared data containers, input validation, seeded randomness, and the
+CSV writer.
 
 Every container is immutable after construction and holds read-only numpy
 arrays, so values can be shared freely across threads and between pipeline
@@ -471,3 +472,18 @@ class DecisionSet:
 
     def __len__(self):
         return self.flags.shape[0]
+
+
+def write_csv(path, header, row_format, rows):
+    """Write a CSV file: the ``header`` names, then ``row_format % row`` for
+    each row, every line ending in CRLF.
+
+    These are the bytes ``csv.writer`` gives for cells that need no quoting:
+    numbers, and names free of commas, quotes and line breaks, which is all
+    the package writes.  A float cell formatted by ``%r`` reads back as the
+    same double.
+    """
+    line = row_format + "\r\n"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(line % row for row in rows)

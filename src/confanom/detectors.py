@@ -74,6 +74,8 @@ _KNN_BLOCK = 1 << 21
 _FOREST_BLOCK = 1 << 15
 # element budget of a chunk of trees grown together, per tree its rows or values
 _FIT_BLOCK = 1 << 20
+# ceiling of ScorerSpec.max_depth
+MAX_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,11 @@ class ScorerSpec:
     ----------
     kind : {'isolation_forest', 'knn_distance', 'external'}
     n_trees, subsample_size, max_depth
-        Isolation forest settings. Depth defaults to ceil(log2(subsample)).
+        Isolation forest settings. Depth defaults to ceil(log2(subsample))
+        and may not exceed MAX_DEPTH = 64, which that default never passes
+        for a subsample of fewer than 2**64 rows.  The ceiling bounds the
+        levels a scoring walks for a spec read from an untrusted snapshot
+        header, whose own cap would otherwise admit a chain of any depth.
     k, aggregation
         knn settings; ``aggregation`` is 'kth' (k-th nearest distance) or
         'mean' (mean of the k nearest distances).
@@ -114,6 +120,9 @@ class ScorerSpec:
         for name, least in (("n_trees", 1), ("subsample_size", 2), ("max_depth", 1), ("k", 1)):
             if name != "max_depth" or self.max_depth is not None:
                 object.__setattr__(self, name, check_count(name, getattr(self, name), least))
+        if self.max_depth is not None and self.max_depth > MAX_DEPTH:
+            raise InvalidHyperparameter(
+                f"max_depth must be at most {MAX_DEPTH}, got {self.max_depth}")
         if self.kind == "knn_distance" and self.aggregation not in ("kth", "mean"):
             raise InvalidHyperparameter(f"unknown knn aggregation {self.aggregation!r}")
 

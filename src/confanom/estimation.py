@@ -46,6 +46,9 @@ CONDITIONAL_METHODS = ("simes", "mc", "asymptotic")
 PROBABILISTIC_FLOOR = 1e-12
 _MC_DRAWS = 10_000
 _MC_CHUNK = 500
+# relative shift of the bracket's ends in _band_mc, far above the rounding of
+# betainc and betainccinv
+_MC_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -195,22 +198,50 @@ def _band_simes(n, delta):
 
 
 def _band_mc(n, delta, seed):
+    """Per-rank Beta quantiles at the level gamma, the floor(delta * draws)-th
+    smallest over _MC_DRAWS sorted uniform draws of min_r SF_r(U_(r)), where
+    SF_r is the Beta(r, n - r + 1) survival.
+
+    min_r SF_r(U_(r)) <= g exactly when some U_(r) reaches the band
+    betainccinv(r, n - r + 1, g), so comparisons against the bands of a
+    bracket [g_lo, g_hi], taken from the exact minima of a pilot chunk and
+    shifted out by a relative margin against rounding, find the draws surely
+    below it and surely above it.  Only the draws in between get their exact
+    minima.  A bracket that does not hold gamma is widened and the same
+    draws replayed, so gamma is that of the full computation, bit for bit.
+    """
     if seed is None:
         raise InvalidHyperparameter("the mc adjustment requires a seed")
     from scipy import special  # imported on first use, see _band_simes
-    rng = make_rng(seed)
     r = np.arange(1, n + 1)
-    mins = np.empty(_MC_DRAWS)
-    for lo in range(0, _MC_DRAWS, _MC_CHUNK):
-        hi = min(lo + _MC_CHUNK, _MC_DRAWS)
-        u = np.sort(rng.random((hi - lo, n)), axis=1)
-        # Beta(r, n-r+1) survival at U_(r); the calibrated level is the
-        # largest gamma with at most delta * draws of min-SF below it
-        sf = special.betainc(n - r + 1, r, 1.0 - u)
-        mins[lo:hi] = sf.min(axis=1)
-    order = np.sort(mins)
-    gamma = order[int(np.floor(delta * _MC_DRAWS))]
-    return special.betainccinv(r, n - r + 1, gamma)
+    k = int(np.floor(delta * _MC_DRAWS))
+
+    def chunks():
+        rng = make_rng(seed)
+        for lo in range(0, _MC_DRAWS, _MC_CHUNK):
+            yield np.sort(rng.random((min(_MC_CHUNK, _MC_DRAWS - lo), n)), axis=1)
+
+    def min_sf(u):
+        return special.betainc(n - r + 1, r, 1.0 - u).min(axis=1)
+
+    pilot = np.sort(min_sf(next(chunks())))
+    width = 0.04
+    while True:
+        lo = int(np.floor((delta - width) * pilot.size))
+        hi = int(np.ceil((delta + width) * pilot.size))
+        g_lo = pilot[lo] if lo >= 0 else 0.0
+        g_hi = pilot[hi] if hi < pilot.size else 1.0
+        band_lo = special.betainccinv(r, n - r + 1, g_lo * (1.0 - _MC_MARGIN))
+        band_hi = special.betainccinv(r, n - r + 1, min(g_hi * (1.0 + _MC_MARGIN), 1.0))
+        below, mins = 0, []
+        for u in chunks():
+            low = (u >= band_lo).any(axis=1)
+            below += int(np.count_nonzero(low))
+            mins.append(min_sf(u[~low & (u >= band_hi).any(axis=1)]))
+        mins = np.sort(np.concatenate(mins))
+        if below <= k < below + mins.size and g_lo <= mins[k - below] <= g_hi:
+            return special.betainccinv(r, n - r + 1, mins[k - below])
+        width *= 2.0
 
 
 def build_adjustment(n, delta, method, seed=None):

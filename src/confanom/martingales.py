@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidData, InvalidSpec, _readonly
+from .core import InvalidData, InvalidSpec, _readonly, write_csv
 
 MARTINGALE_KINDS = ("power", "simple_mixture", "simple_jumper")
 ALARM_KINDS = ("ville", "restarted_ville", "cusum", "sr")
@@ -635,17 +635,16 @@ def run_stream(spec: MartingaleSpec, alarms: AlarmConfig, p_stream):
 
 
 def write_trajectory_csv(path, trajectory, alarms: AlarmConfig):
-    """Write the trajectory as CSV: TRAJECTORY_COLUMNS, then one row per step.
+    """Write the trajectory by ``core.write_csv``: TRAJECTORY_COLUMNS, then
+    one row per step.
 
     Thresholds fill constant columns (empty when unset).  The linear
     statistics overflow to ``inf`` past log M = 709; the last column keeps
-    log M itself.  Floats are written as ``repr`` writes them, so every
-    cell reads back as the same double, and the bytes are those of
-    ``csv.writer``: no cell needs quoting.
+    log M itself.
     """
     thresholds = ",".join("" if t is None else repr(t) for t in (
         alarms.ville_threshold, alarms.restarted_ville_threshold))
-    row = "%d,%r,%r,%r,%r,%s," + thresholds + ",%r\r\n"
+    row = "%d,%r,%r,%r,%r,%s," + thresholds + ",%r"
     # the alarm cell of every pattern of a step's alarm bits
     labels = [";".join(kind for k, kind in enumerate(ALARM_KINDS) if code >> k & 1)
               for code in range(1 << len(ALARM_KINDS))]
@@ -656,6 +655,4 @@ def write_trajectory_csv(path, trajectory, alarms: AlarmConfig):
             trajectory.log_m - trajectory.log_min_m, trajectory.log_sr)]
     rows = zip(trajectory.step.tolist(), *linear, [labels[c] for c in codes.tolist()],
                trajectory.log_m.tolist())
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
-        handle.writelines(row % cells for cells in rows)
+    write_csv(path, TRAJECTORY_COLUMNS, row, rows)

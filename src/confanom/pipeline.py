@@ -233,9 +233,9 @@ def stream_p_values(fp: FittedPipeline, X, seed=None, start=0) -> PValueVector:
     are uniform only on average over that set; given it they are i.i.d.
     but not uniform.  A martingale fed a long inlier stream can therefore
     grow at the rate of that discrepancy and exceed the Ville bound of
-    1/threshold: the benchmark's ``stream_monitor`` feeds of seeds 2 and 7
-    raise a Ville alarm in their all-inlier first half, at steps 622 and
-    3,528.  Mending that needs a new estimation regime.
+    1/threshold: the benchmark's ``stream_monitor`` feeds of seeds 2, 7, 9
+    and 10 raise a Ville alarm in their all-inlier first half, at steps
+    622, 3,528, 3,793 and 1.  Mending that needs a new estimation regime.
     """
     if fp.config.weighting is not None:
         raise InvalidSpec("stream monitoring does not support weighting")

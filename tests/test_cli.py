@@ -9,9 +9,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from confanom import __version__, cli, pipeline, resampling
+from confanom import __version__, cli, core, pipeline, resampling
 from confanom.cli import main, read_csv_matrix
 from confanom.core import ConfanomError, InvalidData, make_rng
 
@@ -498,21 +498,39 @@ def test_import_leaves_out_scipy_special(data):
         assert json.loads(out.stdout.strip().splitlines()[-1]) == [], argv[0]
 
 
-FLAG_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300,
-                                                       0.1, 1 / 3, 20.5]))
+CSV_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300,
+                                                      0.1, 1 / 3, 20.5]))
+# a cell of each ``%`` conversion the package's row formats use, as Python
+# values (``tolist()`` columns): integers and bools, floats, and names free
+# of commas, quotes and line breaks
+CSV_CELLS = {"%d": st.integers(-10**20, 10**20) | st.booleans(),
+             "%r": CSV_FLOATS,
+             "%s": st.text(st.sampled_from("abz_;. -019"), max_size=12)}
+CSV_TABLES = st.lists(st.sampled_from(sorted(CSV_CELLS)), min_size=2, max_size=6).flatmap(
+    lambda kinds: st.tuples(st.just(kinds),
+                            st.lists(st.tuples(*(CSV_CELLS[k] for k in kinds)), max_size=30)))
 
 
-@given(st.lists(st.tuples(FLAG_FLOATS, FLAG_FLOATS, st.integers(0, 1)), max_size=40),
-       st.booleans())
-def test_flags_writer_matches_csv_writer(cells, bool_flags):
-    scores = np.array([c[0] for c in cells], dtype=np.float64)
-    p_values = np.array([c[1] for c in cells], dtype=np.float64)
-    flags = np.array([c[2] for c in cells], dtype=bool if bool_flags else np.int64)
+@given(CSV_TABLES)
+@example((("%d", "%r", "%r", "%d"), [(0, float("nan"), 1.0, True), (1, -0.0, float("inf"), 0)]))
+@example((("%d", "%s"), [(622, "ville"), (623, "ville;restarted_ville"), (624, "")]))
+@example((("%s", "%d", "%r", "%d", "%r", "%r"), [("cv_plus", 250, 0.075, 0, 0.0, 1 / 3)]))
+def test_flags_writer_matches_csv_writer(table):
+    # every row format the package writes, the detect flags, the stream
+    # alarms and the experiment tables among them, gives the bytes of
+    # csv.writer over the cells as text: integers and bools as integers,
+    # floats by repr
+    kinds, rows = table
+    header = [f"c{j}" for j in range(len(kinds))]
     with tempfile.TemporaryDirectory() as tmp:
         fast, reference = os.path.join(tmp, "fast.csv"), os.path.join(tmp, "ref.csv")
-        cli._write_flags_csv(fast, scores, p_values, flags)
-        cli._write_rows_csv(reference, ("row_index", "score", "p_value", "flag"),
-                            zip(range(len(cells)), scores, p_values, flags))
+        core.write_csv(fast, header, ",".join(kinds), rows)
+        with open(reference, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows([repr(c) if isinstance(c, float) else
+                              str(int(c)) if isinstance(c, int) else c for c in row]
+                             for row in rows)
         with open(fast, "rb") as a, open(reference, "rb") as b:
             assert a.read() == b.read()
 

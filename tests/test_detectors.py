@@ -45,6 +45,9 @@ class TestScorerSpec:
             ScorerSpec(kind="isolation_forest", n_trees=0)
         with pytest.raises(InvalidHyperparameter):
             ScorerSpec(kind="isolation_forest", subsample_size=1)
+        assert ScorerSpec(kind="isolation_forest", max_depth=64).max_depth == 64
+        with pytest.raises(InvalidHyperparameter, match="max_depth must be at most 64"):
+            ScorerSpec(kind="isolation_forest", max_depth=65)
 
     @pytest.mark.parametrize("field", ["n_trees", "subsample_size", "max_depth", "k"])
     def test_counts_are_integers(self, field):

@@ -2,8 +2,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy import integrate, stats
+from hypothesis import example, given, settings, strategies as st
+from scipy import integrate, special, stats
 
 from confanom import estimation
 from confanom.core import (DataMatrix, EmptyCalibration, InvalidData,
@@ -305,6 +305,24 @@ def test_adjusted_p_values_never_below_marginal(n, delta, method, seed):
     ts = score_matrix(cm, DataMatrix(rng.integers(-1, 5, size=(30, 1)).astype(float)))
     marginal = empirical_p_value(cm, ts).values
     assert (conditional_p_value(cm, ts, table).values >= marginal).all()
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 120), draws=st.integers(1, 400), chunk=st.integers(1, 150),
+       delta=st.floats(1e-4, 0.999), seed=st.integers(0, 2**32 - 1))
+@example(n=50, draws=300, chunk=40, delta=1e-3, seed=3)  # floor(delta * draws) = 0
+@example(n=200, draws=2000, chunk=500, delta=0.1, seed=5)
+def test_band_mc_bit_identical_to_full_computation(n, draws, chunk, delta, seed):
+    # the reference evaluates the Beta survival on every cell of the draws;
+    # small chunks make small pilots, whose brackets miss and widen
+    with mock.patch.object(estimation, "_MC_DRAWS", draws), \
+            mock.patch.object(estimation, "_MC_CHUNK", chunk):
+        band = estimation._band_mc(n, delta, seed)
+    r = np.arange(1, n + 1)
+    u = np.sort(make_rng(seed).random((draws, n)), axis=1)
+    mins = np.sort(special.betainc(n - r + 1, r, 1.0 - u).min(axis=1))
+    reference = special.betainccinv(r, n - r + 1, mins[int(np.floor(delta * draws))])
+    assert band.tobytes() == reference.tobytes()
 
 
 @given(st.lists(st.integers(0, 3), min_size=2, max_size=80))

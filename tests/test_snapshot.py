@@ -627,23 +627,26 @@ class TestUntrustedContent:
             snapshot_load(write_snapshot(tmp_path / "bounds.snap", header,
                                          {**arrays, "trees/split_rows": split_rows}))
 
-    @pytest.mark.parametrize("max_depth", [None, 40])
+    @pytest.mark.parametrize("max_depth", [None, 40, 10**9])
     def test_deep_chain_refused_quickly(self, tmp_path, max_depth):
         # a 20,000-deep chain in a one-tree forest of psi = 100, whose cap is
-        # ceil(log2 100) = 7 (or max_depth): every level would cost a
-        # kernel step per row
-        scorer = ScorerSpec(kind="isolation_forest", n_trees=1, subsample_size=100,
-                            max_depth=max_depth)
+        # ceil(log2 100) = 7 (or the header's max_depth): every level would
+        # cost a kernel step per row.  A header cap past MAX_DEPTH is refused
+        # as such, so it cannot admit the chain.
+        scorer = ScorerSpec(kind="isolation_forest", n_trees=1, subsample_size=100)
         config = PipelineConfig(scorer=scorer, strategy=split(0.5), seed=23)
         snapshot_save(fit(config, gaussian_matrix(23, 200, d=2)), tmp_path / "one.snap")
         header, arrays = read_snapshot(tmp_path / "one.snap")
+        header["config"]["scorer"]["max_depth"] = max_depth
         depth = 20_000
         feature = np.where(np.arange(2 * depth + 1) % 2 == 0, 0, -1)
         feature[-1] = -1
         crafted = replace_tree(arrays, 0, feature, np.ones(depth + 1))
         path = write_snapshot(tmp_path / "chain.snap", header, crafted)
         began = time.perf_counter()
-        with pytest.raises(SnapshotError, match="tree 0 of model 0 is deeper than its cap"):
+        message = ("max_depth must be at most 64" if max_depth == 10**9
+                   else "tree 0 of model 0 is deeper than its cap")
+        with pytest.raises(SnapshotError, match=message):
             snapshot_load(path)
         assert time.perf_counter() - began < 1.0
 
