@@ -491,11 +491,12 @@ def cmd_experiment(args):
 
 def cmd_snapshot(args):
     if args.inspect:
-        fitted, package_version, array_bytes = snapshot.snapshot_inspect(args.inspect)
+        fitted, package_version, array_bytes, deflated = snapshot.snapshot_inspect(args.inspect)
         config = fitted.config
         _print_json({
             "bytes": os.path.getsize(args.inspect),
             "array_bytes": array_bytes,
+            "deflated_bytes": deflated,
             "package_version": package_version,
             "scorer": config.scorer.kind,
             "strategy": config.strategy.kind,

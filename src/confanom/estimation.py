@@ -46,6 +46,8 @@ CONDITIONAL_METHODS = ("simes", "mc", "asymptotic")
 PROBABILISTIC_FLOOR = 1e-12
 _MC_DRAWS = 10_000
 _MC_CHUNK = 500
+# draws of the first chunk whose exact minima bracket gamma in _band_mc
+_MC_PILOT = 100
 # relative shift of the bracket's ends in _band_mc, far above the rounding of
 # betainc and betainccinv
 _MC_MARGIN = 1e-6
@@ -204,11 +206,14 @@ def _band_mc(n, delta, seed):
 
     min_r SF_r(U_(r)) <= g exactly when some U_(r) reaches the band
     betainccinv(r, n - r + 1, g), so comparisons against the bands of a
-    bracket [g_lo, g_hi], taken from the exact minima of a pilot chunk and
-    shifted out by a relative margin against rounding, find the draws surely
-    below it and surely above it.  Only the draws in between get their exact
-    minima.  A bracket that does not hold gamma is widened and the same
-    draws replayed, so gamma is that of the full computation, bit for bit.
+    bracket [g_lo, g_hi], taken from the exact minima of the first
+    _MC_PILOT draws and shifted out by a relative margin against rounding,
+    find the draws surely below it and surely above it.  Only the draws in
+    between get their exact minima, and only over their cells at or above
+    the upper band: any other cell's survival lies above the bracket, so a
+    minimum that can be gamma is the same over these cells as over all of
+    them.  A bracket that does not hold gamma is widened and the same draws
+    replayed, so gamma is that of the full computation, bit for bit.
     """
     if seed is None:
         raise InvalidHyperparameter("the mc adjustment requires a seed")
@@ -221,10 +226,15 @@ def _band_mc(n, delta, seed):
         for lo in range(0, _MC_DRAWS, _MC_CHUNK):
             yield np.sort(rng.random((min(_MC_CHUNK, _MC_DRAWS - lo), n)), axis=1)
 
-    def min_sf(u):
-        return special.betainc(n - r + 1, r, 1.0 - u).min(axis=1)
+    def min_sf(u, cells):
+        """Per row of ``u``, the least Beta survival over its ``cells``."""
+        rank = np.nonzero(cells)[1]
+        sf = np.full(u.shape, np.inf)
+        sf[cells] = special.betainc(n - rank, rank + 1, 1.0 - u[cells])
+        return sf.min(axis=1)
 
-    pilot = np.sort(min_sf(next(chunks())))
+    u = next(chunks())[:_MC_PILOT]
+    pilot = np.sort(min_sf(u, np.ones(u.shape, dtype=bool)))
     width = 0.04
     while True:
         lo = int(np.floor((delta - width) * pilot.size))
@@ -235,9 +245,11 @@ def _band_mc(n, delta, seed):
         band_hi = special.betainccinv(r, n - r + 1, min(g_hi * (1.0 + _MC_MARGIN), 1.0))
         below, mins = 0, []
         for u in chunks():
-            low = (u >= band_lo).any(axis=1)
-            below += int(np.count_nonzero(low))
-            mins.append(min_sf(u[~low & (u >= band_hi).any(axis=1)]))
+            rest = u[~(u >= band_lo).any(axis=1)]
+            below += u.shape[0] - rest.shape[0]
+            high = rest >= band_hi
+            ambiguous = high.any(axis=1)
+            mins.append(min_sf(rest[ambiguous], high[ambiguous]))
         mins = np.sort(np.concatenate(mins))
         if below <= k < below + mins.size and g_lo <= mins[k - below] <= g_hi:
             return special.betainccinv(r, n - r + 1, mins[k - below])

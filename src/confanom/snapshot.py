@@ -2,10 +2,20 @@
 
 Layout: an 8-byte magic, a little-endian uint32 format version, a
 little-endian uint64 header length, a JSON header (configuration,
-package version and array index), the raw array payloads in index order,
-and a trailing SHA-256 over everything before it.  Loads verify magic,
-version, and digest before touching any content, so a truncated or
-corrupted file is refused whole rather than half-loaded.
+package version and array index), the payload, and a trailing SHA-256 over
+everything before it.  The payload is the arrays' bytes in index order,
+deflated as one zlib stream (RFC 1950/1951) at zlib's default level.  Loads
+verify magic, version, and digest before touching any content, so a
+truncated or corrupted file is refused whole rather than half-loaded, and
+nothing is inflated before the digest holds.  The index then gives the
+payload's raw size, summed in Python integers so no shape can overflow it.
+An index that asks for more than deflate's 1032:1 expansion limit allows
+for the stored bytes is refused before inflating; the stream is inflated to
+at most one byte past that size and refused if it is not a valid zlib
+stream, inflates short or long, is unfinished, or is followed by other
+bytes.  The stored bytes depend on the zlib build (zlib and zlib-ng
+deflate differently), but every valid file loads under any build, since
+inflating is fixed by the format.
 
 The header gives each setting once: the pipeline configuration (scorer,
 strategy, estimation, weighting, seed), the package version and the array
@@ -13,7 +23,7 @@ index.  Everything else follows from it: the calibration's strategy and
 mode are the configured strategy's, and an adjustment table's size, delta
 and method are the entry count and the configured estimation's.
 
-Format version 9 stores a calibration's rows once (``calibration/rows``),
+Format version 10 stores a calibration's rows once (``calibration/rows``),
 its entry scores and only the SHA-256 of its plan
 (``calibration/plan_digest``): a plan is a deterministic function of the
 strategy, the row count and the seed, so the loader rebuilds it with
@@ -45,9 +55,9 @@ anyone can recompute it, so every array is checked for dtype, shape, range
 and depth before anything is built from it, and a file is refused if a
 conditional configuration has no table, a table has the wrong length, or an
 array (a table under another regime, say) belongs to no part of the
-configuration.  Files of earlier formats (8 stored the thresholds, 7 also
-tree features and leaf sizes as int32 and the tree offsets, 6 the plan
-itself) are refused by their version.
+configuration.  Files of earlier formats (9 stored the payload raw, 8 also
+the thresholds, 7 also tree features and leaf sizes as int32 and the tree
+offsets, 6 the plan itself) are refused by their version.
 
 Only built-in detectors can be saved: an external scorer is an opaque
 callable and an oracle weighting carries a user function, neither of
@@ -59,6 +69,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import zlib
 
 import numpy as np
 
@@ -70,8 +82,11 @@ from .pipeline import FittedPipeline, PipelineConfig
 from .resampling import CalibrationModel, StrategySpec, kept_plan, plan_models, strategy_plan
 
 MAGIC = b"CANOMSNP"
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 _DIGEST_BYTES = 32
+# deflate codes at most 258 bytes in two bits, so a stream of s bytes
+# inflates to at most 1032 s bytes
+_MAX_INFLATION = 1032
 # the largest plan a load rebuilds, whatever the mode: a single_model load
 # rebuilds the plan that scored its entries too.  Only JaB plans reach the
 # model bound, each bootstrap being a seeded draw; CV and jackknife plans
@@ -151,12 +166,13 @@ def snapshot_save(fp: FittedPipeline, path):
                    for name, a in arrays.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays.values())
     body = b"".join([
         MAGIC,
         FORMAT_VERSION.to_bytes(4, "little"),
         len(header_bytes).to_bytes(8, "little"),
         header_bytes,
-        *(np.ascontiguousarray(a).tobytes() for a in arrays.values()),
+        zlib.compress(payload),
     ])
     digest = hashlib.sha256(body).digest()
     with open(path, "wb") as handle:
@@ -164,27 +180,50 @@ def snapshot_save(fp: FittedPipeline, path):
         handle.write(digest)
 
 
+def _inflate(stored, size):
+    """The ``size`` payload bytes that the zlib stream ``stored`` holds."""
+    if size > _MAX_INFLATION * len(stored):
+        raise SnapshotError(
+            f"the array index asks for {size} payload bytes, more than "
+            f"{len(stored)} deflated bytes can hold")
+    inflater = zlib.decompressobj()
+    try:
+        payload = inflater.decompress(stored, size + 1)
+    except zlib.error as exc:
+        raise SnapshotError(f"the snapshot payload is not a valid zlib stream ({exc})") from None
+    if len(payload) > size:
+        raise SnapshotError(f"the snapshot payload inflates past the {size} bytes of its index")
+    if not inflater.eof:
+        raise SnapshotError("the snapshot payload's zlib stream is unfinished")
+    if len(payload) < size:
+        raise SnapshotError(
+            f"the snapshot payload inflates to {len(payload)} bytes, not the {size} "
+            f"of its index")
+    if inflater.unused_data:
+        raise SnapshotError("bytes follow the snapshot payload's zlib stream")
+    return payload
+
+
 class _Arrays:
     """The payload arrays by name, handed out only with the dtype and rank
     the format expects."""
 
-    def __init__(self, index, payload):
-        self.arrays, self.used = {}, set()
-        offset = 0
+    def __init__(self, index, stored):
+        entries = {}
         for entry in index:
             name = entry["name"]
             dtype = np.dtype(entry["dtype"])
             shape = tuple(int(v) for v in entry["shape"])
-            if name in self.arrays or dtype.kind not in "iuf" or min(shape, default=0) < 0:
+            if name in entries or dtype.kind not in "iuf" or min(shape, default=0) < 0:
                 raise SnapshotError(f"snapshot array {name!r} is malformed")
-            nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+            entries[name] = dtype, shape
+        sizes = [dtype.itemsize * math.prod(shape) for dtype, shape in entries.values()]
+        payload = _inflate(stored, sum(sizes))
+        self.arrays, self.used, offset = {}, set(), 0
+        for (name, (dtype, shape)), nbytes in zip(entries.items(), sizes):
             chunk = payload[offset:offset + nbytes]
-            if len(chunk) != nbytes:
-                raise SnapshotError("snapshot file is truncated")
             self.arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
             offset += nbytes
-        if offset != len(payload):
-            raise SnapshotError("snapshot payload does not match its index")
 
     def get(self, name, dtype, ndim):
         """The array ``name`` of rank ``ndim`` and dtype ``dtype``, or of the
@@ -294,8 +333,9 @@ def snapshot_load(path) -> FittedPipeline:
 
 
 def snapshot_inspect(path):
-    """``snapshot_load``'s pipeline, the package version that wrote the file
-    and the payload bytes of each array by name."""
+    """``snapshot_load``'s pipeline, the package version that wrote the file,
+    the raw payload bytes of each array by name and the stored (deflated)
+    payload bytes."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < len(MAGIC) + 4 + 8 + _DIGEST_BYTES:
@@ -345,4 +385,5 @@ def snapshot_inspect(path):
             AttributeError, OverflowError, RecursionError) as exc:
         raise SnapshotError(f"malformed snapshot: {exc}") from None
     return (FittedPipeline(config=config, calibration=cm, table=table),
-            header["package_version"], {name: a.nbytes for name, a in arrays.arrays.items()})
+            header["package_version"], {name: a.nbytes for name, a in arrays.arrays.items()},
+            len(body) - header_end)

@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -267,8 +268,15 @@ class TestSnapshot:
         names = list(info["array_bytes"])
         assert names == sorted(names)
         assert ("trees/leaf_size" in names) == trees and "trees/left" not in names
-        # the header, the fixed fields and the digest take the rest
-        assert 0 < sum(info["array_bytes"].values()) < info["bytes"]
+        # each array's raw bytes are its itemsize times its element count
+        blob = snap.read_bytes()
+        header_length = int.from_bytes(blob[12:20], "little")
+        index = json.loads(blob[20:20 + header_length])["arrays"]
+        assert info["array_bytes"] == {
+            entry["name"]: np.dtype(entry["dtype"]).itemsize * math.prod(entry["shape"])
+            for entry in index}
+        # the fixed fields, the header, the deflated payload and the digest
+        assert info["bytes"] == 20 + header_length + info["deflated_bytes"] + 32
         # the plan is rebuilt at load: only its digest is stored
         assert [n for n in names if n.startswith("calibration/")] == [
             "calibration/entry_scores", "calibration/plan_digest", "calibration/rows"]

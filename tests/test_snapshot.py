@@ -6,6 +6,8 @@ import json
 import pathlib
 import tempfile
 import time
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -304,24 +306,32 @@ def read_snapshot(path):
     blob = path.read_bytes()
     end = 20 + int.from_bytes(blob[12:20], "little")
     header = json.loads(blob[20:end])
-    arrays = {}
+    payload, offset, arrays = zlib.decompress(blob[end:-32]), 0, {}
     for entry in header["arrays"]:
         dtype = np.dtype(entry["dtype"])
         nbytes = dtype.itemsize * int(np.prod(entry["shape"]))
-        arrays[entry["name"]] = np.frombuffer(blob[end:end + nbytes], dtype).reshape(
+        arrays[entry["name"]] = np.frombuffer(payload[offset:offset + nbytes], dtype).reshape(
             entry["shape"]).copy()
-        end += nbytes
+        offset += nbytes
     return header, arrays
 
 
-def write_snapshot(path, header, arrays):
-    """Write crafted content with a recomputed, valid digest."""
-    header["arrays"] = [{"name": name, "dtype": a.dtype.str, "shape": list(a.shape)}
+def raw_payload(arrays):
+    """The arrays' bytes in order, as a file's payload inflates to."""
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays.values())
+
+
+def write_snapshot(path, header, arrays, stored=None, shapes={}):
+    """Write crafted content with a recomputed, valid digest; the payload is
+    the arrays deflated unless ``stored`` gives its bytes, and the index
+    takes an array's shape from ``shapes`` where that names it."""
+    header["arrays"] = [{"name": name, "dtype": a.dtype.str,
+                         "shape": list(shapes.get(name, a.shape))}
                         for name, a in arrays.items()]
     header_bytes = json.dumps(header).encode("utf-8")
     body = b"".join([MAGIC, FORMAT_VERSION.to_bytes(4, "little"),
                      len(header_bytes).to_bytes(8, "little"), header_bytes,
-                     *(np.ascontiguousarray(a).tobytes() for a in arrays.values())])
+                     zlib.compress(raw_payload(arrays)) if stored is None else stored])
     path.write_bytes(body + hashlib.sha256(body).digest())
     return path
 
@@ -434,7 +444,7 @@ class TestUntrustedContent:
         blob[8:12] = (1).to_bytes(4, "little")
         (tmp_path / "v1.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 1 is not supported "
-                                                r"\(this build reads version 9\)"):
+                                                r"\(this build reads version 10\)"):
             snapshot_load(tmp_path / "v1.snap")
 
     def test_v2_refused_by_name(self, tmp_path, forest):
@@ -443,7 +453,7 @@ class TestUntrustedContent:
         blob[8:12] = (2).to_bytes(4, "little")
         (tmp_path / "v2.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 2 is not supported "
-                                                r"\(this build reads version 9\)"):
+                                                r"\(this build reads version 10\)"):
             snapshot_load(tmp_path / "v2.snap")
 
     def test_v3_refused_by_name(self, tmp_path, forest_v8):
@@ -455,7 +465,7 @@ class TestUntrustedContent:
         blob[8:12] = (3).to_bytes(4, "little")
         (tmp_path / "v3.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 3 is not supported "
-                                                r"\(this build reads version 9\)"):
+                                                r"\(this build reads version 10\)"):
             snapshot_load(tmp_path / "v3.snap")
 
     def test_v4_refused_by_name(self, tmp_path, forest_v8):
@@ -465,7 +475,7 @@ class TestUntrustedContent:
         blob[8:12] = (4).to_bytes(4, "little")
         (tmp_path / "v4.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 4 is not supported "
-                                                r"\(this build reads version 9\)"):
+                                                r"\(this build reads version 10\)"):
             snapshot_load(tmp_path / "v4.snap")
 
     def test_v5_refused_by_name(self, tmp_path, jab):
@@ -477,7 +487,7 @@ class TestUntrustedContent:
         blob[8:12] = (5).to_bytes(4, "little")
         (tmp_path / "v5.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 5 is not supported "
-                                                r"\(this build reads version 9\)"):
+                                                r"\(this build reads version 10\)"):
             snapshot_load(tmp_path / "v5.snap")
 
     def test_v6_refused_by_name(self, tmp_path):
@@ -496,7 +506,7 @@ class TestUntrustedContent:
         blob[8:12] = (6).to_bytes(4, "little")
         (tmp_path / "v6.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 6 is not supported "
-                                                r"\(this build reads version 9\)"):
+                                                r"\(this build reads version 10\)"):
             snapshot_load(tmp_path / "v6.snap")
 
     def test_v7_refused_by_name(self, tmp_path, forest_v8):
@@ -506,7 +516,7 @@ class TestUntrustedContent:
         blob[8:12] = (7).to_bytes(4, "little")
         (tmp_path / "v7.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 7 is not supported "
-                                                r"\(this build reads version 9\)"):
+                                                r"\(this build reads version 10\)"):
             snapshot_load(tmp_path / "v7.snap")
 
     def test_v8_refused_by_name(self, tmp_path, forest_v8):
@@ -515,8 +525,80 @@ class TestUntrustedContent:
         blob[8:12] = (8).to_bytes(4, "little")
         (tmp_path / "v8.snap").write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="format version 8 is not supported "
-                                                r"\(this build reads version 9\)"):
+                                                r"\(this build reads version 10\)"):
             snapshot_load(tmp_path / "v8.snap")
+
+    def test_v9_refused_by_name(self, tmp_path, forest):
+        # version 9 stored the payload raw, not deflated
+        header, arrays = forest
+        blob = bytearray(write_snapshot(tmp_path / "v9.snap", header, arrays,
+                                        raw_payload(arrays)).read_bytes())
+        blob[8:12] = (9).to_bytes(4, "little")
+        (tmp_path / "v9.snap").write_bytes(bytes(blob))
+        with pytest.raises(SnapshotError, match="format version 9 is not supported "
+                                                r"\(this build reads version 10\)"):
+            snapshot_load(tmp_path / "v9.snap")
+
+    def test_payload_is_one_default_level_zlib_stream(self, tmp_path, forest):
+        blob = (tmp_path / "forest.snap").read_bytes()
+        end = 20 + int.from_bytes(blob[12:20], "little")
+        assert blob[end:-32] == zlib.compress(raw_payload(forest[1]))
+
+    @pytest.mark.parametrize("case", [
+        "one-byte-short", "one-byte-long", "trailing-byte", "trailing-stream", "no-checksum",
+        "half-stream", "not-zlib", "raw-payload", "bad-checksum"])
+    def test_payload_stream_checked(self, tmp_path, forest, case):
+        header, arrays = forest
+        raw = raw_payload(arrays)
+        deflated = zlib.compress(raw)
+        stored, message = {
+            "one-byte-short": (zlib.compress(raw[:-1]), f"inflates to {len(raw) - 1} bytes, "
+                                                        f"not the {len(raw)} of its index"),
+            "one-byte-long": (zlib.compress(raw + b"\0"),
+                              f"inflates past the {len(raw)} bytes of its index"),
+            "trailing-byte": (deflated + b"\0", "bytes follow the snapshot payload's zlib stream"),
+            "trailing-stream": (deflated + zlib.compress(b""),
+                                "bytes follow the snapshot payload's zlib stream"),
+            "no-checksum": (deflated[:-4], "zlib stream is unfinished"),
+            "half-stream": (deflated[:len(deflated) // 2], "zlib stream is unfinished"),
+            "not-zlib": (b"\xff" * 64, "payload is not a valid zlib stream"),
+            "raw-payload": (raw, "payload is not a valid zlib stream"),
+            "bad-checksum": (deflated[:-1] + bytes([deflated[-1] ^ 1]),
+                             "payload is not a valid zlib stream"),
+        }[case]
+        path = write_snapshot(tmp_path / "stream.snap", header, arrays, stored)
+        with pytest.raises(SnapshotError, match=message):
+            snapshot_load(path)
+
+    def test_index_above_inflation_limit_refused_before_inflating(self, tmp_path, forest):
+        # 16 MiB of zeros deflate about 1028:1; an index one byte above what
+        # deflate's 1032:1 can give for them is refused without inflating
+        header, arrays = forest
+        stored = zlib.compress(bytes(1 << 24))
+        size = 1032 * len(stored) + 1
+        path = write_snapshot(tmp_path / "bomb.snap", header,
+                              {"calibration/rows": np.zeros(0, np.uint8)}, stored,
+                              shapes={"calibration/rows": [size]})
+        tracemalloc.start()
+        began = time.perf_counter()
+        try:
+            with pytest.raises(SnapshotError, match=f"asks for {size} payload bytes, more "
+                                                    f"than {len(stored)} deflated bytes"):
+                snapshot_load(path)
+            elapsed, peak = time.perf_counter() - began, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 21
+
+    def test_element_count_past_int64_refused(self, tmp_path, forest):
+        # 2^32 x 2^32 elements wrap to 0 in int64; Python integers do not
+        header, arrays = forest
+        path = write_snapshot(tmp_path / "wrap.snap", header, arrays,
+                              shapes={"calibration/rows": [2 ** 32, 2 ** 32]})
+        size = 8 * 2 ** 64 + len(raw_payload(arrays)) - arrays["calibration/rows"].nbytes
+        with pytest.raises(SnapshotError, match=f"asks for {size} payload bytes"):
+            snapshot_load(path)
 
     def test_header_gives_each_setting_once(self, jab, conditional):
         # no calibration or table section and no JSON copy of the format
