@@ -53,6 +53,10 @@ class KTooLarge(ConfanomError):
     pass
 
 
+class InvalidForest(ConfanomError):
+    pass
+
+
 class InvalidHyperparameter(ConfanomError):
     pass
 

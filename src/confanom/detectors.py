@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AmbiguousPolarity, DataMatrix, DimensionMismatch, EmptyTrainingSet,
-                   InvalidData, InvalidHyperparameter, KTooLarge, _readonly, check_count,
-                   philox_block, philox_choice, philox_uniform, split_seed)
+                   InvalidData, InvalidForest, InvalidHyperparameter, KTooLarge, _readonly,
+                   check_count, philox_block, philox_choice, philox_uniform, split_seed)
 
 SCORER_KINDS = ("isolation_forest", "knn_distance", "external")
 POLARITIES = ("higher_is_anomalous", "lower_is_anomalous", "auto")
@@ -167,10 +167,9 @@ def _grow(rows, keys, tree, cap, active, psi):
     rows stably, rows below the threshold to the left.  Nodes are numbered in
     level order within their tree, so its r-th inner node has children 2r + 1
     and 2r + 2.  Features come per node, sizes per leaf, and per inner node
-    its threshold and its split rows: the first of its rows whose value on
-    the split feature has the bits of the range's low end, and the first
-    with those of its high end, so ``rebuilt_thresholds`` draws the threshold
-    again from the rows, the key, the tree and the node.
+    its split rows: the first of its rows whose value on the split feature
+    has the bits of the range's low end, and the first with those of its
+    high end, from which ``ForestPlan`` draws the threshold again.
     """
     n_trees, width = psi.shape[0], rows.shape[1]
     seg_tree, seg_node, seg_len = np.arange(n_trees), np.zeros(n_trees, np.int64), psi
@@ -212,7 +211,7 @@ def _grow(rows, keys, tree, cap, active, psi):
         left = next_id[seg_tree] + 2 * (split - np.searchsorted(seg_tree, seg_tree))
         next_id += 2 * np.bincount(seg_tree, minlength=n_trees)
         child_len = np.column_stack([n_left, seg_len - n_left]).ravel()
-        splits.append((seg_tree, seg_node, q, threshold, *bounds, left, child_len))
+        splits.append((seg_tree, seg_node, q, *bounds, left, child_len))
         depth += 1
         grows = (child_len >= 2) & (depth < np.repeat(cap[seg_tree], 2))
         active = placed[np.repeat(grows, child_len)]
@@ -220,26 +219,25 @@ def _grow(rows, keys, tree, cap, active, psi):
         seg_len = child_len[grows]
     offsets, n_nodes = np.cumsum(next_id) - next_id, int(next_id.sum())
     feature, size = np.full(n_nodes, -1, np.int32), np.empty(n_nodes, np.int32)
-    tr, node, q, split_at, low, high, child, child_len = map(np.concatenate, zip(*splits))
+    tr, node, q, low, high, child, child_len = map(np.concatenate, zip(*splits))
     at = offsets[tr] + node
     feature[at], size[offsets] = q, psi
     size[((offsets[tr] + child)[:, None] + [0, 1]).ravel()] = child_len
     order = np.argsort(at)
-    return feature, split_at[order], np.column_stack([low, high])[order], size[feature < 0]
+    return feature, np.column_stack([low, high])[order], size[feature < 0]
 
 
-def _fit_forests(spec, rows, counts, keys):
-    """One ForestPlan: model b trains on row j of ``rows`` repeated
-    ``counts[b, j]`` times and its tree t draws from the Philox key
-    ``(keys[b], t)``.  Trees grow in chunks under the ``_FIT_BLOCK`` budget;
-    a tree's draws depend only on its key, so no tree depends on the chunks."""
+def _grow_forests(spec, rows, counts, keys, psi):
+    """The (feature, split rows, leaf sizes) node arrays of a plan's trees:
+    model b trains on row j of ``rows`` repeated ``counts[b, j]`` times and
+    its tree t draws from the Philox key ``(keys[b], t)``.  Trees grow in
+    chunks under the ``_FIT_BLOCK`` budget; a tree's draws depend only on
+    its key, so no tree depends on the chunks."""
     n_trees, n_features = spec.n_trees, rows.shape[1]
     sizes = counts.sum(axis=1, dtype=np.int64)
-    psi = np.minimum(spec.subsample_size, sizes)
     cap = spec.depth_caps(psi)
     # sorting rows by content makes the forest independent of row order
     order = np.lexsort(rows.T[::-1])
-    keys = np.asarray(keys, dtype=np.uint64)
     step = max(1, _FIT_BLOCK // max(int(sizes.max()), int(psi.max()) * n_features))
     parts = []
     for lo in range(0, psi.shape[0] * n_trees, step):
@@ -254,26 +252,7 @@ def _fit_forests(spec, rows, counts, keys):
         key, m_size, m_psi = keys[models][model], sizes[models][model], psi[models][model]
         sub = expanded[np.repeat(base[model], m_psi) + philox_choice(key, tree, m_size, m_psi, 1)]
         parts.append(_grow(rows, key, tree, cap[models][model], sub, m_psi))
-    feature, threshold, split_rows, leaf_size = map(np.concatenate, zip(*parts))
-    return ForestPlan(spec, feature, threshold, split_rows, leaf_size, psi, n_features)
-
-
-def tree_ends(feature):
-    """Where each whole tree of a level-order node array ends.  A tree of r
-    inner nodes has 1 + 2r nodes, so the running sum of +1 per inner node
-    and -1 per leaf first falls to -k where the k-th tree ends."""
-    height = np.cumsum(np.where(feature >= 0, 1, -1))
-    return np.flatnonzero(height < np.minimum.accumulate(np.append(0, height))[:-1])
-
-
-def rebuilt_thresholds(keys, n_trees, tree, node, a, b):
-    """The thresholds ``_grow`` drew for splits between ``a`` and ``b``: the
-    split of level-order node ``node`` of tree ``tree`` (tree t of model b
-    is tree b * n_trees + t) draws from counter block (node, 0) of the
-    Philox key (``keys[b]``, t)."""
-    model, t = np.divmod(tree, n_trees)
-    return _split_thresholds(a, b, philox_block(np.asarray(keys, dtype=np.uint64)[model], t,
-                                                node, 0))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 class ForestPlan:
@@ -283,43 +262,87 @@ class ForestPlan:
     psi_b the model's subsample size and c the average path length, so
     scores lie in (0, 1].  Trees are stored by level-order shape, model by
     model and tree by tree, as in the snapshot: ``feature`` per node (-1 for
-    a leaf), ``threshold`` and its two bounding rows ``split_rows`` (see
-    ``_grow``) per inner node, ``leaf_size`` per leaf.  The plan cuts the
-    node array into trees itself (``tree_ends``): tree t of model b starts at
-    node ``offsets[b * n_trees + t]``, and its r-th inner node has its nodes
-    2r + 1 and 2r + 2 as children.  Scoring moves a (trees x
-    cells) matrix of current nodes one level per step through tables in
-    which leaves loop to themselves and a leaf carries its depth plus
-    c(size); a (row, model) cell adds its trees' path lengths in tree
-    order, as one walk per tree would, bit for bit.
-    Cells are scored in chunks of ``_FOREST_BLOCK`` // n_trees, and thread
-    i of n = min(CPUs in ``os.sched_getaffinity``, chunks) takes chunks i,
-    i + n, ...; the caller is thread 0, no thread is started when n is 1
-    and none outlives ``score_raw``.  A chunk's cells are its own, so the
-    scores do not depend on n.
+    a leaf), two ``split_rows`` of ``rows`` per inner node (see ``_grow``)
+    and ``leaf_size`` per leaf.  The constructor checks them, for the fit
+    and the snapshot loader alike, and refuses a bad forest with
+    ``InvalidForest``:
+
+    - A tree of r inner nodes has 1 + 2r nodes, so the running sum of +1
+      per inner node and -1 per leaf first falls to -k where the k-th tree
+      ends.  The cut there must give models x ``n_trees`` whole trees; tree
+      t of model b starts at node ``offsets[b * n_trees + t]``.  Within a
+      tree the sum stays at 0 or above, so its r-th inner node, whose
+      children are its nodes 2r + 1 and 2r + 2, sits at a position of at
+      most 2r: every node but the root has one parent, which comes first.
+    - Each inner node has two split rows and each leaf one size.  Features
+      index columns of ``rows``, split rows index rows whose values on the
+      node's feature rise from the first to the second, and a leaf holds at
+      most its model's psi rows.
+    - No node lies below its tree's cap (``ScorerSpec.depth_caps``): the
+      level pass that gives each node its depth refuses one, so it stops
+      after at most cap + 1 levels.
+
+    Each threshold is then drawn between its split rows' values by
+    ``_split_thresholds``, from counter block (node, 0) of the Philox key
+    (``keys[b]``, t) for level-order node ``node`` of tree t of model b, as
+    ``_grow`` drew it: a fitted plan scores with the thresholds a loaded one
+    rebuilds.  Scoring moves a (trees x cells) matrix of current nodes one
+    level per step through tables in which leaves loop to themselves and a
+    leaf carries its depth plus c(size); a (row, model) cell adds its
+    trees' path lengths in tree order, as one walk per tree would, bit for
+    bit.  Cells are scored in chunks of ``_FOREST_BLOCK`` // n_trees, and
+    thread i of n = min(CPUs in ``os.sched_getaffinity``, chunks) takes
+    chunks i, i + n, ...; the caller is thread 0, no thread is started when
+    n is 1 and none outlives ``score_raw``.  A chunk's cells are its own,
+    so the scores do not depend on n.
     """
 
     kind = "isolation_forest"
 
-    def __init__(self, spec, feature, threshold, split_rows, leaf_size, psi, n_features):
-        self.spec = spec
+    def __init__(self, spec, rows, keys, psi, feature, split_rows, leaf_size):
+        self.spec, self.n_trees, n_trees = spec, spec.n_trees, spec.n_trees
+        self.psi = _readonly(np.asarray(psi, dtype=np.int64))
+        self.n_models, (n_rows, self.n_features) = self.psi.shape[0], rows.shape
+        feature, split_rows, leaf_size = map(np.asarray, (feature, split_rows, leaf_size))
+        n_nodes, n_cut, inner = feature.shape[0], self.n_models * n_trees, feature >= 0
+        height = np.cumsum(np.where(inner, 1, -1))
+        ends = np.flatnonzero(height < np.minimum.accumulate(np.append(0, height))[:-1])
+        whole = ends.size > 0 and ends[-1] == n_nodes - 1
+        if not whole or ends.size != n_cut:
+            raise InvalidForest(
+                f"the tree nodes cut into {ends.size} whole trees"
+                f"{'' if whole or not n_nodes else ' and part of one'}, not "
+                f"{self.n_models} models x {n_trees}")
+        n_inner = int(inner.sum())
+        if split_rows.shape != (n_inner, 2) or leaf_size.shape != (n_nodes - n_inner,):
+            raise InvalidForest("split rows or leaf sizes disagree with the inner and leaf counts")
+        self.offsets = _readonly(np.append(0, ends + 1))
+        tree = np.repeat(np.arange(n_cut), np.diff(self.offsets))
+        ok = (feature >= -1) & (feature < self.n_features)
+        # read the bounds only where the row and the feature exist
+        f, r = np.clip(feature[inner], 0, self.n_features - 1), np.clip(split_rows, 0, n_rows - 1)
+        low, high = rows[r[:, 0], f], rows[r[:, 1], f]
+        ok[inner] &= ((0 <= split_rows) & (split_rows < n_rows)).all(axis=1) & (low < high)
+        ok[~inner] &= (0 <= leaf_size) & (leaf_size <= self.psi[tree[~inner] // n_trees])
+        if not ok.all():
+            t = int(tree[np.argmin(ok)])
+            raise InvalidForest(f"tree {t % n_trees} of model {t // n_trees} "
+                                "is not a valid isolation tree")
         for name, value, dtype in (("feature", feature, np.int32),
-                                   ("threshold", threshold, np.float64),
-                                   ("split_rows", split_rows, np.int64), ("psi", psi, np.int64),
+                                   ("split_rows", split_rows, np.int64),
                                    ("leaf_size", leaf_size, np.int32)):
             setattr(self, name, _readonly(np.asarray(value, dtype=dtype)))
-        self.offsets = _readonly(np.append(0, tree_ends(self.feature) + 1))
-        self.n_trees, self.n_models = spec.n_trees, self.psi.shape[0]
-        self.n_features = int(n_features)
+        start, index = self.offsets[tree], np.arange(n_nodes)
+        at = index[inner]
+        model, t = np.divmod(tree[at], n_trees)
+        words = philox_block(np.asarray(keys, dtype=np.uint64)[model], t, at - start[at], 0)
+        self.threshold = _readonly(_split_thresholds(low, high, words))
         # c(m) of every subsample and leaf size that occurs, and of no other m
         c_table = np.zeros(int(self.psi.max()) + 1)
         m = np.flatnonzero(np.bincount(np.append(self.psi, self.leaf_size),
                                        minlength=c_table.shape[0]))
         c_table[m] = [average_path_length(v) for v in m]
         self._c_psi = c_table[self.psi]
-        inner = self.feature >= 0
-        start = np.repeat(self.offsets[:-1], np.diff(self.offsets))
-        index = np.arange(self.feature.shape[0])
         # kernel tables: node -> left child + (x[feature] >= threshold), with
         # leaves sent back to themselves by an infinite threshold
         rank = np.cumsum(inner) - inner  # inner nodes before each node
@@ -328,12 +351,18 @@ class ForestPlan:
         # intp, so that the per-level index add needs no cast; with int32
         # tables, threads sharing the kernel gained nothing
         self._feature = np.where(inner, self.feature, 0).astype(np.intp)
-        # level pass from the roots; it ends because every child sits
-        # after its parent
-        depth, level, self._levels = np.zeros(index.shape[0], dtype=np.int64), self.offsets[:-1], 0
+        # level pass from the roots: it ends because every child sits after
+        # its parent, or at the first level below a tree's cap
+        cap = spec.depth_caps(self.psi)
+        depth, level, self._levels = np.zeros(n_nodes, dtype=np.int64), self.offsets[:-1], 0
         while (level := level[inner[level]]).size:
             self._levels += 1
             level = np.concatenate([self._next[level], self._next[level] + 1])
+            deep = tree[level][self._levels > cap[tree[level] // n_trees]]
+            if deep.size:
+                t = int(deep.min())
+                raise InvalidForest(f"tree {t % n_trees} of model {t // n_trees} "
+                                    "is deeper than its cap")
             depth[level] = self._levels
         self._path = depth.astype(np.float64)  # walks end on leaves: inner ones are not read
         self._path[~inner] += c_table[self.leaf_size]
@@ -566,35 +595,34 @@ def _check_batch(scorer, X):
             f"scorer expects {scorer.n_features} features, got {X.n_cols}")
 
 
-def fit_plan(spec, rows, counts, seed, streams):
+def fit_plan(spec, rows, counts, seed, streams, trees=None):
     """Fit the models of a resampling plan on one shared row matrix.
 
-    Model b trains on row j of ``rows`` repeated ``counts[b, j]`` times.
-    k-NN models share a KnnPlan; the forests of all models grow together
-    into one ForestPlan, model b from the key ``split_seed(seed, streams[b])``,
-    so model b equals a one-model plan on its expanded rows with that key.
+    Model b trains on row j of ``rows`` repeated ``counts[b, j]`` times, and
+    every model needs 2 rows, a k-NN model more than k.  k-NN models share a
+    KnnPlan; the forests of all models grow together into one ForestPlan,
+    model b from the key ``split_seed(seed, streams[b])``, so model b equals
+    a one-model plan on its expanded rows with that key.  ``trees``, the
+    (feature, split rows, leaf sizes) node arrays of a saved forest, stand
+    in for growing: the snapshot loader builds its plan here, through the
+    same checks and the same ForestPlan constructor as the fit.
     """
-    forest = spec.kind == "isolation_forest"
-    return _fit(spec, rows, counts, forest_keys(seed, streams) if forest else None)
-
-
-def forest_keys(seed, streams):
-    """The Philox key of each model of a forest plan, from its seed stream."""
-    return [split_seed(seed, s) for s in streams]
-
-
-def _fit(spec, rows, counts, keys):
-    smallest = int(counts.sum(axis=1).min())
+    sizes = counts.sum(axis=1, dtype=np.int64)
+    smallest = int(sizes.min())
     if smallest < 2:
         raise EmptyTrainingSet("training requires at least 2 rows")
     if spec.kind == "knn_distance":
         if spec.k >= smallest:
             raise KTooLarge(f"k={spec.k} needs more than {smallest} training rows")
         return KnnPlan(spec, rows, counts)
-    if spec.kind == "isolation_forest":
-        return _fit_forests(spec, rows, counts, keys)
-    raise InvalidHyperparameter(
-        "external scorers are wrapped with wrap_detached, not fitted")
+    if spec.kind != "isolation_forest":
+        raise InvalidHyperparameter(
+            "external scorers are wrapped with wrap_detached, not fitted")
+    keys = np.array([split_seed(seed, s) for s in streams], dtype=np.uint64)
+    psi = np.minimum(spec.subsample_size, sizes)
+    if trees is None:
+        trees = _grow_forests(spec, rows, counts, keys, psi)
+    return ForestPlan(spec, rows, keys, psi, *trees)
 
 
 def score_plan(scorer, X, mask=None):

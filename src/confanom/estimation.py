@@ -171,7 +171,8 @@ class AdjustmentTable:
     def __post_init__(self):
         adj = _readonly(np.asarray(self.adjusted, dtype=np.float64))
         if adj.shape != (self.n + 1,):
-            raise ShapeMismatch("adjusted must have length n + 1")
+            raise ShapeMismatch(
+                f"adjusted must have length n + 1 = {self.n + 1}, got shape {adj.shape}")
         r = np.arange(1, self.n + 2)
         if (np.diff(adj) < 0).any():
             raise InvalidHyperparameter("adjusted values must be nondecreasing")

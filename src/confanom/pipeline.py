@@ -23,6 +23,7 @@ from .core import (
     PValueVector,
     ScoreVector,
     check_seed,
+    philox_uniform,
     split_seed,
 )
 from .detectors import ScorerSpec
@@ -218,15 +219,15 @@ def stream_p_values(fp: FittedPipeline, X, seed=None, start=0) -> PValueVector:
     """One smoothed p-value per stream step, drawn from a counter-based stream.
 
     The row at stream step t, counting from ``start`` for the first row of
-    ``X``, smooths with the first double of counter block t of a Philox
-    stream keyed by the base seed (``seed``, or a child of the pipeline
-    seed when None): the first draw of
-    ``Generator(Philox(key=base, counter=t))``, taken as 1 - u so that it
-    lies in (0, 1].  Draws depend only on (base seed, t), so a stream fed
-    row by row, or in pieces, each piece passing the step of its first row
-    as ``start``, gets exactly the values of one batch call.  Only empirical
-    estimation is smoothed; conditional and probabilistic regimes pass
-    through unchanged.  Weighted pipelines are refused: a density ratio
+    ``X``, smooths with the first double of counter block t of a Philox stream
+    keyed by the base seed (``seed``, or a child of the pipeline seed when
+    None): the first word of ``Philox(key=base, counter=t)``, made a double by
+    ``core.philox_uniform`` as ``Generator.random`` makes it, taken as 1 - u
+    so that it lies in (0, 1].  Draws depend only on (base seed, t), so a
+    stream fed row by row, or in pieces, each piece passing the step of its
+    first row as ``start``, gets exactly the values of one batch call.  Only
+    empirical estimation is smoothed; conditional and probabilistic regimes
+    pass through unchanged.  Weighted pipelines are refused: a density ratio
     against a one-point target batch is not meaningful.
 
     Every step is ranked against the same calibration set, so the values
@@ -250,9 +251,9 @@ def stream_p_values(fp: FittedPipeline, X, seed=None, start=0) -> PValueVector:
     ge, gt = resampling.paired_rank_counts(cm, resampling.test_score_matrix(cm, X))
     base = (split_seed(fp.config.seed, _SMOOTH_STREAM)
             if seed is None else check_seed(seed))
-    # a Philox block is four 64-bit words and a double takes one word
-    bits = np.random.Philox(key=base, counter=int(start))
-    u = 1.0 - np.random.Generator(bits).random(4 * X.n_rows)[::4]
+    # a Philox block is four 64-bit words and a double takes its first word
+    words = np.random.Philox(key=base, counter=int(start)).random_raw(4 * X.n_rows)[::4]
+    u = 1.0 - philox_uniform(words)
     return estimation._rank_p_values(ge, gt, cm.n_entries, u)
 
 

@@ -36,28 +36,30 @@ plans as the saving one did).  Plans above ``MAX_PLAN_MODELS`` models or
 at save and at load, so a pipeline above them can be fitted but not saved.
 Isolation forests add their trees, model by model and tree by tree, by
 level-order shape: ``trees/feature`` per node (-1 for a leaf),
-``trees/split_rows`` per inner node and ``trees/leaf_size`` per leaf; a
-tree's r-th inner node has children 2r + 1 and 2r + 2.  Features are stored
-as the narrowest of int8, int16 and int32 that holds their values, and leaf
-sizes as the narrowest of uint8, uint16 and uint32; the loader refuses any
-other width, so a pipeline has one encoding.  No thresholds are stored: an
-inner node's split rows are the two calibration rows whose values on its
-feature bound its range, stored in the narrowest of uint8, uint16 and
-uint32 that holds every row index, and the loader draws the threshold
-between them again with ``detectors.rebuilt_thresholds``, from the kept
-plan's model keys, the tree and the node, as the fit drew it.  No tree
-offsets are stored: a tree of r inner nodes has 1 + 2r nodes, so a running
-sum of +1 per inner node and -1 per leaf reaches a new minimum exactly
-where a tree ends, and the node array must cut into models x ``n_trees``
-whole trees.  A calibration-conditional pipeline adds ``table/adjusted``,
-its n_entries + 1 adjusted p-values.  The file digest only detects damage:
-anyone can recompute it, so every array is checked for dtype, shape, range
-and depth before anything is built from it, and a file is refused if a
-conditional configuration has no table, a table has the wrong length, or an
-array (a table under another regime, say) belongs to no part of the
-configuration.  Files of earlier formats (9 stored the payload raw, 8 also
-the thresholds, 7 also tree features and leaf sizes as int32 and the tree
-offsets, 6 the plan itself) are refused by their version.
+``trees/split_rows`` per inner node and ``trees/leaf_size`` per leaf.
+Features are stored as the narrowest of int8, int16 and int32 that holds
+their values, leaf sizes as the narrowest of uint8, uint16 and uint32, and
+split rows (the two calibration rows whose values on an inner node's
+feature bound its range) as the narrowest of uint8, uint16 and uint32 that
+holds every row index; the loader refuses any other width, so a pipeline
+has one encoding.  No thresholds and no tree offsets are stored: the loader
+hands the three arrays to ``detectors.fit_plan``, whose ``ForestPlan``
+constructor cuts them into trees, checks every tree and draws its
+thresholds again, as it does for a fitted forest.  A calibration-conditional
+pipeline adds ``table/adjusted``, its n_entries + 1 adjusted p-values.
+
+The file digest only detects damage: anyone can recompute it.  This module
+checks the container: magic, version, digest, the deflate bounds, the array
+index (every name a string, every dtype a string in numpy's own spelling,
+every shape entry a JSON integer), each array's dtype and rank, finite rows
+and scores, the plan bound and digest, and that every array belongs to the
+configuration (a table under another regime does not).  What is built from
+the arrays checks its own input: ``fit_plan`` a model's training rows and
+k, ``ForestPlan`` its trees, ``AdjustmentTable`` its length and
+``CalibrationModel`` its score count.
+Files of earlier formats (9 stored the payload raw, 8 also the thresholds,
+7 also tree features and leaf sizes as int32 and the tree offsets, 6 the
+plan itself) are refused by their version.
 
 Only built-in detectors can be saved: an external scorer is an opaque
 callable and an oracle weighting carries a user function, neither of
@@ -76,7 +78,7 @@ import numpy as np
 
 from ._version import __version__
 from .core import ConfanomError, SnapshotError
-from .detectors import ForestPlan, KnnPlan, ScorerSpec, forest_keys, rebuilt_thresholds, tree_ends
+from .detectors import ForestPlan, ScorerSpec, fit_plan
 from .estimation import AdjustmentTable, EstimationSpec
 from .pipeline import FittedPipeline, PipelineConfig
 from .resampling import CalibrationModel, StrategySpec, kept_plan, plan_models, strategy_plan
@@ -211,12 +213,14 @@ class _Arrays:
     def __init__(self, index, stored):
         entries = {}
         for entry in index:
-            name = entry["name"]
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(int(v) for v in entry["shape"])
-            if name in entries or dtype.kind not in "iuf" or min(shape, default=0) < 0:
+            name, dtype, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
+            # one index per array: shape entries are JSON integers, names are
+            # strings, dtypes strings in numpy's spelling ("<f8", not "f8")
+            if (type(name) is not str or type(dtype) is not str or name in entries
+                    or any(type(v) is not int or v < 0 for v in shape)
+                    or np.dtype(dtype).str != dtype or np.dtype(dtype).kind not in "iuf"):
                 raise SnapshotError(f"snapshot array {name!r} is malformed")
-            entries[name] = dtype, shape
+            entries[name] = np.dtype(dtype), shape
         sizes = [dtype.itemsize * math.prod(shape) for dtype, shape in entries.values()]
         payload = _inflate(stored, sum(sizes))
         self.arrays, self.used, offset = {}, set(), 0
@@ -242,56 +246,6 @@ def _expect(ok, what):
         raise SnapshotError(f"malformed snapshot: {what}")
 
 
-def _load_forests(arrays, spec, sizes, rows, keys):
-    """Rebuild the forest plan after cutting the node array into trees with
-    ``detectors.tree_ends``; the cut must give models x ``n_trees`` whole
-    trees.  Before the end of its tree the running sum is at least 0, so
-    the r-th inner node sits at a position of at most 2r: every node but the
-    root has one parent, the inner node with children 2r + 1 and 2r + 2,
-    which comes before it.  Features index real columns, split rows index
-    calibration rows whose values on the feature rise from the first to the
-    second, leaf sizes index the model's c(m) table and no tree is deeper
-    than its model's cap.  Only then are the thresholds drawn again.  Tree
-    count and subsample sizes follow from the spec."""
-    n_trees, psi = spec.n_trees, np.minimum(spec.subsample_size, sizes)
-    n_rows, n_features = rows.shape
-    feature = arrays.get("trees/feature", _SIGNED, 1)
-    split_rows = arrays.get("trees/split_rows", _row_dtype(n_rows), 2)
-    leaf_size = arrays.get("trees/leaf_size", _UNSIGNED, 1)
-    n_nodes = feature.shape[0]
-    n_cut, inner = sizes.shape[0] * n_trees, feature >= 0
-    ends = tree_ends(feature)
-    whole = ends.size > 0 and ends[-1] == n_nodes - 1
-    _expect(whole and ends.size == n_cut,
-            f"the tree nodes cut into {ends.size} whole trees"
-            f"{'' if whole or not n_nodes else ' and part of one'}, not "
-            f"{sizes.shape[0]} models x {n_trees}")
-    offsets = np.append(0, ends + 1)
-    root, stop = offsets[:-1], offsets[1:]
-    before = np.append(0, np.cumsum(inner))  # inner nodes before each position
-    _expect(split_rows.shape == (before[-1], 2) and leaf_size.shape == (n_nodes - before[-1],),
-            "split rows or leaf sizes disagree with the inner and leaf counts")
-    tree = np.repeat(np.arange(n_cut), np.diff(offsets))
-    ok = (feature >= -1) & (feature < n_features)
-    # read the bounds only where the row and the feature exist
-    f, r = np.clip(feature[inner], 0, n_features - 1), np.minimum(split_rows, n_rows - 1)
-    low, high = rows[r[:, 0], f], rows[r[:, 1], f]
-    ok[inner] &= (split_rows[:, 0] < n_rows) & (split_rows[:, 1] < n_rows) & (low < high)
-    ok[~inner] &= leaf_size <= psi[tree[~inner] // n_trees]
-    t = int(tree[np.argmin(ok)])  # the first failing tree, if any
-    _expect(ok.all(), f"tree {t % n_trees} of model {t // n_trees} is not a valid isolation tree")
-    # levels 0 to k of a tree end where the children of their inner nodes end
-    cap, end, level = np.repeat(spec.depth_caps(psi), n_trees), root + 1, 0
-    while level < cap.max() and (end < stop).any():
-        level += 1
-        end = np.where(level <= cap, root + 1 + 2 * (before[end] - before[root]), end)
-    t = int(np.argmax(end < stop))
-    _expect(end[t] == stop[t], f"tree {t % n_trees} of model {t // n_trees} is deeper than its cap")
-    at = np.flatnonzero(inner)
-    threshold = rebuilt_thresholds(keys, n_trees, tree[at], at - root[tree[at]], low, high)
-    return ForestPlan(spec, feature, threshold, split_rows, leaf_size, psi, n_features)
-
-
 def _load_calibration(arrays, config):
     """Rebuild the configured strategy's plan over the stored rows, check it
     against the stored digest, then build the calibration model."""
@@ -302,25 +256,21 @@ def _load_calibration(arrays, config):
     n_rows, n_features = rows.shape
     _expect(n_features >= 1 and np.isfinite(rows).all() and np.isfinite(entry_scores).all(),
             "featureless or non-finite calibration rows, or non-finite scores")
-    # an empty or too small row set fails in strategy_plan, and one score too
-    # many or too few in CalibrationModel
+    # an empty or too small row set fails in strategy_plan, small models or
+    # bad trees in fit_plan, and a wrong score count in CalibrationModel
     _check_plan_size(strategy, n_rows)
     plan = kept_plan(strategy_plan(strategy, n_rows, config.seed), strategy)
     _expect(digest.tobytes() == _plan_digest(plan),
             "the plan digest is not that of the plan the strategy and seed give over "
             "these rows (an edited strategy or seed, or other numpy random streams)")
-    counts = plan.train_counts
-    sizes = counts.sum(axis=1)
-    if spec.kind == "knn_distance":
-        _expect(sizes.min() > max(1, spec.k), "a k-NN model has too few training rows")
-        scorer = KnnPlan(spec, rows, counts)
-    else:
-        _expect(spec.kind == "isolation_forest" and sizes.min() >= 2,
-                "a forest model has too few training rows")
-        scorer = _load_forests(arrays, spec, sizes, rows, forest_keys(config.seed, plan.streams))
+    trees = None if spec.kind != "isolation_forest" else (
+        arrays.get("trees/feature", _SIGNED, 1),
+        arrays.get("trees/split_rows", _row_dtype(n_rows), 2),
+        arrays.get("trees/leaf_size", _UNSIGNED, 1))
+    scorer = fit_plan(spec, rows, plan.train_counts, config.seed, plan.streams, trees)
     return CalibrationModel(
         entry_scores=entry_scores, entry_rows=plan.entry_rows, oob=plan.oob, rows=rows,
-        train_counts=counts, scorer=scorer, strategy=strategy)
+        train_counts=plan.train_counts, scorer=scorer, strategy=strategy)
 
 
 def snapshot_load(path) -> FittedPipeline:
@@ -371,12 +321,8 @@ def snapshot_inspect(path):
         cm = _load_calibration(arrays, config)
         table, est = None, config.estimation
         if est.regime == "conditional_empirical":
-            adjusted = arrays.get("table/adjusted", "<f8", 1)
-            _expect(adjusted.shape == (cm.n_entries + 1,),
-                    f"an adjustment table of {adjusted.shape[0]} ranks for "
-                    f"{cm.n_entries} entries")
             table = AdjustmentTable(n=cm.n_entries, delta=est.delta, method=est.method,
-                                    adjusted=adjusted)
+                                    adjusted=arrays.get("table/adjusted", "<f8", 1))
         unused = sorted(set(arrays.arrays) - arrays.used)
         _expect(not unused, f"arrays {unused} do not belong to this configuration")
     except SnapshotError:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from confanom import detectors
 from confanom.core import (AmbiguousPolarity, DataMatrix, DimensionMismatch,
-                           EmptyTrainingSet, InvalidHyperparameter, KTooLarge,
+                           EmptyTrainingSet, InvalidForest, InvalidHyperparameter, KTooLarge,
                            make_rng, split_seed)
 from confanom.detectors import (ScorerSpec, average_path_length, fit_plan,
                                 score_plan, wrap_detached)
@@ -332,15 +332,83 @@ def test_forest_plan_follows_tree_law(case):
             chunked, _ = fit_forest_plan(spec, rows, counts, seed)
         for field in ("feature", "threshold", "split_rows", "leaf_size", "offsets"):
             np.testing.assert_array_equal(getattr(chunked, field), getattr(plan, field))
-    # the loader's rebuild draws the same thresholds, bit for bit, and the
-    # plan cuts its own node array into models x n_trees trees
-    at = np.flatnonzero(plan.feature >= 0)
-    tree, f = np.searchsorted(plan.offsets, at, side="right") - 1, plan.feature[at]
-    rebuilt = detectors.rebuilt_thresholds(
-        detectors.forest_keys(seed, streams), spec.n_trees, tree, at - plan.offsets[tree],
-        rows[plan.split_rows[:, 0], f], rows[plan.split_rows[:, 1], f])
-    assert rebuilt.view(np.uint64).tobytes() == plan.threshold.view(np.uint64).tobytes()
+    # the plan draws its thresholds again from its split rows; the tree law
+    # above holds them to the fit's draws and routes the subsample by them.
+    # The plan cuts its node array into models x n_trees trees
     assert plan.offsets.shape == (counts.shape[0] * spec.n_trees + 1,)
+
+
+class TestForestPlanChecks:
+    """ForestPlan checks the node arrays it is built from, whether a fit
+    grew them or a snapshot holds them, with the messages a load gives."""
+
+    SPEC = ScorerSpec(kind="isolation_forest", n_trees=4, subsample_size=16)
+
+    @pytest.fixture
+    def parts(self):
+        rows = gaussian_matrix(3, 40, d=3).values
+        counts = np.ones((2, 40), dtype=np.uint16)
+        counts[1, :10] = 0
+        plan, streams = fit_forest_plan(self.SPEC, rows, counts, 8)
+        keys = [split_seed(8, s) for s in streams]
+        arrays = {name: np.array(getattr(plan, name))
+                  for name in ("feature", "split_rows", "leaf_size")}
+        return plan, rows, keys, arrays
+
+    def build(self, rows, keys, psi, arrays, spec=SPEC):
+        return detectors.ForestPlan(spec, rows, keys, psi, arrays["feature"],
+                                    arrays["split_rows"], arrays["leaf_size"])
+
+    def test_fitted_arrays_rebuild_the_plan(self, parts):
+        plan, rows, keys, arrays = parts
+        rebuilt = self.build(rows, keys, plan.psi, arrays)
+        for name in ("feature", "split_rows", "leaf_size", "offsets", "psi"):
+            np.testing.assert_array_equal(getattr(rebuilt, name), getattr(plan, name))
+        assert rebuilt.threshold.tobytes() == plan.threshold.tobytes()
+
+    def test_part_of_a_tree_refused(self, parts):
+        plan, rows, keys, arrays = parts
+        cut = {"feature": arrays["feature"][:-1], "split_rows": arrays["split_rows"],
+               "leaf_size": arrays["leaf_size"][:-1]}
+        with pytest.raises(InvalidForest,
+                           match="cut into 7 whole trees and part of one, not 2 models x 4"):
+            self.build(rows, keys, plan.psi, cut)
+
+    @pytest.mark.parametrize("defect", ["feature", "equal", "reversed", "leaf"])
+    def test_bad_node_refused(self, parts, defect):
+        # tree 1's root, or its first leaf, made invalid
+        plan, rows, keys, arrays = parts
+        root = plan.offsets[1]
+        inner = int((arrays["feature"][:root] >= 0).sum())
+        low, high = arrays["split_rows"][inner]
+        if defect == "feature":
+            arrays["feature"][root] = 3
+        elif defect == "leaf":
+            leaf = root + int(np.argmax(arrays["feature"][root:] < 0))
+            arrays["leaf_size"][leaf - int((arrays["feature"][:leaf] >= 0).sum())] = 17
+        else:
+            arrays["split_rows"][inner] = {"equal": (high, high), "reversed": (high, low)}[defect]
+        with pytest.raises(InvalidForest,
+                           match="tree 1 of model 0 is not a valid isolation tree"):
+            self.build(rows, keys, plan.psi, arrays)
+
+    def test_chain_past_the_cap_refused(self, parts):
+        # one tree of psi = 16, whose cap is 4: a chain of depth 4 builds,
+        # one of depth 5 does not
+        _, rows, keys, _ = parts
+        spec = ScorerSpec(kind="isolation_forest", n_trees=1, subsample_size=16)
+        for depth in (4, 5):
+            feature = np.where(np.arange(2 * depth + 1) % 2 == 0, 0, -1)
+            feature[-1] = -1
+            chain = {"feature": feature,
+                     "split_rows": np.tile([rows[:, 0].argmin(), rows[:, 0].argmax()], (depth, 1)),
+                     "leaf_size": np.ones(depth + 1, dtype=np.int32)}
+            if depth == 4:
+                assert self.build(rows, keys[:1], [16], chain, spec)._levels == 4
+            else:
+                with pytest.raises(InvalidForest,
+                                   match="tree 0 of model 0 is deeper than its cap"):
+                    self.build(rows, keys[:1], [16], chain, spec)
 
 
 @settings(max_examples=60)
