@@ -181,9 +181,8 @@ def split_seed(seed, stream_id):
 def make_rng(seed):
     """Generator for the given seed. All package randomness goes through
     here, except two counter-based streams: the smoothing draws of
-    ``pipeline.stream_p_values``, which come from ``np.random.Philox``, and
-    the isolation-forest draws of ``detectors.fit_plan``, which come from
-    :func:`philox_block`."""
+    ``estimation._smoothing_draws`` and the isolation-forest draws of
+    ``detectors.fit_plan``, which come from :func:`philox_block`."""
     return np.random.default_rng(check_seed(seed))
 
 
@@ -392,9 +391,6 @@ class PValueVector:
         Number of calibration entries behind every value.
     weighting : str or None
         Weight model kind when weighted rank counts were used.
-    conformal : bool
-        False only for the probabilistic (KDE) regime, whose guarantee is
-        asymptotic rather than finite-sample.
     notes : tuple of str
         Warnings surfaced by the producing operation.
     """
@@ -404,7 +400,6 @@ class PValueVector:
     smoothed: bool
     calibration_size: int
     weighting: str | None = None
-    conformal: bool = True
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -437,6 +432,12 @@ class PValueVector:
 
     def __len__(self):
         return self.values.shape[0]
+
+    @property
+    def conformal(self) -> bool:
+        """False only for the probabilistic (KDE) regime, whose guarantee is
+        asymptotic rather than finite-sample."""
+        return self.estimation != "probabilistic"
 
 
 _PROCEDURES = ("bh", "weighted_bh", "fixed_threshold")

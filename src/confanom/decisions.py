@@ -16,10 +16,11 @@ from .core import (
     DecisionSet,
     EmptyInput,
     InvalidAlpha,
+    InvalidData,
+    InvalidLabel,
     NoAnomalies,
     PValueVector,
     ShapeMismatch,
-    check_finite,
 )
 
 WEIGHTED_BH_CAVEAT = (
@@ -37,7 +38,13 @@ def _p_array(pvals):
         raise ShapeMismatch("p-values must be 1-D")
     if values.shape[0] == 0:
         raise EmptyInput("no p-values to select from")
-    return check_finite(values, "p-value")
+    # NaN fails both comparisons
+    outside = ~((values >= 0.0) & (values <= 1.0))
+    if outside.any():
+        i = int(np.flatnonzero(outside)[0])
+        raise InvalidData(i, message=f"p-value at position {i} is {float(values[i])!r}; "
+                                     "p-values must lie in [0, 1]")
+    return values
 
 
 def _alpha(alpha):
@@ -101,6 +108,11 @@ def _flags_and_labels(labels, decisions):
         raise ShapeMismatch(
             f"labels have length {labels.shape[0]} but decisions have length {flags.shape[0]}"
         )
+    for name, v in (("label", labels), ("flag", flags)):
+        bad = (v != 0) & (v != 1)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise InvalidLabel(f"{name} at position {i} is {v[i]}; {name}s must be 0 or 1")
     return labels.astype(np.int64), flags.astype(np.int64)
 
 

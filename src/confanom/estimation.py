@@ -11,14 +11,12 @@ ties with a uniform draw U in (0, 1],
     p = (#{i : S_i > s_test} + U (#{i : S_i = s_test} + 1)) / (n + 1),
 
 and is exactly Uniform(0, 1) (Bates et al. 2023, "Testing for outliers with
-conformal p-values").  Both come from one helper that takes the two counts
-and the draws: batches draw U from ``make_rng``, streams from Philox counter
-blocks (``pipeline.stream_p_values``).  The conditional regime
-replaces the raw rank with a simultaneous upper-confidence-band adjustment so
-super-uniformity holds with probability at least 1 - delta over the draw of
-the calibration set itself. The probabilistic regime replaces rank counting
-with a Gaussian KDE tail mass; it produces arbitrarily small, off-grid
-p-values and is flagged non-conformal.
+conformal p-values"); ``_smoothing_draws`` makes every draw U.  The
+conditional regime replaces the raw rank with a simultaneous
+upper-confidence-band adjustment so super-uniformity holds with probability
+at least 1 - delta over the draw of the calibration set itself. The
+probabilistic regime replaces rank counting with a Gaussian KDE tail mass; it
+produces arbitrarily small, off-grid p-values and is flagged non-conformal.
 """
 
 from __future__ import annotations
@@ -35,10 +33,13 @@ from .core import (
     ShapeMismatch,
     TableMismatch,
     _readonly,
+    check_count,
     check_finite,
+    check_seed,
     make_rng,
+    philox_uniform,
 )
-from .resampling import aggregate_test_scores, paired_rank_counts
+from .resampling import _tail_counts, aggregate_test_scores, paired_rank_counts
 
 REGIMES = ("empirical", "conditional_empirical", "probabilistic")
 CONDITIONAL_METHODS = ("simes", "mc", "asymptotic")
@@ -117,42 +118,51 @@ def conformal_p_values(cal_scores, test_scores, smoothed=False, seed=None):
     cal = check_finite(np.asarray(cal_scores, dtype=np.float64).reshape(-1),
                        "calibration score")
     t = check_finite(np.asarray(test_scores, dtype=np.float64).reshape(-1), "test score")
-    n = cal.shape[0]
-    if n == 0:
+    if cal.shape[0] == 0:
         raise EmptyCalibration("no calibration scores")
-    cal_sorted = np.sort(cal)
-    ge = n - np.searchsorted(cal_sorted, t, side="left")
-    gt = n - np.searchsorted(cal_sorted, t, side="right")
-    return _rank_p_values(ge, gt, n, _draws(smoothed, seed, t.shape[0]))
+    ge, gt = _tail_counts(np.sort(cal), t)
+    return _rank_p_values(ge, gt, cal.shape[0], smoothed, seed)
 
 
 def empirical_p_value(cm, ts, smoothed=False, seed=None):
     """Empirical conformal p-values for test scores paired to a calibration
     model (plus-mode entries compare against the test score under the entry's
-    own models)."""
+    own models).  A smoothed batch is the stream that starts at step 0."""
+    return _stream_p_values(cm, ts, smoothed, seed, 0)
+
+
+def _stream_p_values(cm, ts, smoothed, seed, start):
+    """``empirical_p_value`` of test rows at stream steps start, start + 1, ..."""
     ge, gt = paired_rank_counts(cm, ts)
-    return _rank_p_values(ge, gt, cm.n_entries, _draws(smoothed, seed, ts.n_test))
+    return _rank_p_values(ge, gt, cm.n_entries, smoothed, seed, start)
 
 
-def _draws(smoothed, seed, m):
-    """None when unsmoothed, else m tie-breaking draws from ``make_rng(seed)``."""
-    if not smoothed:
-        return None
-    if seed is None:
-        raise InvalidHyperparameter("smoothed p-values require a seed")
-    # 1 - U lies in (0, 1], keeping the p-value strictly positive
-    return 1.0 - make_rng(seed).random(m)
-
-
-def _rank_p_values(ge, gt, n, u):
+def _rank_p_values(ge, gt, n, smoothed, seed, start=0):
     """Empirical p-values from each test point's counts of the n entries at
-    least as large (``ge``) and larger (``gt``): (ge + 1)/(n + 1) when ``u``
-    is None, else smoothed by the draws ``u`` in (0, 1]."""
-    if u is None:
+    least as large (``ge``) and larger (``gt``): (ge + 1)/(n + 1), or
+    smoothed by the draws of ``_smoothing_draws``."""
+    if not smoothed:
         return PValueVector((ge + 1) / (n + 1), estimation="empirical",
                             smoothed=False, calibration_size=n)
+    u = _smoothing_draws(seed, ge.shape[0], start)
     return PValueVector((gt + u * (ge - gt + 1)) / (n + 1), estimation="empirical",
                         smoothed=True, calibration_size=n)
+
+
+def _smoothing_draws(seed, m, start):
+    """Tie-breaking draws U in (0, 1] for m smoothed p-values: row i of a
+    batch, or stream step start + i, draws 1 - u with u the first double of
+    Philox counter block start + i keyed by ``seed`` (the first word of
+    ``Philox(key=seed, counter=start + i)``, made a double by
+    ``core.philox_uniform`` as ``Generator.random`` makes it).  A draw
+    depends only on (seed, step), so a batch is the stream that starts at
+    step 0, and a stream fed in pieces, each passing the step of its first
+    row as ``start``, gets exactly the values of one call."""
+    if seed is None:
+        raise InvalidHyperparameter("smoothed p-values require a seed")
+    # a Philox block is four 64-bit words and a double takes its first word
+    words = np.random.Philox(key=check_seed(seed), counter=start).random_raw(4 * m)[::4]
+    return 1.0 - philox_uniform(words)
 
 
 @dataclass(frozen=True)
@@ -270,9 +280,7 @@ def build_adjustment(n, delta, method, seed=None):
     the worst rank; 'simes' spends the delta budget across ranks
     proportionally to the rank via a union bound.
     """
-    n = int(n)
-    if n < 1:
-        raise InvalidHyperparameter("n must be at least 1")
+    n = check_count("n", n, 1)
     if not isinstance(delta, (int, float)) or isinstance(delta, bool) or not 0.0 < delta < 1.0:
         raise InvalidDelta(f"delta must be in (0, 1), got {delta!r}")
     if method == "asymptotic":
@@ -346,7 +354,7 @@ def probabilistic_p_value(cm, ts, bandwidth="silverman"):
         out[lo:hi] = special.ndtr(z).mean(axis=1)
     out = np.clip(out, PROBABILISTIC_FLOOR, 1.0)
     return PValueVector(out, estimation="probabilistic", smoothed=False,
-                        calibration_size=n, conformal=False)
+                        calibration_size=n)
 
 
 def conditional_validity_oracle(table, n_reps=1000, seed=1):
@@ -359,6 +367,7 @@ def conditional_validity_oracle(table, n_reps=1000, seed=1):
     frequency over draws estimates the band's joint violation probability
     and must stay near or below delta.
     """
+    n_reps = check_count("n_reps", n_reps, 1)
     rng = make_rng(seed)
     band = table.adjusted[: table.n]
     failures = 0

@@ -23,7 +23,6 @@ from .core import (
     PValueVector,
     ScoreVector,
     check_seed,
-    philox_uniform,
     split_seed,
 )
 from .detectors import ScorerSpec
@@ -179,15 +178,15 @@ def _p_values(fp: FittedPipeline, X: DataMatrix, ts: resampling.TestScores,
     cm = fp.calibration
     est = fp.config.estimation
     if est.regime == "empirical":
-        if est.smoothed:
-            smooth_seed = (split_seed(fp.config.seed, _SMOOTH_STREAM)
-                           if seed is None else check_seed(seed))
-            return estimation.empirical_p_value(cm, ts, smoothed=True,
-                                                seed=smooth_seed)
-        return estimation.empirical_p_value(cm, ts, smoothed=False)
+        return estimation.empirical_p_value(cm, ts, est.smoothed, _smoothing_seed(fp, seed))
     if est.regime == "conditional_empirical":
         return estimation.conditional_p_value(cm, ts, fp.table)
     return estimation.probabilistic_p_value(cm, ts, bandwidth=est.bandwidth)
+
+
+def _smoothing_seed(fp: FittedPipeline, seed):
+    """``seed``, or when None a child of the pipeline seed."""
+    return split_seed(fp.config.seed, _SMOOTH_STREAM) if seed is None else seed
 
 
 def _aggregated(fp: FittedPipeline, ts: resampling.TestScores) -> ScoreVector:
@@ -216,18 +215,13 @@ def score_and_p_values(fp: FittedPipeline, X, seed=None):
 
 
 def stream_p_values(fp: FittedPipeline, X, seed=None, start=0) -> PValueVector:
-    """One smoothed p-value per stream step, drawn from a counter-based stream.
+    """One p-value per stream step, row i of ``X`` being step ``start + i``.
 
-    The row at stream step t, counting from ``start`` for the first row of
-    ``X``, smooths with the first double of counter block t of a Philox stream
-    keyed by the base seed (``seed``, or a child of the pipeline seed when
-    None): the first word of ``Philox(key=base, counter=t)``, made a double by
-    ``core.philox_uniform`` as ``Generator.random`` makes it, taken as 1 - u
-    so that it lies in (0, 1].  Draws depend only on (base seed, t), so a
-    stream fed row by row, or in pieces, each piece passing the step of its
-    first row as ``start``, gets exactly the values of one batch call.  Only
-    empirical estimation is smoothed; conditional and probabilistic regimes
-    pass through unchanged.  Weighted pipelines are refused: a density ratio
+    Empirical values are always smoothed, by ``estimation._smoothing_draws``:
+    a smoothed ``compute_p_values`` batch is the stream from step 0, and a
+    feed in pieces, each passing the step of its first row as ``start``,
+    gets the values of one call.  Conditional and probabilistic regimes pass
+    through unchanged.  Weighted pipelines are refused: a density ratio
     against a one-point target batch is not meaningful.
 
     Every step is ranked against the same calibration set, so the values
@@ -243,18 +237,11 @@ def stream_p_values(fp: FittedPipeline, X, seed=None, start=0) -> PValueVector:
     if (isinstance(start, bool) or not isinstance(start, (int, np.integer))
             or not 0 <= start < MAX_SEED):
         raise InvalidHyperparameter(f"start must be a nonnegative 64-bit integer, got {start!r}")
-    X = _as_matrix(X)
-    est = fp.config.estimation
-    if est.regime != "empirical":
-        return compute_p_values(fp, X)
-    cm = fp.calibration
-    ge, gt = resampling.paired_rank_counts(cm, resampling.test_score_matrix(cm, X))
-    base = (split_seed(fp.config.seed, _SMOOTH_STREAM)
-            if seed is None else check_seed(seed))
-    # a Philox block is four 64-bit words and a double takes its first word
-    words = np.random.Philox(key=base, counter=int(start)).random_raw(4 * X.n_rows)[::4]
-    u = 1.0 - philox_uniform(words)
-    return estimation._rank_p_values(ge, gt, cm.n_entries, u)
+    X, ts = _test_scores(fp, X)
+    if fp.config.estimation.regime != "empirical":
+        return _p_values(fp, X, ts, seed)
+    return estimation._stream_p_values(fp.calibration, ts, True, _smoothing_seed(fp, seed),
+                                       int(start))
 
 
 def select(fp: FittedPipeline, X, alpha, seed=None) -> decisions.DecisionSet:

@@ -118,6 +118,17 @@ class TestPValueVector:
             PValueVector(np.array([0.3]), estimation="empirical",
                          smoothed=False, calibration_size=10)
 
+    @pytest.mark.parametrize("tag, conformal", [("empirical", True),
+                                                ("conditional_empirical", True),
+                                                ("probabilistic", False)])
+    def test_conformal_follows_estimation_tag(self, tag, conformal):
+        p = PValueVector(np.array([1.0]), estimation=tag, smoothed=False, calibration_size=10)
+        assert p.conformal is conformal
+        # the flag is derived, so it cannot contradict the tag
+        with pytest.raises(TypeError):
+            PValueVector(np.array([1.0]), estimation=tag, smoothed=False,
+                         calibration_size=10, conformal=not conformal)
+
     def test_grid_invariant_skipped_when_smoothed(self):
         PValueVector(np.array([0.3]), estimation="empirical",
                      smoothed=True, calibration_size=10)

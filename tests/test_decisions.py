@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from confanom.core import (EmptyInput, InvalidAlpha, InvalidData, NoAnomalies,
-                           PValueVector, ShapeMismatch, make_rng)
+from confanom.core import (EmptyInput, InvalidAlpha, InvalidData, InvalidLabel,
+                           NoAnomalies, PValueVector, ShapeMismatch, make_rng)
 from confanom.decisions import (WEIGHTED_BH_CAVEAT, benjamini_hochberg,
                                 false_discovery_rate, fixed_threshold,
                                 statistical_power)
@@ -105,6 +105,16 @@ class TestBenjaminiHochberg:
         with pytest.raises(InvalidData, match="position 1"):
             benjamini_hochberg([0.01, np.inf], 0.1)
 
+    @pytest.mark.parametrize("procedure, pvals, position", [
+        (benjamini_hochberg, [0.01, 2.0], 1),
+        (fixed_threshold, [-3.0, 7.0], 0),
+        (benjamini_hochberg, [-1.0, 0.5], 0),
+    ])
+    def test_out_of_range_refused(self, procedure, pvals, position):
+        with pytest.raises(InvalidData, match=f"p-value at position {position}") as err:
+            procedure(pvals, 0.1)
+        assert err.value.row == position
+
     def test_fdr_controlled_under_null(self):
         # all-null uniform p-values: expected FDR is at most alpha
         rng = make_rng(3)
@@ -179,6 +189,17 @@ class TestMetrics:
         assert false_discovery_rate(np.array([1, 0]), d) == 0.0
         assert statistical_power(np.array([1, 0]), d) == 1.0
 
+    def test_flag_outside_binary_refused(self):
+        # a flag of 5 on the inlier must not read as no discovery
+        with pytest.raises(InvalidLabel, match="flag at position 0"):
+            false_discovery_rate([0, 1], [5, 0])
+
+    @pytest.mark.parametrize("label", [2, 0.5, np.nan])
+    @pytest.mark.parametrize("metric", [false_discovery_rate, statistical_power])
+    def test_label_outside_binary_refused(self, metric, label):
+        with pytest.raises(InvalidLabel, match="label at position 1"):
+            metric(np.array([1, label, 0]), np.array([1, 0, 0]))
+
 
 @given(st.lists(st.one_of(st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.5, 1.0]),
                           st.floats(0.0, 1.0)), min_size=1, max_size=60),
@@ -190,3 +211,4 @@ def test_bh_flags_monotone_in_alpha(p, a, b):
     flags_lo = benjamini_hochberg(p, lo).flags.astype(bool)
     flags_hi = benjamini_hochberg(p, hi).flags.astype(bool)
     assert not (flags_lo & ~flags_hi).any()
+

@@ -178,6 +178,17 @@ class TestBuildAdjustment:
             r = np.arange(1, 102)
             assert (table.adjusted >= r / 101 - 1e-12).all()
 
+    @pytest.mark.parametrize("n", [2.7, "3", True])
+    def test_count_refuses_non_integers(self, n):
+        # 2.7 once built a table for 2
+        with pytest.raises(InvalidHyperparameter, match="n must be an integer"):
+            build_adjustment(n, 0.1, "asymptotic")
+
+    @pytest.mark.parametrize("n_reps", [0, -1, 2.5])
+    def test_oracle_refuses_bad_repetition_counts(self, n_reps):
+        with pytest.raises(InvalidHyperparameter, match="n_reps"):
+            conditional_validity_oracle(build_adjustment(10, 0.1, "asymptotic"), n_reps=n_reps)
+
     def test_delta_validated(self):
         with pytest.raises(InvalidDelta):
             build_adjustment(10, 0.0, "asymptotic")
@@ -265,6 +276,7 @@ class TestProbabilistic:
         scorer, cm = identity_calibration(scores)
         ts = score_matrix(cm, gaussian_matrix(13, 4, d=1))
         assert not probabilistic_p_value(cm, ts).conformal
+        assert empirical_p_value(cm, ts).conformal
 
     def test_can_undershoot_conformal_floor(self):
         # continuous tail mass is not clamped to 1/(n+1)
@@ -279,7 +291,7 @@ class TestProbabilistic:
         scorer, cm = identity_calibration(scores)
         ts = score_matrix(cm, DataMatrix(np.array([[1.0], [2.0]])))
         p = probabilistic_p_value(cm, ts)
-        assert p.estimation == "empirical"
+        assert p.estimation == "empirical" and p.conformal
         assert p.notes and "degenerate" in p.notes[0]
         np.testing.assert_array_equal(p.values, [11 / 11, 1 / 11])
 

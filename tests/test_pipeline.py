@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confanom import resampling
 from confanom.core import (InvalidAlpha, InvalidHyperparameter, InvalidSpec,
@@ -9,7 +10,8 @@ from confanom.estimation import EstimationSpec
 from confanom.pipeline import (FittedPipeline, PipelineConfig, compute_p_values,
                                fit, fit_detached, score_samples, select,
                                stream_p_values)
-from confanom.resampling import cross_validation, jackknife, split
+from confanom.resampling import (cross_validation, jackknife, jackknife_bootstrap,
+                                  split)
 
 from conftest import gaussian_matrix, labeled_batch
 
@@ -241,6 +243,33 @@ class TestStreamPValues:
         for cut in range(1, stream.n_rows):
             head = stream_p_values(fp, stream.values[:cut], seed=7, start=3)
             tail = stream_p_values(fp, stream.values[cut:], seed=7, start=3 + cut)
+            np.testing.assert_array_equal(np.concatenate([head.values, tail.values]), batch)
+
+    @pytest.mark.parametrize("scorer", [
+        KNN, ScorerSpec(kind="isolation_forest", n_trees=8, subsample_size=16)],
+        ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("strategy", [
+        SPLIT, cross_validation(k=3, mode="plus"), cross_validation(k=3, mode="single_model"),
+        jackknife(mode="plus"), jackknife(mode="single_model"),
+        jackknife_bootstrap(n_bootstraps=6, mode="plus"),
+        jackknife_bootstrap(n_bootstraps=6, mode="single_model")],
+        ids=lambda spec: spec.kind + (f"-{spec.mode}" if spec.mode else ""))
+    @settings(max_examples=10)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.data())
+    def test_batch_is_stream_from_step_zero(self, scorer, strategy, seed, m, data):
+        # a smoothed batch and a stream starting at step 0 draw the same
+        # tie-breakers, so they agree bit for bit, as does a two-piece feed
+        config = PipelineConfig(scorer=scorer, strategy=strategy, seed=seed,
+                                estimation=EstimationSpec(smoothed=True))
+        fp = fit(config, gaussian_matrix(seed % 1000, 24))
+        X = gaussian_matrix(seed % 1000 + 1, m)
+        cut = data.draw(st.integers(1, m - 1))
+        for smooth_seed in (None, data.draw(st.integers(0, 2**64 - 1))):
+            batch = compute_p_values(fp, X, seed=smooth_seed).values
+            np.testing.assert_array_equal(stream_p_values(fp, X, seed=smooth_seed).values,
+                                          batch)
+            head = stream_p_values(fp, X.values[:cut], seed=smooth_seed)
+            tail = stream_p_values(fp, X.values[cut:], seed=smooth_seed, start=cut)
             np.testing.assert_array_equal(np.concatenate([head.values, tail.values]), batch)
 
     def test_draws_are_counter_blocks(self):
