@@ -16,7 +16,7 @@ their own and are what the pipeline composes.
 from ._version import __version__
 from .core import (ConfanomError, ConfigError, DataMatrix, DecisionSet,
                    InvalidData, PValueVector, ScoreVector, SnapshotError,
-                   make_rng, split_seed, validate_matrix)
+                   make_rng, split_seed)
 from .decisions import (benjamini_hochberg, false_discovery_rate,
                         fixed_threshold, statistical_power)
 from .detectors import ScorerSpec
@@ -76,7 +76,6 @@ __all__ = [
     "split_seed",
     "statistical_power",
     "stream_p_values",
-    "validate_matrix",
     "weighted_p_values",
     "write_trajectory_csv",
 ]

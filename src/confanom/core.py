@@ -1,6 +1,13 @@
 """Shared data containers, input validation, seeded randomness, and the
 CSV writer.
 
+Every setting, matrix and snapshot header from outside goes through one
+checker per kind of input: :func:`check_count` (counts), :func:`check_seed`
+(seeds and stream steps), :func:`check_real` (reals) and
+:func:`check_finite` (arrays, as :class:`DataMatrix` checks every matrix).
+Counts, seeds and reals refuse bools, strings and non-finite values rather
+than coerce them; each caller keeps its own range check and exception type.
+
 Every container is immutable after construction and holds read-only numpy
 arrays, so values can be shared freely across threads and between pipeline
 stages. All randomness in the package flows through explicit integer seeds;
@@ -10,7 +17,9 @@ results never depend on iteration or scheduling order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,33 +133,56 @@ def _readonly(a):
 
 
 def check_finite(values, what):
-    """Return a 1-D array unchanged, or raise InvalidData naming the position
-    of its first NaN or infinite entry."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise InvalidData(i, message=f"non-finite {what} at position {i}: {values[i]!r}")
+    """Return an array unchanged, or raise InvalidData naming its first NaN
+    or infinite entry: its position in 1-D input, its row and column in 2-D."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        at = tuple(int(i) for i in np.argwhere(~finite)[0])
+        where = f"position {at[0]}" if len(at) == 1 else f"row {at[0]}, column {at[1]}"
+        raise InvalidData(*at, message=f"non-finite {what} at {where}: {values[at]!r}")
     return values
 
 
-def check_seed(seed):
-    """Validate and normalize a seed to a plain int in [0, 2**64)."""
+def check_seed(seed, name="seed"):
+    """Validate and normalize a seed, or a stream step ``name``, to a plain
+    int in [0, 2**64)."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise InvalidHyperparameter(f"seed must be an integer, got {type(seed).__name__}")
+        raise InvalidHyperparameter(f"{name} must be an integer, got {type(seed).__name__}")
     seed = int(seed)
     if not 0 <= seed < MAX_SEED:
-        raise InvalidHyperparameter("seed must be a 64-bit unsigned integer")
+        raise InvalidHyperparameter(f"{name} must be a 64-bit unsigned integer")
     return seed
 
 
-def check_count(name, value, least):
-    """Validate a count hyperparameter and normalize it to a plain int: like
-    seeds, counts refuse floats, strings and bools rather than truncating."""
+def check_count(name, value, least, error=InvalidHyperparameter):
+    """Validate a count and normalize it to a plain int: like seeds, counts
+    refuse floats, strings and bools rather than truncating.  ``error`` is
+    the exception the caller raises for the setting."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidHyperparameter(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     if value < least:
-        raise InvalidHyperparameter(f"{name} must be at least {least}, got {value}")
+        raise error(f"{name} must be at least {least}, got {value}")
     return int(value)
+
+
+def check_real(name, value, error):
+    """Validate a real-valued setting and normalize it to a float: bools,
+    strings, other non-numbers, NaN and infinities raise ``error``, the
+    caller's exception for the setting; the caller checks the range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+    return value
+
+
+def _check_alpha(alpha):
+    """A significance level in (0, 1), refused with InvalidAlpha."""
+    alpha = check_real("alpha", alpha, InvalidAlpha)
+    if not 0.0 < alpha < 1.0:
+        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+    return alpha
 
 
 def split_seed(seed, stream_id):
@@ -263,15 +295,19 @@ def philox_choice(key, tweak, sizes, counts, stream):
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """Dense numeric observation matrix with optional binary labels.
+    """Dense numeric observation matrix with optional binary labels, and the
+    one place a matrix from outside the package is checked: ragged,
+    non-numeric or featureless values and lengths that disagree raise
+    ShapeMismatch, values without rows EmptyInput, a NaN or infinite entry
+    InvalidData naming its row and column, a label not 0 or 1 InvalidLabel.
 
     Parameters
     ----------
-    values : ndarray of shape (n_rows, n_cols)
-        Finite float64 features, row per observation.
-    labels : ndarray of shape (n_rows,), optional
+    values : array-like of shape (n_rows, n_cols)
+        Features, row per observation, copied to a read-only float64 array.
+    labels : array-like of shape (n_rows,), optional
         0 for inliers, 1 for anomalies.
-    column_names : tuple of str, optional
+    column_names : sequence of str, optional
         One name per column.
     """
 
@@ -280,19 +316,17 @@ class DataMatrix:
     column_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.dtype == object:
-            raise ShapeMismatch("values must be a rectangular numeric array")
-        v = _readonly(v.astype(np.float64, copy=True))
+        try:
+            v = np.array(self.values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ShapeMismatch(f"values must be a rectangular numeric array: {exc}") from None
         if v.ndim != 2:
             raise ShapeMismatch(f"values must be 2-D, got {v.ndim}-D")
-        if v.shape[0] < 1 or v.shape[1] < 1:
-            raise ShapeMismatch("values must have at least one row and one column")
-        bad = ~np.isfinite(v)
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
-            raise InvalidData(r, c)
-        object.__setattr__(self, "values", v)
+        if v.shape[0] < 1:
+            raise EmptyInput("values must have at least one row")
+        if v.shape[1] < 1:
+            raise ShapeMismatch("values must have at least one column")
+        object.__setattr__(self, "values", _readonly(check_finite(v, "value")))
         if self.labels is not None:
             lab = np.asarray(self.labels)
             if lab.ndim != 1 or lab.shape[0] != v.shape[0]:
@@ -321,36 +355,6 @@ class DataMatrix:
         return self.values.shape[1]
 
 
-def validate_matrix(raw, labels=None, column_names=None):
-    """Validate raw numeric input into a :class:`DataMatrix`.
-
-    Parameters
-    ----------
-    raw : array-like of shape (n_rows, n_cols)
-        Rectangular numeric data.
-    labels : array-like of {0, 1}, optional
-    column_names : sequence of str, optional
-
-    Returns
-    -------
-    DataMatrix
-
-    Raises
-    ------
-    InvalidData
-        If any entry is NaN or infinite (reports row and column).
-    InvalidLabel
-        If a label is not 0 or 1.
-    ShapeMismatch
-        If the input is not 2-D rectangular or lengths disagree.
-    """
-    try:
-        arr = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ShapeMismatch(f"raw input is not a rectangular numeric array: {exc}") from None
-    return DataMatrix(arr, labels=labels, column_names=column_names)
-
-
 @dataclass(frozen=True)
 class ScoreVector:
     """Anomaly scores for a batch of observations.
@@ -365,10 +369,7 @@ class ScoreVector:
         s = _readonly(np.asarray(self.scores, dtype=np.float64))
         if s.ndim != 1:
             raise ShapeMismatch(f"scores must be 1-D, got {s.ndim}-D")
-        bad = ~np.isfinite(s)
-        if bad.any():
-            raise InvalidData(int(np.nonzero(bad)[0][0]))
-        object.__setattr__(self, "scores", s)
+        object.__setattr__(self, "scores", check_finite(s, "score"))
 
     def __len__(self):
         return self.scores.shape[0]
@@ -408,9 +409,7 @@ class PValueVector:
             raise ShapeMismatch("p-values must be 1-D")
         if self.estimation not in _ESTIMATION_TAGS:
             raise InvalidSpec(f"unknown estimation tag {self.estimation!r}")
-        n = int(self.calibration_size)
-        if n < 1:
-            raise EmptyCalibration("calibration_size must be positive")
+        n = check_count("calibration_size", self.calibration_size, 1, EmptyCalibration)
         outside = ~((v > 0.0) & (v <= 1.0))
         if outside.any():
             i = int(np.flatnonzero(outside)[0])
@@ -462,12 +461,10 @@ class DecisionSet:
         object.__setattr__(self, "flags", _readonly(f.astype(np.int64)))
         if self.procedure not in _PROCEDURES:
             raise InvalidSpec(f"unknown procedure {self.procedure!r}")
-        if not 0.0 < float(self.alpha) < 1.0:
-            raise InvalidAlpha(f"alpha must be in (0, 1), got {self.alpha}")
-        thr = float(self.rejection_threshold)
+        thr = check_real("rejection_threshold", self.rejection_threshold, InvalidSpec)
         if not 0.0 <= thr <= 1.0:
             raise InvalidSpec("rejection_threshold must be in [0, 1]")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         object.__setattr__(self, "rejection_threshold", thr)
         object.__setattr__(self, "notes", tuple(self.notes))
 

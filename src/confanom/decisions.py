@@ -15,12 +15,12 @@ import numpy as np
 from .core import (
     DecisionSet,
     EmptyInput,
-    InvalidAlpha,
     InvalidData,
     InvalidLabel,
     NoAnomalies,
     PValueVector,
     ShapeMismatch,
+    _check_alpha,
 )
 
 WEIGHTED_BH_CAVEAT = (
@@ -47,16 +47,6 @@ def _p_array(pvals):
     return values
 
 
-def _alpha(alpha):
-    try:
-        alpha = float(alpha)
-    except (TypeError, ValueError):
-        raise InvalidAlpha(f"alpha must be a real number, got {alpha!r}") from None
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
-    return alpha
-
-
 def benjamini_hochberg(pvals, alpha) -> DecisionSet:
     """Select anomalies with BH false-discovery-rate control at ``alpha``:
     the largest k with p_(k) <= k alpha / m, flagging every p <= p_(k).
@@ -70,7 +60,7 @@ def benjamini_hochberg(pvals, alpha) -> DecisionSet:
     Unit weights give the plain conformal p-values, so 'uniform' ones are
     tagged 'bh' with no note.
     """
-    alpha = _alpha(alpha)
+    alpha = _check_alpha(alpha)
     values = _p_array(pvals)
     m = values.shape[0]
     order = np.sort(values)
@@ -89,7 +79,7 @@ def benjamini_hochberg(pvals, alpha) -> DecisionSet:
 
 def fixed_threshold(pvals, alpha) -> DecisionSet:
     """Flag every point with p <= alpha (per-test level, no FDR control)."""
-    alpha = _alpha(alpha)
+    alpha = _check_alpha(alpha)
     values = _p_array(pvals)
     return DecisionSet(
         flags=(values <= alpha).astype(np.int64),

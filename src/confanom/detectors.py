@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AmbiguousPolarity, DataMatrix, DimensionMismatch, EmptyTrainingSet,
-                   InvalidData, InvalidForest, InvalidHyperparameter, KTooLarge, _readonly,
-                   check_count, philox_block, philox_choice, philox_uniform, split_seed)
+                   InvalidForest, InvalidHyperparameter, KTooLarge, _readonly, check_count,
+                   check_finite, philox_block, philox_choice, philox_uniform, split_seed)
 
 SCORER_KINDS = ("isolation_forest", "knn_distance", "external")
 POLARITIES = ("higher_is_anomalous", "lower_is_anomalous", "auto")
@@ -632,12 +632,7 @@ def score_plan(scorer, X, mask=None):
     names the cells the caller reads; forests score only those cells.
     """
     _check_batch(scorer, X)
-    values = scorer.score_raw(X.values, mask)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise InvalidData(row, col if values.shape[1] > 1 else None)
-    return values
+    return check_finite(scorer.score_raw(X.values, mask), "score")
 
 
 def wrap_detached(score_function, polarity):

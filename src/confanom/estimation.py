@@ -35,6 +35,7 @@ from .core import (
     _readonly,
     check_count,
     check_finite,
+    check_real,
     check_seed,
     make_rng,
     philox_uniform,
@@ -75,8 +76,7 @@ class EstimationSpec:
             if self.method not in CONDITIONAL_METHODS:
                 raise InvalidHyperparameter(
                     f"conditional estimation requires method in {CONDITIONAL_METHODS}")
-            if self.delta is None or not 0.0 < float(self.delta) < 1.0:
-                raise InvalidDelta("conditional estimation requires delta in (0, 1)")
+            object.__setattr__(self, "delta", _check_delta(self.delta))
             if self.smoothed:
                 raise InvalidHyperparameter("smoothing applies to the empirical regime only")
         else:
@@ -87,13 +87,29 @@ class EstimationSpec:
             if self.smoothed:
                 raise InvalidHyperparameter("smoothing applies to the empirical regime only")
             bw = self.bandwidth if self.bandwidth is not None else "silverman"
-            if bw != "silverman":
-                if not isinstance(bw, (int, float)) or isinstance(bw, bool) or bw <= 0:
-                    raise InvalidHyperparameter(
-                        "bandwidth must be positive or 'silverman'")
+            # checked but kept as given, so a saved header keeps its spelling
+            _check_bandwidth(bw)
             object.__setattr__(self, "bandwidth", bw)
         elif self.bandwidth is not None:
             raise InvalidHyperparameter("bandwidth applies to the probabilistic regime only")
+
+
+def _check_delta(delta):
+    """The conditional regime's delta, a real number in (0, 1)."""
+    delta = check_real("delta", delta, InvalidDelta)
+    if not 0.0 < delta < 1.0:
+        raise InvalidDelta(f"delta must be in (0, 1), got {delta!r}")
+    return delta
+
+
+def _check_bandwidth(bandwidth):
+    """A KDE bandwidth: 'silverman', or the positive real number returned."""
+    if isinstance(bandwidth, str) and bandwidth == "silverman":
+        return bandwidth
+    h = check_real("bandwidth", bandwidth, InvalidHyperparameter)
+    if h <= 0.0:
+        raise InvalidHyperparameter(f"bandwidth must be positive or 'silverman', got {h!r}")
+    return h
 
 
 def conformal_p_values(cal_scores, test_scores, smoothed=False, seed=None):
@@ -281,8 +297,7 @@ def build_adjustment(n, delta, method, seed=None):
     proportionally to the rank via a union bound.
     """
     n = check_count("n", n, 1)
-    if not isinstance(delta, (int, float)) or isinstance(delta, bool) or not 0.0 < delta < 1.0:
-        raise InvalidDelta(f"delta must be in (0, 1), got {delta!r}")
+    delta = _check_delta(delta)
     if method == "asymptotic":
         band = _band_asymptotic(n, delta)
     elif method == "simes":
@@ -294,7 +309,7 @@ def build_adjustment(n, delta, method, seed=None):
     r = np.arange(1, n + 1)
     band = np.maximum.accumulate(np.minimum(np.maximum(band, r / (n + 1.0)), 1.0))
     adjusted = np.append(band, 1.0)
-    return AdjustmentTable(n=n, delta=float(delta), method=method, adjusted=adjusted)
+    return AdjustmentTable(n=n, delta=delta, method=method, adjusted=adjusted)
 
 
 def conditional_p_value(cm, ts, table):
@@ -331,12 +346,9 @@ def probabilistic_p_value(cm, ts, bandwidth="silverman"):
     n = cm.n_entries
     if n < 2:
         raise EmptyCalibration("probabilistic estimation needs at least 2 entries")
-    if bandwidth == "silverman":
+    h = _check_bandwidth(bandwidth)
+    if h == "silverman":
         h = silverman_bandwidth(cm.entry_scores)
-    else:
-        if not isinstance(bandwidth, (int, float)) or isinstance(bandwidth, bool) or bandwidth <= 0:
-            raise InvalidHyperparameter("bandwidth must be positive or 'silverman'")
-        h = float(bandwidth)
     if not np.isfinite(h) or h <= 0.0:
         fallback = empirical_p_value(cm, ts, smoothed=False)
         return PValueVector(fallback.values, estimation="empirical", smoothed=False,

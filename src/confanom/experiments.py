@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import decisions, estimation, martingales, pipeline, resampling
-from .core import DataMatrix, InvalidSpec, check_seed, make_rng, split_seed
+from .core import (DataMatrix, InvalidSpec, _check_alpha, check_count, check_seed, make_rng,
+                   split_seed)
 from .detectors import ScorerSpec
 
 EXPERIMENT_NAMES = ("strategy_sweep", "conditional", "shift", "martingale_null")
@@ -96,7 +97,7 @@ def strategy_sweep(seed, n_trials=50, train_sizes=SWEEP_SIZES,
     is a k-nearest-neighbor score throughout, so differences between rows
     are attributable to the calibration strategy alone.
     """
-    seed = check_seed(seed)
+    seed, n_trials = check_seed(seed), check_count("n_trials", n_trials, 1)
     methods = (
         ("split", resampling.split(0.5)),
         ("cv_plus", resampling.cross_validation(10)),
@@ -105,7 +106,7 @@ def strategy_sweep(seed, n_trials=50, train_sizes=SWEEP_SIZES,
     scorer = ScorerSpec(kind="knn_distance")
     rows = []
     sums = {}
-    for trial in range(int(n_trials)):
+    for trial in range(n_trials):
         trial_seed = split_seed(seed, trial)
         rng = make_rng(split_seed(trial_seed, 0))
         test_X, labels = gaussian_batch(rng, 500, 50)
@@ -123,11 +124,10 @@ def strategy_sweep(seed, n_trials=50, train_sizes=SWEEP_SIZES,
                     acc = sums.setdefault(key, [0.0, 0.0])
                     acc[0] += fdr
                     acc[1] += power
-    n = int(n_trials)
     summary = {
-        "mean_fdr": {k: v[0] / n for k, v in sums.items()},
-        "mean_power": {k: v[1] / n for k, v in sums.items()},
-        "n_trials": n,
+        "mean_fdr": {k: v[0] / n_trials for k, v in sums.items()},
+        "mean_power": {k: v[1] / n_trials for k, v in sums.items()},
+        "n_trials": n_trials,
     }
     return ExperimentResult(
         name="strategy_sweep",
@@ -146,12 +146,13 @@ def conditional(seed, n_trials=20, delta=0.1, alpha=0.1,
     nothing else.  ``adjusted_never_below_marginal`` confirms the adjusted
     p-values dominate their marginal counterparts pointwise.
     """
-    seed = check_seed(seed)
+    seed, n_trials = check_seed(seed), check_count("n_trials", n_trials, 1)
+    delta, alpha = estimation._check_delta(delta), _check_alpha(alpha)
     scorer = ScorerSpec(kind="knn_distance")
     per_method = {m: {"fdr": [], "power": []} for m in ("marginal", *methods)}
     dominated = True
     rows = []
-    for trial in range(int(n_trials)):
+    for trial in range(n_trials):
         trial_seed = split_seed(seed, trial)
         rng = make_rng(split_seed(trial_seed, 0))
         train = DataMatrix(rng.normal(size=(2000, 8)))
@@ -189,9 +190,9 @@ def conditional(seed, n_trials=20, delta=0.1, alpha=0.1,
         "mean_fdr": {m: float(np.mean(v["fdr"])) for m, v in per_method.items()},
         "p90_fdr": p90,
         "adjusted_never_below_marginal": dominated,
-        "n_trials": int(n_trials),
-        "delta": float(delta),
-        "alpha": float(alpha),
+        "n_trials": n_trials,
+        "delta": delta,
+        "alpha": alpha,
     }
     return ExperimentResult(
         name="conditional",
@@ -209,12 +210,13 @@ def shift(seed, n_trials=100, alpha=0.1) -> ExperimentResult:
     understate how extreme the shifted inliers are.  Oracle weights use the
     true thinning function; logistic weights estimate it from covariates.
     """
-    seed = check_seed(seed)
+    seed, n_trials = check_seed(seed), check_count("n_trials", n_trials, 1)
+    alpha = _check_alpha(alpha)
     scorer = ScorerSpec(kind="knn_distance")
     methods = ("oracle", "logistic", "uniform")
     per_method = {m: {"fdr": [], "power": []} for m in methods}
     rows = []
-    for trial in range(int(n_trials)):
+    for trial in range(n_trials):
         trial_seed = split_seed(seed, trial)
         rng = make_rng(split_seed(trial_seed, 0))
         train = DataMatrix(_shift_inliers(rng, 2000))
@@ -225,13 +227,14 @@ def shift(seed, n_trials=100, alpha=0.1) -> ExperimentResult:
         labels = np.zeros(500, dtype=np.int64)
         labels[450:] = 1
         test = DataMatrix(test_X)
-        for m, method in enumerate(methods):
-            cfg = pipeline.PipelineConfig(
-                scorer=scorer, strategy=resampling.split(0.5),
-                seed=split_seed(trial_seed, 1),
-                weighting=method,
-                ratio_function=shift_oracle_ratio if method == "oracle" else None)
-            fp = pipeline.fit(cfg, train)
+        configs = [pipeline.PipelineConfig(
+            scorer=scorer, strategy=resampling.split(0.5), seed=split_seed(trial_seed, 1),
+            weighting=method, ratio_function=shift_oracle_ratio if method == "oracle" else None)
+            for method in methods]
+        # weighting enters only at p-value time, so one calibration serves every method
+        cm = pipeline.fit(configs[0], train).calibration
+        for method, cfg in zip(methods, configs):
+            fp = pipeline.FittedPipeline(config=cfg, calibration=cm)
             dec = pipeline.select(fp, test, alpha)
             fdr = decisions.false_discovery_rate(labels, dec)
             power = decisions.statistical_power(labels, dec)
@@ -241,8 +244,8 @@ def shift(seed, n_trials=100, alpha=0.1) -> ExperimentResult:
     summary = {
         "mean_fdr": {m: float(np.mean(v["fdr"])) for m, v in per_method.items()},
         "mean_power": {m: float(np.mean(v["power"])) for m, v in per_method.items()},
-        "n_trials": int(n_trials),
-        "alpha": float(alpha),
+        "n_trials": n_trials,
+        "alpha": alpha,
     }
     return ExperimentResult(
         name="shift",
@@ -257,9 +260,10 @@ def shift(seed, n_trials=100, alpha=0.1) -> ExperimentResult:
 def uniform_streams(seed, n_streams, length):
     """Null p-value streams: row i is drawn from child seed (seed, i), in (0, 1]."""
     seed = check_seed(seed)
-    out = np.empty((int(n_streams), int(length)))
-    for i in range(int(n_streams)):
-        out[i] = 1.0 - make_rng(split_seed(seed, i)).random(int(length))
+    n_streams, length = check_count("n_streams", n_streams, 1), check_count("length", length, 1)
+    out = np.empty((n_streams, length))
+    for i in range(n_streams):
+        out[i] = 1.0 - make_rng(split_seed(seed, i)).random(length)
     return out
 
 
@@ -271,7 +275,8 @@ def martingale_null(seed, n_streams=1000, length=500,
     streams whose running maximum ever reaches the threshold is at most
     1/threshold.
     """
-    seed = check_seed(seed)
+    alarms = martingales.AlarmConfig(ville_threshold=threshold)
+    threshold = alarms.ville_threshold
     p = uniform_streams(seed, n_streams, length)
     log_level = float(np.log(threshold))
     specs = (
@@ -279,7 +284,6 @@ def martingale_null(seed, n_streams=1000, length=500,
         ("simple_mixture", martingales.simple_mixture()),
         ("simple_jumper", martingales.simple_jumper()),
     )
-    alarms = martingales.AlarmConfig(ville_threshold=threshold)
     rows = []
     crossing = {}
     for name, spec in specs:
@@ -291,9 +295,9 @@ def martingale_null(seed, n_streams=1000, length=500,
             rows.append((name, i, float(max_log[i]), int(crossed[i])))
     summary = {
         "crossing_frequency": crossing,
-        "threshold": float(threshold),
-        "n_streams": int(n_streams),
-        "length": int(length),
+        "threshold": threshold,
+        "n_streams": p.shape[0],
+        "length": p.shape[1],
     }
     return ExperimentResult(
         name="martingale_null",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidData, InvalidSpec, _readonly, write_csv
+from .core import InvalidData, InvalidSpec, _readonly, check_real, write_csv
 
 MARTINGALE_KINDS = ("power", "simple_mixture", "simple_jumper")
 ALARM_KINDS = ("ville", "restarted_ville", "cusum", "sr")
@@ -72,7 +72,7 @@ class MartingaleSpec:
         if self.kind == "power":
             if self.epsilon is None:
                 raise InvalidSpec("power requires epsilon")
-            eps = float(self.epsilon)
+            eps = check_real("epsilon", self.epsilon, InvalidSpec)
             if not 0.0 < eps <= 1.0:
                 raise InvalidSpec(f"epsilon must be in (0, 1], got {self.epsilon}")
             object.__setattr__(self, "epsilon", eps)
@@ -83,14 +83,17 @@ class MartingaleSpec:
                          jumper_states=self.jumper_states, jump_rate=self.jump_rate)
         else:
             states = _DEFAULT_JUMPER_STATES if self.jumper_states is None else self.jumper_states
-            states = tuple(float(s) for s in states)
+            if not np.iterable(states):
+                raise InvalidSpec(f"jumper_states must be a sequence of numbers, got {states!r}")
+            states = tuple(check_real("jumper_states", s, InvalidSpec) for s in states)
             if not states:
                 raise InvalidSpec("jumper_states must be non-empty")
             if any(not -1.0 <= s <= 1.0 for s in states):
                 raise InvalidSpec("jumper_states must lie in [-1, 1]")
             if any(b <= a for a, b in zip(states, states[1:])):
                 raise InvalidSpec("jumper_states must be strictly increasing")
-            rate = _DEFAULT_JUMP_RATE if self.jump_rate is None else float(self.jump_rate)
+            rate = (_DEFAULT_JUMP_RATE if self.jump_rate is None
+                    else check_real("jump_rate", self.jump_rate, InvalidSpec))
             if not 0.0 < rate < 1.0:
                 raise InvalidSpec(f"jump_rate must be in (0, 1), got {self.jump_rate}")
             object.__setattr__(self, "jumper_states", states)
@@ -130,12 +133,12 @@ class AlarmConfig:
         for name in ("ville_threshold", "restarted_ville_threshold", "cusum_threshold"):
             value = getattr(self, name)
             if value is not None:
-                value = float(value)
+                value = check_real(name, value, InvalidSpec)
                 if not value > 1.0:
                     raise InvalidSpec(f"{name} must exceed 1, got {value}")
                 object.__setattr__(self, name, value)
         if self.sr_threshold is not None:
-            value = float(self.sr_threshold)
+            value = check_real("sr_threshold", self.sr_threshold, InvalidSpec)
             if not value > 0.0:
                 raise InvalidSpec(f"sr_threshold must be positive, got {value}")
             object.__setattr__(self, "sr_threshold", value)

@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import decisions, detectors, estimation, resampling, weighting
 from .core import (
-    MAX_SEED,
     DataMatrix,
-    InvalidHyperparameter,
     InvalidSpec,
     PValueVector,
     ScoreVector,
@@ -149,11 +145,10 @@ def fit_detached(score_function, calib, polarity, seed,
 def _weighted_p_values(fp: FittedPipeline, X: DataMatrix,
                        ts: resampling.TestScores) -> PValueVector:
     cm = fp.calibration
-    model = weighting.fit_weight_estimator(cm.cal_rows, X.values,
-                                           kind=fp.config.weighting,
+    model = weighting.fit_weight_estimator(cm.cal_rows, X, kind=fp.config.weighting,
                                            ratio_function=fp.config.ratio_function)
     cal_w = weighting.weights(model, cm.cal_rows)
-    test_w = weighting.weights(model, X.values)
+    test_w = weighting.weights(model, X)
     test_scores = resampling.aggregate_test_scores(cm, ts)
     values = weighting.weighted_p_values(cm.entry_scores, cal_w,
                                          test_scores, test_w)
@@ -234,14 +229,12 @@ def stream_p_values(fp: FittedPipeline, X, seed=None, start=0) -> PValueVector:
     """
     if fp.config.weighting is not None:
         raise InvalidSpec("stream monitoring does not support weighting")
-    if (isinstance(start, bool) or not isinstance(start, (int, np.integer))
-            or not 0 <= start < MAX_SEED):
-        raise InvalidHyperparameter(f"start must be a nonnegative 64-bit integer, got {start!r}")
+    start = check_seed(start, "start")
     X, ts = _test_scores(fp, X)
     if fp.config.estimation.regime != "empirical":
         return _p_values(fp, X, ts, seed)
     return estimation._stream_p_values(fp.calibration, ts, True, _smoothing_seed(fp, seed),
-                                       int(start))
+                                       start)
 
 
 def select(fp: FittedPipeline, X, alpha, seed=None) -> decisions.DecisionSet:

@@ -45,6 +45,7 @@ from .core import (
     ShapeMismatch,
     _readonly,
     check_count,
+    check_real,
     check_seed,
     make_rng,
     split_seed,
@@ -104,10 +105,13 @@ class StrategySpec:
                 raise InvalidHyperparameter(f"{self.kind} does not take {name}")
 
     def _check_n_calib(self):
-        if not isinstance(self.n_calib, float):
+        if not isinstance(self.n_calib, (float, np.floating)):
             object.__setattr__(self, "n_calib", check_count("n_calib", self.n_calib, 1))
-        elif not 0.0 < self.n_calib < 1.0:
+            return
+        fraction = check_real("n_calib", self.n_calib, InvalidHyperparameter)
+        if not 0.0 < fraction < 1.0:
             raise InvalidHyperparameter("n_calib fraction must be inside (0, 1)")
+        object.__setattr__(self, "n_calib", fraction)
 
 
 def split(n_calib):
@@ -171,17 +175,8 @@ class CalibrationModel:
             raise ShapeMismatch("calibration arrays disagree in shape")
 
     @property
-    def mode(self):
-        """'plus', or 'single_model' for split and detached calibrations too."""
-        return "plus" if self.strategy.mode == "plus" else "single_model"
-
-    @property
     def n_entries(self):
         return self.entry_scores.shape[0]
-
-    @property
-    def n_features(self):
-        return self.rows.shape[1]
 
     @property
     def n_models(self):

@@ -51,12 +51,14 @@ pipeline adds ``table/adjusted``, its n_entries + 1 adjusted p-values.
 The file digest only detects damage: anyone can recompute it.  This module
 checks the container: magic, version, digest, the deflate bounds, the array
 index (every name a string, every dtype a string in numpy's own spelling,
-every shape entry a JSON integer), each array's dtype and rank, finite rows
-and scores, the plan bound and digest, and that every array belongs to the
+every shape entry a JSON integer), each array's dtype and rank, finite
+scores, the plan bound and digest, and that every array belongs to the
 configuration (a table under another regime does not).  What is built from
-the arrays checks its own input: ``fit_plan`` a model's training rows and
-k, ``ForestPlan`` its trees, ``AdjustmentTable`` its length and
-``CalibrationModel`` its score count.
+the header and arrays checks its own input: the spec constructors every
+setting, through ``core``'s checkers (a delta of "0.1" or a bandwidth of
+Infinity is refused like any other), ``DataMatrix`` the rows, ``fit_plan``
+a model's training rows and k, ``ForestPlan`` its trees,
+``AdjustmentTable`` its length and ``CalibrationModel`` its score count.
 Files of earlier formats (9 stored the payload raw, 8 also the thresholds,
 7 also tree features and leaf sizes as int32 and the tree offsets, 6 the
 plan itself) are refused by their version.
@@ -77,7 +79,7 @@ import zlib
 import numpy as np
 
 from ._version import __version__
-from .core import ConfanomError, SnapshotError
+from .core import ConfanomError, DataMatrix, SnapshotError, check_finite
 from .detectors import ForestPlan, ScorerSpec, fit_plan
 from .estimation import AdjustmentTable, EstimationSpec
 from .pipeline import FittedPipeline, PipelineConfig
@@ -250,14 +252,14 @@ def _load_calibration(arrays, config):
     """Rebuild the configured strategy's plan over the stored rows, check it
     against the stored digest, then build the calibration model."""
     spec, strategy = config.scorer, config.strategy
-    rows = arrays.get("calibration/rows", "<f8", 2)
-    entry_scores = arrays.get("calibration/entry_scores", "<f8", 1)
+    rows = DataMatrix(arrays.get("calibration/rows", "<f8", 2)).values
+    entry_scores = check_finite(arrays.get("calibration/entry_scores", "<f8", 1),
+                                "calibration score")
     digest = arrays.get("calibration/plan_digest", "|u1", 1)
-    n_rows, n_features = rows.shape
-    _expect(n_features >= 1 and np.isfinite(rows).all() and np.isfinite(entry_scores).all(),
-            "featureless or non-finite calibration rows, or non-finite scores")
-    # an empty or too small row set fails in strategy_plan, small models or
-    # bad trees in fit_plan, and a wrong score count in CalibrationModel
+    n_rows = rows.shape[0]
+    # DataMatrix refuses empty, featureless or non-finite rows, strategy_plan
+    # too few rows, fit_plan small models or bad trees, and CalibrationModel
+    # a wrong score count
     _check_plan_size(strategy, n_rows)
     plan = kept_plan(strategy_plan(strategy, n_rows, config.seed), strategy)
     _expect(digest.tobytes() == _plan_digest(plan),

@@ -19,11 +19,11 @@ from .core import (
     DataMatrix,
     DimensionMismatch,
     EmptyCalibration,
-    EmptyInput,
     InvalidHyperparameter,
     ShapeMismatch,
     _readonly,
     check_finite,
+    check_real,
 )
 from .resampling import _median
 
@@ -69,13 +69,10 @@ class WeightModel:
                 object.__setattr__(self, name, _readonly(np.asarray(v, dtype=np.float64)))
 
 
-def _as_values(X):
-    if isinstance(X, DataMatrix):
-        return X.values
-    arr = np.asarray(X, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeMismatch("covariates must be 2-D")
-    return arr
+def _covariates(X):
+    """Covariate values: a DataMatrix's own, or those of one built from ``X``,
+    which checks them."""
+    return (X if isinstance(X, DataMatrix) else DataMatrix(X)).values
 
 
 def _fit_logistic(cal, test):
@@ -116,8 +113,8 @@ def _raw_ratios(kind, X, mu, sd, coef, intercept, ratio_function, n_cal, n_test)
     if ratios.shape[0] != X.shape[0]:
         raise ShapeMismatch(
             f"ratio function returned {ratios.shape[0]} values for {X.shape[0]} rows")
-    if not np.isfinite(ratios).all() or (ratios <= 0.0).any():
-        raise InvalidHyperparameter("oracle ratios must be finite and strictly positive")
+    if (check_finite(ratios, "oracle ratio") <= 0.0).any():
+        raise InvalidHyperparameter("oracle ratios must be strictly positive")
     return ratios
 
 
@@ -127,7 +124,7 @@ def fit_weight_estimator(cal_X, test_X, kind="logistic", ratio_function=None,
 
     Parameters
     ----------
-    cal_X, test_X : DataMatrix or 2-D arrays with matching widths.
+    cal_X, test_X : DataMatrix, or 2-D arrays that DataMatrix checks; of one width.
     kind : {'logistic', 'oracle', 'uniform'}
         'logistic' trains a probabilistic classifier (calibration = 0,
         test = 1) by full-batch gradient ascent on the L2-regularized
@@ -145,18 +142,16 @@ def fit_weight_estimator(cal_X, test_X, kind="logistic", ratio_function=None,
         ``converged`` is False when the iteration cap was hit; the best
         iterate is still returned.
     """
-    cal = _as_values(cal_X)
-    test = _as_values(test_X)
-    if cal.shape[0] == 0 or test.shape[0] == 0:
-        raise EmptyInput("calibration and test covariates must be nonempty")
+    cal, test = _covariates(cal_X), _covariates(test_X)
     if cal.shape[1] != test.shape[1]:
         raise DimensionMismatch(
             f"calibration has {cal.shape[1]} features, test has {test.shape[1]}")
     if kind not in WEIGHT_KINDS:
         raise InvalidHyperparameter(f"unknown weight kind {kind!r}")
-    if cap_factor is not None and (not isinstance(cap_factor, (int, float))
-                                   or isinstance(cap_factor, bool) or cap_factor <= 0):
-        raise InvalidHyperparameter("cap_factor must be positive or None")
+    if cap_factor is not None:
+        cap_factor = check_real("cap_factor", cap_factor, InvalidHyperparameter)
+        if cap_factor <= 0.0:
+            raise InvalidHyperparameter(f"cap_factor must be positive or None, got {cap_factor!r}")
     mu = sd = coef = None
     intercept = 0.0
     converged = True
@@ -170,7 +165,7 @@ def fit_weight_estimator(cal_X, test_X, kind="logistic", ratio_function=None,
                           cal.shape[0], test.shape[0])
     cap_value = float("inf") if cap_factor is None else float(cap_factor * _median(raw_cal))
     return WeightModel(kind=kind, n_cal=cal.shape[0], n_test=test.shape[0],
-                       cap_factor=None if cap_factor is None else float(cap_factor),
+                       cap_factor=cap_factor,
                        cap_value=cap_value, mu=mu, sd=sd, coef=coef,
                        intercept=intercept, ratio_function=ratio_function,
                        converged=converged, n_iter=n_iter)
@@ -178,7 +173,7 @@ def fit_weight_estimator(cal_X, test_X, kind="logistic", ratio_function=None,
 
 def weights(model, X):
     """Evaluate capped density-ratio weights at the given covariates."""
-    vals = _as_values(X)
+    vals = _covariates(X)
     if model.kind == "logistic" and vals.shape[1] != model.mu.shape[0]:
         raise DimensionMismatch(
             f"weight model expects {model.mu.shape[0]} features, got {vals.shape[1]}")
@@ -201,7 +196,7 @@ def weighted_p_values(cal_scores, cal_weights, test_scores, test_weights):
     t = np.asarray(test_scores, dtype=np.float64).reshape(-1)
     wt = np.asarray(test_weights, dtype=np.float64)
     if wt.ndim == 0:
-        wt = np.full(t.shape[0], float(wt))
+        wt = np.full(t.shape[0], wt)
     if cal.shape[0] == 0:
         raise EmptyCalibration("no calibration scores")
     if w.shape[0] != cal.shape[0]:

@@ -308,6 +308,16 @@ class TestExperiment:
         assert code == 2
         assert "unknown experiment" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trial_count_must_be_positive(self, tmp_path, capsys, trials):
+        # --trials 0 once ended in an IndexError traceback and exit 1
+        code, _, err = run_cli(
+            capsys, "experiment", "--name", "conditional", "--trials", trials,
+            "--seed", "0", "--out", str(tmp_path / "e"))
+        assert code == 2
+        assert err == f"confanom: error: n_trials must be at least 1, got {trials}\n"
+        assert not (tmp_path / "e").exists()
+
 
 class TestErrorPaths:
     def test_unknown_config_key(self, data, capsys):

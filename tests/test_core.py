@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from confanom.core import (DataMatrix, DecisionSet, EmptyCalibration,
-                           InvalidData, InvalidHyperparameter, InvalidLabel,
-                           InvalidSpec, PValueVector, ScoreVector,
-                           ShapeMismatch, check_seed, make_rng, philox_block,
-                           philox_choice, philox_uniform, split_seed,
-                           validate_matrix)
+from confanom.core import (DataMatrix, DecisionSet, EmptyCalibration, EmptyInput,
+                           InvalidAlpha, InvalidData, InvalidHyperparameter,
+                           InvalidLabel, InvalidSpec, PValueVector, ScoreVector,
+                           ShapeMismatch, check_finite, check_real, check_seed,
+                           make_rng, philox_block, philox_choice, philox_uniform,
+                           split_seed)
 
 
 class TestSplitSeed:
@@ -54,9 +54,32 @@ class TestCheckSeed:
         assert make_rng(5).random() == make_rng(5).random()
 
 
+class TestCheckReal:
+    @pytest.mark.parametrize("bad", [True, "0.5", "abc", None, [0.5], np.nan, np.inf, -np.inf],
+                             ids=["bool", "numeric-string", "string", "none", "list", "nan",
+                                  "inf", "-inf"])
+    def test_refuses_with_the_callers_error(self, bad):
+        with pytest.raises(InvalidAlpha, match="alpha must be"):
+            check_real("alpha", bad, InvalidAlpha)
+
+    @pytest.mark.parametrize("value", [2, np.int64(3), np.float32(0.5), 0.25])
+    def test_returns_a_float(self, value):
+        out = check_real("x", value, InvalidSpec)
+        assert type(out) is float and out == value
+
+
+class TestCheckFinite:
+    def test_names_row_and_column_of_2d_input(self):
+        values = np.zeros((3, 4))
+        values[2, 3], values[2, 1] = np.nan, np.inf
+        with pytest.raises(InvalidData, match="non-finite score at row 2, column 1") as err:
+            check_finite(values, "score")
+        assert (err.value.row, err.value.col) == (2, 1)
+
+
 class TestDataMatrix:
     def test_roundtrip_and_readonly(self):
-        m = validate_matrix([[1, 2], [3, 4]])
+        m = DataMatrix([[1, 2], [3, 4]])
         assert m.n_rows == 2 and m.n_cols == 2
         assert m.values.dtype == np.float64
         with pytest.raises(ValueError):
@@ -64,32 +87,39 @@ class TestDataMatrix:
 
     def test_nan_reports_position(self):
         with pytest.raises(InvalidData) as err:
-            validate_matrix([[1.0, 2.0], [np.nan, 4.0]])
+            DataMatrix([[1.0, 2.0], [np.nan, 4.0]])
         assert err.value.row == 1 and err.value.col == 0
 
     def test_inf_rejected(self):
         with pytest.raises(InvalidData):
-            validate_matrix([[np.inf]])
+            DataMatrix([[np.inf]])
 
     def test_ragged_rejected(self):
+        for raw in ([[1.0, 2.0], [3.0]], [["a", "b"]]):
+            with pytest.raises(ShapeMismatch):
+                DataMatrix(raw)
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyInput):
+            DataMatrix(np.empty((0, 2)))
         with pytest.raises(ShapeMismatch):
-            validate_matrix([[1.0, 2.0], [3.0]])
+            DataMatrix(np.empty((2, 0)))
 
     def test_one_dimensional_rejected(self):
         with pytest.raises(ShapeMismatch):
             DataMatrix(np.zeros(3))
 
     def test_labels_validated(self):
-        m = validate_matrix([[0.0], [1.0]], labels=[0, 1])
+        m = DataMatrix([[0.0], [1.0]], labels=[0, 1])
         assert m.labels.tolist() == [0, 1]
         with pytest.raises(InvalidLabel):
-            validate_matrix([[0.0], [1.0]], labels=[0, 2])
+            DataMatrix([[0.0], [1.0]], labels=[0, 2])
         with pytest.raises(ShapeMismatch):
-            validate_matrix([[0.0], [1.0]], labels=[0])
+            DataMatrix([[0.0], [1.0]], labels=[0])
 
     def test_column_names_length_checked(self):
         with pytest.raises(ShapeMismatch):
-            validate_matrix([[1.0, 2.0]], column_names=("a",))
+            DataMatrix([[1.0, 2.0]], column_names=("a",))
 
     def test_source_mutation_does_not_leak(self):
         raw = np.ones((2, 2))
@@ -153,9 +183,11 @@ class TestPValueVector:
                          smoothed=True, calibration_size=10)
 
     def test_positive_calibration_size(self):
-        with pytest.raises(EmptyCalibration):
-            PValueVector(np.array([0.5]), estimation="empirical",
-                         smoothed=True, calibration_size=0)
+        # 2.7 was once stored as 2
+        for size in (0, 2.7, "3", True):
+            with pytest.raises(EmptyCalibration, match="calibration_size must be"):
+                PValueVector(np.array([0.5]), estimation="empirical",
+                             smoothed=True, calibration_size=size)
 
 
 class TestDecisionSet:
@@ -168,6 +200,12 @@ class TestDecisionSet:
         d = DecisionSet(np.array([1, 0, 1]), procedure="bh", alpha=0.1,
                         rejection_threshold=0.02)
         assert d.n_flagged == 2 and len(d) == 3
+
+    @pytest.mark.parametrize("alpha", ["0.1", True, float("inf")])
+    def test_alpha_must_be_a_real_number(self, alpha):
+        with pytest.raises(InvalidAlpha):
+            DecisionSet(np.array([1, 0]), procedure="bh", alpha=alpha,
+                        rejection_threshold=0.02)
 
 
 class TestPhilox:

@@ -87,7 +87,7 @@ class TestBenjaminiHochberg:
         with pytest.raises(InvalidAlpha):
             benjamini_hochberg(np.array([0.5]), alpha=1.0)
 
-    @pytest.mark.parametrize("alpha", ["abc", None, [0.1], float("nan")])
+    @pytest.mark.parametrize("alpha", ["abc", None, [0.1], float("nan"), "0.5", True])
     @pytest.mark.parametrize("procedure", [benjamini_hochberg, fixed_threshold])
     def test_malformed_alpha_refused(self, procedure, alpha):
         with pytest.raises(InvalidAlpha):

@@ -10,7 +10,8 @@ from confanom.core import (DataMatrix, EmptyCalibration, InvalidData,
                            InvalidDelta, InvalidHyperparameter, TableMismatch,
                            make_rng)
 from confanom.detectors import wrap_detached
-from confanom.estimation import (CONDITIONAL_METHODS, AdjustmentTable, build_adjustment,
+from confanom.estimation import (CONDITIONAL_METHODS, AdjustmentTable, EstimationSpec,
+                                 build_adjustment,
                                  conditional_p_value,
                                  conditional_validity_oracle,
                                  conformal_p_values, empirical_p_value,
@@ -26,6 +27,27 @@ def identity_calibration(scores):
     data = DataMatrix(np.asarray(scores, dtype=float).reshape(-1, 1))
     scorer = wrap_detached(lambda X: X[:, 0], "higher_is_anomalous")
     return scorer, calibrate_detached(scorer, data)
+
+
+class TestEstimationSpec:
+    @pytest.mark.parametrize("delta", ["0.5", True, float("nan"), None, 0.0])
+    def test_delta_must_be_a_real_number_in_range(self, delta):
+        # a delta of "0.5" was once stored as the string
+        with pytest.raises(InvalidDelta, match="delta"):
+            EstimationSpec(regime="conditional_empirical", method="mc", delta=delta)
+
+    @pytest.mark.parametrize("bandwidth", [float("inf"), float("nan"), "0.5", True, -1.0])
+    def test_bandwidth_must_be_a_positive_real_number(self, bandwidth):
+        # an infinite bandwidth once fell back to empirical p-values as if
+        # the calibration scores were degenerate
+        with pytest.raises(InvalidHyperparameter, match="bandwidth"):
+            EstimationSpec(regime="probabilistic", bandwidth=bandwidth)
+
+    def test_settings_keep_their_spelling(self):
+        assert EstimationSpec(regime="probabilistic", bandwidth=2).bandwidth == 2
+        assert EstimationSpec(regime="probabilistic").bandwidth == "silverman"
+        assert EstimationSpec(regime="conditional_empirical", method="simes",
+                              delta=np.float64(0.1)).delta == 0.1
 
 
 class TestConformalPValues:
@@ -190,10 +212,9 @@ class TestBuildAdjustment:
             conditional_validity_oracle(build_adjustment(10, 0.1, "asymptotic"), n_reps=n_reps)
 
     def test_delta_validated(self):
-        with pytest.raises(InvalidDelta):
-            build_adjustment(10, 0.0, "asymptotic")
-        with pytest.raises(InvalidDelta):
-            build_adjustment(10, 1.0, "asymptotic")
+        for delta in (0.0, 1.0, "0.1", float("nan"), True):
+            with pytest.raises(InvalidDelta):
+                build_adjustment(10, delta, "asymptotic")
 
     def test_unknown_method(self):
         with pytest.raises(InvalidHyperparameter):
@@ -299,8 +320,9 @@ class TestProbabilistic:
         scores = make_rng(15).normal(size=10)
         scorer, cm = identity_calibration(scores)
         ts = score_matrix(cm, gaussian_matrix(16, 2, d=1))
-        with pytest.raises(InvalidHyperparameter):
-            probabilistic_p_value(cm, ts, bandwidth=-1.0)
+        for bandwidth in (-1.0, float("inf"), "0.5"):
+            with pytest.raises(InvalidHyperparameter, match="bandwidth"):
+                probabilistic_p_value(cm, ts, bandwidth=bandwidth)
 
 
 @settings(max_examples=40)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from confanom.core import InvalidSpec
+from confanom import pipeline
+from confanom.core import InvalidHyperparameter, InvalidSpec
 from confanom.experiments import (EXPERIMENT_NAMES, conditional,
                                   martingale_null, run_experiment, shift,
                                   shift_oracle_ratio, single_change_stream,
@@ -50,6 +51,14 @@ class TestShift:
         assert len(result.rows) == 9
         assert set(r[0] for r in result.rows) == {"oracle", "logistic", "uniform"}
         assert result.summary["alpha"] == 0.1
+
+    def test_one_calibration_per_trial(self, monkeypatch):
+        # the methods share scorer, strategy and seed; weighting enters only
+        # at p-value time
+        fits, fit = [], pipeline.fit
+        monkeypatch.setattr(pipeline, "fit", lambda *args: fits.append(args) or fit(*args))
+        shift(seed=4, n_trials=2)
+        assert len(fits) == 2
 
     def test_oracle_ratio_is_the_thinning_function(self):
         X = np.array([[2.0, 0, 0, 0], [-50.0, 0, 0, 0]])
@@ -131,6 +140,18 @@ class TestStreamFixtures:
         b = single_change_stream(seed=10, length=100, change_at=50)
         np.testing.assert_array_equal(a[1], b[1])
         np.testing.assert_array_equal(a[2], b[2])
+
+
+class TestCounts:
+    @pytest.mark.parametrize("name, key", [("strategy_sweep", "n_trials"),
+                                           ("conditional", "n_trials"), ("shift", "n_trials"),
+                                           ("martingale_null", "n_streams")])
+    @pytest.mark.parametrize("count", [0, -1, 2.7, "3", True])
+    def test_trial_counts_are_positive_integers(self, name, key, count):
+        # 0 once gave an IndexError or NaN means, -1 an empty table and 2.7
+        # two trials
+        with pytest.raises(InvalidHyperparameter, match=key):
+            run_experiment(name, seed=0, **{key: count})
 
 
 class TestDispatch:

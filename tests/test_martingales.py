@@ -55,6 +55,22 @@ class TestSpecs:
         with pytest.raises(InvalidSpec):
             simple_jumper(jump_rate=0.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: power(True), lambda: power("0.5"), lambda: power("abc"),
+        lambda: power(float("nan")), lambda: simple_jumper(jump_rate="0.01"),
+        lambda: simple_jumper(jumper_states=("-1", "1")), lambda: simple_jumper(jumper_states=1.0),
+        lambda: AlarmConfig(ville_threshold="100"), lambda: AlarmConfig(ville_threshold=True),
+        lambda: AlarmConfig(ville_threshold=float("inf")),
+        lambda: AlarmConfig(sr_threshold=float("inf"))],
+        ids=["epsilon-bool", "epsilon-numeric-string", "epsilon-string", "epsilon-nan",
+             "jump-rate-string", "states-strings", "states-scalar", "threshold-string",
+             "threshold-bool", "threshold-inf", "sr-threshold-inf"])
+    def test_settings_must_be_finite_real_numbers(self, make):
+        # power(True) once bet with epsilon 1, and an infinite threshold
+        # passed as set with an alarm that never fires
+        with pytest.raises(InvalidSpec):
+            make()
+
     def test_alarm_config_needs_one_threshold(self):
         with pytest.raises(InvalidSpec):
             AlarmConfig()

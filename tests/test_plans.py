@@ -136,7 +136,7 @@ def test_out_of_sample_audit(case):
     assert not (plan.train_counts[:, plan.entry_rows].T.astype(bool) & plan.oob).any()
     cm = resampling.calibrate(spec, data, strategy, seed)
     np.testing.assert_array_equal(cm.entry_rows, plan.entry_rows)
-    if cm.mode == "plus" or strategy.kind == "split":
+    if cm.strategy.mode == "plus" or strategy.kind == "split":
         assert not (cm.train_counts[:, cm.entry_rows].T.astype(bool) & cm.oob).any()
         trained_on = cm.model_train_indices
         for row, models in zip(cm.entry_rows, cm.entry_models):

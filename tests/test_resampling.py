@@ -33,6 +33,9 @@ class TestStrategySpec:
         with pytest.raises(InvalidHyperparameter):
             split(1.0)
         assert split(0.5).n_calib == 0.5
+        # a numpy fraction is a fraction too, not a count to refuse
+        for fraction in (np.float32(0.5), np.float64(0.5)):
+            assert type(split(fraction).n_calib) is float and split(fraction).n_calib == 0.5
 
     def test_cv_needs_k(self):
         with pytest.raises(InvalidHyperparameter):
@@ -293,7 +296,7 @@ def test_score_table_has_a_column_per_model(strategy):
     ts = score_matrix(cm, gaussian_matrix(28, 5))
     assert ts.values.ndim == 2
     assert ts.values.shape == (5, cm.n_models)
-    assert (cm.n_models == 1) == (cm.mode == "single_model")
+    assert (cm.n_models == 1) == (cm.strategy.mode != "plus")
     with pytest.raises(ShapeMismatch):
         resampling.TestScores(n_entries=cm.n_entries, values=ts.values[:, 0])
 

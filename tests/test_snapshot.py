@@ -780,6 +780,19 @@ class TestUntrustedContent:
         with pytest.raises(SnapshotError):
             snapshot_load(write_snapshot(tmp_path / "header.snap", header, arrays))
 
+    @pytest.mark.parametrize("which, estimation, name", [
+        ("conditional", {"delta": "0.1"}, "delta"),
+        ("jab", {"regime": "probabilistic", "bandwidth": float("inf")}, "bandwidth"),
+    ], ids=["string-delta", "infinite-bandwidth"])
+    def test_header_settings_checked(self, tmp_path, request, which, estimation, name):
+        # the digest only detects damage: with it recomputed, a delta of "0.1"
+        # or a bandwidth of Infinity once loaded
+        header, arrays = request.getfixturevalue(which)
+        header["config"]["estimation"].update(estimation)
+        path = write_snapshot(tmp_path / "setting.snap", header, arrays)
+        with pytest.raises(SnapshotError, match=name):
+            snapshot_load(path)
+
     def test_jab_relabelled_split_refused(self, tmp_path, jab):
         # the calibration is built from the configured strategy: a JaB+ file
         # called split would give weighted p-values from a plus-mode one

@@ -188,6 +188,34 @@ class TestFitWeightEstimator:
         with pytest.raises(EmptyInput):
             fit_weight_estimator(np.empty((0, 2)), rng.normal(size=(5, 2)))
 
+    def test_non_finite_covariate_names_its_position(self):
+        # one NaN once reached the logistic fit and raised numpy's LinAlgError
+        rng = make_rng(12)
+        cal, test = rng.normal(size=(20, 3)), rng.normal(size=(20, 3))
+        test[7, 2] = np.nan
+        with pytest.raises(InvalidData, match="row 7, column 2") as err:
+            fit_weight_estimator(cal, test)
+        assert (err.value.row, err.value.col) == (7, 2)
+        model = fit_weight_estimator(cal, cal)
+        with pytest.raises(InvalidData, match="row 7, column 2"):
+            weights(model, test)
+
+    def test_oracle_ratios_checked(self):
+        rng = make_rng(12)
+        cal = rng.normal(size=(20, 1))
+        with pytest.raises(InvalidData, match="non-finite oracle ratio at position 3"):
+            fit_weight_estimator(cal, cal, kind="oracle",
+                                 ratio_function=lambda X: np.where(np.arange(20) == 3, np.inf, 1.0))
+        with pytest.raises(InvalidHyperparameter, match="strictly positive"):
+            fit_weight_estimator(cal, cal, kind="oracle", ratio_function=lambda X: np.zeros(20))
+
+    def test_cap_factor_must_be_a_positive_real_number(self):
+        rng = make_rng(12)
+        cal = rng.normal(size=(20, 3))
+        for cap in (0.0, "20", True, float("inf"), float("nan")):
+            with pytest.raises(InvalidHyperparameter, match="cap_factor"):
+                fit_weight_estimator(cal, cal, cap_factor=cap)
+
     def test_width_mismatch(self):
         rng = make_rng(13)
         with pytest.raises(DimensionMismatch):
