@@ -54,7 +54,9 @@ for method in ("asymptotic", "simes", "mc"):
     head = ", ".join(f"{v:.4f}" for v in table.adjusted[:5])
     print(f"{method:12} {head}")
 
-# mc calibrates the band by simulation and is tight enough to keep
-# selecting here; the asymptotic and simes closed forms push the small
-# ranks above the BH cut at this n and alpha, which is why their power
-# collapses while their guarantee is the same
+# mc calibrates the band by simulation and the simes closed form (the
+# generalized Simes band with k = n/2) lies below it at the smallest ranks,
+# so both keep selecting here; simes pays for that by mapping every rank above
+# about n/2 to 1, hence its larger mean inflation.  The asymptotic DKW band
+# pushes the small ranks above the BH cut at this n and alpha, which is why
+# its power collapses while its guarantee is the same

@@ -282,14 +282,16 @@ def philox_choice(key, tweak, sizes, counts, stream):
     blocks = (width + 3) // 4
     words = philox_block(np.repeat(key, blocks), np.repeat(tweak, blocks),
                          np.tile(np.arange(blocks), n), stream)
-    u = philox_uniform(words.T.reshape(n, -1))
+    u = philox_uniform(words.T.reshape(n, -1))[:, :width].T
+    # step j of shuffle i swaps positions j and pick[j, i]; past counts[i]
+    # it swaps j with itself
+    j = np.arange(width)[:, None]
+    span = np.maximum(sizes - j, 1)
+    pick = np.where(j < counts, j + np.minimum((u * span).astype(np.int64), span - 1), j)
     # perm[j, i] is position j of shuffle i
-    perm = np.repeat(np.arange(int(sizes.max()))[:, None], n, axis=1)
-    for j in range(width):
-        live = np.flatnonzero(j < counts)
-        span = sizes[live] - j
-        pick = j + np.minimum((u[live, j] * span).astype(np.int64), span - 1)
-        perm[j, live], perm[pick, live] = perm[pick, live], perm[j, live]
+    perm, every = np.repeat(np.arange(int(sizes.max()))[:, None], n, axis=1), np.arange(n)
+    for j, to in enumerate(pick):
+        perm[j], perm[to, every] = perm[to, every], perm[j].copy()
     return perm[:width].T[np.arange(width) < counts[:, None]]
 
 

@@ -157,25 +157,30 @@ def _first_in_segment(hits, starts):
     return at[np.searchsorted(at, starts)]
 
 
-def _grow(rows, keys, tree, cap, active, psi):
+def _grow(rows, sub, keys, tree, cap, psi):
     """Node fields of a chunk of trees, tree after tree, grown level by
-    level from the subsample rows ``active``.
+    level from their subsamples: tree i holds the ``psi[i]`` rows of ``sub``
+    that follow those of the trees before it.
 
     Every open node takes its per-feature range over its contiguous rows,
     draws a feature that varies there and a threshold uniform in its range
     from the first two words of counter block ``(node, 0)``, and splits its
     rows stably, rows below the threshold to the left.  Nodes are numbered in
     level order within their tree, so its r-th inner node has children 2r + 1
-    and 2r + 2.  Features come per node, sizes per leaf, and per inner node
-    its split rows: the first of its rows whose value on the split feature
-    has the bits of the range's low end, and the first with those of its
-    high end, from which ``ForestPlan`` draws the threshold again.
+    and 2r + 2.  Features come per node, and per inner node its split
+    positions: the first position of the tree's subsample whose row's value
+    on the split feature has the bits of the range's low end, and the first
+    with those of its high end, from which ``ForestPlan`` draws the
+    threshold again.  A stable split keeps every node's positions
+    ascending, so a row repeated in the subsample is found at its first
+    position.
     """
     n_trees, width = psi.shape[0], rows.shape[1]
+    first = np.cumsum(psi) - psi
     seg_tree, seg_node, seg_len = np.arange(n_trees), np.zeros(n_trees, np.int64), psi
-    next_id, depth, splits = np.ones(n_trees, np.int64), 0, []
+    next_id, depth, splits, active = np.ones(n_trees, np.int64), 0, [], np.arange(sub.shape[0])
     while seg_tree.size:
-        values = np.take(rows, active, axis=0)
+        values = np.take(rows, sub[active], axis=0)
         starts = np.cumsum(seg_len) - seg_len
         lo, hi = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
         varied = hi > lo
@@ -200,7 +205,7 @@ def _grow(rows, keys, tree, cap, active, psi):
         # bits, not values, so that -0.0 and 0.0 stay apart
         bits = value.view(np.int64)
         bounds = [active[_first_in_segment(bits == end.view(np.int64)[of], starts)]
-                  for end in (a, b)]
+                  - first[seg_tree] for end in (a, b)]
         lefts = np.concatenate([[0], np.cumsum(~right)])
         n_left = lefts[starts + seg_len] - lefts[starts]
         before = lefts[:-1] - lefts[starts][of]
@@ -211,47 +216,64 @@ def _grow(rows, keys, tree, cap, active, psi):
         left = next_id[seg_tree] + 2 * (split - np.searchsorted(seg_tree, seg_tree))
         next_id += 2 * np.bincount(seg_tree, minlength=n_trees)
         child_len = np.column_stack([n_left, seg_len - n_left]).ravel()
-        splits.append((seg_tree, seg_node, q, *bounds, left, child_len))
+        splits.append((seg_tree, seg_node, q, *bounds))
         depth += 1
         grows = (child_len >= 2) & (depth < np.repeat(cap[seg_tree], 2))
         active = placed[np.repeat(grows, child_len)]
         seg_tree, seg_node = np.repeat(seg_tree, 2)[grows], (left[:, None] + [0, 1]).ravel()[grows]
         seg_len = child_len[grows]
-    offsets, n_nodes = np.cumsum(next_id) - next_id, int(next_id.sum())
-    feature, size = np.full(n_nodes, -1, np.int32), np.empty(n_nodes, np.int32)
-    tr, node, q, low, high, child, child_len = map(np.concatenate, zip(*splits))
+    offsets, feature = np.cumsum(next_id) - next_id, np.full(int(next_id.sum()), -1, np.int32)
+    tr, node, q, low, high = map(np.concatenate, zip(*splits))
     at = offsets[tr] + node
-    feature[at], size[offsets] = q, psi
-    size[((offsets[tr] + child)[:, None] + [0, 1]).ravel()] = child_len
-    order = np.argsort(at)
-    return feature, np.column_stack([low, high])[order], size[feature < 0]
+    feature[at] = q
+    return feature, np.column_stack([low, high])[np.argsort(at)]
 
 
-def _grow_forests(spec, rows, counts, keys, psi):
-    """The (feature, split rows, leaf sizes) node arrays of a plan's trees:
-    model b trains on row j of ``rows`` repeated ``counts[b, j]`` times and
-    its tree t draws from the Philox key ``(keys[b], t)``.  Trees grow in
-    chunks under the ``_FIT_BLOCK`` budget; a tree's draws depend only on
-    its key, so no tree depends on the chunks."""
-    n_trees, n_features = spec.n_trees, rows.shape[1]
-    sizes = counts.sum(axis=1, dtype=np.int64)
-    cap = spec.depth_caps(psi)
-    # sorting rows by content makes the forest independent of row order
+def subsample_sizes(spec, counts):
+    """psi of every model of a plan whose model b trains on ``counts[b]``:
+    the subsample size, or the model's row count where that is smaller."""
+    return np.minimum(spec.subsample_size, counts.sum(axis=1, dtype=np.int64))
+
+
+def _subsamples(spec, rows, counts, keys, psi):
+    """Every tree's subsample, as rows of ``rows``, tree after tree and
+    model after model: model b trains on row j repeated ``counts[b, j]``
+    times, and its tree t takes ``psi[b]`` distinct positions of that
+    multiset sorted by content, drawn by ``philox_choice`` from stream 1 of
+    the Philox key ``(keys[b], t)``.  Sorting by content makes the forest
+    independent of row order.  Trees are drawn in chunks under the
+    ``_FIT_BLOCK`` budget; a tree's draws depend only on its key."""
+    n_trees, sizes = spec.n_trees, counts.sum(axis=1, dtype=np.int64)
     order = np.lexsort(rows.T[::-1])
-    step = max(1, _FIT_BLOCK // max(int(sizes.max()), int(psi.max()) * n_features))
+    step = max(1, _FIT_BLOCK // int(sizes.max()))
     parts = []
     for lo in range(0, psi.shape[0] * n_trees, step):
         model, tree = np.divmod(np.arange(lo, min(lo + step, psi.shape[0] * n_trees)), n_trees)
         # the chunk's trees belong to consecutive models
         models = np.arange(model[0], model[-1] + 1)
         model -= model[0]
-        # a tree's subsample is positions of its model's rows sorted by
-        # content, drawn from counter stream 1
         expanded = np.concatenate([np.repeat(order, counts[b, order]) for b in models])
         base = np.cumsum(sizes[models]) - sizes[models]
         key, m_size, m_psi = keys[models][model], sizes[models][model], psi[models][model]
-        sub = expanded[np.repeat(base[model], m_psi) + philox_choice(key, tree, m_size, m_psi, 1)]
-        parts.append(_grow(rows, key, tree, cap[models][model], sub, m_psi))
+        parts.append(expanded[np.repeat(base[model], m_psi)
+                              + philox_choice(key, tree, m_size, m_psi, 1)])
+    return np.concatenate(parts)
+
+
+def _grow_forests(spec, rows, keys, psi, sub):
+    """The (feature, split positions) node arrays of a plan's trees, grown
+    from the subsamples ``sub`` of ``_subsamples``; tree t of model b draws
+    from the Philox key ``(keys[b], t)``.  Trees grow in chunks under the
+    ``_FIT_BLOCK`` budget, so no tree depends on the chunks."""
+    n_trees, tree_psi = spec.n_trees, np.repeat(psi, spec.n_trees)
+    cap, ends = spec.depth_caps(psi), np.append(0, np.cumsum(tree_psi))
+    step = max(1, _FIT_BLOCK // (int(psi.max()) * rows.shape[1]))
+    parts = []
+    for lo in range(0, tree_psi.shape[0], step):
+        hi = min(lo + step, tree_psi.shape[0])
+        model, tree = np.divmod(np.arange(lo, hi), n_trees)
+        parts.append(_grow(rows, sub[ends[lo]:ends[hi]], keys[model], tree, cap[model],
+                           tree_psi[lo:hi]))
     return tuple(map(np.concatenate, zip(*parts)))
 
 
@@ -262,10 +284,11 @@ class ForestPlan:
     psi_b the model's subsample size and c the average path length, so
     scores lie in (0, 1].  Trees are stored by level-order shape, model by
     model and tree by tree, as in the snapshot: ``feature`` per node (-1 for
-    a leaf), two ``split_rows`` of ``rows`` per inner node (see ``_grow``)
-    and ``leaf_size`` per leaf.  The constructor checks them, for the fit
-    and the snapshot loader alike, and refuses a bad forest with
-    ``InvalidForest``:
+    a leaf) and two ``split_positions`` per inner node, positions in its
+    tree's subsample (see ``_grow``); ``subsample`` holds every tree's
+    subsample rows, as ``_subsamples`` draws them.  The constructor checks
+    the node arrays, for the fit and the snapshot loader alike, and refuses
+    a bad forest with ``InvalidForest``:
 
     - A tree of r inner nodes has 1 + 2r nodes, so the running sum of +1
       per inner node and -1 per leaf first falls to -k where the k-th tree
@@ -274,10 +297,10 @@ class ForestPlan:
       tree the sum stays at 0 or above, so its r-th inner node, whose
       children are its nodes 2r + 1 and 2r + 2, sits at a position of at
       most 2r: every node but the root has one parent, which comes first.
-    - Each inner node has two split rows and each leaf one size.  Features
-      index columns of ``rows``, split rows index rows whose values on the
-      node's feature rise from the first to the second, and a leaf holds at
-      most its model's psi rows.
+    - Each inner node has two split positions.  Features index columns of
+      ``rows``, and split positions lie below the tree's psi and name rows
+      (``split_rows``) whose values on the node's feature rise from the
+      first to the second.
     - No node lies below its tree's cap (``ScorerSpec.depth_caps``): the
       level pass that gives each node its depth refuses one, so it stops
       after at most cap + 1 levels.
@@ -286,24 +309,27 @@ class ForestPlan:
     ``_split_thresholds``, from counter block (node, 0) of the Philox key
     (``keys[b]``, t) for level-order node ``node`` of tree t of model b, as
     ``_grow`` drew it: a fitted plan scores with the thresholds a loaded one
-    rebuilds.  Scoring moves a (trees x cells) matrix of current nodes one
-    level per step through tables in which leaves loop to themselves and a
-    leaf carries its depth plus c(size); a (row, model) cell adds its
-    trees' path lengths in tree order, as one walk per tree would, bit for
-    bit.  Cells are scored in chunks of ``_FOREST_BLOCK`` // n_trees, and
-    thread i of n = min(CPUs in ``os.sched_getaffinity``, chunks) takes
-    chunks i, i + n, ...; the caller is thread 0, no thread is started when
-    n is 1 and none outlives ``score_raw``.  A chunk's cells are its own,
-    so the scores do not depend on n.
+    rebuilds.  Each tree's subsample is then walked down it, as a scoring
+    walks a point, and ``leaf_size`` counts the rows that end in each leaf:
+    for a grown tree, the rows ``_grow`` left there.  Scoring moves a (trees
+    x cells) matrix of current nodes one level per step through tables in
+    which leaves loop to themselves and a leaf carries its depth plus
+    c(size); a (row, model) cell adds its trees' path lengths in tree order,
+    as one walk per tree would, bit for bit.  Cells are scored in chunks of
+    ``_FOREST_BLOCK`` // n_trees, and thread i of n = min(CPUs in
+    ``os.sched_getaffinity``, chunks) takes chunks i, i + n, ...; the caller
+    is thread 0, no thread is started when n is 1 and none outlives
+    ``score_raw``.  A chunk's cells are its own, so the scores do not depend
+    on n.
     """
 
     kind = "isolation_forest"
 
-    def __init__(self, spec, rows, keys, psi, feature, split_rows, leaf_size):
+    def __init__(self, spec, rows, keys, psi, subsample, feature, split_positions):
         self.spec, self.n_trees, n_trees = spec, spec.n_trees, spec.n_trees
         self.psi = _readonly(np.asarray(psi, dtype=np.int64))
-        self.n_models, (n_rows, self.n_features) = self.psi.shape[0], rows.shape
-        feature, split_rows, leaf_size = map(np.asarray, (feature, split_rows, leaf_size))
+        self.n_models, self.n_features = self.psi.shape[0], rows.shape[1]
+        feature, positions = np.asarray(feature), np.asarray(split_positions)
         n_nodes, n_cut, inner = feature.shape[0], self.n_models * n_trees, feature >= 0
         height = np.cumsum(np.where(inner, 1, -1))
         ends = np.flatnonzero(height < np.minimum.accumulate(np.append(0, height))[:-1])
@@ -313,36 +339,32 @@ class ForestPlan:
                 f"the tree nodes cut into {ends.size} whole trees"
                 f"{'' if whole or not n_nodes else ' and part of one'}, not "
                 f"{self.n_models} models x {n_trees}")
-        n_inner = int(inner.sum())
-        if split_rows.shape != (n_inner, 2) or leaf_size.shape != (n_nodes - n_inner,):
-            raise InvalidForest("split rows or leaf sizes disagree with the inner and leaf counts")
+        if positions.shape != (int(inner.sum()), 2):
+            raise InvalidForest("split positions disagree with the inner node count")
         self.offsets = _readonly(np.append(0, ends + 1))
         tree = np.repeat(np.arange(n_cut), np.diff(self.offsets))
+        # tree t's subsample rows are subsample[sub_ends[t]:sub_ends[t + 1]]
+        tree_psi = np.repeat(self.psi, n_trees)
+        sub_ends = np.append(0, np.cumsum(tree_psi))
         ok = (feature >= -1) & (feature < self.n_features)
-        # read the bounds only where the row and the feature exist
-        f, r = np.clip(feature[inner], 0, self.n_features - 1), np.clip(split_rows, 0, n_rows - 1)
-        low, high = rows[r[:, 0], f], rows[r[:, 1], f]
-        ok[inner] &= ((0 <= split_rows) & (split_rows < n_rows)).all(axis=1) & (low < high)
-        ok[~inner] &= (0 <= leaf_size) & (leaf_size <= self.psi[tree[~inner] // n_trees])
+        # read the bounds only where the position and the feature exist
+        t_psi, f = tree_psi[tree[inner]][:, None], np.clip(feature[inner], 0, self.n_features - 1)
+        split_rows = subsample[sub_ends[tree[inner]][:, None] + np.clip(positions, 0, t_psi - 1)]
+        low, high = rows[split_rows[:, 0], f], rows[split_rows[:, 1], f]
+        ok[inner] &= ((0 <= positions) & (positions < t_psi)).all(axis=1) & (low < high)
         if not ok.all():
             t = int(tree[np.argmin(ok)])
             raise InvalidForest(f"tree {t % n_trees} of model {t // n_trees} "
                                 "is not a valid isolation tree")
         for name, value, dtype in (("feature", feature, np.int32),
-                                   ("split_rows", split_rows, np.int64),
-                                   ("leaf_size", leaf_size, np.int32)):
+                                   ("split_positions", positions, np.int64),
+                                   ("split_rows", split_rows, np.int64)):
             setattr(self, name, _readonly(np.asarray(value, dtype=dtype)))
         start, index = self.offsets[tree], np.arange(n_nodes)
         at = index[inner]
         model, t = np.divmod(tree[at], n_trees)
         words = philox_block(np.asarray(keys, dtype=np.uint64)[model], t, at - start[at], 0)
         self.threshold = _readonly(_split_thresholds(low, high, words))
-        # c(m) of every subsample and leaf size that occurs, and of no other m
-        c_table = np.zeros(int(self.psi.max()) + 1)
-        m = np.flatnonzero(np.bincount(np.append(self.psi, self.leaf_size),
-                                       minlength=c_table.shape[0]))
-        c_table[m] = [average_path_length(v) for v in m]
-        self._c_psi = c_table[self.psi]
         # kernel tables: node -> left child + (x[feature] >= threshold), with
         # leaves sent back to themselves by an infinite threshold
         rank = np.cumsum(inner) - inner  # inner nodes before each node
@@ -364,6 +386,26 @@ class ForestPlan:
                 raise InvalidForest(f"tree {t % n_trees} of model {t // n_trees} "
                                     "is deeper than its cap")
             depth[level] = self._levels
+        # each tree's subsample walked down it, in chunks of trees whose
+        # subsamples hold about _FOREST_BLOCK rows, which keeps a chunk's node
+        # tables in cache
+        flat, leaf = np.ascontiguousarray(rows).ravel(), np.empty(sub_ends[-1], dtype=np.intp)
+        step = max(1, _FOREST_BLOCK // int(self.psi.max()))
+        for lo in range(0, n_cut, step):
+            hi = min(lo + step, n_cut)
+            node = np.repeat(self.offsets[lo:hi], tree_psi[lo:hi])
+            base = subsample[sub_ends[lo]:sub_ends[hi]] * self.n_features
+            for _ in range(self._levels):
+                x = flat[base + self._feature[node]]
+                node = self._next[node] + (x >= self._threshold[node])
+            leaf[sub_ends[lo]:sub_ends[hi]] = node
+        self.leaf_size = _readonly(np.bincount(leaf, minlength=n_nodes)[~inner])
+        # c(m) of every subsample and leaf size that occurs, and of no other m
+        c_table = np.zeros(int(self.psi.max()) + 1)
+        m = np.flatnonzero(np.bincount(np.append(self.psi, self.leaf_size),
+                                       minlength=c_table.shape[0]))
+        c_table[m] = [average_path_length(v) for v in m]
+        self._c_psi = c_table[self.psi]
         self._path = depth.astype(np.float64)  # walks end on leaves: inner ones are not read
         self._path[~inner] += c_table[self.leaf_size]
 
@@ -502,6 +544,10 @@ class KnnPlan:
         used = np.flatnonzero(counts.any(axis=0))
         self._refs = rows[used]
         self._counts = counts[:, used]
+        # per ref, its count in every model: one row per window position
+        self._table = np.ascontiguousarray(self._counts.T, dtype=np.int32)
+        # the ranks j whose (j + 1)-th nearest distance a score reads
+        self._ranks = np.arange(self.k) if self.aggregation == "mean" else np.array([self.k - 1])
         norms = np.einsum("ij,ij->i", self._refs, self._refs)
         # [-2x, 1] @ lift = |r|^2 - 2 x.r, the filter value of every ref
         self._lift = np.vstack([self._refs.T, norms])
@@ -524,7 +570,7 @@ class KnnPlan:
         # every ref; score_plan rejects distances that overflow themselves
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, X.shape[0], step):
-                out[lo:lo + step] = self._window_scores(X[lo:lo + step]).T
+                out[lo:lo + step] = self._window_scores(X[lo:lo + step])
         return out
 
     def _nearest(self, X):
@@ -543,24 +589,27 @@ class KnnPlan:
         return ref[pick].reshape(-1, w), exact[pick].reshape(-1, w)
 
     def _window_scores(self, X):
+        """(rows, models) scores of a chunk of queries."""
         near, dist = self._nearest(X)
-        w = near.shape[1]
-        cum = np.cumsum(self._counts[:, near], axis=2, dtype=np.int32)
-        queries = np.arange(X.shape[0])[None, :]
-        if self.aggregation == "kth":
-            pos = (cum < self.k).sum(axis=2)
-            missing = pos == w
-            scores = dist[queries, np.minimum(pos, w - 1)]
-        else:
-            pos = np.stack([(cum <= j).sum(axis=2) for j in range(self.k)], axis=2)
-            missing = pos[:, :, -1] == w
-            scores = dist[queries[:, :, None], np.minimum(pos, w - 1)].mean(axis=2)
-        rows = np.flatnonzero(missing.any(axis=0))
+        n, w = near.shape
+        # each model's running count over the window, one position at a
+        # time: its (j + 1)-th nearest sits at the number of positions whose
+        # count is still at most j, a C-contiguous (rows, models, ranks) array
+        # so that a mean adds each cell's k distances in rank order
+        count = np.zeros((n, self._table.shape[1]), dtype=np.int32)
+        pos = np.zeros((*count.shape, self._ranks.shape[0]), dtype=np.intp)
+        for i in range(w):
+            count += self._table[near[:, i]]
+            pos += count[:, :, None] <= self._ranks
+        missing = pos[:, :, -1] == w
+        near_k = dist[np.arange(n)[:, None, None], np.minimum(pos, w - 1)]
+        scores = near_k[:, :, 0] if self.aggregation == "kth" else near_k.mean(axis=2)
+        rows = np.flatnonzero(missing.any(axis=1))
         if rows.size:
             full = _distances(X[rows, None, :], self._refs)
-            for b in np.flatnonzero(missing.any(axis=1)):
-                q = np.flatnonzero(missing[b, rows])
-                scores[b, rows[q]] = _knn_reduce(
+            for b in np.flatnonzero(missing.any(axis=0)):
+                q = np.flatnonzero(missing[rows, b])
+                scores[rows[q], b] = _knn_reduce(
                     np.repeat(full[q], self._counts[b], axis=1), self.k, self.aggregation)
         return scores
 
@@ -603,12 +652,12 @@ def fit_plan(spec, rows, counts, seed, streams, trees=None):
     KnnPlan; the forests of all models grow together into one ForestPlan,
     model b from the key ``split_seed(seed, streams[b])``, so model b equals
     a one-model plan on its expanded rows with that key.  ``trees``, the
-    (feature, split rows, leaf sizes) node arrays of a saved forest, stand
-    in for growing: the snapshot loader builds its plan here, through the
-    same checks and the same ForestPlan constructor as the fit.
+    (feature, split positions) node arrays of a saved forest, stand in for
+    growing: the snapshot loader builds its plan here, from subsamples drawn
+    again as the fit drew them, through the same checks and the same
+    ForestPlan constructor as the fit.
     """
-    sizes = counts.sum(axis=1, dtype=np.int64)
-    smallest = int(sizes.min())
+    smallest = int(counts.sum(axis=1, dtype=np.int64).min())
     if smallest < 2:
         raise EmptyTrainingSet("training requires at least 2 rows")
     if spec.kind == "knn_distance":
@@ -619,10 +668,11 @@ def fit_plan(spec, rows, counts, seed, streams, trees=None):
         raise InvalidHyperparameter(
             "external scorers are wrapped with wrap_detached, not fitted")
     keys = np.array([split_seed(seed, s) for s in streams], dtype=np.uint64)
-    psi = np.minimum(spec.subsample_size, sizes)
+    psi = subsample_sizes(spec, counts)
+    sub = _subsamples(spec, rows, counts, keys, psi)
     if trees is None:
-        trees = _grow_forests(spec, rows, counts, keys, psi)
-    return ForestPlan(spec, rows, keys, psi, *trees)
+        trees = _grow_forests(spec, rows, keys, psi, sub)
+    return ForestPlan(spec, rows, keys, psi, sub, *trees)
 
 
 def score_plan(scorer, X, mask=None):

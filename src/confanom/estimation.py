@@ -21,6 +21,7 @@ produces arbitrarily small, off-grid p-values and is flagged non-conformal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +88,9 @@ class EstimationSpec:
             if self.smoothed:
                 raise InvalidHyperparameter("smoothing applies to the empirical regime only")
             bw = self.bandwidth if self.bandwidth is not None else "silverman"
-            # checked but kept as given, so a saved header keeps its spelling
-            _check_bandwidth(bw)
-            object.__setattr__(self, "bandwidth", bw)
+            # the checked float, so that a numpy or int bandwidth saves as a
+            # JSON number
+            object.__setattr__(self, "bandwidth", _check_bandwidth(bw))
         elif self.bandwidth is not None:
             raise InvalidHyperparameter("bandwidth applies to the probabilistic regime only")
 
@@ -215,15 +216,24 @@ def _band_asymptotic(n, delta):
 
 
 def _band_simes(n, delta):
-    # rank-proportional spending: per-rank tail budget delta * r / sum(r),
-    # simultaneous by the union bound
-    # scipy.special is a large share of the package's import time and only
-    # the conditional and probabilistic regimes need it, so it is imported
-    # on first use
-    from scipy import special
-    r = np.arange(1, n + 1)
-    gamma = delta * r * (2.0 / (n * (n + 1.0)))
-    return special.betainccinv(r, n - r + 1, gamma)
+    """The Simes-type band of Bates, Candes, Lei, Romano & Sesia (2023,
+    "Testing for outliers with conformal p-values"), from the generalized
+    Simes inequality of Sarkar (2008) with k = max(1, floor(n / 2)):
+    b_{n+1-i} = 1 - (delta prod_{l<k} (i - l) / (n - l))^(1/k) for i >= k
+    and 1 for i < k, so that n uniforms' order statistics all lie at or
+    below their b with probability at least 1 - delta.  Each product comes
+    from log-gamma differences, with no scipy.  The ranks above n + 1 - k,
+    about n/2, map to 1, but at the lowest ranks, where BH reads the band,
+    it lies under the mc band (at n = 1000 and delta = 0.1, b_1 is 0.0046
+    against 0.0058)."""
+    k = max(1, n // 2)
+    log_factorial = np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
+    i = np.arange(n, k - 1, -1)  # b_1 takes i = n, b_{n+1-k} takes i = k
+    log_product = (log_factorial[i] - log_factorial[i - k]
+                   - (log_factorial[n] - log_factorial[n - k]))
+    band = np.ones(n)
+    band[:i.shape[0]] = -np.expm1((math.log(delta) + log_product) / k)
+    return band
 
 
 def _band_mc(n, delta, seed):
@@ -244,7 +254,10 @@ def _band_mc(n, delta, seed):
     """
     if seed is None:
         raise InvalidHyperparameter("the mc adjustment requires a seed")
-    from scipy import special  # imported on first use, see _band_simes
+    # scipy.special is a large share of the package's import time and only
+    # the mc adjustment and the probabilistic regime need it, so it is
+    # imported on first use
+    from scipy import special
     r = np.arange(1, n + 1)
     k = int(np.floor(delta * _MC_DRAWS))
 
@@ -293,8 +306,8 @@ def build_adjustment(n, delta, method, seed=None):
 
     Methods: 'asymptotic' is the one-sided Dvoretzky-Kiefer-Wolfowitz band;
     'mc' calibrates per-rank Beta quantiles to the simulated distribution of
-    the worst rank; 'simes' spends the delta budget across ranks
-    proportionally to the rank via a union bound.
+    the worst rank; 'simes' is the closed-form band of the generalized
+    Simes inequality (see ``_band_simes``).
     """
     n = check_count("n", n, 1)
     delta = _check_delta(delta)
@@ -355,7 +368,7 @@ def probabilistic_p_value(cm, ts, bandwidth="silverman"):
                             calibration_size=n,
                             notes=("degenerate calibration scores: probabilistic "
                                    "estimation fell back to empirical",))
-    from scipy import special  # imported on first use, see _band_simes
+    from scipy import special  # imported on first use, see _band_mc
     t = aggregate_test_scores(cm, ts)
     entries = cm.entry_scores
     out = np.empty(t.shape[0], dtype=np.float64)

@@ -231,11 +231,13 @@ def shift(seed, n_trials=100, alpha=0.1) -> ExperimentResult:
             scorer=scorer, strategy=resampling.split(0.5), seed=split_seed(trial_seed, 1),
             weighting=method, ratio_function=shift_oracle_ratio if method == "oracle" else None)
             for method in methods]
-        # weighting enters only at p-value time, so one calibration serves every method
+        # weighting enters only at p-value time, so one calibration and one
+        # scoring of the batch serve every method
         cm = pipeline.fit(configs[0], train).calibration
+        ts = resampling.test_score_matrix(cm, test)
         for method, cfg in zip(methods, configs):
             fp = pipeline.FittedPipeline(config=cfg, calibration=cm)
-            dec = pipeline.select(fp, test, alpha)
+            dec = decisions.benjamini_hochberg(pipeline._p_values(fp, test, ts, None), alpha)
             fdr = decisions.false_discovery_rate(labels, dec)
             power = decisions.statistical_power(labels, dec)
             per_method[method]["fdr"].append(fdr)

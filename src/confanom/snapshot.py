@@ -3,19 +3,21 @@
 Layout: an 8-byte magic, a little-endian uint32 format version, a
 little-endian uint64 header length, a JSON header (configuration,
 package version and array index), the payload, and a trailing SHA-256 over
-everything before it.  The payload is the arrays' bytes in index order,
-deflated as one zlib stream (RFC 1950/1951) at zlib's default level.  Loads
-verify magic, version, and digest before touching any content, so a
-truncated or corrupted file is refused whole rather than half-loaded, and
-nothing is inflated before the digest holds.  The index then gives the
-payload's raw size, summed in Python integers so no shape can overflow it.
-An index that asks for more than deflate's 1032:1 expansion limit allows
-for the stored bytes is refused before inflating; the stream is inflated to
-at most one byte past that size and refused if it is not a valid zlib
-stream, inflates short or long, is unfinished, or is followed by other
-bytes.  The stored bytes depend on the zlib build (zlib and zlib-ng
-deflate differently), but every valid file loads under any build, since
-inflating is fixed by the format.
+everything before it.  The payload is the arrays in index order, each by
+byte plane (byte 0 of every element in C order, then byte 1, and so on, so
+that the high bytes of small values and the exponents of floats sit
+together), deflated as one zlib stream (RFC 1950/1951) at zlib's default
+level.  Loads verify magic, version, and digest before touching any
+content, so a truncated or corrupted file is refused whole rather than
+half-loaded, and nothing is inflated before the digest holds.  The index
+then gives the payload's raw size, summed in Python integers so no shape
+can overflow it.  An index that asks for more than deflate's 1032:1
+expansion limit allows for the stored bytes is refused before inflating;
+the stream is inflated to at most one byte past that size and refused if it
+is not a valid zlib stream, inflates short or long, is unfinished, or is
+followed by other bytes.  The stored bytes depend on the zlib build (zlib
+and zlib-ng deflate differently), but every valid file loads under any
+build, since inflating is fixed by the format.
 
 The header gives each setting once: the pipeline configuration (scorer,
 strategy, estimation, weighting, seed), the package version and the array
@@ -23,7 +25,7 @@ index.  Everything else follows from it: the calibration's strategy and
 mode are the configured strategy's, and an adjustment table's size, delta
 and method are the entry count and the configured estimation's.
 
-Format version 10 stores a calibration's rows once (``calibration/rows``),
+Format version 11 stores a calibration's rows once (``calibration/rows``),
 its entry scores and only the SHA-256 of its plan
 (``calibration/plan_digest``): a plan is a deterministic function of the
 strategy, the row count and the seed, so the loader rebuilds it with
@@ -33,35 +35,46 @@ a numpy whose ``Generator`` streams differ: NEP 19 does not promise them
 across numpy versions, so a file loads only under a numpy that draws the
 plans as the saving one did).  Plans above ``MAX_PLAN_MODELS`` models or
 ``MAX_PLAN_CELLS`` model x row cells are refused before anything is built,
-at save and at load, so a pipeline above them can be fitted but not saved.
+at save and at load, so a pipeline above them can be fitted but not saved;
+so are forests whose subsamples hold more than ``MAX_FOREST_ROWS`` rows in
+all, since a load draws them again.
 Isolation forests add their trees, model by model and tree by tree, by
-level-order shape: ``trees/feature`` per node (-1 for a leaf),
-``trees/split_rows`` per inner node and ``trees/leaf_size`` per leaf.
-Features are stored as the narrowest of int8, int16 and int32 that holds
-their values, leaf sizes as the narrowest of uint8, uint16 and uint32, and
-split rows (the two calibration rows whose values on an inner node's
-feature bound its range) as the narrowest of uint8, uint16 and uint32 that
-holds every row index; the loader refuses any other width, so a pipeline
-has one encoding.  No thresholds and no tree offsets are stored: the loader
-hands the three arrays to ``detectors.fit_plan``, whose ``ForestPlan``
-constructor cuts them into trees, checks every tree and draws its
-thresholds again, as it does for a fitted forest.  A calibration-conditional
-pipeline adds ``table/adjusted``, its n_entries + 1 adjusted p-values.
+level-order shape: ``trees/feature`` per node (-1 for a leaf) and
+``trees/split_rows`` per inner node, its split rows (the two rows whose
+values on the node's feature bound its range), each given as its first
+position in the tree's subsample.  Features are stored as the narrowest of
+int8, int16 and int32 that holds their values, split positions as the
+narrowest of uint8, uint16 and uint32 that holds every position below the
+plan's largest subsample size psi (one byte at the default psi of 256);
+the loader refuses any other width, so a pipeline has one encoding.  No thresholds, leaf sizes, tree
+offsets or subsamples are stored: the loader hands the two arrays to
+``detectors.fit_plan``, which draws every tree's subsample again from the
+rows, the plan and the seed, as the fit drew it, and whose ``ForestPlan``
+constructor cuts the arrays into trees, checks every tree, maps the
+positions to rows, draws the thresholds again and counts each subsample
+into its tree's leaves, as it does for a fitted forest.  For a default
+forest of 200 trees of psi 256 that is about 26,000 Philox blocks and a
+walk of 51,200 rows: a load of the benchmark's ``stream_monitor`` file
+took 27 ms in place of format 10's 13.5 ms on a 2-core x86-64 VM.  A
+calibration-conditional pipeline adds ``table/adjusted``, its n_entries + 1
+adjusted p-values.
 
 The file digest only detects damage: anyone can recompute it.  This module
 checks the container: magic, version, digest, the deflate bounds, the array
 index (every name a string, every dtype a string in numpy's own spelling,
 every shape entry a JSON integer), each array's dtype and rank, finite
 scores, the plan bound and digest, and that every array belongs to the
-configuration (a table under another regime does not).  What is built from
-the header and arrays checks its own input: the spec constructors every
-setting, through ``core``'s checkers (a delta of "0.1" or a bandwidth of
-Infinity is refused like any other), ``DataMatrix`` the rows, ``fit_plan``
-a model's training rows and k, ``ForestPlan`` its trees,
+configuration (a table under another regime, or leaf sizes, do not).  What
+is built from the header and arrays checks its own input: the spec
+constructors every setting, through ``core``'s checkers (a delta of "0.1"
+or a bandwidth of Infinity is refused like any other), ``DataMatrix`` the
+rows, ``fit_plan`` a model's training rows and k, ``ForestPlan`` its trees,
 ``AdjustmentTable`` its length and ``CalibrationModel`` its score count.
-Files of earlier formats (9 stored the payload raw, 8 also the thresholds,
-7 also tree features and leaf sizes as int32 and the tree offsets, 6 the
-plan itself) are refused by their version.
+Files of earlier formats (10 stored split rows as calibration row
+indices, leaf sizes, and each array's bytes in element order, 9 also the
+payload raw, 8 the thresholds, 7 also tree features and leaf sizes as
+int32 and the tree offsets, 6 the plan itself) are refused by their
+version.
 
 Only built-in detectors can be saved: an external scorer is an opaque
 callable and an oracle weighting carries a user function, neither of
@@ -80,13 +93,13 @@ import numpy as np
 
 from ._version import __version__
 from .core import ConfanomError, DataMatrix, SnapshotError, check_finite
-from .detectors import ForestPlan, ScorerSpec, fit_plan
+from .detectors import ForestPlan, ScorerSpec, fit_plan, subsample_sizes
 from .estimation import AdjustmentTable, EstimationSpec
 from .pipeline import FittedPipeline, PipelineConfig
 from .resampling import CalibrationModel, StrategySpec, kept_plan, plan_models, strategy_plan
 
 MAGIC = b"CANOMSNP"
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 _DIGEST_BYTES = 32
 # deflate codes at most 258 bytes in two bits, so a stream of s bytes
 # inflates to at most 1032 s bytes
@@ -98,9 +111,13 @@ _MAX_INFLATION = 1032
 # uint16 count and a mask byte
 MAX_PLAN_MODELS = 1 << 14
 MAX_PLAN_CELLS = 1 << 26
-# the integer dtypes of which a tree array takes the narrowest that holds
-# its values: features in the signed ones, leaf sizes in the unsigned ones;
-# split rows take the unsigned one that holds every row index
+# the most subsample rows (models x n_trees x psi) a forest load draws again
+# and walks down its trees, 128 MB as int64 row indices.  A tree may be one
+# node, so the node arrays do not bound them: the header's n_trees does
+MAX_FOREST_ROWS = 1 << 24
+# the integer dtypes of which a tree array takes the narrowest: features
+# the signed one that holds their values, split rows (subsample positions)
+# the unsigned one that holds every position below the plan's largest psi
 _SIGNED, _UNSIGNED = ("|i1", "<i2", "<i4"), ("|u1", "<u2", "<u4")
 
 
@@ -110,9 +127,18 @@ def _narrowest(a, dtypes):
     return next(d for d in dtypes if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max)
 
 
-def _row_dtype(n_rows):
-    """The dtype of split rows: the narrowest that holds every row index."""
-    return _narrowest(np.array([n_rows - 1]), _UNSIGNED)
+def _position_dtype(psi):
+    """The dtype of stored split rows, which are subsample positions: the
+    narrowest that holds every position below the largest of the subsample
+    sizes ``psi``."""
+    return _narrowest(np.array([max(int(psi.max()), 1) - 1]), _UNSIGNED)
+
+
+def _planes(a):
+    """The bytes of ``a`` by byte plane: byte 0 of every element in C order,
+    then byte 1, and so on."""
+    flat = np.ascontiguousarray(a).reshape(-1)
+    return flat.view(np.uint8).reshape(flat.shape[0], a.itemsize).T.tobytes()
 
 
 def _check_plan_size(strategy, n_rows):
@@ -121,6 +147,16 @@ def _check_plan_size(strategy, n_rows):
         raise SnapshotError(
             f"a plan of {models} models over {n_rows} rows is larger than a snapshot "
             f"rebuilds ({MAX_PLAN_MODELS} models, {MAX_PLAN_CELLS} model x row cells)")
+
+
+def _check_forest_size(spec, psi):
+    """Refuse a forest whose subsamples a load would not draw again."""
+    n_rows = spec.n_trees * int(psi.sum())
+    if n_rows > MAX_FOREST_ROWS:
+        raise SnapshotError(
+            f"a forest of {spec.n_trees} trees per model over subsamples of up to "
+            f"{int(psi.max())} rows draws {n_rows} subsample rows, more than a snapshot "
+            f"redraws ({MAX_FOREST_ROWS})")
 
 
 def _plan_digest(plan):
@@ -152,9 +188,10 @@ def snapshot_save(fp: FittedPipeline, path):
               "calibration/rows": cm.rows}
     if isinstance(cm.scorer, ForestPlan):
         plan = cm.scorer
+        _check_forest_size(plan.spec, plan.psi)
         arrays["trees/feature"] = plan.feature.astype(_narrowest(plan.feature, _SIGNED))
-        arrays["trees/split_rows"] = plan.split_rows.astype(_row_dtype(cm.rows.shape[0]))
-        arrays["trees/leaf_size"] = plan.leaf_size.astype(_narrowest(plan.leaf_size, _UNSIGNED))
+        # each split row as its first position in its tree's subsample
+        arrays["trees/split_rows"] = plan.split_positions.astype(_position_dtype(plan.psi))
     if fp.table is not None:
         arrays["table/adjusted"] = fp.table.adjusted
     header = {
@@ -170,7 +207,7 @@ def snapshot_save(fp: FittedPipeline, path):
                    for name, a in arrays.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays.values())
+    payload = b"".join(_planes(a) for a in arrays.values())
     body = b"".join([
         MAGIC,
         FORMAT_VERSION.to_bytes(4, "little"),
@@ -227,8 +264,8 @@ class _Arrays:
         payload = _inflate(stored, sum(sizes))
         self.arrays, self.used, offset = {}, set(), 0
         for (name, (dtype, shape)), nbytes in zip(entries.items(), sizes):
-            chunk = payload[offset:offset + nbytes]
-            self.arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
+            planes = np.frombuffer(payload, np.uint8, nbytes, offset).reshape(dtype.itemsize, -1)
+            self.arrays[name] = planes.T.copy().view(dtype).reshape(shape)
             offset += nbytes
 
     def get(self, name, dtype, ndim):
@@ -259,16 +296,18 @@ def _load_calibration(arrays, config):
     n_rows = rows.shape[0]
     # DataMatrix refuses empty, featureless or non-finite rows, strategy_plan
     # too few rows, fit_plan small models or bad trees, and CalibrationModel
-    # a wrong score count
+    # a wrong score count; the size checks come before anything is drawn
     _check_plan_size(strategy, n_rows)
     plan = kept_plan(strategy_plan(strategy, n_rows, config.seed), strategy)
     _expect(digest.tobytes() == _plan_digest(plan),
             "the plan digest is not that of the plan the strategy and seed give over "
             "these rows (an edited strategy or seed, or other numpy random streams)")
-    trees = None if spec.kind != "isolation_forest" else (
-        arrays.get("trees/feature", _SIGNED, 1),
-        arrays.get("trees/split_rows", _row_dtype(n_rows), 2),
-        arrays.get("trees/leaf_size", _UNSIGNED, 1))
+    trees = None
+    if spec.kind == "isolation_forest":
+        psi = subsample_sizes(spec, plan.train_counts)
+        _check_forest_size(spec, psi)
+        trees = (arrays.get("trees/feature", _SIGNED, 1),
+                 arrays.get("trees/split_rows", _position_dtype(psi), 2))
     scorer = fit_plan(spec, rows, plan.train_counts, config.seed, plan.streams, trees)
     return CalibrationModel(
         entry_scores=entry_scores, entry_rows=plan.entry_rows, oob=plan.oob, rows=rows,

@@ -267,7 +267,8 @@ class TestSnapshot:
         assert info["bytes"] == snap.stat().st_size
         names = list(info["array_bytes"])
         assert names == sorted(names)
-        assert ("trees/leaf_size" in names) == trees and "trees/left" not in names
+        assert ("trees/split_rows" in names) == trees
+        assert "trees/left" not in names and "trees/leaf_size" not in names
         # each array's raw bytes are its itemsize times its element count
         blob = snap.read_bytes()
         header_length = int.from_bytes(blob[12:20], "little")

@@ -214,13 +214,14 @@ def trees_of(plan, b):
 
 
 def split_rows_of(plan, b):
-    """Each tree of model b's split rows by node, -1 at a leaf."""
+    """Each tree of model b's split rows by node, -1 at a leaf, and its
+    split positions by inner node."""
     cuts = plan.offsets[b * plan.n_trees:(b + 1) * plan.n_trees + 1]
     inner = np.concatenate([[0], np.cumsum(plan.feature >= 0)])
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         bounds = np.full((hi - lo, 2), -1)
         bounds[plan.feature[lo:hi] >= 0] = plan.split_rows[inner[lo]:inner[hi]]
-        yield bounds
+        yield bounds, plan.split_positions[inner[lo]:inner[hi]]
 
 
 def reference_scores(plan, X):
@@ -322,15 +323,20 @@ def test_forest_plan_follows_tree_law(case):
         psi = min(spec.subsample_size, n_b)
         assert plan.psi[b] == psi
         cap = spec.max_depth or int(np.ceil(np.log2(psi)))
-        for t, (tree, bounds) in enumerate(zip(trees_of(plan, b), split_rows_of(plan, b))):
+        for t, (tree, (bounds, positions)) in enumerate(zip(trees_of(plan, b),
+                                                             split_rows_of(plan, b))):
             index = reference_subsample(rows, counts[b], key, t, psi)
             check_tree_law(tree, bounds, rows, index, key, t, cap)
+            # a split position is the first position of its row in the subsample
+            np.testing.assert_array_equal(
+                positions, (index == bounds[tree[0] >= 0][..., None]).argmax(axis=-1))
     # a tree depends only on its key: growing one tree per chunk, or a few,
     # gives the same node table
     for block in (1, 7):
         with mock.patch.object(detectors, "_FIT_BLOCK", block):
             chunked, _ = fit_forest_plan(spec, rows, counts, seed)
-        for field in ("feature", "threshold", "split_rows", "leaf_size", "offsets"):
+        for field in ("feature", "threshold", "split_positions", "split_rows", "leaf_size",
+                      "offsets"):
             np.testing.assert_array_equal(getattr(chunked, field), getattr(plan, field))
     # the plan draws its thresholds again from its split rows; the tree law
     # above holds them to the fit's draws and routes the subsample by them.
@@ -350,65 +356,63 @@ class TestForestPlanChecks:
         counts = np.ones((2, 40), dtype=np.uint16)
         counts[1, :10] = 0
         plan, streams = fit_forest_plan(self.SPEC, rows, counts, 8)
-        keys = [split_seed(8, s) for s in streams]
-        arrays = {name: np.array(getattr(plan, name))
-                  for name in ("feature", "split_rows", "leaf_size")}
-        return plan, rows, keys, arrays
+        keys = np.array([split_seed(8, s) for s in streams], dtype=np.uint64)
+        sub = detectors._subsamples(self.SPEC, rows, counts, keys, plan.psi)
+        arrays = {name: np.array(getattr(plan, name)) for name in ("feature", "split_positions")}
+        return plan, rows, keys, sub, arrays
 
-    def build(self, rows, keys, psi, arrays, spec=SPEC):
-        return detectors.ForestPlan(spec, rows, keys, psi, arrays["feature"],
-                                    arrays["split_rows"], arrays["leaf_size"])
+    def build(self, rows, keys, psi, sub, arrays, spec=SPEC):
+        return detectors.ForestPlan(spec, rows, keys, psi, sub, arrays["feature"],
+                                    arrays["split_positions"])
 
     def test_fitted_arrays_rebuild_the_plan(self, parts):
-        plan, rows, keys, arrays = parts
-        rebuilt = self.build(rows, keys, plan.psi, arrays)
-        for name in ("feature", "split_rows", "leaf_size", "offsets", "psi"):
+        plan, rows, keys, sub, arrays = parts
+        rebuilt = self.build(rows, keys, plan.psi, sub, arrays)
+        for name in ("feature", "split_positions", "split_rows", "leaf_size", "offsets", "psi"):
             np.testing.assert_array_equal(getattr(rebuilt, name), getattr(plan, name))
         assert rebuilt.threshold.tobytes() == plan.threshold.tobytes()
 
     def test_part_of_a_tree_refused(self, parts):
-        plan, rows, keys, arrays = parts
-        cut = {"feature": arrays["feature"][:-1], "split_rows": arrays["split_rows"],
-               "leaf_size": arrays["leaf_size"][:-1]}
+        plan, rows, keys, sub, arrays = parts
+        cut = {"feature": arrays["feature"][:-1], "split_positions": arrays["split_positions"]}
         with pytest.raises(InvalidForest,
                            match="cut into 7 whole trees and part of one, not 2 models x 4"):
-            self.build(rows, keys, plan.psi, cut)
+            self.build(rows, keys, plan.psi, sub, cut)
 
-    @pytest.mark.parametrize("defect", ["feature", "equal", "reversed", "leaf"])
+    @pytest.mark.parametrize("defect", ["feature", "equal", "reversed", "psi", "negative"])
     def test_bad_node_refused(self, parts, defect):
-        # tree 1's root, or its first leaf, made invalid
-        plan, rows, keys, arrays = parts
+        # tree 1's root made invalid: its feature, its split positions, or a
+        # position at psi (16) or below 0
+        plan, rows, keys, sub, arrays = parts
         root = plan.offsets[1]
         inner = int((arrays["feature"][:root] >= 0).sum())
-        low, high = arrays["split_rows"][inner]
+        low, high = arrays["split_positions"][inner]
         if defect == "feature":
             arrays["feature"][root] = 3
-        elif defect == "leaf":
-            leaf = root + int(np.argmax(arrays["feature"][root:] < 0))
-            arrays["leaf_size"][leaf - int((arrays["feature"][:leaf] >= 0).sum())] = 17
         else:
-            arrays["split_rows"][inner] = {"equal": (high, high), "reversed": (high, low)}[defect]
+            arrays["split_positions"][inner] = {"equal": (high, high), "reversed": (high, low),
+                                                "psi": (low, 16), "negative": (-1, high)}[defect]
         with pytest.raises(InvalidForest,
                            match="tree 1 of model 0 is not a valid isolation tree"):
-            self.build(rows, keys, plan.psi, arrays)
+            self.build(rows, keys, plan.psi, sub, arrays)
 
     def test_chain_past_the_cap_refused(self, parts):
         # one tree of psi = 16, whose cap is 4: a chain of depth 4 builds,
         # one of depth 5 does not
-        _, rows, keys, _ = parts
+        _, rows, keys, _, _ = parts
         spec = ScorerSpec(kind="isolation_forest", n_trees=1, subsample_size=16)
+        sub = np.arange(16)
         for depth in (4, 5):
             feature = np.where(np.arange(2 * depth + 1) % 2 == 0, 0, -1)
             feature[-1] = -1
-            chain = {"feature": feature,
-                     "split_rows": np.tile([rows[:, 0].argmin(), rows[:, 0].argmax()], (depth, 1)),
-                     "leaf_size": np.ones(depth + 1, dtype=np.int32)}
+            chain = {"feature": feature, "split_positions": np.tile(
+                [rows[:16, 0].argmin(), rows[:16, 0].argmax()], (depth, 1))}
             if depth == 4:
-                assert self.build(rows, keys[:1], [16], chain, spec)._levels == 4
+                assert self.build(rows, keys[:1], [16], sub, chain, spec)._levels == 4
             else:
                 with pytest.raises(InvalidForest,
                                    match="tree 0 of model 0 is deeper than its cap"):
-                    self.build(rows, keys[:1], [16], chain, spec)
+                    self.build(rows, keys[:1], [16], sub, chain, spec)
 
 
 @settings(max_examples=60)
@@ -485,7 +489,7 @@ def test_forest_threads_bounded_and_joined():
 @given(forest_plans(max_trees=12), st.sampled_from([split(0.5), cross_validation(3),
                                                     jackknife(), jackknife_bootstrap(4)]))
 def test_forest_snapshot_p_values_equal_fresh_fit(case, strategy):
-    """A saved forest plan, stored by tree shape and split rows, loads with
+    """A saved forest plan, stored by tree shape and split positions, loads with
     the same node arrays, thresholds drawn again included, and gives every
     model's score, and every p-value, bit for bit."""
     spec, rows, _, test, seed = case
@@ -498,7 +502,7 @@ def test_forest_snapshot_p_values_equal_fresh_fit(case, strategy):
         loaded = snapshot_load(Path(tmp) / "forest.snap")
     test = DataMatrix(test)
     plan, reloaded = fitted.calibration.scorer, loaded.calibration.scorer
-    for field in ("feature", "split_rows", "leaf_size", "offsets", "psi"):
+    for field in ("feature", "split_positions", "split_rows", "leaf_size", "offsets", "psi"):
         np.testing.assert_array_equal(getattr(reloaded, field), getattr(plan, field))
     assert reloaded.threshold.view(np.uint64).tobytes() == plan.threshold.view(np.uint64).tobytes()
     np.testing.assert_array_equal(score_plan(reloaded, test).view(np.uint64),

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -169,19 +172,43 @@ class TestBuildAdjustment:
         np.testing.assert_allclose(table.adjusted[:n], expected, rtol=1e-12)
         assert table.adjusted[n] == 1.0
 
-    def test_simes_budget_sums_to_delta(self):
-        # the band spends delta * 2r / (n (n+1)) on rank r; the union
-        # bound needs the spends to sum to exactly delta
-        n, delta = 40, 0.05
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 41, 1000])
+    @pytest.mark.parametrize("delta", [0.05, 0.1, 0.3])
+    def test_simes_band_matches_mpmath(self, n, delta):
+        # b_{n+1-i} = 1 - (delta prod_{l<k} (i - l) / (n - l))^(1/k) for
+        # i >= k = max(1, n // 2), and 1 below, evaluated at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        k = max(1, n // 2)
+        expected, product = np.ones(n), mpmath.mpf(1)  # the product at i = n
+        for i in range(n, k - 1, -1):
+            expected[n - i] = float(1 - (mpmath.mpf(delta) * product) ** (mpmath.mpf(1) / k))
+            product *= mpmath.mpf(i - k) / i
+        np.testing.assert_allclose(estimation._band_simes(n, delta), expected, rtol=1e-11)
         r = np.arange(1, n + 1)
-        gamma = delta * r * 2.0 / (n * (n + 1))
-        assert gamma.sum() == pytest.approx(delta, rel=1e-12)
-        table = build_adjustment(n, delta, "simes")
-        raw = stats.beta.isf(gamma, r, n - r + 1)
         np.testing.assert_allclose(
-            table.adjusted[:n],
-            np.maximum.accumulate(np.minimum(np.maximum(raw, r / (n + 1)), 1.0)),
-            rtol=1e-12)
+            build_adjustment(n, delta, "simes").adjusted[:n],
+            np.maximum.accumulate(np.minimum(np.maximum(expected, r / (n + 1)), 1.0)),
+            rtol=1e-11)
+
+    @pytest.mark.parametrize("n", [1, 10, 100, 1000])
+    @pytest.mark.parametrize("delta", [0.05, 0.1, 0.3])
+    def test_simes_band_valid(self, n, delta):
+        # the joint failure rate over fresh calibrations stays within three
+        # standard errors of delta
+        reps = 4000
+        rate = conditional_validity_oracle(build_adjustment(n, delta, "simes"), n_reps=reps,
+                                           seed=n)
+        assert rate <= delta + 3 * np.sqrt(delta * (1 - delta) / reps)
+
+    def test_simes_table_needs_no_scipy(self):
+        code = ("import sys; from confanom.estimation import build_adjustment; "
+                "build_adjustment(500, 0.1, 'simes'); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = os.path.dirname(os.path.dirname(estimation.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
 
     def test_mc_deterministic_in_seed(self):
         a = build_adjustment(50, 0.1, "mc", seed=7)

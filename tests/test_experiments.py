@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confanom import pipeline
+from confanom import pipeline, resampling
 from confanom.core import InvalidHyperparameter, InvalidSpec
 from confanom.experiments import (EXPERIMENT_NAMES, conditional,
                                   martingale_null, run_experiment, shift,
@@ -54,11 +54,14 @@ class TestShift:
 
     def test_one_calibration_per_trial(self, monkeypatch):
         # the methods share scorer, strategy and seed; weighting enters only
-        # at p-value time
-        fits, fit = [], pipeline.fit
-        monkeypatch.setattr(pipeline, "fit", lambda *args: fits.append(args) or fit(*args))
+        # at p-value time, so each trial fits and scores its batch once
+        calls, fit, score = [], pipeline.fit, resampling.test_score_matrix
+        monkeypatch.setattr(pipeline, "fit",
+                            lambda *args: calls.append("fit") or fit(*args))
+        monkeypatch.setattr(resampling, "test_score_matrix",
+                            lambda *args: calls.append("score") or score(*args))
         shift(seed=4, n_trials=2)
-        assert len(fits) == 2
+        assert calls == ["fit", "score"] * 2
 
     def test_oracle_ratio_is_the_thinning_function(self):
         X = np.array([[2.0, 0, 0, 0], [-50.0, 0, 0, 0]])

@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from confanom import snapshot
+from confanom import detectors, snapshot
 from confanom.cli import main
-from confanom.core import ConfanomError, DataMatrix, SnapshotError
+from confanom.core import ConfanomError, DataMatrix, SnapshotError, split_seed
 from confanom.detectors import ScorerSpec
 from confanom.estimation import EstimationSpec
 from confanom.pipeline import (PipelineConfig, compute_p_values, fit,
                                fit_detached, score_samples, stream_p_values)
-from confanom.resampling import (cross_validation, jackknife, jackknife_bootstrap, kept_plan,
-                                  split, strategy_plan)
+from confanom.resampling import (StrategySpec, cross_validation, jackknife, jackknife_bootstrap,
+                                  kept_plan, split, strategy_plan)
 from confanom.snapshot import (FORMAT_VERSION, MAGIC, snapshot_load,
                                snapshot_save)
 
@@ -122,6 +122,21 @@ class TestRoundTrip:
         np.testing.assert_array_equal(stream_p_values(loaded, stream).values,
                                       stream_p_values(original, stream).values)
 
+    def test_numeric_bandwidth_saved_as_float(self, tmp_path):
+        # a bandwidth is kept as the checked float: an np.float32 once passed
+        # every check and then made json refuse the header, and an int 2 is
+        # saved as 2.0
+        for given in (np.float32(0.5), 2):
+            config = PipelineConfig(scorer=KNN, strategy=split(0.5), seed=32,
+                                    estimation=EstimationSpec(regime="probabilistic",
+                                                              bandwidth=given))
+            original, loaded = round_trip(tmp_path, config, gaussian_matrix(32, 60))
+            bandwidth = loaded.config.estimation.bandwidth
+            assert type(bandwidth) is float and bandwidth == float(given)
+            X = gaussian_matrix(33, 10)
+            assert (compute_p_values(loaded, X).values.tobytes()
+                    == compute_p_values(original, X).values.tobytes())
+
     def test_save_is_deterministic(self, tmp_path):
         config = PipelineConfig(scorer=KNN, strategy=split(0.5), seed=15)
         fitted = fit(config, gaussian_matrix(12, 70))
@@ -141,17 +156,15 @@ def narrowest(values, dtypes, bounds):
        subsample_size=st.integers(2, 600), max_depth=st.sampled_from([1, 2, None]),
        n_trees=st.integers(1, 4), bootstraps=st.sampled_from([0, 2, 3]),
        seed=st.integers(0, 2 ** 16))
-# a split on a column past 127 needs int16 features; one split of more than
-# 510 rows leaves a leaf of more than 255, which needs uint16 leaf sizes
+# a split on a column past 127 needs int16 features
 @example(n_features=140, varied=128, n_rows=200, subsample_size=64, max_depth=None,
          n_trees=2, bootstraps=0, seed=1)
-@example(n_features=1, varied=0, n_rows=700, subsample_size=520, max_depth=1, n_trees=2,
-         bootstraps=0, seed=2)
-# split rows take uint8 up to 256 rows and uint16 from 257
-@example(n_features=2, varied=0, n_rows=256, subsample_size=256, max_depth=None, n_trees=2,
+# split positions take uint8 up to psi = 256 and uint16 from 257 (a split
+# of 0.2 of 700 rows trains on 560)
+@example(n_features=2, varied=0, n_rows=700, subsample_size=256, max_depth=None, n_trees=2,
          bootstraps=0, seed=3)
-@example(n_features=2, varied=0, n_rows=257, subsample_size=16, max_depth=None, n_trees=1,
-         bootstraps=0, seed=4)
+@example(n_features=1, varied=0, n_rows=700, subsample_size=257, max_depth=1, n_trees=2,
+         bootstraps=0, seed=2)
 def test_forest_round_trip_narrowest(n_features, varied, n_rows, subsample_size, max_depth,
                                      n_trees, bootstraps, seed):
     # columns before ``varied`` are constant, so every split is on a later one
@@ -174,17 +187,15 @@ def test_forest_round_trip_narrowest(n_features, varied, n_rows, subsample_size,
     dtypes = {entry["name"]: np.dtype(entry["dtype"]) for entry in header["arrays"]}
     assert dtypes["trees/feature"] == narrowest(plan.feature, ("|i1", "<i2", "<i4"),
                                                 (2 ** 7, 2 ** 15, 2 ** 31))
-    assert dtypes["trees/leaf_size"] == narrowest(plan.leaf_size, ("|u1", "<u2", "<u4"),
-                                                  (2 ** 8, 2 ** 16, 2 ** 32))
-    # split rows take the narrowest type that holds every row index
-    assert dtypes["trees/split_rows"] == narrowest(np.array([n_rows - 1]), ("|u1", "<u2", "<u4"),
-                                                   (2 ** 8, 2 ** 16, 2 ** 32))
+    # split rows are stored as subsample positions, in the narrowest type
+    # that holds every position below the largest psi
+    assert dtypes["trees/split_rows"] == narrowest(plan.psi - 1, ("|u1", "<u2", "<u4"),
+                                                        (2 ** 8, 2 ** 16, 2 ** 32))
     assert loaded.threshold.view(np.uint64).tobytes() == plan.threshold.view(np.uint64).tobytes()
     n_inner = int((plan.feature >= 0).sum())
     array_bytes = json.loads(out.getvalue())["array_bytes"]
-    assert "trees/threshold" not in array_bytes
-    for name, n in (("feature", plan.feature.size), ("split_rows", 2 * n_inner),
-                    ("leaf_size", plan.feature.size - n_inner)):
+    assert "trees/threshold" not in array_bytes and "trees/leaf_size" not in array_bytes
+    for name, n in (("feature", plan.feature.size), ("split_rows", 2 * n_inner)):
         assert array_bytes[f"trees/{name}"] == n * dtypes[f"trees/{name}"].itemsize
 
 
@@ -195,13 +206,14 @@ TINY = np.finfo(np.float64).smallest_subnormal
 def awkward_rows(draw):
     """Rows whose values tie, change sign at zero, neighbour each other or
     are subnormal, some rows repeated: the bounds of a split may then be
-    -0.0 against 0.0, or one ulp apart."""
+    -0.0 against 0.0, or one ulp apart.  Some draws have enough rows for a
+    psi above 256 under every strategy below."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     x = float(np.round(rng.normal(), 1))
     palette = np.array([-0.0, 0.0, x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
                         -x, TINY, -TINY, 3 * TINY, 1.0, -1.0, 1e300, -1e300])
     palette = palette[:draw(st.integers(2, palette.size))]
-    d, n = draw(st.integers(1, 5)), draw(st.integers(10, 60))
+    d, n = draw(st.integers(1, 5)), draw(st.integers(10, 60) | st.integers(400, 440))
     rows = palette[rng.integers(palette.size, size=(n, d))]
     rows[rng.integers(n, size=n // 3)] = rows[0]  # repeated rows
     return rows
@@ -209,13 +221,17 @@ def awkward_rows(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(rows=awkward_rows(), max_depth=st.sampled_from([None, 40]), n_trees=st.integers(1, 6),
-       subsample_size=st.integers(2, 64),
+       subsample_size=st.integers(2, 64) | st.sampled_from([256, 257, 300]),
        strategy=st.sampled_from([split(0.3), cross_validation(3), jackknife_bootstrap(3)]),
        seed=st.integers(0, 2 ** 32))
+@example(rows=np.array([[-0.0], [0.0], [TINY], [-TINY]] * 100), max_depth=None, n_trees=3,
+         subsample_size=300, strategy=jackknife_bootstrap(3), seed=1)
 def test_split_rows_rebuild_thresholds(rows, max_depth, n_trees, subsample_size, strategy, seed):
-    # the loader draws every threshold again from its split rows, the model
-    # keys, the tree and the node, with the bits of the fitted ones, for
-    # one-model and plus-mode forests alike
+    # the file holds each split as two positions in its tree's subsample and
+    # no leaf size: the loader draws the subsamples again, maps the positions
+    # to rows, draws every threshold from them and counts the subsample into
+    # the leaves, with the fit's bits, for one-model and plus-mode forests,
+    # bootstrap subsamples that repeat rows, and one- and two-byte positions
     scorer = ScorerSpec(kind="isolation_forest", n_trees=n_trees, subsample_size=subsample_size,
                         max_depth=max_depth)
     fitted = fit(PipelineConfig(scorer=scorer, strategy=strategy, seed=seed), DataMatrix(rows))
@@ -224,12 +240,17 @@ def test_split_rows_rebuild_thresholds(rows, max_depth, n_trees, subsample_size,
         path = pathlib.Path(tmp) / "forest.snap"
         snapshot_save(fitted, path)
         loaded = snapshot_load(path).calibration.scorer
-    assert loaded.split_rows.tobytes() == plan.split_rows.tobytes()
+    for name in ("split_positions", "split_rows", "leaf_size", "feature", "offsets", "psi"):
+        assert getattr(loaded, name).tobytes() == getattr(plan, name).tobytes()
     assert loaded.threshold.view(np.uint64).tobytes() == plan.threshold.view(np.uint64).tobytes()
-    # each split lies between its rows' values on its feature, low below high
+    # each split lies between its rows' values on its feature, low below
+    # high, and each tree's leaves hold its psi subsample rows
     f = plan.feature[plan.feature >= 0]
     low, high = rows[plan.split_rows[:, 0], f], rows[plan.split_rows[:, 1], f]
     assert (low < high).all() and (low <= plan.threshold).all() and (plan.threshold <= high).all()
+    leaves = np.repeat(np.arange(plan.offsets.size - 1), np.diff(plan.offsets))[plan.feature < 0]
+    np.testing.assert_array_equal(np.bincount(leaves, weights=plan.leaf_size),
+                                  np.repeat(plan.psi, n_trees))
 
 
 class TestRefusals:
@@ -310,15 +331,18 @@ def read_snapshot(path):
     for entry in header["arrays"]:
         dtype = np.dtype(entry["dtype"])
         nbytes = dtype.itemsize * int(np.prod(entry["shape"]))
-        arrays[entry["name"]] = np.frombuffer(payload[offset:offset + nbytes], dtype).reshape(
-            entry["shape"]).copy()
+        planes = np.frombuffer(payload[offset:offset + nbytes], np.uint8)
+        arrays[entry["name"]] = planes.reshape(dtype.itemsize, -1).T.copy().view(dtype).reshape(
+            entry["shape"])
         offset += nbytes
     return header, arrays
 
 
 def raw_payload(arrays):
-    """The arrays' bytes in order, as a file's payload inflates to."""
-    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays.values())
+    """The arrays in order, as a file's payload inflates to: each array's
+    bytes by byte plane, every element's byte 0, then every byte 1, ..."""
+    raw = [(np.ascontiguousarray(a).tobytes(), a.itemsize) for a in arrays.values()]
+    return b"".join(b[i::size] for b, size in raw for i in range(size))
 
 
 def write_snapshot(path, header, arrays, stored=None, shapes={}, dtypes={},
@@ -352,15 +376,28 @@ def tree_offsets(feature):
     return np.array(offsets)
 
 
-def replace_tree(arrays, t, feature, leaf_size):
+def tree_subsample(header, arrays, t):
+    """Tree t's subsample in a one-model forest snapshot, as calibration
+    rows, drawn again as the loader draws it."""
+    config, rows = header["config"], arrays["calibration/rows"]
+    strategy = StrategySpec(**config["strategy"])
+    plan = kept_plan(strategy_plan(strategy, rows.shape[0], config["seed"]), strategy)
+    spec = ScorerSpec(**config["scorer"])
+    keys = np.array([split_seed(config["seed"], s) for s in plan.streams], dtype=np.uint64)
+    psi = detectors.subsample_sizes(spec, plan.train_counts)
+    return detectors._subsamples(spec, rows, plan.train_counts, keys, psi)[t * psi[0]:][:psi[0]]
+
+
+def replace_tree(header, arrays, t, feature):
     """The arrays of a forest snapshot with tree t replaced by the given
     nodes, which need not be a tree.  Each inner node splits between the
-    calibration rows with the least and the greatest value on its feature."""
+    positions of the tree's subsample with the least and the greatest
+    value on its feature."""
     old = arrays["trees/feature"]
     lo, hi = tree_offsets(old)[t:t + 2]
     inner = np.concatenate([[0], np.cumsum(old >= 0)])
-    rows = arrays["calibration/rows"]
-    split_rows = [(rows[:, f].argmin(), rows[:, f].argmax()) for f in feature if f >= 0]
+    values = arrays["calibration/rows"][tree_subsample(header, arrays, t)]
+    positions = [(values[:, f].argmin(), values[:, f].argmax()) for f in feature if f >= 0]
 
     def splice(a, i, j, part):
         return np.concatenate([a[:i], np.asarray(part, dtype=a.dtype).reshape(-1, *a.shape[1:]),
@@ -368,10 +405,8 @@ def replace_tree(arrays, t, feature, leaf_size):
 
     return {**arrays,
             "trees/feature": splice(old, lo, hi, feature),
-            "trees/split_rows": splice(arrays["trees/split_rows"], inner[lo], inner[hi],
-                                       split_rows),
-            "trees/leaf_size": splice(arrays["trees/leaf_size"], lo - inner[lo], hi - inner[hi],
-                                      leaf_size)}
+            "trees/split_rows": splice(arrays["trees/split_rows"], inner[lo],
+                                            inner[hi], positions)}
 
 
 class TestUntrustedContent:
@@ -398,14 +433,14 @@ class TestUntrustedContent:
         snapshot_save(fit(config, gaussian_matrix(17, 50, d=2)), tmp_path / "jab.snap")
         return read_snapshot(tmp_path / "jab.snap")
 
-    @pytest.mark.parametrize("version", range(1, 10))
+    @pytest.mark.parametrize("version", range(1, 11))
     def test_old_version_refused_by_name(self, tmp_path, forest, version):
         # a current file that loads, with only its version field changed and
         # its digest recomputed: the version alone refuses it, by name
         snapshot_load(write_snapshot(tmp_path / "current.snap", *forest))
         path = write_snapshot(tmp_path / "old.snap", *forest, version=version)
         with pytest.raises(SnapshotError, match=f"format version {version} is not supported "
-                                                r"\(this build reads version 10\)"):
+                                                r"\(this build reads version 11\)"):
             snapshot_load(path)
 
     def test_payload_is_one_default_level_zlib_stream(self, tmp_path, forest):
@@ -503,24 +538,31 @@ class TestUntrustedContent:
                                                 "weighting"]
 
     def test_forest_stored_by_shape(self, forest):
-        # no child pointers, no inner sizes, no offsets and no thresholds:
-        # two split rows per inner node, sizes for leaves only, in their
-        # narrowest types (60 rows index in one byte)
+        # no child pointers, no offsets, no thresholds and no leaf sizes: two
+        # split rows per inner node, as subsample positions, in their
+        # narrowest types (positions below psi = 30 fit one byte)
         header, arrays = forest
         inner = arrays["trees/feature"] >= 0
         assert sorted(name for name in arrays if name.startswith("trees/")) == [
-            "trees/feature", "trees/leaf_size", "trees/split_rows"]
+            "trees/feature", "trees/split_rows"]
         assert arrays["trees/split_rows"].shape == (inner.sum(), 2)
-        assert arrays["trees/leaf_size"].shape == ((~inner).sum(),)
         assert [arrays[f"trees/{name}"].dtype.str
-                for name in ("feature", "split_rows", "leaf_size")] == ["|i1", "|u1", "|u1"]
+                for name in ("feature", "split_rows")] == ["|i1", "|u1"]
+
+    def test_stray_leaf_sizes_refused(self, tmp_path, forest):
+        # leaf sizes are counted at load, so a file that stores them is not
+        # one this format writes
+        header, arrays = forest
+        crafted = {**arrays, "trees/leaf_size": np.ones(3, np.uint8)}
+        with pytest.raises(SnapshotError, match=r"\['trees/leaf_size'\] do not belong"):
+            snapshot_load(write_snapshot(tmp_path / "sizes.snap", header, crafted))
 
     def test_inner_node_own_parent_refused(self, tmp_path, forest):
         # [leaf, inner, leaf] would make the inner node's children itself and
         # the node after it.  The cut ends a tree at the first leaf, so as
         # the last tree it leaves [inner, leaf], which is no whole tree
         header, arrays = forest
-        crafted = replace_tree(arrays, 11, [-1, 0, -1], [1, 1])
+        crafted = replace_tree(header, arrays, 11, [-1, 0, -1])
         with pytest.raises(SnapshotError,
                            match="cut into 12 whole trees and part of one, not 1 models x 12"):
             snapshot_load(write_snapshot(tmp_path / "cycle.snap", header, crafted))
@@ -535,7 +577,7 @@ class TestUntrustedContent:
         tree = feature[lo:hi]
         leaves = tree < 0
         grown = np.where(np.arange(tree.size) == np.flatnonzero(leaves)[-1], 0, tree)
-        crafted = replace_tree(arrays, 1, grown, np.ones(int(leaves.sum()) - 1))
+        crafted = replace_tree(header, arrays, 1, grown)
         with pytest.raises(SnapshotError, match="cut into 10 whole trees, not 1 models x 12"):
             snapshot_load(write_snapshot(tmp_path / "outside.snap", header, crafted))
 
@@ -544,33 +586,32 @@ class TestUntrustedContent:
         # one tree too many, and three nodes with two inner ones run on over
         # the next two trees
         header, arrays = forest
-        for feature, n_leaves, message in (
-                ([0, -1, -1, -1], 3, "cut into 13 whole trees, not 1 models x 12"),
-                ([0, 0, -1], 1, "cut into 10 whole trees, not 1 models x 12")):
-            crafted = replace_tree(arrays, 2, feature, np.ones(n_leaves))
+        for feature, message in (
+                ([0, -1, -1, -1], "cut into 13 whole trees, not 1 models x 12"),
+                ([0, 0, -1], "cut into 10 whole trees, not 1 models x 12")):
+            crafted = replace_tree(header, arrays, 2, feature)
             with pytest.raises(SnapshotError, match=message):
                 snapshot_load(write_snapshot(tmp_path / "count.snap", header, crafted))
 
-    @pytest.mark.parametrize("name", ["trees/split_rows", "trees/leaf_size"])
+    @pytest.mark.parametrize("name", ["trees/split_rows"])
     def test_per_kind_lengths_checked(self, tmp_path, forest, name):
-        # one entry too few or too many, or three bounds to a split
+        # one split too few or too many, or three bounds to a split
         header, arrays = forest
-        bads = [arrays[name][:-1], np.concatenate([arrays[name], arrays[name][:1]])]
-        if name == "trees/split_rows":
-            bads.append(np.column_stack([arrays[name], arrays[name][:, :1]]))
-        for bad in bads:
-            with pytest.raises(SnapshotError, match="disagree with the inner and leaf counts"):
+        for bad in (arrays[name][:-1], np.concatenate([arrays[name], arrays[name][:1]]),
+                    np.column_stack([arrays[name], arrays[name][:, :1]])):
+            with pytest.raises(SnapshotError, match="disagree with the inner node count"):
                 snapshot_load(write_snapshot(tmp_path / "lengths.snap", header,
                                              {**arrays, name: bad}))
 
     @pytest.mark.parametrize("field, value", [
-        ("feature", 3), ("feature", -2), ("size", -1), ("size", 61), ("split_row", 60),
-        ("split_row", 255)])
+        ("feature", 3), ("feature", -2), ("split_row", 30), ("split_row", 60),
+        ("split_row", 255), ("split_row_high", 30)])
     def test_tree_arrays_checked(self, tmp_path, forest, field, value):
         # the field's first entry in tree 1: the root's feature, a leaf's
-        # feature below -1, the first inner node's low split row (60 is the
-        # row count) or the first leaf's size.  The features stay int8; a
-        # negative size needs a signed array, which no leaf size may have
+        # feature below -1, or the first inner node's low (or high) split
+        # position, which names its split row, at or past psi: a split of 0.5
+        # of 60 rows trains on 30, so psi is 30.  The features stay int8, the
+        # positions uint8
         header, arrays = forest
         feature = arrays["trees/feature"]
         start = tree_offsets(feature)[1]
@@ -578,14 +619,11 @@ class TestUntrustedContent:
         leaf = start + int(np.argmax(feature[start:] < 0))
         name, at = {"feature": ("trees/feature", start if value >= 0 else leaf),
                     "split_row": ("trees/split_rows", (n_inner, 0)),
-                    "size": ("trees/leaf_size", start - n_inner)}[field]
-        message = "tree 1 of model 0 is not a valid isolation tree"
-        if value < 0 and field == "size":
-            arrays[name] = arrays[name].astype("|i1")
-            message = "'trees/leaf_size' is missing or malformed"
+                    "split_row_high": ("trees/split_rows", (n_inner, 1))}[field]
         arrays[name][at] = value
-        assert arrays["trees/feature"].dtype == np.int8
-        with pytest.raises(SnapshotError, match=message):
+        assert [arrays[n].dtype for n in ("trees/feature", "trees/split_rows")] == [
+            np.int8, np.uint8]
+        with pytest.raises(SnapshotError, match="tree 1 of model 0 is not a valid isolation tree"):
             snapshot_load(write_snapshot(tmp_path / "tree.snap", header, arrays))
 
     @pytest.mark.parametrize("bounds", ["equal", "reversed"])
@@ -593,13 +631,13 @@ class TestUntrustedContent:
         # the first split of tree 1 between a row and itself, or between its
         # high and its low row: its range is empty, so no threshold lies in it
         header, arrays = forest
-        feature, split_rows = arrays["trees/feature"], arrays["trees/split_rows"].copy()
+        feature, positions = arrays["trees/feature"], arrays["trees/split_rows"].copy()
         at = int((feature[:tree_offsets(feature)[1]] >= 0).sum())
-        low, high = split_rows[at]
-        split_rows[at] = {"equal": (high, high), "reversed": (high, low)}[bounds]
+        low, high = positions[at]
+        positions[at] = {"equal": (high, high), "reversed": (high, low)}[bounds]
         with pytest.raises(SnapshotError, match="tree 1 of model 0 is not a valid isolation tree"):
             snapshot_load(write_snapshot(tmp_path / "bounds.snap", header,
-                                         {**arrays, "trees/split_rows": split_rows}))
+                                         {**arrays, "trees/split_rows": positions}))
 
     @pytest.mark.parametrize("max_depth", [None, 40, 10**9])
     def test_deep_chain_refused_quickly(self, tmp_path, max_depth):
@@ -611,11 +649,11 @@ class TestUntrustedContent:
         config = PipelineConfig(scorer=scorer, strategy=split(0.5), seed=23)
         snapshot_save(fit(config, gaussian_matrix(23, 200, d=2)), tmp_path / "one.snap")
         header, arrays = read_snapshot(tmp_path / "one.snap")
-        header["config"]["scorer"]["max_depth"] = max_depth
         depth = 20_000
         feature = np.where(np.arange(2 * depth + 1) % 2 == 0, 0, -1)
         feature[-1] = -1
-        crafted = replace_tree(arrays, 0, feature, np.ones(depth + 1))
+        crafted = replace_tree(header, arrays, 0, feature)
+        header["config"]["scorer"]["max_depth"] = max_depth
         path = write_snapshot(tmp_path / "chain.snap", header, crafted)
         began = time.perf_counter()
         message = ("max_depth must be at most 64" if max_depth == 10**9
@@ -635,7 +673,7 @@ class TestUntrustedContent:
         for depth in (7, 8):
             feature = np.where(np.arange(2 * depth + 1) % 2 == 0, 1, -1)
             feature[-1] = -1
-            crafted = replace_tree(arrays, 0, feature, np.ones(depth + 1))
+            crafted = replace_tree(header, arrays, 0, feature)
             path = write_snapshot(tmp_path / "chain.snap", json.loads(json.dumps(header)),
                                   crafted)
             if depth == 8:
@@ -648,20 +686,17 @@ class TestUntrustedContent:
         # the trees are cut from the node array: it must end where a tree
         # ends and hold exactly models x n_trees of them
         header, arrays = forest
-        feature, leaf_size = arrays["trees/feature"], arrays["trees/leaf_size"]
+        feature = arrays["trees/feature"]
         last = tree_offsets(feature)[-2]
-        n_inner = int((feature[:last] >= 0).sum())
         cases = [
-            ("11 whole trees and part of one, not 1 models x 12", feature[:-1], leaf_size[:-1]),
-            ("13 whole trees, not 1 models x 12", np.append(feature, feature[-1:]),
-             np.append(leaf_size, leaf_size[-1:])),
-            ("11 whole trees, not 1 models x 12", feature[:last],
-             leaf_size[:last - n_inner]),
-            ("0 whole trees, not 1 models x 12", feature[:0], leaf_size[:0]),
+            ("11 whole trees and part of one, not 1 models x 12", feature[:-1]),
+            ("13 whole trees, not 1 models x 12", np.append(feature, feature[-1:])),
+            ("11 whole trees, not 1 models x 12", feature[:last]),
+            ("0 whole trees, not 1 models x 12", feature[:0]),
         ]
-        for message, bad_feature, bad_size in cases:
-            crafted = {**arrays, "trees/feature": bad_feature, "trees/leaf_size": bad_size,
-                       "trees/split_rows": arrays["trees/split_rows"][:(bad_feature >= 0).sum()]}
+        for message, bad_feature in cases:
+            crafted = {**arrays, "trees/feature": bad_feature, "trees/split_rows":
+                       arrays["trees/split_rows"][:(bad_feature >= 0).sum()]}
             with pytest.raises(SnapshotError, match=message):
                 snapshot_load(write_snapshot(tmp_path / "cuts.snap",
                                              json.loads(json.dumps(header)), crafted))
@@ -673,7 +708,7 @@ class TestUntrustedContent:
             if feature[t] < 0:
                 continue
             swapped = feature.copy()
-            swapped[[t - 1, t]] = feature[[t, t - 1]]  # split rows and sizes keep their order
+            swapped[[t - 1, t]] = feature[[t, t - 1]]  # split positions keep their order
             path = write_snapshot(tmp_path / "moved.snap", json.loads(json.dumps(header)),
                                   {**arrays, "trees/feature": swapped})
             try:
@@ -685,16 +720,14 @@ class TestUntrustedContent:
     @pytest.mark.parametrize("name, dtype", [
         ("trees/feature", "<i2"), ("trees/feature", "<i4"), ("trees/feature", "<f8"),
         ("trees/feature", "|u1"), ("trees/feature", "<u2"), ("trees/feature", ">i2"),
-        ("trees/leaf_size", "<u2"), ("trees/leaf_size", "<u4"), ("trees/leaf_size", "|i1"),
-        ("trees/leaf_size", "<i4"), ("trees/leaf_size", "<f8"), ("trees/split_rows", "<u2"),
-        ("trees/split_rows", "<u4"), ("trees/split_rows", "|i1"), ("trees/split_rows", "<i8"),
+        ("trees/split_rows", "<u2"), ("trees/split_rows", "<u4"),
+        ("trees/split_rows", "|i1"), ("trees/split_rows", "<i8"),
         ("trees/split_rows", "<f8")])
     def test_tree_dtypes_checked(self, tmp_path, forest, name, dtype):
         # features come as the narrowest of int8, int16 and int32 that holds
-        # them, leaf sizes as the narrowest of uint8, uint16 and uint32, and
-        # split rows of 60 rows as uint8: a wider, unsigned or float feature
-        # array, or a wider, signed or float leaf-size or split-row array, is
-        # refused though its values are the saved ones
+        # them, and split rows as positions below psi = 30 in uint8: a wider,
+        # unsigned or float feature array, or a wider, signed or float split
+        # row array, is refused though its values are the saved ones
         header, arrays = forest
         crafted = {**arrays, name: arrays[name].astype(dtype)}
         with pytest.raises(SnapshotError, match=f"'{name}' is missing or malformed"):
@@ -762,6 +795,30 @@ class TestUntrustedContent:
         fitted = fit(config, gaussian_matrix(17, 50, d=2))
         monkeypatch.setattr(snapshot, "MAX_PLAN_MODELS", 6)
         with pytest.raises(SnapshotError, match="a plan of 7 models over 50 rows"):
+            snapshot_save(fitted, tmp_path / "big.snap")
+        assert not (tmp_path / "big.snap").exists()
+
+    @pytest.mark.parametrize("n_trees", [10 ** 9, 2 ** 24 // 30 + 1])
+    def test_forest_above_bound_refused_quickly(self, tmp_path, forest, n_trees):
+        # a tree may be a single node, so a header asking for 10^9 trees of
+        # psi = 30 would make the loader draw 3 x 10^10 subsample rows from a
+        # small file; any count past the bound is refused before one is drawn
+        header, arrays = forest
+        header["config"]["scorer"]["n_trees"] = n_trees
+        path = write_snapshot(tmp_path / "trees.snap", header, arrays)
+        began = time.perf_counter()
+        with pytest.raises(SnapshotError, match=f"draws {30 * n_trees} subsample rows, more "
+                                                f"than a snapshot redraws"):
+            snapshot_load(path)
+        assert time.perf_counter() - began < 1.0
+
+    def test_forest_above_bound_not_saved(self, tmp_path, monkeypatch):
+        # a forest that no load would draw again is refused when it is written
+        config = PipelineConfig(scorer=FOREST, strategy=split(0.5), seed=18)
+        fitted = fit(config, gaussian_matrix(16, 60, d=3))
+        monkeypatch.setattr(snapshot, "MAX_FOREST_ROWS", 12 * 30 - 1)
+        with pytest.raises(SnapshotError, match="12 trees per model over subsamples of up to "
+                                                "30 rows draws 360 subsample rows"):
             snapshot_save(fitted, tmp_path / "big.snap")
         assert not (tmp_path / "big.snap").exists()
 
