@@ -288,8 +288,9 @@ def philox_choice(key, tweak, sizes, counts, stream):
     j = np.arange(width)[:, None]
     span = np.maximum(sizes - j, 1)
     pick = np.where(j < counts, j + np.minimum((u * span).astype(np.int64), span - 1), j)
-    # perm[j, i] is position j of shuffle i
-    perm, every = np.repeat(np.arange(int(sizes.max()))[:, None], n, axis=1), np.arange(n)
+    # perm[j, i] is position j of shuffle i, int32 where the sizes fit: a swap moves half the bytes
+    top, every = int(sizes.max()), np.arange(n)
+    perm = np.repeat(np.arange(top, dtype=np.int32 if top < 2**31 else np.int64)[:, None], n, 1)
     for j, to in enumerate(pick):
         perm[j], perm[to, every] = perm[to, every], perm[j].copy()
     return perm[:width].T[np.arange(width) < counts[:, None]]

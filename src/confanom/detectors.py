@@ -11,7 +11,9 @@ Every model of a resampling plan is scored together: a k-NN plan from one
 filter pass per chunk of rows, a forest plan through all its trees at
 once, one tree level per step.  The forests are grown level by level
 across all trees, from counter-based Philox draws keyed by (model seed,
-tree index), so a tree does not depend on which trees grow with it.
+tree index), so a tree does not depend on which trees grow with it.  A
+snapshot load grows them through the same routine (``_grow``), reading each
+node's feature where a fit draws it.
 
 Forest scoring is the one step that runs on threads: its chunks of cells
 are shared out over min(CPUs the process may run on, chunks) threads, the
@@ -31,6 +33,7 @@ as scipy's ``cdist`` adds them, so each score has ``cdist``'s bits.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import os
 import threading
@@ -150,83 +153,117 @@ def _split_thresholds(a, b, words):
     return np.clip(a * (1.0 - u) + b * u, a, b)
 
 
-def _first_in_segment(hits, starts):
-    """Position of the first hit of each segment starting at ``starts``;
-    every segment holds one."""
-    at = np.flatnonzero(hits)
-    return at[np.searchsorted(at, starts)]
-
-
-def _grow(rows, sub, keys, tree, cap, psi):
-    """Node fields of a chunk of trees, tree after tree, grown level by
-    level from their subsamples: tree i holds the ``psi[i]`` rows of ``sub``
-    that follow those of the trees before it.
-
-    Every open node takes its per-feature range over its contiguous rows,
-    draws a feature that varies there and a threshold uniform in its range
-    from the first two words of counter block ``(node, 0)``, and splits its
-    rows stably, rows below the threshold to the left.  Nodes are numbered in
-    level order within their tree, so its r-th inner node has children 2r + 1
-    and 2r + 2.  Features come per node, and per inner node its split
-    positions: the first position of the tree's subsample whose row's value
-    on the split feature has the bits of the range's low end, and the first
-    with those of its high end, from which ``ForestPlan`` draws the
-    threshold again.  A stable split keeps every node's positions
-    ascending, so a row repeated in the subsample is found at its first
-    position.
+def _grow(rows, sub, keys, model, tree, caps, psi, stored=None):
+    """Feature and depth of every node, threshold of every inner node and
+    size of every leaf, in node order, of a chunk of trees grown level by
+    level: tree i, tree ``tree[i]`` of model ``model[i]``, holds the
+    ``psi[i]`` rows of ``sub`` after those of the trees before it and draws
+    from the Philox key ``(keys[model[i]], tree[i])``.  Nodes are numbered in
+    level order within their tree, so its r-th inner node has children
+    2r + 1 and 2r + 2.  A node of 2 rows or more below its cap
+    (``caps[model[i]]``) is open.  A fit (``stored`` None) draws an open
+    node's feature among those that vary on its rows, from the first word
+    of counter block ``(node, 0)``; a load reads it from ``stored``, the
+    chunk's features and each tree's first node among them, and refuses
+    with ``InvalidForest`` an inner node that is not open or whose rows do
+    not vary on its feature.  Both take the node's range as ``reduceat`` of
+    ``minimum`` and ``maximum`` over its rows in the order a stable split
+    keeps them, so -0.0 and 0.0 keep their bits, draw the threshold from
+    the block's second word and split the rows stably, lower rows left.
     """
     n_trees, width = psi.shape[0], rows.shape[1]
-    first = np.cumsum(psi) - psi
+    key, cap, flat = keys[model], caps[model], np.ascontiguousarray(rows).reshape(-1)
+
+    def refuse(bad, at, what):
+        if bad.any():
+            i = at[np.argmax(bad)]
+            raise InvalidForest(f"tree {tree[i]} of model {model[i]} {what}")
+
     seg_tree, seg_node, seg_len = np.arange(n_trees), np.zeros(n_trees, np.int64), psi
-    next_id, depth, splits, active = np.ones(n_trees, np.int64), 0, [], np.arange(sub.shape[0])
+    # active: the rows of the open nodes, node after node
+    next_id, level, active = np.ones(n_trees, np.int64), 0, sub
+    splits, leaves = [(*[np.zeros(0, np.int64)] * 3, np.zeros(0), np.zeros(0, np.int64))], []
     while seg_tree.size:
-        values = np.take(rows, sub[active], axis=0)
         starts = np.cumsum(seg_len) - seg_len
-        lo, hi = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
-        varied = hi > lo
-        if not varied.any(axis=1).all():
-            # nodes whose rows are all equal stay leaves
-            s = varied.any(axis=1)
-            active, values = active[np.repeat(s, seg_len)], values[np.repeat(s, seg_len)]
-            seg_tree, seg_node, seg_len, lo, hi, varied = (
-                a[s] for a in (seg_tree, seg_node, seg_len, lo, hi, varied))
+        if stored is None:
+            values = np.take(rows, active, axis=0)
+            varied = np.minimum.reduceat(values, starts) < np.maximum.reduceat(values, starts)
+            inner = varied.any(axis=1)
+        else:
+            q = stored[0][stored[1][seg_tree] + seg_node]
+            inner = q >= 0
+        if not inner.all():
+            # fitted nodes whose rows are all equal, and stored leaves
+            leaves.append((seg_tree[~inner], seg_node[~inner], seg_len[~inner],
+                           np.full((~inner).sum(), level)))
+            keep = np.repeat(inner, seg_len)
+            active, seg_tree, seg_node, seg_len = (
+                active[keep], seg_tree[inner], seg_node[inner], seg_len[inner])
+            if stored is None:
+                varied = varied[inner]
+            else:
+                q = q[inner]
             starts = np.cumsum(seg_len) - seg_len
-        n_varied, split = varied.sum(axis=1), np.arange(seg_tree.size)
-        words = philox_block(keys[seg_tree], tree[seg_tree], seg_node, 0)
-        k = np.minimum((philox_uniform(words[0]) * n_varied).astype(np.int64), n_varied - 1)
-        q = (np.cumsum(varied, axis=1) > k[:, None]).argmax(axis=1)
-        a, b = lo[split, q], hi[split, q]
-        threshold = _split_thresholds(a, b, words)
-        # stable partition, left part first, by the left rows before each row
+            if not seg_tree.size:
+                break
+        split = np.arange(seg_tree.size)
         of = np.repeat(split, seg_len)
-        at = np.arange(of.shape[0])
-        value = np.take(values.reshape(-1), at * width + q[of])
+        words = philox_block(key[seg_tree], tree[seg_tree], seg_node, 0)
+        if stored is None:
+            n_varied = varied.sum(axis=1)
+            k = np.minimum((philox_uniform(words[0]) * n_varied).astype(np.int64), n_varied - 1)
+            q = (np.cumsum(varied, axis=1) > k[:, None]).argmax(axis=1)
+        value = flat[active * width + q[of]]
+        a, b = np.minimum.reduceat(value, starts), np.maximum.reduceat(value, starts)
+        refuse(~(a < b), seg_tree,
+               "is not a valid isolation tree: an inner node's rows do not vary on its feature")
+        threshold = _split_thresholds(a, b, words)
+        # stable partition, left part first: with L the left rows before a
+        # row, a left row moves to its segment's start plus its L - L0 (L0
+        # at the start), a right row to its position plus n_left - L + L0
         right = value >= threshold[of]
-        # bits, not values, so that -0.0 and 0.0 stay apart
-        bits = value.view(np.int64)
-        bounds = [active[_first_in_segment(bits == end.view(np.int64)[of], starts)]
-                  - first[seg_tree] for end in (a, b)]
-        lefts = np.concatenate([[0], np.cumsum(~right)])
-        n_left = lefts[starts + seg_len] - lefts[starts]
-        before = lefts[:-1] - lefts[starts][of]
+        lefts = np.zeros(of.shape[0] + 1, np.int64)
+        np.cumsum(~right, out=lefts[1:])
+        first = lefts[starts]
+        n_left = lefts[starts + seg_len] - first
+        lefts = lefts[:-1]
         placed = np.empty_like(active)
-        placed[np.where(right, at + n_left[of] - before, starts[of] + before)] = active
+        placed[np.where(right, np.arange(of.shape[0]) - lefts + (n_left + first)[of],
+                        lefts + (starts - first)[of])] = active
+        splits.append((seg_tree, seg_node, q, threshold, np.full(split.shape[0], level)))
         # children in level order: the r-th split of a tree at this level
         # takes the tree's next two ids after 2r others
         left = next_id[seg_tree] + 2 * (split - np.searchsorted(seg_tree, seg_tree))
         next_id += 2 * np.bincount(seg_tree, minlength=n_trees)
+        level += 1
+        child_tree, child_node = np.repeat(seg_tree, 2), (left[:, None] + [0, 1]).ravel()
         child_len = np.column_stack([n_left, seg_len - n_left]).ravel()
-        splits.append((seg_tree, seg_node, q, *bounds))
-        depth += 1
-        grows = (child_len >= 2) & (depth < np.repeat(cap[seg_tree], 2))
+        deep = level >= cap[child_tree]
+        grows = (child_len >= 2) & ~deep
+        if stored is not None:
+            stored_inner = stored[0][stored[1][child_tree] + child_node] >= 0
+            refuse(stored_inner & deep, child_tree, "is deeper than its cap")
+            refuse(stored_inner & ~grows, child_tree,
+                   "is not a valid isolation tree: an inner node holds fewer than 2 rows")
+        leaves.append((child_tree[~grows], child_node[~grows], child_len[~grows],
+                       np.full((~grows).sum(), level)))
         active = placed[np.repeat(grows, child_len)]
-        seg_tree, seg_node = np.repeat(seg_tree, 2)[grows], (left[:, None] + [0, 1]).ravel()[grows]
-        seg_len = child_len[grows]
-    offsets, feature = np.cumsum(next_id) - next_id, np.full(int(next_id.sum()), -1, np.int32)
-    tr, node, q, low, high = map(np.concatenate, zip(*splits))
-    at = offsets[tr] + node
-    feature[at] = q
-    return feature, np.column_stack([low, high])[np.argsort(at)]
+        seg_tree, seg_node, seg_len = child_tree[grows], child_node[grows], child_len[grows]
+    s_tree, s_node, q, threshold, s_depth = map(np.concatenate, zip(*splits))
+    l_tree, l_node, size, l_depth = map(np.concatenate, zip(*leaves))
+    offsets = np.cumsum(next_id) - next_id
+    s_at, l_at = offsets[s_tree] + s_node, offsets[l_tree] + l_node
+    n_nodes = int(next_id.sum())
+    feature, depth = np.full(n_nodes, -1, np.int32), np.empty(n_nodes, np.uint8)
+    feature[s_at], depth[s_at], depth[l_at] = q, s_depth, l_depth
+    return feature, threshold[np.argsort(s_at)], size[np.argsort(l_at)], depth
+
+
+def forest_digest(threshold, leaf_size):
+    """SHA-256 of a forest's thresholds as <f8, then its leaf sizes as <i8,
+    each in node order: the digest a snapshot stores and a load checks."""
+    return hashlib.sha256(np.ascontiguousarray(threshold, "<f8").tobytes()
+                          + np.ascontiguousarray(leaf_size, "<i8").tobytes()).digest()
 
 
 def subsample_sizes(spec, counts):
@@ -260,21 +297,51 @@ def _subsamples(spec, rows, counts, keys, psi):
     return np.concatenate(parts)
 
 
-def _grow_forests(spec, rows, keys, psi, sub):
-    """The (feature, split positions) node arrays of a plan's trees, grown
-    from the subsamples ``sub`` of ``_subsamples``; tree t of model b draws
-    from the Philox key ``(keys[b], t)``.  Trees grow in chunks under the
-    ``_FIT_BLOCK`` budget, so no tree depends on the chunks."""
+def _grow_forests(spec, rows, keys, psi, sub, stored=None):
+    """The node arrays of a plan's trees (see ``_grow``), model by model and
+    tree by tree, grown from the subsamples ``sub`` in chunks under the
+    ``_FIT_BLOCK`` budget; tree t of model b draws from the key ``(keys[b],
+    t)``.  ``stored``, a snapshot's node features and forest digest, makes
+    this the read mode.  A tree of r inner nodes has 1 + 2r nodes, so the
+    running sum of +1 per inner node and -1 per leaf first falls to -k where
+    the k-th tree ends, and within a tree stays at 0 or above: its r-th inner
+    node sits at a position of at most 2r, and growing reaches every node
+    once.  Features that do not cut into models x ``n_trees`` whole trees or
+    lie outside [-1, d) are refused before growing, thresholds and leaf
+    sizes without the stored ``forest_digest`` after."""
     n_trees, tree_psi = spec.n_trees, np.repeat(psi, spec.n_trees)
-    cap, ends = spec.depth_caps(psi), np.append(0, np.cumsum(tree_psi))
+    n_cut, caps, ends = tree_psi.shape[0], spec.depth_caps(psi), np.append(0, np.cumsum(tree_psi))
+    if stored is not None:
+        feature, digest = stored
+        height = np.cumsum(np.where(feature >= 0, 1, -1))
+        cuts = np.flatnonzero(height < np.minimum.accumulate(np.append(0, height))[:-1])
+        whole = cuts.size > 0 and cuts[-1] == feature.shape[0] - 1
+        if not whole or cuts.size != n_cut:
+            raise InvalidForest(
+                f"the tree nodes cut into {cuts.size} whole trees"
+                f"{'' if whole or not feature.size else ' and part of one'}, not "
+                f"{psi.shape[0]} models x {n_trees}")
+        offsets = np.append(0, cuts + 1)
+        bad = np.flatnonzero((feature < -1) | (feature >= rows.shape[1]))
+        if bad.size:
+            t = int(np.searchsorted(offsets, bad[0], "right")) - 1
+            raise InvalidForest(
+                f"tree {t % n_trees} of model {t // n_trees} is not a valid isolation tree: "
+                f"feature {feature[bad[0]]} lies outside [-1, {rows.shape[1]})")
     step = max(1, _FIT_BLOCK // (int(psi.max()) * rows.shape[1]))
     parts = []
-    for lo in range(0, tree_psi.shape[0], step):
-        hi = min(lo + step, tree_psi.shape[0])
+    for lo in range(0, n_cut, step):
+        hi = min(lo + step, n_cut)
         model, tree = np.divmod(np.arange(lo, hi), n_trees)
-        parts.append(_grow(rows, sub[ends[lo]:ends[hi]], keys[model], tree, cap[model],
-                           tree_psi[lo:hi]))
-    return tuple(map(np.concatenate, zip(*parts)))
+        chunk = None if stored is None else (feature[offsets[lo]:offsets[hi]],
+                                             offsets[lo:hi] - offsets[lo])
+        parts.append(_grow(rows, sub[ends[lo]:ends[hi]], keys, model, tree, caps,
+                           tree_psi[lo:hi], chunk))
+    grown = tuple(map(np.concatenate, zip(*parts)))
+    if stored is not None and forest_digest(*grown[1:3]) != digest.tobytes():
+        raise InvalidForest("the forest digest is not that of the thresholds and leaf sizes "
+                            "its trees give over these subsamples")
+    return grown
 
 
 class ForestPlan:
@@ -283,131 +350,52 @@ class ForestPlan:
     Model b scores a point 2**(-E[h(x)] / c(psi_b)), with h the path length,
     psi_b the model's subsample size and c the average path length, so
     scores lie in (0, 1].  Trees are stored by level-order shape, model by
-    model and tree by tree, as in the snapshot: ``feature`` per node (-1 for
-    a leaf) and two ``split_positions`` per inner node, positions in its
-    tree's subsample (see ``_grow``); ``subsample`` holds every tree's
-    subsample rows, as ``_subsamples`` draws them.  The constructor checks
-    the node arrays, for the fit and the snapshot loader alike, and refuses
-    a bad forest with ``InvalidForest``:
+    model and tree by tree, as ``_grow`` returns them and as the snapshot
+    stores ``feature``: per node its ``feature`` (-1 for a leaf) and
+    ``depth`` (0 at each root, so tree t of model b starts at node
+    ``offsets[b * n_trees + t]``), per inner node its ``threshold`` and per
+    leaf its ``leaf_size``.  The constructor only builds the scoring
+    tables: a fit and a snapshot load both hand it what ``_grow_forests``
+    grew, and the read mode has checked a stored forest.
 
-    - A tree of r inner nodes has 1 + 2r nodes, so the running sum of +1
-      per inner node and -1 per leaf first falls to -k where the k-th tree
-      ends.  The cut there must give models x ``n_trees`` whole trees; tree
-      t of model b starts at node ``offsets[b * n_trees + t]``.  Within a
-      tree the sum stays at 0 or above, so its r-th inner node, whose
-      children are its nodes 2r + 1 and 2r + 2, sits at a position of at
-      most 2r: every node but the root has one parent, which comes first.
-    - Each inner node has two split positions.  Features index columns of
-      ``rows``, and split positions lie below the tree's psi and name rows
-      (``split_rows``) whose values on the node's feature rise from the
-      first to the second.
-    - No node lies below its tree's cap (``ScorerSpec.depth_caps``): the
-      level pass that gives each node its depth refuses one, so it stops
-      after at most cap + 1 levels.
-
-    Each threshold is then drawn between its split rows' values by
-    ``_split_thresholds``, from counter block (node, 0) of the Philox key
-    (``keys[b]``, t) for level-order node ``node`` of tree t of model b, as
-    ``_grow`` drew it: a fitted plan scores with the thresholds a loaded one
-    rebuilds.  Each tree's subsample is then walked down it, as a scoring
-    walks a point, and ``leaf_size`` counts the rows that end in each leaf:
-    for a grown tree, the rows ``_grow`` left there.  Scoring moves a (trees
-    x cells) matrix of current nodes one level per step through tables in
-    which leaves loop to themselves and a leaf carries its depth plus
-    c(size); a (row, model) cell adds its trees' path lengths in tree order,
-    as one walk per tree would, bit for bit.  Cells are scored in chunks of
-    ``_FOREST_BLOCK`` // n_trees, and thread i of n = min(CPUs in
-    ``os.sched_getaffinity``, chunks) takes chunks i, i + n, ...; the caller
-    is thread 0, no thread is started when n is 1 and none outlives
-    ``score_raw``.  A chunk's cells are its own, so the scores do not depend
-    on n.
+    Scoring moves a (trees x cells) matrix of current nodes one level per
+    step through tables in which leaves loop to themselves and a leaf
+    carries its depth plus c(size); a (row, model) cell adds its trees' path
+    lengths in tree order, as one walk per tree would, bit for bit.  Cells
+    are scored in chunks of ``_FOREST_BLOCK`` // n_trees, and thread i of
+    n = min(CPUs in ``os.sched_getaffinity``, chunks) takes chunks i, i + n,
+    ...; the caller is thread 0, no thread is started when n is 1 and none
+    outlives ``score_raw``.  A chunk's cells are its own, so the scores do
+    not depend on n.
     """
 
     kind = "isolation_forest"
 
-    def __init__(self, spec, rows, keys, psi, subsample, feature, split_positions):
-        self.spec, self.n_trees, n_trees = spec, spec.n_trees, spec.n_trees
-        self.psi = _readonly(np.asarray(psi, dtype=np.int64))
-        self.n_models, self.n_features = self.psi.shape[0], rows.shape[1]
-        feature, positions = np.asarray(feature), np.asarray(split_positions)
-        n_nodes, n_cut, inner = feature.shape[0], self.n_models * n_trees, feature >= 0
-        height = np.cumsum(np.where(inner, 1, -1))
-        ends = np.flatnonzero(height < np.minimum.accumulate(np.append(0, height))[:-1])
-        whole = ends.size > 0 and ends[-1] == n_nodes - 1
-        if not whole or ends.size != n_cut:
-            raise InvalidForest(
-                f"the tree nodes cut into {ends.size} whole trees"
-                f"{'' if whole or not n_nodes else ' and part of one'}, not "
-                f"{self.n_models} models x {n_trees}")
-        if positions.shape != (int(inner.sum()), 2):
-            raise InvalidForest("split positions disagree with the inner node count")
-        self.offsets = _readonly(np.append(0, ends + 1))
-        tree = np.repeat(np.arange(n_cut), np.diff(self.offsets))
-        # tree t's subsample rows are subsample[sub_ends[t]:sub_ends[t + 1]]
-        tree_psi = np.repeat(self.psi, n_trees)
-        sub_ends = np.append(0, np.cumsum(tree_psi))
-        ok = (feature >= -1) & (feature < self.n_features)
-        # read the bounds only where the position and the feature exist
-        t_psi, f = tree_psi[tree[inner]][:, None], np.clip(feature[inner], 0, self.n_features - 1)
-        split_rows = subsample[sub_ends[tree[inner]][:, None] + np.clip(positions, 0, t_psi - 1)]
-        low, high = rows[split_rows[:, 0], f], rows[split_rows[:, 1], f]
-        ok[inner] &= ((0 <= positions) & (positions < t_psi)).all(axis=1) & (low < high)
-        if not ok.all():
-            t = int(tree[np.argmin(ok)])
-            raise InvalidForest(f"tree {t % n_trees} of model {t // n_trees} "
-                                "is not a valid isolation tree")
-        for name, value, dtype in (("feature", feature, np.int32),
-                                   ("split_positions", positions, np.int64),
-                                   ("split_rows", split_rows, np.int64)):
-            setattr(self, name, _readonly(np.asarray(value, dtype=dtype)))
-        start, index = self.offsets[tree], np.arange(n_nodes)
-        at = index[inner]
-        model, t = np.divmod(tree[at], n_trees)
-        words = philox_block(np.asarray(keys, dtype=np.uint64)[model], t, at - start[at], 0)
-        self.threshold = _readonly(_split_thresholds(low, high, words))
+    def __init__(self, spec, n_features, psi, feature, threshold, leaf_size, depth):
+        self.spec, self.n_trees, self.n_features = spec, spec.n_trees, n_features
+        self.psi, self.feature, self.threshold, self.leaf_size, self.depth = map(
+            _readonly, (np.asarray(psi, dtype=np.int64), feature, threshold, leaf_size, depth))
+        self.n_models = self.psi.shape[0]
+        inner, index = feature >= 0, np.arange(feature.shape[0])
+        self.offsets = _readonly(np.append(np.flatnonzero(depth == 0), feature.shape[0]))
+        start = np.repeat(self.offsets[:-1], np.diff(self.offsets))
         # kernel tables: node -> left child + (x[feature] >= threshold), with
         # leaves sent back to themselves by an infinite threshold
         rank = np.cumsum(inner) - inner  # inner nodes before each node
         self._next = np.where(inner, start + 2 * (rank - rank[start]) + 1, index)
-        self._threshold = np.append(self.threshold, np.inf)[np.where(inner, rank, -1)]
+        self._threshold = np.append(threshold, np.inf)[np.where(inner, rank, -1)]
         # intp, so that the per-level index add needs no cast; with int32
         # tables, threads sharing the kernel gained nothing
-        self._feature = np.where(inner, self.feature, 0).astype(np.intp)
-        # level pass from the roots: it ends because every child sits after
-        # its parent, or at the first level below a tree's cap
-        cap = spec.depth_caps(self.psi)
-        depth, level, self._levels = np.zeros(n_nodes, dtype=np.int64), self.offsets[:-1], 0
-        while (level := level[inner[level]]).size:
-            self._levels += 1
-            level = np.concatenate([self._next[level], self._next[level] + 1])
-            deep = tree[level][self._levels > cap[tree[level] // n_trees]]
-            if deep.size:
-                t = int(deep.min())
-                raise InvalidForest(f"tree {t % n_trees} of model {t // n_trees} "
-                                    "is deeper than its cap")
-            depth[level] = self._levels
-        # each tree's subsample walked down it, in chunks of trees whose
-        # subsamples hold about _FOREST_BLOCK rows, which keeps a chunk's node
-        # tables in cache
-        flat, leaf = np.ascontiguousarray(rows).ravel(), np.empty(sub_ends[-1], dtype=np.intp)
-        step = max(1, _FOREST_BLOCK // int(self.psi.max()))
-        for lo in range(0, n_cut, step):
-            hi = min(lo + step, n_cut)
-            node = np.repeat(self.offsets[lo:hi], tree_psi[lo:hi])
-            base = subsample[sub_ends[lo]:sub_ends[hi]] * self.n_features
-            for _ in range(self._levels):
-                x = flat[base + self._feature[node]]
-                node = self._next[node] + (x >= self._threshold[node])
-            leaf[sub_ends[lo]:sub_ends[hi]] = node
-        self.leaf_size = _readonly(np.bincount(leaf, minlength=n_nodes)[~inner])
+        self._feature = np.where(inner, feature, 0).astype(np.intp)
+        self._levels = int(depth.max())
         # c(m) of every subsample and leaf size that occurs, and of no other m
         c_table = np.zeros(int(self.psi.max()) + 1)
-        m = np.flatnonzero(np.bincount(np.append(self.psi, self.leaf_size),
+        m = np.flatnonzero(np.bincount(np.append(self.psi, leaf_size),
                                        minlength=c_table.shape[0]))
         c_table[m] = [average_path_length(v) for v in m]
         self._c_psi = c_table[self.psi]
         self._path = depth.astype(np.float64)  # walks end on leaves: inner ones are not read
-        self._path[~inner] += c_table[self.leaf_size]
+        self._path[~inner] += c_table[leaf_size]
 
     def score_raw(self, X, mask=None):
         """(rows, models) scores; with ``mask``, only its cells, the rest 0."""
@@ -651,11 +639,11 @@ def fit_plan(spec, rows, counts, seed, streams, trees=None):
     every model needs 2 rows, a k-NN model more than k.  k-NN models share a
     KnnPlan; the forests of all models grow together into one ForestPlan,
     model b from the key ``split_seed(seed, streams[b])``, so model b equals
-    a one-model plan on its expanded rows with that key.  ``trees``, the
-    (feature, split positions) node arrays of a saved forest, stand in for
-    growing: the snapshot loader builds its plan here, from subsamples drawn
-    again as the fit drew them, through the same checks and the same
-    ForestPlan constructor as the fit.
+    a one-model plan on its expanded rows with that key.  ``trees``, a
+    snapshot's node features and forest digest, make the forests grow in
+    ``_grow_forests``' read mode: the snapshot loader builds its plan here,
+    from subsamples drawn again as the fit drew them, through the same
+    routine as the fit.
     """
     smallest = int(counts.sum(axis=1, dtype=np.int64).min())
     if smallest < 2:
@@ -670,9 +658,7 @@ def fit_plan(spec, rows, counts, seed, streams, trees=None):
     keys = np.array([split_seed(seed, s) for s in streams], dtype=np.uint64)
     psi = subsample_sizes(spec, counts)
     sub = _subsamples(spec, rows, counts, keys, psi)
-    if trees is None:
-        trees = _grow_forests(spec, rows, keys, psi, sub)
-    return ForestPlan(spec, rows, keys, psi, sub, *trees)
+    return ForestPlan(spec, rows.shape[1], psi, *_grow_forests(spec, rows, keys, psi, sub, trees))
 
 
 def score_plan(scorer, X, mask=None):

@@ -216,15 +216,13 @@ class Plan:
     ``train_counts[b, j]`` is how many times model b trains on row j, and
     model b is fitted from seed stream ``streams[b]``.  Entry e is row
     ``entry_rows[e]``, scored by the models ``oob[e]`` marks; each of them
-    has count 0 on that row.  A single_model strategy refits one model on
-    every row from ``refit_stream``.
+    has count 0 on that row.
     """
 
     train_counts: np.ndarray
     streams: tuple[int, ...]
     entry_rows: np.ndarray
     oob: np.ndarray
-    refit_stream: int | None = None
 
 
 def _resolve_n_calib(n_calib, n_rows):
@@ -256,23 +254,19 @@ def split_plan(n, n_calib, seed):
 def cv_plan(n, k, seed):
     """K folds from a seeded permutation; fold f's model trains on the other
     folds from stream 1 + f and scores fold f's rows.  Entries cover every
-    row once, in row order; the single_model refit uses stream 1 + k."""
-    if not 2 <= k <= n:
-        raise KOutOfRange(f"k must be in [2, {n}], got {k}")
+    row once, in row order."""
     perm = make_rng(split_seed(seed, 0)).permutation(n)
     sizes = np.full(k, n // k, dtype=np.int64)
     sizes[: n % k] += 1
     fold = np.empty(n, dtype=np.int64)
     fold[perm] = np.repeat(np.arange(k), sizes)
     counts = (np.arange(k)[:, None] != fold).astype(np.uint16)
-    return Plan(counts, tuple(range(1, k + 1)), np.arange(n), fold[:, None] == np.arange(k),
-                refit_stream=1 + k)
+    return Plan(counts, tuple(range(1, k + 1)), np.arange(n), fold[:, None] == np.arange(k))
 
 
 def bootstrap_plan(n, n_bootstraps, seed):
     """Bootstrap b draws n rows with replacement from stream 1 + 2b and fits
-    from stream 2 + 2b.  Rows in-bag in every bootstrap give no entry; the
-    single_model refit uses stream 0."""
+    from stream 2 + 2b.  Rows in-bag in every bootstrap give no entry."""
     counts = np.empty((n_bootstraps, n), dtype=np.uint16)
     for b in range(n_bootstraps):
         draw = make_rng(split_seed(seed, 1 + 2 * b)).integers(0, n, size=n)
@@ -283,8 +277,7 @@ def bootstrap_plan(n, n_bootstraps, seed):
         raise NoOutOfBagRows(
             f"every row was in-bag in all {n_bootstraps} bootstraps; "
             "increase n_bootstraps")
-    return Plan(counts, tuple(range(2, 2 * n_bootstraps + 2, 2)), kept, oob[kept],
-                refit_stream=0)
+    return Plan(counts, tuple(range(2, 2 * n_bootstraps + 2, 2)), kept, oob[kept])
 
 
 def _aggregate(values, aggregation):
@@ -333,19 +326,39 @@ def strategy_plan(strategy, n, seed):
         return split_plan(n, strategy.n_calib, seed)
     if strategy.kind == "jackknife_bootstrap":
         return bootstrap_plan(n, strategy.n_bootstraps, seed)
-    if strategy.kind == "jackknife" and n < 2:
-        raise KOutOfRange("jackknife requires at least 2 rows")
-    return cv_plan(n, plan_models(strategy, n), seed)
+    return cv_plan(n, _fold_count(strategy, n), seed)
 
 
-def kept_plan(plan, strategy):
-    """The models a calibration keeps: the plan's, or in single_model mode one
-    refitted on every row from ``refit_stream`` and paired with every entry."""
-    if strategy.mode != "single_model":
-        return plan
-    n_entries = plan.entry_rows.shape[0]
-    return Plan(np.ones((1, plan.train_counts.shape[1]), dtype=np.uint16),
-                (plan.refit_stream,), plan.entry_rows, np.ones((n_entries, 1), dtype=bool))
+def _fold_count(strategy, n):
+    """k of a cross-validation or jackknife plan over n rows, checked."""
+    k = plan_models(strategy, n)
+    if not 2 <= k <= n:
+        raise KOutOfRange("jackknife requires at least 2 rows" if strategy.kind == "jackknife"
+                          else f"k must be in [2, {n}], got {k}")
+    return k
+
+
+def refits_every_row_in_order(strategy):
+    """Whether ``strategy`` is a CV or jackknife single_model one, whose
+    entries are every row in row order, so its kept plan needs no folds."""
+    return strategy.mode == "single_model" and strategy.kind != "jackknife_bootstrap"
+
+
+def kept_plan(strategy, n, seed, plan=None):
+    """The plan a calibration of ``strategy`` over n rows keeps: the
+    strategy's (``plan``, else drawn), or in single_model mode one model
+    refitted on every row and paired with every entry, from stream 1 + k
+    after k folds, which it does not draw, and from stream 0 after
+    bootstraps, which name its entries."""
+    if refits_every_row_in_order(strategy):
+        entries, stream = np.arange(n), 1 + _fold_count(strategy, n)
+    else:
+        plan = strategy_plan(strategy, n, seed) if plan is None else plan
+        if strategy.mode != "single_model":
+            return plan
+        entries, stream = plan.entry_rows, 0
+    return Plan(np.ones((1, n), dtype=np.uint16), (stream,), entries,
+                np.ones((entries.shape[0], 1), dtype=bool))
 
 
 def calibrate(spec, data, strategy, seed):
@@ -365,7 +378,7 @@ def calibrate(spec, data, strategy, seed):
     scorer = detectors.fit_plan(spec, rows, plan.train_counts, seed, plan.streams)
     scores = detectors.score_plan(scorer, DataMatrix(rows[plan.entry_rows]), plan.oob)
     entries = _pool(scores, plan.oob, strategy.aggregation)
-    kept = kept_plan(plan, strategy)
+    kept = kept_plan(strategy, rows.shape[0], seed, plan)
     if kept is not plan:
         scorer = detectors.fit_plan(spec, rows, kept.train_counts, seed, kept.streams)
     return CalibrationModel(

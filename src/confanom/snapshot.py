@@ -25,56 +25,55 @@ index.  Everything else follows from it: the calibration's strategy and
 mode are the configured strategy's, and an adjustment table's size, delta
 and method are the entry count and the configured estimation's.
 
-Format version 11 stores a calibration's rows once (``calibration/rows``),
+Format version 12 stores a calibration's rows once (``calibration/rows``),
 its entry scores and only the SHA-256 of its plan
 (``calibration/plan_digest``): a plan is a deterministic function of the
 strategy, the row count and the seed, so the loader rebuilds it with
-``resampling.strategy_plan`` and ``resampling.kept_plan`` and refuses a
-file whose rebuilt plan has another digest (an edited strategy or seed, or
-a numpy whose ``Generator`` streams differ: NEP 19 does not promise them
-across numpy versions, so a file loads only under a numpy that draws the
-plans as the saving one did).  Plans above ``MAX_PLAN_MODELS`` models or
-``MAX_PLAN_CELLS`` model x row cells are refused before anything is built,
-at save and at load, so a pipeline above them can be fitted but not saved;
-so are forests whose subsamples hold more than ``MAX_FOREST_ROWS`` rows in
-all, since a load draws them again.
+``resampling.kept_plan`` and refuses a file whose rebuilt plan has another
+digest (an edited strategy or seed, or a numpy whose ``Generator`` streams
+differ: NEP 19 does not promise them across numpy versions, so a file
+loads only under a numpy that draws the plans as the saving one did).
+Plans above ``MAX_PLAN_MODELS`` models or ``MAX_PLAN_CELLS`` model x row
+cells are refused before anything is built, at save and at load, so a
+pipeline above them can be fitted but not saved.  The bound is on the plan
+a load draws: a cross-validation or jackknife single_model load draws only
+its one refit model, a JaB single_model load the bootstraps that name its
+entries too.  Forests whose subsamples hold more than ``MAX_FOREST_ROWS``
+rows in all are refused likewise, since a load draws them again.
 Isolation forests add their trees, model by model and tree by tree, by
-level-order shape: ``trees/feature`` per node (-1 for a leaf) and
-``trees/split_rows`` per inner node, its split rows (the two rows whose
-values on the node's feature bound its range), each given as its first
-position in the tree's subsample.  Features are stored as the narrowest of
-int8, int16 and int32 that holds their values, split positions as the
-narrowest of uint8, uint16 and uint32 that holds every position below the
-plan's largest subsample size psi (one byte at the default psi of 256);
-the loader refuses any other width, so a pipeline has one encoding.  No thresholds, leaf sizes, tree
-offsets or subsamples are stored: the loader hands the two arrays to
-``detectors.fit_plan``, which draws every tree's subsample again from the
-rows, the plan and the seed, as the fit drew it, and whose ``ForestPlan``
-constructor cuts the arrays into trees, checks every tree, maps the
-positions to rows, draws the thresholds again and counts each subsample
-into its tree's leaves, as it does for a fitted forest.  For a default
-forest of 200 trees of psi 256 that is about 26,000 Philox blocks and a
-walk of 51,200 rows: a load of the benchmark's ``stream_monitor`` file
-took 27 ms in place of format 10's 13.5 ms on a 2-core x86-64 VM.  A
-calibration-conditional pipeline adds ``table/adjusted``, its n_entries + 1
-adjusted p-values.
+level-order shape: ``trees/feature``, per node its split feature (-1 for a
+leaf) in the narrowest of int8, int16 and int32 that holds the values (the
+loader refuses any other width, so a pipeline has one encoding), and
+``trees/digest``, ``detectors.forest_digest`` of the fitted thresholds and
+leaf sizes.  No thresholds, leaf sizes, tree offsets, subsamples or split
+rows are stored: ``detectors.fit_plan`` draws every tree's subsample again
+and grows the tree through the fit's routine, reading each node's feature
+where the fit drew it; a node's range is the least and greatest of its rows
+on that feature (Liu, Ting & Zhou 2008), so thresholds and leaf sizes come
+out as the fit's.  This read mode refuses, naming the tree and model,
+features outside [-1, d) or that do not cut into models x ``n_trees``
+whole trees, an inner node at its depth cap, with fewer than 2 rows or
+whose rows do not vary on its feature, and then a forest without the
+stored digest.  A calibration-conditional pipeline adds
+``table/adjusted``, its n_entries + 1 adjusted p-values.
 
 The file digest only detects damage: anyone can recompute it.  This module
 checks the container: magic, version, digest, the deflate bounds, the array
 index (every name a string, every dtype a string in numpy's own spelling,
 every shape entry a JSON integer), each array's dtype and rank, finite
 scores, the plan bound and digest, and that every array belongs to the
-configuration (a table under another regime, or leaf sizes, do not).  What
-is built from the header and arrays checks its own input: the spec
-constructors every setting, through ``core``'s checkers (a delta of "0.1"
-or a bandwidth of Infinity is refused like any other), ``DataMatrix`` the
-rows, ``fit_plan`` a model's training rows and k, ``ForestPlan`` its trees,
-``AdjustmentTable`` its length and ``CalibrationModel`` its score count.
-Files of earlier formats (10 stored split rows as calibration row
-indices, leaf sizes, and each array's bytes in element order, 9 also the
-payload raw, 8 the thresholds, 7 also tree features and leaf sizes as
-int32 and the tree offsets, 6 the plan itself) are refused by their
-version.
+configuration (a table under another regime, leaf sizes or split rows do
+not).  What is built from the header and arrays checks its own input: the
+spec constructors every setting, through ``core``'s checkers (a delta of
+"0.1" or a bandwidth of Infinity is refused like any other),
+``DataMatrix`` the rows, ``fit_plan`` a model's training rows and k and, in
+its read mode, the trees, ``AdjustmentTable`` its length and
+``CalibrationModel`` its score count.  Files of earlier formats (11 stored
+two split rows per inner node as subsample positions, 10 as calibration
+row indices, with leaf sizes, and each array's bytes in element order, 9
+also the payload raw, 8 the thresholds, 7 also tree features and leaf
+sizes as int32 and the tree offsets, 6 the plan itself) are refused by
+their version.
 
 Only built-in detectors can be saved: an external scorer is an opaque
 callable and an oracle weighting carries a user function, neither of
@@ -93,45 +92,39 @@ import numpy as np
 
 from ._version import __version__
 from .core import ConfanomError, DataMatrix, SnapshotError, check_finite
-from .detectors import ForestPlan, ScorerSpec, fit_plan, subsample_sizes
+from .detectors import ForestPlan, ScorerSpec, fit_plan, forest_digest, subsample_sizes
 from .estimation import AdjustmentTable, EstimationSpec
 from .pipeline import FittedPipeline, PipelineConfig
-from .resampling import CalibrationModel, StrategySpec, kept_plan, plan_models, strategy_plan
+from .resampling import (CalibrationModel, StrategySpec, kept_plan, plan_models,
+                         refits_every_row_in_order)
 
 MAGIC = b"CANOMSNP"
-FORMAT_VERSION = 11
+FORMAT_VERSION = 12
 _DIGEST_BYTES = 32
 # deflate codes at most 258 bytes in two bits, so a stream of s bytes
 # inflates to at most 1032 s bytes
 _MAX_INFLATION = 1032
-# the largest plan a load rebuilds, whatever the mode: a single_model load
-# rebuilds the plan that scored its entries too.  Only JaB plans reach the
-# model bound, each bootstrap being a seeded draw; CV and jackknife plans
-# are one permutation and reach the cell bound first.  Each cell costs a
-# uint16 count and a mask byte
+# the largest plan a load draws: a JaB single_model load draws the
+# bootstraps that name its entries too, a CV or jackknife single_model load
+# only its refit model.  Only JaB plans reach the model bound, each
+# bootstrap being a seeded draw; CV and jackknife plans are one permutation
+# and reach the cell bound first.  Each cell costs a uint16 count and a
+# mask byte
 MAX_PLAN_MODELS = 1 << 14
 MAX_PLAN_CELLS = 1 << 26
 # the most subsample rows (models x n_trees x psi) a forest load draws again
-# and walks down its trees, 128 MB as int64 row indices.  A tree may be one
+# and routes down its trees, 128 MB as int64 row indices.  A tree may be one
 # node, so the node arrays do not bound them: the header's n_trees does
 MAX_FOREST_ROWS = 1 << 24
-# the integer dtypes of which a tree array takes the narrowest: features
-# the signed one that holds their values, split rows (subsample positions)
-# the unsigned one that holds every position below the plan's largest psi
-_SIGNED, _UNSIGNED = ("|i1", "<i2", "<i4"), ("|u1", "<u2", "<u4")
+# the integer dtypes of which stored tree features take the narrowest that
+# holds their values
+_SIGNED = ("|i1", "<i2", "<i4")
 
 
 def _narrowest(a, dtypes):
     """The first of the integer ``dtypes`` that holds every value of ``a``."""
     lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
     return next(d for d in dtypes if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max)
-
-
-def _position_dtype(psi):
-    """The dtype of stored split rows, which are subsample positions: the
-    narrowest that holds every position below the largest of the subsample
-    sizes ``psi``."""
-    return _narrowest(np.array([max(int(psi.max()), 1) - 1]), _UNSIGNED)
 
 
 def _planes(a):
@@ -142,7 +135,9 @@ def _planes(a):
 
 
 def _check_plan_size(strategy, n_rows):
-    models = plan_models(strategy, n_rows)
+    """Refuse a plan larger than a load draws: the strategy's, or for a
+    cross-validation or jackknife single_model calibration its one refit."""
+    models = 1 if refits_every_row_in_order(strategy) else plan_models(strategy, n_rows)
     if models > MAX_PLAN_MODELS or models * n_rows > MAX_PLAN_CELLS:
         raise SnapshotError(
             f"a plan of {models} models over {n_rows} rows is larger than a snapshot "
@@ -190,8 +185,8 @@ def snapshot_save(fp: FittedPipeline, path):
         plan = cm.scorer
         _check_forest_size(plan.spec, plan.psi)
         arrays["trees/feature"] = plan.feature.astype(_narrowest(plan.feature, _SIGNED))
-        # each split row as its first position in its tree's subsample
-        arrays["trees/split_rows"] = plan.split_positions.astype(_position_dtype(plan.psi))
+        arrays["trees/digest"] = np.frombuffer(forest_digest(plan.threshold, plan.leaf_size),
+                                               np.uint8)
     if fp.table is not None:
         arrays["table/adjusted"] = fp.table.adjusted
     header = {
@@ -294,20 +289,18 @@ def _load_calibration(arrays, config):
                                 "calibration score")
     digest = arrays.get("calibration/plan_digest", "|u1", 1)
     n_rows = rows.shape[0]
-    # DataMatrix refuses empty, featureless or non-finite rows, strategy_plan
+    # DataMatrix refuses empty, featureless or non-finite rows, kept_plan
     # too few rows, fit_plan small models or bad trees, and CalibrationModel
     # a wrong score count; the size checks come before anything is drawn
     _check_plan_size(strategy, n_rows)
-    plan = kept_plan(strategy_plan(strategy, n_rows, config.seed), strategy)
+    plan = kept_plan(strategy, n_rows, config.seed)
     _expect(digest.tobytes() == _plan_digest(plan),
             "the plan digest is not that of the plan the strategy and seed give over "
             "these rows (an edited strategy or seed, or other numpy random streams)")
     trees = None
     if spec.kind == "isolation_forest":
-        psi = subsample_sizes(spec, plan.train_counts)
-        _check_forest_size(spec, psi)
-        trees = (arrays.get("trees/feature", _SIGNED, 1),
-                 arrays.get("trees/split_rows", _position_dtype(psi), 2))
+        _check_forest_size(spec, subsample_sizes(spec, plan.train_counts))
+        trees = (arrays.get("trees/feature", _SIGNED, 1), arrays.get("trees/digest", "|u1", 1))
     scorer = fit_plan(spec, rows, plan.train_counts, config.seed, plan.streams, trees)
     return CalibrationModel(
         entry_scores=entry_scores, entry_rows=plan.entry_rows, oob=plan.oob, rows=rows,

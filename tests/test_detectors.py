@@ -19,7 +19,7 @@ from confanom.pipeline import fit as fit_pipeline
 from confanom.resampling import cross_validation, jackknife, jackknife_bootstrap, split
 from confanom.snapshot import snapshot_load, snapshot_save
 
-from conftest import gaussian_matrix, labeled_batch
+from conftest import chain_tree, forest_digest, gaussian_matrix, labeled_batch, node_uniforms
 
 
 class TestScorerSpec:
@@ -213,15 +213,11 @@ def trees_of(plan, b):
                                plan.leaf_size[lo - inner[lo]:hi - inner[hi]])
 
 
-def split_rows_of(plan, b):
-    """Each tree of model b's split rows by node, -1 at a leaf, and its
-    split positions by inner node."""
+def depths_of(plan, b):
+    """Each tree of model b's node depths, in tree order."""
     cuts = plan.offsets[b * plan.n_trees:(b + 1) * plan.n_trees + 1]
-    inner = np.concatenate([[0], np.cumsum(plan.feature >= 0)])
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        bounds = np.full((hi - lo, 2), -1)
-        bounds[plan.feature[lo:hi] >= 0] = plan.split_rows[inner[lo]:inner[hi]]
-        yield bounds, plan.split_positions[inner[lo]:inner[hi]]
+        yield plan.depth[lo:hi]
 
 
 def reference_scores(plan, X):
@@ -250,13 +246,13 @@ def reference_subsample(rows, counts, key, t, psi):
     return multiset[perm[:psi]]
 
 
-def check_tree_law(tree, bounds, rows, index, key, t, cap):
+def check_tree_law(tree, depths, rows, index, key, t, cap):
     """Route the subsample, rows ``index`` of ``rows``, through the tree and
     check every node: an inner node splits below the cap on a feature that
-    varies on its rows, at a threshold in that feature's range, both drawn
-    from counter block ``node``, and its split rows are the first of its
-    rows with the bits of that range's ends; a leaf's size counts its rows,
-    and it sits at the cap, on one row or on equal rows."""
+    varies on its rows, at a threshold in that feature's range (its rows'
+    least and greatest value there), both drawn from counter block
+    ``node``; a leaf's size counts its rows, and it sits at the cap, on one
+    row or on equal rows; every node's depth is the walk's."""
     feature, threshold, left, size = tree
     todo = [(0, index, 0)]
     seen = 0
@@ -264,22 +260,19 @@ def check_tree_law(tree, bounds, rows, index, key, t, cap):
         node, index, depth = todo.pop()
         sub = rows[index]
         seen += 1
+        assert depths[node] == depth
         varied = np.flatnonzero(sub.max(axis=0) > sub.min(axis=0)) if sub.size else []
         if feature[node] < 0:
             assert size[node] == sub.shape[0]
             assert depth >= cap or sub.shape[0] <= 1 or len(varied) == 0
             continue
         assert depth < cap and sub.shape[0] >= 2
-        u = np.random.Generator(np.random.Philox(key=key + (t << 64), counter=node)).random(2)
+        u = node_uniforms(key, t, node)
         q = varied[min(int(u[0] * len(varied)), len(varied) - 1)]
         lo, hi = sub[:, q].min(), sub[:, q].max()
         assert feature[node] == q
-        assert lo <= threshold[node] <= hi
+        assert lo < hi and lo <= threshold[node] <= hi
         assert threshold[node] == np.clip(lo * (1.0 - u[1]) + hi * u[1], lo, hi)
-        bits = sub[:, q].view(np.int64)
-        for row, end in zip(bounds[node], (lo, hi)):
-            assert rows[row, q] == end
-            assert row == index[np.argmax(bits == rows[row, q].view(np.int64))]
         below = sub[:, q] < threshold[node]
         assert left[node] > node
         todo += [(left[node], index[below], depth + 1), (left[node] + 1, index[~below], depth + 1)]
@@ -323,96 +316,108 @@ def test_forest_plan_follows_tree_law(case):
         psi = min(spec.subsample_size, n_b)
         assert plan.psi[b] == psi
         cap = spec.max_depth or int(np.ceil(np.log2(psi)))
-        for t, (tree, (bounds, positions)) in enumerate(zip(trees_of(plan, b),
-                                                             split_rows_of(plan, b))):
+        for t, (tree, depths) in enumerate(zip(trees_of(plan, b), depths_of(plan, b))):
             index = reference_subsample(rows, counts[b], key, t, psi)
-            check_tree_law(tree, bounds, rows, index, key, t, cap)
-            # a split position is the first position of its row in the subsample
-            np.testing.assert_array_equal(
-                positions, (index == bounds[tree[0] >= 0][..., None]).argmax(axis=-1))
+            check_tree_law(tree, depths, rows, index, key, t, cap)
     # a tree depends only on its key: growing one tree per chunk, or a few,
     # gives the same node table
     for block in (1, 7):
         with mock.patch.object(detectors, "_FIT_BLOCK", block):
             chunked, _ = fit_forest_plan(spec, rows, counts, seed)
-        for field in ("feature", "threshold", "split_positions", "split_rows", "leaf_size",
-                      "offsets"):
+        for field in ("feature", "threshold", "leaf_size", "depth", "offsets"):
             np.testing.assert_array_equal(getattr(chunked, field), getattr(plan, field))
-    # the plan draws its thresholds again from its split rows; the tree law
-    # above holds them to the fit's draws and routes the subsample by them.
-    # The plan cuts its node array into models x n_trees trees
+    # the plan's roots cut its node array into models x n_trees trees
     assert plan.offsets.shape == (counts.shape[0] * spec.n_trees + 1,)
 
 
 class TestForestPlanChecks:
-    """ForestPlan checks the node arrays it is built from, whether a fit
-    grew them or a snapshot holds them, with the messages a load gives."""
+    """The read mode checks the node features a snapshot holds as it grows
+    the plan's forests from them, with the messages a load gives."""
 
     SPEC = ScorerSpec(kind="isolation_forest", n_trees=4, subsample_size=16)
 
     @pytest.fixture
     def parts(self):
-        rows = gaussian_matrix(3, 40, d=3).values
+        # column 2 is constant, so no fitted node splits on it
+        rows = gaussian_matrix(3, 40, d=3).values.copy()
+        rows[:, 2] = 1.0
         counts = np.ones((2, 40), dtype=np.uint16)
         counts[1, :10] = 0
-        plan, streams = fit_forest_plan(self.SPEC, rows, counts, 8)
-        keys = np.array([split_seed(8, s) for s in streams], dtype=np.uint64)
-        sub = detectors._subsamples(self.SPEC, rows, counts, keys, plan.psi)
-        arrays = {name: np.array(getattr(plan, name)) for name in ("feature", "split_positions")}
-        return plan, rows, keys, sub, arrays
+        plan, _ = fit_forest_plan(self.SPEC, rows, counts, 8)
+        digest = detectors.forest_digest(plan.threshold, plan.leaf_size)
+        return plan, rows, counts, {"feature": np.array(plan.feature), "digest": digest}
 
-    def build(self, rows, keys, psi, sub, arrays, spec=SPEC):
-        return detectors.ForestPlan(spec, rows, keys, psi, sub, arrays["feature"],
-                                    arrays["split_positions"])
+    def build(self, rows, counts, arrays, spec=SPEC):
+        digest = np.frombuffer(arrays["digest"], np.uint8)
+        streams = tuple(range(3, 3 + counts.shape[0]))
+        return fit_plan(spec, rows, counts, 8, streams, (arrays["feature"], digest))
 
     def test_fitted_arrays_rebuild_the_plan(self, parts):
-        plan, rows, keys, sub, arrays = parts
-        rebuilt = self.build(rows, keys, plan.psi, sub, arrays)
-        for name in ("feature", "split_positions", "split_rows", "leaf_size", "offsets", "psi"):
+        plan, rows, counts, arrays = parts
+        rebuilt = self.build(rows, counts, arrays)
+        for name in ("feature", "leaf_size", "depth", "offsets", "psi"):
             np.testing.assert_array_equal(getattr(rebuilt, name), getattr(plan, name))
         assert rebuilt.threshold.tobytes() == plan.threshold.tobytes()
 
     def test_part_of_a_tree_refused(self, parts):
-        plan, rows, keys, sub, arrays = parts
-        cut = {"feature": arrays["feature"][:-1], "split_positions": arrays["split_positions"]}
+        plan, rows, counts, arrays = parts
+        cut = {**arrays, "feature": arrays["feature"][:-1]}
         with pytest.raises(InvalidForest,
                            match="cut into 7 whole trees and part of one, not 2 models x 4"):
-            self.build(rows, keys, plan.psi, sub, cut)
+            self.build(rows, counts, cut)
 
-    @pytest.mark.parametrize("defect", ["feature", "equal", "reversed", "psi", "negative"])
-    def test_bad_node_refused(self, parts, defect):
-        # tree 1's root made invalid: its feature, its split positions, or a
-        # position at psi (16) or below 0
-        plan, rows, keys, sub, arrays = parts
-        root = plan.offsets[1]
-        inner = int((arrays["feature"][:root] >= 0).sum())
-        low, high = arrays["split_positions"][inner]
-        if defect == "feature":
-            arrays["feature"][root] = 3
+    @pytest.mark.parametrize("defect, message", [
+        ("feature", "feature 3 lies outside \\[-1, 3\\)"),
+        ("negative", "feature -2 lies outside \\[-1, 3\\)"),
+        ("equal", "an inner node's rows do not vary on its feature"),
+        ("digest", "forest digest is not that of the thresholds and leaf sizes")],
+        ids=["feature", "negative", "equal", "digest"])
+    def test_bad_node_refused(self, parts, defect, message):
+        # tree 1's root feature past the last column, a leaf's below -1, the
+        # root split on the constant column, whose range has equal ends; or
+        # the digest of other thresholds, which names no tree
+        plan, rows, counts, arrays = parts
+        root, feature = plan.offsets[1], arrays["feature"]
+        if defect == "digest":
+            arrays["digest"] = forest_digest(np.nextafter(plan.threshold, 0), plan.leaf_size)
         else:
-            arrays["split_positions"][inner] = {"equal": (high, high), "reversed": (high, low),
-                                                "psi": (low, 16), "negative": (-1, high)}[defect]
-        with pytest.raises(InvalidForest,
-                           match="tree 1 of model 0 is not a valid isolation tree"):
-            self.build(rows, keys, plan.psi, sub, arrays)
+            at = root + int(np.argmax(feature[root:] < 0)) if defect == "negative" else root
+            feature[at] = {"feature": 3, "negative": -2, "equal": 2}[defect]
+        prefix = "" if defect == "digest" else "tree 1 of model 0 is not a valid isolation tree: "
+        with pytest.raises(InvalidForest, match=prefix + message):
+            self.build(rows, counts, arrays)
+
+    def chain(self, rows, depth, larger, max_depth=None):
+        """A one-tree forest of psi = 16 that is a chain (``chain_tree``) on
+        feature 0, its spec and the counts of its one model."""
+        counts, key = np.ones((1, 40), dtype=np.uint16), split_seed(8, 3)
+        spec = ScorerSpec(kind="isolation_forest", n_trees=1, subsample_size=16,
+                          max_depth=max_depth)
+        values = rows[reference_subsample(rows, counts[0], key, 0, 16), 0]
+        feature, threshold, size = chain_tree(values, key, 0, depth, 0, larger)
+        return {"feature": feature, "digest": forest_digest(threshold, size)}, spec, counts, size
 
     def test_chain_past_the_cap_refused(self, parts):
-        # one tree of psi = 16, whose cap is 4: a chain of depth 4 builds,
-        # one of depth 5 does not
-        _, rows, keys, _, _ = parts
-        spec = ScorerSpec(kind="isolation_forest", n_trees=1, subsample_size=16)
-        sub = np.arange(16)
-        for depth in (4, 5):
-            feature = np.where(np.arange(2 * depth + 1) % 2 == 0, 0, -1)
-            feature[-1] = -1
-            chain = {"feature": feature, "split_positions": np.tile(
-                [rows[:16, 0].argmin(), rows[:16, 0].argmax()], (depth, 1))}
-            if depth == 4:
-                assert self.build(rows, keys[:1], [16], sub, chain, spec)._levels == 4
-            else:
-                with pytest.raises(InvalidForest,
-                                   match="tree 0 of model 0 is deeper than its cap"):
-                    self.build(rows, keys[:1], [16], sub, chain, spec)
+        # a chain that goes on at the child with more rows, under the cap
+        # ceil(log2 16) = 4: depth 4 builds, depth 5 puts an inner node at
+        # the cap
+        _, rows, _, _ = parts
+        chain, spec, counts, size = self.chain(rows, 4, larger=True)
+        built = self.build(rows, counts, chain, spec)
+        assert built._levels == 4
+        np.testing.assert_array_equal(built.leaf_size, size)
+        chain, spec, counts, _ = self.chain(rows, 5, larger=True)
+        with pytest.raises(InvalidForest, match="tree 0 of model 0 is deeper than its cap"):
+            self.build(rows, counts, chain, spec)
+
+    def test_inner_node_without_rows_refused(self, parts):
+        # a chain that goes on at the child with fewer rows runs out of rows
+        # within 6 levels, far above a cap of 10
+        _, rows, _, _ = parts
+        chain, spec, counts, _ = self.chain(rows, 6, larger=False, max_depth=10)
+        with pytest.raises(InvalidForest, match="tree 0 of model 0 is not a valid isolation "
+                                                "tree: an inner node holds fewer than 2 rows"):
+            self.build(rows, counts, chain, spec)
 
 
 @settings(max_examples=60)
@@ -489,9 +494,9 @@ def test_forest_threads_bounded_and_joined():
 @given(forest_plans(max_trees=12), st.sampled_from([split(0.5), cross_validation(3),
                                                     jackknife(), jackknife_bootstrap(4)]))
 def test_forest_snapshot_p_values_equal_fresh_fit(case, strategy):
-    """A saved forest plan, stored by tree shape and split positions, loads with
-    the same node arrays, thresholds drawn again included, and gives every
-    model's score, and every p-value, bit for bit."""
+    """A saved forest plan, stored by its node features, loads with the same
+    node arrays, thresholds drawn again included, and gives every model's
+    score, and every p-value, bit for bit."""
     spec, rows, _, test, seed = case
     if rows.shape[0] < 6:
         rows = np.vstack([rows, rows + 1.0, rows + 2.0])
@@ -502,7 +507,7 @@ def test_forest_snapshot_p_values_equal_fresh_fit(case, strategy):
         loaded = snapshot_load(Path(tmp) / "forest.snap")
     test = DataMatrix(test)
     plan, reloaded = fitted.calibration.scorer, loaded.calibration.scorer
-    for field in ("feature", "split_positions", "split_rows", "leaf_size", "offsets", "psi"):
+    for field in ("feature", "leaf_size", "depth", "offsets", "psi"):
         np.testing.assert_array_equal(getattr(reloaded, field), getattr(plan, field))
     assert reloaded.threshold.view(np.uint64).tobytes() == plan.threshold.view(np.uint64).tobytes()
     np.testing.assert_array_equal(score_plan(reloaded, test).view(np.uint64),

@@ -80,6 +80,25 @@ class TestStrategySpec:
         with pytest.raises(KOutOfRange, match="jackknife requires at least 2 rows"):
             calibrate(KNN, gaussian_matrix(32, 1), jackknife(), seed=0)
 
+    def test_kept_plan_drawn_again(self):
+        # a snapshot load calls kept_plan without the strategy's plan: it
+        # draws the plan where it needs one, and a CV or jackknife
+        # single_model plan, every row in row order under one refit, from
+        # the row count alone, with the refit stream 1 + k
+        for strategy, stream in ((split(4), 1), (cross_validation(3), 1), (jackknife(), 1),
+                                 (jackknife_bootstrap(5), 2),
+                                 (cross_validation(3, "single_model"), 4),
+                                 (jackknife("single_model"), 13),
+                                 (jackknife_bootstrap(5, "single_model"), 0)):
+            plan = resampling.strategy_plan(strategy, 12, 2)
+            given, drawn = (resampling.kept_plan(strategy, 12, 2, p) for p in (plan, None))
+            assert given.streams == drawn.streams and drawn.streams[0] == stream
+            for name in ("train_counts", "entry_rows", "oob"):
+                np.testing.assert_array_equal(getattr(given, name), getattr(drawn, name))
+        for strategy in (cross_validation(13, "single_model"), jackknife("single_model")):
+            with pytest.raises(KOutOfRange):
+                resampling.kept_plan(strategy, 12 if strategy.kind != "jackknife" else 1, 0)
+
     def test_factories(self):
         assert cross_validation(5).kind == "cross_validation"
         assert jackknife().mode == "plus"

@@ -21,11 +21,11 @@ from confanom.estimation import EstimationSpec
 from confanom.pipeline import (PipelineConfig, compute_p_values, fit,
                                fit_detached, score_samples, stream_p_values)
 from confanom.resampling import (StrategySpec, cross_validation, jackknife, jackknife_bootstrap,
-                                  kept_plan, split, strategy_plan)
+                                  kept_plan, split)
 from confanom.snapshot import (FORMAT_VERSION, MAGIC, snapshot_load,
                                snapshot_save)
 
-from conftest import gaussian_matrix
+from conftest import chain_tree, forest_digest, gaussian_matrix
 
 KNN = ScorerSpec(kind="knn_distance", k=4)
 FOREST = ScorerSpec(kind="isolation_forest", n_trees=12, subsample_size=32)
@@ -159,8 +159,7 @@ def narrowest(values, dtypes, bounds):
 # a split on a column past 127 needs int16 features
 @example(n_features=140, varied=128, n_rows=200, subsample_size=64, max_depth=None,
          n_trees=2, bootstraps=0, seed=1)
-# split positions take uint8 up to psi = 256 and uint16 from 257 (a split
-# of 0.2 of 700 rows trains on 560)
+# subsamples of 256 and 257 rows (a split of 0.2 of 700 rows trains on 560)
 @example(n_features=2, varied=0, n_rows=700, subsample_size=256, max_depth=None, n_trees=2,
          bootstraps=0, seed=3)
 @example(n_features=1, varied=0, n_rows=700, subsample_size=257, max_depth=1, n_trees=2,
@@ -187,16 +186,14 @@ def test_forest_round_trip_narrowest(n_features, varied, n_rows, subsample_size,
     dtypes = {entry["name"]: np.dtype(entry["dtype"]) for entry in header["arrays"]}
     assert dtypes["trees/feature"] == narrowest(plan.feature, ("|i1", "<i2", "<i4"),
                                                 (2 ** 7, 2 ** 15, 2 ** 31))
-    # split rows are stored as subsample positions, in the narrowest type
-    # that holds every position below the largest psi
-    assert dtypes["trees/split_rows"] == narrowest(plan.psi - 1, ("|u1", "<u2", "<u4"),
-                                                        (2 ** 8, 2 ** 16, 2 ** 32))
+    # besides the features, a forest stores only its 32-byte digest
+    assert dtypes["trees/digest"] == np.uint8
     assert loaded.threshold.view(np.uint64).tobytes() == plan.threshold.view(np.uint64).tobytes()
-    n_inner = int((plan.feature >= 0).sum())
     array_bytes = json.loads(out.getvalue())["array_bytes"]
-    assert "trees/threshold" not in array_bytes and "trees/leaf_size" not in array_bytes
-    for name, n in (("feature", plan.feature.size), ("split_rows", 2 * n_inner)):
-        assert array_bytes[f"trees/{name}"] == n * dtypes[f"trees/{name}"].itemsize
+    assert sorted(name for name in array_bytes if name.startswith("trees/")) == [
+        "trees/digest", "trees/feature"]
+    assert array_bytes["trees/feature"] == plan.feature.size * dtypes["trees/feature"].itemsize
+    assert array_bytes["trees/digest"] == 32
 
 
 TINY = np.finfo(np.float64).smallest_subnormal
@@ -220,34 +217,42 @@ def awkward_rows(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(rows=awkward_rows(), max_depth=st.sampled_from([None, 40]), n_trees=st.integers(1, 6),
+@given(rows=awkward_rows(), max_depth=st.sampled_from([None, 1, 2, 3, 40]),
+       n_trees=st.integers(1, 6),
        subsample_size=st.integers(2, 64) | st.sampled_from([256, 257, 300]),
-       strategy=st.sampled_from([split(0.3), cross_validation(3), jackknife_bootstrap(3)]),
+       strategy=st.sampled_from([split(0.3), cross_validation(3), jackknife_bootstrap(3),
+                                 cross_validation(3, "single_model"),
+                                 jackknife_bootstrap(3, "single_model")]),
        seed=st.integers(0, 2 ** 32))
 @example(rows=np.array([[-0.0], [0.0], [TINY], [-TINY]] * 100), max_depth=None, n_trees=3,
          subsample_size=300, strategy=jackknife_bootstrap(3), seed=1)
 def test_split_rows_rebuild_thresholds(rows, max_depth, n_trees, subsample_size, strategy, seed):
-    # the file holds each split as two positions in its tree's subsample and
-    # no leaf size: the loader draws the subsamples again, maps the positions
-    # to rows, draws every threshold from them and counts the subsample into
-    # the leaves, with the fit's bits, for one-model and plus-mode forests,
-    # bootstrap subsamples that repeat rows, and one- and two-byte positions
+    # the file holds each node's feature and no threshold, leaf size or
+    # split row: the loader draws the subsamples again and grows every tree
+    # from them, reading its features, so that each split's rows, the rows
+    # of its node, give its range and threshold; thresholds, leaf sizes and
+    # depths come out as the fit's bit for bit, for one-model, single_model and
+    # plus-mode forests, bootstrap subsamples that repeat rows, and psi
+    # below, at and above 256
     scorer = ScorerSpec(kind="isolation_forest", n_trees=n_trees, subsample_size=subsample_size,
                         max_depth=max_depth)
-    fitted = fit(PipelineConfig(scorer=scorer, strategy=strategy, seed=seed), DataMatrix(rows))
+    config = PipelineConfig(scorer=scorer, strategy=strategy, seed=seed,
+                            estimation=EstimationSpec(smoothed=True))
+    fitted = fit(config, DataMatrix(rows))
     plan = fitted.calibration.scorer
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "forest.snap"
         snapshot_save(fitted, path)
-        loaded = snapshot_load(path).calibration.scorer
-    for name in ("split_positions", "split_rows", "leaf_size", "feature", "offsets", "psi"):
+        loaded_pipeline = snapshot_load(path)
+    loaded = loaded_pipeline.calibration.scorer
+    for name in ("leaf_size", "feature", "depth", "offsets", "psi"):
         assert getattr(loaded, name).tobytes() == getattr(plan, name).tobytes()
     assert loaded.threshold.view(np.uint64).tobytes() == plan.threshold.view(np.uint64).tobytes()
-    # each split lies between its rows' values on its feature, low below
-    # high, and each tree's leaves hold its psi subsample rows
-    f = plan.feature[plan.feature >= 0]
-    low, high = rows[plan.split_rows[:, 0], f], rows[plan.split_rows[:, 1], f]
-    assert (low < high).all() and (low <= plan.threshold).all() and (plan.threshold <= high).all()
+    probe = np.vstack([rows[:20], -rows[:20], np.zeros((1, rows.shape[1]))])
+    assert loaded.score_raw(probe).tobytes() == plan.score_raw(probe).tobytes()
+    assert (stream_p_values(loaded_pipeline, DataMatrix(probe)).values.tobytes()
+            == stream_p_values(fitted, DataMatrix(probe)).values.tobytes())
+    # each tree's leaves hold its psi subsample rows
     leaves = np.repeat(np.arange(plan.offsets.size - 1), np.diff(plan.offsets))[plan.feature < 0]
     np.testing.assert_array_equal(np.bincount(leaves, weights=plan.leaf_size),
                                   np.repeat(plan.psi, n_trees))
@@ -378,35 +383,32 @@ def tree_offsets(feature):
 
 def tree_subsample(header, arrays, t):
     """Tree t's subsample in a one-model forest snapshot, as calibration
-    rows, drawn again as the loader draws it."""
+    rows drawn again as the loader draws them, and its model's key."""
     config, rows = header["config"], arrays["calibration/rows"]
-    strategy = StrategySpec(**config["strategy"])
-    plan = kept_plan(strategy_plan(strategy, rows.shape[0], config["seed"]), strategy)
+    plan = kept_plan(StrategySpec(**config["strategy"]), rows.shape[0], config["seed"])
     spec = ScorerSpec(**config["scorer"])
     keys = np.array([split_seed(config["seed"], s) for s in plan.streams], dtype=np.uint64)
     psi = detectors.subsample_sizes(spec, plan.train_counts)
-    return detectors._subsamples(spec, rows, plan.train_counts, keys, psi)[t * psi[0]:][:psi[0]]
+    sub = detectors._subsamples(spec, rows, plan.train_counts, keys, psi)
+    return rows[sub[t * psi[0]:][:psi[0]]], int(keys[0])
 
 
-def replace_tree(header, arrays, t, feature):
-    """The arrays of a forest snapshot with tree t replaced by the given
-    nodes, which need not be a tree.  Each inner node splits between the
-    positions of the tree's subsample with the least and the greatest
-    value on its feature."""
+def replace_tree(arrays, t, feature):
+    """The arrays of a forest snapshot with tree t's node features replaced
+    by the given ones, which need not be a tree."""
     old = arrays["trees/feature"]
     lo, hi = tree_offsets(old)[t:t + 2]
-    inner = np.concatenate([[0], np.cumsum(old >= 0)])
-    values = arrays["calibration/rows"][tree_subsample(header, arrays, t)]
-    positions = [(values[:, f].argmin(), values[:, f].argmax()) for f in feature if f >= 0]
+    feature = np.asarray(feature, dtype=old.dtype)
+    return {**arrays, "trees/feature": np.concatenate([old[:lo], feature, old[hi:]])}
 
-    def splice(a, i, j, part):
-        return np.concatenate([a[:i], np.asarray(part, dtype=a.dtype).reshape(-1, *a.shape[1:]),
-                               a[j:]])
 
-    return {**arrays,
-            "trees/feature": splice(old, lo, hi, feature),
-            "trees/split_rows": splice(arrays["trees/split_rows"], inner[lo],
-                                            inner[hi], positions)}
+def one_tree_chain(header, arrays, depth, f, larger=True):
+    """The arrays of a one-tree forest snapshot with its tree replaced by a
+    ``chain_tree`` on feature f, and the forest digest that chain gives."""
+    values, key = tree_subsample(header, arrays, 0)
+    feature, threshold, size = chain_tree(values[:, f], key, 0, depth, f, larger)
+    return {**replace_tree(arrays, 0, feature),
+            "trees/digest": np.frombuffer(forest_digest(threshold, size), np.uint8)}
 
 
 class TestUntrustedContent:
@@ -433,14 +435,14 @@ class TestUntrustedContent:
         snapshot_save(fit(config, gaussian_matrix(17, 50, d=2)), tmp_path / "jab.snap")
         return read_snapshot(tmp_path / "jab.snap")
 
-    @pytest.mark.parametrize("version", range(1, 11))
+    @pytest.mark.parametrize("version", range(1, 12))
     def test_old_version_refused_by_name(self, tmp_path, forest, version):
         # a current file that loads, with only its version field changed and
         # its digest recomputed: the version alone refuses it, by name
         snapshot_load(write_snapshot(tmp_path / "current.snap", *forest))
         path = write_snapshot(tmp_path / "old.snap", *forest, version=version)
         with pytest.raises(SnapshotError, match=f"format version {version} is not supported "
-                                                r"\(this build reads version 11\)"):
+                                                r"\(this build reads version 12\)"):
             snapshot_load(path)
 
     def test_payload_is_one_default_level_zlib_stream(self, tmp_path, forest):
@@ -538,31 +540,48 @@ class TestUntrustedContent:
                                                 "weighting"]
 
     def test_forest_stored_by_shape(self, forest):
-        # no child pointers, no offsets, no thresholds and no leaf sizes: two
-        # split rows per inner node, as subsample positions, in their
-        # narrowest types (positions below psi = 30 fit one byte)
+        # no child pointers, offsets, thresholds, leaf sizes or split rows:
+        # one feature per node in its narrowest type, and the forest digest
         header, arrays = forest
-        inner = arrays["trees/feature"] >= 0
         assert sorted(name for name in arrays if name.startswith("trees/")) == [
-            "trees/feature", "trees/split_rows"]
-        assert arrays["trees/split_rows"].shape == (inner.sum(), 2)
+            "trees/digest", "trees/feature"]
+        assert arrays["trees/digest"].shape == (32,)
         assert [arrays[f"trees/{name}"].dtype.str
-                for name in ("feature", "split_rows")] == ["|i1", "|u1"]
+                for name in ("feature", "digest")] == ["|i1", "|u1"]
 
     def test_stray_leaf_sizes_refused(self, tmp_path, forest):
-        # leaf sizes are counted at load, so a file that stores them is not
-        # one this format writes
+        # leaf sizes are counted and split ranges taken at load, so a file
+        # that stores leaf sizes or format 11's split rows is not one this
+        # format writes; a format-11 file is refused by its version
         header, arrays = forest
-        crafted = {**arrays, "trees/leaf_size": np.ones(3, np.uint8)}
-        with pytest.raises(SnapshotError, match=r"\['trees/leaf_size'\] do not belong"):
-            snapshot_load(write_snapshot(tmp_path / "sizes.snap", header, crafted))
+        inner = int((arrays["trees/feature"] >= 0).sum())
+        for name, stray in (("trees/leaf_size", np.ones(3, np.uint8)),
+                            ("trees/split_rows", np.zeros((inner, 2), np.uint8))):
+            crafted = {**arrays, name: stray}
+            with pytest.raises(SnapshotError, match=rf"\['{name}'\] do not belong"):
+                snapshot_load(write_snapshot(tmp_path / "stray.snap", header, crafted))
+        old = {name: a for name, a in crafted.items() if name != "trees/digest"}
+        with pytest.raises(SnapshotError, match="format version 11 is not supported"):
+            snapshot_load(write_snapshot(tmp_path / "v11.snap", header, old, version=11))
+
+    def test_flipped_forest_digest_byte_refused(self, tmp_path, forest):
+        # the trees grow again as fitted, but their thresholds and leaf
+        # sizes no longer have the stored digest
+        header, arrays = forest
+        for at in (0, 31):
+            flipped = arrays["trees/digest"].copy()
+            flipped[at] ^= 0x01
+            with pytest.raises(SnapshotError, match="the forest digest is not that of the "
+                                                    "thresholds and leaf sizes its trees give"):
+                snapshot_load(write_snapshot(tmp_path / "digest.snap", header,
+                                             {**arrays, "trees/digest": flipped}))
 
     def test_inner_node_own_parent_refused(self, tmp_path, forest):
         # [leaf, inner, leaf] would make the inner node's children itself and
         # the node after it.  The cut ends a tree at the first leaf, so as
         # the last tree it leaves [inner, leaf], which is no whole tree
         header, arrays = forest
-        crafted = replace_tree(header, arrays, 11, [-1, 0, -1])
+        crafted = replace_tree(arrays, 11, [-1, 0, -1])
         with pytest.raises(SnapshotError,
                            match="cut into 12 whole trees and part of one, not 1 models x 12"):
             snapshot_load(write_snapshot(tmp_path / "cycle.snap", header, crafted))
@@ -577,7 +596,7 @@ class TestUntrustedContent:
         tree = feature[lo:hi]
         leaves = tree < 0
         grown = np.where(np.arange(tree.size) == np.flatnonzero(leaves)[-1], 0, tree)
-        crafted = replace_tree(header, arrays, 1, grown)
+        crafted = replace_tree(arrays, 1, grown)
         with pytest.raises(SnapshotError, match="cut into 10 whole trees, not 1 models x 12"):
             snapshot_load(write_snapshot(tmp_path / "outside.snap", header, crafted))
 
@@ -589,81 +608,92 @@ class TestUntrustedContent:
         for feature, message in (
                 ([0, -1, -1, -1], "cut into 13 whole trees, not 1 models x 12"),
                 ([0, 0, -1], "cut into 10 whole trees, not 1 models x 12")):
-            crafted = replace_tree(header, arrays, 2, feature)
+            crafted = replace_tree(arrays, 2, feature)
             with pytest.raises(SnapshotError, match=message):
                 snapshot_load(write_snapshot(tmp_path / "count.snap", header, crafted))
 
-    @pytest.mark.parametrize("name", ["trees/split_rows"])
+    @pytest.mark.parametrize("name", ["trees/digest"])
     def test_per_kind_lengths_checked(self, tmp_path, forest, name):
-        # one split too few or too many, or three bounds to a split
+        # a digest one byte short or one byte long
         header, arrays = forest
-        for bad in (arrays[name][:-1], np.concatenate([arrays[name], arrays[name][:1]]),
-                    np.column_stack([arrays[name], arrays[name][:, :1]])):
-            with pytest.raises(SnapshotError, match="disagree with the inner node count"):
+        for bad in (arrays[name][:-1], np.concatenate([arrays[name], arrays[name][:1]])):
+            with pytest.raises(SnapshotError, match="forest digest is not that of"):
                 snapshot_load(write_snapshot(tmp_path / "lengths.snap", header,
                                              {**arrays, name: bad}))
 
-    @pytest.mark.parametrize("field, value", [
-        ("feature", 3), ("feature", -2), ("split_row", 30), ("split_row", 60),
-        ("split_row", 255), ("split_row_high", 30)])
+    @pytest.mark.parametrize("field, value", [("feature", 3), ("feature", -2)])
     def test_tree_arrays_checked(self, tmp_path, forest, field, value):
-        # the field's first entry in tree 1: the root's feature, a leaf's
-        # feature below -1, or the first inner node's low (or high) split
-        # position, which names its split row, at or past psi: a split of 0.5
-        # of 60 rows trains on 30, so psi is 30.  The features stay int8, the
-        # positions uint8
+        # the root's feature in tree 1 past the last of 3 columns, or its
+        # first leaf's below -1; the features stay int8
         header, arrays = forest
         feature = arrays["trees/feature"]
         start = tree_offsets(feature)[1]
-        n_inner = int((feature[:start] >= 0).sum())
         leaf = start + int(np.argmax(feature[start:] < 0))
-        name, at = {"feature": ("trees/feature", start if value >= 0 else leaf),
-                    "split_row": ("trees/split_rows", (n_inner, 0)),
-                    "split_row_high": ("trees/split_rows", (n_inner, 1))}[field]
-        arrays[name][at] = value
-        assert [arrays[n].dtype for n in ("trees/feature", "trees/split_rows")] == [
-            np.int8, np.uint8]
-        with pytest.raises(SnapshotError, match="tree 1 of model 0 is not a valid isolation tree"):
+        arrays["trees/" + field][start if value >= 0 else leaf] = value
+        assert arrays["trees/feature"].dtype == np.int8
+        with pytest.raises(SnapshotError, match="tree 1 of model 0 is not a valid isolation tree: "
+                                                rf"feature {value} lies outside \[-1, 3\)"):
             snapshot_load(write_snapshot(tmp_path / "tree.snap", header, arrays))
 
-    @pytest.mark.parametrize("bounds", ["equal", "reversed"])
+    @pytest.mark.parametrize("bounds", ["equal"])
     def test_split_bounds_checked(self, tmp_path, forest, bounds):
-        # the first split of tree 1 between a row and itself, or between its
-        # high and its low row: its range is empty, so no threshold lies in it
+        # a split's range runs from the least to the greatest of its rows on
+        # its feature: with column 2 of the rows made constant, the ends of
+        # every range on it are equal and no threshold splits it.  Column 0
+        # alone orders the rows by content, so the subsamples stay; the
+        # first node on feature 2, by depth and then by tree, is refused
         header, arrays = forest
-        feature, positions = arrays["trees/feature"], arrays["trees/split_rows"].copy()
-        at = int((feature[:tree_offsets(feature)[1]] >= 0).sum())
-        low, high = positions[at]
-        positions[at] = {"equal": (high, high), "reversed": (high, low)}[bounds]
-        with pytest.raises(SnapshotError, match="tree 1 of model 0 is not a valid isolation tree"):
+        plan = snapshot_load(tmp_path / "forest.snap").calibration.scorer
+        on_2 = np.flatnonzero(plan.feature == 2)
+        first = on_2[np.lexsort((on_2, plan.depth[on_2]))[0]]
+        t = int(np.searchsorted(plan.offsets, first, "right")) - 1
+        rows = arrays["calibration/rows"].copy()
+        rows[:, 2] = {"equal": 0.5}[bounds]
+        with pytest.raises(SnapshotError, match=f"tree {t} of model 0 is not a valid isolation "
+                                                "tree: an inner node's rows do not vary"):
             snapshot_load(write_snapshot(tmp_path / "bounds.snap", header,
-                                         {**arrays, "trees/split_rows": positions}))
+                                         {**arrays, "calibration/rows": rows}))
 
-    @pytest.mark.parametrize("max_depth", [None, 40, 10**9])
-    def test_deep_chain_refused_quickly(self, tmp_path, max_depth):
-        # a 20,000-deep chain in a one-tree forest of psi = 100, whose cap is
-        # ceil(log2 100) = 7 (or the header's max_depth): every level would
-        # cost a kernel step per row.  A header cap past MAX_DEPTH is refused
-        # as such, so it cannot admit the chain.
+    @pytest.fixture
+    def one_tree(self, tmp_path):
+        # a one-tree forest of psi = 100, whose cap is ceil(log2 100) = 7
         scorer = ScorerSpec(kind="isolation_forest", n_trees=1, subsample_size=100)
         config = PipelineConfig(scorer=scorer, strategy=split(0.5), seed=23)
         snapshot_save(fit(config, gaussian_matrix(23, 200, d=2)), tmp_path / "one.snap")
-        header, arrays = read_snapshot(tmp_path / "one.snap")
-        depth = 20_000
-        feature = np.where(np.arange(2 * depth + 1) % 2 == 0, 0, -1)
-        feature[-1] = -1
-        crafted = replace_tree(header, arrays, 0, feature)
+        return read_snapshot(tmp_path / "one.snap")
+
+    @pytest.mark.parametrize("max_depth", [None, 40, 10**9])
+    def test_deep_chain_refused_quickly(self, tmp_path, one_tree, max_depth):
+        # a 20,000-deep chain that goes on at the child with more rows: every
+        # level would cost a kernel step per row.  Under the cap 7 its inner
+        # node at depth 7 is refused; under a cap of 40 it runs out of rows
+        # first, and a header cap past MAX_DEPTH is refused as such, so it
+        # cannot admit the chain
+        header, arrays = one_tree
+        crafted = one_tree_chain(header, arrays, 20_000, 0)
         header["config"]["scorer"]["max_depth"] = max_depth
         path = write_snapshot(tmp_path / "chain.snap", header, crafted)
         began = time.perf_counter()
-        message = ("max_depth must be at most 64" if max_depth == 10**9
-                   else "tree 0 of model 0 is deeper than its cap")
+        message = {None: "tree 0 of model 0 is deeper than its cap",
+                   40: "tree 0 of model 0 is not a valid isolation tree: an inner node holds "
+                       "fewer than 2 rows",
+                   10**9: "max_depth must be at most 64"}[max_depth]
         with pytest.raises(SnapshotError, match=message):
             snapshot_load(path)
         assert time.perf_counter() - began < 1.0
 
+    def test_inner_node_without_rows_refused(self, tmp_path, one_tree):
+        # a chain that goes on at the child with fewer rows leaves an inner
+        # node with one row or none above the cap of 7
+        header, arrays = one_tree
+        crafted = one_tree_chain(header, arrays, 7, 0, larger=False)
+        with pytest.raises(SnapshotError, match="tree 0 of model 0 is not a valid isolation "
+                                                "tree: an inner node holds fewer than 2 rows"):
+            snapshot_load(write_snapshot(tmp_path / "few.snap", header, crafted))
+
     def test_depth_at_cap_loads(self, tmp_path):
-        # chains of depth 7 and 8 under the cap ceil(log2 100) = 7
+        # chains of depth 7 and 8 under the cap ceil(log2 100) = 7, each
+        # with the digest of its own thresholds and leaf sizes
         config = PipelineConfig(scorer=ScorerSpec(kind="isolation_forest", n_trees=1,
                                                   subsample_size=100),
                                 strategy=split(0.5), seed=24)
@@ -671,9 +701,7 @@ class TestUntrustedContent:
         header, arrays = read_snapshot(tmp_path / "one.snap")
         X = gaussian_matrix(25, 5, d=2)
         for depth in (7, 8):
-            feature = np.where(np.arange(2 * depth + 1) % 2 == 0, 1, -1)
-            feature[-1] = -1
-            crafted = replace_tree(header, arrays, 0, feature)
+            crafted = one_tree_chain(header, arrays, depth, 1)
             path = write_snapshot(tmp_path / "chain.snap", json.loads(json.dumps(header)),
                                   crafted)
             if depth == 8:
@@ -695,8 +723,7 @@ class TestUntrustedContent:
             ("0 whole trees, not 1 models x 12", feature[:0]),
         ]
         for message, bad_feature in cases:
-            crafted = {**arrays, "trees/feature": bad_feature, "trees/split_rows":
-                       arrays["trees/split_rows"][:(bad_feature >= 0).sum()]}
+            crafted = {**arrays, "trees/feature": bad_feature}
             with pytest.raises(SnapshotError, match=message):
                 snapshot_load(write_snapshot(tmp_path / "cuts.snap",
                                              json.loads(json.dumps(header)), crafted))
@@ -708,7 +735,7 @@ class TestUntrustedContent:
             if feature[t] < 0:
                 continue
             swapped = feature.copy()
-            swapped[[t - 1, t]] = feature[[t, t - 1]]  # split positions keep their order
+            swapped[[t - 1, t]] = feature[[t, t - 1]]
             path = write_snapshot(tmp_path / "moved.snap", json.loads(json.dumps(header)),
                                   {**arrays, "trees/feature": swapped})
             try:
@@ -720,17 +747,25 @@ class TestUntrustedContent:
     @pytest.mark.parametrize("name, dtype", [
         ("trees/feature", "<i2"), ("trees/feature", "<i4"), ("trees/feature", "<f8"),
         ("trees/feature", "|u1"), ("trees/feature", "<u2"), ("trees/feature", ">i2"),
+        ("trees/digest", "|i1"), ("trees/digest", "<u2"), ("trees/digest", "<f8"),
         ("trees/split_rows", "<u2"), ("trees/split_rows", "<u4"),
         ("trees/split_rows", "|i1"), ("trees/split_rows", "<i8"),
         ("trees/split_rows", "<f8")])
     def test_tree_dtypes_checked(self, tmp_path, forest, name, dtype):
         # features come as the narrowest of int8, int16 and int32 that holds
-        # them, and split rows as positions below psi = 30 in uint8: a wider,
-        # unsigned or float feature array, or a wider, signed or float split
-        # row array, is refused though its values are the saved ones
+        # them, and the digest as bytes: a wider, unsigned or float feature
+        # array, or a signed, wider or float digest, is refused though its
+        # values are the saved ones.  Split rows, which format 11 stored as
+        # uint8 positions here, are refused in any dtype: no array of that
+        # name belongs to a format-12 file
         header, arrays = forest
-        crafted = {**arrays, name: arrays[name].astype(dtype)}
-        with pytest.raises(SnapshotError, match=f"'{name}' is missing or malformed"):
+        if name in arrays:
+            bad, message = arrays[name].astype(dtype), "is missing or malformed"
+        else:
+            bad, message = np.zeros(((arrays["trees/feature"] >= 0).sum(), 2), dtype), \
+                "do not belong"
+        crafted = {**arrays, name: bad}
+        with pytest.raises(SnapshotError, match=f"'{name}'.? {message}"):
             snapshot_load(write_snapshot(tmp_path / "dtype.snap", header, crafted))
 
     def test_plan_arrays_cross_checked(self, tmp_path, jab):
@@ -764,7 +799,7 @@ class TestUntrustedContent:
         else:
             strategy = split(59)
             header["config"]["strategy"] = dataclasses.asdict(strategy)
-            plan = kept_plan(strategy_plan(strategy, 60, header["config"]["seed"]), strategy)
+            plan = kept_plan(strategy, 60, header["config"]["seed"])
             arrays = {**arrays, "calibration/plan_digest":
                       np.frombuffer(snapshot._plan_digest(plan), np.uint8)}
         message = {"jab": "k=60 needs more than 50 training rows",
@@ -797,6 +832,25 @@ class TestUntrustedContent:
         with pytest.raises(SnapshotError, match="a plan of 7 models over 50 rows"):
             snapshot_save(fitted, tmp_path / "big.snap")
         assert not (tmp_path / "big.snap").exists()
+
+    def test_single_model_refit_bounded_alone(self, tmp_path, monkeypatch):
+        # a CV or jackknife single_model load draws only its refit model, so
+        # the bound applies to that one-model plan: with the cell bound
+        # below a 5-fold plan of 60 rows (300 cells) but above one model's
+        # 60, CV and jackknife single_model fits save, load and give the
+        # same p-values; JaB single_model and JaB+, whose loads draw every
+        # bootstrap, are still refused
+        monkeypatch.setattr(snapshot, "MAX_PLAN_CELLS", 100)
+        train, X = gaussian_matrix(40, 60, d=2), gaussian_matrix(41, 10, d=2)
+        for strategy in (cross_validation(5, "single_model"), jackknife("single_model")):
+            config = PipelineConfig(scorer=SMALL_FOREST, strategy=strategy, seed=40)
+            fitted, loaded = round_trip(tmp_path, config, train)
+            assert (compute_p_values(loaded, X).values.tobytes()
+                    == compute_p_values(fitted, X).values.tobytes())
+        for strategy in (jackknife_bootstrap(5, "single_model"), jackknife_bootstrap(5)):
+            fitted = fit(PipelineConfig(scorer=SMALL_FOREST, strategy=strategy, seed=40), train)
+            with pytest.raises(SnapshotError, match="a plan of 5 models over 60 rows"):
+                snapshot_save(fitted, tmp_path / "jab.snap")
 
     @pytest.mark.parametrize("n_trees", [10 ** 9, 2 ** 24 // 30 + 1])
     def test_forest_above_bound_refused_quickly(self, tmp_path, forest, n_trees):
