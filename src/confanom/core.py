@@ -62,10 +62,6 @@ class KTooLarge(ConfanomError):
     pass
 
 
-class InvalidForest(ConfanomError):
-    pass
-
-
 class InvalidHyperparameter(ConfanomError):
     pass
 

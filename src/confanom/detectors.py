@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AmbiguousPolarity, DataMatrix, DimensionMismatch, EmptyTrainingSet,
-                   InvalidForest, InvalidHyperparameter, KTooLarge, _readonly, check_count,
-                   check_finite, philox_block, philox_choice, philox_uniform, split_seed)
+                   InvalidHyperparameter, KTooLarge, _readonly, check_count, check_finite,
+                   philox_block, philox_choice, philox_uniform, split_seed)
 
 SCORER_KINDS = ("isolation_forest", "knn_distance", "external")
 POLARITIES = ("higher_is_anomalous", "lower_is_anomalous", "auto")
@@ -153,7 +153,7 @@ def _split_thresholds(a, b, words):
     return np.clip(a * (1.0 - u) + b * u, a, b)
 
 
-def _grow(rows, sub, keys, model, tree, caps, psi, stored=None):
+def _grow(rows, sub, keys, model, tree, caps, psi):
     """Feature and depth of every node, threshold of every inner node and
     size of every leaf, in node order, of a chunk of trees grown level by
     level: tree i, tree ``tree[i]`` of model ``model[i]``, holds the
@@ -161,62 +161,47 @@ def _grow(rows, sub, keys, model, tree, caps, psi, stored=None):
     from the Philox key ``(keys[model[i]], tree[i])``.  Nodes are numbered in
     level order within their tree, so its r-th inner node has children
     2r + 1 and 2r + 2.  A node of 2 rows or more below its cap
-    (``caps[model[i]]``) is open.  A fit (``stored`` None) draws an open
-    node's feature among those that vary on its rows, from the first word
-    of counter block ``(node, 0)``; a load reads it from ``stored``, the
-    chunk's features and each tree's first node among them, and refuses
-    with ``InvalidForest`` an inner node that is not open or whose rows do
-    not vary on its feature.  Both take the node's range as ``reduceat`` of
+    (``caps[model[i]]``) whose rows differ on some feature is inner: it
+    draws its feature among those that vary on its rows, from the first
+    word of counter block ``(node, 0)``, takes its range as ``reduceat`` of
     ``minimum`` and ``maximum`` over its rows in the order a stable split
-    keeps them, so -0.0 and 0.0 keep their bits, draw the threshold from
-    the block's second word and split the rows stably, lower rows left.
+    keeps them, so -0.0 and 0.0 keep their bits, draws the threshold from
+    the block's second word and splits the rows stably, lower rows left.
     """
     n_trees, width = psi.shape[0], rows.shape[1]
     key, cap, flat = keys[model], caps[model], np.ascontiguousarray(rows).reshape(-1)
-
-    def refuse(bad, at, what):
-        if bad.any():
-            i = at[np.argmax(bad)]
-            raise InvalidForest(f"tree {tree[i]} of model {model[i]} {what}")
-
     seg_tree, seg_node, seg_len = np.arange(n_trees), np.zeros(n_trees, np.int64), psi
     # active: the rows of the open nodes, node after node
     next_id, level, active = np.ones(n_trees, np.int64), 0, sub
     splits, leaves = [(*[np.zeros(0, np.int64)] * 3, np.zeros(0), np.zeros(0, np.int64))], []
     while seg_tree.size:
         starts = np.cumsum(seg_len) - seg_len
-        if stored is None:
-            values = np.take(rows, active, axis=0)
-            varied = np.minimum.reduceat(values, starts) < np.maximum.reduceat(values, starts)
-            inner = varied.any(axis=1)
-        else:
-            q = stored[0][stored[1][seg_tree] + seg_node]
-            inner = q >= 0
+        # a feature varies on a node's rows where two neighbours differ on
+        # it: rows are finite, so == is transitive (-0.0 equals 0.0).  A
+        # node holds 2 rows or more, and no pair across two nodes counts
+        values = np.take(rows, active, axis=0)
+        differ = values[1:] != values[:-1]
+        differ[starts[1:] - 1] = False
+        varied = np.logical_or.reduceat(differ, starts)
+        inner = varied.any(axis=1)
         if not inner.all():
-            # fitted nodes whose rows are all equal, and stored leaves
+            # nodes whose rows are all equal
             leaves.append((seg_tree[~inner], seg_node[~inner], seg_len[~inner],
                            np.full((~inner).sum(), level)))
             keep = np.repeat(inner, seg_len)
-            active, seg_tree, seg_node, seg_len = (
-                active[keep], seg_tree[inner], seg_node[inner], seg_len[inner])
-            if stored is None:
-                varied = varied[inner]
-            else:
-                q = q[inner]
+            active, seg_tree, seg_node, seg_len, varied = (
+                active[keep], seg_tree[inner], seg_node[inner], seg_len[inner], varied[inner])
             starts = np.cumsum(seg_len) - seg_len
             if not seg_tree.size:
                 break
         split = np.arange(seg_tree.size)
         of = np.repeat(split, seg_len)
         words = philox_block(key[seg_tree], tree[seg_tree], seg_node, 0)
-        if stored is None:
-            n_varied = varied.sum(axis=1)
-            k = np.minimum((philox_uniform(words[0]) * n_varied).astype(np.int64), n_varied - 1)
-            q = (np.cumsum(varied, axis=1) > k[:, None]).argmax(axis=1)
+        n_varied = varied.sum(axis=1)
+        k = np.minimum((philox_uniform(words[0]) * n_varied).astype(np.int64), n_varied - 1)
+        q = (np.cumsum(varied, axis=1) > k[:, None]).argmax(axis=1)
         value = flat[active * width + q[of]]
         a, b = np.minimum.reduceat(value, starts), np.maximum.reduceat(value, starts)
-        refuse(~(a < b), seg_tree,
-               "is not a valid isolation tree: an inner node's rows do not vary on its feature")
         threshold = _split_thresholds(a, b, words)
         # stable partition, left part first: with L the left rows before a
         # row, a left row moves to its segment's start plus its L - L0 (L0
@@ -238,13 +223,7 @@ def _grow(rows, sub, keys, model, tree, caps, psi, stored=None):
         level += 1
         child_tree, child_node = np.repeat(seg_tree, 2), (left[:, None] + [0, 1]).ravel()
         child_len = np.column_stack([n_left, seg_len - n_left]).ravel()
-        deep = level >= cap[child_tree]
-        grows = (child_len >= 2) & ~deep
-        if stored is not None:
-            stored_inner = stored[0][stored[1][child_tree] + child_node] >= 0
-            refuse(stored_inner & deep, child_tree, "is deeper than its cap")
-            refuse(stored_inner & ~grows, child_tree,
-                   "is not a valid isolation tree: an inner node holds fewer than 2 rows")
+        grows = (child_len >= 2) & (level < cap[child_tree])
         leaves.append((child_tree[~grows], child_node[~grows], child_len[~grows],
                        np.full((~grows).sum(), level)))
         active = placed[np.repeat(grows, child_len)]
@@ -259,10 +238,12 @@ def _grow(rows, sub, keys, model, tree, caps, psi, stored=None):
     return feature, threshold[np.argsort(s_at)], size[np.argsort(l_at)], depth
 
 
-def forest_digest(threshold, leaf_size):
-    """SHA-256 of a forest's thresholds as <f8, then its leaf sizes as <i8,
-    each in node order: the digest a snapshot stores and a load checks."""
-    return hashlib.sha256(np.ascontiguousarray(threshold, "<f8").tobytes()
+def forest_digest(feature, threshold, leaf_size):
+    """SHA-256 of a forest's features as <i4, then its thresholds as <f8,
+    then its leaf sizes as <i8, each in node order: the digest a snapshot
+    stores and a load checks."""
+    return hashlib.sha256(np.ascontiguousarray(feature, "<i4").tobytes()
+                          + np.ascontiguousarray(threshold, "<f8").tobytes()
                           + np.ascontiguousarray(leaf_size, "<i8").tobytes()).digest()
 
 
@@ -297,51 +278,21 @@ def _subsamples(spec, rows, counts, keys, psi):
     return np.concatenate(parts)
 
 
-def _grow_forests(spec, rows, keys, psi, sub, stored=None):
+def _grow_forests(spec, rows, keys, psi, sub):
     """The node arrays of a plan's trees (see ``_grow``), model by model and
     tree by tree, grown from the subsamples ``sub`` in chunks under the
     ``_FIT_BLOCK`` budget; tree t of model b draws from the key ``(keys[b],
-    t)``.  ``stored``, a snapshot's node features and forest digest, makes
-    this the read mode.  A tree of r inner nodes has 1 + 2r nodes, so the
-    running sum of +1 per inner node and -1 per leaf first falls to -k where
-    the k-th tree ends, and within a tree stays at 0 or above: its r-th inner
-    node sits at a position of at most 2r, and growing reaches every node
-    once.  Features that do not cut into models x ``n_trees`` whole trees or
-    lie outside [-1, d) are refused before growing, thresholds and leaf
-    sizes without the stored ``forest_digest`` after."""
+    t)``."""
     n_trees, tree_psi = spec.n_trees, np.repeat(psi, spec.n_trees)
-    n_cut, caps, ends = tree_psi.shape[0], spec.depth_caps(psi), np.append(0, np.cumsum(tree_psi))
-    if stored is not None:
-        feature, digest = stored
-        height = np.cumsum(np.where(feature >= 0, 1, -1))
-        cuts = np.flatnonzero(height < np.minimum.accumulate(np.append(0, height))[:-1])
-        whole = cuts.size > 0 and cuts[-1] == feature.shape[0] - 1
-        if not whole or cuts.size != n_cut:
-            raise InvalidForest(
-                f"the tree nodes cut into {cuts.size} whole trees"
-                f"{'' if whole or not feature.size else ' and part of one'}, not "
-                f"{psi.shape[0]} models x {n_trees}")
-        offsets = np.append(0, cuts + 1)
-        bad = np.flatnonzero((feature < -1) | (feature >= rows.shape[1]))
-        if bad.size:
-            t = int(np.searchsorted(offsets, bad[0], "right")) - 1
-            raise InvalidForest(
-                f"tree {t % n_trees} of model {t // n_trees} is not a valid isolation tree: "
-                f"feature {feature[bad[0]]} lies outside [-1, {rows.shape[1]})")
+    caps, ends = spec.depth_caps(psi), np.append(0, np.cumsum(tree_psi))
     step = max(1, _FIT_BLOCK // (int(psi.max()) * rows.shape[1]))
     parts = []
-    for lo in range(0, n_cut, step):
-        hi = min(lo + step, n_cut)
+    for lo in range(0, tree_psi.shape[0], step):
+        hi = min(lo + step, tree_psi.shape[0])
         model, tree = np.divmod(np.arange(lo, hi), n_trees)
-        chunk = None if stored is None else (feature[offsets[lo]:offsets[hi]],
-                                             offsets[lo:hi] - offsets[lo])
         parts.append(_grow(rows, sub[ends[lo]:ends[hi]], keys, model, tree, caps,
-                           tree_psi[lo:hi], chunk))
-    grown = tuple(map(np.concatenate, zip(*parts)))
-    if stored is not None and forest_digest(*grown[1:3]) != digest.tobytes():
-        raise InvalidForest("the forest digest is not that of the thresholds and leaf sizes "
-                            "its trees give over these subsamples")
-    return grown
+                           tree_psi[lo:hi]))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 class ForestPlan:
@@ -350,13 +301,11 @@ class ForestPlan:
     Model b scores a point 2**(-E[h(x)] / c(psi_b)), with h the path length,
     psi_b the model's subsample size and c the average path length, so
     scores lie in (0, 1].  Trees are stored by level-order shape, model by
-    model and tree by tree, as ``_grow`` returns them and as the snapshot
-    stores ``feature``: per node its ``feature`` (-1 for a leaf) and
-    ``depth`` (0 at each root, so tree t of model b starts at node
-    ``offsets[b * n_trees + t]``), per inner node its ``threshold`` and per
-    leaf its ``leaf_size``.  The constructor only builds the scoring
-    tables: a fit and a snapshot load both hand it what ``_grow_forests``
-    grew, and the read mode has checked a stored forest.
+    model and tree by tree, as ``_grow`` returns them: per node its
+    ``feature`` (-1 for a leaf) and ``depth`` (0 at each root, so tree t of
+    model b starts at node ``offsets[b * n_trees + t]``), per inner node its
+    ``threshold`` and per leaf its ``leaf_size``.  The constructor only
+    builds the scoring tables from what ``_grow_forests`` grew.
 
     Scoring moves a (trees x cells) matrix of current nodes one level per
     step through tables in which leaves loop to themselves and a leaf
@@ -632,18 +581,18 @@ def _check_batch(scorer, X):
             f"scorer expects {scorer.n_features} features, got {X.n_cols}")
 
 
-def fit_plan(spec, rows, counts, seed, streams, trees=None):
+def fit_plan(spec, rows, counts, seed, streams):
     """Fit the models of a resampling plan on one shared row matrix.
 
     Model b trains on row j of ``rows`` repeated ``counts[b, j]`` times, and
     every model needs 2 rows, a k-NN model more than k.  k-NN models share a
     KnnPlan; the forests of all models grow together into one ForestPlan,
     model b from the key ``split_seed(seed, streams[b])``, so model b equals
-    a one-model plan on its expanded rows with that key.  ``trees``, a
-    snapshot's node features and forest digest, make the forests grow in
-    ``_grow_forests``' read mode: the snapshot loader builds its plan here,
-    from subsamples drawn again as the fit drew them, through the same
-    routine as the fit.
+    a one-model plan on its expanded rows with that key.  The result is a
+    function of its arguments alone, bit for bit: a snapshot load calls
+    this with the stored rows, the rebuilt plan and the stored seed, and
+    gets the fitted forests back, which it checks against their stored
+    ``forest_digest``.
     """
     smallest = int(counts.sum(axis=1, dtype=np.int64).min())
     if smallest < 2:
@@ -658,7 +607,7 @@ def fit_plan(spec, rows, counts, seed, streams, trees=None):
     keys = np.array([split_seed(seed, s) for s in streams], dtype=np.uint64)
     psi = subsample_sizes(spec, counts)
     sub = _subsamples(spec, rows, counts, keys, psi)
-    return ForestPlan(spec, rows.shape[1], psi, *_grow_forests(spec, rows, keys, psi, sub, trees))
+    return ForestPlan(spec, rows.shape[1], psi, *_grow_forests(spec, rows, keys, psi, sub))
 
 
 def score_plan(scorer, X, mask=None):

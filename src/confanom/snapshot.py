@@ -25,7 +25,7 @@ index.  Everything else follows from it: the calibration's strategy and
 mode are the configured strategy's, and an adjustment table's size, delta
 and method are the entry count and the configured estimation's.
 
-Format version 12 stores a calibration's rows once (``calibration/rows``),
+Format version 13 stores a calibration's rows once (``calibration/rows``),
 its entry scores and only the SHA-256 of its plan
 (``calibration/plan_digest``): a plan is a deterministic function of the
 strategy, the row count and the seed, so the loader rebuilds it with
@@ -39,40 +39,33 @@ pipeline above them can be fitted but not saved.  The bound is on the plan
 a load draws: a cross-validation or jackknife single_model load draws only
 its one refit model, a JaB single_model load the bootstraps that name its
 entries too.  Forests whose subsamples hold more than ``MAX_FOREST_ROWS``
-rows in all are refused likewise, since a load draws them again.
-Isolation forests add their trees, model by model and tree by tree, by
-level-order shape: ``trees/feature``, per node its split feature (-1 for a
-leaf) in the narrowest of int8, int16 and int32 that holds the values (the
-loader refuses any other width, so a pipeline has one encoding), and
-``trees/digest``, ``detectors.forest_digest`` of the fitted thresholds and
-leaf sizes.  No thresholds, leaf sizes, tree offsets, subsamples or split
-rows are stored: ``detectors.fit_plan`` draws every tree's subsample again
-and grows the tree through the fit's routine, reading each node's feature
-where the fit drew it; a node's range is the least and greatest of its rows
-on that feature (Liu, Ting & Zhou 2008), so thresholds and leaf sizes come
-out as the fit's.  This read mode refuses, naming the tree and model,
-features outside [-1, d) or that do not cut into models x ``n_trees``
-whole trees, an inner node at its depth cap, with fewer than 2 rows or
-whose rows do not vary on its feature, and then a forest without the
-stored digest.  A calibration-conditional pipeline adds
-``table/adjusted``, its n_entries + 1 adjusted p-values.
+rows in all are refused likewise, since a load grows them again.
+An isolation forest adds one array, ``trees/digest``:
+``detectors.forest_digest`` of the fitted features, thresholds and leaf
+sizes.  No tree is stored.  A forest is a pure function of its rows, its
+plan and its seed (every draw comes from counter-keyed Philox), so a load is
+a fit: the loader calls ``detectors.fit_plan`` on the stored rows with the
+rebuilt plan and the stored seed, as the fit did, and refuses a file whose
+regrown forest has another digest (an edited scorer setting or edited
+rows).  A calibration-conditional pipeline adds ``table/adjusted``, its
+n_entries + 1 adjusted p-values.
 
 The file digest only detects damage: anyone can recompute it.  This module
 checks the container: magic, version, digest, the deflate bounds, the array
 index (every name a string, every dtype a string in numpy's own spelling,
 every shape entry a JSON integer), each array's dtype and rank, finite
-scores, the plan bound and digest, and that every array belongs to the
-configuration (a table under another regime, leaf sizes or split rows do
-not).  What is built from the header and arrays checks its own input: the
-spec constructors every setting, through ``core``'s checkers (a delta of
-"0.1" or a bandwidth of Infinity is refused like any other),
-``DataMatrix`` the rows, ``fit_plan`` a model's training rows and k and, in
-its read mode, the trees, ``AdjustmentTable`` its length and
-``CalibrationModel`` its score count.  Files of earlier formats (11 stored
-two split rows per inner node as subsample positions, 10 as calibration
-row indices, with leaf sizes, and each array's bytes in element order, 9
-also the payload raw, 8 the thresholds, 7 also tree features and leaf
-sizes as int32 and the tree offsets, 6 the plan itself) are refused by
+scores, the plan bound and digest, the forest digest, and that every array
+belongs to the configuration (a table under another regime, or tree
+features, leaf sizes or split rows, do not).  What is built from the header
+and arrays checks its own input: the spec constructors every setting,
+through ``core``'s checkers (a delta of "0.1" or a bandwidth of Infinity is
+refused like any other), ``DataMatrix`` the rows, ``fit_plan`` a model's
+training rows and k, ``AdjustmentTable`` its length and ``CalibrationModel``
+its score count.  Files of earlier formats (12 stored each tree node's
+feature, 11 two split rows per inner node as subsample positions, 10 as
+calibration row indices, with leaf sizes, and each array's bytes in element
+order, 9 also the payload raw, 8 the thresholds, 7 also tree features and
+leaf sizes as int32 and the tree offsets, 6 the plan itself) are refused by
 their version.
 
 Only built-in detectors can be saved: an external scorer is an opaque
@@ -99,7 +92,7 @@ from .resampling import (CalibrationModel, StrategySpec, kept_plan, plan_models,
                          refits_every_row_in_order)
 
 MAGIC = b"CANOMSNP"
-FORMAT_VERSION = 12
+FORMAT_VERSION = 13
 _DIGEST_BYTES = 32
 # deflate codes at most 258 bytes in two bits, so a stream of s bytes
 # inflates to at most 1032 s bytes
@@ -113,18 +106,9 @@ _MAX_INFLATION = 1032
 MAX_PLAN_MODELS = 1 << 14
 MAX_PLAN_CELLS = 1 << 26
 # the most subsample rows (models x n_trees x psi) a forest load draws again
-# and routes down its trees, 128 MB as int64 row indices.  A tree may be one
-# node, so the node arrays do not bound them: the header's n_trees does
+# and grows its trees from, 128 MB as int64 row indices.  The file holds no
+# tree, so only the header's n_trees bounds them
 MAX_FOREST_ROWS = 1 << 24
-# the integer dtypes of which stored tree features take the narrowest that
-# holds their values
-_SIGNED = ("|i1", "<i2", "<i4")
-
-
-def _narrowest(a, dtypes):
-    """The first of the integer ``dtypes`` that holds every value of ``a``."""
-    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
-    return next(d for d in dtypes if np.iinfo(d).min <= lo and hi <= np.iinfo(d).max)
 
 
 def _planes(a):
@@ -184,9 +168,8 @@ def snapshot_save(fp: FittedPipeline, path):
     if isinstance(cm.scorer, ForestPlan):
         plan = cm.scorer
         _check_forest_size(plan.spec, plan.psi)
-        arrays["trees/feature"] = plan.feature.astype(_narrowest(plan.feature, _SIGNED))
-        arrays["trees/digest"] = np.frombuffer(forest_digest(plan.threshold, plan.leaf_size),
-                                               np.uint8)
+        arrays["trees/digest"] = np.frombuffer(
+            forest_digest(plan.feature, plan.threshold, plan.leaf_size), np.uint8)
     if fp.table is not None:
         arrays["table/adjusted"] = fp.table.adjusted
     header = {
@@ -264,12 +247,9 @@ class _Arrays:
             offset += nbytes
 
     def get(self, name, dtype, ndim):
-        """The array ``name`` of rank ``ndim`` and dtype ``dtype``, or of the
-        narrowest of a tuple of integer dtypes that holds its values."""
+        """The array ``name`` of rank ``ndim`` and dtype ``dtype``."""
         array = self.arrays.get(name)
         self.used.add(name)
-        if array is not None and isinstance(dtype, tuple):
-            dtype = _narrowest(array, dtype) if array.dtype.str in dtype else None
         if array is None or array.dtype.str != dtype or array.ndim != ndim:
             raise SnapshotError(f"snapshot array {name!r} is missing or malformed")
         return array
@@ -290,18 +270,22 @@ def _load_calibration(arrays, config):
     digest = arrays.get("calibration/plan_digest", "|u1", 1)
     n_rows = rows.shape[0]
     # DataMatrix refuses empty, featureless or non-finite rows, kept_plan
-    # too few rows, fit_plan small models or bad trees, and CalibrationModel
-    # a wrong score count; the size checks come before anything is drawn
+    # too few rows, fit_plan small models, and CalibrationModel a wrong score
+    # count; the size checks come before anything is drawn
     _check_plan_size(strategy, n_rows)
     plan = kept_plan(strategy, n_rows, config.seed)
     _expect(digest.tobytes() == _plan_digest(plan),
             "the plan digest is not that of the plan the strategy and seed give over "
             "these rows (an edited strategy or seed, or other numpy random streams)")
-    trees = None
+    forest = None
     if spec.kind == "isolation_forest":
         _check_forest_size(spec, subsample_sizes(spec, plan.train_counts))
-        trees = (arrays.get("trees/feature", _SIGNED, 1), arrays.get("trees/digest", "|u1", 1))
-    scorer = fit_plan(spec, rows, plan.train_counts, config.seed, plan.streams, trees)
+        forest = arrays.get("trees/digest", "|u1", 1).tobytes()
+    scorer = fit_plan(spec, rows, plan.train_counts, config.seed, plan.streams)
+    _expect(forest is None
+            or forest == forest_digest(scorer.feature, scorer.threshold, scorer.leaf_size),
+            "the forest digest is not that of the forest the configuration grows over "
+            "these rows (an edited scorer setting or rows)")
     return CalibrationModel(
         entry_scores=entry_scores, entry_rows=plan.entry_rows, oob=plan.oob, rows=rows,
         train_counts=plan.train_counts, scorer=scorer, strategy=strategy)

@@ -33,43 +33,9 @@ def labeled_batch(seed, n_inliers, n_anomalies, d=4, shift=3.0):
     return DataMatrix(X, labels=labels)
 
 
-def node_uniforms(key, t, node):
-    """The two uniforms of counter block (node, 0) of the Philox key
-    (key, t): a tree node's feature and threshold draws."""
-    return np.random.Generator(np.random.Philox(key=key + (t << 64), counter=node)).random(2)
-
-
-def forest_digest(threshold, leaf_size):
-    """The forest digest a snapshot stores: SHA-256 of the thresholds as
-    <f8, then the leaf sizes as <i8."""
-    return hashlib.sha256(np.asarray(threshold, "<f8").tobytes()
+def forest_digest(feature, threshold, leaf_size):
+    """The forest digest a snapshot stores: SHA-256 of the node features as
+    <i4, then the thresholds as <f8, then the leaf sizes as <i8."""
+    return hashlib.sha256(np.asarray(feature, "<i4").tobytes()
+                          + np.asarray(threshold, "<f8").tobytes()
                           + np.asarray(leaf_size, "<i8").tobytes()).digest()
-
-
-def chain_tree(values, key, t, depth, f, larger=True):
-    """A tree of ``depth`` inner nodes in a chain, each split on feature f,
-    that goes on at the child with more rows (or, with ``larger`` false,
-    fewer), routing the values of its subsample on f as a
-    fit does: its level-order features, its thresholds and its leaf sizes.
-    The thresholds and sizes hold while every chain node has 2 rows that
-    differ.  The chain's r-th inner node has children 2r + 1 and 2r + 2."""
-    feature, sizes, thresholds = np.full(2 * depth + 1, -1), np.zeros(2 * depth + 1, int), []
-    feature[0], node, rows = f, 0, values
-    for r in range(depth):
-        threshold, below, above = np.nan, rows, rows[:0]
-        if rows.size >= 2:
-            u = node_uniforms(key, t, node)[1]
-            lo, hi = rows.min(), rows.max()
-            threshold = np.clip(lo * (1.0 - u) + hi * u, lo, hi)
-            below, above = rows[rows < threshold], rows[rows >= threshold]
-        thresholds.append(threshold)
-        right = (above.size >= below.size) == larger
-        child, other = 2 * r + 1 + right, 2 * r + 2 - right
-        sizes[other] = (above if not right else below).size
-        rows = above if right else below
-        if r < depth - 1:
-            feature[child] = f
-        else:
-            sizes[child] = rows.size
-        node = child
-    return feature, np.array(thresholds), sizes[feature < 0]

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from confanom import detectors
 from confanom.core import (AmbiguousPolarity, DataMatrix, DimensionMismatch,
-                           EmptyTrainingSet, InvalidForest, InvalidHyperparameter, KTooLarge,
+                           EmptyTrainingSet, InvalidHyperparameter, KTooLarge,
                            make_rng, split_seed)
 from confanom.detectors import (ScorerSpec, average_path_length, fit_plan,
                                 score_plan, wrap_detached)
@@ -19,7 +19,13 @@ from confanom.pipeline import fit as fit_pipeline
 from confanom.resampling import cross_validation, jackknife, jackknife_bootstrap, split
 from confanom.snapshot import snapshot_load, snapshot_save
 
-from conftest import chain_tree, forest_digest, gaussian_matrix, labeled_batch, node_uniforms
+from conftest import gaussian_matrix, labeled_batch
+
+
+def node_uniforms(key, t, node):
+    """The two uniforms of counter block (node, 0) of the Philox key
+    (key, t): a tree node's feature and threshold draws."""
+    return np.random.Generator(np.random.Philox(key=key + (t << 64), counter=node)).random(2)
 
 
 class TestScorerSpec:
@@ -330,96 +336,6 @@ def test_forest_plan_follows_tree_law(case):
     assert plan.offsets.shape == (counts.shape[0] * spec.n_trees + 1,)
 
 
-class TestForestPlanChecks:
-    """The read mode checks the node features a snapshot holds as it grows
-    the plan's forests from them, with the messages a load gives."""
-
-    SPEC = ScorerSpec(kind="isolation_forest", n_trees=4, subsample_size=16)
-
-    @pytest.fixture
-    def parts(self):
-        # column 2 is constant, so no fitted node splits on it
-        rows = gaussian_matrix(3, 40, d=3).values.copy()
-        rows[:, 2] = 1.0
-        counts = np.ones((2, 40), dtype=np.uint16)
-        counts[1, :10] = 0
-        plan, _ = fit_forest_plan(self.SPEC, rows, counts, 8)
-        digest = detectors.forest_digest(plan.threshold, plan.leaf_size)
-        return plan, rows, counts, {"feature": np.array(plan.feature), "digest": digest}
-
-    def build(self, rows, counts, arrays, spec=SPEC):
-        digest = np.frombuffer(arrays["digest"], np.uint8)
-        streams = tuple(range(3, 3 + counts.shape[0]))
-        return fit_plan(spec, rows, counts, 8, streams, (arrays["feature"], digest))
-
-    def test_fitted_arrays_rebuild_the_plan(self, parts):
-        plan, rows, counts, arrays = parts
-        rebuilt = self.build(rows, counts, arrays)
-        for name in ("feature", "leaf_size", "depth", "offsets", "psi"):
-            np.testing.assert_array_equal(getattr(rebuilt, name), getattr(plan, name))
-        assert rebuilt.threshold.tobytes() == plan.threshold.tobytes()
-
-    def test_part_of_a_tree_refused(self, parts):
-        plan, rows, counts, arrays = parts
-        cut = {**arrays, "feature": arrays["feature"][:-1]}
-        with pytest.raises(InvalidForest,
-                           match="cut into 7 whole trees and part of one, not 2 models x 4"):
-            self.build(rows, counts, cut)
-
-    @pytest.mark.parametrize("defect, message", [
-        ("feature", "feature 3 lies outside \\[-1, 3\\)"),
-        ("negative", "feature -2 lies outside \\[-1, 3\\)"),
-        ("equal", "an inner node's rows do not vary on its feature"),
-        ("digest", "forest digest is not that of the thresholds and leaf sizes")],
-        ids=["feature", "negative", "equal", "digest"])
-    def test_bad_node_refused(self, parts, defect, message):
-        # tree 1's root feature past the last column, a leaf's below -1, the
-        # root split on the constant column, whose range has equal ends; or
-        # the digest of other thresholds, which names no tree
-        plan, rows, counts, arrays = parts
-        root, feature = plan.offsets[1], arrays["feature"]
-        if defect == "digest":
-            arrays["digest"] = forest_digest(np.nextafter(plan.threshold, 0), plan.leaf_size)
-        else:
-            at = root + int(np.argmax(feature[root:] < 0)) if defect == "negative" else root
-            feature[at] = {"feature": 3, "negative": -2, "equal": 2}[defect]
-        prefix = "" if defect == "digest" else "tree 1 of model 0 is not a valid isolation tree: "
-        with pytest.raises(InvalidForest, match=prefix + message):
-            self.build(rows, counts, arrays)
-
-    def chain(self, rows, depth, larger, max_depth=None):
-        """A one-tree forest of psi = 16 that is a chain (``chain_tree``) on
-        feature 0, its spec and the counts of its one model."""
-        counts, key = np.ones((1, 40), dtype=np.uint16), split_seed(8, 3)
-        spec = ScorerSpec(kind="isolation_forest", n_trees=1, subsample_size=16,
-                          max_depth=max_depth)
-        values = rows[reference_subsample(rows, counts[0], key, 0, 16), 0]
-        feature, threshold, size = chain_tree(values, key, 0, depth, 0, larger)
-        return {"feature": feature, "digest": forest_digest(threshold, size)}, spec, counts, size
-
-    def test_chain_past_the_cap_refused(self, parts):
-        # a chain that goes on at the child with more rows, under the cap
-        # ceil(log2 16) = 4: depth 4 builds, depth 5 puts an inner node at
-        # the cap
-        _, rows, _, _ = parts
-        chain, spec, counts, size = self.chain(rows, 4, larger=True)
-        built = self.build(rows, counts, chain, spec)
-        assert built._levels == 4
-        np.testing.assert_array_equal(built.leaf_size, size)
-        chain, spec, counts, _ = self.chain(rows, 5, larger=True)
-        with pytest.raises(InvalidForest, match="tree 0 of model 0 is deeper than its cap"):
-            self.build(rows, counts, chain, spec)
-
-    def test_inner_node_without_rows_refused(self, parts):
-        # a chain that goes on at the child with fewer rows runs out of rows
-        # within 6 levels, far above a cap of 10
-        _, rows, _, _ = parts
-        chain, spec, counts, _ = self.chain(rows, 6, larger=False, max_depth=10)
-        with pytest.raises(InvalidForest, match="tree 0 of model 0 is not a valid isolation "
-                                                "tree: an inner node holds fewer than 2 rows"):
-            self.build(rows, counts, chain, spec)
-
-
 @settings(max_examples=60)
 @given(forest_plans(max_trees=12))
 def test_forest_kernel_matches_tree_walks(case):
@@ -494,8 +410,8 @@ def test_forest_threads_bounded_and_joined():
 @given(forest_plans(max_trees=12), st.sampled_from([split(0.5), cross_validation(3),
                                                     jackknife(), jackknife_bootstrap(4)]))
 def test_forest_snapshot_p_values_equal_fresh_fit(case, strategy):
-    """A saved forest plan, stored by its node features, loads with the same
-    node arrays, thresholds drawn again included, and gives every model's
+    """A saved forest plan, stored by its digest alone, grows again at load
+    with the same node arrays, thresholds included, and gives every model's
     score, and every p-value, bit for bit."""
     spec, rows, _, test, seed = case
     if rows.shape[0] < 6:
