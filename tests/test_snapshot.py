@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import pathlib
 import tempfile
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from confanom import detectors, resampling, snapshot
+from confanom.cli import main
 from confanom.core import ConfanomError, DataMatrix, SnapshotError
 from confanom.detectors import ScorerSpec, score_plan
 from confanom.estimation import EstimationSpec
@@ -145,6 +148,51 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(n_features=st.integers(1, 140), varied=st.integers(0, 139), n_rows=st.integers(8, 700),
+       subsample_size=st.integers(2, 600), max_depth=st.sampled_from([1, 2, None]),
+       n_trees=st.integers(1, 4), bootstraps=st.sampled_from([0, 2, 3]),
+       seed=st.integers(0, 2 ** 16))
+# 140 features, splits only on those past 127
+@example(n_features=140, varied=128, n_rows=200, subsample_size=64, max_depth=None,
+         n_trees=2, bootstraps=0, seed=1)
+# subsamples of 256 and 257 rows (a split of 0.2 of 700 rows trains on 560)
+@example(n_features=2, varied=0, n_rows=700, subsample_size=256, max_depth=None, n_trees=2,
+         bootstraps=0, seed=3)
+@example(n_features=1, varied=0, n_rows=700, subsample_size=257, max_depth=1, n_trees=2,
+         bootstraps=0, seed=2)
+def test_forest_round_trip_narrowest(n_features, varied, n_rows, subsample_size, max_depth,
+                                     n_trees, bootstraps, seed):
+    # whatever the width of the rows and the size of the forest, the file
+    # holds the forest in its narrowest form, its 32-byte digest, and the
+    # load grows the fit's forest again; columns before ``varied`` are
+    # constant, so every split is on a later one
+    rows = np.random.default_rng(seed).normal(size=(n_rows, n_features))
+    rows[:, :min(varied, n_features - 1)] = 0.0
+    scorer = ScorerSpec(kind="isolation_forest", n_trees=n_trees,
+                        subsample_size=subsample_size, max_depth=max_depth)
+    strategy = jackknife_bootstrap(bootstraps) if bootstraps else split(0.2)
+    fitted = fit(PipelineConfig(scorer=scorer, strategy=strategy, seed=seed), DataMatrix(rows))
+    plan = fitted.calibration.scorer
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "forest.snap"
+        snapshot_save(fitted, path)
+        loaded = snapshot_load(path).calibration.scorer
+        header, _ = read_snapshot(path)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["snapshot", "--inspect", str(path)]) == 0
+    probe = np.random.default_rng(seed + 1).normal(size=(20, n_features))
+    assert loaded.score_raw(probe).tobytes() == plan.score_raw(probe).tobytes()
+    for name in ("feature", "leaf_size", "depth"):
+        assert getattr(loaded, name).tobytes() == getattr(plan, name).tobytes()
+    assert loaded.threshold.view(np.uint64).tobytes() == plan.threshold.view(np.uint64).tobytes()
+    dtypes = {entry["name"]: np.dtype(entry["dtype"]) for entry in header["arrays"]}
+    assert dtypes["trees/digest"] == np.uint8
+    array_bytes = json.loads(out.getvalue())["array_bytes"]
+    assert [name for name in array_bytes if name.startswith("trees/")] == ["trees/digest"]
+    assert array_bytes["trees/digest"] == 32
+
+
 TINY = np.finfo(np.float64).smallest_subnormal
 
 
@@ -166,13 +214,6 @@ def awkward_rows(draw):
     return rows
 
 
-def wide_rows(n_rows, n_features, constant, seed):
-    """Gaussian rows whose first ``constant`` columns are 0.0."""
-    rows = np.random.default_rng(seed).normal(size=(n_rows, n_features))
-    rows[:, :constant] = 0.0
-    return rows
-
-
 @settings(max_examples=50, deadline=None)
 @given(rows=awkward_rows(), max_depth=st.sampled_from([None, 1, 2, 3, 40]),
        n_trees=st.integers(1, 6),
@@ -183,14 +224,6 @@ def wide_rows(n_rows, n_features, constant, seed):
        seed=st.integers(0, 2 ** 32))
 @example(rows=np.array([[-0.0], [0.0], [TINY], [-TINY]] * 100), max_depth=None, n_trees=3,
          subsample_size=300, strategy=jackknife_bootstrap(3), seed=1)
-# 140 features, splits only on those past 127
-@example(rows=wide_rows(200, 140, 128, 1), max_depth=None, n_trees=2, subsample_size=64,
-         strategy=split(0.2), seed=1)
-# subsamples of 256 and 257 rows (a split of 0.2 of 700 rows trains on 560)
-@example(rows=wide_rows(700, 2, 0, 3), max_depth=None, n_trees=2, subsample_size=256,
-         strategy=split(0.2), seed=3)
-@example(rows=wide_rows(700, 1, 0, 2), max_depth=1, n_trees=2, subsample_size=257,
-         strategy=split(0.2), seed=2)
 def test_split_rows_rebuild_thresholds(rows, max_depth, n_trees, subsample_size, strategy, seed):
     # the file holds no tree, only its digest: a load fits the forest again
     # from the stored rows, the rebuilt plan and the seed, so that each
