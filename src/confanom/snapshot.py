@@ -39,7 +39,9 @@ pipeline above them can be fitted but not saved.  The bound is on the plan
 a load draws: a cross-validation or jackknife single_model load draws only
 its one refit model, a JaB single_model load the bootstraps that name its
 entries too.  Forests whose subsamples hold more than ``MAX_FOREST_ROWS``
-rows in all are refused likewise, since a load grows them again.
+rows in all, or whose growth reads more than ``MAX_FOREST_CELLS`` row x
+feature cells over its levels, are refused likewise, since a load grows
+them again.
 An isolation forest adds one array, ``trees/digest``:
 ``detectors.forest_digest`` of the fitted features, thresholds and leaf
 sizes.  No tree is stored.  A forest is a pure function of its rows, its
@@ -109,6 +111,11 @@ MAX_PLAN_CELLS = 1 << 26
 # and grows its trees from, 128 MB as int64 row indices.  The file holds no
 # tree, so only the header's n_trees bounds them
 MAX_FOREST_ROWS = 1 << 24
+# the most cells a forest load grows through: each level, down to the
+# model's depth cap, reads every subsample row on its d features and moves
+# it, which costs about as much as reading 8 features more, so models x
+# n_trees x psi x cap x (d + 8) in all
+MAX_FOREST_CELLS = 1 << 29
 
 
 def _planes(a):
@@ -128,14 +135,21 @@ def _check_plan_size(strategy, n_rows):
             f"rebuilds ({MAX_PLAN_MODELS} models, {MAX_PLAN_CELLS} model x row cells)")
 
 
-def _check_forest_size(spec, psi):
-    """Refuse a forest whose subsamples a load would not draw again."""
+def _check_forest_size(spec, psi, n_features):
+    """Refuse a forest whose subsamples a load would not draw again, or
+    whose growth would read more cells than a load grows through."""
     n_rows = spec.n_trees * int(psi.sum())
     if n_rows > MAX_FOREST_ROWS:
         raise SnapshotError(
             f"a forest of {spec.n_trees} trees per model over subsamples of up to "
             f"{int(psi.max())} rows draws {n_rows} subsample rows, more than a snapshot "
             f"redraws ({MAX_FOREST_ROWS})")
+    cells = spec.n_trees * int((psi * spec.depth_caps(psi)).sum()) * (n_features + 8)
+    if cells > MAX_FOREST_CELLS:
+        raise SnapshotError(
+            f"a forest of {spec.n_trees} trees per model over subsamples of up to "
+            f"{int(psi.max())} rows of {n_features} features grows through {cells} cells, "
+            f"more than a snapshot grows ({MAX_FOREST_CELLS})")
 
 
 def _plan_digest(plan):
@@ -167,7 +181,7 @@ def snapshot_save(fp: FittedPipeline, path):
               "calibration/rows": cm.rows}
     if isinstance(cm.scorer, ForestPlan):
         plan = cm.scorer
-        _check_forest_size(plan.spec, plan.psi)
+        _check_forest_size(plan.spec, plan.psi, plan.n_features)
         arrays["trees/digest"] = np.frombuffer(
             forest_digest(plan.feature, plan.threshold, plan.leaf_size), np.uint8)
     if fp.table is not None:
@@ -279,7 +293,7 @@ def _load_calibration(arrays, config):
             "these rows (an edited strategy or seed, or other numpy random streams)")
     forest = None
     if spec.kind == "isolation_forest":
-        _check_forest_size(spec, subsample_sizes(spec, plan.train_counts))
+        _check_forest_size(spec, subsample_sizes(spec, plan.train_counts), rows.shape[1])
         forest = arrays.get("trees/digest", "|u1", 1).tobytes()
     scorer = fit_plan(spec, rows, plan.train_counts, config.seed, plan.streams)
     _expect(forest is None

@@ -164,9 +164,9 @@ class TestRoundTrip:
 def test_forest_round_trip_narrowest(n_features, varied, n_rows, subsample_size, max_depth,
                                      n_trees, bootstraps, seed):
     # whatever the width of the rows and the size of the forest, the file
-    # holds the forest in its narrowest form, its 32-byte digest, and the
-    # load grows the fit's forest again; columns before ``varied`` are
-    # constant, so every split is on a later one
+    # holds no tree, only the forest's 32-byte digest, and the load grows
+    # the fit's forest again; columns before ``varied`` are constant, so
+    # every split is on a later one
     rows = np.random.default_rng(seed).normal(size=(n_rows, n_features))
     rows[:, :min(varied, n_features - 1)] = 0.0
     scorer = ScorerSpec(kind="isolation_forest", n_trees=n_trees,
@@ -708,6 +708,44 @@ class TestUntrustedContent:
         monkeypatch.setattr(snapshot, "MAX_FOREST_ROWS", 12 * 30 - 1)
         with pytest.raises(SnapshotError, match="12 trees per model over subsamples of up to "
                                                 "30 rows draws 360 subsample rows"):
+            snapshot_save(fitted, tmp_path / "big.snap")
+        assert not (tmp_path / "big.snap").exists()
+
+    def test_wide_forest_above_bound_refused_quickly(self, tmp_path, forest):
+        # 65,536 trees of psi = 30 draw fewer rows than MAX_FOREST_ROWS, but
+        # over 4,096 mostly constant columns a load would read 4 x 10^10
+        # cells to grow them: the file stays a few kB, and the cell bound
+        # refuses it before a subsample is drawn
+        header, arrays = forest
+        rows = np.zeros((60, 4096))
+        rows[:, :3] = arrays["calibration/rows"]
+        header["config"]["scorer"]["n_trees"] = 2 ** 16
+        path = write_snapshot(tmp_path / "wide.snap", header,
+                              {**arrays, "calibration/rows": rows})
+        assert path.stat().st_size < 20_000
+        began = time.perf_counter()
+        with mock.patch.object(detectors, "_subsamples", side_effect=AssertionError), \
+                pytest.raises(SnapshotError, match=f"rows of 4096 features grows through "
+                                                   f"{2 ** 16 * 30 * 5 * 4104} cells, more "
+                                                   f"than a snapshot grows"):
+            snapshot_load(path)
+        assert time.perf_counter() - began < 1.0
+
+    def test_forest_cells_count_levels_and_features(self, tmp_path, forest, monkeypatch):
+        # 12 trees of psi = 30, grown down to their cap of 5 levels over 3
+        # features, read 12 x 30 x 5 x (3 + 8) cells: a bound of that many
+        # loads and saves, one fewer refuses both
+        path = write_snapshot(tmp_path / "forest.snap", *forest)
+        fitted = fit(PipelineConfig(scorer=FOREST, strategy=split(0.5), seed=18),
+                     gaussian_matrix(16, 60, d=3))
+        monkeypatch.setattr(snapshot, "MAX_FOREST_CELLS", 12 * 30 * 5 * 11)
+        snapshot_load(path)
+        snapshot_save(fitted, tmp_path / "at_bound.snap")
+        monkeypatch.setattr(snapshot, "MAX_FOREST_CELLS", 12 * 30 * 5 * 11 - 1)
+        message = "30 rows of 3 features grows through 19800 cells"
+        with pytest.raises(SnapshotError, match=message):
+            snapshot_load(path)
+        with pytest.raises(SnapshotError, match=message):
             snapshot_save(fitted, tmp_path / "big.snap")
         assert not (tmp_path / "big.snap").exists()
 
