@@ -9,18 +9,18 @@ boundary so that downstream modules always see "larger = more anomalous".
 
 Every model of a resampling plan is scored together: a k-NN plan from one
 filter pass per chunk of rows, a forest plan through all its trees at
-once, one tree level per step.  The forests are grown level by level
-across all trees, from counter-based Philox draws keyed by (model seed,
-tree index), so a tree does not depend on which trees grow with it.  A
-snapshot load grows them through the same routine (``_grow``), reading each
-node's feature where a fit draws it.
+once, one tree level per step.  A forest fit draws each chunk of trees'
+subsamples and grows them level by level before it draws the next, so no
+fit holds every subsample at once.  Every draw is counter-based Philox
+keyed by (model seed, tree index), so a tree does not depend on which
+trees share its chunk, and a snapshot load, a fit, grows the same trees.
 
 Forest scoring is the one step that runs on threads: its chunks of cells
 are shared out over min(CPUs the process may run on, chunks) threads, the
 caller among them.  Chunk bounds do not depend on that number, a cell's
 trees are added in tree order inside its chunk, and each chunk writes only
 its own cells, so scores have the same bits on one CPU or many.  k-NN
-scoring stays on the caller's thread: its small chunks spend most of their
+scoring stays on the caller's thread: its chunks spend most of their
 time in Python and would wait on each other for the interpreter lock.
 
 k-NN distances need numpy alone.  A matrix product gives every reference
@@ -48,8 +48,6 @@ from .core import (AmbiguousPolarity, DataMatrix, DimensionMismatch, EmptyTraini
 SCORER_KINDS = ("isolation_forest", "knn_distance", "external")
 POLARITIES = ("higher_is_anomalous", "lower_is_anomalous", "auto")
 
-# most rows of one k-NN filter pass
-_KNN_CHUNK = 64
 # element budget of one (rows x refs) filter block, which with its
 # partitioned copy stays in a 2 MB L2 cache
 _KNN_FILTER = 1 << 17
@@ -253,45 +251,30 @@ def subsample_sizes(spec, counts):
     return np.minimum(spec.subsample_size, counts.sum(axis=1, dtype=np.int64))
 
 
-def _subsamples(spec, rows, counts, keys, psi):
-    """Every tree's subsample, as rows of ``rows``, tree after tree and
-    model after model: model b trains on row j repeated ``counts[b, j]``
-    times, and its tree t takes ``psi[b]`` distinct positions of that
-    multiset sorted by content, drawn by ``philox_choice`` from stream 1 of
-    the Philox key ``(keys[b], t)``.  Sorting by content makes the forest
-    independent of row order.  Trees are drawn in chunks under the
-    ``_FIT_BLOCK`` budget; a tree's draws depend only on its key."""
+def _grow_forests(spec, rows, counts, keys, psi):
+    """The node arrays of a plan's trees (see ``_grow``), model by model and
+    tree by tree, in one pass over chunks of trees: each chunk draws its
+    trees' subsamples and grows them before the next is drawn.  Model b
+    trains on row j repeated ``counts[b, j]`` times, and its tree t takes
+    ``psi[b]`` distinct positions of that multiset sorted by content, drawn
+    by ``philox_choice`` from stream 1 of the Philox key ``(keys[b], t)``.
+    Sorting by content makes the forest independent of row order.  A chunk
+    holds ``_FIT_BLOCK`` // max(largest multiset, largest psi x d) trees; a
+    tree depends only on its key, so the chunks do not change a bit."""
     n_trees, sizes = spec.n_trees, counts.sum(axis=1, dtype=np.int64)
-    order = np.lexsort(rows.T[::-1])
-    step = max(1, _FIT_BLOCK // int(sizes.max()))
+    order, caps = np.lexsort(rows.T[::-1]), spec.depth_caps(psi)
+    step = max(1, _FIT_BLOCK // max(int(sizes.max()), int(psi.max()) * rows.shape[1]))
     parts = []
     for lo in range(0, psi.shape[0] * n_trees, step):
         model, tree = np.divmod(np.arange(lo, min(lo + step, psi.shape[0] * n_trees)), n_trees)
         # the chunk's trees belong to consecutive models
         models = np.arange(model[0], model[-1] + 1)
-        model -= model[0]
-        expanded = np.concatenate([np.repeat(order, counts[b, order]) for b in models])
         base = np.cumsum(sizes[models]) - sizes[models]
-        key, m_size, m_psi = keys[models][model], sizes[models][model], psi[models][model]
-        parts.append(expanded[np.repeat(base[model], m_psi)
-                              + philox_choice(key, tree, m_size, m_psi, 1)])
-    return np.concatenate(parts)
-
-
-def _grow_forests(spec, rows, keys, psi, sub):
-    """The node arrays of a plan's trees (see ``_grow``), model by model and
-    tree by tree, grown from the subsamples ``sub`` in chunks under the
-    ``_FIT_BLOCK`` budget; tree t of model b draws from the key ``(keys[b],
-    t)``."""
-    n_trees, tree_psi = spec.n_trees, np.repeat(psi, spec.n_trees)
-    caps, ends = spec.depth_caps(psi), np.append(0, np.cumsum(tree_psi))
-    step = max(1, _FIT_BLOCK // (int(psi.max()) * rows.shape[1]))
-    parts = []
-    for lo in range(0, tree_psi.shape[0], step):
-        hi = min(lo + step, tree_psi.shape[0])
-        model, tree = np.divmod(np.arange(lo, hi), n_trees)
-        parts.append(_grow(rows, sub[ends[lo]:ends[hi]], keys, model, tree, caps,
-                           tree_psi[lo:hi]))
+        tree_psi = psi[model]
+        sub = np.concatenate([np.repeat(order, counts[b, order]) for b in models])[
+            np.repeat(base[model - model[0]], tree_psi)
+            + philox_choice(keys[model], tree, sizes[model], tree_psi, 1)]
+        parts.append(_grow(rows, sub, keys, model, tree, caps, tree_psi))
     return tuple(map(np.concatenate, zip(*parts)))
 
 
@@ -354,20 +337,20 @@ class ForestPlan:
         out = np.zeros((n_models, n_rows), dtype=np.float64)
         cells = None if mask is None else np.flatnonzero(np.transpose(mask))
         total = out.size if cells is None else cells.shape[0]
-        starts = range(0, total, max(1, _FOREST_BLOCK // n_trees))
+        step = max(1, _FOREST_BLOCK // n_trees)
+        starts = range(0, total, step)
         flat = np.ascontiguousarray(X).ravel()
         # every chunk writes its own cells of out, so the chunks may run in
         # any order and on any thread
         n_shares = max(1, min(_cpus(), len(starts)))
         _run_all([functools.partial(self._score_chunks, flat, X.shape[1], n_rows, cells, total,
-                                    starts[share::n_shares], out)
+                                    step, starts[share::n_shares], out)
                   for share in range(n_shares)])
         return out.T
 
-    def _score_chunks(self, flat, n_features, n_rows, cells, total, starts, out):
-        """Write the cells of the chunks beginning at ``starts`` into ``out``."""
+    def _score_chunks(self, flat, n_features, n_rows, cells, total, step, starts, out):
+        """Write the cells of the ``step``-cell chunks at ``starts`` into ``out``."""
         n_trees = self.n_trees
-        step = max(1, _FOREST_BLOCK // n_trees)
         roots = self.offsets[:-1].reshape(self.n_models, n_trees).T
         for lo in starts:
             cell = np.arange(lo, min(lo + step, total)) if cells is None else cells[lo:lo + step]
@@ -501,8 +484,7 @@ class KnnPlan:
     def score_raw(self, X, mask=None):
         n_models, w = self._counts.shape[0], self._window
         out = np.empty((X.shape[0], n_models), dtype=np.float64)
-        step = int(np.clip(min(_KNN_BLOCK // (n_models * w), _KNN_FILTER // self._refs.shape[0]),
-                           1, _KNN_CHUNK))
+        step = max(1, min(_KNN_BLOCK // (n_models * w), _KNN_FILTER // self._refs.shape[0]))
         # rows near the float64 range overflow the filter, which then keeps
         # every ref; score_plan rejects distances that overflow themselves
         with np.errstate(over="ignore", invalid="ignore"):
@@ -588,7 +570,8 @@ def fit_plan(spec, rows, counts, seed, streams):
     every model needs 2 rows, a k-NN model more than k.  k-NN models share a
     KnnPlan; the forests of all models grow together into one ForestPlan,
     model b from the key ``split_seed(seed, streams[b])``, so model b equals
-    a one-model plan on its expanded rows with that key.  The result is a
+    a one-model plan on its expanded rows with that key, drawn and grown
+    in one pass over chunks of trees (``_grow_forests``).  The result is a
     function of its arguments alone, bit for bit: a snapshot load calls
     this with the stored rows, the rebuilt plan and the stored seed, and
     gets the fitted forests back, which it checks against their stored
@@ -606,8 +589,7 @@ def fit_plan(spec, rows, counts, seed, streams):
             "external scorers are wrapped with wrap_detached, not fitted")
     keys = np.array([split_seed(seed, s) for s in streams], dtype=np.uint64)
     psi = subsample_sizes(spec, counts)
-    sub = _subsamples(spec, rows, counts, keys, psi)
-    return ForestPlan(spec, rows.shape[1], psi, *_grow_forests(spec, rows, keys, psi, sub))
+    return ForestPlan(spec, rows.shape[1], psi, *_grow_forests(spec, rows, counts, keys, psi))
 
 
 def score_plan(scorer, X, mask=None):

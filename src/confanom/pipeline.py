@@ -145,9 +145,8 @@ def fit_detached(score_function, calib, polarity, seed,
 def _weighted_p_values(fp: FittedPipeline, X: DataMatrix,
                        ts: resampling.TestScores) -> PValueVector:
     cm = fp.calibration
-    model = weighting.fit_weight_estimator(cm.cal_rows, X, kind=fp.config.weighting,
-                                           ratio_function=fp.config.ratio_function)
-    cal_w = weighting.weights(model, cm.cal_rows)
+    model, cal_w = weighting._fit_weights(cm.cal_rows, X, kind=fp.config.weighting,
+                                          ratio_function=fp.config.ratio_function)
     test_w = weighting.weights(model, X)
     test_scores = resampling.aggregate_test_scores(cm, ts)
     values = weighting.weighted_p_values(cm.entry_scores, cal_w,

@@ -39,9 +39,10 @@ pipeline above them can be fitted but not saved.  The bound is on the plan
 a load draws: a cross-validation or jackknife single_model load draws only
 its one refit model, a JaB single_model load the bootstraps that name its
 entries too.  Forests whose subsamples hold more than ``MAX_FOREST_ROWS``
-rows in all, or whose growth reads more than ``MAX_FOREST_CELLS`` row x
-feature cells over its levels, are refused likewise, since a load grows
-them again.
+rows in all, whose growth reads more than ``MAX_FOREST_CELLS`` row x
+feature cells over its levels, or whose trees take a scored row through
+more than ``MAX_FOREST_WALK`` node steps, are refused likewise, since a
+load grows them again and every scored row walks them.
 An isolation forest adds one array, ``trees/digest``:
 ``detectors.forest_digest`` of the fitted features, thresholds and leaf
 sizes.  No tree is stored.  A forest is a pure function of its rows, its
@@ -63,12 +64,8 @@ and arrays checks its own input: the spec constructors every setting,
 through ``core``'s checkers (a delta of "0.1" or a bandwidth of Infinity is
 refused like any other), ``DataMatrix`` the rows, ``fit_plan`` a model's
 training rows and k, ``AdjustmentTable`` its length and ``CalibrationModel``
-its score count.  Files of earlier formats (12 stored each tree node's
-feature, 11 two split rows per inner node as subsample positions, 10 as
-calibration row indices, with leaf sizes, and each array's bytes in element
-order, 9 also the payload raw, 8 the thresholds, 7 also tree features and
-leaf sizes as int32 and the tree offsets, 6 the plan itself) are refused by
-their version.
+its score count.  A file of another version is refused, and the message
+names both versions.
 
 Only built-in detectors can be saved: an external scorer is an opaque
 callable and an oracle weighting carries a user function, neither of
@@ -108,14 +105,19 @@ _MAX_INFLATION = 1032
 MAX_PLAN_MODELS = 1 << 14
 MAX_PLAN_CELLS = 1 << 26
 # the most subsample rows (models x n_trees x psi) a forest load draws again
-# and grows its trees from, 128 MB as int64 row indices.  The file holds no
-# tree, so only the header's n_trees bounds them
+# and grows its trees from.  Each costs a draw, about 114 ns at a depth cap
+# of 1, that MAX_FOREST_CELLS does not charge.  The file holds no tree, so
+# only the header's n_trees bounds them
 MAX_FOREST_ROWS = 1 << 24
 # the most cells a forest load grows through: each level, down to the
 # model's depth cap, reads every subsample row on its d features and moves
 # it, which costs about as much as reading 8 features more, so models x
 # n_trees x psi x cap x (d + 8) in all
 MAX_FOREST_CELLS = 1 << 29
+# the most node steps one scored row takes, n_trees x the depth caps summed
+# over the models: trees cheap enough to grow may still be too many to
+# score a row through
+MAX_FOREST_WALK = 1 << 17
 
 
 def _planes(a):
@@ -136,20 +138,27 @@ def _check_plan_size(strategy, n_rows):
 
 
 def _check_forest_size(spec, psi, n_features):
-    """Refuse a forest whose subsamples a load would not draw again, or
-    whose growth would read more cells than a load grows through."""
-    n_rows = spec.n_trees * int(psi.sum())
+    """Refuse a forest whose subsamples a load would not draw again, whose
+    growth would read more cells than a load grows through, or whose trees
+    a scored row would walk through more nodes than a snapshot scores."""
+    n_rows, caps = spec.n_trees * int(psi.sum()), spec.depth_caps(psi)
     if n_rows > MAX_FOREST_ROWS:
         raise SnapshotError(
             f"a forest of {spec.n_trees} trees per model over subsamples of up to "
             f"{int(psi.max())} rows draws {n_rows} subsample rows, more than a snapshot "
             f"redraws ({MAX_FOREST_ROWS})")
-    cells = spec.n_trees * int((psi * spec.depth_caps(psi)).sum()) * (n_features + 8)
+    cells = spec.n_trees * int((psi * caps).sum()) * (n_features + 8)
     if cells > MAX_FOREST_CELLS:
         raise SnapshotError(
             f"a forest of {spec.n_trees} trees per model over subsamples of up to "
             f"{int(psi.max())} rows of {n_features} features grows through {cells} cells, "
             f"more than a snapshot grows ({MAX_FOREST_CELLS})")
+    walk = spec.n_trees * int(caps.sum())
+    if walk > MAX_FOREST_WALK:
+        raise SnapshotError(
+            f"a forest of {spec.n_trees} trees per model under depth caps of up to "
+            f"{int(caps.max())} walks {walk} nodes per scored row, more than "
+            f"a snapshot scores ({MAX_FOREST_WALK})")
 
 
 def _plan_digest(plan):

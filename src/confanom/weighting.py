@@ -142,6 +142,12 @@ def fit_weight_estimator(cal_X, test_X, kind="logistic", ratio_function=None,
         ``converged`` is False when the iteration cap was hit; the best
         iterate is still returned.
     """
+    return _fit_weights(cal_X, test_X, kind, ratio_function, cap_factor)[0]
+
+
+def _fit_weights(cal_X, test_X, kind="logistic", ratio_function=None, cap_factor=20.0):
+    """``fit_weight_estimator``'s model and ``weights(model, cal_X)``, from
+    the one evaluation of the calibration ratios that sets the cap."""
     cal, test = _covariates(cal_X), _covariates(test_X)
     if cal.shape[1] != test.shape[1]:
         raise DimensionMismatch(
@@ -168,7 +174,7 @@ def fit_weight_estimator(cal_X, test_X, kind="logistic", ratio_function=None,
                        cap_factor=cap_factor,
                        cap_value=cap_value, mu=mu, sd=sd, coef=coef,
                        intercept=intercept, ratio_function=ratio_function,
-                       converged=converged, n_iter=n_iter)
+                       converged=converged, n_iter=n_iter), np.minimum(raw_cal, cap_value)
 
 
 def weights(model, X):

@@ -325,9 +325,12 @@ def test_forest_plan_follows_tree_law(case):
         for t, (tree, depths) in enumerate(zip(trees_of(plan, b), depths_of(plan, b))):
             index = reference_subsample(rows, counts[b], key, t, psi)
             check_tree_law(tree, depths, rows, index, key, t, cap)
-    # a tree depends only on its key: growing one tree per chunk, or a few,
-    # gives the same node table
-    for block in (1, 7):
+    # a tree depends only on its key: growing one tree per chunk, or
+    # n_trees + 1, so that a chunk spans two models of their own row
+    # counts, gives the same node table
+    sizes = counts.sum(axis=1, dtype=np.int64)
+    unit = max(int(sizes.max()), int(plan.psi.max()) * rows.shape[1])
+    for block in (1, unit * (spec.n_trees + 1)):
         with mock.patch.object(detectors, "_FIT_BLOCK", block):
             chunked, _ = fit_forest_plan(spec, rows, counts, seed)
         for field in ("feature", "threshold", "leaf_size", "depth", "offsets"):

@@ -12,6 +12,7 @@ from confanom.pipeline import (FittedPipeline, PipelineConfig, compute_p_values,
                                stream_p_values)
 from confanom.resampling import (cross_validation, jackknife, jackknife_bootstrap,
                                   split)
+from confanom.weighting import fit_weight_estimator, weighted_p_values, weights
 
 from conftest import gaussian_matrix, labeled_batch
 
@@ -182,6 +183,28 @@ class TestComputePValues:
         fp = fit(config, gaussian_matrix(13, 120))
         pvals = compute_p_values(fp, gaussian_matrix(14, 25))
         assert pvals.weighting == "oracle"
+
+    def test_oracle_called_once_per_side(self):
+        # the calibration ratios that set the cap are the ones capped into
+        # weights: per batch the oracle sees the calibration rows once and
+        # the batch once, and the p-values are those of weights evaluated
+        # from the fitted model on each side
+        calls = []
+
+        def ratio(X):
+            calls.append(X.shape[0])
+            return np.exp(X[:, 0] - 0.5)
+
+        fp = fit(knn_split(weighting="oracle", ratio_function=ratio), gaussian_matrix(13, 120))
+        cm, X = fp.calibration, gaussian_matrix(14, 25)
+        for _ in range(2):
+            calls.clear()
+            pvals = compute_p_values(fp, X)
+            assert calls == [cm.n_entries, 25]
+        model = fit_weight_estimator(cm.cal_rows, X, kind="oracle", ratio_function=ratio)
+        expected = weighted_p_values(cm.entry_scores, weights(model, cm.cal_rows),
+                                     score_samples(fp, X).scores, weights(model, X))
+        assert pvals.values.tobytes() == expected.tobytes()
 
     def test_rejects_unfitted_argument(self):
         with pytest.raises(InvalidSpec):

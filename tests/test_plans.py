@@ -4,7 +4,8 @@ A resampled model is the multiset of rows it trained on, so a plan's scores
 must equal, bit for bit, the k-th nearest (or mean of the k nearest)
 ``scipy.spatial.distance.cdist`` distance to
 ``rows[np.repeat(arange(n), counts[b])]``, whatever the chunk and block
-sizes of the filtered path.
+sizes of the filtered path.  A chunk of c rows is reached through the
+filter budget: c times the plan's ref count (``filter_budget``).
 """
 
 from unittest import mock
@@ -41,10 +42,19 @@ def cases(draw):
         # coarse values give tied distances and duplicated rows
         rows = np.round(rows, 0)
     test = np.vstack([rng.normal(size=(7, rows.shape[1])), rows[:3]])
-    chunk = draw(st.sampled_from([1, 3, detectors._KNN_CHUNK]))
+    chunk = draw(st.sampled_from([1, 3, None]))
     block = draw(st.sampled_from([1, 50, detectors._KNN_BLOCK]))
     seed = draw(st.integers(0, 99))
     return spec, strategy, DataMatrix(rows), DataMatrix(test), seed, chunk, block
+
+
+def filter_budget(chunk, counts):
+    """The ``_KNN_FILTER`` budget under which a plan over ``counts`` scores
+    ``chunk`` rows per filter pass (fewer where ``_KNN_BLOCK`` binds), or
+    the default budget when ``chunk`` is None."""
+    if chunk is None:
+        return detectors._KNN_FILTER
+    return chunk * int(counts.any(axis=0).sum())
 
 
 def expanded_scores(spec, rows, counts, X):
@@ -70,14 +80,19 @@ def reference_entries(spec, rows, plan, aggregation):
 @given(cases())
 def test_plan_scores_equal_expanded_models(case):
     spec, strategy, data, test, seed, chunk, block = case
-    with mock.patch.object(detectors, "_KNN_CHUNK", chunk), \
+    # calibrate scores its entries under the plan, a test batch is scored
+    # under the kept plan
+    plan = resampling.strategy_plan(strategy, data.n_rows, seed)
+    kept = resampling.kept_plan(strategy, data.n_rows, seed, plan)
+    with mock.patch.object(detectors, "_KNN_FILTER", filter_budget(chunk, plan.train_counts)), \
             mock.patch.object(detectors, "_KNN_BLOCK", block):
-        plan = resampling.strategy_plan(strategy, data.n_rows, seed)
         scorer = detectors.fit_plan(spec, data.values, plan.train_counts, seed, plan.streams)
         np.testing.assert_array_equal(
             detectors.score_plan(scorer, test),
             expanded_scores(spec, data.values, plan.train_counts, test.values))
         cm = resampling.calibrate(spec, data, strategy, seed)
+    with mock.patch.object(detectors, "_KNN_FILTER", filter_budget(chunk, kept.train_counts)), \
+            mock.patch.object(detectors, "_KNN_BLOCK", block):
         ts = score_matrix(cm, test)
     np.testing.assert_array_equal(
         cm.entry_scores, reference_entries(spec, data.values, plan, strategy.aggregation))
@@ -113,7 +128,7 @@ def knn_plans(draw):
     elif shape == "underflow":
         # squared differences fall below the normal range
         rows, test = 1e-160 * rows, 1e-160 * test
-    chunk = draw(st.sampled_from([1, detectors._KNN_CHUNK]))
+    chunk = draw(st.sampled_from([1, None]))
     return spec, rows, counts.astype(np.uint16), test, chunk
 
 
@@ -122,7 +137,7 @@ def knn_plans(draw):
 def test_knn_plan_matches_cdist(case):
     spec, rows, counts, test, chunk = case
     plan = detectors.fit_plan(spec, rows, counts, 0, np.arange(counts.shape[0]))
-    with mock.patch.object(detectors, "_KNN_CHUNK", chunk):
+    with mock.patch.object(detectors, "_KNN_FILTER", filter_budget(chunk, counts)):
         scores = detectors.score_plan(plan, DataMatrix(test))
     np.testing.assert_array_equal(scores, expanded_scores(spec, rows, counts, test))
 

@@ -695,7 +695,7 @@ class TestUntrustedContent:
         path = write_snapshot(tmp_path / "trees.snap", header, arrays)
         began = time.perf_counter()
         # refused before a subsample is drawn
-        with mock.patch.object(detectors, "_subsamples", side_effect=AssertionError), \
+        with mock.patch.object(detectors, "_grow_forests", side_effect=AssertionError), \
                 pytest.raises(SnapshotError, match=f"draws {30 * n_trees} subsample rows, more "
                                                    f"than a snapshot redraws"):
             snapshot_load(path)
@@ -724,7 +724,7 @@ class TestUntrustedContent:
                               {**arrays, "calibration/rows": rows})
         assert path.stat().st_size < 20_000
         began = time.perf_counter()
-        with mock.patch.object(detectors, "_subsamples", side_effect=AssertionError), \
+        with mock.patch.object(detectors, "_grow_forests", side_effect=AssertionError), \
                 pytest.raises(SnapshotError, match=f"rows of 4096 features grows through "
                                                    f"{2 ** 16 * 30 * 5 * 4104} cells, more "
                                                    f"than a snapshot grows"):
@@ -743,6 +743,39 @@ class TestUntrustedContent:
         snapshot_save(fitted, tmp_path / "at_bound.snap")
         monkeypatch.setattr(snapshot, "MAX_FOREST_CELLS", 12 * 30 * 5 * 11 - 1)
         message = "30 rows of 3 features grows through 19800 cells"
+        with pytest.raises(SnapshotError, match=message):
+            snapshot_load(path)
+        with pytest.raises(SnapshotError, match=message):
+            snapshot_save(fitted, tmp_path / "big.snap")
+        assert not (tmp_path / "big.snap").exists()
+
+    def test_long_walk_refused_quickly(self, tmp_path, forest):
+        # 325,376 trees of psi = 30 under a cap of 5 pass both growth
+        # bounds (9,761,280 rows, 536,870,400 cells), but every scored row
+        # would walk 1,626,880 nodes: the walk bound refuses the file before
+        # a subsample is drawn
+        header, arrays = forest
+        header["config"]["scorer"]["n_trees"] = 325_376
+        path = write_snapshot(tmp_path / "walk.snap", header, arrays)
+        began = time.perf_counter()
+        with mock.patch.object(detectors, "_grow_forests", side_effect=AssertionError), \
+                pytest.raises(SnapshotError, match="under depth caps of up to 5 walks 1626880 "
+                                                   "nodes per scored row, more than a snapshot "
+                                                   "scores"):
+            snapshot_load(path)
+        assert time.perf_counter() - began < 1.0
+
+    def test_long_walk_not_saved(self, tmp_path, forest, monkeypatch):
+        # 12 trees under a cap of 5 walk 60 nodes per row: a bound of 60
+        # loads and saves, one fewer refuses both
+        path = write_snapshot(tmp_path / "forest.snap", *forest)
+        fitted = fit(PipelineConfig(scorer=FOREST, strategy=split(0.5), seed=18),
+                     gaussian_matrix(16, 60, d=3))
+        monkeypatch.setattr(snapshot, "MAX_FOREST_WALK", 12 * 5)
+        snapshot_load(path)
+        snapshot_save(fitted, tmp_path / "at_bound.snap")
+        monkeypatch.setattr(snapshot, "MAX_FOREST_WALK", 12 * 5 - 1)
+        message = "12 trees per model under depth caps of up to 5 walks 60 nodes per scored row"
         with pytest.raises(SnapshotError, match=message):
             snapshot_load(path)
         with pytest.raises(SnapshotError, match=message):
