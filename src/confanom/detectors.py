@@ -251,6 +251,24 @@ def subsample_sizes(spec, counts):
     return np.minimum(spec.subsample_size, counts.sum(axis=1, dtype=np.int64))
 
 
+def _chunk_trees(sizes, psi, n_features):
+    """Trees per chunk of a forest fit whose models train on multisets of
+    ``sizes`` rows and draw subsamples of ``psi``: ``_FIT_BLOCK`` // max(the
+    largest multiset, the largest psi x ``n_features``), at least one."""
+    return max(1, _FIT_BLOCK // max(int(sizes.max()), int(psi.max()) * n_features))
+
+
+def shuffle_steps(spec, counts, n_features):
+    """The steps ``philox_choice``'s swap loop takes in a plan's forest fit:
+    per chunk of trees ``_grow_forests`` draws together, one per position of
+    its widest draw, the largest psi in the chunk.  Builds an array of one
+    element per tree."""
+    psi = subsample_sizes(spec, counts)
+    per_tree = np.repeat(psi, spec.n_trees)
+    step = _chunk_trees(counts.sum(axis=1, dtype=np.int64), psi, n_features)
+    return int(np.maximum.reduceat(per_tree, np.arange(0, per_tree.shape[0], step)).sum())
+
+
 def _grow_forests(spec, rows, counts, keys, psi):
     """The node arrays of a plan's trees (see ``_grow``), model by model and
     tree by tree, in one pass over chunks of trees: each chunk draws its
@@ -259,11 +277,11 @@ def _grow_forests(spec, rows, counts, keys, psi):
     ``psi[b]`` distinct positions of that multiset sorted by content, drawn
     by ``philox_choice`` from stream 1 of the Philox key ``(keys[b], t)``.
     Sorting by content makes the forest independent of row order.  A chunk
-    holds ``_FIT_BLOCK`` // max(largest multiset, largest psi x d) trees; a
-    tree depends only on its key, so the chunks do not change a bit."""
+    holds ``_chunk_trees`` trees; a tree depends only on its key, so the
+    chunks do not change a bit."""
     n_trees, sizes = spec.n_trees, counts.sum(axis=1, dtype=np.int64)
     order, caps = np.lexsort(rows.T[::-1]), spec.depth_caps(psi)
-    step = max(1, _FIT_BLOCK // max(int(sizes.max()), int(psi.max()) * rows.shape[1]))
+    step = _chunk_trees(sizes, psi, rows.shape[1])
     parts = []
     for lo in range(0, psi.shape[0] * n_trees, step):
         model, tree = np.divmod(np.arange(lo, min(lo + step, psi.shape[0] * n_trees)), n_trees)

@@ -7,7 +7,8 @@ that score each entry.  One entry, :func:`calibrate`, maps a
 :class:`StrategySpec` to its plan (:func:`strategy_plan` and
 :func:`kept_plan`, which a snapshot load calls again to rebuild the plan
 from the strategy, the row count and the seed) and turns the plan into a
-:class:`CalibrationModel`: calibration-score entries, each
+:class:`CalibrationModel`: calibration-score entries (:func:`score_entries`,
+which a forest snapshot load calls again on the forest it regrows), each
 bound to the model (or out-of-bag model set) that produced it, under the
 out-of-sample discipline that no entry was scored by a model whose training
 multiset contains that entry's row. The number of entries fixes the
@@ -361,6 +362,15 @@ def kept_plan(strategy, n, seed, plan=None):
                 np.ones((entries.shape[0], 1), dtype=bool))
 
 
+def score_entries(scorer, rows, plan, aggregation):
+    """The entry scores of ``plan``: each entry's row scored under its
+    out-of-bag models of ``scorer``, the plan's fitted models, and pooled
+    with ``aggregation``.  A snapshot load of a forest calls this on the
+    forest it grows again, as ``calibrate`` does on the one it fits."""
+    scores = detectors.score_plan(scorer, DataMatrix(rows[plan.entry_rows]), plan.oob)
+    return _pool(scores, plan.oob, aggregation)
+
+
 def calibrate(spec, data, strategy, seed):
     """Calibrate scorer ``spec`` on ``data`` under ``strategy``: fit the
     plan's models, score each entry under its out-of-bag models and pool.
@@ -376,8 +386,7 @@ def calibrate(spec, data, strategy, seed):
     rows = data.values
     plan = strategy_plan(strategy, rows.shape[0], seed)
     scorer = detectors.fit_plan(spec, rows, plan.train_counts, seed, plan.streams)
-    scores = detectors.score_plan(scorer, DataMatrix(rows[plan.entry_rows]), plan.oob)
-    entries = _pool(scores, plan.oob, strategy.aggregation)
+    entries = score_entries(scorer, rows, plan, strategy.aggregation)
     kept = kept_plan(strategy, rows.shape[0], seed, plan)
     if kept is not plan:
         scorer = detectors.fit_plan(spec, rows, kept.train_counts, seed, kept.streams)

@@ -25,24 +25,20 @@ index.  Everything else follows from it: the calibration's strategy and
 mode are the configured strategy's, and an adjustment table's size, delta
 and method are the entry count and the configured estimation's.
 
-Format version 13 stores a calibration's rows once (``calibration/rows``),
-its entry scores and only the SHA-256 of its plan
-(``calibration/plan_digest``): a plan is a deterministic function of the
-strategy, the row count and the seed, so the loader rebuilds it with
-``resampling.kept_plan`` and refuses a file whose rebuilt plan has another
-digest (an edited strategy or seed, or a numpy whose ``Generator`` streams
-differ: NEP 19 does not promise them across numpy versions, so a file
-loads only under a numpy that draws the plans as the saving one did).
-Plans above ``MAX_PLAN_MODELS`` models or ``MAX_PLAN_CELLS`` model x row
-cells are refused before anything is built, at save and at load, so a
-pipeline above them can be fitted but not saved.  The bound is on the plan
-a load draws: a cross-validation or jackknife single_model load draws only
-its one refit model, a JaB single_model load the bootstraps that name its
-entries too.  Forests whose subsamples hold more than ``MAX_FOREST_ROWS``
-rows in all, whose growth reads more than ``MAX_FOREST_CELLS`` row x
-feature cells over its levels, or whose trees take a scored row through
-more than ``MAX_FOREST_WALK`` node steps, are refused likewise, since a
-load grows them again and every scored row walks them.
+Format version 14 stores a calibration's rows once (``calibration/rows``)
+and only the SHA-256 of its plan (``calibration/plan_digest``): a plan is a
+deterministic function of the strategy, the row count and the seed, so the
+loader rebuilds it with ``resampling.kept_plan`` and refuses a file whose
+rebuilt plan has another digest (an edited strategy or seed, or a numpy
+whose ``Generator`` streams differ: NEP 19 does not promise them across
+numpy versions, so a file loads only under a numpy that draws the plans as
+the saving one did).  Plans above ``MAX_PLAN_MODELS`` models or
+``MAX_PLAN_CELLS`` model x row cells are refused before anything is built,
+at save and at load, so a pipeline above them can be fitted but not saved.
+The bound is on the plan a load draws: a cross-validation or jackknife
+single_model load draws only its one refit model, a JaB single_model load
+the bootstraps that name its entries too.
+
 An isolation forest adds one array, ``trees/digest``:
 ``detectors.forest_digest`` of the fitted features, thresholds and leaf
 sizes.  No tree is stored.  A forest is a pure function of its rows, its
@@ -50,15 +46,29 @@ plan and its seed (every draw comes from counter-keyed Philox), so a load is
 a fit: the loader calls ``detectors.fit_plan`` on the stored rows with the
 rebuilt plan and the stored seed, as the fit did, and refuses a file whose
 regrown forest has another digest (an edited scorer setting or edited
-rows).  A calibration-conditional pipeline adds ``table/adjusted``, its
-n_entries + 1 adjusted p-values.
+training rows).  Where the kept plan is the strategy's (split, CV+,
+jackknife+, JaB+), the regrown models are the ones that scored the entries,
+so the file holds no entry scores: the loader scores the entries again with
+``resampling.score_entries``, as ``calibrate`` did.  Every other file stores
+them (``calibration/entry_scores``): a k-NN file, since scoring again costs a
+distance pass quadratic in the rows, and a single_model file, whose entries
+come from plan models that a load does not build.  Forests whose
+subsamples hold more than ``MAX_FOREST_ROWS`` rows in all (each step of the
+draws' swap loop charged as ``_SHUFFLE_STEP_ROWS`` rows more), whose growth
+reads more than ``MAX_FOREST_CELLS`` row x feature cells over its levels,
+whose trees take a scored row through more than ``MAX_FOREST_WALK`` node
+steps, or whose entries a load scores again in more than
+``MAX_FOREST_SCORE`` node steps, are refused likewise, at save and at load
+before a tree grows.  A calibration-conditional pipeline adds
+``table/adjusted``, its n_entries + 1 adjusted p-values.
 
 The file digest only detects damage: anyone can recompute it.  This module
 checks the container: magic, version, digest, the deflate bounds, the array
 index (every name a string, every dtype a string in numpy's own spelling,
 every shape entry a JSON integer), each array's dtype and rank, finite
-scores, the plan bound and digest, the forest digest, and that every array
-belongs to the configuration (a table under another regime, or tree
+scores, the plan bound and digest, the forest bounds and digest, and that
+every array belongs to the configuration (a table under another regime,
+entry scores in a file whose load scores its entries again, or tree
 features, leaf sizes or split rows, do not).  What is built from the header
 and arrays checks its own input: the spec constructors every setting,
 through ``core``'s checkers (a delta of "0.1" or a bandwidth of Infinity is
@@ -84,14 +94,15 @@ import numpy as np
 
 from ._version import __version__
 from .core import ConfanomError, DataMatrix, SnapshotError, check_finite
-from .detectors import ForestPlan, ScorerSpec, fit_plan, forest_digest, subsample_sizes
+from .detectors import (ForestPlan, ScorerSpec, fit_plan, forest_digest, shuffle_steps,
+                        subsample_sizes)
 from .estimation import AdjustmentTable, EstimationSpec
 from .pipeline import FittedPipeline, PipelineConfig
 from .resampling import (CalibrationModel, StrategySpec, kept_plan, plan_models,
-                         refits_every_row_in_order)
+                         refits_every_row_in_order, score_entries)
 
 MAGIC = b"CANOMSNP"
-FORMAT_VERSION = 13
+FORMAT_VERSION = 14
 _DIGEST_BYTES = 32
 # deflate codes at most 258 bytes in two bits, so a stream of s bytes
 # inflates to at most 1032 s bytes
@@ -109,6 +120,10 @@ MAX_PLAN_CELLS = 1 << 26
 # of 1, that MAX_FOREST_CELLS does not charge.  The file holds no tree, so
 # only the header's n_trees bounds them
 MAX_FOREST_ROWS = 1 << 24
+# the rows one step of the draws' swap loop (detectors.shuffle_steps) is
+# charged as against MAX_FOREST_ROWS: a step costs about 2.5 us besides its
+# rows, some 22 rows' draws
+_SHUFFLE_STEP_ROWS = 24
 # the most cells a forest load grows through: each level, down to the
 # model's depth cap, reads every subsample row on its d features and moves
 # it, which costs about as much as reading 8 features more, so models x
@@ -118,6 +133,10 @@ MAX_FOREST_CELLS = 1 << 29
 # over the models: trees cheap enough to grow may still be too many to
 # score a row through
 MAX_FOREST_WALK = 1 << 17
+# the most node steps a load takes to score a forest's entries again,
+# n_trees x the depth caps of every entry's out-of-bag models, summed over
+# the entries.  A step costs 5-15 ns on two cores, the more the more trees
+MAX_FOREST_SCORE = 1 << 26
 
 
 def _planes(a):
@@ -137,10 +156,14 @@ def _check_plan_size(strategy, n_rows):
             f"rebuilds ({MAX_PLAN_MODELS} models, {MAX_PLAN_CELLS} model x row cells)")
 
 
-def _check_forest_size(spec, psi, n_features):
-    """Refuse a forest whose subsamples a load would not draw again, whose
-    growth would read more cells than a load grows through, or whose trees
-    a scored row would walk through more nodes than a snapshot scores."""
+def _check_forest_size(spec, counts, n_features, oob=None):
+    """Refuse a forest of models trained on ``counts`` whose subsamples a
+    load would not draw again, whose growth would read more cells than a
+    load grows through, whose trees a scored row would walk through more
+    nodes than a snapshot scores, or, where a load scores the entries
+    again, whose scoring of them (``oob`` their out-of-bag models) takes
+    more node steps than a snapshot scores again."""
+    psi = subsample_sizes(spec, counts)
     n_rows, caps = spec.n_trees * int(psi.sum()), spec.depth_caps(psi)
     if n_rows > MAX_FOREST_ROWS:
         raise SnapshotError(
@@ -159,6 +182,31 @@ def _check_forest_size(spec, psi, n_features):
             f"a forest of {spec.n_trees} trees per model under depth caps of up to "
             f"{int(caps.max())} walks {walk} nodes per scored row, more than "
             f"a snapshot scores ({MAX_FOREST_WALK})")
+    # the walk bound leaves at most 2^17 trees, one element each here
+    steps = shuffle_steps(spec, counts, n_features)
+    charged = n_rows + _SHUFFLE_STEP_ROWS * steps
+    if charged > MAX_FOREST_ROWS:
+        raise SnapshotError(
+            f"a forest of {spec.n_trees} trees per model over subsamples of up to "
+            f"{int(psi.max())} rows draws {n_rows} subsample rows in {steps} shuffle steps, "
+            f"as costly as {charged} rows, more than a snapshot redraws ({MAX_FOREST_ROWS})")
+    if oob is not None:
+        score = spec.n_trees * int(oob.sum(axis=0) @ caps)
+        if score > MAX_FOREST_SCORE:
+            raise SnapshotError(
+                f"a forest of {spec.n_trees} trees per model under depth caps of up to "
+                f"{int(caps.max())} takes {score} node steps to score its {oob.shape[0]} "
+                f"entries, more than a snapshot scores again ({MAX_FOREST_SCORE})")
+
+
+def _stores_entry_scores(config):
+    """Whether a file of ``config`` stores its entry scores.  A forest
+    calibration that keeps its strategy's plan does not: its kept models are
+    the ones that scored the entries, and a load grows them again.  k-NN
+    files do, since scoring again costs a distance pass quadratic in the
+    rows, and so do single_model files, whose entries come from plan models
+    a load does not build."""
+    return config.scorer.kind != "isolation_forest" or config.strategy.mode == "single_model"
 
 
 def _plan_digest(plan):
@@ -185,12 +233,14 @@ def snapshot_save(fp: FittedPipeline, path):
 
     cm = fp.calibration
     _check_plan_size(fp.config.strategy, cm.rows.shape[0])
-    arrays = {"calibration/entry_scores": cm.entry_scores,
-              "calibration/plan_digest": np.frombuffer(_plan_digest(cm), np.uint8),
-              "calibration/rows": cm.rows}
+    stored = _stores_entry_scores(fp.config)
+    arrays = {"calibration/entry_scores": cm.entry_scores} if stored else {}
+    arrays["calibration/plan_digest"] = np.frombuffer(_plan_digest(cm), np.uint8)
+    arrays["calibration/rows"] = cm.rows
     if isinstance(cm.scorer, ForestPlan):
         plan = cm.scorer
-        _check_forest_size(plan.spec, plan.psi, plan.n_features)
+        _check_forest_size(plan.spec, cm.train_counts, plan.n_features,
+                           None if stored else cm.oob)
         arrays["trees/digest"] = np.frombuffer(
             forest_digest(plan.feature, plan.threshold, plan.leaf_size), np.uint8)
     if fp.table is not None:
@@ -285,11 +335,14 @@ def _expect(ok, what):
 
 def _load_calibration(arrays, config):
     """Rebuild the configured strategy's plan over the stored rows, check it
-    against the stored digest, then build the calibration model."""
+    against the stored digest, fit its models, score the entries again
+    where the file does not store their scores, then build the calibration
+    model."""
     spec, strategy = config.scorer, config.strategy
     rows = DataMatrix(arrays.get("calibration/rows", "<f8", 2)).values
+    stored = _stores_entry_scores(config)
     entry_scores = check_finite(arrays.get("calibration/entry_scores", "<f8", 1),
-                                "calibration score")
+                                "calibration score") if stored else None
     digest = arrays.get("calibration/plan_digest", "|u1", 1)
     n_rows = rows.shape[0]
     # DataMatrix refuses empty, featureless or non-finite rows, kept_plan
@@ -302,13 +355,15 @@ def _load_calibration(arrays, config):
             "these rows (an edited strategy or seed, or other numpy random streams)")
     forest = None
     if spec.kind == "isolation_forest":
-        _check_forest_size(spec, subsample_sizes(spec, plan.train_counts), rows.shape[1])
+        _check_forest_size(spec, plan.train_counts, rows.shape[1], None if stored else plan.oob)
         forest = arrays.get("trees/digest", "|u1", 1).tobytes()
     scorer = fit_plan(spec, rows, plan.train_counts, config.seed, plan.streams)
     _expect(forest is None
             or forest == forest_digest(scorer.feature, scorer.threshold, scorer.leaf_size),
             "the forest digest is not that of the forest the configuration grows over "
             "these rows (an edited scorer setting or rows)")
+    if not stored:
+        entry_scores = score_entries(scorer, rows, plan, strategy.aggregation)
     return CalibrationModel(
         entry_scores=entry_scores, entry_rows=plan.entry_rows, oob=plan.oob, rows=rows,
         train_counts=plan.train_counts, scorer=scorer, strategy=strategy)

@@ -339,6 +339,29 @@ def test_forest_plan_follows_tree_law(case):
     assert plan.offsets.shape == (counts.shape[0] * spec.n_trees + 1,)
 
 
+@settings(max_examples=30)
+@given(forest_plans())
+def test_shuffle_steps_count_the_draw_loop(case):
+    # philox_choice's swap loop steps once per position of its widest draw,
+    # one call per chunk: shuffle_steps counts those steps as _grow_forests
+    # cuts its chunks, also where a chunk spans models of different psi
+    spec, rows, counts, _, seed = case
+    psi = detectors.subsample_sizes(spec, counts)
+    unit = max(int(counts.sum(axis=1, dtype=np.int64).max()), int(psi.max()) * rows.shape[1])
+    choice = detectors.philox_choice
+    for block in (detectors._FIT_BLOCK, 1, unit * (spec.n_trees + 1), unit * 3):
+        widths = []
+
+        def spy(key, tweak, sizes, draws, stream):
+            widths.append(int(draws.max()))
+            return choice(key, tweak, sizes, draws, stream)
+
+        with mock.patch.object(detectors, "_FIT_BLOCK", block):
+            with mock.patch.object(detectors, "philox_choice", spy):
+                fit_forest_plan(spec, rows, counts, seed)
+            assert sum(widths) == detectors.shuffle_steps(spec, counts, rows.shape[1])
+
+
 @settings(max_examples=60)
 @given(forest_plans(max_trees=12))
 def test_forest_kernel_matches_tree_walks(case):

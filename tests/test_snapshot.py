@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from confanom import detectors, resampling, snapshot
+from confanom import detectors, snapshot
 from confanom.cli import main
 from confanom.core import ConfanomError, DataMatrix, SnapshotError
-from confanom.detectors import ScorerSpec, score_plan
+from confanom.detectors import ScorerSpec
 from confanom.estimation import EstimationSpec
 from confanom.pipeline import (PipelineConfig, compute_p_values, fit,
                                fit_detached, score_samples, stream_p_values)
@@ -58,7 +58,12 @@ class TestRoundTrip:
         for name in ("train_counts", "oob", "entry_rows", "entry_scores"):
             a, b = getattr(loaded.calibration, name), getattr(original.calibration, name)
             assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+        # a forest file whose plan is the strategy's holds no entry scores:
+        # the load scores the entries again under the forest it grows
+        _, arrays = read_snapshot(tmp_path / "pipeline.snap")
+        stored = scorer.kind == "knn_distance" or strategy.mode == "single_model"
+        assert ("calibration/entry_scores" in arrays) == stored
         X = gaussian_matrix(1, 12, d=2)
         for p_values in (compute_p_values, stream_p_values):
             assert p_values(loaded, X).values.tobytes() == p_values(original, X).values.tobytes()
@@ -251,13 +256,9 @@ def test_split_rows_rebuild_thresholds(rows, max_depth, n_trees, subsample_size,
     for name in ("feature", "leaf_size", "depth", "offsets", "psi"):
         assert getattr(loaded, name).tobytes() == getattr(plan, name).tobytes()
     assert loaded.threshold.view(np.uint64).tobytes() == plan.threshold.view(np.uint64).tobytes()
-    cm = loaded_pipeline.calibration
-    if strategy.mode != "single_model":
-        # single_model entries come from the plan's models, which a load
-        # does not keep
-        entries = score_plan(loaded, DataMatrix(rows[cm.entry_rows]), cm.oob)
-        assert (resampling._pool(entries, cm.oob, strategy.aggregation).tobytes()
-                == fitted.calibration.entry_scores.tobytes())
+    # scored again at load, or stored for single_model
+    assert (loaded_pipeline.calibration.entry_scores.tobytes()
+            == fitted.calibration.entry_scores.tobytes())
     probe = np.vstack([rows[:20], -rows[:20], np.zeros((1, rows.shape[1]))])
     assert loaded.score_raw(probe).tobytes() == plan.score_raw(probe).tobytes()
     assert (stream_p_values(loaded_pipeline, DataMatrix(probe)).values.tobytes()
@@ -401,14 +402,14 @@ class TestUntrustedContent:
         snapshot_save(fit(config, gaussian_matrix(17, 50, d=2)), tmp_path / "jab.snap")
         return read_snapshot(tmp_path / "jab.snap")
 
-    @pytest.mark.parametrize("version", range(1, 13))
+    @pytest.mark.parametrize("version", range(1, 14))
     def test_old_version_refused_by_name(self, tmp_path, forest, version):
         # a current file that loads, with only its version field changed and
         # its digest recomputed: the version alone refuses it, by name
         snapshot_load(write_snapshot(tmp_path / "current.snap", *forest))
         path = write_snapshot(tmp_path / "old.snap", *forest, version=version)
         with pytest.raises(SnapshotError, match=f"format version {version} is not supported "
-                                                r"\(this build reads version 13\)"):
+                                                r"\(this build reads version 14\)"):
             snapshot_load(path)
 
     def test_payload_is_one_default_level_zlib_stream(self, tmp_path, forest):
@@ -495,13 +496,15 @@ class TestUntrustedContent:
         with pytest.raises(SnapshotError, match=f"asks for {size} payload bytes"):
             snapshot_load(path)
 
-    def test_header_gives_each_setting_once(self, jab, conditional):
+    def test_header_gives_each_setting_once(self, jab, conditional, forest):
         # no calibration or table section and no JSON copy of the format
-        # version: the configuration says it all
-        for header, arrays in (jab, conditional):
+        # version: the configuration says it all.  k-NN files store their
+        # entry scores; a split forest's load scores its entries again
+        for (header, arrays), stored in ((jab, True), (conditional, True), (forest, False)):
             assert sorted(header) == ["arrays", "config", "package_version"]
             assert sorted(name for name in arrays if name.startswith("calibration/")) == [
-                "calibration/entry_scores", "calibration/plan_digest", "calibration/rows"]
+                *["calibration/entry_scores"] * stored, "calibration/plan_digest",
+                "calibration/rows"]
             assert sorted(header["config"]) == ["estimation", "scorer", "seed", "strategy",
                                                 "weighting"]
 
@@ -781,6 +784,122 @@ class TestUntrustedContent:
         with pytest.raises(SnapshotError, match=message):
             snapshot_save(fitted, tmp_path / "big.snap")
         assert not (tmp_path / "big.snap").exists()
+
+    def test_slow_draw_refused_quickly(self, tmp_path, forest):
+        # 256 trees of psi = 65,536 over 65,536 rows of one feature under a
+        # cap of 3 pass the row, cell and walk bounds (2^24 rows, 452,984,832
+        # cells, 768 nodes), but their draws take philox_choice's swap loop
+        # through 16 chunks of 65,536 steps each, which a load took 5.4 s
+        # to run: charged 24 rows a step, they are refused before a draw
+        header, arrays = forest
+        strategy = split(1)
+        header["config"]["strategy"] = dataclasses.asdict(strategy)
+        header["config"]["scorer"].update(n_trees=256, subsample_size=2 ** 16, max_depth=3)
+        plan = kept_plan(strategy, 2 ** 16 + 1, header["config"]["seed"])
+        path = write_snapshot(tmp_path / "draw.snap", header, {
+            "calibration/plan_digest": np.frombuffer(snapshot._plan_digest(plan), np.uint8),
+            "calibration/rows": np.zeros((2 ** 16 + 1, 1)), "trees/digest": arrays["trees/digest"]})
+        assert path.stat().st_size < 5_000
+        began = time.perf_counter()
+        with mock.patch.object(detectors, "_grow_forests", side_effect=AssertionError), \
+                pytest.raises(SnapshotError, match=f"draws {2 ** 24} subsample rows in {2 ** 20} "
+                                                   f"shuffle steps, as costly as "
+                                                   f"{2 ** 24 + 24 * 2 ** 20} rows"):
+            snapshot_load(path)
+        assert time.perf_counter() - began < 1.0
+
+    def test_shuffle_steps_charged_at_save(self, tmp_path, forest, monkeypatch):
+        # 12 trees of psi = 30 draw 360 subsample rows in one chunk of 30
+        # swap steps, charged as 360 + 24 x 30 rows: a bound of that many
+        # loads and saves, one fewer refuses both
+        path = write_snapshot(tmp_path / "forest.snap", *forest)
+        fitted = fit(PipelineConfig(scorer=FOREST, strategy=split(0.5), seed=18),
+                     gaussian_matrix(16, 60, d=3))
+        monkeypatch.setattr(snapshot, "MAX_FOREST_ROWS", 360 + 24 * 30)
+        snapshot_load(path)
+        snapshot_save(fitted, tmp_path / "at_bound.snap")
+        monkeypatch.setattr(snapshot, "MAX_FOREST_ROWS", 360 + 24 * 30 - 1)
+        message = "draws 360 subsample rows in 30 shuffle steps, as costly as 1080 rows"
+        with pytest.raises(SnapshotError, match=message):
+            snapshot_load(path)
+        with pytest.raises(SnapshotError, match=message):
+            snapshot_save(fitted, tmp_path / "big.snap")
+        assert not (tmp_path / "big.snap").exists()
+
+    def test_long_entry_scoring_refused_quickly(self, tmp_path, forest):
+        # 26,000 trees of psi = 32 under a cap of 5 pass every growth bound
+        # and walk 130,000 nodes per scored row, but scoring 4,096 split
+        # entries again would take 532,480,000 node steps: refused before a
+        # subsample is drawn
+        header, arrays = forest
+        strategy = split(4096)
+        header["config"]["strategy"] = dataclasses.asdict(strategy)
+        header["config"]["scorer"]["n_trees"] = 26_000
+        plan = kept_plan(strategy, 4200, header["config"]["seed"])
+        path = write_snapshot(tmp_path / "score.snap", header, {
+            "calibration/plan_digest": np.frombuffer(snapshot._plan_digest(plan), np.uint8),
+            "calibration/rows": gaussian_matrix(42, 4200, d=1).values,
+            "trees/digest": arrays["trees/digest"]})
+        began = time.perf_counter()
+        with mock.patch.object(detectors, "_grow_forests", side_effect=AssertionError), \
+                pytest.raises(SnapshotError, match="under depth caps of up to 5 takes 532480000 "
+                                                   "node steps to score its 4096 entries, more "
+                                                   "than a snapshot scores again"):
+            snapshot_load(path)
+        assert time.perf_counter() - began < 1.0
+
+    def test_entry_scoring_bounded_at_save(self, tmp_path, forest, monkeypatch):
+        # 12 trees under a cap of 5 score 30 entries in 1,800 node steps: a
+        # bound of that many loads and saves, one fewer refuses both.  A
+        # single_model file stores its entry scores and is not charged
+        path = write_snapshot(tmp_path / "forest.snap", *forest)
+        train = gaussian_matrix(16, 60, d=3)
+        fitted = fit(PipelineConfig(scorer=FOREST, strategy=split(0.5), seed=18), train)
+        monkeypatch.setattr(snapshot, "MAX_FOREST_SCORE", 12 * 30 * 5)
+        snapshot_load(path)
+        snapshot_save(fitted, tmp_path / "at_bound.snap")
+        monkeypatch.setattr(snapshot, "MAX_FOREST_SCORE", 12 * 30 * 5 - 1)
+        message = "takes 1800 node steps to score its 30 entries"
+        with pytest.raises(SnapshotError, match=message):
+            snapshot_load(path)
+        with pytest.raises(SnapshotError, match=message):
+            snapshot_save(fitted, tmp_path / "big.snap")
+        assert not (tmp_path / "big.snap").exists()
+        config = PipelineConfig(scorer=FOREST, strategy=jackknife_bootstrap(3, "single_model"),
+                                seed=18)
+        round_trip(tmp_path, config, train)
+        # a JaB+ entry is scored by its out-of-bag models alone: 12 trees
+        # under a cap of 5 for each of them
+        fitted = fit(PipelineConfig(scorer=FOREST, strategy=jackknife_bootstrap(3), seed=18),
+                     train)
+        steps = 12 * 5 * int(fitted.calibration.oob.sum())
+        assert steps < 12 * 5 * 3 * fitted.calibration.n_entries
+        monkeypatch.setattr(snapshot, "MAX_FOREST_SCORE", steps)
+        snapshot_save(fitted, tmp_path / "jab.snap")
+        monkeypatch.setattr(snapshot, "MAX_FOREST_SCORE", steps - 1)
+        with pytest.raises(SnapshotError, match=f"takes {steps} node steps"):
+            snapshot_save(fitted, tmp_path / "jab.snap")
+
+    def test_stored_entry_scores_refused(self, tmp_path, forest):
+        # a split forest's load scores its entries again, so entry scores in
+        # its file, even the fitted ones, do not belong to it
+        header, arrays = forest
+        scores = snapshot_load(tmp_path / "forest.snap").calibration.entry_scores
+        crafted = {"calibration/entry_scores": scores, **arrays}
+        with pytest.raises(SnapshotError, match=r"\['calibration/entry_scores'\] do not belong"):
+            snapshot_load(write_snapshot(tmp_path / "scores.snap", header, crafted))
+
+    def test_edited_training_row_refused_before_scoring(self, tmp_path, forest):
+        # the forest digest fixes the rows the forest trained on: one of them
+        # edited grows another forest, refused before an entry is scored
+        header, arrays = forest
+        counts = kept_plan(split(0.5), 60, header["config"]["seed"]).train_counts[0]
+        rows = arrays["calibration/rows"].copy()
+        rows[np.flatnonzero(counts)[0], 0] += 1.0
+        with mock.patch.object(detectors, "score_plan", side_effect=AssertionError), \
+                pytest.raises(SnapshotError, match=FOREST_MISMATCH):
+            snapshot_load(write_snapshot(tmp_path / "row.snap", header,
+                                         {**arrays, "calibration/rows": rows}))
 
     @pytest.mark.parametrize("mutate", [
         lambda h: h["config"].pop("strategy"),
