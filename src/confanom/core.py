@@ -270,9 +270,12 @@ def philox_choice(key, tweak, sizes, counts, stream):
     """``counts[i]`` distinct integers below ``sizes[i]`` for every i, drawn
     from the Philox stream keyed by ``(key[i], tweak[i])``.
 
-    A partial Fisher-Yates shuffle of ``range(sizes[i])`` whose j-th uniform
-    is word j % 4 of counter block ``(j // 4, stream)``.  Returns the draws
-    of all i, concatenated in order.
+    A partial Fisher-Yates shuffle of ``range(sizes[i])`` (Knuth's Algorithm
+    P) whose j-th uniform is word j % 4 of counter block ``(j // 4, stream)``.
+    Returns the draws of all i, concatenated in order.  The swaps touch every
+    position below min(largest size, 4 x largest count) and, past that, only
+    each shuffle's distinct picks, each in a slot that starts out holding its
+    position: a draw costs its counts, not its sizes.
     """
     n, width = counts.shape[0], int(counts.max())
     blocks = (width + 3) // 4
@@ -284,12 +287,21 @@ def philox_choice(key, tweak, sizes, counts, stream):
     j = np.arange(width)[:, None]
     span = np.maximum(sizes - j, 1)
     pick = np.where(j < counts, j + np.minimum((u * span).astype(np.int64), span - 1), j)
-    # perm[j, i] is position j of shuffle i, int32 where the sizes fit: a swap moves half the bytes
-    top, every = int(sizes.max()), np.arange(n)
-    perm = np.repeat(np.arange(top, dtype=np.int32 if top < 2**31 else np.int64)[:, None], n, 1)
-    for j, to in enumerate(pick):
-        perm[j], perm[to, every] = perm[to, every], perm[j].copy()
-    return perm[:width].T[np.arange(width) < counts[:, None]]
+    # position p < near of shuffle i sits in slot p * n + i; each distinct
+    # far pick (p, i), p >= near, takes a slot after those, holding p
+    top = int(sizes.max())
+    near = min(top, 4 * width)
+    slot = pick * n + np.arange(n)
+    far = pick >= near
+    held, slot[far] = np.unique(slot[far], return_inverse=True)
+    slot[far] += near * n
+    # int32 where the sizes fit: a swap moves half the bytes
+    dtype = np.int32 if top < 2**31 else np.int64
+    perm = np.concatenate([np.repeat(np.arange(near, dtype=dtype), n), (held // n).astype(dtype)])
+    for j, to in enumerate(slot):
+        row = slice(j * n, (j + 1) * n)
+        perm[row], perm[to] = perm[to], perm[row].copy()
+    return perm[:width * n].reshape(width, n).T[np.arange(width) < counts[:, None]]
 
 
 @dataclass(frozen=True)

@@ -73,8 +73,12 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 _KNN_BLOCK = 1 << 21
 # element budget of the (trees x cells) node matrix of a forest scoring
 _FOREST_BLOCK = 1 << 15
-# element budget of a chunk of trees grown together, per tree its rows or values
+# element budget of a chunk of trees grown together (subsample rows x
+# features) and of the training multisets laid out together
 _FIT_BLOCK = 1 << 20
+# a row's move through a level of _grow costs about as much as reading 8 of
+# its features: 27 ns per row-level against 2-3.5 ns per cell
+_MOVE_CELLS = 8
 # ceiling of ScorerSpec.max_depth
 MAX_DEPTH = 64
 
@@ -251,22 +255,49 @@ def subsample_sizes(spec, counts):
     return np.minimum(spec.subsample_size, counts.sum(axis=1, dtype=np.int64))
 
 
-def _chunk_trees(sizes, psi, n_features):
-    """Trees per chunk of a forest fit whose models train on multisets of
-    ``sizes`` rows and draw subsamples of ``psi``: ``_FIT_BLOCK`` // max(the
-    largest multiset, the largest psi x ``n_features``), at least one."""
-    return max(1, _FIT_BLOCK // max(int(sizes.max()), int(psi.max()) * n_features))
+def _chunk_trees(psi, n_features):
+    """Trees per chunk of a forest fit whose models draw subsamples of
+    ``psi`` rows of ``n_features``: ``_FIT_BLOCK`` // (the largest psi x
+    ``n_features``), the cells a chunk's first level reads, at least one."""
+    return max(1, _FIT_BLOCK // (int(psi.max()) * n_features))
 
 
-def shuffle_steps(spec, counts, n_features):
-    """The steps ``philox_choice``'s swap loop takes in a plan's forest fit:
-    per chunk of trees ``_grow_forests`` draws together, one per position of
-    its widest draw, the largest psi in the chunk.  Builds an array of one
-    element per tree."""
-    psi = subsample_sizes(spec, counts)
-    per_tree = np.repeat(psi, spec.n_trees)
-    step = _chunk_trees(counts.sum(axis=1, dtype=np.int64), psi, n_features)
-    return int(np.maximum.reduceat(per_tree, np.arange(0, per_tree.shape[0], step)).sum())
+def _layout_groups(sizes):
+    """(first, stop) of each run of consecutive models whose training
+    multisets, of ``sizes`` rows, a forest fit lays out together: as many
+    as ``_FIT_BLOCK`` rows hold, or one whose multiset alone holds more."""
+    groups, first, held = [], 0, 0
+    for b, size in enumerate(sizes.tolist()):
+        if held + size > _FIT_BLOCK and b > first:
+            groups.append((first, b))
+            first, held = b, 0
+        held += size
+    return groups + [(first, len(sizes))]
+
+
+def fit_cost(spec, counts, n_features, oob=None):
+    """The work ``fit_plan`` hands its kernels for forests of models trained
+    on ``counts`` over ``n_features``, and with ``oob`` (entries x models)
+    that of scoring each entry under its models, in the kernels' units:
+    ``rows`` and ``shuffle_steps`` (each chunk's largest psi, chunks cut as
+    ``_grow_forests`` cuts them) of ``philox_choice``, ``cells`` of ``_grow``
+    down to each model's cap (a row's move counted as ``_MOVE_CELLS``), and
+    the node steps of ``_score_chunks`` per scored row (``walk``) and for the
+    entries (``entry_steps``), at the deepest cap, to which it walks every
+    cell.  Python integers, in time linear in the models, whatever n_trees."""
+    psi, n_trees = subsample_sizes(spec, counts), spec.n_trees
+    caps, step, steps = spec.depth_caps(psi), _chunk_trees(psi, n_features), 0
+    for first, stop in _layout_groups(counts.sum(axis=1, dtype=np.int64)):
+        lo, end = first * n_trees, stop * n_trees
+        while lo < end:
+            # the chunks from lo that end inside lo's model, else the one from lo
+            run = max(1, (lo // n_trees * n_trees + n_trees - lo) // step)
+            hi = min(lo + run * step, end)
+            steps, lo = steps + run * int(psi[lo // n_trees:(hi - 1) // n_trees + 1].max()), hi
+    cell = n_trees * int(caps.max())  # node steps of one (row, model) cell
+    return {"rows": n_trees * int(psi.sum()), "shuffle_steps": steps, "walk": cell * psi.shape[0],
+            "cells": n_trees * int(psi @ caps) * (n_features + _MOVE_CELLS),
+            "entry_steps": 0 if oob is None else cell * int(oob.sum())}
 
 
 def _grow_forests(spec, rows, counts, keys, psi):
@@ -276,23 +307,23 @@ def _grow_forests(spec, rows, counts, keys, psi):
     trains on row j repeated ``counts[b, j]`` times, and its tree t takes
     ``psi[b]`` distinct positions of that multiset sorted by content, drawn
     by ``philox_choice`` from stream 1 of the Philox key ``(keys[b], t)``.
-    Sorting by content makes the forest independent of row order.  A chunk
-    holds ``_chunk_trees`` trees; a tree depends only on its key, so the
-    chunks do not change a bit."""
+    Sorting by content makes the forest independent of row order.  Each
+    model's multiset is laid out once, in its ``_layout_groups`` group, whose
+    trees are drawn and grown ``_chunk_trees`` at a time; a tree depends
+    only on its key, so neither cut changes a bit."""
     n_trees, sizes = spec.n_trees, counts.sum(axis=1, dtype=np.int64)
     order, caps = np.lexsort(rows.T[::-1]), spec.depth_caps(psi)
-    step = _chunk_trees(sizes, psi, rows.shape[1])
-    parts = []
-    for lo in range(0, psi.shape[0] * n_trees, step):
-        model, tree = np.divmod(np.arange(lo, min(lo + step, psi.shape[0] * n_trees)), n_trees)
-        # the chunk's trees belong to consecutive models
-        models = np.arange(model[0], model[-1] + 1)
-        base = np.cumsum(sizes[models]) - sizes[models]
-        tree_psi = psi[model]
-        sub = np.concatenate([np.repeat(order, counts[b, order]) for b in models])[
-            np.repeat(base[model - model[0]], tree_psi)
-            + philox_choice(keys[model], tree, sizes[model], tree_psi, 1)]
-        parts.append(_grow(rows, sub, keys, model, tree, caps, tree_psi))
+    step, parts = _chunk_trees(psi, rows.shape[1]), []
+    for first, stop in _layout_groups(sizes):
+        # model b's multiset starts at base[b - first] of the group's
+        base = np.cumsum(sizes[first:stop]) - sizes[first:stop]
+        laid = np.concatenate([np.repeat(order, counts[b, order]) for b in range(first, stop)])
+        for lo in range(first * n_trees, stop * n_trees, step):
+            model, tree = np.divmod(np.arange(lo, min(lo + step, stop * n_trees)), n_trees)
+            tree_psi = psi[model]
+            sub = laid[np.repeat(base[model - first], tree_psi)
+                       + philox_choice(keys[model], tree, sizes[model], tree_psi, 1)]
+            parts.append(_grow(rows, sub, keys, model, tree, caps, tree_psi))
     return tuple(map(np.concatenate, zip(*parts)))
 
 

@@ -335,19 +335,6 @@ def single_change_stream(seed, length=2000, change_at=1000):
     return DataMatrix(train), X, anomalous
 
 
-def two_burst_stream(seed, length=1500, bursts=((300, 400), (900, 1000))):
-    """Training data plus a stream with two all-anomalous bursts."""
-    seed = check_seed(seed)
-    rng = make_rng(split_seed(seed, 0))
-    train = rng.normal(size=(1000, 2))
-    rng = make_rng(split_seed(seed, 1))
-    anomalous = np.zeros(length, dtype=bool)
-    for lo, hi in bursts:
-        anomalous[lo:hi] = True
-    X = _stream_points(rng, anomalous, (0.0, 0.0), (4.0, 4.0))
-    return DataMatrix(train), X, anomalous
-
-
 def run_experiment(name, seed, **params) -> ExperimentResult:
     """Dispatch an experiment by name; unknown names are refused."""
     if name == "strategy_sweep":

@@ -52,15 +52,16 @@ so the file holds no entry scores: the loader scores the entries again with
 ``resampling.score_entries``, as ``calibrate`` did.  Every other file stores
 them (``calibration/entry_scores``): a k-NN file, since scoring again costs a
 distance pass quadratic in the rows, and a single_model file, whose entries
-come from plan models that a load does not build.  Forests whose
-subsamples hold more than ``MAX_FOREST_ROWS`` rows in all (each step of the
-draws' swap loop charged as ``_SHUFFLE_STEP_ROWS`` rows more), whose growth
-reads more than ``MAX_FOREST_CELLS`` row x feature cells over its levels,
-whose trees take a scored row through more than ``MAX_FOREST_WALK`` node
-steps, or whose entries a load scores again in more than
-``MAX_FOREST_SCORE`` node steps, are refused likewise, at save and at load
-before a tree grows.  A calibration-conditional pipeline adds
-``table/adjusted``, its n_entries + 1 adjusted p-values.
+come from plan models that a load does not build.  A forest whose fit or
+entry scoring would cost a load more than it runs is refused likewise, at
+save and at load before a tree grows: ``detectors.fit_cost`` counts the
+work in the kernels' own units, and each of its charges is held to one
+bound (the subsample rows drawn, each swap-loop step charged as
+``_SHUFFLE_STEP_ROWS`` rows, to ``MAX_FOREST_ROWS``; the cells grown
+through to ``MAX_FOREST_CELLS``; the node steps of a scored row to
+``MAX_FOREST_WALK`` and of the entries' scoring to ``MAX_FOREST_SCORE``).
+A calibration-conditional pipeline adds ``table/adjusted``, its
+n_entries + 1 adjusted p-values.
 
 The file digest only detects damage: anyone can recompute it.  This module
 checks the container: magic, version, digest, the deflate bounds, the array
@@ -94,8 +95,7 @@ import numpy as np
 
 from ._version import __version__
 from .core import ConfanomError, DataMatrix, SnapshotError, check_finite
-from .detectors import (ForestPlan, ScorerSpec, fit_plan, forest_digest, shuffle_steps,
-                        subsample_sizes)
+from .detectors import ForestPlan, ScorerSpec, fit_cost, fit_plan, forest_digest
 from .estimation import AdjustmentTable, EstimationSpec
 from .pipeline import FittedPipeline, PipelineConfig
 from .resampling import (CalibrationModel, StrategySpec, kept_plan, plan_models,
@@ -115,27 +115,20 @@ _MAX_INFLATION = 1032
 # mask byte
 MAX_PLAN_MODELS = 1 << 14
 MAX_PLAN_CELLS = 1 << 26
-# the most subsample rows (models x n_trees x psi) a forest load draws again
-# and grows its trees from.  Each costs a draw, about 114 ns at a depth cap
-# of 1, that MAX_FOREST_CELLS does not charge.  The file holds no tree, so
-# only the header's n_trees bounds them
+# The forest bounds, each on a charge detectors.fit_cost counts before
+# anything is drawn: the file holds no tree, so only the header bounds the
+# work a load runs.  MAX_FOREST_ROWS bounds the subsample rows drawn, about
+# 114 ns each at a depth cap of 1, each swap-loop step, about 2.5 us besides
+# its rows, charged as _SHUFFLE_STEP_ROWS rows
 MAX_FOREST_ROWS = 1 << 24
-# the rows one step of the draws' swap loop (detectors.shuffle_steps) is
-# charged as against MAX_FOREST_ROWS: a step costs about 2.5 us besides its
-# rows, some 22 rows' draws
 _SHUFFLE_STEP_ROWS = 24
-# the most cells a forest load grows through: each level, down to the
-# model's depth cap, reads every subsample row on its d features and moves
-# it, which costs about as much as reading 8 features more, so models x
-# n_trees x psi x cap x (d + 8) in all
+# the row x feature cells the growth reads, 2-3.5 ns each
 MAX_FOREST_CELLS = 1 << 29
-# the most node steps one scored row takes, n_trees x the depth caps summed
-# over the models: trees cheap enough to grow may still be too many to
-# score a row through
+# the node steps one scored row takes: trees cheap enough to grow may still
+# be too many to score a row through
 MAX_FOREST_WALK = 1 << 17
-# the most node steps a load takes to score a forest's entries again,
-# n_trees x the depth caps of every entry's out-of-bag models, summed over
-# the entries.  A step costs 5-15 ns on two cores, the more the more trees
+# the node steps a load takes to score a forest's entries again, 5-15 ns
+# each on two cores, the more the more trees
 MAX_FOREST_SCORE = 1 << 26
 
 
@@ -157,46 +150,22 @@ def _check_plan_size(strategy, n_rows):
 
 
 def _check_forest_size(spec, counts, n_features, oob=None):
-    """Refuse a forest of models trained on ``counts`` whose subsamples a
-    load would not draw again, whose growth would read more cells than a
-    load grows through, whose trees a scored row would walk through more
-    nodes than a snapshot scores, or, where a load scores the entries
-    again, whose scoring of them (``oob`` their out-of-bag models) takes
-    more node steps than a snapshot scores again."""
-    psi = subsample_sizes(spec, counts)
-    n_rows, caps = spec.n_trees * int(psi.sum()), spec.depth_caps(psi)
-    if n_rows > MAX_FOREST_ROWS:
-        raise SnapshotError(
-            f"a forest of {spec.n_trees} trees per model over subsamples of up to "
-            f"{int(psi.max())} rows draws {n_rows} subsample rows, more than a snapshot "
-            f"redraws ({MAX_FOREST_ROWS})")
-    cells = spec.n_trees * int((psi * caps).sum()) * (n_features + 8)
-    if cells > MAX_FOREST_CELLS:
-        raise SnapshotError(
-            f"a forest of {spec.n_trees} trees per model over subsamples of up to "
-            f"{int(psi.max())} rows of {n_features} features grows through {cells} cells, "
-            f"more than a snapshot grows ({MAX_FOREST_CELLS})")
-    walk = spec.n_trees * int(caps.sum())
-    if walk > MAX_FOREST_WALK:
-        raise SnapshotError(
-            f"a forest of {spec.n_trees} trees per model under depth caps of up to "
-            f"{int(caps.max())} walks {walk} nodes per scored row, more than "
-            f"a snapshot scores ({MAX_FOREST_WALK})")
-    # the walk bound leaves at most 2^17 trees, one element each here
-    steps = shuffle_steps(spec, counts, n_features)
-    charged = n_rows + _SHUFFLE_STEP_ROWS * steps
-    if charged > MAX_FOREST_ROWS:
-        raise SnapshotError(
-            f"a forest of {spec.n_trees} trees per model over subsamples of up to "
-            f"{int(psi.max())} rows draws {n_rows} subsample rows in {steps} shuffle steps, "
-            f"as costly as {charged} rows, more than a snapshot redraws ({MAX_FOREST_ROWS})")
-    if oob is not None:
-        score = spec.n_trees * int(oob.sum(axis=0) @ caps)
-        if score > MAX_FOREST_SCORE:
+    """Refuse a forest of models trained on ``counts`` whose fit, or, where
+    a load scores the entries again (``oob`` their models), whose scoring of
+    them would cost more than a snapshot loads: each bound against its
+    charge from ``fit_cost``."""
+    cost = fit_cost(spec, counts, n_features, oob)
+    for charged, bound, work in (
+            (cost["rows"] + _SHUFFLE_STEP_ROWS * cost["shuffle_steps"], MAX_FOREST_ROWS,
+             f"subsample rows drawn ({cost['rows']} rows in {cost['shuffle_steps']} shuffle "
+             f"steps, a step charged as {_SHUFFLE_STEP_ROWS} rows)"),
+            (cost["cells"], MAX_FOREST_CELLS, "row x feature cells grown through"),
+            (cost["walk"], MAX_FOREST_WALK, "node steps per scored row"),
+            (cost["entry_steps"], MAX_FOREST_SCORE, "node steps to score the entries again")):
+        if charged > bound:
             raise SnapshotError(
-                f"a forest of {spec.n_trees} trees per model under depth caps of up to "
-                f"{int(caps.max())} takes {score} node steps to score its {oob.shape[0]} "
-                f"entries, more than a snapshot scores again ({MAX_FOREST_SCORE})")
+                f"a forest of {spec.n_trees} trees per model over {n_features} features "
+                f"costs {charged} {work}, more than a snapshot loads ({bound})")
 
 
 def _stores_entry_scores(config):

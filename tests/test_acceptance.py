@@ -249,6 +249,19 @@ def test_a8_martingale_null_calibration(capsys):
            + f" (each <= {bound:.4f}); {elapsed:.0f}s (< 60s)")
 
 
+def two_burst_stream(seed, length):
+    """Training data plus a stream whose steps 300-399 and 900-999 are all
+    anomalous, its points drawn as ``experiments.single_change_stream``
+    draws them."""
+    rng = make_rng(split_seed(seed, 0))
+    train = rng.normal(size=(1000, 2))
+    rng = make_rng(split_seed(seed, 1))
+    anomalous = np.zeros(length, dtype=bool)
+    anomalous[300:400] = anomalous[900:1000] = True
+    X = experiments._stream_points(rng, anomalous, (0.0, 0.0), (4.0, 4.0))
+    return DataMatrix(train), X, anomalous
+
+
 def test_a9_martingale_detection_and_restart(capsys):
     t0 = time.perf_counter()
     spec = power(0.5)
@@ -266,7 +279,7 @@ def test_a9_martingale_detection_and_restart(capsys):
     pre_change = [s for s, _ in state.alarm_history if s <= 1000]
     single_ok = not pre_change and len(ville) >= 1
 
-    train2, X2, _ = experiments.two_burst_stream(seed=7, length=1500)
+    train2, X2, _ = two_burst_stream(seed=7, length=1500)
     fp2 = pipeline.fit(config, train2)
     ps2 = pipeline.stream_p_values(fp2, X2, seed=9)
     state2, _ = run_stream(spec, alarms, ps2.values)

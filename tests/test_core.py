@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confanom.core import (DataMatrix, DecisionSet, EmptyCalibration, EmptyInput,
                            InvalidAlpha, InvalidData, InvalidHyperparameter,
@@ -208,6 +209,40 @@ class TestDecisionSet:
                         rejection_threshold=0.02)
 
 
+def reference_choice(key, tweak, sizes, counts, stream):
+    """``philox_choice`` by a shuffle of every position: the same uniforms
+    and picks, swapped in a (largest size x shuffles) permutation."""
+    n, width = counts.shape[0], int(counts.max())
+    blocks = (width + 3) // 4
+    words = philox_block(np.repeat(key, blocks), np.repeat(tweak, blocks),
+                         np.tile(np.arange(blocks), n), stream)
+    u = philox_uniform(words.T.reshape(n, -1))[:, :width].T
+    j = np.arange(width)[:, None]
+    span = np.maximum(sizes - j, 1)
+    pick = np.where(j < counts, j + np.minimum((u * span).astype(np.int64), span - 1), j)
+    every = np.arange(n)
+    perm = np.repeat(np.arange(int(sizes.max()))[:, None], n, 1)
+    for j, to in enumerate(pick):
+        perm[j], perm[to, every] = perm[to, every], perm[j].copy()
+    return perm[:width].T[np.arange(width) < counts[:, None]]
+
+
+@st.composite
+def choice_cases(draw):
+    """Shuffles of up to 512 draws over up to 2^22 positions, sizes below,
+    at and above 4 x the widest count, and keys that repeat, so that two
+    shuffles make the same picks."""
+    n = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(1, 512), min_size=n, max_size=n))
+    near = 4 * max(counts)
+    sizes = [draw(st.one_of(st.integers(c, near), st.integers(near - 2, near + 2).filter(
+        lambda s, c=c: s >= c), st.integers(near, 1 << 22))) for c in counts]
+    keys = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    tweaks = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return (np.array(keys, np.uint64), np.array(tweaks), np.array(sizes, np.int64),
+            np.array(counts, np.int64))
+
+
 class TestPhilox:
     def test_blocks_match_numpy_philox(self):
         rng = np.random.default_rng(7)
@@ -261,3 +296,10 @@ class TestPhilox:
                 pick = j + min(int(u[j] * (sizes[i] - j)), sizes[i] - j - 1)
                 perm[[j, pick]] = perm[[pick, j]]
             np.testing.assert_array_equal(drawn[i], perm[:counts[i]])
+
+    @settings(max_examples=60)
+    @given(choice_cases())
+    def test_choice_matches_full_shuffle(self, case):
+        # swapping over the touched slots alone draws what a shuffle of
+        # every position draws, bit for bit
+        np.testing.assert_array_equal(philox_choice(*case, 1), reference_choice(*case, 1))

@@ -1,22 +1,25 @@
+import dataclasses
 import functools
 import tempfile
 import threading
+import time
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from confanom import detectors
+from confanom import detectors, snapshot
 from confanom.core import (AmbiguousPolarity, DataMatrix, DimensionMismatch,
                            EmptyTrainingSet, InvalidHyperparameter, KTooLarge,
-                           make_rng, split_seed)
-from confanom.detectors import (ScorerSpec, average_path_length, fit_plan,
+                           make_rng, philox_block, philox_uniform, split_seed)
+from confanom.detectors import (ForestPlan, ScorerSpec, average_path_length, fit_plan,
                                 score_plan, wrap_detached)
 from confanom.pipeline import PipelineConfig, compute_p_values, fit_detached, score_samples
 from confanom.pipeline import fit as fit_pipeline
-from confanom.resampling import cross_validation, jackknife, jackknife_bootstrap, split
+from confanom.resampling import (cross_validation, jackknife, jackknife_bootstrap, kept_plan,
+                                  score_entries, split)
 from confanom.snapshot import snapshot_load, snapshot_save
 
 from conftest import gaussian_matrix, labeled_batch
@@ -325,12 +328,13 @@ def test_forest_plan_follows_tree_law(case):
         for t, (tree, depths) in enumerate(zip(trees_of(plan, b), depths_of(plan, b))):
             index = reference_subsample(rows, counts[b], key, t, psi)
             check_tree_law(tree, depths, rows, index, key, t, cap)
-    # a tree depends only on its key: growing one tree per chunk, or
-    # n_trees + 1, so that a chunk spans two models of their own row
-    # counts, gives the same node table
+    # a tree depends only on its key: growing one tree per chunk, one
+    # model's multiset per layout group, or chunks of n_trees + 1 trees in
+    # one group, so that a chunk spans two models of their own row counts,
+    # gives the same node table
     sizes = counts.sum(axis=1, dtype=np.int64)
-    unit = max(int(sizes.max()), int(plan.psi.max()) * rows.shape[1])
-    for block in (1, unit * (spec.n_trees + 1)):
+    unit = int(plan.psi.max()) * rows.shape[1]
+    for block in (1, int(sizes.max()), max(unit * (spec.n_trees + 1), int(sizes.sum()))):
         with mock.patch.object(detectors, "_FIT_BLOCK", block):
             chunked, _ = fit_forest_plan(spec, rows, counts, seed)
         for field in ("feature", "threshold", "leaf_size", "depth", "offsets"):
@@ -339,27 +343,136 @@ def test_forest_plan_follows_tree_law(case):
     assert plan.offsets.shape == (counts.shape[0] * spec.n_trees + 1,)
 
 
-@settings(max_examples=30)
-@given(forest_plans())
-def test_shuffle_steps_count_the_draw_loop(case):
-    # philox_choice's swap loop steps once per position of its widest draw,
-    # one call per chunk: shuffle_steps counts those steps as _grow_forests
-    # cuts its chunks, also where a chunk spans models of different psi
-    spec, rows, counts, _, seed = case
-    psi = detectors.subsample_sizes(spec, counts)
-    unit = max(int(counts.sum(axis=1, dtype=np.int64).max()), int(psi.max()) * rows.shape[1])
-    choice = detectors.philox_choice
-    for block in (detectors._FIT_BLOCK, 1, unit * (spec.n_trees + 1), unit * 3):
-        widths = []
+def philox_rows(tweak, n, d):
+    """n x d doubles from the Philox stream keyed by (20, tweak), whose bits,
+    unlike numpy's Generator streams (NEP 19), no numpy version changes."""
+    return philox_uniform(philox_words(tweak, n * d)).reshape(n, d)
 
-        def spy(key, tweak, sizes, draws, stream):
-            widths.append(int(draws.max()))
-            return choice(key, tweak, sizes, draws, stream)
 
-        with mock.patch.object(detectors, "_FIT_BLOCK", block):
-            with mock.patch.object(detectors, "philox_choice", spy):
-                fit_forest_plan(spec, rows, counts, seed)
-            assert sum(widths) == detectors.shuffle_steps(spec, counts, rows.shape[1])
+def philox_words(tweak, n):
+    blocks = (n + 3) // 4
+    words = philox_block(np.full(blocks, 20, np.uint64), np.full(blocks, tweak, np.uint64),
+                         np.arange(blocks), 0)
+    return words.T.reshape(-1)[:n]
+
+
+def pinned_cases():
+    rows, one = philox_rows(1, 500, 2), np.ones((1, 500), np.uint16)
+    two = np.ones((2, 129), np.uint16)
+    two[0, 7] = 0
+    repeats = (philox_uniform(philox_words(4, 900)) * 4).astype(np.uint16).reshape(3, 300)
+    forest = functools.partial(ScorerSpec, "isolation_forest")
+    return [
+        ("one-model", forest(n_trees=200), rows, one,
+         "1c0de5edd7cd4b2c95680b2795feda75987ef9f9b53d35a54b202b7ef65dff47"),
+        ("psi-16", forest(n_trees=50, subsample_size=16), philox_rows(2, 1000, 3),
+         np.ones((1, 1000), np.uint16),
+         "726ccf863e42a7ed18bd7ff9c2d274a7fb9322bd968b48b79ccb6e4a26b59d92"),
+        ("psi-all-rows", forest(n_trees=20, subsample_size=500), rows, one,
+         "2fb6ebc44694071593003064b8e142379048e523d61210225a96944154b73816"),
+        ("models-128-129", forest(n_trees=30), philox_rows(3, 129, 2), two,
+         "86d9525225c6e9661e5af2de924afdea4ec103e7b16590b221d15d418b1f945a"),
+        ("repeats", forest(n_trees=40, subsample_size=64), philox_rows(5, 300, 2), repeats,
+         "8985ea48bf225be56f657061c0be85b13121be79c0f350d56aaa65dfd17232f6"),
+    ]
+
+
+@pytest.mark.parametrize("block", [detectors._FIT_BLOCK, 1], ids=["default", "tree-per-chunk"])
+@pytest.mark.parametrize("name, spec, rows, counts, digest", pinned_cases(),
+                         ids=[case[0] for case in pinned_cases()])
+def test_forest_digests_pinned(name, spec, rows, counts, digest, block):
+    # forests a snapshot stores by digest alone: changing how a fit draws
+    # or grows them must not move one bit, whatever its chunks
+    with mock.patch.object(detectors, "_FIT_BLOCK", block):
+        plan = fit_plan(spec, rows, counts, 77, tuple(range(counts.shape[0])))
+    assert detectors.forest_digest(plan.feature, plan.threshold, plan.leaf_size).hex() == digest
+
+
+def test_large_constant_model_fits_quickly():
+    # 2,621 trees of psi = 256 over 2^21 constant rows pass every snapshot
+    # bound; their draw touches the slots it picks, and the multiset is
+    # laid out once, so the fit, and a load, take well under a second
+    spec = ScorerSpec(kind="isolation_forest", n_trees=2621)
+    rows, counts = np.zeros((1 << 21, 1)), np.ones((1, 1 << 21), np.uint16)
+    snapshot._check_forest_size(spec, counts, 1)
+    began = time.perf_counter()
+    plan = fit_plan(spec, rows, counts, 3, (0,))
+    assert time.perf_counter() - began < 1.0
+    assert plan.offsets.shape == (2622,) and (plan.leaf_size == 256).all()
+
+
+def test_layout_groups_hold_fit_block_rows():
+    # consecutive models are laid out together while their multisets fit
+    # in _FIT_BLOCK rows; a model larger than that is laid out alone
+    with mock.patch.object(detectors, "_FIT_BLOCK", 10):
+        groups = detectors._layout_groups(np.array([4, 5, 2, 12, 3, 3, 3, 1]))
+    assert groups == [(0, 2), (2, 3), (3, 4), (4, 8)]
+
+
+COSTED_STRATEGIES = [split(0.5), cross_validation(3), cross_validation(5), jackknife(),
+                     jackknife_bootstrap(4)]
+COSTED_STRATEGIES += [dataclasses.replace(s, mode="single_model") for s in COSTED_STRATEGIES[1:]]
+
+
+@st.composite
+def costed_fits(draw):
+    d = draw(st.sampled_from([1, 2, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.round(rng.normal(size=(draw(st.integers(8, 70)), d)), draw(st.integers(0, 2)))
+    psi = draw(st.integers(2, 80))
+    spec = ScorerSpec(kind="isolation_forest", n_trees=draw(st.integers(1, 10)),
+                      subsample_size=psi, max_depth=draw(st.sampled_from([None, 1, 3, 40])))
+    return (spec, rows, draw(st.sampled_from(COSTED_STRATEGIES)), draw(st.integers(0, 2**32)),
+            draw(st.sampled_from([1, 7, 64, 1000, detectors._FIT_BLOCK])))
+
+
+@settings(max_examples=60)
+@given(costed_fits())
+# CV+ over 41 rows trains models of 32 and 33 rows, under caps of 5 and 6
+@example((ScorerSpec(kind="isolation_forest", n_trees=8, subsample_size=64),
+          np.random.default_rng(2).normal(size=(41, 2)), cross_validation(5), 4,
+          detectors._FIT_BLOCK))
+def test_fit_cost_bounds_the_kernels(case):
+    # every unit of work a fit and its entry scoring hand to philox_choice,
+    # _grow and _score_chunks, added up call by call, is charged by fit_cost
+    spec, rows, strategy, seed, block = case
+    plan = kept_plan(strategy, rows.shape[0], seed)
+    oob = None if strategy.mode == "single_model" else plan.oob
+    handed = {"rows": 0, "shuffle_steps": 0, "cells": 0, "steps": 0}
+    choice, grow, score = detectors.philox_choice, detectors._grow, ForestPlan._score_chunks
+
+    def spy_choice(key, tweak, sizes, counts, stream):
+        handed["rows"] += int(counts.sum())
+        handed["shuffle_steps"] += int(counts.max())
+        return choice(key, tweak, sizes, counts, stream)
+
+    def spy_grow(rows, sub, keys, model, tree, caps, psi):
+        # each level down to its model's cap reads a subsample row's d
+        # features and moves it, a move counted as 8 cells
+        handed["cells"] += int(psi @ caps[model]) * (rows.shape[1] + 8)
+        return grow(rows, sub, keys, model, tree, caps, psi)
+
+    def spy_score(self, flat, n_features, n_rows, cells, total, step, starts, out):
+        walked = sum(min(step, total - lo) for lo in starts) * self.n_trees * self._levels
+        with lock:
+            handed["steps"] += walked
+        return score(self, flat, n_features, n_rows, cells, total, step, starts, out)
+
+    lock = threading.Lock()
+    with mock.patch.object(detectors, "_FIT_BLOCK", block), \
+            mock.patch.object(detectors, "philox_choice", spy_choice), \
+            mock.patch.object(detectors, "_grow", spy_grow), \
+            mock.patch.object(ForestPlan, "_score_chunks", spy_score):
+        cost = detectors.fit_cost(spec, plan.train_counts, rows.shape[1], oob)
+        forest = fit_plan(spec, rows, plan.train_counts, seed, plan.streams)
+        if oob is not None:
+            score_entries(forest, rows, plan, strategy.aggregation)
+        entry_steps, handed["steps"] = handed["steps"], 0
+        score_plan(forest, DataMatrix(rows[:5]))
+    for term in ("rows", "shuffle_steps", "cells"):
+        # the draws and the growth are charged exactly what they are handed
+        assert handed[term] == cost[term]
+    assert handed["steps"] <= 5 * cost["walk"] and entry_steps <= cost["entry_steps"]
 
 
 @settings(max_examples=60)

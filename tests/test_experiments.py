@@ -6,7 +6,7 @@ from confanom.core import InvalidHyperparameter, InvalidSpec
 from confanom.experiments import (EXPERIMENT_NAMES, conditional,
                                   martingale_null, run_experiment, shift,
                                   shift_oracle_ratio, single_change_stream,
-                                  strategy_sweep, two_burst_stream,
+                                  strategy_sweep,
                                   uniform_streams)
 from confanom.martingales import (AlarmConfig, init, power, run_stream,
                                   simple_jumper, simple_mixture, update)
@@ -128,15 +128,6 @@ class TestStreamFixtures:
         assert anomalous[200:].mean() > 0.3
         # ramp reaches certainty at the end
         assert anomalous[-1]
-
-    def test_two_burst_shapes(self):
-        train, X, anomalous = two_burst_stream(seed=9, length=600,
-                                               bursts=((100, 150), (400, 450)))
-        assert anomalous.sum() == 100
-        assert anomalous[100:150].all() and anomalous[400:450].all()
-        assert not anomalous[:100].any()
-        # anomalous points actually sit at the shifted mean
-        assert X[anomalous].mean() > 2.0
 
     def test_deterministic(self):
         a = single_change_stream(seed=10, length=100, change_at=50)

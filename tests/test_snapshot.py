@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import pathlib
+import re
 import tempfile
 import time
 import tracemalloc
@@ -378,6 +379,79 @@ def write_snapshot(path, header, arrays, stored=None, shapes={}, dtypes={},
     return path
 
 
+def crafted(strategy=None, rows=None, **scorer):
+    """A header edit of the split forest file: scorer settings ``scorer``,
+    its rows replaced by ``rows``, and with ``strategy`` that strategy
+    under the digest of its plan over them."""
+    def edit(header, arrays):
+        header["config"]["scorer"].update(scorer)
+        if strategy is None:
+            return arrays if rows is None else {**arrays, "calibration/rows": rows}
+        header["config"]["strategy"] = dataclasses.asdict(strategy)
+        plan = kept_plan(strategy, rows.shape[0], header["config"]["seed"])
+        return {**arrays, "calibration/rows": rows,
+                "calibration/plan_digest": np.frombuffer(snapshot._plan_digest(plan), np.uint8)}
+    return edit
+
+
+# the split forest file of TestUntrustedContent: 12 trees of psi = 30 over
+# 3 features under a cap of 5, 30 entries
+SPLIT_FOREST = (PipelineConfig(scorer=FOREST, strategy=split(0.5), seed=18),
+                gaussian_matrix(16, 60, d=3))
+# each row: a header edit or a bound patched to a fitted forest's cost, the
+# refusal phrase (with the cost where a bound is patched) and a time limit
+FOREST_COSTS = {
+    # a tree may be a single node: 10^9 trees of psi = 30 in 85,837 chunks of
+    # 11,650 (2^20 // (30 x 3)), each a 30-step shuffle
+    "1000000000": (crafted(n_trees=10 ** 9), None,
+                   f"costs {3 * 10 ** 10 + 24 * 30 * 85_837} subsample rows drawn", 1.0),
+    "559241": (crafted(n_trees=2 ** 24 // 30 + 1), None,
+               f"costs {30 * (2 ** 24 // 30 + 1) + 24 * 30 * 49} subsample rows drawn", 1.0),
+    # 65,536 trees over 4,096 mostly constant columns: a file of a few kB
+    # whose growth would read 4 x 10^10 cells
+    "wide": (crafted(rows=np.zeros((60, 4096)), n_trees=2 ** 16), None,
+             f"costs {2 ** 16 * 30 * 5 * (4096 + 8)} row x feature cells grown through", 1.0),
+    # 325,376 trees pass both growth bounds (9,761,280 rows, 536,870,400
+    # cells), but a scored row would walk 1,626,880 nodes
+    "walk": (crafted(n_trees=325_376), None, "costs 1626880 node steps per scored row", 1.0),
+    # 256 trees of psi = 65,536 over 65,536 rows of one feature under a cap
+    # of 3 draw 2^24 rows, at the bound, in 16 chunks of 65,536 swap steps
+    "draw": (crafted(split(1), np.zeros((2 ** 16 + 1, 1)), n_trees=256,
+                     subsample_size=2 ** 16, max_depth=3), None,
+             f"costs {2 ** 24 + 24 * 2 ** 20} subsample rows drawn ({2 ** 24} rows in {2 ** 20} "
+             f"shuffle steps", 1.0),
+    # 26,000 trees of psi = 32 pass every growth bound and walk 130,000 nodes
+    # per row, but would score 4,096 split entries in 532,480,000 node steps
+    "entries": (crafted(split(4096), gaussian_matrix(42, 4200, d=1).values, n_trees=26_000),
+                None, "costs 532480000 node steps to score the entries again", 1.0),
+    # 360 rows in one chunk of 30 swap steps, each charged as 24 rows
+    "rows-at-bound": (None, ("MAX_FOREST_ROWS", *SPLIT_FOREST, 360 + 24 * 30),
+                      "costs {} subsample rows drawn (360 rows in 30 shuffle steps", 1.0),
+    # 12 x 30 rows down 5 levels, each reading 3 features and a move worth 8
+    "cells-at-bound": (None, ("MAX_FOREST_CELLS", *SPLIT_FOREST, 12 * 30 * 5 * 11),
+                       "over 3 features costs {} row x feature cells grown through", 1.0),
+    "walk-at-bound": (None, ("MAX_FOREST_WALK", *SPLIT_FOREST, 12 * 5),
+                      "costs {} node steps per scored row", 1.0),
+    # CV+ over 41 rows trains models of 32 and 33 rows, under caps of 5 and
+    # 6; a scoring walks every cell down to the deepest level: 12 x 5 x 6
+    "cv-walk-at-deepest-cap": (None, ("MAX_FOREST_WALK", PipelineConfig(
+        scorer=dataclasses.replace(FOREST, subsample_size=64), strategy=cross_validation(5),
+        seed=18), gaussian_matrix(16, 41, d=3), 12 * 5 * 6),
+        "costs {} node steps per scored row", 1.0),
+    "entries-at-bound": (None, ("MAX_FOREST_SCORE", *SPLIT_FOREST, 12 * 30 * 5),
+                         "costs {} node steps to score the entries again", 1.0),
+    # a JaB+ entry is scored by its out-of-bag models alone
+    "jab-entries-at-bound": (None, ("MAX_FOREST_SCORE", PipelineConfig(
+        scorer=FOREST, strategy=jackknife_bootstrap(3), seed=18), SPLIT_FOREST[1],
+        lambda calibration: 12 * 5 * int(calibration.oob.sum())),
+        "costs {} node steps to score the entries again", 1.0),
+    # a single_model file stores its entry scores: its load scores none
+    "jab-single-entries-uncharged": (None, ("MAX_FOREST_SCORE", PipelineConfig(
+        scorer=FOREST, strategy=jackknife_bootstrap(3, "single_model"), seed=18),
+        SPLIT_FOREST[1], 0), "costs {} node steps to score the entries again", 1.0),
+}
+
+
 class TestUntrustedContent:
     """The digest proves nothing about intent: crafted files with a valid
     digest are refused before anything is built from them."""
@@ -688,197 +762,35 @@ class TestUntrustedContent:
             with pytest.raises(SnapshotError, match="a plan of 5 models over 60 rows"):
                 snapshot_save(fitted, tmp_path / "jab.snap")
 
-    @pytest.mark.parametrize("n_trees", [10 ** 9, 2 ** 24 // 30 + 1])
-    def test_forest_above_bound_refused_quickly(self, tmp_path, forest, n_trees):
-        # a tree may be a single node, so a header asking for 10^9 trees of
-        # psi = 30 would make the loader draw 3 x 10^10 subsample rows from a
-        # small file; any count past the bound is refused before one is drawn
-        header, arrays = forest
-        header["config"]["scorer"]["n_trees"] = n_trees
-        path = write_snapshot(tmp_path / "trees.snap", header, arrays)
+    @pytest.mark.parametrize("edit, bound, phrase, seconds", FOREST_COSTS.values(),
+                             ids=FOREST_COSTS.keys())
+    def test_forest_above_bound_refused_quickly(self, tmp_path, forest, monkeypatch, edit, bound,
+                                                phrase, seconds):
+        # a crafted header is refused before a subsample is drawn; a fitted
+        # forest saves and loads at a bound equal to its cost, and one below
+        # refuses both, the save writing no file
+        value = None
+        if bound is None:
+            header, arrays = forest
+            path = write_snapshot(tmp_path / "crafted.snap", header, edit(header, arrays))
+            drawn = mock.patch.object(detectors, "_grow_forests", side_effect=AssertionError)
+        else:
+            name, config, train, value = bound
+            fitted = fit(config, train)
+            value = value(fitted.calibration) if callable(value) else value
+            monkeypatch.setattr(snapshot, name, value)
+            path = tmp_path / "at_bound.snap"
+            snapshot_save(fitted, path)
+            snapshot_load(path)
+            monkeypatch.setattr(snapshot, name, value - 1)
+            with pytest.raises(SnapshotError, match=re.escape(phrase.format(value))):
+                snapshot_save(fitted, tmp_path / "big.snap")
+            assert not (tmp_path / "big.snap").exists()
+            drawn = contextlib.nullcontext()
         began = time.perf_counter()
-        # refused before a subsample is drawn
-        with mock.patch.object(detectors, "_grow_forests", side_effect=AssertionError), \
-                pytest.raises(SnapshotError, match=f"draws {30 * n_trees} subsample rows, more "
-                                                   f"than a snapshot redraws"):
+        with drawn, pytest.raises(SnapshotError, match=re.escape(phrase.format(value))):
             snapshot_load(path)
-        assert time.perf_counter() - began < 1.0
-
-    def test_forest_above_bound_not_saved(self, tmp_path, monkeypatch):
-        # a forest that no load would draw again is refused when it is written
-        config = PipelineConfig(scorer=FOREST, strategy=split(0.5), seed=18)
-        fitted = fit(config, gaussian_matrix(16, 60, d=3))
-        monkeypatch.setattr(snapshot, "MAX_FOREST_ROWS", 12 * 30 - 1)
-        with pytest.raises(SnapshotError, match="12 trees per model over subsamples of up to "
-                                                "30 rows draws 360 subsample rows"):
-            snapshot_save(fitted, tmp_path / "big.snap")
-        assert not (tmp_path / "big.snap").exists()
-
-    def test_wide_forest_above_bound_refused_quickly(self, tmp_path, forest):
-        # 65,536 trees of psi = 30 draw fewer rows than MAX_FOREST_ROWS, but
-        # over 4,096 mostly constant columns a load would read 4 x 10^10
-        # cells to grow them: the file stays a few kB, and the cell bound
-        # refuses it before a subsample is drawn
-        header, arrays = forest
-        rows = np.zeros((60, 4096))
-        rows[:, :3] = arrays["calibration/rows"]
-        header["config"]["scorer"]["n_trees"] = 2 ** 16
-        path = write_snapshot(tmp_path / "wide.snap", header,
-                              {**arrays, "calibration/rows": rows})
-        assert path.stat().st_size < 20_000
-        began = time.perf_counter()
-        with mock.patch.object(detectors, "_grow_forests", side_effect=AssertionError), \
-                pytest.raises(SnapshotError, match=f"rows of 4096 features grows through "
-                                                   f"{2 ** 16 * 30 * 5 * 4104} cells, more "
-                                                   f"than a snapshot grows"):
-            snapshot_load(path)
-        assert time.perf_counter() - began < 1.0
-
-    def test_forest_cells_count_levels_and_features(self, tmp_path, forest, monkeypatch):
-        # 12 trees of psi = 30, grown down to their cap of 5 levels over 3
-        # features, read 12 x 30 x 5 x (3 + 8) cells: a bound of that many
-        # loads and saves, one fewer refuses both
-        path = write_snapshot(tmp_path / "forest.snap", *forest)
-        fitted = fit(PipelineConfig(scorer=FOREST, strategy=split(0.5), seed=18),
-                     gaussian_matrix(16, 60, d=3))
-        monkeypatch.setattr(snapshot, "MAX_FOREST_CELLS", 12 * 30 * 5 * 11)
-        snapshot_load(path)
-        snapshot_save(fitted, tmp_path / "at_bound.snap")
-        monkeypatch.setattr(snapshot, "MAX_FOREST_CELLS", 12 * 30 * 5 * 11 - 1)
-        message = "30 rows of 3 features grows through 19800 cells"
-        with pytest.raises(SnapshotError, match=message):
-            snapshot_load(path)
-        with pytest.raises(SnapshotError, match=message):
-            snapshot_save(fitted, tmp_path / "big.snap")
-        assert not (tmp_path / "big.snap").exists()
-
-    def test_long_walk_refused_quickly(self, tmp_path, forest):
-        # 325,376 trees of psi = 30 under a cap of 5 pass both growth
-        # bounds (9,761,280 rows, 536,870,400 cells), but every scored row
-        # would walk 1,626,880 nodes: the walk bound refuses the file before
-        # a subsample is drawn
-        header, arrays = forest
-        header["config"]["scorer"]["n_trees"] = 325_376
-        path = write_snapshot(tmp_path / "walk.snap", header, arrays)
-        began = time.perf_counter()
-        with mock.patch.object(detectors, "_grow_forests", side_effect=AssertionError), \
-                pytest.raises(SnapshotError, match="under depth caps of up to 5 walks 1626880 "
-                                                   "nodes per scored row, more than a snapshot "
-                                                   "scores"):
-            snapshot_load(path)
-        assert time.perf_counter() - began < 1.0
-
-    def test_long_walk_not_saved(self, tmp_path, forest, monkeypatch):
-        # 12 trees under a cap of 5 walk 60 nodes per row: a bound of 60
-        # loads and saves, one fewer refuses both
-        path = write_snapshot(tmp_path / "forest.snap", *forest)
-        fitted = fit(PipelineConfig(scorer=FOREST, strategy=split(0.5), seed=18),
-                     gaussian_matrix(16, 60, d=3))
-        monkeypatch.setattr(snapshot, "MAX_FOREST_WALK", 12 * 5)
-        snapshot_load(path)
-        snapshot_save(fitted, tmp_path / "at_bound.snap")
-        monkeypatch.setattr(snapshot, "MAX_FOREST_WALK", 12 * 5 - 1)
-        message = "12 trees per model under depth caps of up to 5 walks 60 nodes per scored row"
-        with pytest.raises(SnapshotError, match=message):
-            snapshot_load(path)
-        with pytest.raises(SnapshotError, match=message):
-            snapshot_save(fitted, tmp_path / "big.snap")
-        assert not (tmp_path / "big.snap").exists()
-
-    def test_slow_draw_refused_quickly(self, tmp_path, forest):
-        # 256 trees of psi = 65,536 over 65,536 rows of one feature under a
-        # cap of 3 pass the row, cell and walk bounds (2^24 rows, 452,984,832
-        # cells, 768 nodes), but their draws take philox_choice's swap loop
-        # through 16 chunks of 65,536 steps each, which a load took 5.4 s
-        # to run: charged 24 rows a step, they are refused before a draw
-        header, arrays = forest
-        strategy = split(1)
-        header["config"]["strategy"] = dataclasses.asdict(strategy)
-        header["config"]["scorer"].update(n_trees=256, subsample_size=2 ** 16, max_depth=3)
-        plan = kept_plan(strategy, 2 ** 16 + 1, header["config"]["seed"])
-        path = write_snapshot(tmp_path / "draw.snap", header, {
-            "calibration/plan_digest": np.frombuffer(snapshot._plan_digest(plan), np.uint8),
-            "calibration/rows": np.zeros((2 ** 16 + 1, 1)), "trees/digest": arrays["trees/digest"]})
-        assert path.stat().st_size < 5_000
-        began = time.perf_counter()
-        with mock.patch.object(detectors, "_grow_forests", side_effect=AssertionError), \
-                pytest.raises(SnapshotError, match=f"draws {2 ** 24} subsample rows in {2 ** 20} "
-                                                   f"shuffle steps, as costly as "
-                                                   f"{2 ** 24 + 24 * 2 ** 20} rows"):
-            snapshot_load(path)
-        assert time.perf_counter() - began < 1.0
-
-    def test_shuffle_steps_charged_at_save(self, tmp_path, forest, monkeypatch):
-        # 12 trees of psi = 30 draw 360 subsample rows in one chunk of 30
-        # swap steps, charged as 360 + 24 x 30 rows: a bound of that many
-        # loads and saves, one fewer refuses both
-        path = write_snapshot(tmp_path / "forest.snap", *forest)
-        fitted = fit(PipelineConfig(scorer=FOREST, strategy=split(0.5), seed=18),
-                     gaussian_matrix(16, 60, d=3))
-        monkeypatch.setattr(snapshot, "MAX_FOREST_ROWS", 360 + 24 * 30)
-        snapshot_load(path)
-        snapshot_save(fitted, tmp_path / "at_bound.snap")
-        monkeypatch.setattr(snapshot, "MAX_FOREST_ROWS", 360 + 24 * 30 - 1)
-        message = "draws 360 subsample rows in 30 shuffle steps, as costly as 1080 rows"
-        with pytest.raises(SnapshotError, match=message):
-            snapshot_load(path)
-        with pytest.raises(SnapshotError, match=message):
-            snapshot_save(fitted, tmp_path / "big.snap")
-        assert not (tmp_path / "big.snap").exists()
-
-    def test_long_entry_scoring_refused_quickly(self, tmp_path, forest):
-        # 26,000 trees of psi = 32 under a cap of 5 pass every growth bound
-        # and walk 130,000 nodes per scored row, but scoring 4,096 split
-        # entries again would take 532,480,000 node steps: refused before a
-        # subsample is drawn
-        header, arrays = forest
-        strategy = split(4096)
-        header["config"]["strategy"] = dataclasses.asdict(strategy)
-        header["config"]["scorer"]["n_trees"] = 26_000
-        plan = kept_plan(strategy, 4200, header["config"]["seed"])
-        path = write_snapshot(tmp_path / "score.snap", header, {
-            "calibration/plan_digest": np.frombuffer(snapshot._plan_digest(plan), np.uint8),
-            "calibration/rows": gaussian_matrix(42, 4200, d=1).values,
-            "trees/digest": arrays["trees/digest"]})
-        began = time.perf_counter()
-        with mock.patch.object(detectors, "_grow_forests", side_effect=AssertionError), \
-                pytest.raises(SnapshotError, match="under depth caps of up to 5 takes 532480000 "
-                                                   "node steps to score its 4096 entries, more "
-                                                   "than a snapshot scores again"):
-            snapshot_load(path)
-        assert time.perf_counter() - began < 1.0
-
-    def test_entry_scoring_bounded_at_save(self, tmp_path, forest, monkeypatch):
-        # 12 trees under a cap of 5 score 30 entries in 1,800 node steps: a
-        # bound of that many loads and saves, one fewer refuses both.  A
-        # single_model file stores its entry scores and is not charged
-        path = write_snapshot(tmp_path / "forest.snap", *forest)
-        train = gaussian_matrix(16, 60, d=3)
-        fitted = fit(PipelineConfig(scorer=FOREST, strategy=split(0.5), seed=18), train)
-        monkeypatch.setattr(snapshot, "MAX_FOREST_SCORE", 12 * 30 * 5)
-        snapshot_load(path)
-        snapshot_save(fitted, tmp_path / "at_bound.snap")
-        monkeypatch.setattr(snapshot, "MAX_FOREST_SCORE", 12 * 30 * 5 - 1)
-        message = "takes 1800 node steps to score its 30 entries"
-        with pytest.raises(SnapshotError, match=message):
-            snapshot_load(path)
-        with pytest.raises(SnapshotError, match=message):
-            snapshot_save(fitted, tmp_path / "big.snap")
-        assert not (tmp_path / "big.snap").exists()
-        config = PipelineConfig(scorer=FOREST, strategy=jackknife_bootstrap(3, "single_model"),
-                                seed=18)
-        round_trip(tmp_path, config, train)
-        # a JaB+ entry is scored by its out-of-bag models alone: 12 trees
-        # under a cap of 5 for each of them
-        fitted = fit(PipelineConfig(scorer=FOREST, strategy=jackknife_bootstrap(3), seed=18),
-                     train)
-        steps = 12 * 5 * int(fitted.calibration.oob.sum())
-        assert steps < 12 * 5 * 3 * fitted.calibration.n_entries
-        monkeypatch.setattr(snapshot, "MAX_FOREST_SCORE", steps)
-        snapshot_save(fitted, tmp_path / "jab.snap")
-        monkeypatch.setattr(snapshot, "MAX_FOREST_SCORE", steps - 1)
-        with pytest.raises(SnapshotError, match=f"takes {steps} node steps"):
-            snapshot_save(fitted, tmp_path / "jab.snap")
+        assert time.perf_counter() - began < seconds
 
     def test_stored_entry_scores_refused(self, tmp_path, forest):
         # a split forest's load scores its entries again, so entry scores in
