@@ -424,9 +424,6 @@ FOREST_COSTS = {
     # per row, but would score 4,096 split entries in 532,480,000 node steps
     "entries": (crafted(split(4096), gaussian_matrix(42, 4200, d=1).values, n_trees=26_000),
                 None, "costs 532480000 node steps to score the entries again", 1.0),
-    # 360 rows in one chunk of 30 swap steps, each charged as 24 rows
-    "rows-at-bound": (None, ("MAX_FOREST_ROWS", *SPLIT_FOREST, 360 + 24 * 30),
-                      "costs {} subsample rows drawn (360 rows in 30 shuffle steps", 1.0),
     # 12 x 30 rows down 5 levels, each reading 3 features and a move worth 8
     "cells-at-bound": (None, ("MAX_FOREST_CELLS", *SPLIT_FOREST, 12 * 30 * 5 * 11),
                        "over 3 features costs {} row x feature cells grown through", 1.0),
@@ -791,6 +788,33 @@ class TestUntrustedContent:
         with drawn, pytest.raises(SnapshotError, match=re.escape(phrase.format(value))):
             snapshot_load(path)
         assert time.perf_counter() - began < seconds
+
+    def test_forest_above_bound_not_saved(self, tmp_path, monkeypatch):
+        # a forest that no load would draw again is refused when it is written
+        fitted = fit(*SPLIT_FOREST)
+        monkeypatch.setattr(snapshot, "MAX_FOREST_ROWS", 12 * 30 - 1)
+        with pytest.raises(SnapshotError, match="a forest of 12 trees per model over 3 "
+                                                "features costs 1080 subsample rows drawn"):
+            snapshot_save(fitted, tmp_path / "big.snap")
+        assert not (tmp_path / "big.snap").exists()
+
+    def test_shuffle_steps_charged_at_save(self, tmp_path, forest, monkeypatch):
+        # 12 trees of psi = 30 draw 360 subsample rows in one chunk of 30
+        # swap steps, charged as 360 + 24 x 30 rows: a bound of that many
+        # loads and saves, one fewer refuses both
+        path = write_snapshot(tmp_path / "forest.snap", *forest)
+        fitted = fit(*SPLIT_FOREST)
+        monkeypatch.setattr(snapshot, "MAX_FOREST_ROWS", 360 + 24 * 30)
+        snapshot_load(path)
+        snapshot_save(fitted, tmp_path / "at_bound.snap")
+        monkeypatch.setattr(snapshot, "MAX_FOREST_ROWS", 360 + 24 * 30 - 1)
+        message = re.escape("costs 1080 subsample rows drawn (360 rows in 30 shuffle steps, "
+                            "a step charged as 24 rows)")
+        with pytest.raises(SnapshotError, match=message):
+            snapshot_load(path)
+        with pytest.raises(SnapshotError, match=message):
+            snapshot_save(fitted, tmp_path / "big.snap")
+        assert not (tmp_path / "big.snap").exists()
 
     def test_stored_entry_scores_refused(self, tmp_path, forest):
         # a split forest's load scores its entries again, so entry scores in
