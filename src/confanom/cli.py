@@ -103,7 +103,6 @@ _CONFIG_KEYS = {
     "scorer.max_depth": _parse_int,
     "scorer.k": _parse_int,
     "scorer.aggregation": str,
-    "scorer.polarity": str,
     "strategy.kind": str,
     "strategy.n_calib": _parse_count_or_fraction,
     "strategy.k": _parse_int,
@@ -176,21 +175,17 @@ def build_pipeline_config(entries, seed=None):
     a 50/50 split with plain empirical p-values.  ``seed`` (the command
     line flag) overrides a ``seed`` config entry; with neither, seed 0.
     """
-    scorer_kwargs = _collect(entries, "scorer.")
-    scorer_kwargs.setdefault("kind", "knn_distance")
-    strategy_kwargs = _collect(entries, "strategy.")
-    strategy_kwargs.setdefault("kind", "split")
+    strategy_kwargs = {"kind": "split", **_collect(entries, "strategy.")}
     if strategy_kwargs["kind"] == "split":
         strategy_kwargs.setdefault("n_calib", 0.5)
     else:
         strategy_kwargs.setdefault("mode", "plus")
-    estimation_kwargs = _collect(entries, "estimation.")
     if seed is None:
         seed = entries.get("seed", 0)
     return pipeline.PipelineConfig(
-        scorer=ScorerSpec(**scorer_kwargs),
+        scorer=ScorerSpec(**{"kind": "knn_distance", **_collect(entries, "scorer.")}),
         strategy=StrategySpec(**strategy_kwargs),
-        estimation=EstimationSpec(**estimation_kwargs),
+        estimation=EstimationSpec(**_collect(entries, "estimation.")),
         weighting=entries.get("weighting"),
         seed=seed,
     )
@@ -203,9 +198,7 @@ def build_martingale(entries):
     is used; without any ``alarms.*`` key both Ville alarms are armed at
     threshold 100 (anytime false alarm rate at most 1 percent).
     """
-    mart_kwargs = _collect(entries, "martingale.")
-    mart_kwargs.setdefault("kind", "simple_mixture")
-    spec = MartingaleSpec(**mart_kwargs)
+    spec = MartingaleSpec(**{"kind": "simple_mixture", **_collect(entries, "martingale.")})
     alarm_kwargs = _collect(entries, "alarms.")
     if not alarm_kwargs:
         alarm_kwargs = {"ville_threshold": 100.0,
@@ -452,13 +445,7 @@ def cmd_stream(args):
         "martingale_kind": spec.kind,
     })
 
-    inputs = [args.stream]
-    if args.snapshot:
-        inputs.append(args.snapshot)
-    else:
-        inputs.append(args.train)
-    if args.config:
-        inputs.append(args.config)
+    inputs = [args.stream, args.snapshot or args.train] + ([args.config] if args.config else [])
     _write_manifest(args.out, args.argv, _effective_config(
         entries, seed=seed, label_column=args.label_column,
         snapshot=args.snapshot),
@@ -598,10 +585,7 @@ def main(argv=None):
         parser.error("snapshot --train requires --out")
     try:
         return args.func(args)
-    except ConfanomError as exc:
-        print(f"confanom: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfanomError, OSError) as exc:
         print(f"confanom: error: {exc}", file=sys.stderr)
         return 2
     except Exception:

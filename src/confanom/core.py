@@ -7,6 +7,7 @@ checker per kind of input: :func:`check_count` (counts), :func:`check_seed`
 :func:`check_finite` (arrays, as :class:`DataMatrix` checks every matrix).
 Counts, seeds and reals refuse bools, strings and non-finite values rather
 than coerce them; each caller keeps its own range check and exception type.
+Every spec takes only the settings of its kind (:func:`check_settings`).
 
 Every container is immutable after construction and holds read-only numpy
 arrays, so values can be shared freely across threads and between pipeline
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -171,6 +172,20 @@ def check_real(name, value, error):
     if not math.isfinite(value):
         raise error(f"{name} must be finite, got {value}")
     return value
+
+
+def check_settings(spec, kind_field, settings, error):
+    """Fill the unset (None) settings of ``spec``'s kind from ``settings``
+    (kind -> setting -> default) and raise ``error``, naming the field and
+    the kind, for an unknown kind or a set field of another kind."""
+    kind = getattr(spec, kind_field)
+    if not isinstance(kind, str) or kind not in settings:
+        raise error(f"unknown {type(spec).__name__} {kind_field} {kind!r}")
+    for name in (f.name for f in fields(spec) if f.name != kind_field):
+        if name in settings[kind] and getattr(spec, name) is None:
+            object.__setattr__(spec, name, settings[kind][name])
+        elif name not in settings[kind] and getattr(spec, name) is not None:
+            raise error(f"{name} does not apply to {kind_field} {kind!r}")
 
 
 def _check_alpha(alpha):

@@ -43,10 +43,12 @@ import numpy as np
 
 from .core import (AmbiguousPolarity, DataMatrix, DimensionMismatch, EmptyTrainingSet,
                    InvalidHyperparameter, KTooLarge, _readonly, check_count, check_finite,
-                   philox_block, philox_choice, philox_uniform, split_seed)
+                   check_settings, philox_block, philox_choice, philox_uniform, split_seed)
 
-SCORER_KINDS = ("isolation_forest", "knn_distance", "external")
-POLARITIES = ("higher_is_anomalous", "lower_is_anomalous", "auto")
+# each scorer kind's settings and their defaults (see ScorerSpec)
+_SETTINGS = {"isolation_forest": {"n_trees": 100, "subsample_size": 256, "max_depth": None},
+             "knn_distance": {"k": 5, "aggregation": "kth"}, "external": {}}
+SCORER_KINDS = tuple(_SETTINGS)
 
 # element budget of one (rows x refs) filter block, which with its
 # partitioned copy stays in a 2 MB L2 cache
@@ -85,50 +87,41 @@ MAX_DEPTH = 64
 
 @dataclass(frozen=True)
 class ScorerSpec:
-    """Configuration of an anomaly scorer.
+    """Configuration of an anomaly scorer: its kind and that kind's
+    settings only (``core.check_settings``), unset ones taking their defaults.
 
     Parameters
     ----------
     kind : {'isolation_forest', 'knn_distance', 'external'}
-    n_trees, subsample_size, max_depth
-        Isolation forest settings. Depth defaults to ceil(log2(subsample))
-        and may not exceed MAX_DEPTH = 64, which that default never passes
-        for a subsample of fewer than 2**64 rows.  The ceiling bounds the
-        levels a scoring walks for a spec read from an untrusted snapshot
-        header, whose own cap would otherwise admit a chain of any depth.
-    k, aggregation
-        knn settings; ``aggregation`` is 'kth' (k-th nearest distance) or
-        'mean' (mean of the k nearest distances).
-    polarity : {'higher_is_anomalous', 'lower_is_anomalous', 'auto'}
-        Built-in scores are higher_is_anomalous, which 'auto' resolves to;
-        'lower_is_anomalous' is refused for them.  External scorers state
-        their polarity when wrapped (``wrap_detached``).
+    n_trees=100, subsample_size=256, max_depth
+        The forest's settings.  Depth defaults to ceil(log2(subsample)) and
+        may not exceed MAX_DEPTH = 64, which that default passes only for
+        2**64 rows; the ceiling bounds the levels a scoring walks for a spec
+        read from an untrusted snapshot header.
+    k=5, aggregation='kth'
+        The k-NN settings; ``aggregation`` is 'kth' (k-th nearest distance)
+        or 'mean' (mean of the k nearest distances).
+
+    An external scorer has no settings: it states its polarity when wrapped
+    (``wrap_detached``).  Built-in scores are higher-is-anomalous.
     """
 
     kind: str
-    n_trees: int = 100
-    subsample_size: int = 256
+    n_trees: int | None = None
+    subsample_size: int | None = None
     max_depth: int | None = None
-    k: int = 5
-    aggregation: str = "kth"
-    polarity: str = "auto"
+    k: int | None = None
+    aggregation: str | None = None
 
     def __post_init__(self):
-        if self.kind not in SCORER_KINDS:
-            raise InvalidHyperparameter(f"unknown scorer kind {self.kind!r}")
-        if self.polarity not in POLARITIES:
-            raise InvalidHyperparameter(f"unknown polarity {self.polarity!r}")
-        if self.kind != "external" and self.polarity == "lower_is_anomalous":
-            raise InvalidHyperparameter(
-                f"{self.kind} scores are higher_is_anomalous; "
-                "polarity 'lower_is_anomalous' does not apply")
+        check_settings(self, "kind", _SETTINGS, InvalidHyperparameter)
         for name, least in (("n_trees", 1), ("subsample_size", 2), ("max_depth", 1), ("k", 1)):
-            if name != "max_depth" or self.max_depth is not None:
+            if getattr(self, name) is not None:
                 object.__setattr__(self, name, check_count(name, getattr(self, name), least))
         if self.max_depth is not None and self.max_depth > MAX_DEPTH:
             raise InvalidHyperparameter(
                 f"max_depth must be at most {MAX_DEPTH}, got {self.max_depth}")
-        if self.kind == "knn_distance" and self.aggregation not in ("kth", "mean"):
+        if self.aggregation not in (None, "kth", "mean"):
             raise InvalidHyperparameter(f"unknown knn aggregation {self.aggregation!r}")
 
     def depth_caps(self, psi):
@@ -283,8 +276,9 @@ def fit_cost(spec, counts, n_features, oob=None):
     ``_grow_forests`` cuts them) of ``philox_choice``, ``cells`` of ``_grow``
     down to each model's cap (a row's move counted as ``_MOVE_CELLS``), and
     the node steps of ``_score_chunks`` per scored row (``walk``) and for the
-    entries (``entry_steps``), at the deepest cap, to which it walks every
-    cell.  Python integers, in time linear in the models, whatever n_trees."""
+    entries (``entry_steps``) at the deepest cap, which bounds the level a
+    chunk walks to.  Python integers, in time linear in the models, whatever
+    n_trees."""
     psi, n_trees = subsample_sizes(spec, counts), spec.n_trees
     caps, step, steps = spec.depth_caps(psi), _chunk_trees(psi, n_features), 0
     for first, stop in _layout_groups(counts.sum(axis=1, dtype=np.int64)):
@@ -340,10 +334,11 @@ class ForestPlan:
     builds the scoring tables from what ``_grow_forests`` grew.
 
     Scoring moves a (trees x cells) matrix of current nodes one level per
-    step through tables in which leaves loop to themselves and a leaf
-    carries its depth plus c(size); a (row, model) cell adds its trees' path
-    lengths in tree order, as one walk per tree would, bit for bit.  Cells
-    are scored in chunks of ``_FOREST_BLOCK`` // n_trees, and thread i of
+    step, down to the deepest level of the chunk's models, through tables
+    in which leaves loop to themselves and a leaf carries its depth plus
+    c(size); a (row, model) cell adds its trees' path lengths in tree
+    order, as one walk per tree would, bit for bit.  Cells are scored, model
+    by model, in chunks of ``_FOREST_BLOCK`` // n_trees, and thread i of
     n = min(CPUs in ``os.sched_getaffinity``, chunks) takes chunks i, i + n,
     ...; the caller is thread 0, no thread is started when n is 1 and none
     outlives ``score_raw``.  A chunk's cells are its own, so the scores do
@@ -368,7 +363,8 @@ class ForestPlan:
         # intp, so that the per-level index add needs no cast; with int32
         # tables, threads sharing the kernel gained nothing
         self._feature = np.where(inner, feature, 0).astype(np.intp)
-        self._levels = int(depth.max())
+        # each model's deepest level, to which a chunk of its cells walks
+        self._levels = np.maximum.reduceat(depth, self.offsets[:-1:self.n_trees])
         # c(m) of every subsample and leaf size that occurs, and of no other m
         c_table = np.zeros(int(self.psi.max()) + 1)
         m = np.flatnonzero(np.bincount(np.append(self.psi, leaf_size),
@@ -406,7 +402,7 @@ class ForestPlan:
             model, row = np.divmod(cell, n_rows)
             base = row * n_features
             node = roots[:, model]
-            for _ in range(self._levels):
+            for _ in range(self._levels[model].max()):
                 x = flat[base + self._feature[node]]
                 node = self._next[node] + (x >= self._threshold[node])
             # a running sum over trees adds them in tree order, as one
@@ -551,9 +547,13 @@ class KnnPlan:
         # a NaN cut (overflowed inputs) keeps every ref
         row, ref = np.divmod(np.flatnonzero(~(a > cut[:, None])), m)
         exact = _distances(X[row], self._refs[ref])
-        order = np.lexsort((exact, row))
-        starts = np.searchsorted(row, np.arange(n))
-        pick = order[(starts[:, None] + np.arange(w)).ravel()]
+        # each row's candidates, in ref order, padded with +inf, which a
+        # stable sort puts after them; ties keep ref order
+        sizes = np.bincount(row, minlength=n)
+        starts = np.cumsum(sizes) - sizes
+        padded = np.full((n, int(sizes.max())), np.inf)
+        padded[row, np.arange(row.shape[0]) - starts[row]] = exact
+        pick = (starts[:, None] + np.argsort(padded, axis=1, kind="stable")[:, :w]).ravel()
         return ref[pick].reshape(-1, w), exact[pick].reshape(-1, w)
 
     def _window_scores(self, X):
@@ -588,7 +588,7 @@ class ExternalScorer:
     kind = "external"
 
     def __init__(self, score_function, polarity):
-        self.spec = ScorerSpec(kind="external", polarity=polarity)
+        self.spec = ScorerSpec(kind="external")
         self.score_function = score_function
         self.polarity = polarity
         self.n_features = None

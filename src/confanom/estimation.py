@@ -38,12 +38,17 @@ from .core import (
     check_finite,
     check_real,
     check_seed,
+    check_settings,
     make_rng,
     philox_uniform,
 )
 from .resampling import _tail_counts, aggregate_test_scores, paired_rank_counts
 
-REGIMES = ("empirical", "conditional_empirical", "probabilistic")
+# each regime's settings and their defaults (see EstimationSpec)
+_SETTINGS = {"empirical": {"smoothed": False},
+             "conditional_empirical": {"method": None, "delta": None},
+             "probabilistic": {"bandwidth": "silverman"}}
+REGIMES = tuple(_SETTINGS)
 CONDITIONAL_METHODS = ("simes", "mc", "asymptotic")
 
 PROBABILISTIC_FLOOR = 1e-12
@@ -58,41 +63,31 @@ _MC_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class EstimationSpec:
-    """Configuration of the p-value regime.
+    """Configuration of the p-value regime: the regime and its settings
+    only (``core.check_settings``).
 
-    method/delta apply to conditional_empirical, smoothed to empirical,
-    bandwidth (a positive number or 'silverman') to probabilistic.
+    ``smoothed`` (empirical, default False); ``method`` and ``delta``
+    (conditional_empirical, required); ``bandwidth`` (probabilistic, a
+    positive number or the default 'silverman').
     """
 
     regime: str = "empirical"
     method: str | None = None
     delta: float | None = None
-    smoothed: bool = False
+    smoothed: bool | None = None
     bandwidth: float | str | None = None
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise InvalidHyperparameter(f"unknown estimation regime {self.regime!r}")
+        check_settings(self, "regime", _SETTINGS, InvalidHyperparameter)
         if self.regime == "conditional_empirical":
             if self.method not in CONDITIONAL_METHODS:
                 raise InvalidHyperparameter(
                     f"conditional estimation requires method in {CONDITIONAL_METHODS}")
             object.__setattr__(self, "delta", _check_delta(self.delta))
-            if self.smoothed:
-                raise InvalidHyperparameter("smoothing applies to the empirical regime only")
-        else:
-            if self.method is not None or self.delta is not None:
-                raise InvalidHyperparameter(
-                    "method/delta apply to the conditional_empirical regime only")
         if self.regime == "probabilistic":
-            if self.smoothed:
-                raise InvalidHyperparameter("smoothing applies to the empirical regime only")
-            bw = self.bandwidth if self.bandwidth is not None else "silverman"
             # the checked float, so that a numpy or int bandwidth saves as a
             # JSON number
-            object.__setattr__(self, "bandwidth", _check_bandwidth(bw))
-        elif self.bandwidth is not None:
-            raise InvalidHyperparameter("bandwidth applies to the probabilistic regime only")
+            object.__setattr__(self, "bandwidth", _check_bandwidth(self.bandwidth))
 
 
 def _check_delta(delta):

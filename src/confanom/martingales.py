@@ -32,17 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidData, InvalidSpec, _readonly, check_real, write_csv
+from .core import InvalidData, InvalidSpec, _readonly, check_real, check_settings, write_csv
 
-MARTINGALE_KINDS = ("power", "simple_mixture", "simple_jumper")
 ALARM_KINDS = ("ville", "restarted_ville", "cusum", "sr")
 
 # Conformal p-values are at least 1/(n+1), but probabilistic estimation
 # can emit arbitrarily small values; flooring keeps the log domain sane.
 P_FLOOR = 1e-12
 
-_DEFAULT_JUMPER_STATES = (-1.0, 0.0, 1.0)
-_DEFAULT_JUMP_RATE = 0.01
+# each kind's settings and their defaults (see MartingaleSpec)
+_SETTINGS = {"power": {"epsilon": None}, "simple_mixture": {},
+             "simple_jumper": {"jumper_states": (-1.0, 0.0, 1.0), "jump_rate": 0.01}}
+MARTINGALE_KINDS = tuple(_SETTINGS)
 
 TRAJECTORY_COLUMNS = (
     "step",
@@ -59,7 +60,11 @@ TRAJECTORY_COLUMNS = (
 
 @dataclass(frozen=True)
 class MartingaleSpec:
-    """Betting strategy selector; parameters are accepted only by the kind that uses them."""
+    """Betting strategy selector: the kind and its settings only
+    (``core.check_settings``).  ``epsilon`` (power, required) in (0, 1];
+    ``jumper_states`` (simple_jumper, default (-1, 0, 1)) strictly
+    increasing in [-1, 1] and ``jump_rate`` (simple_jumper, default 0.01)
+    in (0, 1)."""
 
     kind: str
     epsilon: float | None = None
@@ -67,8 +72,7 @@ class MartingaleSpec:
     jump_rate: float | None = None
 
     def __post_init__(self):
-        if self.kind not in MARTINGALE_KINDS:
-            raise InvalidSpec(f"unknown martingale kind {self.kind!r}")
+        check_settings(self, "kind", _SETTINGS, InvalidSpec)
         if self.kind == "power":
             if self.epsilon is None:
                 raise InvalidSpec("power requires epsilon")
@@ -76,13 +80,8 @@ class MartingaleSpec:
             if not 0.0 < eps <= 1.0:
                 raise InvalidSpec(f"epsilon must be in (0, 1], got {self.epsilon}")
             object.__setattr__(self, "epsilon", eps)
-            self._reject("power", jumper_states=self.jumper_states,
-                         jump_rate=self.jump_rate)
-        elif self.kind == "simple_mixture":
-            self._reject("simple_mixture", epsilon=self.epsilon,
-                         jumper_states=self.jumper_states, jump_rate=self.jump_rate)
-        else:
-            states = _DEFAULT_JUMPER_STATES if self.jumper_states is None else self.jumper_states
+        elif self.kind == "simple_jumper":
+            states = self.jumper_states
             if not np.iterable(states):
                 raise InvalidSpec(f"jumper_states must be a sequence of numbers, got {states!r}")
             states = tuple(check_real("jumper_states", s, InvalidSpec) for s in states)
@@ -92,18 +91,11 @@ class MartingaleSpec:
                 raise InvalidSpec("jumper_states must lie in [-1, 1]")
             if any(b <= a for a, b in zip(states, states[1:])):
                 raise InvalidSpec("jumper_states must be strictly increasing")
-            rate = (_DEFAULT_JUMP_RATE if self.jump_rate is None
-                    else check_real("jump_rate", self.jump_rate, InvalidSpec))
+            rate = check_real("jump_rate", self.jump_rate, InvalidSpec)
             if not 0.0 < rate < 1.0:
                 raise InvalidSpec(f"jump_rate must be in (0, 1), got {self.jump_rate}")
             object.__setattr__(self, "jumper_states", states)
             object.__setattr__(self, "jump_rate", rate)
-            self._reject("simple_jumper", epsilon=self.epsilon)
-
-    def _reject(self, kind, **foreign):
-        for name, value in foreign.items():
-            if value is not None:
-                raise InvalidSpec(f"{name} does not apply to kind {kind!r}")
 
 
 def power(epsilon) -> MartingaleSpec:
@@ -114,8 +106,7 @@ def simple_mixture() -> MartingaleSpec:
     return MartingaleSpec(kind="simple_mixture")
 
 
-def simple_jumper(jumper_states=_DEFAULT_JUMPER_STATES,
-                  jump_rate=_DEFAULT_JUMP_RATE) -> MartingaleSpec:
+def simple_jumper(jumper_states=None, jump_rate=None) -> MartingaleSpec:
     return MartingaleSpec(kind="simple_jumper", jumper_states=jumper_states,
                           jump_rate=jump_rate)
 

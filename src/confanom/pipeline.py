@@ -131,7 +131,7 @@ def fit_detached(score_function, calib, polarity, seed,
     calib = _as_matrix(calib)
     cm = resampling.calibrate_detached(scorer, calib)
     config = PipelineConfig(
-        scorer=ScorerSpec(kind="external", polarity=polarity),
+        scorer=ScorerSpec(kind="external"),
         strategy=cm.strategy,
         seed=seed,
         estimation=estimation_spec,

@@ -48,12 +48,18 @@ from .core import (
     check_count,
     check_real,
     check_seed,
+    check_settings,
     make_rng,
     split_seed,
 )
 from . import detectors
 
-STRATEGY_KINDS = ("split", "cross_validation", "jackknife", "jackknife_bootstrap")
+# each strategy kind's settings and their defaults (see StrategySpec)
+_SETTINGS = {"split": {"n_calib": None, "aggregation": "median"},
+             "cross_validation": {"k": None, "mode": None, "aggregation": "median"},
+             "jackknife": {"mode": None, "aggregation": "median"},
+             "jackknife_bootstrap": {"n_bootstraps": None, "mode": None, "aggregation": "median"}}
+STRATEGY_KINDS = tuple(_SETTINGS)
 MODES = ("plus", "single_model")
 AGGREGATIONS = ("median", "mean")
 
@@ -65,13 +71,17 @@ _RANK_BLOCK = 1 << 18
 
 @dataclass(frozen=True)
 class StrategySpec:
-    """Configuration of a conformalization strategy.
+    """Configuration of a conformalization strategy: its kind and that
+    kind's settings only (``core.check_settings``).
 
-    ``n_calib`` (split only) is an absolute count or a fraction in (0, 1) of
-    the rows. ``mode`` applies to the resampling kinds: 'plus' keeps every
-    fold/bootstrap model for paired test scoring, 'single_model' refits one
-    scorer on all rows and keeps only that. ``aggregation`` is how plus-mode
-    entries and test scores are pooled across out-of-bag models.
+    ``n_calib`` (split, required) is a count or a fraction in (0, 1) of the
+    rows, ``k`` (cross_validation, required) the folds and ``n_bootstraps``
+    (jackknife_bootstrap, required) the bootstraps.  ``mode`` (every kind
+    but split, required): 'plus' keeps every fold/bootstrap model for
+    paired test scoring, 'single_model' refits one scorer on all rows and
+    keeps only that.  ``aggregation`` (every kind, 'median' by default)
+    pools entries and test scores across out-of-bag models; a one-model
+    split pools through it too.
     """
 
     kind: str
@@ -79,31 +89,23 @@ class StrategySpec:
     k: int | None = None
     n_bootstraps: int | None = None
     mode: str | None = None
-    aggregation: str = "median"
+    aggregation: str | None = None
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise InvalidHyperparameter(f"unknown strategy kind {self.kind!r}")
+        check_settings(self, "kind", _SETTINGS, InvalidHyperparameter)
         if self.aggregation not in AGGREGATIONS:
             raise InvalidHyperparameter(f"unknown aggregation {self.aggregation!r}")
         if self.kind == "split":
             if self.n_calib is None:
                 raise InvalidHyperparameter("split requires n_calib")
             self._check_n_calib()
-            if self.k is not None or self.n_bootstraps is not None or self.mode is not None:
-                raise InvalidHyperparameter("split takes only n_calib")
             return
-        if self.n_calib is not None:
-            raise InvalidHyperparameter(f"{self.kind} does not take n_calib")
         if self.mode not in MODES:
             raise InvalidHyperparameter(
                 f"{self.kind} requires mode 'plus' or 'single_model'")
-        for name, kind, least in (("k", "cross_validation", 2),
-                                  ("n_bootstraps", "jackknife_bootstrap", 1)):
-            if self.kind == kind:
+        for name, least in (("k", 2), ("n_bootstraps", 1)):
+            if name in _SETTINGS[self.kind]:
                 object.__setattr__(self, name, check_count(name, getattr(self, name), least))
-            elif getattr(self, name) is not None:
-                raise InvalidHyperparameter(f"{self.kind} does not take {name}")
 
     def _check_n_calib(self):
         if not isinstance(self.n_calib, (float, np.floating)):

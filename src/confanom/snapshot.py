@@ -19,25 +19,28 @@ followed by other bytes.  The stored bytes depend on the zlib build (zlib
 and zlib-ng deflate differently), but every valid file loads under any
 build, since inflating is fixed by the format.
 
-The header gives each setting once: the pipeline configuration (scorer,
-strategy, estimation, weighting, seed), the package version and the array
-index.  Everything else follows from it: the calibration's strategy and
-mode are the configured strategy's, and an adjustment table's size, delta
-and method are the entry count and the configured estimation's.
+The header gives each setting once: the pipeline configuration (weighting,
+seed, and each of the scorer, strategy and estimation specs as its kind and
+the settings of that kind, defaults filled in, and no others), the package
+version and the array index.  Everything else follows from it: the
+calibration's strategy and mode are the configured strategy's, and an
+adjustment table's size, delta and method are the entry count and the
+configured estimation's.
 
-Format version 14 stores a calibration's rows once (``calibration/rows``)
-and only the SHA-256 of its plan (``calibration/plan_digest``): a plan is a
-deterministic function of the strategy, the row count and the seed, so the
-loader rebuilds it with ``resampling.kept_plan`` and refuses a file whose
-rebuilt plan has another digest (an edited strategy or seed, or a numpy
-whose ``Generator`` streams differ: NEP 19 does not promise them across
-numpy versions, so a file loads only under a numpy that draws the plans as
-the saving one did).  Plans above ``MAX_PLAN_MODELS`` models or
-``MAX_PLAN_CELLS`` model x row cells are refused before anything is built,
-at save and at load, so a pipeline above them can be fitted but not saved.
-The bound is on the plan a load draws: a cross-validation or jackknife
-single_model load draws only its one refit model, a JaB single_model load
-the bootstraps that name its entries too.
+Format version 15 stores a calibration's rows once (``calibration/rows``,
+at most ``MAX_ROW_CELLS`` row x feature cells, checked from the index
+before anything inflates, at save and at load) and only the SHA-256 of its
+plan (``calibration/plan_digest``): a plan is a deterministic function of
+the strategy, the row count and the seed, so the loader rebuilds it with
+``resampling.kept_plan`` and refuses a file whose rebuilt plan has another
+digest (an edited strategy or seed, or a numpy whose ``Generator`` streams
+differ: NEP 19 does not promise them across numpy versions, so a file loads
+only under a numpy that draws the plans as the saving one did).  Plans
+above ``MAX_PLAN_MODELS`` models or ``MAX_PLAN_CELLS`` model x row cells are
+refused before anything is built, at save and at load, so a pipeline above
+them can be fitted but not saved.  The bound is on the plan a load draws: a
+cross-validation or jackknife single_model load draws only its one refit
+model, a JaB single_model load the bootstraps that name its entries too.
 
 An isolation forest adds one array, ``trees/digest``:
 ``detectors.forest_digest`` of the fitted features, thresholds and leaf
@@ -102,7 +105,7 @@ from .resampling import (CalibrationModel, StrategySpec, kept_plan, plan_models,
                          refits_every_row_in_order, score_entries)
 
 MAGIC = b"CANOMSNP"
-FORMAT_VERSION = 14
+FORMAT_VERSION = 15
 _DIGEST_BYTES = 32
 # deflate codes at most 258 bytes in two bits, so a stream of s bytes
 # inflates to at most 1032 s bytes
@@ -115,6 +118,9 @@ _MAX_INFLATION = 1032
 # mask byte
 MAX_PLAN_MODELS = 1 << 14
 MAX_PLAN_CELLS = 1 << 26
+# the row x feature cells of calibration/rows, which constant rows deflate
+# about 1000:1; a one-model load at the bound takes about 0.4 s and 230 MB
+MAX_ROW_CELLS = 1 << 22
 # The forest bounds, each on a charge detectors.fit_cost counts before
 # anything is drawn: the file holds no tree, so only the header bounds the
 # work a load runs.  MAX_FOREST_ROWS bounds the subsample rows drawn, about
@@ -147,6 +153,13 @@ def _check_plan_size(strategy, n_rows):
         raise SnapshotError(
             f"a plan of {models} models over {n_rows} rows is larger than a snapshot "
             f"rebuilds ({MAX_PLAN_MODELS} models, {MAX_PLAN_CELLS} model x row cells)")
+
+
+def _check_row_cells(shape):
+    """Refuse stored rows of more cells than a snapshot loads."""
+    if math.prod(shape) > MAX_ROW_CELLS:
+        raise SnapshotError(f"calibration rows of shape {tuple(shape)} hold more than the "
+                            f"{MAX_ROW_CELLS} row x feature cells a snapshot stores")
 
 
 def _check_forest_size(spec, counts, n_features, oob=None):
@@ -201,6 +214,7 @@ def snapshot_save(fp: FittedPipeline, path):
             "an opaque callable")
 
     cm = fp.calibration
+    _check_row_cells(cm.rows.shape)
     _check_plan_size(fp.config.strategy, cm.rows.shape[0])
     stored = _stores_entry_scores(fp.config)
     arrays = {"calibration/entry_scores": cm.entry_scores} if stored else {}
@@ -214,15 +228,14 @@ def snapshot_save(fp: FittedPipeline, path):
             forest_digest(plan.feature, plan.threshold, plan.leaf_size), np.uint8)
     if fp.table is not None:
         arrays["table/adjusted"] = fp.table.adjusted
+    # each spec's kind and the settings of that kind: its fields that are set
+    specs = {part: dataclasses.asdict(getattr(fp.config, part))
+             for part in ("scorer", "strategy", "estimation")}
+    specs = {part: {k: v for k, v in fields.items() if v is not None}
+             for part, fields in specs.items()}
     header = {
         "package_version": __version__,
-        "config": {
-            "scorer": dataclasses.asdict(fp.config.scorer),
-            "strategy": dataclasses.asdict(fp.config.strategy),
-            "estimation": dataclasses.asdict(fp.config.estimation),
-            "weighting": fp.config.weighting,
-            "seed": fp.config.seed,
-        },
+        "config": {**specs, "weighting": fp.config.weighting, "seed": fp.config.seed},
         "arrays": [{"name": name, "dtype": a.dtype.str, "shape": list(a.shape)}
                    for name, a in arrays.items()],
     }
@@ -243,10 +256,6 @@ def snapshot_save(fp: FittedPipeline, path):
 
 def _inflate(stored, size):
     """The ``size`` payload bytes that the zlib stream ``stored`` holds."""
-    if size > _MAX_INFLATION * len(stored):
-        raise SnapshotError(
-            f"the array index asks for {size} payload bytes, more than "
-            f"{len(stored)} deflated bytes can hold")
     inflater = zlib.decompressobj()
     try:
         payload = inflater.decompress(stored, size + 1)
@@ -281,6 +290,11 @@ class _Arrays:
                 raise SnapshotError(f"snapshot array {name!r} is malformed")
             entries[name] = np.dtype(dtype), shape
         sizes = [dtype.itemsize * math.prod(shape) for dtype, shape in entries.values()]
+        if sum(sizes) > _MAX_INFLATION * len(stored):
+            raise SnapshotError(f"the array index asks for {sum(sizes)} payload bytes, more "
+                                f"than {len(stored)} deflated bytes can hold")
+        if "calibration/rows" in entries:
+            _check_row_cells(entries["calibration/rows"][1])
         payload = _inflate(stored, sum(sizes))
         self.arrays, self.used, offset = {}, set(), 0
         for (name, (dtype, shape)), nbytes in zip(entries.items(), sizes):
@@ -377,12 +391,9 @@ def snapshot_inspect(path):
         arrays = _Arrays(header["arrays"], body[header_end:])
         cfg = header["config"]
         config = PipelineConfig(
-            scorer=ScorerSpec(**cfg["scorer"]),
-            strategy=StrategySpec(**cfg["strategy"]),
-            seed=cfg["seed"],
-            estimation=EstimationSpec(**cfg["estimation"]),
-            weighting=cfg["weighting"],
-        )
+            scorer=ScorerSpec(**cfg["scorer"]), strategy=StrategySpec(**cfg["strategy"]),
+            seed=cfg["seed"], estimation=EstimationSpec(**cfg["estimation"]),
+            weighting=cfg["weighting"])
         cm = _load_calibration(arrays, config)
         table, est = None, config.estimation
         if est.regime == "conditional_empirical":

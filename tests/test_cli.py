@@ -336,7 +336,9 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("kind", ["knn_distance", "isolation_forest"])
     def test_ignored_polarity_refused(self, data, capsys, kind):
-        # built-in scores are higher_is_anomalous; the setting would be ignored
+        # built-in scores are higher_is_anomalous, and only an external
+        # scorer, which the command line cannot name, has a polarity: the
+        # key would be ignored, so it is no key at all
         config = data / "polarity.cfg"
         config.write_text(f"scorer.kind = {kind}\nscorer.polarity = lower_is_anomalous\n")
         code, _, err = run_cli(
@@ -344,8 +346,19 @@ class TestErrorPaths:
             "--test", str(data / "test.csv"), "--config", str(config),
             "--out", str(data / "x.csv"))
         assert code == 2
-        assert "lower_is_anomalous" in err
+        assert "unknown config key 'scorer.polarity'" in err
         assert not (data / "x.csv").exists()
+
+    def test_setting_of_another_kind_refused(self, data, capsys):
+        # a forest setting under the default k-NN scorer would be ignored
+        config = data / "trees.cfg"
+        config.write_text("scorer.n_trees = 500\n")
+        code, _, err = run_cli(
+            capsys, "snapshot", "--train", str(data / "train.csv"), "--config", str(config),
+            "--out", str(data / "model.snp"))
+        assert code == 2
+        assert err == "confanom: error: n_trees does not apply to kind 'knn_distance'\n"
+        assert not (data / "model.snp").exists()
 
     def test_bad_config_value_reports_line(self, data, capsys):
         config = data / "bad.cfg"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,10 @@ from confanom.core import (DataMatrix, DecisionSet, EmptyCalibration, EmptyInput
                            ShapeMismatch, check_finite, check_real, check_seed,
                            make_rng, philox_block, philox_choice, philox_uniform,
                            split_seed)
+from confanom.detectors import SCORER_KINDS, ScorerSpec
+from confanom.estimation import REGIMES, EstimationSpec
+from confanom.martingales import MARTINGALE_KINDS, MartingaleSpec
+from confanom.resampling import STRATEGY_KINDS, StrategySpec
 
 
 class TestSplitSeed:
@@ -189,6 +195,62 @@ class TestPValueVector:
             with pytest.raises(EmptyCalibration, match="calibration_size must be"):
                 PValueVector(np.array([0.5]), estimation="empirical",
                              smoothed=True, calibration_size=size)
+
+
+# a setting a kind requires, which has no default
+REQUIRED = object()
+# per spec: its kind field and kinds, its error, a valid value of every
+# setting, and each kind's settings with their documented defaults
+SETTINGS_TABLE = {
+    "scorer": (ScorerSpec, "kind", SCORER_KINDS, InvalidHyperparameter,
+               {"n_trees": 7, "subsample_size": 16, "max_depth": 3, "k": 2,
+                "aggregation": "mean"},
+               {"isolation_forest": {"n_trees": 100, "subsample_size": 256, "max_depth": None},
+                "knn_distance": {"k": 5, "aggregation": "kth"},
+                "external": {}}),
+    "strategy": (StrategySpec, "kind", STRATEGY_KINDS, InvalidHyperparameter,
+                 {"n_calib": 0.25, "k": 3, "n_bootstraps": 4, "mode": "single_model",
+                  "aggregation": "mean"},
+                 {"split": {"n_calib": REQUIRED, "aggregation": "median"},
+                  "cross_validation": {"k": REQUIRED, "mode": REQUIRED, "aggregation": "median"},
+                  "jackknife": {"mode": REQUIRED, "aggregation": "median"},
+                  "jackknife_bootstrap": {"n_bootstraps": REQUIRED, "mode": REQUIRED,
+                                          "aggregation": "median"}}),
+    "estimation": (EstimationSpec, "regime", REGIMES, InvalidHyperparameter,
+                   {"method": "simes", "delta": 0.05, "smoothed": True, "bandwidth": 0.5},
+                   {"empirical": {"smoothed": False},
+                    "conditional_empirical": {"method": REQUIRED, "delta": REQUIRED},
+                    "probabilistic": {"bandwidth": "silverman"}}),
+    "martingale": (MartingaleSpec, "kind", MARTINGALE_KINDS, InvalidSpec,
+                   {"epsilon": 0.5, "jumper_states": (-0.5, 0.5), "jump_rate": 0.1},
+                   {"power": {"epsilon": REQUIRED},
+                    "simple_mixture": {},
+                    "simple_jumper": {"jumper_states": (-1.0, 0.0, 1.0), "jump_rate": 0.01}}),
+}
+
+
+@pytest.mark.parametrize("name", list(SETTINGS_TABLE))
+def test_every_spec_takes_only_its_kinds_settings(name):
+    # one rule for every spec: a kind's unset settings take their defaults,
+    # and any other setting that is set is refused, by name, with the kind
+    spec, kind_field, kinds, error, valid, table = SETTINGS_TABLE[name]
+    assert set(kinds) == set(table)
+    assert set(valid) == {f.name for f in dataclasses.fields(spec)} - {kind_field}
+    for kind in kinds:
+        own = table[kind]
+        required = {field: valid[field] for field, default in own.items() if default is REQUIRED}
+        made = spec(**{kind_field: kind}, **required)
+        for field, default in own.items():
+            if default is not REQUIRED:
+                assert getattr(made, field) == default, (kind, field)
+            chosen = spec(**{kind_field: kind, **required, field: valid[field]})
+            assert getattr(chosen, field) == valid[field], (kind, field)
+        for field in sorted(set(valid) - set(own)):
+            assert getattr(made, field) is None, (kind, field)
+            with pytest.raises(error, match=f"^{field} does not apply to {kind_field} '{kind}'$"):
+                spec(**{kind_field: kind, **required, field: valid[field]})
+    with pytest.raises(error, match=f"unknown {spec.__name__} {kind_field} 'other'"):
+        spec(**{kind_field: "other"})
 
 
 class TestDecisionSet:

@@ -42,13 +42,6 @@ class TestScorerSpec:
         with pytest.raises(InvalidHyperparameter):
             ScorerSpec(kind="knn_distance", aggregation="max")
 
-    @pytest.mark.parametrize("kind", ["knn_distance", "isolation_forest"])
-    def test_lower_polarity_refused_for_builtins(self, kind):
-        # built-in scores are higher_is_anomalous; the setting would be ignored
-        with pytest.raises(InvalidHyperparameter, match="lower_is_anomalous"):
-            ScorerSpec(kind=kind, polarity="lower_is_anomalous")
-        assert ScorerSpec(kind="external", polarity="lower_is_anomalous").kind == "external"
-
     def test_forest_bounds(self):
         with pytest.raises(InvalidHyperparameter):
             ScorerSpec(kind="isolation_forest", n_trees=0)
@@ -61,13 +54,14 @@ class TestScorerSpec:
     @pytest.mark.parametrize("field", ["n_trees", "subsample_size", "max_depth", "k"])
     def test_counts_are_integers(self, field):
         # counts are refused, not truncated, unless they are integers, and
-        # numpy integers are stored as plain ints
-        for kind in ("isolation_forest", "knn_distance"):
-            for bad in (2.5, "3", True):
-                with pytest.raises(InvalidHyperparameter, match=f"{field} must be an integer"):
-                    ScorerSpec(kind=kind, **{field: bad})
-            value = getattr(ScorerSpec(kind=kind, **{field: np.int64(3)}), field)
-            assert type(value) is int and value == 3
+        # numpy integers are stored as plain ints; each count is a setting
+        # of one kind only
+        kind = "knn_distance" if field == "k" else "isolation_forest"
+        for bad in (2.5, "3", True):
+            with pytest.raises(InvalidHyperparameter, match=f"{field} must be an integer"):
+                ScorerSpec(kind=kind, **{field: bad})
+        value = getattr(ScorerSpec(kind=kind, **{field: np.int64(3)}), field)
+        assert type(value) is int and value == 3
 
 
 class TestAveragePathLength:
@@ -426,6 +420,26 @@ def costed_fits(draw):
             draw(st.sampled_from([1, 7, 64, 1000, detectors._FIT_BLOCK])))
 
 
+def walk_spy(handed):
+    """``ForestPlan._score_chunks`` with the plan's child table swapped for
+    one that adds to ``handed["steps"]`` the node steps the kernel takes:
+    one per element of every node matrix it is read with, one read a
+    level."""
+    score, lock = ForestPlan._score_chunks, threading.Lock()
+
+    class CountedTable(np.ndarray):
+        def __getitem__(self, node):
+            with lock:
+                handed["steps"] += np.size(node)
+            return np.asarray(self)[node]
+
+    def spy_score(self, *args):
+        if not isinstance(self._next, CountedTable):
+            self._next = self._next.view(CountedTable)
+        return score(self, *args)
+    return spy_score
+
+
 @settings(max_examples=60)
 @given(costed_fits())
 # CV+ over 41 rows trains models of 32 and 33 rows, under caps of 5 and 6
@@ -439,7 +453,7 @@ def test_fit_cost_bounds_the_kernels(case):
     plan = kept_plan(strategy, rows.shape[0], seed)
     oob = None if strategy.mode == "single_model" else plan.oob
     handed = {"rows": 0, "shuffle_steps": 0, "cells": 0, "steps": 0}
-    choice, grow, score = detectors.philox_choice, detectors._grow, ForestPlan._score_chunks
+    choice, grow = detectors.philox_choice, detectors._grow
 
     def spy_choice(key, tweak, sizes, counts, stream):
         handed["rows"] += int(counts.sum())
@@ -452,17 +466,10 @@ def test_fit_cost_bounds_the_kernels(case):
         handed["cells"] += int(psi @ caps[model]) * (rows.shape[1] + 8)
         return grow(rows, sub, keys, model, tree, caps, psi)
 
-    def spy_score(self, flat, n_features, n_rows, cells, total, step, starts, out):
-        walked = sum(min(step, total - lo) for lo in starts) * self.n_trees * self._levels
-        with lock:
-            handed["steps"] += walked
-        return score(self, flat, n_features, n_rows, cells, total, step, starts, out)
-
-    lock = threading.Lock()
     with mock.patch.object(detectors, "_FIT_BLOCK", block), \
             mock.patch.object(detectors, "philox_choice", spy_choice), \
             mock.patch.object(detectors, "_grow", spy_grow), \
-            mock.patch.object(ForestPlan, "_score_chunks", spy_score):
+            mock.patch.object(ForestPlan, "_score_chunks", walk_spy(handed)):
         cost = detectors.fit_cost(spec, plan.train_counts, rows.shape[1], oob)
         forest = fit_plan(spec, rows, plan.train_counts, seed, plan.streams)
         if oob is not None:
@@ -473,6 +480,23 @@ def test_fit_cost_bounds_the_kernels(case):
         # the draws and the growth are charged exactly what they are handed
         assert handed[term] == cost[term]
     assert handed["steps"] <= 5 * cost["walk"] and entry_steps <= cost["entry_steps"]
+
+
+def test_chunks_walk_to_their_models_depth():
+    # CV+ over 161 rows trains one model of 128 rows under a cap of 7 and
+    # four of 129 under a cap of 8: fit_cost charges 50 trees x 5 models x 8
+    # = 2,000 node steps per scored row, and a chunk of one model's cells
+    # walks only to that model's deepest level, 1,950 steps a row in all
+    spec, rows = ScorerSpec(kind="isolation_forest", n_trees=50), gaussian_matrix(5, 161, d=2)
+    plan = kept_plan(cross_validation(5), 161, 5)
+    forest = fit_plan(spec, rows.values, plan.train_counts, 5, plan.streams)
+    assert detectors.fit_cost(spec, plan.train_counts, 2)["walk"] == 2000
+    expected = score_plan(forest, rows)
+    handed = {"steps": 0}
+    with mock.patch.object(detectors, "_FOREST_BLOCK", 50 * 161), \
+            mock.patch.object(ForestPlan, "_score_chunks", walk_spy(handed)):
+        np.testing.assert_array_equal(score_plan(forest, rows), expected)
+    assert handed["steps"] == 161 * 1950
 
 
 @settings(max_examples=60)
@@ -579,7 +603,7 @@ class TestFitValidation:
             fit_one(ScorerSpec(kind="knn_distance", k=1), gaussian_matrix(0, 1), seed=0)
 
     def test_external_not_fittable(self):
-        spec = ScorerSpec(kind="external", polarity="higher_is_anomalous")
+        spec = ScorerSpec(kind="external")
         with pytest.raises(InvalidHyperparameter):
             fit_one(spec, gaussian_matrix(0, 10), seed=0)
 
@@ -597,16 +621,6 @@ class TestPolarity:
         out = score_samples(fp, DataMatrix(raw[:, None]))
         np.testing.assert_array_equal(out.scores, -raw)
         assert out.polarity_normalized
-
-    def test_auto_resolves_for_builtins(self):
-        # built-in scores are higher_is_anomalous, and 'auto' keeps them so
-        data, batch = gaussian_matrix(4, 40), gaussian_matrix(5, 6)
-        for kind in ("knn_distance", "isolation_forest"):
-            auto = score_plan(fit_one(ScorerSpec(kind=kind), data, seed=0), batch)
-            higher = score_plan(fit_one(ScorerSpec(kind=kind, polarity="higher_is_anomalous"),
-                                        data, seed=0), batch)
-            np.testing.assert_array_equal(auto, higher)
-            assert (auto > 0).all()
 
     def test_auto_ambiguous_for_external(self):
         with pytest.raises(AmbiguousPolarity):

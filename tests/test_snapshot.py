@@ -473,14 +473,14 @@ class TestUntrustedContent:
         snapshot_save(fit(config, gaussian_matrix(17, 50, d=2)), tmp_path / "jab.snap")
         return read_snapshot(tmp_path / "jab.snap")
 
-    @pytest.mark.parametrize("version", range(1, 14))
+    @pytest.mark.parametrize("version", range(1, 15))
     def test_old_version_refused_by_name(self, tmp_path, forest, version):
         # a current file that loads, with only its version field changed and
         # its digest recomputed: the version alone refuses it, by name
         snapshot_load(write_snapshot(tmp_path / "current.snap", *forest))
         path = write_snapshot(tmp_path / "old.snap", *forest, version=version)
         with pytest.raises(SnapshotError, match=f"format version {version} is not supported "
-                                                r"\(this build reads version 14\)"):
+                                                r"\(this build reads version 15\)"):
             snapshot_load(path)
 
     def test_payload_is_one_default_level_zlib_stream(self, tmp_path, forest):
@@ -740,6 +740,35 @@ class TestUntrustedContent:
             snapshot_save(fitted, tmp_path / "big.snap")
         assert not (tmp_path / "big.snap").exists()
 
+    def test_rows_above_bound_refused_before_inflating(self, tmp_path, forest):
+        # 2^26 constant rows of one feature deflate to about half a megabyte,
+        # within deflate's 1032:1: the index alone refuses them, before
+        # anything inflates
+        header, arrays = forest
+        path = write_snapshot(tmp_path / "rows.snap", header, arrays,
+                              np.random.default_rng(0).bytes(1 << 20),
+                              shapes={"calibration/rows": [1 << 26, 1]})
+        began = time.perf_counter()
+        with mock.patch.object(snapshot, "_inflate", side_effect=AssertionError), \
+                pytest.raises(SnapshotError, match=r"calibration rows of shape \(67108864, 1\) "
+                                                   r"hold more than the 4194304 row x feature"):
+            snapshot_load(path)
+        assert time.perf_counter() - began < 0.1
+
+    def test_rows_bounded_at_save(self, tmp_path, monkeypatch):
+        # the fixture's 60 rows of 3 features, 180 cells, save and load at a
+        # bound of 180 and are refused at save and at load one below it
+        fitted = fit(SPLIT_FOREST[0], SPLIT_FOREST[1])
+        monkeypatch.setattr(snapshot, "MAX_ROW_CELLS", 180)
+        snapshot_save(fitted, tmp_path / "at.snap")
+        snapshot_load(tmp_path / "at.snap")
+        monkeypatch.setattr(snapshot, "MAX_ROW_CELLS", 179)
+        with pytest.raises(SnapshotError, match=r"shape \(60, 3\) hold more than the 179"):
+            snapshot_save(fitted, tmp_path / "above.snap")
+        assert not (tmp_path / "above.snap").exists()
+        with pytest.raises(SnapshotError, match=r"shape \(60, 3\) hold more than the 179"):
+            snapshot_load(tmp_path / "at.snap")
+
     def test_single_model_refit_bounded_alone(self, tmp_path, monkeypatch):
         # a CV or jackknife single_model load draws only its refit model, so
         # the bound applies to that one-model plan: with the cell bound
@@ -856,11 +885,13 @@ class TestUntrustedContent:
 
     @pytest.mark.parametrize("which, estimation, name", [
         ("conditional", {"delta": "0.1"}, "delta"),
-        ("jab", {"regime": "probabilistic", "bandwidth": float("inf")}, "bandwidth"),
+        ("jab", {"regime": "probabilistic", "smoothed": None, "bandwidth": float("inf")},
+         "bandwidth"),
     ], ids=["string-delta", "infinite-bandwidth"])
     def test_header_settings_checked(self, tmp_path, request, which, estimation, name):
         # the digest only detects damage: with it recomputed, a delta of "0.1"
-        # or a bandwidth of Infinity once loaded
+        # or a bandwidth of Infinity once loaded.  The jab file's empirical
+        # regime sets smoothed, which the probabilistic regime would refuse
         header, arrays = request.getfixturevalue(which)
         header["config"]["estimation"].update(estimation)
         path = write_snapshot(tmp_path / "setting.snap", header, arrays)
