@@ -10,8 +10,8 @@ Four subcommands cover the batch and streaming workflows end to end::
 Settings come from an optional ``--config`` file of flat ``key = value``
 lines whose keys mirror the :class:`~confanom.pipeline.PipelineConfig`
 fields (``scorer.kind``, ``strategy.k``, ``estimation.regime``, ...) plus
-``martingale.*`` and ``alarms.*`` for the stream command.  Unknown keys are
-rejected rather than ignored.
+``martingale.*`` and ``alarms.*`` for the stream command.  Unknown keys, and
+stream keys given to another command, are rejected rather than ignored.
 
 Every run writes a ``*.manifest.json`` next to its outputs recording the
 command line, the effective configuration, the seed, SHA-256 input digests,
@@ -126,7 +126,8 @@ _CONFIG_KEYS = {
     "alarms.sr_threshold": _parse_float,
 }
 
-_PIPELINE_PREFIXES = ("scorer.", "strategy.", "estimation.")
+_PIPELINE_PREFIXES = ("scorer.", "strategy.", "estimation.", "weighting", "seed")
+_STREAM_PREFIXES = ("martingale.", "alarms.")
 
 
 def parse_config(path):
@@ -160,6 +161,14 @@ def parse_config(path):
                     f"{path} line {line_no}: bad value {value!r} for {key!r}: {exc}"
                 ) from None
     return entries
+
+
+def _refuse_keys(entries, prefixes, conflict):
+    """Raise ConfigError naming, after ``conflict``, every key of
+    ``entries`` under ``prefixes``."""
+    keys = sorted(k for k in entries if k.startswith(prefixes))
+    if keys:
+        raise ConfigError(f"{conflict}: " + ", ".join(keys))
 
 
 def _collect(entries, prefix):
@@ -362,11 +371,7 @@ def _print_json(payload):
 
 
 def _effective_config(entries, **extra):
-    merged = dict(entries)
-    for key, value in extra.items():
-        if value is not None:
-            merged[key] = value
-    return merged
+    return {**entries, **{key: value for key, value in extra.items() if value is not None}}
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +379,7 @@ def _effective_config(entries, **extra):
 
 def cmd_detect(args):
     entries = parse_config(args.config) if args.config else {}
+    _refuse_keys(entries, _STREAM_PREFIXES, "stream settings do not apply to detect")
     config = build_pipeline_config(entries, seed=args.seed)
     train = read_csv_matrix(args.train, label_column=args.label_column)
     test = read_csv_matrix(args.test, label_column=args.label_column)
@@ -412,12 +418,7 @@ def cmd_detect(args):
 def cmd_stream(args):
     entries = parse_config(args.config) if args.config else {}
     if args.snapshot:
-        conflicting = sorted(
-            k for k in entries
-            if k.startswith(_PIPELINE_PREFIXES) or k in ("weighting", "seed"))
-        if conflicting:
-            raise ConfigError(
-                "pipeline settings conflict with --snapshot: " + ", ".join(conflicting))
+        _refuse_keys(entries, _PIPELINE_PREFIXES, "pipeline settings conflict with --snapshot")
         if args.seed is not None:
             raise ConfigError(
                 "--seed conflicts with --snapshot (the snapshot fixes the seed)")
@@ -500,6 +501,7 @@ def cmd_snapshot(args):
         })
         return 0
     entries = parse_config(args.config) if args.config else {}
+    _refuse_keys(entries, _STREAM_PREFIXES, "stream settings do not apply to snapshot")
     config = build_pipeline_config(entries, seed=args.seed)
     train = read_csv_matrix(args.train, label_column=args.label_column)
     fitted = pipeline.fit(config, train)

@@ -79,6 +79,10 @@ class EstimationSpec:
 
     def __post_init__(self):
         check_settings(self, "regime", _SETTINGS, InvalidHyperparameter)
+        if self.regime == "empirical":
+            if not isinstance(self.smoothed, (bool, np.bool_)):
+                raise InvalidHyperparameter(f"smoothed must be a bool, got {self.smoothed!r}")
+            object.__setattr__(self, "smoothed", bool(self.smoothed))
         if self.regime == "conditional_empirical":
             if self.method not in CONDITIONAL_METHODS:
                 raise InvalidHyperparameter(

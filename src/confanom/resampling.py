@@ -304,14 +304,15 @@ def _median(values):
 
 
 def _pool(scores, oob, aggregation):
-    """Each entry's aggregate over its out-of-bag models.  Entries with the
-    same number of models form one block, each row in model order, so the
-    mean rounds as it does over the entry's scores alone."""
+    """Each entry's aggregate over its out-of-bag models.  Their scores are
+    gathered once, entry by entry in model order, without copying the table;
+    entries with the same number of models form one block, each row in model
+    order, so the mean rounds as it does over the entry's scores alone."""
     per_entry = oob.sum(axis=1)
+    gathered, of_entry = scores[oob], np.repeat(per_entry, per_entry)
     pooled = np.empty(oob.shape[0], dtype=np.float64)
     for c in np.flatnonzero(np.bincount(per_entry)):
-        sel = per_entry == c
-        pooled[sel] = _aggregate(scores[sel][oob[sel]].reshape(-1, c), aggregation)
+        pooled[per_entry == c] = _aggregate(gathered[of_entry == c].reshape(-1, c), aggregation)
     return pooled
 
 

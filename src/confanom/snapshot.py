@@ -7,29 +7,21 @@ everything before it.  The payload is the arrays in index order, each by
 byte plane (byte 0 of every element in C order, then byte 1, and so on, so
 that the high bytes of small values and the exponents of floats sit
 together), deflated as one zlib stream (RFC 1950/1951) at zlib's default
-level.  Loads verify magic, version, and digest before touching any
-content, so a truncated or corrupted file is refused whole rather than
-half-loaded, and nothing is inflated before the digest holds.  The index
-then gives the payload's raw size, summed in Python integers so no shape
-can overflow it.  An index that asks for more than deflate's 1032:1
-expansion limit allows for the stored bytes is refused before inflating;
-the stream is inflated to at most one byte past that size and refused if it
-is not a valid zlib stream, inflates short or long, is unfinished, or is
-followed by other bytes.  The stored bytes depend on the zlib build (zlib
-and zlib-ng deflate differently), but every valid file loads under any
-build, since inflating is fixed by the format.
+level.  The stored bytes depend on the zlib build (zlib and zlib-ng deflate
+differently), but every valid file loads under any build, since inflating
+is fixed by the format.
 
 The header gives each setting once: the pipeline configuration (weighting,
 seed, and each of the scorer, strategy and estimation specs as its kind and
 the settings of that kind, defaults filled in, and no others), the package
-version and the array index.  Everything else follows from it: the
-calibration's strategy and mode are the configured strategy's, and an
-adjustment table's size, delta and method are the entry count and the
-configured estimation's.
+version and the array index.  Everything else follows from the
+configuration, the arrays of the file too: ``_layout`` gives the name, dtype
+and rank of each, a save writes exactly those, and a load refuses an index
+that does not list each of them once, in any order, with its dtype and a
+shape of its rank.
 
 Format version 15 stores a calibration's rows once (``calibration/rows``,
-at most ``MAX_ROW_CELLS`` row x feature cells, checked from the index
-before anything inflates, at save and at load) and only the SHA-256 of its
+at most ``MAX_ROW_CELLS`` row x feature cells) and only the SHA-256 of its
 plan (``calibration/plan_digest``): a plan is a deterministic function of
 the strategy, the row count and the seed, so the loader rebuilds it with
 ``resampling.kept_plan`` and refuses a file whose rebuilt plan has another
@@ -37,49 +29,45 @@ digest (an edited strategy or seed, or a numpy whose ``Generator`` streams
 differ: NEP 19 does not promise them across numpy versions, so a file loads
 only under a numpy that draws the plans as the saving one did).  Plans
 above ``MAX_PLAN_MODELS`` models or ``MAX_PLAN_CELLS`` model x row cells are
-refused before anything is built, at save and at load, so a pipeline above
-them can be fitted but not saved.  The bound is on the plan a load draws: a
-cross-validation or jackknife single_model load draws only its one refit
-model, a JaB single_model load the bootstraps that name its entries too.
+refused, at save and at load, so a pipeline above them can be fitted but
+not saved.  The bound is on the plan a load draws: a cross-validation or
+jackknife single_model load draws only its one refit model, a JaB
+single_model load the bootstraps that name its entries too.
 
-An isolation forest adds one array, ``trees/digest``:
-``detectors.forest_digest`` of the fitted features, thresholds and leaf
-sizes.  No tree is stored.  A forest is a pure function of its rows, its
-plan and its seed (every draw comes from counter-keyed Philox), so a load is
-a fit: the loader calls ``detectors.fit_plan`` on the stored rows with the
-rebuilt plan and the stored seed, as the fit did, and refuses a file whose
-regrown forest has another digest (an edited scorer setting or edited
-training rows).  Where the kept plan is the strategy's (split, CV+,
-jackknife+, JaB+), the regrown models are the ones that scored the entries,
-so the file holds no entry scores: the loader scores the entries again with
-``resampling.score_entries``, as ``calibrate`` did.  Every other file stores
-them (``calibration/entry_scores``): a k-NN file, since scoring again costs a
-distance pass quadratic in the rows, and a single_model file, whose entries
-come from plan models that a load does not build.  A forest whose fit or
-entry scoring would cost a load more than it runs is refused likewise, at
-save and at load before a tree grows: ``detectors.fit_cost`` counts the
-work in the kernels' own units, and each of its charges is held to one
-bound (the subsample rows drawn, each swap-loop step charged as
-``_SHUFFLE_STEP_ROWS`` rows, to ``MAX_FOREST_ROWS``; the cells grown
-through to ``MAX_FOREST_CELLS``; the node steps of a scored row to
-``MAX_FOREST_WALK`` and of the entries' scoring to ``MAX_FOREST_SCORE``).
-A calibration-conditional pipeline adds ``table/adjusted``, its
+An isolation forest adds ``trees/digest``: ``detectors.forest_digest`` of
+the fitted features, thresholds and leaf sizes.  No tree is stored.  A
+forest is a pure function of its rows, its plan and its seed (every draw
+comes from counter-keyed Philox), so a load is a fit: the loader calls
+``detectors.fit_plan`` on the stored rows with the rebuilt plan and the
+stored seed, and refuses a file whose regrown forest has another digest (an
+edited scorer setting or edited training rows).  Where the kept plan is the
+strategy's, the file holds no entry scores: the loader scores the entries
+again with ``resampling.score_entries``, as ``calibrate`` did.  Every other
+file stores them (``calibration/entry_scores``).  A forest whose fit or
+entry scoring would cost a load more than the ``MAX_FOREST_*`` bounds on
+``detectors.fit_cost``'s charges is refused, at save and at load before a
+tree grows.  A calibration-conditional pipeline adds ``table/adjusted``, its
 n_entries + 1 adjusted p-values.
 
-The file digest only detects damage: anyone can recompute it.  This module
-checks the container: magic, version, digest, the deflate bounds, the array
-index (every name a string, every dtype a string in numpy's own spelling,
-every shape entry a JSON integer), each array's dtype and rank, finite
-scores, the plan bound and digest, the forest bounds and digest, and that
-every array belongs to the configuration (a table under another regime,
-entry scores in a file whose load scores its entries again, or tree
-features, leaf sizes or split rows, do not).  What is built from the header
+The file digest only detects damage: anyone can recompute it.  A load
+checks magic, version and digest before it reads any content, so a
+truncated or corrupted file is refused whole.  It then builds the
+configuration from the header and checks the index against its layout
+before anything inflates: the digests are 32 bytes, the rows are within
+``MAX_ROW_CELLS``, there is at most one entry score per row and a table of
+at most rows + 1 values, the plan bound holds for the rows' count, and the
+raw size, summed in Python integers so no shape can overflow it, is within
+deflate's 1032:1 expansion of the stored bytes.  So the rows bound what a
+file can make a load inflate, about 100 MB at ``MAX_ROW_CELLS``, whatever
+its size.  The stream is inflated to at most one byte past that size and
+refused if it is not a valid zlib stream, inflates short or long, is
+unfinished, or is followed by other bytes.  What is built from the header
 and arrays checks its own input: the spec constructors every setting,
 through ``core``'s checkers (a delta of "0.1" or a bandwidth of Infinity is
-refused like any other), ``DataMatrix`` the rows, ``fit_plan`` a model's
-training rows and k, ``AdjustmentTable`` its length and ``CalibrationModel``
-its score count.  A file of another version is refused, and the message
-names both versions.
+refused like any other), ``DataMatrix`` the rows, ``check_finite`` stored
+scores, ``fit_plan`` a model's training rows and k, ``AdjustmentTable`` its
+length and ``CalibrationModel`` its score count.  A file of another version
+is refused, and the message names both versions.
 
 Only built-in detectors can be saved: an external scorer is an opaque
 callable and an oracle weighting carries a user function, neither of
@@ -155,13 +143,6 @@ def _check_plan_size(strategy, n_rows):
             f"rebuilds ({MAX_PLAN_MODELS} models, {MAX_PLAN_CELLS} model x row cells)")
 
 
-def _check_row_cells(shape):
-    """Refuse stored rows of more cells than a snapshot loads."""
-    if math.prod(shape) > MAX_ROW_CELLS:
-        raise SnapshotError(f"calibration rows of shape {tuple(shape)} hold more than the "
-                            f"{MAX_ROW_CELLS} row x feature cells a snapshot stores")
-
-
 def _check_forest_size(spec, counts, n_features, oob=None):
     """Refuse a forest of models trained on ``counts`` whose fit, or, where
     a load scores the entries again (``oob`` their models), whose scoring of
@@ -181,14 +162,20 @@ def _check_forest_size(spec, counts, n_features, oob=None):
                 f"costs {charged} {work}, more than a snapshot loads ({bound})")
 
 
-def _stores_entry_scores(config):
-    """Whether a file of ``config`` stores its entry scores.  A forest
-    calibration that keeps its strategy's plan does not: its kept models are
-    the ones that scored the entries, and a load grows them again.  k-NN
-    files do, since scoring again costs a distance pass quadratic in the
-    rows, and so do single_model files, whose entries come from plan models
-    a load does not build."""
-    return config.scorer.kind != "isolation_forest" or config.strategy.mode == "single_model"
+def _layout(config):
+    """The dtype and rank of every array a file of ``config`` holds, by name
+    in the order a save writes them.  Entry scores are stored unless a load
+    grows the models that scored them: k-NN scoring is quadratic in the rows,
+    and a single_model load builds only its refit."""
+    forest = config.scorer.kind == "isolation_forest"
+    layout = {} if forest and config.strategy.mode != "single_model" else {
+        "calibration/entry_scores": ("<f8", 1)}
+    layout.update({"calibration/plan_digest": ("|u1", 1), "calibration/rows": ("<f8", 2)})
+    if forest:
+        layout["trees/digest"] = ("|u1", 1)
+    if config.estimation.regime == "conditional_empirical":
+        layout["table/adjusted"] = ("<f8", 1)
+    return layout
 
 
 def _plan_digest(plan):
@@ -213,21 +200,17 @@ def snapshot_save(fp: FittedPipeline, path):
             "external scorers cannot be snapshotted: the scoring function is "
             "an opaque callable")
 
-    cm = fp.calibration
-    _check_row_cells(cm.rows.shape)
-    _check_plan_size(fp.config.strategy, cm.rows.shape[0])
-    stored = _stores_entry_scores(fp.config)
-    arrays = {"calibration/entry_scores": cm.entry_scores} if stored else {}
-    arrays["calibration/plan_digest"] = np.frombuffer(_plan_digest(cm), np.uint8)
-    arrays["calibration/rows"] = cm.rows
+    cm, layout = fp.calibration, _layout(fp.config)
+    arrays = {"calibration/entry_scores": cm.entry_scores,
+              "calibration/plan_digest": np.frombuffer(_plan_digest(cm), np.uint8),
+              "calibration/rows": cm.rows, "table/adjusted": getattr(fp.table, "adjusted", None)}
     if isinstance(cm.scorer, ForestPlan):
         plan = cm.scorer
         _check_forest_size(plan.spec, cm.train_counts, plan.n_features,
-                           None if stored else cm.oob)
+                           None if "calibration/entry_scores" in layout else cm.oob)
         arrays["trees/digest"] = np.frombuffer(
             forest_digest(plan.feature, plan.threshold, plan.leaf_size), np.uint8)
-    if fp.table is not None:
-        arrays["table/adjusted"] = fp.table.adjusted
+    arrays = {name: np.asarray(arrays[name], dtype) for name, (dtype, _) in layout.items()}
     # each spec's kind and the settings of that kind: its fields that are set
     specs = {part: dataclasses.asdict(getattr(fp.config, part))
              for part in ("scorer", "strategy", "estimation")}
@@ -239,6 +222,7 @@ def snapshot_save(fp: FittedPipeline, path):
         "arrays": [{"name": name, "dtype": a.dtype.str, "shape": list(a.shape)}
                    for name, a in arrays.items()],
     }
+    _check_index(header["arrays"], fp.config)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = b"".join(_planes(a) for a in arrays.values())
     body = b"".join([
@@ -274,46 +258,60 @@ def _inflate(stored, size):
     return payload
 
 
-class _Arrays:
-    """The payload arrays by name, handed out only with the dtype and rank
-    the format expects."""
-
-    def __init__(self, index, stored):
-        entries = {}
-        for entry in index:
-            name, dtype, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
-            # one index per array: shape entries are JSON integers, names are
-            # strings, dtypes strings in numpy's spelling ("<f8", not "f8")
-            if (type(name) is not str or type(dtype) is not str or name in entries
-                    or any(type(v) is not int or v < 0 for v in shape)
-                    or np.dtype(dtype).str != dtype or np.dtype(dtype).kind not in "iuf"):
-                raise SnapshotError(f"snapshot array {name!r} is malformed")
-            entries[name] = np.dtype(dtype), shape
-        sizes = [dtype.itemsize * math.prod(shape) for dtype, shape in entries.values()]
-        if sum(sizes) > _MAX_INFLATION * len(stored):
-            raise SnapshotError(f"the array index asks for {sum(sizes)} payload bytes, more "
-                                f"than {len(stored)} deflated bytes can hold")
-        if "calibration/rows" in entries:
-            _check_row_cells(entries["calibration/rows"][1])
-        payload = _inflate(stored, sum(sizes))
-        self.arrays, self.used, offset = {}, set(), 0
-        for (name, (dtype, shape)), nbytes in zip(entries.items(), sizes):
-            planes = np.frombuffer(payload, np.uint8, nbytes, offset).reshape(dtype.itemsize, -1)
-            self.arrays[name] = planes.T.copy().view(dtype).reshape(shape)
-            offset += nbytes
-
-    def get(self, name, dtype, ndim):
-        """The array ``name`` of rank ``ndim`` and dtype ``dtype``."""
-        array = self.arrays.get(name)
-        self.used.add(name)
-        if array is None or array.dtype.str != dtype or array.ndim != ndim:
-            raise SnapshotError(f"snapshot array {name!r} is missing or malformed")
-        return array
-
-
 def _expect(ok, what):
     if not ok:
         raise SnapshotError(f"malformed snapshot: {what}")
+
+
+def _check_index(index, config):
+    """The shape of each array by name in the order of ``index``, refused
+    unless the index lists ``config``'s layout and the rows bound it, as the
+    module describes.  A save checks what it writes, a load what it would
+    inflate."""
+    layout = _layout(config)
+    names = [entry["name"] for entry in index]
+    stray = [name for name in names if name not in layout]
+    _expect(not stray, f"arrays {stray} do not belong to this configuration")
+    _expect(sorted(names) == sorted(layout),
+            f"the index lists arrays {names}, not each of {list(layout)} once")
+    shapes = {}
+    for entry in index:
+        name, shape = entry["name"], entry["shape"]
+        dtype, rank = layout[name]
+        if (entry["dtype"] != dtype or type(shape) is not list or len(shape) != rank
+                or any(type(v) is not int or v < 0 for v in shape)):
+            raise SnapshotError(f"snapshot array {name!r} is malformed: not {dtype} of rank "
+                                f"{rank} with sides that are non-negative integers")
+        shapes[name] = shape
+    for name in ("calibration/plan_digest", "trees/digest"):
+        size = shapes.get(name, [_DIGEST_BYTES])[0]
+        _expect(size == _DIGEST_BYTES, f"{name} holds {size} bytes, not a 32-byte digest")
+    rows = shapes["calibration/rows"]
+    if math.prod(rows) > MAX_ROW_CELLS:
+        raise SnapshotError(f"calibration rows of shape {tuple(rows)} hold more than the "
+                            f"{MAX_ROW_CELLS} row x feature cells a snapshot stores")
+    for name, most in (("calibration/entry_scores", rows[0]), ("table/adjusted", rows[0] + 1)):
+        count = shapes.get(name, [0])[0]
+        _expect(count <= most, f"{count} {name} values over {rows[0]} rows, more than {most}")
+    _check_plan_size(config.strategy, rows[0])
+    return shapes
+
+
+def _read_arrays(index, stored, config):
+    """The arrays of ``config``'s layout by name, from the deflated payload
+    ``stored`` as ``index`` lays it out, once ``_check_index`` holds."""
+    shapes, layout = _check_index(index, config), _layout(config)
+    dtypes = {name: np.dtype(layout[name][0]) for name in shapes}
+    sizes = [dtypes[name].itemsize * math.prod(shape) for name, shape in shapes.items()]
+    if sum(sizes) > _MAX_INFLATION * len(stored):
+        raise SnapshotError(f"the array index asks for {sum(sizes)} payload bytes, more "
+                            f"than {len(stored)} deflated bytes can hold")
+    payload, arrays, offset = _inflate(stored, sum(sizes)), {}, 0
+    for (name, dtype), nbytes in zip(dtypes.items(), sizes):
+        planes = np.frombuffer(payload, np.uint8, nbytes, offset).reshape(dtype.itemsize, -1)
+        arrays[name] = planes.T.copy().view(dtype).reshape(shapes[name])
+        offset += nbytes
+    return arrays
 
 
 def _load_calibration(arrays, config):
@@ -322,30 +320,27 @@ def _load_calibration(arrays, config):
     where the file does not store their scores, then build the calibration
     model."""
     spec, strategy = config.scorer, config.strategy
-    rows = DataMatrix(arrays.get("calibration/rows", "<f8", 2)).values
-    stored = _stores_entry_scores(config)
-    entry_scores = check_finite(arrays.get("calibration/entry_scores", "<f8", 1),
-                                "calibration score") if stored else None
-    digest = arrays.get("calibration/plan_digest", "|u1", 1)
-    n_rows = rows.shape[0]
+    rows = DataMatrix(arrays["calibration/rows"]).values
+    entry_scores = arrays.get("calibration/entry_scores")
+    if entry_scores is not None:
+        check_finite(entry_scores, "calibration score")
     # DataMatrix refuses empty, featureless or non-finite rows, kept_plan
     # too few rows, fit_plan small models, and CalibrationModel a wrong score
-    # count; the size checks come before anything is drawn
-    _check_plan_size(strategy, n_rows)
-    plan = kept_plan(strategy, n_rows, config.seed)
-    _expect(digest.tobytes() == _plan_digest(plan),
+    # count; the forest bounds come before a tree grows
+    plan = kept_plan(strategy, rows.shape[0], config.seed)
+    _expect(arrays["calibration/plan_digest"].tobytes() == _plan_digest(plan),
             "the plan digest is not that of the plan the strategy and seed give over "
             "these rows (an edited strategy or seed, or other numpy random streams)")
-    forest = None
-    if spec.kind == "isolation_forest":
-        _check_forest_size(spec, plan.train_counts, rows.shape[1], None if stored else plan.oob)
-        forest = arrays.get("trees/digest", "|u1", 1).tobytes()
+    forest = spec.kind == "isolation_forest"
+    if forest:
+        _check_forest_size(spec, plan.train_counts, rows.shape[1],
+                           None if entry_scores is not None else plan.oob)
     scorer = fit_plan(spec, rows, plan.train_counts, config.seed, plan.streams)
-    _expect(forest is None
-            or forest == forest_digest(scorer.feature, scorer.threshold, scorer.leaf_size),
+    _expect(not forest or arrays["trees/digest"].tobytes()
+            == forest_digest(scorer.feature, scorer.threshold, scorer.leaf_size),
             "the forest digest is not that of the forest the configuration grows over "
             "these rows (an edited scorer setting or rows)")
-    if not stored:
+    if entry_scores is None:
         entry_scores = score_entries(scorer, rows, plan, strategy.aggregation)
     return CalibrationModel(
         entry_scores=entry_scores, entry_rows=plan.entry_rows, oob=plan.oob, rows=rows,
@@ -388,24 +383,22 @@ def snapshot_inspect(path):
         _expect(sorted(header) == ["arrays", "config", "package_version"]
                 and isinstance(header["package_version"], str),
                 "the header has sections other than config, arrays and package_version")
-        arrays = _Arrays(header["arrays"], body[header_end:])
         cfg = header["config"]
         config = PipelineConfig(
             scorer=ScorerSpec(**cfg["scorer"]), strategy=StrategySpec(**cfg["strategy"]),
             seed=cfg["seed"], estimation=EstimationSpec(**cfg["estimation"]),
             weighting=cfg["weighting"])
+        arrays = _read_arrays(header["arrays"], body[header_end:], config)
         cm = _load_calibration(arrays, config)
         table, est = None, config.estimation
         if est.regime == "conditional_empirical":
             table = AdjustmentTable(n=cm.n_entries, delta=est.delta, method=est.method,
-                                    adjusted=arrays.get("table/adjusted", "<f8", 1))
-        unused = sorted(set(arrays.arrays) - arrays.used)
-        _expect(not unused, f"arrays {unused} do not belong to this configuration")
+                                    adjusted=arrays["table/adjusted"])
     except SnapshotError:
         raise
     except (ConfanomError, KeyError, TypeError, ValueError, IndexError,
             AttributeError, OverflowError, RecursionError) as exc:
         raise SnapshotError(f"malformed snapshot: {exc}") from None
     return (FittedPipeline(config=config, calibration=cm, table=table),
-            header["package_version"], {name: a.nbytes for name, a in arrays.arrays.items()},
+            header["package_version"], {name: a.nbytes for name, a in arrays.items()},
             len(body) - header_end)

@@ -360,6 +360,21 @@ class TestErrorPaths:
         assert err == "confanom: error: n_trees does not apply to kind 'knn_distance'\n"
         assert not (data / "model.snp").exists()
 
+    @pytest.mark.parametrize("command", ["detect", "snapshot"])
+    def test_stream_settings_refused(self, data, capsys, command):
+        # a martingale or alarm setting applies to the stream command alone:
+        # elsewhere it would be ignored, and recorded in the manifest as if not
+        config = data / "stream.cfg"
+        config.write_text("martingale.kind = power\nalarms.sr_threshold = 5\n")
+        out = data / "out.file"
+        inputs = {"detect": ["--test", str(data / "test.csv")], "snapshot": []}[command]
+        code, _, err = run_cli(capsys, command, "--train", str(data / "train.csv"), *inputs,
+                               "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert err == (f"confanom: error: stream settings do not apply to {command}: "
+                       "alarms.sr_threshold, martingale.kind\n")
+        assert not out.exists()
+
     def test_bad_config_value_reports_line(self, data, capsys):
         config = data / "bad.cfg"
         config.write_text("seed = 1\nstrategy.k = many\n")

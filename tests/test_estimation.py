@@ -46,6 +46,13 @@ class TestEstimationSpec:
         with pytest.raises(InvalidHyperparameter, match="bandwidth"):
             EstimationSpec(regime="probabilistic", bandwidth=bandwidth)
 
+    @pytest.mark.parametrize("smoothed", ["no", 1, 0.0, np.int64(1)])
+    def test_smoothed_must_be_a_bool(self, smoothed):
+        # a smoothed of 'no' was once kept, and smoothed, being truthy
+        with pytest.raises(InvalidHyperparameter, match="smoothed must be a bool"):
+            EstimationSpec(smoothed=smoothed)
+        assert EstimationSpec(smoothed=np.True_).smoothed is True
+
     def test_settings_keep_their_spelling(self):
         assert EstimationSpec(regime="probabilistic", bandwidth=2).bandwidth == 2
         assert EstimationSpec(regime="probabilistic").bandwidth == "silverman"

@@ -122,13 +122,15 @@ class TestRoundTrip:
 
     def test_smoothed_streams_replay_identically(self, tmp_path):
         # smoothing always derives from the stored pipeline seed, so a
-        # reloaded pipeline replays the exact same stream p-values
-        config = PipelineConfig(scorer=KNN, strategy=split(0.5), seed=14,
-                                estimation=EstimationSpec(smoothed=True))
-        original, loaded = round_trip(tmp_path, config, gaussian_matrix(10, 90))
-        stream = gaussian_matrix(11, 35)
-        np.testing.assert_array_equal(stream_p_values(loaded, stream).values,
-                                      stream_p_values(original, stream).values)
+        # reloaded pipeline replays the exact same stream p-values.  A numpy
+        # bool is stored as the bool: np.True_ once made json refuse the header
+        for smoothed in (True, np.True_):
+            config = PipelineConfig(scorer=KNN, strategy=split(0.5), seed=14,
+                                    estimation=EstimationSpec(smoothed=smoothed))
+            original, loaded = round_trip(tmp_path, config, gaussian_matrix(10, 90))
+            stream = gaussian_matrix(11, 35)
+            np.testing.assert_array_equal(stream_p_values(loaded, stream).values,
+                                          stream_p_values(original, stream).values)
 
     def test_numeric_bandwidth_saved_as_float(self, tmp_path):
         # a bandwidth is kept as the checked float: an np.float32 once passed
@@ -515,25 +517,34 @@ class TestUntrustedContent:
             snapshot_load(path)
 
     def test_index_above_inflation_limit_refused_before_inflating(self, tmp_path, forest):
-        # 16 MiB of zeros deflate about 1028:1; an index one byte above what
-        # deflate's 1032:1 can give for them is refused without inflating
+        # 16 MiB of zeros deflate about 1028:1.  An index of the file's layout
+        # whose rows of one feature ask for 1 to 8 bytes more than deflate's
+        # 1032:1 can give for them is refused without inflating, and so is an
+        # index one byte above it that lists the rows alone, as bytes
         header, arrays = forest
         stored = zlib.compress(bytes(1 << 24))
-        size = 1032 * len(stored) + 1
-        path = write_snapshot(tmp_path / "bomb.snap", header,
-                              {"calibration/rows": np.zeros(0, np.uint8)}, stored,
-                              shapes={"calibration/rows": [size]})
-        tracemalloc.start()
-        began = time.perf_counter()
-        try:
-            with pytest.raises(SnapshotError, match=f"asks for {size} payload bytes, more "
-                                                    f"than {len(stored)} deflated bytes"):
-                snapshot_load(path)
-            elapsed, peak = time.perf_counter() - began, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert elapsed < 1.0
-        assert peak < 1 << 21
+        n_rows = (1032 * len(stored) - 2 * 32) // 8 + 1
+        size = 2 * 32 + 8 * n_rows
+        cases = {
+            f"asks for {size} payload bytes, more than {len(stored)} deflated bytes":
+                write_snapshot(tmp_path / "bomb.snap", header, arrays, stored,
+                               shapes={"calibration/rows": [n_rows, 1]}),
+            r"the index lists arrays \['calibration/rows'\], not each of":
+                write_snapshot(tmp_path / "rows.snap", header,
+                               {"calibration/rows": np.zeros(0, np.uint8)}, stored,
+                               shapes={"calibration/rows": [1032 * len(stored) + 1]})}
+        for message, path in cases.items():
+            tracemalloc.start()
+            began = time.perf_counter()
+            try:
+                with mock.patch.object(snapshot, "_inflate", side_effect=AssertionError), \
+                        pytest.raises(SnapshotError, match=message):
+                    snapshot_load(path)
+                elapsed, peak = time.perf_counter() - began, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert elapsed < 1.0
+            assert peak < 1 << 21
 
     @pytest.mark.parametrize("n_features, shape", [(2, [50, 2.9]), (2, ["50", 2]),
                                                    (1, [50, True])],
@@ -559,12 +570,13 @@ class TestUntrustedContent:
             snapshot_load(path)
 
     def test_element_count_past_int64_refused(self, tmp_path, forest):
-        # 2^32 x 2^32 elements wrap to 0 in int64; Python integers do not
+        # 2^32 x 2^32 elements wrap to 0 in int64; Python integers do not,
+        # and the rows' cell count refuses them
         header, arrays = forest
         path = write_snapshot(tmp_path / "wrap.snap", header, arrays,
                               shapes={"calibration/rows": [2 ** 32, 2 ** 32]})
-        size = 8 * 2 ** 64 + len(raw_payload(arrays)) - arrays["calibration/rows"].nbytes
-        with pytest.raises(SnapshotError, match=f"asks for {size} payload bytes"):
+        with pytest.raises(SnapshotError, match=r"calibration rows of shape \(4294967296, "
+                                                r"4294967296\) hold more than"):
             snapshot_load(path)
 
     def test_header_gives_each_setting_once(self, jab, conditional, forest):
@@ -633,7 +645,8 @@ class TestUntrustedContent:
         # a digest one byte short or one byte long
         header, arrays = forest
         for bad in (arrays[name][:-1], np.concatenate([arrays[name], arrays[name][:1]])):
-            with pytest.raises(SnapshotError, match=FOREST_MISMATCH):
+            with pytest.raises(SnapshotError, match=f"{name} holds {bad.size} bytes, not a "
+                                                    "32-byte digest"):
                 snapshot_load(write_snapshot(tmp_path / "lengths.snap", header,
                                              {**arrays, name: bad}))
 
@@ -668,7 +681,7 @@ class TestUntrustedContent:
         # format-13 file
         header, arrays = forest
         if name in arrays:
-            bad, message = arrays[name].astype(dtype), "is missing or malformed"
+            bad, message = arrays[name].astype(dtype), "is malformed"
         else:
             bad, message = np.zeros((12, 2), dtype), "do not belong"
         crafted = {**arrays, name: bad}
@@ -682,13 +695,18 @@ class TestUntrustedContent:
         flipped[5] ^= 0x01
         cases = [
             ("non-finite", "calibration/entry_scores", np.full_like(scores, np.nan)),
-            ("disagree in shape", "calibration/entry_scores", np.concatenate([scores, scores[:1]])),
+            # every row is an entry here: one score more is one more than the rows
+            ("51 calibration/entry_scores values over 50 rows", "calibration/entry_scores",
+             np.concatenate([scores, scores[:1]])),
             ("disagree in shape", "calibration/entry_scores", scores[:-1]),
             (PLAN_MISMATCH, "calibration/plan_digest", flipped),
-            (PLAN_MISMATCH, "calibration/plan_digest", digest[:-1]),
-            (PLAN_MISMATCH, "calibration/plan_digest", np.concatenate([digest, digest[:1]])),
-            ("missing or malformed", "calibration/plan_digest", digest.view("<u2")),
-            ("missing or malformed", "calibration/plan_digest", digest.astype("<i8")),
+            ("holds 31 bytes, not a 32-byte digest", "calibration/plan_digest", digest[:-1]),
+            ("holds 33 bytes, not a 32-byte digest", "calibration/plan_digest",
+             np.concatenate([digest, digest[:1]])),
+            ("'calibration/plan_digest' is malformed", "calibration/plan_digest",
+             digest.view("<u2")),
+            ("'calibration/plan_digest' is malformed", "calibration/plan_digest",
+             digest.astype("<i8")),
         ]
         for message, name, value in cases:
             with pytest.raises(SnapshotError, match=message):
@@ -754,6 +772,42 @@ class TestUntrustedContent:
                                                    r"hold more than the 4194304 row x feature"):
             snapshot_load(path)
         assert time.perf_counter() - began < 0.1
+
+    @pytest.mark.parametrize("which, name, message", [
+        ("forest", "junk", r"arrays \['junk'\] do not belong"),
+        ("forest", "calibration/entry_scores",
+         r"arrays \['calibration/entry_scores'\] do not belong"),
+        ("jab", "calibration/entry_scores",
+         "67108864 calibration/entry_scores values over 50 rows"),
+        ("conditional", "table/adjusted", "67108864 table/adjusted values over 60 rows")],
+        ids=["unknown-name", "forest-entry-scores", "knn-entry-scores", "table"])
+    def test_layout_checked_before_inflating(self, tmp_path, request, which, name, message):
+        # half a megabyte of stored bytes may claim 2^29 raw ones within
+        # deflate's 1032:1: one array of 2^26 doubles that the configuration
+        # does not hold, or more entry scores or table values than its rows
+        # allow, is refused from the index alone, before anything inflates
+        header, arrays = request.getfixturevalue(which)
+        path = write_snapshot(tmp_path / "large.snap", header, {**arrays, name: np.zeros(0)},
+                              np.random.default_rng(0).bytes(1 << 19),
+                              shapes={name: [1 << 26]})
+        assert path.stat().st_size < 540_000
+        began = time.perf_counter()
+        with mock.patch.object(snapshot, "_inflate", side_effect=AssertionError), \
+                pytest.raises(SnapshotError, match=message):
+            snapshot_load(path)
+        assert time.perf_counter() - began < 0.1
+
+    @pytest.mark.parametrize("which", ["forest", "jab", "conditional"])
+    def test_index_in_any_order_loads(self, tmp_path, request, which):
+        # the index lays the payload out, so its arrays may come in any order
+        header, arrays = request.getfixturevalue(which)
+        X = gaussian_matrix(22, 5, d=arrays["calibration/rows"].shape[1])
+        shuffled = dict(reversed(arrays.items()))
+        assert list(shuffled) != list(arrays)
+        saved = snapshot_load(next(tmp_path.glob("*.snap")))
+        loaded = snapshot_load(write_snapshot(tmp_path / "reversed.snap", header, shuffled))
+        assert (compute_p_values(loaded, X).values.tobytes()
+                == compute_p_values(saved, X).values.tobytes())
 
     def test_rows_bounded_at_save(self, tmp_path, monkeypatch):
         # the fixture's 60 rows of 3 features, 180 cells, save and load at a
@@ -887,7 +941,8 @@ class TestUntrustedContent:
         ("conditional", {"delta": "0.1"}, "delta"),
         ("jab", {"regime": "probabilistic", "smoothed": None, "bandwidth": float("inf")},
          "bandwidth"),
-    ], ids=["string-delta", "infinite-bandwidth"])
+        ("jab", {"smoothed": "no"}, "smoothed"),
+    ], ids=["string-delta", "infinite-bandwidth", "string-smoothed"])
     def test_header_settings_checked(self, tmp_path, request, which, estimation, name):
         # the digest only detects damage: with it recomputed, a delta of "0.1"
         # or a bandwidth of Infinity once loaded.  The jab file's empirical
@@ -967,7 +1022,7 @@ class TestUntrustedContent:
         # it used to load, and scoring then died on a missing table
         header, arrays = conditional
         arrays.pop("table/adjusted")
-        with pytest.raises(SnapshotError, match="'table/adjusted' is missing"):
+        with pytest.raises(SnapshotError, match=r"'table/adjusted'\] once"):
             snapshot_load(write_snapshot(tmp_path / "no_table.snap", header, arrays))
 
     def test_table_under_other_regime_refused(self, tmp_path, conditional):
