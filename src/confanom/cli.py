@@ -164,8 +164,7 @@ def parse_config(path):
 
 
 def _refuse_keys(entries, prefixes, conflict):
-    """Raise ConfigError naming, after ``conflict``, every key of
-    ``entries`` under ``prefixes``."""
+    """Raise ConfigError with ``conflict`` and every key under ``prefixes``."""
     keys = sorted(k for k in entries if k.startswith(prefixes))
     if keys:
         raise ConfigError(f"{conflict}: " + ", ".join(keys))
@@ -371,7 +370,11 @@ def _print_json(payload):
 
 
 def _effective_config(entries, **extra):
-    return {**entries, **{key: value for key, value in extra.items() if value is not None}}
+    merged = dict(entries)
+    for key, value in extra.items():
+        if value is not None:
+            merged[key] = value
+    return merged
 
 
 # ---------------------------------------------------------------------------

@@ -49,25 +49,24 @@ entry scoring would cost a load more than the ``MAX_FOREST_*`` bounds on
 tree grows.  A calibration-conditional pipeline adds ``table/adjusted``, its
 n_entries + 1 adjusted p-values.
 
-The file digest only detects damage: anyone can recompute it.  A load
-checks magic, version and digest before it reads any content, so a
-truncated or corrupted file is refused whole.  It then builds the
-configuration from the header and checks the index against its layout
-before anything inflates: the digests are 32 bytes, the rows are within
+The file digest only detects damage: anyone can recompute it.  A load checks
+magic, version and digest before it reads any content, so a truncated or
+corrupted file is refused whole.  It then builds the configuration from the
+header and checks the index against its layout before anything inflates: the
+digests are 32 bytes, the rows have at least one feature and are within
 ``MAX_ROW_CELLS``, there is at most one entry score per row and a table of
 at most rows + 1 values, the plan bound holds for the rows' count, and the
-raw size, summed in Python integers so no shape can overflow it, is within
-deflate's 1032:1 expansion of the stored bytes.  So the rows bound what a
-file can make a load inflate, about 100 MB at ``MAX_ROW_CELLS``, whatever
-its size.  The stream is inflated to at most one byte past that size and
-refused if it is not a valid zlib stream, inflates short or long, is
-unfinished, or is followed by other bytes.  What is built from the header
-and arrays checks its own input: the spec constructors every setting,
-through ``core``'s checkers (a delta of "0.1" or a bandwidth of Infinity is
-refused like any other), ``DataMatrix`` the rows, ``check_finite`` stored
-scores, ``fit_plan`` a model's training rows and k, ``AdjustmentTable`` its
-length and ``CalibrationModel`` its score count.  A file of another version
-is refused, and the message names both versions.
+raw size is within deflate's 1032:1 expansion of the stored bytes.  So the
+rows bound what a file can make a load inflate, about 100 MB at
+``MAX_ROW_CELLS``, whatever its size.  The stream is inflated to at most one
+byte past that size and refused if it is not a valid zlib stream, inflates
+short or long, is unfinished, or is followed by other bytes.  What is built
+from the header and arrays checks its own input: the spec constructors every
+setting, through ``core``'s checkers (a delta of "0.1" or a bandwidth of
+Infinity is refused like any other), ``DataMatrix`` the rows,
+``check_finite`` stored scores, ``fit_plan`` a model's training rows and k,
+``AdjustmentTable`` its length and ``CalibrationModel`` its score count.  A
+file of another version is refused, and the message names both versions.
 
 Only built-in detectors can be saved: an external scorer is an opaque
 callable and an oracle weighting carries a user function, neither of
@@ -264,10 +263,9 @@ def _expect(ok, what):
 
 
 def _check_index(index, config):
-    """The shape of each array by name in the order of ``index``, refused
-    unless the index lists ``config``'s layout and the rows bound it, as the
-    module describes.  A save checks what it writes, a load what it would
-    inflate."""
+    """Each array's dtype and shape by name, in ``index`` order, once the index
+    lists ``config``'s layout and the rows bound it as the module describes.
+    A save checks what it writes, a load what it would inflate."""
     layout = _layout(config)
     names = [entry["name"] for entry in index]
     stray = [name for name in names if name not in layout]
@@ -287,29 +285,28 @@ def _check_index(index, config):
         size = shapes.get(name, [_DIGEST_BYTES])[0]
         _expect(size == _DIGEST_BYTES, f"{name} holds {size} bytes, not a 32-byte digest")
     rows = shapes["calibration/rows"]
-    if math.prod(rows) > MAX_ROW_CELLS:
-        raise SnapshotError(f"calibration rows of shape {tuple(rows)} hold more than the "
-                            f"{MAX_ROW_CELLS} row x feature cells a snapshot stores")
+    _expect(rows[1] >= 1, f"calibration rows of shape {tuple(rows)} have no feature")
+    _expect(math.prod(rows) <= MAX_ROW_CELLS, f"calibration rows of shape {tuple(rows)} hold "
+            f"more than the {MAX_ROW_CELLS} row x feature cells a snapshot stores")
     for name, most in (("calibration/entry_scores", rows[0]), ("table/adjusted", rows[0] + 1)):
         count = shapes.get(name, [0])[0]
         _expect(count <= most, f"{count} {name} values over {rows[0]} rows, more than {most}")
     _check_plan_size(config.strategy, rows[0])
-    return shapes
+    return {name: (np.dtype(layout[name][0]), shape) for name, shape in shapes.items()}
 
 
 def _read_arrays(index, stored, config):
     """The arrays of ``config``'s layout by name, from the deflated payload
     ``stored`` as ``index`` lays it out, once ``_check_index`` holds."""
-    shapes, layout = _check_index(index, config), _layout(config)
-    dtypes = {name: np.dtype(layout[name][0]) for name in shapes}
-    sizes = [dtypes[name].itemsize * math.prod(shape) for name, shape in shapes.items()]
+    index = _check_index(index, config)
+    sizes = [dtype.itemsize * math.prod(shape) for dtype, shape in index.values()]
     if sum(sizes) > _MAX_INFLATION * len(stored):
         raise SnapshotError(f"the array index asks for {sum(sizes)} payload bytes, more "
                             f"than {len(stored)} deflated bytes can hold")
     payload, arrays, offset = _inflate(stored, sum(sizes)), {}, 0
-    for (name, dtype), nbytes in zip(dtypes.items(), sizes):
+    for (name, (dtype, shape)), nbytes in zip(index.items(), sizes):
         planes = np.frombuffer(payload, np.uint8, nbytes, offset).reshape(dtype.itemsize, -1)
-        arrays[name] = planes.T.copy().view(dtype).reshape(shapes[name])
+        arrays[name] = planes.T.copy().view(dtype).reshape(shape)
         offset += nbytes
     return arrays
 

@@ -570,8 +570,9 @@ class TestUntrustedContent:
             snapshot_load(path)
 
     def test_element_count_past_int64_refused(self, tmp_path, forest):
-        # 2^32 x 2^32 elements wrap to 0 in int64; Python integers do not,
-        # and the rows' cell count refuses them
+        # 2^32 x 2^32 elements wrap to 0 in int64; the rows' cell count, a
+        # Python integer, refuses them before any size is summed, so no index
+        # that passes the layout, row and plan bounds nears an int64 size
         header, arrays = forest
         path = write_snapshot(tmp_path / "wrap.snap", header, arrays,
                               shapes={"calibration/rows": [2 ** 32, 2 ** 32]})
@@ -773,23 +774,30 @@ class TestUntrustedContent:
             snapshot_load(path)
         assert time.perf_counter() - began < 0.1
 
-    @pytest.mark.parametrize("which, name, message", [
-        ("forest", "junk", r"arrays \['junk'\] do not belong"),
-        ("forest", "calibration/entry_scores",
+    @pytest.mark.parametrize("which, name, rows, message", [
+        ("forest", "junk", None, r"arrays \['junk'\] do not belong"),
+        ("forest", "calibration/entry_scores", None,
          r"arrays \['calibration/entry_scores'\] do not belong"),
-        ("jab", "calibration/entry_scores",
+        ("jab", "calibration/entry_scores", None,
          "67108864 calibration/entry_scores values over 50 rows"),
-        ("conditional", "table/adjusted", "67108864 table/adjusted values over 60 rows")],
-        ids=["unknown-name", "forest-entry-scores", "knn-entry-scores", "table"])
-    def test_layout_checked_before_inflating(self, tmp_path, request, which, name, message):
+        ("conditional", "table/adjusted", None, "67108864 table/adjusted values over 60 rows"),
+        ("jab", "calibration/entry_scores", [1 << 26, 0],
+         r"calibration rows of shape \(67108864, 0\) have no feature")],
+        ids=["unknown-name", "forest-entry-scores", "knn-entry-scores", "table",
+             "featureless-rows"])
+    def test_layout_checked_before_inflating(self, tmp_path, request, which, name, rows,
+                                             message):
         # half a megabyte of stored bytes may claim 2^29 raw ones within
         # deflate's 1032:1: one array of 2^26 doubles that the configuration
         # does not hold, or more entry scores or table values than its rows
-        # allow, is refused from the index alone, before anything inflates
+        # allow, is refused from the index alone, before anything inflates.
+        # Rows of no feature hold no cell, so they are refused before their
+        # count can allow 2^26 entry scores
         header, arrays = request.getfixturevalue(which)
-        path = write_snapshot(tmp_path / "large.snap", header, {**arrays, name: np.zeros(0)},
-                              np.random.default_rng(0).bytes(1 << 19),
-                              shapes={name: [1 << 26]})
+        shapes = {name: [1 << 26], **({} if rows is None else {"calibration/rows": rows})}
+        path = write_snapshot(tmp_path / "large.snap", header,
+                              {**arrays, **{name: np.zeros(0) for name in shapes}},
+                              np.random.default_rng(0).bytes(1 << 19), shapes=shapes)
         assert path.stat().st_size < 540_000
         began = time.perf_counter()
         with mock.patch.object(snapshot, "_inflate", side_effect=AssertionError), \
